@@ -9,7 +9,7 @@
 //	        [-num 100000] [-value_size 128] [-key_size 16] [-backend cpu|fcae]
 //	        [-engine_n 9] [-engine_v 8] [-compression_ratio 0.5]
 //	        [-compaction-workers 1] [-device-channels 1] [-fault-rate 0.0] [-fault-seed 1]
-//	        [-priority-lanes=true] [-arena-bytes 0]
+//	        [-arena-bytes 0]
 //	        [-pipeline-depth 0] [-pipeline-encoders 0]
 //	        [-trace out.jsonl] [-metrics] [-json out.json]
 //	dbbench -compact-bench [-compact-runs 2] [-compact-entries 100000] [-json out.json]
@@ -18,10 +18,9 @@
 // the offload scheduler (backend=fcae only); -compaction-workers runs
 // that many background compactors against them; -fault-rate injects
 // device faults (errors, mid-merge write failures, stalls) at the given
-// probability, exercising the CPU-fallback path. -priority-lanes=false
-// collapses the scheduler's two-priority queue back to a single FIFO;
-// -arena-bytes sizes each channel's persistent device-memory staging
-// arena (0 = modeled default, negative disables; backend=fcae only).
+// probability, exercising the CPU-fallback path. -arena-bytes sizes each
+// channel's persistent device-memory staging arena (0 = modeled default,
+// negative disables; backend=fcae only).
 // -trace writes one JSON line per compaction (inputs, outputs, pairs,
 // modeled kernel/PCIe time, phase spans); -metrics dumps the final
 // metrics snapshot as JSON on stdout; -json writes a machine-readable
@@ -81,7 +80,6 @@ func main() {
 	channels := flag.Int("device-channels", 1, "device channels (engine instances) behind the scheduler; backend=fcae only")
 	faultRate := flag.Float64("fault-rate", 0, "device fault injection probability [0,1); backend=fcae only")
 	faultSeed := flag.Int64("fault-seed", 1, "fault injector RNG seed")
-	priorityLanes := flag.Bool("priority-lanes", true, "dispatch L0 jobs ahead of deep-level jobs (false = single FIFO)")
 	arenaBytes := flag.Int64("arena-bytes", 0, "per-channel device staging arena size (0 = modeled default, <0 disables); backend=fcae only")
 	tracePath := flag.String("trace", "", "write per-compaction JSONL trace records to this file")
 	metrics := flag.Bool("metrics", false, "dump the final metrics snapshot as JSON")
@@ -114,14 +112,13 @@ func main() {
 		*dir = d
 	}
 
-	// The legacy -compaction-workers flag keeps its historical meaning (N
-	// merge compactors implies N+1 pool workers); everything else feeds
-	// the consolidated DispatchConfig.
-	opts := fcae.Options{CompactionWorkers: *workers}
+	// -compaction-workers counts merge compactors; the pool has one more
+	// worker, which keeps a slot free for flushes.
+	var opts fcae.Options
+	opts.DispatchConfig.Workers = *workers + 1
 	opts.DispatchConfig.Tuning = fcae.DispatchTuning{
-		DisablePriorityLanes: !*priorityLanes,
-		PipelineDepth:        *pipelineDepth,
-		PipelineEncoders:     *pipelineEncoders,
+		PipelineDepth:    *pipelineDepth,
+		PipelineEncoders: *pipelineEncoders,
 	}
 	if *backend == "fcae" {
 		cfg := fcae.MultiInputEngineConfig()
@@ -218,7 +215,6 @@ func main() {
 				"device_channels":    *channels,
 				"fault_rate":         *faultRate,
 				"fault_seed":         *faultSeed,
-				"priority_lanes":     *priorityLanes,
 				"arena_bytes":        *arenaBytes,
 				"benchmarks":         *benches,
 			},

@@ -8,7 +8,7 @@
 //	fcaeserver -db DIR [-addr 127.0.0.1:4490] [-admin 127.0.0.1:4491]
 //	           [-backend cpu|fcae] [-engine_n 9] [-engine_v 8]
 //	           [-compaction-workers 1] [-device-channels 1] [-fault-rate 0.0]
-//	           [-priority-lanes=true] [-arena-bytes 0]
+//	           [-arena-bytes 0]
 //	           [-max-inflight 256] [-write-queue 1024] [-commit-window 0]
 //	           [-group-ops 512] [-group-bytes 1048576] [-max-scan 1024]
 //
@@ -38,7 +38,6 @@ func main() {
 	channels := flag.Int("device-channels", 1, "device channels behind the scheduler; backend=fcae only")
 	faultRate := flag.Float64("fault-rate", 0, "device fault injection probability [0,1); backend=fcae only")
 	faultSeed := flag.Int64("fault-seed", 1, "fault injector RNG seed")
-	priorityLanes := flag.Bool("priority-lanes", true, "dispatch L0 jobs ahead of deep-level jobs")
 	arenaBytes := flag.Int64("arena-bytes", 0, "per-channel device staging arena size; backend=fcae only")
 	maxInflight := flag.Int("max-inflight", 0, "max concurrently-executing requests (0 = default 256)")
 	writeQueue := flag.Int("write-queue", 0, "group-commit queue capacity (0 = default 1024)")
@@ -52,8 +51,10 @@ func main() {
 		fatal(fmt.Errorf("-db is required"))
 	}
 
-	opts := fcae.Options{CompactionWorkers: *workers}
-	opts.DispatchConfig.Tuning = fcae.DispatchTuning{DisablePriorityLanes: !*priorityLanes}
+	// -compaction-workers counts merge compactors; the pool has one more
+	// worker, which keeps a slot free for flushes.
+	var opts fcae.Options
+	opts.DispatchConfig.Workers = *workers + 1
 	switch *backend {
 	case "fcae":
 		cfg := fcae.MultiInputEngineConfig()

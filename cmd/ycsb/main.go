@@ -7,17 +7,16 @@
 //	ycsb [-db DIR] [-workloads load,a,b,c,d,e,f] [-records 100000]
 //	     [-ops 100000] [-value_size 1024] [-backend cpu|fcae]
 //	     [-compaction-workers 1] [-device-channels 1] [-fault-rate 0.0]
-//	     [-priority-lanes=true] [-arena-bytes 0] [-metrics]
+//	     [-arena-bytes 0] [-metrics]
 //	     [-addr host:port] [-admin host:port] [-client-conns 2] [-pipeline 128]
 //
 // -device-channels builds that many engine instances behind the offload
 // scheduler (backend=fcae only); -compaction-workers runs that many
 // background compactors; -fault-rate injects device faults at the given
-// probability. -priority-lanes=false collapses the scheduler's
-// two-priority queue to a single FIFO; -arena-bytes sizes each channel's
-// persistent device-memory staging arena (0 = modeled default, negative
-// disables; backend=fcae only). -metrics dumps the final metrics
-// snapshot as JSON on stdout, machine-readable for BENCH_*.json tooling.
+// probability. -arena-bytes sizes each channel's persistent
+// device-memory staging arena (0 = modeled default, negative disables;
+// backend=fcae only). -metrics dumps the final metrics snapshot as JSON
+// on stdout, machine-readable for BENCH_*.json tooling.
 //
 // Network mode: -addr drives the same workloads through the
 // server/client wire protocol instead of the library; the store flags
@@ -145,7 +144,6 @@ func main() {
 	workers := flag.Int("compaction-workers", 1, "concurrent background compaction workers; in-process mode only")
 	channels := flag.Int("device-channels", 1, "device channels (engine instances) behind the scheduler; backend=fcae only")
 	faultRate := flag.Float64("fault-rate", 0, "device fault injection probability [0,1); backend=fcae only")
-	priorityLanes := flag.Bool("priority-lanes", true, "dispatch L0 jobs ahead of deep-level jobs (false = single FIFO)")
 	arenaBytes := flag.Int64("arena-bytes", 0, "per-channel device staging arena size (0 = modeled default, <0 disables); backend=fcae only")
 	seed := flag.Int64("seed", 7, "RNG seed; every generator derives from this one stream")
 	metrics := flag.Bool("metrics", false, "dump the final metrics snapshot as JSON")
@@ -164,7 +162,6 @@ func main() {
 			"-device-channels":    *channels != 1,
 			"-fault-rate":         *faultRate != 0,
 			"-arena-bytes":        *arenaBytes != 0,
-			"-priority-lanes":     !*priorityLanes,
 		} {
 			if bad {
 				fatal(fmt.Errorf("%s configures the store and conflicts with -addr: set it on the fcaeserver process", flagName))
@@ -190,10 +187,10 @@ func main() {
 			defer os.RemoveAll(d)
 			*dir = d
 		}
-		// -compaction-workers keeps its historical meaning (N merge compactors
-		// implies N+1 pool workers); the rest feeds DispatchConfig.
-		opts := fcae.Options{CompactionWorkers: *workers}
-		opts.DispatchConfig.Tuning = fcae.DispatchTuning{DisablePriorityLanes: !*priorityLanes}
+		// -compaction-workers counts merge compactors; the pool has one
+		// more worker, which keeps a slot free for flushes.
+		var opts fcae.Options
+		opts.DispatchConfig.Workers = *workers + 1
 		if *backend == "fcae" {
 			if *channels < 1 {
 				fatal(fmt.Errorf("-device-channels must be >= 1, got %d", *channels))

@@ -91,19 +91,16 @@ type (
 
 // Offload-scheduler types. Options.DispatchConfig consolidates the device
 // channel pool, the shared flush/compaction worker-pool size, the fault
-// injector and the scheduler tuning in one place (the former
-// Options.{DeviceExecutors,CompactionWorkers,FaultInjector,Dispatch}
-// fields remain as deprecated aliases). DB.DispatchStats reports the
-// per-lane routing counters.
+// injector and the scheduler tuning in one place. DB.DispatchStats reports
+// the per-lane routing counters.
 type (
 	// DispatchConfig consolidates the offload scheduler's configuration:
 	// device channels, shared worker-pool size, fault injection and
 	// tuning. Set it in Options.DispatchConfig; it has its own Validate.
 	DispatchConfig = lsm.DispatchConfig
 	// DispatchTuning sets the offload scheduler's queue depth, device
-	// deadline, retry policy, image budget, and the priority-lane
-	// controls (AgingWait, DisablePriorityLanes). The zero value picks
-	// working defaults.
+	// deadline, retry policy, image budget, and the priority lanes'
+	// starvation bound (AgingWait). The zero value picks working defaults.
 	DispatchTuning = dispatch.Tuning
 	// Lane identifies which dispatch lane completed a merge: LaneCPU,
 	// DeviceLane(i), or the zero LaneNone for undispatched work.
@@ -119,7 +116,8 @@ type (
 	// the per-reason fallback counts.
 	DispatchStats = dispatch.Stats
 	// FaultInjector decides, per device attempt, whether and how the
-	// simulated device misbehaves. Set it in Options.FaultInjector.
+	// simulated device misbehaves. Set it in
+	// Options.DispatchConfig.FaultInjector.
 	FaultInjector = dispatch.FaultInjector
 	// Fault is one injected misbehavior: an error, a mid-merge write
 	// failure, a stall or added latency.

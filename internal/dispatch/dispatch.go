@@ -120,9 +120,6 @@ type Tuning struct {
 	// job that has waited this long at its queue head is dequeued ahead
 	// of pending L0 jobs (default 500ms).
 	AgingWait time.Duration
-	// DisablePriorityLanes collapses the two priorities into one FIFO
-	// queue (the pre-priority behavior), for ablation and benchmarks.
-	DisablePriorityLanes bool
 	// PipelineDepth enables the CPU lane's stage-parallel data path
 	// (read-ahead → merge → encode) with the given bounded queue depth;
 	// 0 keeps the sequential reference path. Ignored when Config.CPU is
@@ -427,7 +424,7 @@ func (s *Scheduler) enqueue(req *request, block bool) (ok bool, err error) {
 		s.qcond.Wait()
 	}
 	req.queuedAt = time.Now()
-	if req.pri == PriorityL0 && !s.tun.DisablePriorityLanes {
+	if req.pri == PriorityL0 {
 		s.high = append(s.high, req)
 	} else {
 		s.low = append(s.low, req)

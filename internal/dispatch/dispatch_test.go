@@ -506,41 +506,6 @@ func TestAgingPromotion(t *testing.T) {
 	}
 }
 
-// TestPriorityDisabled proves DisablePriorityLanes restores plain FIFO:
-// an L0 job queues behind the earlier deep job.
-func TestPriorityDisabled(t *testing.T) {
-	dev := &gateExec{fakeExec: fakeExec{name: "fcae", maxRuns: 4}, gate: make(chan struct{})}
-	s := newTestSched(t, Config{
-		Devices: []compaction.Executor{dev},
-		CPU:     &fakeExec{name: "cpu"},
-		Tuning:  Tuning{QueueDepth: 4, AgingWait: time.Hour, DisablePriorityLanes: true},
-	})
-	var wg sync.WaitGroup
-	run := func(num uint64, pri Priority) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, _, err := s.Execute(testJobNum(num), &nullEnv{}, pri); err != nil {
-				t.Errorf("Execute(%d): %v", num, err)
-			}
-		}()
-	}
-	run(1, PriorityDeep)
-	waitFor(t, "job 1 on the channel", func() bool { return len(dev.callOrder()) == 1 })
-	run(2, PriorityDeep)
-	waitFor(t, "job 2 queued", func() bool { return s.Stats().QueueDepthLow == 1 })
-	run(3, PriorityL0)
-	waitFor(t, "job 3 queued", func() bool { return s.Stats().QueueDepthLow == 2 })
-	if got := s.Stats().QueueDepthHigh; got != 0 {
-		t.Fatalf("QueueDepthHigh = %d, want 0 with lanes disabled", got)
-	}
-	close(dev.gate)
-	wg.Wait()
-	if got := dev.callOrder(); len(got) != 3 || got[1] != 2 || got[2] != 3 {
-		t.Fatalf("device order = %v, want FIFO [1 2 3]", got)
-	}
-}
-
 // arenaExec is a fakeExec that reports a staging arena, implementing the
 // scheduler's ArenaSizer.
 type arenaExec struct {

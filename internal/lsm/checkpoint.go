@@ -20,32 +20,14 @@ func (db *DB) Checkpoint(dest string) error {
 		return err
 	}
 
-	// Pin the current file set against the obsolete-file sweep while the
+	// The acquired version keeps every table it names on disk while the
 	// copy runs.
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
-		return ErrClosed
+	rs, err := db.acquire()
+	if err != nil {
+		return err
 	}
-	v := db.vs.Current()
-	seq := db.seq
-	var pinned []uint64
-	for level := range v.Levels {
-		for _, f := range v.Levels[level] {
-			if !db.pendingOutputs[f.Num] {
-				db.pendingOutputs[f.Num] = true
-				pinned = append(pinned, f.Num)
-			}
-		}
-	}
-	db.mu.Unlock()
-	defer func() {
-		db.mu.Lock()
-		for _, n := range pinned {
-			delete(db.pendingOutputs, n)
-		}
-		db.mu.Unlock()
-	}()
+	defer db.release(rs)
+	v, seq := rs.version, rs.seq
 
 	if err := os.MkdirAll(dest, 0o755); err != nil {
 		return err

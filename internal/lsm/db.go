@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"io/fs"
 	"os"
 	"sync"
 	"time"
@@ -76,8 +75,8 @@ type DB struct {
 	// concurrent workers never pick overlapping file sets.
 	busyLevels [manifest.NumLevels]bool
 	// pendingOutputs holds table numbers being written by an in-flight
-	// compaction so the obsolete-file sweep does not reap them before
-	// their version edit lands.
+	// flush or compaction so the obsolete-file sweep does not reap them
+	// before their version edit lands.
 	pendingOutputs map[uint64]bool
 	// holdDeletions suspends the obsolete-file sweep entirely while an
 	// external backup copies the directory (DisableFileDeletions).
@@ -497,50 +496,61 @@ func (db *DB) recordStallLocked(reason obs.StallReason, d time.Duration) {
 	})
 }
 
+// readState is everything a read must hold still: the two memtables and a
+// referenced version, which keeps every table it names on disk.
+type readState struct {
+	mem, imm *memtable.MemTable
+	version  *manifest.Version
+	seq      uint64 // newest committed sequence at acquire
+}
+
+// acquire captures the read state under one db.mu acquisition. It is the
+// only way a read obtains a version; every acquire is paired with release.
+func (db *DB) acquire() (readState, error) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if db.closed {
+		return readState{}, ErrClosed
+	}
+	return readState{mem: db.mem, imm: db.imm, version: db.vs.Ref(), seq: db.seq}, nil
+}
+
+// release drops rs's version reference. The last reader of a superseded
+// version is the one that makes its tables obsolete, so it runs the sweep
+// (and delivers the TableDeleted events) that the flush or compaction
+// which installed the successor had to leave undone.
+func (db *DB) release(rs readState) {
+	if !db.vs.Unref(rs.version) {
+		return
+	}
+	db.mu.Lock()
+	if !db.closed {
+		db.deleteObsoleteFilesLocked()
+	}
+	db.mu.Unlock()
+	db.flushEvents()
+}
+
 // Get returns the value for key, or ErrNotFound.
 func (db *DB) Get(key []byte) ([]byte, error) {
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
-		return nil, ErrClosed
+	rs, err := db.acquire()
+	if err != nil {
+		return nil, err
 	}
-	seq := db.seq
-	db.mu.Unlock()
-	return db.getRetry(key, seq)
+	defer db.release(rs)
+	return db.getAt(key, rs.seq, rs)
 }
 
-// getRetry reads at seq, re-capturing the version when a concurrent
-// compaction unlinks a table between the version snapshot and the file
-// open (versions are not refcounted; an ErrNotExist on a table open can
-// only mean the version moved on).
-func (db *DB) getRetry(key []byte, seq uint64) ([]byte, error) {
-	for attempt := 0; ; attempt++ {
-		db.mu.Lock()
-		if db.closed {
-			db.mu.Unlock()
-			return nil, ErrClosed
-		}
-		mem, imm := db.mem, db.imm
-		v := db.vs.Current()
-		db.mu.Unlock()
-		val, err := db.getAt(key, seq, mem, imm, v)
-		if (errors.Is(err, fs.ErrNotExist) || errors.Is(err, fs.ErrClosed)) && attempt < 100 {
-			continue
-		}
-		return val, err
-	}
-}
-
-// GetAt performs a read at an explicit snapshot sequence.
-func (db *DB) getAt(key []byte, seq uint64, mem, imm *memtable.MemTable, v *manifest.Version) ([]byte, error) {
-	if val, del, found := mem.Get(key, seq); found {
+// getAt reads key as of seq from the acquired state.
+func (db *DB) getAt(key []byte, seq uint64, rs readState) ([]byte, error) {
+	if val, del, found := rs.mem.Get(key, seq); found {
 		if del {
 			return nil, ErrNotFound
 		}
 		return val, nil
 	}
-	if imm != nil {
-		if val, del, found := imm.Get(key, seq); found {
+	if rs.imm != nil {
+		if val, del, found := rs.imm.Get(key, seq); found {
 			if del {
 				return nil, ErrNotFound
 			}
@@ -559,14 +569,15 @@ func (db *DB) getAt(key []byte, seq uint64, mem, imm *memtable.MemTable, v *mani
 		firstLvl  int
 		probed    int
 	)
-	v.ForEachOverlapping(key, func(level int, f *manifest.FileMetadata) bool {
+	rs.version.ForEachOverlapping(key, func(level int, f *manifest.FileMetadata) bool {
 		probed++
-		r, err := db.tables.get(f.Num)
+		h, err := db.tables.get(f.Num)
 		if err != nil {
 			ferr = err
 			return false
 		}
-		val, d, ok, err := r.Get(key, seq)
+		val, d, ok, err := h.reader.Get(key, seq)
+		db.tables.release(h)
 		if err != nil {
 			ferr = err
 			return false

@@ -78,11 +78,13 @@ func TestCompactionConcurrency(t *testing.T) {
 		BaseLevelBytes:     32 << 10,
 		MaxOutputFileBytes: 16 << 10,
 		BlockCacheBytes:    1 << 20,
-		CompactionWorkers:  2,
-		DeviceExecutors:    newDeviceChannels(t, 2),
-		// Benign latency on every device merge widens the overlap window
-		// without introducing any fault (0% error rate).
-		FaultInjector: dispatch.NewProbInjector(1, 0).WithSlow(1.0, 20*time.Millisecond),
+		DispatchConfig: DispatchConfig{
+			Workers: 3,
+			Devices: newDeviceChannels(t, 2),
+			// Benign latency on every device merge widens the overlap
+			// window without introducing any fault (0% error rate).
+			FaultInjector: dispatch.NewProbInjector(1, 0).WithSlow(1.0, 20*time.Millisecond),
+		},
 		EventListener: ol,
 	}
 	db := openTest(t, opts)
@@ -125,13 +127,15 @@ func TestFaultInjectionIntegrity(t *testing.T) {
 			BaseLevelBytes:     32 << 10,
 			MaxOutputFileBytes: 16 << 10,
 			BlockCacheBytes:    1 << 20,
-			CompactionWorkers:  2,
-			DeviceExecutors:    newDeviceChannels(t, 2),
-			FaultInjector:      dispatch.NewProbInjector(7, 0.2),
-			Dispatch: dispatch.Tuning{
-				DeviceDeadline:   25 * time.Millisecond,
-				RetryBackoff:     time.Millisecond,
-				MaxDeviceRetries: -1, // every fault falls straight back to CPU
+			DispatchConfig: DispatchConfig{
+				Workers:       3,
+				Devices:       newDeviceChannels(t, 2),
+				FaultInjector: dispatch.NewProbInjector(7, 0.2),
+				Tuning: dispatch.Tuning{
+					DeviceDeadline:   25 * time.Millisecond,
+					RetryBackoff:     time.Millisecond,
+					MaxDeviceRetries: -1, // every fault falls straight back to CPU
+				},
 			},
 		}
 	}
@@ -233,13 +237,15 @@ func TestDispatchStress(t *testing.T) {
 		BaseLevelBytes:     32 << 10,
 		MaxOutputFileBytes: 16 << 10,
 		BlockCacheBytes:    1 << 20,
-		CompactionWorkers:  2,
-		DeviceExecutors:    newDeviceChannels(t, 2),
-		FaultInjector:      dispatch.NewProbInjector(3, 0.3),
-		Dispatch: dispatch.Tuning{
-			DeviceDeadline:   20 * time.Millisecond,
-			RetryBackoff:     time.Millisecond,
-			MaxDeviceRetries: 1,
+		DispatchConfig: DispatchConfig{
+			Workers:       3,
+			Devices:       newDeviceChannels(t, 2),
+			FaultInjector: dispatch.NewProbInjector(3, 0.3),
+			Tuning: dispatch.Tuning{
+				DeviceDeadline:   20 * time.Millisecond,
+				RetryBackoff:     time.Millisecond,
+				MaxDeviceRetries: 1,
+			},
 		},
 	}
 	db := openTest(t, opts)
@@ -304,29 +310,32 @@ func TestDispatchStress(t *testing.T) {
 	t.Logf("dispatch = %+v, stats fallbacks = %d", db.DispatchStats(), db.Stats().SWFallbacks)
 }
 
-// TestDispatchOptionValidation covers the new Options error paths.
+// TestDispatchOptionValidation covers how Options.Executor resolves into
+// the dispatch configuration: it is the single device channel unless it is
+// the CPU executor, and it excludes DispatchConfig.Devices.
 func TestDispatchOptionValidation(t *testing.T) {
 	devs := newDeviceChannels(t, 1)
-	cases := []Options{
-		{CompactionWorkers: -1},
-		{Executor: devs[0], DeviceExecutors: devs},
-		{FaultInjector: dispatch.NewProbInjector(1, 0.5)}, // no devices to fault
-		{Dispatch: dispatch.Tuning{QueueDepth: -1}},
+	inj := dispatch.NewProbInjector(1, 0.5)
+	bad := []Options{
+		{Executor: devs[0], DispatchConfig: DispatchConfig{Devices: devs}},
+		// A CPU executor is not a device: nothing to fault.
+		{Executor: compaction.CPU{}, DispatchConfig: DispatchConfig{FaultInjector: inj}},
 	}
-	for i, o := range cases {
+	for i, o := range bad {
 		if err := o.Validate(); err == nil {
 			t.Errorf("case %d: Validate accepted %+v", i, o)
 		}
 	}
-	ok := Options{DeviceExecutors: devs, CompactionWorkers: 2,
-		FaultInjector: dispatch.NewProbInjector(1, 0.1)}
+	ok := Options{Executor: devs[0], DispatchConfig: DispatchConfig{FaultInjector: inj}}
 	if err := ok.Validate(); err != nil {
-		t.Errorf("valid dispatch options rejected: %v", err)
+		t.Errorf("device Executor with a fault injector rejected: %v", err)
+	}
+	if got := ok.dispatchConfig(); len(got.Devices) != 1 || got.Workers != 2 {
+		t.Errorf("resolved config = %d devices, %d workers; want 1 and the default 2", len(got.Devices), got.Workers)
 	}
 }
 
-// TestDispatchConfigValidation covers the consolidated DispatchConfig:
-// its own rejection paths plus the deprecated-alias contradictions.
+// TestDispatchConfigValidation covers DispatchConfig's own rejection paths.
 func TestDispatchConfigValidation(t *testing.T) {
 	devs := newDeviceChannels(t, 1)
 	inj := dispatch.NewProbInjector(1, 0.5)
@@ -335,14 +344,6 @@ func TestDispatchConfigValidation(t *testing.T) {
 		{DispatchConfig: DispatchConfig{Devices: []compaction.Executor{nil}}},
 		{DispatchConfig: DispatchConfig{FaultInjector: inj}}, // no devices to fault
 		{DispatchConfig: DispatchConfig{Tuning: dispatch.Tuning{QueueDepth: -1}}},
-		// Setting a deprecated alias alongside its DispatchConfig field
-		// is a contradiction, not a merge.
-		{DispatchConfig: DispatchConfig{Devices: devs}, DeviceExecutors: devs},
-		{DispatchConfig: DispatchConfig{Devices: devs}, Executor: devs[0]},
-		{DispatchConfig: DispatchConfig{Workers: 2}, CompactionWorkers: 1},
-		{DispatchConfig: DispatchConfig{Devices: devs, FaultInjector: inj}, FaultInjector: inj},
-		{DispatchConfig: DispatchConfig{Tuning: dispatch.Tuning{QueueDepth: 4}},
-			Dispatch: dispatch.Tuning{QueueDepth: 2}},
 	}
 	for i, o := range bad {
 		if err := o.Validate(); err == nil {
@@ -357,20 +358,6 @@ func TestDispatchConfigValidation(t *testing.T) {
 	}}
 	if err := ok.Validate(); err != nil {
 		t.Errorf("valid DispatchConfig rejected: %v", err)
-	}
-}
-
-// TestLegacyWorkerAliasMapping proves CompactionWorkers=N maps onto a
-// shared pool of N+1 workers (the flush goroutine it used to imply).
-func TestLegacyWorkerAliasMapping(t *testing.T) {
-	if got := (Options{CompactionWorkers: 2}).dispatchConfig().Workers; got != 3 {
-		t.Fatalf("CompactionWorkers=2 -> pool of %d, want 3", got)
-	}
-	if got := (Options{}).dispatchConfig().Workers; got != 2 {
-		t.Fatalf("default pool = %d, want 2", got)
-	}
-	if got := (Options{DispatchConfig: DispatchConfig{Workers: 5}}).dispatchConfig().Workers; got != 5 {
-		t.Fatalf("DispatchConfig.Workers=5 -> pool of %d, want 5", got)
 	}
 }
 

@@ -192,7 +192,7 @@ func (db *DB) registerGauges() {
 	// Engine totals: channel 0 publishes under the plain engine_* names
 	// (the historical single-executor layout); further channels would
 	// collide on those names, so only the first publisher registers.
-	for _, exec := range db.opts.deviceExecutors() {
+	for _, exec := range db.opts.dispatchConfig().Devices {
 		if p, ok := exec.(obs.MetricsPublisher); ok {
 			p.PublishMetrics(r)
 			break

@@ -1,23 +1,25 @@
 package lsm
 
 import (
-	"errors"
-	"io/fs"
-	"os"
+	"sort"
 
 	"fcae/internal/iter"
 	"fcae/internal/keys"
+	"fcae/internal/manifest"
 	"fcae/internal/sstable"
 )
 
 // Iterator walks user keys at a fixed snapshot, in either direction.
 // Entries newer than the snapshot, shadowed versions and tombstones are
 // filtered out. Key/Value views are valid until the next positioning call.
+// The iterator holds its read state — and with it every table of its
+// version — until Close.
 type Iterator struct {
 	db       *DB
 	seq      uint64
+	state    readState
+	runs     []*levelIter
 	internal *iter.Merging
-	files    []*os.File
 	err      error
 	valid    bool
 	reverse  bool // direction of the last positioning call
@@ -28,85 +30,41 @@ type Iterator struct {
 
 // NewIterator returns an iterator over the current state of the database.
 func (db *DB) NewIterator() (*Iterator, error) {
-	db.mu.Lock()
-	if db.closed {
-		db.mu.Unlock()
-		return nil, ErrClosed
-	}
-	seq := db.seq
-	db.mu.Unlock()
-	return db.newIteratorRetry(seq)
-}
-
-// newIteratorRetry re-captures the version when a concurrent compaction
-// unlinks a table between the version snapshot and the eager file opens.
-func (db *DB) newIteratorRetry(seq uint64) (*Iterator, error) {
-	for attempt := 0; ; attempt++ {
-		it, err := db.newIteratorAt(seq)
-		if (errors.Is(err, fs.ErrNotExist) || errors.Is(err, fs.ErrClosed)) && attempt < 100 {
-			continue
-		}
-		return it, err
-	}
-}
-
-// newIteratorAt builds the merged internal iterator pinned at seq. Each
-// table gets its own file handle so compactions deleting inputs cannot
-// invalidate a live iterator.
-func (db *DB) newIteratorAt(seq uint64) (*Iterator, error) {
-	db.mu.Lock()
-	mem, imm := db.mem, db.imm
-	v := db.vs.Current()
-	db.mu.Unlock()
-
-	it := &Iterator{db: db, seq: seq}
-	var children []iter.Iterator
-	children = append(children, mem.NewIterator())
-	if imm != nil {
-		children = append(children, imm.NewIterator())
-	}
-	fail := func(err error) (*Iterator, error) {
-		for _, f := range it.files {
-			_ = f.Close()
-		}
+	rs, err := db.acquire()
+	if err != nil {
 		return nil, err
 	}
-	openTable := func(num uint64) (*sstable.Reader, error) {
-		f, err := os.Open(tablePath(db.dir, num))
-		if err != nil {
-			return nil, err
-		}
-		it.files = append(it.files, f)
-		st, err := f.Stat()
-		if err != nil {
-			return nil, err
-		}
-		return sstable.NewReader(f, st.Size(), db.opts.tableOpts(), db.blockCache, num)
+	return db.newIterator(rs, rs.seq), nil
+}
+
+// newIterator builds the merged internal iterator over rs pinned at seq,
+// taking over rs (Close releases it). It opens no table: every sorted run
+// gets a levelIter that takes tables from the table cache as the cursor
+// reaches them.
+func (db *DB) newIterator(rs readState, seq uint64) *Iterator {
+	it := &Iterator{db: db, seq: seq, state: rs}
+	children := []iter.Iterator{rs.mem.NewIterator()}
+	if rs.imm != nil {
+		children = append(children, rs.imm.NewIterator())
 	}
-	for _, fm := range v.Levels[0] {
-		r, err := openTable(fm.Num)
-		if err != nil {
-			return fail(err)
-		}
-		children = append(children, r.NewIterator())
+	addRun := func(files []*manifest.FileMetadata) {
+		run := &levelIter{tables: db.tables, files: files}
+		it.runs = append(it.runs, run)
+		children = append(children, run)
 	}
-	for level := 1; level < len(v.Levels); level++ {
-		// One concatenating child per sorted run: a leveled level is a
-		// single run; tiered levels contribute several (§VII-C).
-		for _, run := range v.RunGroups(level) {
-			readers := make([]*sstable.Reader, 0, len(run))
-			for _, fm := range run {
-				r, err := openTable(fm.Num)
-				if err != nil {
-					return fail(err)
-				}
-				readers = append(readers, r)
-			}
-			children = append(children, newLevelIter(readers))
+	// Each L0 table is its own sorted run; a leveled level is a single
+	// run and a tiered level contributes several (§VII-C).
+	l0 := rs.version.Levels[0]
+	for i := range l0 {
+		addRun(l0[i : i+1])
+	}
+	for level := 1; level < len(rs.version.Levels); level++ {
+		for _, run := range rs.version.RunGroups(level) {
+			addRun(run)
 		}
 	}
 	it.internal = iter.NewMerging(children...)
-	return it, nil
+	return it
 }
 
 // First positions at the smallest visible key.
@@ -258,72 +216,84 @@ func (it *Iterator) Value() []byte { return it.value }
 // Error returns the first error encountered.
 func (it *Iterator) Error() error { return it.err }
 
-// Close releases the iterator's file handles.
+// Close releases the iterator's tables and its read state. It always
+// returns nil; the error result is kept for callers that check it.
 func (it *Iterator) Close() error {
 	if it.closed {
 		return nil
 	}
 	it.closed = true
 	it.valid = false
-	var err error
-	for _, f := range it.files {
-		if e := f.Close(); e != nil && err == nil {
-			err = e
-		}
+	for _, run := range it.runs {
+		run.close()
 	}
-	return err
+	it.db.release(it.state)
+	return nil
 }
 
-// levelIter concatenates the tables of one level (>= 1), whose key ranges
-// are disjoint and sorted.
+// levelIter concatenates the tables of one sorted run — a level >= 1, one
+// run of a tiered level, or a single L0 table — whose key ranges are
+// disjoint and sorted. At most one table is open at a time, taken from the
+// table cache when the cursor reaches it and returned when it leaves.
 type levelIter struct {
-	readers []*sstable.Reader
-	idx     int
-	cur     *sstable.Iterator
-	err     error
+	tables *tableCache
+	files  []*manifest.FileMetadata
+	idx    int          // index of the open table; meaningful while handle != nil
+	handle *tableHandle // nil when no table is open
+	cur    *sstable.Iterator
+	err    error
 }
 
-func newLevelIter(readers []*sstable.Reader) *levelIter {
-	return &levelIter{readers: readers, idx: -1}
+// open makes files[i] the current table and reports whether there is one:
+// false past either end of the run or when the table cannot be opened.
+func (l *levelIter) open(i int) bool {
+	if l.handle != nil && l.idx == i {
+		return true
+	}
+	l.close()
+	if i < 0 || i >= len(l.files) {
+		return false
+	}
+	h, err := l.tables.get(l.files[i].Num)
+	if err != nil {
+		l.err = err
+		return false
+	}
+	l.idx, l.handle, l.cur = i, h, h.reader.NewIterator()
+	return true
 }
 
-func (l *levelIter) open(i int) {
-	l.idx = i
-	if i >= 0 && i < len(l.readers) {
-		l.cur = l.readers[i].NewIterator()
-	} else {
-		l.cur = nil
+// close returns the open table, leaving the iterator exhausted.
+func (l *levelIter) close() {
+	if l.handle != nil {
+		l.tables.release(l.handle)
+		l.handle, l.cur = nil, nil
 	}
 }
 
 func (l *levelIter) Valid() bool { return l.err == nil && l.cur != nil && l.cur.Valid() }
 
 func (l *levelIter) SeekToFirst() {
-	l.open(0)
-	if l.cur != nil {
+	if l.open(0) {
 		l.cur.SeekToFirst()
 		l.skipEmpty()
 	}
 }
 
+// SeekGE finds the one table that can hold target by its metadata bounds
+// and seeks only that.
 func (l *levelIter) SeekGE(target []byte) {
-	for i := range l.readers {
-		l.open(i)
+	i := sort.Search(len(l.files), func(i int) bool {
+		return keys.Compare(l.files[i].Largest, target) >= 0
+	})
+	if l.open(i) {
 		l.cur.SeekGE(target)
-		if l.cur.Valid() {
-			return
-		}
-		if err := l.cur.Error(); err != nil {
-			l.err = err
-			return
-		}
+		l.skipEmpty()
 	}
-	l.cur = nil
 }
 
 func (l *levelIter) SeekToLast() {
-	l.open(len(l.readers) - 1)
-	if l.cur != nil {
+	if l.open(len(l.files) - 1) {
 		l.cur.SeekToLast()
 		l.skipEmptyBackward()
 	}
@@ -345,44 +315,24 @@ func (l *levelIter) Prev() {
 	l.skipEmptyBackward()
 }
 
-func (l *levelIter) skipEmptyBackward() {
+// skipEmpty moves forward through the run until the cursor is on an entry,
+// the run is exhausted or an error stops it.
+func (l *levelIter) skipEmpty() {
 	for l.err == nil && l.cur != nil && !l.cur.Valid() {
-		if err := l.cur.Error(); err != nil {
-			l.err = err
-			return
+		if l.err = l.cur.Error(); l.err == nil && l.open(l.idx+1) {
+			l.cur.SeekToFirst()
 		}
-		if l.idx-1 < 0 {
-			l.cur = nil
-			return
-		}
-		l.open(l.idx - 1)
-		l.cur.SeekToLast()
 	}
 }
 
-func (l *levelIter) skipEmpty() {
+func (l *levelIter) skipEmptyBackward() {
 	for l.err == nil && l.cur != nil && !l.cur.Valid() {
-		if err := l.cur.Error(); err != nil {
-			l.err = err
-			return
+		if l.err = l.cur.Error(); l.err == nil && l.open(l.idx-1) {
+			l.cur.SeekToLast()
 		}
-		if l.idx+1 >= len(l.readers) {
-			l.cur = nil
-			return
-		}
-		l.open(l.idx + 1)
-		l.cur.SeekToFirst()
 	}
 }
 
 func (l *levelIter) Key() []byte   { return l.cur.Key() }
 func (l *levelIter) Value() []byte { return l.cur.Value() }
-func (l *levelIter) Error() error {
-	if l.err != nil {
-		return l.err
-	}
-	if l.cur != nil {
-		return l.cur.Error()
-	}
-	return nil
-}
+func (l *levelIter) Error() error  { return l.err }

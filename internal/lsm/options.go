@@ -18,9 +18,7 @@ import (
 
 // DispatchConfig groups everything that feeds the offload scheduler and
 // its shared worker pool: the device channels, the pool size, fault
-// injection and the scheduler tuning. It replaces the four scattered
-// Options fields (DeviceExecutors, CompactionWorkers, FaultInjector,
-// Dispatch), which remain as deprecated aliases for one release.
+// injection and the scheduler tuning.
 type DispatchConfig struct {
 	// Devices are the scheduler's device channels, one executor instance
 	// per simulated compaction unit (instances must not be shared between
@@ -29,9 +27,7 @@ type DispatchConfig struct {
 	// Workers sizes the shared background worker pool that drains both
 	// flushes and compactions (flush claims the highest priority;
 	// with more than one worker, one slot is always kept free for a
-	// flush). Default 2 — one flush-capable worker plus one compactor,
-	// the same parallelism as the old dedicated flush goroutine + one
-	// compaction worker.
+	// flush). Default 2 — one flush-capable worker plus one compactor.
 	Workers int
 	// FaultInjector, when non-nil, injects device faults into every
 	// device-channel attempt (see package dispatch). Requires at least
@@ -106,41 +102,12 @@ type Options struct {
 	// executor (compaction.CPU). Jobs whose fan-in exceeds
 	// Executor.MaxRuns fall back to software, the paper's §VI-A rule. A
 	// non-CPU Executor becomes a single device channel on the dispatch
-	// scheduler; use DeviceExecutors to configure more channels.
+	// scheduler; use DispatchConfig.Devices to configure more channels
+	// (the two are mutually exclusive).
 	Executor compaction.Executor
-	// DeviceExecutors configures the dispatch scheduler's device channel
-	// pool, one executor instance per simulated compaction unit (instances
-	// must not be shared between channels). Mutually exclusive with
-	// Executor.
-	//
-	// Deprecated: set DispatchConfig.Devices instead. Kept working as an
-	// alias for one release; setting both is a validation error.
-	DeviceExecutors []compaction.Executor
-	// CompactionWorkers is the number of concurrent compaction workers
-	// feeding the scheduler (default 1). The flush worker is separate, so
-	// a legacy value of N resolves to a shared pool of N+1 workers.
-	//
-	// Deprecated: set DispatchConfig.Workers instead (note the +1: it
-	// counts the whole pool, flushes included). Kept working as an alias
-	// for one release; setting both is a validation error.
-	CompactionWorkers int
-	// FaultInjector, when non-nil, injects device faults into every
-	// device-channel attempt (see package dispatch). Requires at least one
-	// device channel.
-	//
-	// Deprecated: set DispatchConfig.FaultInjector instead. Kept working
-	// as an alias for one release; setting both is a validation error.
-	FaultInjector dispatch.FaultInjector
-	// Dispatch tunes the offload scheduler's queue depth, deadline, retry
-	// and budget policy; the zero value selects the dispatch defaults.
-	//
-	// Deprecated: set DispatchConfig.Tuning instead. Kept working as an
-	// alias for one release; setting both is a validation error.
-	Dispatch dispatch.Tuning
 	// DispatchConfig groups the offload scheduler's configuration: device
 	// channels, the shared flush/compaction worker pool size, fault
-	// injection and scheduler tuning. Zero-value fields fall back to the
-	// deprecated aliases above, then to defaults.
+	// injection and scheduler tuning. Zero-value fields select defaults.
 	DispatchConfig DispatchConfig
 	// SyncWrites fsyncs the WAL on every commit.
 	SyncWrites bool
@@ -180,14 +147,12 @@ func (o Options) Validate() error {
 		return neg("L0StopTrigger", int64(o.L0StopTrigger))
 	case o.TieredRuns < 0:
 		return neg("TieredRuns", int64(o.TieredRuns))
-	case o.CompactionWorkers < 0:
-		return neg("CompactionWorkers", int64(o.CompactionWorkers))
 	}
-	if o.Executor != nil && len(o.DeviceExecutors) > 0 {
-		return fmt.Errorf("lsm: invalid Options: Executor and DeviceExecutors are mutually exclusive; put every channel in DeviceExecutors")
+	if o.Executor != nil && len(o.DispatchConfig.Devices) > 0 {
+		return fmt.Errorf("lsm: invalid Options: Executor and DispatchConfig.Devices are mutually exclusive; put every channel in DispatchConfig.Devices")
 	}
-	if err := o.validateDispatch(); err != nil {
-		return err
+	if err := o.dispatchConfig().Validate(); err != nil {
+		return fmt.Errorf("lsm: invalid Options: %w", err)
 	}
 	if o.DisableCompression && o.Compression == sstable.SnappyCompression {
 		return fmt.Errorf("lsm: invalid Options: DisableCompression set but Compression requests snappy")
@@ -256,87 +221,27 @@ func (o Options) withDefaults() Options {
 	if o.Executor == nil {
 		o.Executor = compaction.CPU{}
 	}
-	if o.CompactionWorkers <= 0 {
-		o.CompactionWorkers = 1
-	}
 	if o.SkiplistSeed == 0 {
 		o.SkiplistSeed = 0xfcae
 	}
 	return o
 }
 
-// validateDispatch checks the DispatchConfig group: the group's own
-// Validate on the resolved configuration, plus new-vs-deprecated-alias
-// contradictions (a field set both ways is a config bug, not a merge).
-func (o Options) validateDispatch() error {
-	c := o.DispatchConfig
-	if len(c.Devices) > 0 && (o.Executor != nil || len(o.DeviceExecutors) > 0) {
-		return fmt.Errorf("lsm: invalid Options: DispatchConfig.Devices and the deprecated Executor/DeviceExecutors are both set; use DispatchConfig.Devices alone")
-	}
-	if c.Workers > 0 && o.CompactionWorkers > 0 {
-		return fmt.Errorf("lsm: invalid Options: DispatchConfig.Workers (%d) and the deprecated CompactionWorkers (%d) are both set; use DispatchConfig.Workers alone",
-			c.Workers, o.CompactionWorkers)
-	}
-	if c.FaultInjector != nil && o.FaultInjector != nil {
-		return fmt.Errorf("lsm: invalid Options: DispatchConfig.FaultInjector and the deprecated FaultInjector are both set; use DispatchConfig.FaultInjector alone")
-	}
-	if c.Tuning != (dispatch.Tuning{}) && o.Dispatch != (dispatch.Tuning{}) {
-		return fmt.Errorf("lsm: invalid Options: DispatchConfig.Tuning and the deprecated Dispatch tuning are both set; use DispatchConfig.Tuning alone")
-	}
-	if c.Workers < 0 {
-		return fmt.Errorf("lsm: invalid Options: DispatchConfig.Workers is negative (%d)", c.Workers)
-	}
-	if err := o.dispatchConfig().Validate(); err != nil {
-		return fmt.Errorf("lsm: invalid Options: %w", err)
-	}
-	return nil
-}
-
-// dispatchConfig resolves the effective dispatch configuration: explicit
-// DispatchConfig fields win, zero fields fall back to the deprecated
-// aliases, and a legacy CompactionWorkers count of N becomes a pool of
-// N+1 (the old layout was N compaction workers plus a dedicated flush
-// goroutine). The final default is a pool of 2.
+// dispatchConfig resolves the effective dispatch configuration: a non-CPU
+// Executor becomes the single device channel when DispatchConfig.Devices
+// is empty (a CPU or nil Executor means no devices at all, so every merge
+// runs on the scheduler's CPU lane), and the pool defaults to 2 workers.
 func (o Options) dispatchConfig() DispatchConfig {
 	c := o.DispatchConfig
-	if len(c.Devices) == 0 {
-		c.Devices = o.deviceExecutors()
-	}
-	if c.FaultInjector == nil {
-		c.FaultInjector = o.FaultInjector
-	}
-	if c.Tuning == (dispatch.Tuning{}) {
-		c.Tuning = o.Dispatch
-	}
-	if c.Workers <= 0 {
-		if o.CompactionWorkers > 0 {
-			c.Workers = o.CompactionWorkers + 1
-		} else {
-			c.Workers = 2
+	if len(c.Devices) == 0 && o.Executor != nil {
+		if _, isCPU := o.Executor.(compaction.CPU); !isCPU {
+			c.Devices = []compaction.Executor{o.Executor}
 		}
 	}
+	if c.Workers == 0 {
+		c.Workers = 2
+	}
 	return c
-}
-
-// deviceExecutors resolves the scheduler's device channel pool: the
-// DispatchConfig.Devices list wins, then the deprecated DeviceExecutors;
-// otherwise a non-CPU Executor becomes a single channel; a CPU (or nil)
-// Executor means no devices at all, so every merge runs on the
-// scheduler's CPU lane.
-func (o Options) deviceExecutors() []compaction.Executor {
-	if len(o.DispatchConfig.Devices) > 0 {
-		return o.DispatchConfig.Devices
-	}
-	if len(o.DeviceExecutors) > 0 {
-		return o.DeviceExecutors
-	}
-	if o.Executor == nil {
-		return nil
-	}
-	if _, isCPU := o.Executor.(compaction.CPU); isCPU {
-		return nil
-	}
-	return []compaction.Executor{o.Executor}
 }
 
 func (o Options) tableOpts() sstable.Options {

@@ -22,18 +22,21 @@ func (s *Snapshot) Seq() uint64 { return s.seq }
 
 // Get reads key as of the snapshot.
 func (s *Snapshot) Get(key []byte) ([]byte, error) {
-	return s.db.getRetry(key, s.seq)
+	rs, err := s.db.acquire()
+	if err != nil {
+		return nil, err
+	}
+	defer s.db.release(rs)
+	return s.db.getAt(key, s.seq, rs)
 }
 
 // NewIterator returns an iterator over the snapshot's view.
 func (s *Snapshot) NewIterator() (*Iterator, error) {
-	s.db.mu.Lock()
-	if s.db.closed {
-		s.db.mu.Unlock()
-		return nil, ErrClosed
+	rs, err := s.db.acquire()
+	if err != nil {
+		return nil, err
 	}
-	s.db.mu.Unlock()
-	return s.db.newIteratorRetry(s.seq)
+	return s.db.newIterator(rs, s.seq), nil
 }
 
 // Release drops the snapshot's pin on old entry versions. Releasing twice

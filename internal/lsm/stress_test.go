@@ -12,8 +12,11 @@ import (
 )
 
 // TestConcurrentReadersWritersCompactions hammers the store with parallel
-// writers, point readers and iterators while compactions run on the FCAE
-// backend, under whatever detector the test runs with (-race in CI).
+// writers, point readers and iterators while automatic and forced
+// compactions run on the FCAE backend, under whatever detector the test
+// runs with (-race in CI). The table cache is shrunk below the live table
+// count, so readers constantly hold tables the LRU has already evicted;
+// any error a reader sees (a closed or unlinked file above all) fails it.
 func TestConcurrentReadersWritersCompactions(t *testing.T) {
 	exec, err := core.NewExecutor(core.MultiInputConfig())
 	if err != nil {
@@ -21,7 +24,12 @@ func TestConcurrentReadersWritersCompactions(t *testing.T) {
 	}
 	opts := smallOpts()
 	opts.Executor = exec
+	opts.BlockCacheBytes = 8 << 10 // reads must reach the file, not a cached block
 	db := openTest(t, opts)
+	const cachedTables = 2
+	db.tables.mu.Lock()
+	db.tables.capacity = cachedTables
+	db.tables.mu.Unlock()
 
 	const (
 		writers  = 4
@@ -31,6 +39,18 @@ func TestConcurrentReadersWritersCompactions(t *testing.T) {
 	)
 	var wg sync.WaitGroup
 	var stop atomic.Bool
+	var maxTables atomic.Int64
+
+	wg.Add(1)
+	go func() { // forced compactions on top of the automatic ones
+		defer wg.Done()
+		for level := 0; !stop.Load(); level = (level + 1) % 3 {
+			if err := db.CompactLevel(level); err != nil {
+				t.Errorf("CompactLevel(%d): %v", level, err)
+				return
+			}
+		}
+	}()
 
 	value := func(g, i int) []byte {
 		return bytes.Repeat([]byte{byte('a' + g)}, 40+i%40)
@@ -102,6 +122,9 @@ func TestConcurrentReadersWritersCompactions(t *testing.T) {
 				if err := it.Error(); err != nil {
 					t.Errorf("scan: %v", err)
 				}
+				if n := int64(it.state.version.TotalFiles()); n > maxTables.Load() {
+					maxTables.Store(n)
+				}
 				it.Close()
 			}
 		}()
@@ -141,6 +164,9 @@ func TestConcurrentReadersWritersCompactions(t *testing.T) {
 	st := db.Stats()
 	if st.HWCompactions == 0 {
 		t.Fatal("stress run triggered no engine compactions")
+	}
+	if maxTables.Load() <= cachedTables {
+		t.Fatalf("never more than %d live tables; the %d-table cache was not under pressure", maxTables.Load(), cachedTables)
 	}
 	// Final spot-checks.
 	for g := 0; g < writers; g++ {

@@ -10,23 +10,31 @@ import (
 )
 
 // tableCache keeps open table readers, bounded by an LRU on file handles.
+// Readers are handed out as ref-counted tableHandles: eviction only drops
+// the cache's own claim, and the file is closed by whoever lets go last,
+// so neither the LRU nor a table deletion closes an fd under a reader.
 type tableCache struct {
 	mu       sync.Mutex
 	dir      string
 	opts     sstable.Options
 	block    *cache.Cache
 	capacity int
-	entries  map[uint64]*tcEntry
-	lru      *list.List // front = MRU; values are *tcEntry
+	entries  map[uint64]*tableHandle
+	lru      *list.List // front = MRU; values are *tableHandle
 	hits     int64
 	misses   int64
 }
 
-type tcEntry struct {
+// tableHandle is one open table. The reader is valid between get and the
+// matching release.
+type tableHandle struct {
 	num    uint64
 	f      *os.File
 	reader *sstable.Reader
-	elem   *list.Element
+	// refs counts outstanding gets and elem is nil once the cache has
+	// evicted the table; both are guarded by tableCache.mu.
+	refs int
+	elem *list.Element
 }
 
 func newTableCache(dir string, opts sstable.Options, block *cache.Cache, capacity int) *tableCache {
@@ -38,19 +46,21 @@ func newTableCache(dir string, opts sstable.Options, block *cache.Cache, capacit
 		opts:     opts,
 		block:    block,
 		capacity: capacity,
-		entries:  make(map[uint64]*tcEntry),
+		entries:  make(map[uint64]*tableHandle),
 		lru:      list.New(),
 	}
 }
 
-// get returns an open reader for table num, opening it on demand.
-func (tc *tableCache) get(num uint64) (*sstable.Reader, error) {
+// get returns a handle on table num, opening the file on a miss. Every get
+// is paired with a release.
+func (tc *tableCache) get(num uint64) (*tableHandle, error) {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	if e, ok := tc.entries[num]; ok {
+	if h, ok := tc.entries[num]; ok {
 		tc.hits++
-		tc.lru.MoveToFront(e.elem)
-		return e.reader, nil
+		tc.lru.MoveToFront(h.elem)
+		h.refs++
+		return h, nil
 	}
 	tc.misses++
 	f, err := os.Open(tablePath(tc.dir, num))
@@ -67,33 +77,45 @@ func (tc *tableCache) get(num uint64) (*sstable.Reader, error) {
 		_ = f.Close()
 		return nil, err
 	}
-	e := &tcEntry{num: num, f: f, reader: r}
-	e.elem = tc.lru.PushFront(e)
-	tc.entries[num] = e
+	h := &tableHandle{num: num, f: f, reader: r, refs: 1}
+	h.elem = tc.lru.PushFront(h)
+	tc.entries[num] = h
 	for len(tc.entries) > tc.capacity {
-		tail := tc.lru.Back()
-		tc.evictLocked(tail.Value.(*tcEntry))
+		tc.evictLocked(tc.lru.Back().Value.(*tableHandle))
 	}
-	return r, nil
+	return h, nil
+}
+
+// release returns a handle obtained from get.
+func (tc *tableCache) release(h *tableHandle) {
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	h.refs--
+	if h.refs == 0 && h.elem == nil {
+		// Read-only handle; nothing buffered can be lost.
+		_ = h.f.Close()
+	}
 }
 
 // evict drops the cached reader for num (after the file is deleted).
 func (tc *tableCache) evict(num uint64) {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	if e, ok := tc.entries[num]; ok {
-		tc.evictLocked(e)
+	if h, ok := tc.entries[num]; ok {
+		tc.evictLocked(h)
 	}
 	if tc.block != nil {
 		tc.block.EvictFile(num)
 	}
 }
 
-func (tc *tableCache) evictLocked(e *tcEntry) {
-	tc.lru.Remove(e.elem)
-	delete(tc.entries, e.num)
-	// Read-only handle; nothing buffered can be lost.
-	_ = e.f.Close()
+func (tc *tableCache) evictLocked(h *tableHandle) {
+	tc.lru.Remove(h.elem)
+	h.elem = nil
+	delete(tc.entries, h.num)
+	if h.refs == 0 {
+		_ = h.f.Close()
+	}
 }
 
 // stats returns the lifetime hit and miss counts of the reader LRU.
@@ -103,13 +125,13 @@ func (tc *tableCache) stats() (hits, misses int64) {
 	return tc.hits, tc.misses
 }
 
-// close releases every handle.
+// close evicts every table and stops caching: handles still out (an
+// iterator that outlives the DB) stay readable and close on release.
 func (tc *tableCache) close() {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
-	for _, e := range tc.entries {
-		_ = e.f.Close()
+	tc.capacity = 0
+	for tc.lru.Len() > 0 {
+		tc.evictLocked(tc.lru.Back().Value.(*tableHandle))
 	}
-	tc.entries = make(map[uint64]*tcEntry)
-	tc.lru.Init()
 }

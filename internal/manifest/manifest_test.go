@@ -234,6 +234,63 @@ func TestVersionSetPersistence(t *testing.T) {
 	}
 }
 
+// TestReferencedVersionKeepsTablesLive: a superseded version's tables stay
+// in LiveFileNums while any reference to it is out, and the Unref that
+// drops the last one says so.
+func TestReferencedVersionKeepsTablesLive(t *testing.T) {
+	vs, err := Open(t.TempDir(), Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer vs.Close()
+	replace := func(del, add uint64) {
+		t.Helper()
+		edit := &VersionEdit{}
+		if del != 0 {
+			edit.DeleteFile(1, del)
+		}
+		edit.AddFile(1, meta(add, 4096, "a", "z"))
+		if err := vs.LogAndApply(edit); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wantLive := func(nums ...uint64) {
+		t.Helper()
+		live := vs.LiveFileNums()
+		if len(live) != len(nums) {
+			t.Fatalf("live = %v, want %v", live, nums)
+		}
+		for _, n := range nums {
+			if !live[n] {
+				t.Fatalf("live = %v, want %v", live, nums)
+			}
+		}
+	}
+	replace(0, 10)
+	v10a, v10b := vs.Ref(), vs.Ref()
+	replace(10, 11)
+	v11 := vs.Ref()
+	replace(11, 12)
+	wantLive(10, 11, 12)
+
+	if vs.Unref(v10a) {
+		t.Fatal("Unref reported the version dead with a reference still out")
+	}
+	wantLive(10, 11, 12)
+	if !vs.Unref(v10b) {
+		t.Fatal("last Unref of a superseded version did not report it")
+	}
+	wantLive(11, 12)
+	if !vs.Unref(v11) {
+		t.Fatal("last Unref of a superseded version did not report it")
+	}
+	wantLive(12)
+	if vs.Unref(vs.Ref()) {
+		t.Fatal("Unref of the current version reported tables obsolete")
+	}
+	wantLive(12)
+}
+
 func TestPickCompactionL0Trigger(t *testing.T) {
 	dir := t.TempDir()
 	vs, err := Open(dir, Config{L0CompactionTrigger: 4})

@@ -66,7 +66,10 @@ type VersionSet struct {
 
 	mu sync.Mutex
 
-	current     *Version
+	current *Version
+	// superseded holds the versions LogAndApply has replaced that readers
+	// still reference; their tables stay live until the last Unref.
+	superseded  []*Version
 	manifest    *wal.Writer
 	manifestF   *os.File
 	manifestNum uint64
@@ -238,11 +241,45 @@ func (vs *VersionSet) Close() error {
 	return nil
 }
 
-// Current returns the live version. The returned value is immutable.
+// Current returns the live version for inspecting the level shape. The
+// returned value is immutable but pins nothing: a caller that opens the
+// tables it names takes it with Ref instead.
 func (vs *VersionSet) Current() *Version {
 	vs.mu.Lock()
 	defer vs.mu.Unlock()
 	return vs.current
+}
+
+// Ref returns the live version with a reference held: until the matching
+// Unref, every table it names stays in LiveFileNums even after LogAndApply
+// installs a successor.
+func (vs *VersionSet) Ref() *Version {
+	vs.mu.Lock()
+	defer vs.mu.Unlock()
+	vs.current.refs++
+	return vs.current
+}
+
+// Unref drops a reference taken by Ref. It reports true when that was the
+// last reference to a superseded version, i.e. when tables may have left
+// LiveFileNums and the caller should sweep obsolete files.
+func (vs *VersionSet) Unref(v *Version) bool {
+	vs.mu.Lock()
+	defer vs.mu.Unlock()
+	v.refs--
+	if v.refs < 0 {
+		panic("manifest: Unref without a matching Ref")
+	}
+	if v.refs > 0 || v == vs.current {
+		return false
+	}
+	for i, s := range vs.superseded {
+		if s == v {
+			vs.superseded = append(vs.superseded[:i], vs.superseded[i+1:]...)
+			break
+		}
+	}
+	return true
 }
 
 // Config returns the level configuration.
@@ -304,6 +341,9 @@ func (vs *VersionSet) LogAndApply(edit *VersionEdit) error {
 	if err := vs.manifest.Sync(); err != nil {
 		return err
 	}
+	if vs.current.refs > 0 {
+		vs.superseded = append(vs.superseded, vs.current)
+	}
 	vs.current = next
 	if edit.HasLogNum {
 		vs.logNum = edit.LogNum
@@ -318,15 +358,22 @@ func (vs *VersionSet) LogAndApply(edit *VersionEdit) error {
 }
 
 // LiveFileNums returns the numbers of all tables referenced by the current
-// version, used by garbage collection of obsolete files.
+// version or by a superseded version a reader still holds, used by garbage
+// collection of obsolete files.
 func (vs *VersionSet) LiveFileNums() map[uint64]bool {
 	vs.mu.Lock()
 	defer vs.mu.Unlock()
 	live := make(map[uint64]bool)
-	for _, files := range vs.current.Levels {
-		for _, f := range files {
-			live[f.Num] = true
+	mark := func(v *Version) {
+		for _, files := range v.Levels {
+			for _, f := range files {
+				live[f.Num] = true
+			}
 		}
+	}
+	mark(vs.current)
+	for _, v := range vs.superseded {
+		mark(v)
 	}
 	return live
 }

@@ -12,6 +12,9 @@ import (
 // sorted by smallest key and non-overlapping (paper §II-A).
 type Version struct {
 	Levels [NumLevels][]*FileMetadata
+	// refs counts the readers holding this version (VersionSet.Ref/Unref);
+	// guarded by the owning VersionSet's mutex.
+	refs int
 }
 
 // Clone returns a shallow copy (file metadata is shared; the per-level

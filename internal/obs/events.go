@@ -10,7 +10,10 @@
 // event at a time. Listener implementations may therefore call quick
 // read-side methods such as DB.Stats or DB.Metrics, but must not invoke
 // blocking operations (Flush, CompactLevel, Close) — those wait on the
-// background workers that are busy delivering the event. Because delivery
+// background workers that are busy delivering the event — nor anything
+// that delivers events itself: writes, and reads through Get or an
+// iterator (the reader that drops the last reference to a superseded
+// version sweeps its tables and reports them deleted). Because delivery
 // happens outside the lock, an event may be observed shortly after the
 // state change it describes; the order is still exact.
 //
