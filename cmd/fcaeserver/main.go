@@ -1,7 +1,7 @@
 // Command fcaeserver serves an fcae store over TCP: the pipelined binary
 // KV protocol on -addr, and an HTTP admin plane (/metrics, /healthz,
 // /stats) on -admin. SIGINT/SIGTERM drain gracefully: accepting stops,
-// in-flight requests finish, queued writes commit, then the store closes.
+// in-flight requests finish, then the store closes.
 //
 // Usage:
 //
@@ -9,8 +9,7 @@
 //	           [-backend cpu|fcae] [-engine_n 9] [-engine_v 8]
 //	           [-compaction-workers 1] [-device-channels 1] [-fault-rate 0.0]
 //	           [-arena-bytes 0]
-//	           [-max-inflight 256] [-write-queue 1024] [-commit-window 0]
-//	           [-group-ops 512] [-group-bytes 1048576] [-max-scan 1024]
+//	           [-max-inflight 256] [-max-scan 1024]
 //
 // The store flags mirror cmd/dbbench so a served store and a library
 // benchmark run the same offload configuration.
@@ -40,10 +39,6 @@ func main() {
 	faultSeed := flag.Int64("fault-seed", 1, "fault injector RNG seed")
 	arenaBytes := flag.Int64("arena-bytes", 0, "per-channel device staging arena size; backend=fcae only")
 	maxInflight := flag.Int("max-inflight", 0, "max concurrently-executing requests (0 = default 256)")
-	writeQueue := flag.Int("write-queue", 0, "group-commit queue capacity (0 = default 1024)")
-	commitWindow := flag.Duration("commit-window", 0, "group-commit collection window (0 = opportunistic)")
-	groupOps := flag.Int("group-ops", 0, "max ops per coalesced commit (0 = default 512)")
-	groupBytes := flag.Int("group-bytes", 0, "max payload bytes per coalesced commit (0 = default 1MiB)")
 	maxScan := flag.Int("max-scan", 0, "max entries per SCAN (0 = default 1024)")
 	flag.Parse()
 
@@ -91,10 +86,6 @@ func main() {
 		Addr:           *addr,
 		AdminAddr:      *admin,
 		MaxInFlight:    *maxInflight,
-		WriteQueue:     *writeQueue,
-		CommitWindow:   *commitWindow,
-		MaxGroupOps:    *groupOps,
-		MaxGroupBytes:  *groupBytes,
 		MaxScanEntries: *maxScan,
 	})
 	if err != nil {

@@ -11,7 +11,6 @@ import (
 	"os"
 	"strings"
 	"sync"
-	"time"
 
 	"fcae"
 )
@@ -25,12 +24,11 @@ func main() {
 
 	// Ephemeral ports keep the example self-contained; a real
 	// deployment sets fixed addresses (see cmd/fcaeserver).
-	// A short commit window lets concurrent writes coalesce into shared
-	// store commits at the cost of up to that much added write latency.
-	srv, err := fcae.OpenServer(dir, fcae.Options{}, fcae.ServerConfig{
-		Addr:         "127.0.0.1:0",
-		AdminAddr:    "127.0.0.1:0",
-		CommitWindow: 2 * time.Millisecond,
+	// SyncWrites fsyncs every commit, which is where group commit pays:
+	// writes arriving during one fsync share the next.
+	srv, err := fcae.OpenServer(dir, fcae.Options{SyncWrites: true}, fcae.ServerConfig{
+		Addr:      "127.0.0.1:0",
+		AdminAddr: "127.0.0.1:0",
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -63,8 +61,8 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Concurrent writers coalesce: the server's group-commit window
-	// merges these 64 puts into far fewer store commits.
+	// Concurrent writers share commits: the store's writer queue groups
+	// these 64 puts into fewer WAL records (group_commits below).
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -101,7 +99,7 @@ func main() {
 		log.Fatal(err)
 	}
 	for _, line := range strings.Split(string(body), "\n") {
-		for _, want := range []string{"server_requests ", "server_group_commits ", "server_grouped_writes "} {
+		for _, want := range []string{"server_requests ", "group_commits ", "grouped_writes "} {
 			if strings.HasPrefix(line, want) {
 				fmt.Println(line)
 			}
@@ -111,8 +109,8 @@ func main() {
 	if err := cl.Close(); err != nil {
 		log.Fatal(err)
 	}
-	// Close drains: stops accepting, finishes in-flight requests,
-	// flushes the write queue, then closes the store.
+	// Close drains: stops accepting, finishes in-flight requests, then
+	// closes the store.
 	if err := srv.Close(); err != nil {
 		log.Fatal(err)
 	}

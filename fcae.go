@@ -30,8 +30,9 @@
 //     blocking operations such as Flush or Close.
 //
 //   - Network service: OpenServer serves a store over TCP (pipelined
-//     binary protocol, group-commit write coalescing, stall-aware write
-//     admission, an HTTP admin plane with /metrics and /healthz);
+//     binary protocol, stall-aware write admission, an HTTP admin plane
+//     with /metrics and /healthz; concurrent client writes share commits
+//     in the store's own writer queue);
 //     DialServer returns the pooled pipelining Client. cmd/fcaeserver is
 //     the standalone binary.
 //
@@ -260,17 +261,18 @@ var (
 )
 
 // Network service types. OpenServer starts the TCP KV service (pipelined
-// length-prefixed binary protocol with out-of-order responses, a
-// group-commit write coalescer, stall-aware write admission, and an HTTP
-// admin plane serving /metrics and /healthz); DialServer returns the
+// length-prefixed binary protocol with out-of-order responses,
+// stall-aware write admission, and an HTTP admin plane serving /metrics
+// and /healthz; writes go straight to DB.Write, whose writer queue is the
+// one place they are grouped); DialServer returns the
 // pooled, pipelining client for it. cmd/fcaeserver wraps OpenServer as a
 // standalone binary.
 type (
-	// Server is the TCP KV service handle. Close drains connections,
-	// commits queued writes, and closes the store.
+	// Server is the TCP KV service handle. Close drains connections and
+	// closes the store.
 	Server = server.Server
-	// ServerConfig tunes the server: listen addresses, in-flight and
-	// group-commit bounds, commit window, frame and scan limits.
+	// ServerConfig tunes the server: listen addresses, the in-flight
+	// bound, frame and scan limits, the response write timeout.
 	ServerConfig = server.Config
 	// Client is the pooled, pipelining network client.
 	Client = client.Client
@@ -288,7 +290,7 @@ type (
 // Network service errors.
 var (
 	// ErrServerBusy reports a write shed by the server's admission
-	// control (store stalled or commit queue full); retry after backoff.
+	// control (the store is in a hard write stall); retry after backoff.
 	ErrServerBusy = server.ErrServerBusy
 	// ErrServerClosing reports a request rejected because the server is
 	// draining.

@@ -7,6 +7,7 @@ import (
 	"io"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fcae/internal/cache"
@@ -50,6 +51,9 @@ type DB struct {
 	//
 	//fcae:lock-order lsm.DB.evMu -> lsm.DB.mu
 	evMu sync.Mutex
+	// queued mirrors len(writers) so WriteQueueDepth reads it without
+	// taking mu.
+	queued atomic.Int64
 
 	mu        sync.Mutex
 	mem       *memtable.MemTable
@@ -65,6 +69,12 @@ type DB struct {
 	bgErr     error
 	closed    bool
 	memSeed   int64
+
+	// groupBuf is where a leader builds a multi-writer group record. One
+	// buffer serves every commit: the group stays at the queue front until
+	// its leader pops it, so no second leader builds while the first still
+	// reads it, and wal.Append and memtable.Add both copy.
+	groupBuf []byte
 
 	committing  bool // a group leader is writing the WAL unlocked
 	flushBusy   bool
@@ -331,6 +341,7 @@ func (db *DB) write(b *Batch) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	db.writers = append(db.writers, w)
+	db.queued.Add(1)
 	for !w.done && db.writers[0] != w {
 		db.writeCond.Wait()
 	}
@@ -357,12 +368,17 @@ func (db *DB) write(b *Batch) error {
 	if len(group) == 1 {
 		rep = group[0].batch.seal(base)
 	} else {
-		rep = make([]byte, batchHeaderSize, maxGroupBytes+batchHeaderSize)
+		rep = append(db.groupBuf[:0], make([]byte, batchHeaderSize)...)
 		for _, g := range group {
 			rep = append(rep, g.batch.seal(0)[batchHeaderSize:]...)
 		}
 		binary.LittleEndian.PutUint64(rep[0:8], base)
 		binary.LittleEndian.PutUint32(rep[8:12], uint32(total))
+		// A group ends with the batch that crosses maxGroupBytes, so one
+		// huge batch can grow rep well past it; do not keep that.
+		if cap(rep) <= 2*maxGroupBytes {
+			db.groupBuf = rep
+		}
 	}
 
 	// The slow part — WAL append, optional fsync, memtable insert — runs
@@ -427,6 +443,7 @@ func (db *DB) peekGroupLocked(maxN, maxBytes int) []*writer {
 // popWritersLocked removes the n front writers from the queue.
 func (db *DB) popWritersLocked(n int) {
 	db.writers = append(db.writers[:0:0], db.writers[n:]...)
+	db.queued.Add(int64(-n))
 }
 
 // makeRoomForWrite applies LevelDB's throttling rules: slow down when L0
@@ -618,6 +635,11 @@ func (db *DB) Stats() Stats {
 	defer db.mu.Unlock()
 	return db.stats
 }
+
+// WriteQueueDepth returns the number of Write calls inside the writer
+// queue: the group being committed plus everyone waiting behind it. It
+// does not take the store mutex.
+func (db *DB) WriteQueueDepth() int { return int(db.queued.Load()) }
 
 // DispatchStats returns a snapshot of the offload scheduler's routing
 // counters (per-lane jobs, faults, retries, fallback reasons).

@@ -165,11 +165,14 @@ func newDBMetrics(r *obs.Registry) dbMetrics {
 	return m
 }
 
-// registerGauges wires the callback gauges: level shape, cache hit ratios
-// and (when the executor publishes them) engine totals. Called once from
-// Open, before the workers start.
+// registerGauges wires the callback gauges: writer-queue depth, level
+// shape, cache hit ratios and (when the executor publishes them) engine
+// totals. Called once from Open, before the workers start.
 func (db *DB) registerGauges() {
 	r := db.reg
+	r.GaugeFunc("write_queue_depth", func() float64 {
+		return float64(db.WriteQueueDepth())
+	})
 	for i := 0; i < manifest.NumLevels; i++ {
 		level := i
 		r.GaugeFunc(fmt.Sprintf("level%d_files", level), func() float64 {

@@ -67,9 +67,7 @@ type Options struct {
 	BlockSize int
 	// RestartInterval for data blocks.
 	RestartInterval int
-	// Compression selects per-block compression (snappy by default).
-	Compression sstable.Compression
-	// DisableCompression turns snappy off.
+	// DisableCompression turns per-block snappy compression off.
 	DisableCompression bool
 	// FilterBitsPerKey attaches bloom filters to tables (10 by default,
 	// 0 < disables via DisableFilter).
@@ -154,9 +152,6 @@ func (o Options) Validate() error {
 	if err := o.dispatchConfig().Validate(); err != nil {
 		return fmt.Errorf("lsm: invalid Options: %w", err)
 	}
-	if o.DisableCompression && o.Compression == sstable.SnappyCompression {
-		return fmt.Errorf("lsm: invalid Options: DisableCompression set but Compression requests snappy")
-	}
 	if o.DisableFilter && o.FilterBitsPerKey > 0 {
 		return fmt.Errorf("lsm: invalid Options: DisableFilter set but FilterBitsPerKey is %d", o.FilterBitsPerKey)
 	}
@@ -184,12 +179,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RestartInterval <= 0 {
 		o.RestartInterval = 16
-	}
-	if o.Compression == 0 && !o.DisableCompression {
-		o.Compression = sstable.SnappyCompression
-	}
-	if o.DisableCompression {
-		o.Compression = sstable.NoCompression
 	}
 	if o.FilterBitsPerKey <= 0 && !o.DisableFilter {
 		o.FilterBitsPerKey = 10
@@ -245,10 +234,14 @@ func (o Options) dispatchConfig() DispatchConfig {
 }
 
 func (o Options) tableOpts() sstable.Options {
+	compression := sstable.SnappyCompression
+	if o.DisableCompression {
+		compression = sstable.NoCompression
+	}
 	return sstable.Options{
 		BlockSize:        o.BlockSize,
 		RestartInterval:  o.RestartInterval,
-		Compression:      o.Compression,
+		Compression:      compression,
 		FilterBitsPerKey: o.FilterBitsPerKey,
 	}
 }

@@ -3,8 +3,6 @@ package lsm
 import (
 	"strings"
 	"testing"
-
-	"fcae/internal/sstable"
 )
 
 func TestOptionsValidate(t *testing.T) {
@@ -40,9 +38,6 @@ func TestOptionsValidate(t *testing.T) {
 			wantErr: "LevelRatio is negative"},
 		{name: "negative tiered runs", opts: Options{TieredRuns: -1},
 			wantErr: "TieredRuns is negative"},
-		{name: "compression contradiction",
-			opts:    Options{DisableCompression: true, Compression: sstable.SnappyCompression},
-			wantErr: "DisableCompression set but Compression requests snappy"},
 		{name: "filter contradiction",
 			opts:    Options{DisableFilter: true, FilterBitsPerKey: 10},
 			wantErr: "DisableFilter set but FilterBitsPerKey"},

@@ -50,7 +50,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 type adminStats struct {
 	ActiveConns int64                   `json:"active_conns"`
 	Inflight    int                     `json:"inflight"`
-	WriteQueue  int                     `json:"write_queue"`
+	QueueDepth  int                     `json:"write_queue_depth"`
 	Stalled     bool                    `json:"stalled"`
 	Store       lsm.Stats               `json:"store"`
 	Dispatch    dispatch.Stats          `json:"dispatch"`
@@ -61,7 +61,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	doc := adminStats{
 		ActiveConns: s.active.Load(),
 		Inflight:    len(s.inflight),
-		WriteQueue:  len(s.writec),
+		QueueDepth:  s.db.WriteQueueDepth(),
 		Stalled:     s.stall.stalled(),
 		Store:       s.db.Stats(),
 		Dispatch:    s.db.DispatchStats(),

@@ -128,30 +128,29 @@ func (c *conn) execute(op Op, payload []byte) (Status, []byte) {
 		if err != nil || len(rest) != 0 {
 			return c.malformed(op)
 		}
-		var b Batch
-		b.Put(key, value)
-		return s.statusOf(s.submitWrite(AppendWritePayload(nil, &b), b.count, b.size))
+		return s.statusOf(s.db.Put(key, value))
 	case OpDelete:
 		key, rest, err := ReadBytes(payload)
 		if err != nil || len(rest) != 0 {
 			return c.malformed(op)
 		}
-		var b Batch
-		b.Delete(key)
-		return s.statusOf(s.submitWrite(AppendWritePayload(nil, &b), b.count, b.size))
+		return s.statusOf(s.db.Delete(key))
 	case OpWrite:
-		// Validate the whole batch up front so the committer can never
-		// hit a decode error halfway through a merged store batch.
-		count, size := 0, 0
+		// The batch is only written once the whole payload has decoded,
+		// so a malformed tail never leaves a prefix applied.
+		var b lsm.Batch
 		err := DecodeWriteOps(payload, func(kind byte, key, value []byte) error {
-			count++
-			size += len(key) + len(value)
+			if kind == wireKindDelete {
+				b.Delete(key)
+			} else {
+				b.Put(key, value)
+			}
 			return nil
 		})
 		if err != nil {
 			return c.malformed(op)
 		}
-		return s.statusOf(s.submitWrite(payload, count, size))
+		return s.statusOf(s.db.Write(&b))
 	case OpScan:
 		start, rest, err := ReadBytes(payload)
 		if err != nil {

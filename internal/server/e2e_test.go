@@ -16,12 +16,12 @@ import (
 	"fcae/internal/server/client"
 )
 
-func openServer(t *testing.T, cfg server.Config) *server.Server {
+func openServer(t *testing.T, opts lsm.Options, cfg server.Config) *server.Server {
 	t.Helper()
 	if cfg.Addr == "" {
 		cfg.Addr = "127.0.0.1:0"
 	}
-	s, err := server.Open(t.TempDir(), lsm.Options{}, cfg)
+	s, err := server.Open(t.TempDir(), opts, cfg)
 	if err != nil {
 		t.Fatalf("server.Open: %v", err)
 	}
@@ -59,7 +59,7 @@ func waitGoroutines(t *testing.T, baseline int) {
 }
 
 func TestClientRoundTrip(t *testing.T) {
-	s := openServer(t, server.Config{})
+	s := openServer(t, lsm.Options{}, server.Config{})
 	defer func() { _ = s.Close() }()
 	c := dialClient(t, s, client.Options{})
 	defer func() { _ = c.Close() }()
@@ -94,12 +94,10 @@ func TestClientRoundTrip(t *testing.T) {
 
 // TestGroupCommitCoalescing is the group-commit acceptance test: N
 // concurrent pipelined writers must land in measurably fewer store
-// commits than N writes, proven by the server's own metrics.
+// commits than N writes, proven by the store's own counters. SyncWrites
+// makes the fsync the commit cost followers pile up behind.
 func TestGroupCommitCoalescing(t *testing.T) {
-	s := openServer(t, server.Config{
-		CommitWindow: 2 * time.Millisecond,
-		MaxGroupOps:  512,
-	})
+	s := openServer(t, lsm.Options{SyncWrites: true}, server.Config{})
 	defer func() { _ = s.Close() }()
 	c := dialClient(t, s, client.Options{Conns: 4, MaxPipeline: 256})
 	defer func() { _ = c.Close() }()
@@ -131,13 +129,13 @@ func TestGroupCommitCoalescing(t *testing.T) {
 	}
 
 	m := s.DB().Metrics()
-	grouped := m.Counters["server_grouped_writes"]
-	commits := m.Counters["server_group_commits"]
+	grouped := m.Counters["grouped_writes"]
+	commits := m.Counters["group_commits"]
 	if grouped != totalWrites {
-		t.Fatalf("server_grouped_writes = %d, want %d", grouped, totalWrites)
+		t.Fatalf("grouped_writes = %d, want %d", grouped, totalWrites)
 	}
 	if commits <= 0 || commits >= totalWrites/2 {
-		t.Fatalf("server_group_commits = %d for %d writes: expected coalescing (< %d)",
+		t.Fatalf("group_commits = %d for %d writes: expected coalescing (< %d)",
 			commits, totalWrites, totalWrites/2)
 	}
 	t.Logf("group commit: %d writes in %d commits (%.1f writes/commit)",
@@ -158,7 +156,7 @@ func TestGroupCommitCoalescing(t *testing.T) {
 func TestDrainUnderLoad(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
-	s := openServer(t, server.Config{CommitWindow: time.Millisecond})
+	s := openServer(t, lsm.Options{}, server.Config{})
 	c := dialClient(t, s, client.Options{Conns: 2, MaxPipeline: 64})
 
 	var stop atomic.Bool
@@ -236,10 +234,7 @@ func isConnErr(err error) bool {
 func TestStressKillConns(t *testing.T) {
 	baseline := runtime.NumGoroutine()
 
-	s := openServer(t, server.Config{
-		CommitWindow: time.Millisecond,
-		MaxInFlight:  64,
-	})
+	s := openServer(t, lsm.Options{}, server.Config{MaxInFlight: 64})
 
 	const clients = 6
 	var wg sync.WaitGroup
@@ -319,7 +314,7 @@ func TestStressKillConns(t *testing.T) {
 }
 
 func TestClientOpsAfterClose(t *testing.T) {
-	s := openServer(t, server.Config{})
+	s := openServer(t, lsm.Options{}, server.Config{})
 	defer func() { _ = s.Close() }()
 	c := dialClient(t, s, client.Options{})
 	if err := c.Close(); err != nil {

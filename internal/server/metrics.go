@@ -12,16 +12,9 @@ type serverMetrics struct {
 	protocolErrors *obs.Counter
 	connsOpened    *obs.Counter
 	connsClosed    *obs.Counter
-	// busyQueue counts writes shed because the commit queue was full;
 	// busyStall counts writes shed because the store was in a hard
 	// write stall.
-	busyQueue *obs.Counter
 	busyStall *obs.Counter
-	// groupCommits counts store commits issued by the coalescer;
-	// groupedWrites counts client write requests folded into them. Their
-	// ratio is the group-commit fan-in.
-	groupCommits  *obs.Counter
-	groupedWrites *obs.Counter
 
 	ops   [OpScan + 1]*obs.Counter
 	nanos [OpScan + 1]*obs.Histogram
@@ -38,10 +31,7 @@ func newServerMetrics(r *obs.Registry) *serverMetrics {
 		protocolErrors: r.Counter("server_protocol_errors"),
 		connsOpened:    r.Counter("server_conns_opened"),
 		connsClosed:    r.Counter("server_conns_closed"),
-		busyQueue:      r.Counter("server_busy_queue"),
 		busyStall:      r.Counter("server_busy_stall"),
-		groupCommits:   r.Counter("server_group_commits"),
-		groupedWrites:  r.Counter("server_grouped_writes"),
 		otherOps:       r.Counter("server_op_other"),
 		otherNanos:     r.Histogram("server_op_other_nanos"),
 	}

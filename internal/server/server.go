@@ -27,21 +27,6 @@ type Config struct {
 	// MaxInFlight bounds concurrently-executing requests across all
 	// connections (admission control). Default 256.
 	MaxInFlight int
-	// WriteQueue is the capacity of the group-commit queue. A write
-	// arriving with the queue full is shed with ErrServerBusy. Default
-	// 1024.
-	WriteQueue int
-	// MaxGroupOps caps operations coalesced into one store commit.
-	// Default 512.
-	MaxGroupOps int
-	// MaxGroupBytes caps key+value payload bytes per coalesced commit.
-	// Default 1 MiB.
-	MaxGroupBytes int
-	// CommitWindow is how long the committer lingers collecting more
-	// writes after the first of a group arrives. 0 (the default) commits
-	// whatever is already queued without waiting — coalescing still
-	// happens under load, with no added latency when idle.
-	CommitWindow time.Duration
 	// MaxFrameBytes bounds a single protocol frame. Default
 	// DefaultMaxFrameBytes (16 MiB).
 	MaxFrameBytes int
@@ -55,15 +40,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	if c.MaxInFlight == 0 {
 		c.MaxInFlight = 256
-	}
-	if c.WriteQueue == 0 {
-		c.WriteQueue = 1024
-	}
-	if c.MaxGroupOps == 0 {
-		c.MaxGroupOps = 512
-	}
-	if c.MaxGroupBytes == 0 {
-		c.MaxGroupBytes = 1 << 20
 	}
 	if c.MaxFrameBytes == 0 {
 		c.MaxFrameBytes = DefaultMaxFrameBytes
@@ -82,11 +58,10 @@ func (c Config) Validate() error {
 	if c.Addr == "" {
 		return errors.New("server: Config.Addr is required")
 	}
-	if c.MaxInFlight < 0 || c.WriteQueue < 0 || c.MaxGroupOps < 0 ||
-		c.MaxGroupBytes < 0 || c.MaxFrameBytes < 0 || c.MaxScanEntries < 0 {
+	if c.MaxInFlight < 0 || c.MaxFrameBytes < 0 || c.MaxScanEntries < 0 {
 		return errors.New("server: negative Config limit")
 	}
-	if c.CommitWindow < 0 || c.WriteTimeout < 0 {
+	if c.WriteTimeout < 0 {
 		return errors.New("server: negative Config duration")
 	}
 	if c.MaxFrameBytes != 0 && c.MaxFrameBytes < 1<<10 {
@@ -131,15 +106,14 @@ type Server struct {
 	ln      net.Listener
 	adminLn net.Listener
 	admin   *http.Server
-	// stopc broadcasts shutdown; writec feeds the group committer;
-	// inflight is the admission-token semaphore.
+	// stopc broadcasts shutdown; inflight is the admission-token
+	// semaphore.
 	stopc    chan struct{}
-	writec   chan *pendingWrite
 	inflight chan struct{}
 	active   atomic.Int64
 	draining atomic.Bool
 	// connWg joins the acceptor and every connection goroutine; wg joins
-	// the committer and the admin listener.
+	// the admin listener.
 	connWg sync.WaitGroup
 	wg     sync.WaitGroup
 
@@ -163,7 +137,6 @@ func Open(dir string, opts lsm.Options, cfg Config) (*Server, error) {
 		cfg:      cfg,
 		stall:    &stallWatcher{},
 		stopc:    make(chan struct{}),
-		writec:   make(chan *pendingWrite, cfg.WriteQueue),
 		inflight: make(chan struct{}, cfg.MaxInFlight),
 		conns:    make(map[*conn]struct{}),
 	}
@@ -205,8 +178,6 @@ func Open(dir string, opts lsm.Options, cfg Config) (*Server, error) {
 
 	s.connWg.Add(1)
 	go s.acceptLoop()
-	s.wg.Add(1)
-	go s.commitLoop()
 	if s.admin != nil {
 		s.wg.Add(1)
 		go s.serveAdmin()
@@ -234,7 +205,6 @@ func (s *Server) DB() *lsm.DB { return s.db }
 func (s *Server) registerGauges(r *obs.Registry) {
 	r.GaugeFunc("server_active_conns", func() float64 { return float64(s.active.Load()) })
 	r.GaugeFunc("server_inflight", func() float64 { return float64(len(s.inflight)) })
-	r.GaugeFunc("server_write_queue", func() float64 { return float64(len(s.writec)) })
 	r.GaugeFunc("server_stalled", func() float64 {
 		if s.stall.stalled() {
 			return 1
@@ -300,10 +270,9 @@ func (s *Server) removeConn(c *conn) {
 // Close drains and shuts the server down: mark draining (healthz flips to
 // 503), stop accepting, stop reading new requests on every live
 // connection, finish all in-flight requests and flush their responses,
-// commit every queued write, then close the store. Idempotent.
+// then close the store. Idempotent.
 //
 //fcae:chan-owner server.Server.stopc
-//fcae:chan-owner server.Server.writec
 func (s *Server) Close() error {
 	s.mu.Lock()
 	if s.closed {
@@ -332,11 +301,9 @@ func (s *Server) Close() error {
 	for _, c := range conns {
 		c.stopReading()
 	}
+	// Joining the connections joins every request handler, so no store
+	// call is in flight when the store closes.
 	s.connWg.Wait()
-	// Every request handler has returned, so the committer's queue has
-	// no senders left; closing it lets commitLoop drain the tail and
-	// exit.
-	close(s.writec)
 	s.wg.Wait()
 	return s.db.Close()
 }

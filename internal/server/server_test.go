@@ -166,8 +166,8 @@ func TestConfigValidate(t *testing.T) {
 	if err := (Config{Addr: "x", MaxInFlight: -1}).Validate(); err == nil {
 		t.Fatal("negative limit must fail Validate")
 	}
-	if err := (Config{Addr: "x", CommitWindow: -time.Second}).Validate(); err == nil {
-		t.Fatal("negative window must fail Validate")
+	if err := (Config{Addr: "x", WriteTimeout: -time.Second}).Validate(); err == nil {
+		t.Fatal("negative timeout must fail Validate")
 	}
 	if err := (Config{Addr: "x", MaxFrameBytes: 16}).Validate(); err == nil {
 		t.Fatal("tiny MaxFrameBytes must fail Validate")
@@ -196,22 +196,6 @@ func TestStatusOfMapping(t *testing.T) {
 		if st, _ := s.statusOf(tc.err); st != tc.want {
 			t.Errorf("statusOf(%v) = %v, want %v", tc.err, st, tc.want)
 		}
-	}
-}
-
-func TestSubmitWriteQueueFull(t *testing.T) {
-	t.Parallel()
-	// A bare server with an unbuffered queue and no committer: the
-	// non-blocking enqueue must shed immediately.
-	s := &Server{
-		met:    newServerMetrics(obs.NewRegistry()),
-		writec: make(chan *pendingWrite),
-	}
-	if err := s.submitWrite([]byte{0}, 1, 0); !errors.Is(err, ErrServerBusy) {
-		t.Fatalf("submitWrite on full queue = %v, want ErrServerBusy", err)
-	}
-	if s.met.busyQueue.Value() != 1 {
-		t.Fatalf("server_busy_queue = %d, want 1", s.met.busyQueue.Value())
 	}
 }
 

@@ -1,10 +1,10 @@
 // Package server implements the fcae network serving layer: a TCP
 // key-value service speaking a length-prefixed binary protocol with
-// pipelined requests and out-of-order responses, a group-commit write
-// coalescer that merges concurrent client writes into one store batch per
-// commit window, stall-aware admission control that sheds writes with a
-// typed busy error while the store throttles, and an HTTP admin plane
-// serving the metrics registry.
+// pipelined requests and out-of-order responses, stall-aware admission
+// control that sheds writes with a typed busy error while the store
+// throttles, and an HTTP admin plane serving the metrics registry.
+// Concurrent client writes are grouped by the store's writer queue
+// (lsm.DB.Write); the server adds no commit layer of its own.
 //
 // # Frame layout
 //
@@ -120,8 +120,8 @@ func (s Status) String() string {
 // these exact values, so callers select on them with errors.Is.
 var (
 	// ErrServerBusy reports that admission control shed the write: the
-	// store is stalled or the commit queue is full. The request was not
-	// applied; retrying after a backoff is safe.
+	// store is in a hard write stall. The request was not applied;
+	// retrying after a backoff is safe.
 	ErrServerBusy = errors.New("server: busy: write shed by admission control")
 	// ErrServerClosing reports that the server is draining and no longer
 	// accepts new work.
@@ -246,7 +246,6 @@ const (
 type Batch struct {
 	ops   []byte
 	count int
-	size  int // summed key+value payload bytes, for group accounting
 }
 
 // Put queues a key/value set.
@@ -255,7 +254,6 @@ func (b *Batch) Put(key, value []byte) {
 	b.ops = AppendBytes(b.ops, key)
 	b.ops = AppendBytes(b.ops, value)
 	b.count++
-	b.size += len(key) + len(value)
 }
 
 // Delete queues a tombstone.
@@ -263,7 +261,6 @@ func (b *Batch) Delete(key []byte) {
 	b.ops = append(b.ops, wireKindDelete)
 	b.ops = AppendBytes(b.ops, key)
 	b.count++
-	b.size += len(key)
 }
 
 // Len returns the number of queued operations.
@@ -273,7 +270,6 @@ func (b *Batch) Len() int { return b.count }
 func (b *Batch) Reset() {
 	b.ops = b.ops[:0]
 	b.count = 0
-	b.size = 0
 }
 
 // AppendWritePayload appends b's WRITE payload (uvarint count + ops).
