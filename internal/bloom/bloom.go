@@ -29,8 +29,10 @@ func New(bitsPerKey int) Filter {
 // Name identifies the policy in the table's meta block.
 func (f Filter) Name() string { return "fcae.BuiltinBloomFilter" }
 
-// hash is LevelDB's bloom hash (a Murmur-like mix).
-func hash(data []byte) uint32 {
+// Hash is LevelDB's bloom hash (a Murmur-like mix): the 32 bits every
+// probe position of a key is derived from, and so all a filter builder
+// needs to keep of the key.
+func Hash(data []byte) uint32 {
 	const (
 		seed = 0xbc9f1d34
 		m    = 0xc6a4a793
@@ -61,27 +63,46 @@ func hash(data []byte) uint32 {
 // Append builds a filter over keys and appends it to dst, returning the
 // extended slice. The final byte records the probe count.
 func (f Filter) Append(dst []byte, keys [][]byte) []byte {
-	bits := len(keys) * f.bitsPerKey
+	dst, array := f.grow(dst, len(keys))
+	for _, key := range keys {
+		f.set(array, Hash(key))
+	}
+	return dst
+}
+
+// AppendHashes is Append over keys the caller has already reduced to
+// their Hash: the same bytes as Append over the keys themselves.
+func (f Filter) AppendHashes(dst []byte, hashes []uint32) []byte {
+	dst, array := f.grow(dst, len(hashes))
+	for _, h := range hashes {
+		f.set(array, h)
+	}
+	return dst
+}
+
+// grow appends a zeroed filter sized for n keys to dst, probe count in
+// place, and returns the extended slice plus the filter's bit array.
+func (f Filter) grow(dst []byte, n int) (out, array []byte) {
+	bits := n * f.bitsPerKey
 	if bits < 64 {
 		bits = 64
 	}
 	nBytes := (bits + 7) / 8
-	bits = nBytes * 8
-
 	start := len(dst)
 	dst = append(dst, make([]byte, nBytes+1)...)
-	array := dst[start : start+nBytes]
-	for _, key := range keys {
-		h := hash(key)
-		delta := h>>17 | h<<15
-		for j := 0; j < f.k; j++ {
-			pos := h % uint32(bits)
-			array[pos/8] |= 1 << (pos % 8)
-			h += delta
-		}
-	}
 	dst[start+nBytes] = byte(f.k)
-	return dst
+	return dst, dst[start : start+nBytes]
+}
+
+// set turns on the probe bits of one key's hash.
+func (f Filter) set(array []byte, h uint32) {
+	bits := uint32(len(array) * 8)
+	delta := h>>17 | h<<15
+	for j := 0; j < f.k; j++ {
+		pos := h % bits
+		array[pos/8] |= 1 << (pos % 8)
+		h += delta
+	}
 }
 
 // MayContain reports whether key may be in the set encoded in filter.
@@ -107,7 +128,7 @@ func MayContain(filter, key []byte) bool {
 		// Reserved for future encodings: treat as a match.
 		return true
 	}
-	h := hash(key)
+	h := Hash(key)
 	delta := h>>17 | h<<15
 	for j := 0; j < k; j++ {
 		pos := h % bits

@@ -7,7 +7,6 @@ package compaction
 
 import (
 	"errors"
-	"fmt"
 	"io"
 	"time"
 
@@ -152,133 +151,6 @@ type Executor interface {
 	Compact(job *Job, env Env) (*Result, error)
 }
 
-// openRun builds one iterator over a run's tables, concatenated in order.
-func openRun(run []Table, opts sstable.Options) (iter.Iterator, error) {
-	readers := make([]*sstable.Reader, len(run))
-	for i, t := range run {
-		r, err := sstable.NewReader(t.Data, t.Size, opts, nil, t.Num)
-		if err != nil {
-			return nil, fmt.Errorf("compaction: open table %d: %w", t.Num, err)
-		}
-		readers[i] = r
-	}
-	return newConcatIter(readers), nil
-}
-
-// concatIter chains table iterators whose key ranges are disjoint and
-// ascending.
-type concatIter struct {
-	readers []*sstable.Reader
-	idx     int
-	cur     *sstable.Iterator
-	err     error
-}
-
-func newConcatIter(readers []*sstable.Reader) *concatIter {
-	return &concatIter{readers: readers, idx: -1}
-}
-
-func (c *concatIter) open(i int) {
-	c.idx = i
-	if i >= 0 && i < len(c.readers) {
-		c.cur = c.readers[i].NewIterator()
-	} else {
-		c.cur = nil
-	}
-}
-
-func (c *concatIter) Valid() bool { return c.err == nil && c.cur != nil && c.cur.Valid() }
-
-func (c *concatIter) SeekToFirst() {
-	c.open(0)
-	if c.cur != nil {
-		c.cur.SeekToFirst()
-		c.skipEmpty()
-	}
-}
-
-func (c *concatIter) SeekGE(target []byte) {
-	// Linear probe is fine: runs have few tables and compaction scans.
-	for i := range c.readers {
-		c.open(i)
-		c.cur.SeekGE(target)
-		if c.cur.Valid() {
-			return
-		}
-		if err := c.cur.Error(); err != nil {
-			c.err = err
-			return
-		}
-	}
-	c.cur = nil
-}
-
-func (c *concatIter) SeekToLast() {
-	c.open(len(c.readers) - 1)
-	if c.cur != nil {
-		c.cur.SeekToLast()
-		c.skipEmptyBackward()
-	}
-}
-
-func (c *concatIter) Next() {
-	if c.cur == nil {
-		return
-	}
-	c.cur.Next()
-	c.skipEmpty()
-}
-
-func (c *concatIter) Prev() {
-	if c.cur == nil {
-		return
-	}
-	c.cur.Prev()
-	c.skipEmptyBackward()
-}
-
-func (c *concatIter) skipEmptyBackward() {
-	for c.err == nil && c.cur != nil && !c.cur.Valid() {
-		if err := c.cur.Error(); err != nil {
-			c.err = err
-			return
-		}
-		if c.idx-1 < 0 {
-			c.cur = nil
-			return
-		}
-		c.open(c.idx - 1)
-		c.cur.SeekToLast()
-	}
-}
-
-func (c *concatIter) skipEmpty() {
-	for c.err == nil && c.cur != nil && !c.cur.Valid() {
-		if err := c.cur.Error(); err != nil {
-			c.err = err
-			return
-		}
-		if c.idx+1 >= len(c.readers) {
-			c.cur = nil
-			return
-		}
-		c.open(c.idx + 1)
-		c.cur.SeekToFirst()
-	}
-}
-
-func (c *concatIter) Key() []byte   { return c.cur.Key() }
-func (c *concatIter) Value() []byte { return c.cur.Value() }
-func (c *concatIter) Error() error {
-	if c.err != nil {
-		return c.err
-	}
-	if c.cur != nil {
-		return c.cur.Error()
-	}
-	return nil
-}
-
 // dropPolicy implements LevelDB's shadowing rules during a merge. Entries
 // arrive in internal-key order (user key ascending, seq descending).
 type dropPolicy struct {
@@ -344,11 +216,11 @@ func (c CPU) Compact(job *Job, env Env) (*Result, error) {
 func (CPU) compactSequential(job *Job, env Env) (*Result, error) {
 	its := make([]iter.Iterator, 0, len(job.Runs))
 	for _, run := range job.Runs {
-		it, err := openRun(run, job.TableOpts)
+		readers, err := openReaders(run, job.TableOpts)
 		if err != nil {
 			return nil, err
 		}
-		its = append(its, it)
+		its = append(its, newRunIter(&scanFeed{scan: runScanner{readers: readers}}))
 	}
 	merged := iter.NewMerging(its...)
 	merged.SeekToFirst()

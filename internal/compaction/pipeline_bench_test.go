@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"math/rand"
 	"runtime"
 	"testing"
 
 	"fcae/internal/keys"
 	"fcae/internal/sstable"
+	"fcae/internal/workload"
 )
 
 // benchJob builds the Table V-style 2-run workload: two sorted runs of
@@ -90,6 +92,86 @@ func BenchmarkCompactPipeline(b *testing.B) {
 	}
 }
 
+// storeJob builds the job a default store issues and the repo benchmark's
+// compact-merge times: four runs of 10k entries interleaved key by key,
+// 16-byte keys, 256-byte values cut from the workload generator's
+// half-compressible pool, snappy blocks and a 10-bit bloom filter per
+// table.
+func storeJob(tb testing.TB) *Job {
+	tb.Helper()
+	opts := sstable.Options{Compression: sstable.SnappyCompression, FilterBitsPerKey: 10}
+	job := &Job{
+		SmallestSnapshot: keys.MaxSeq,
+		BottomLevel:      true,
+		TableOpts:        opts,
+		MaxOutputBytes:   2 << 20,
+	}
+	rng := rand.New(rand.NewSource(1))
+	pool := workload.NewValueGen(1<<19, 0.5, 1).Value()
+	const runs, entries = 4, 10_000
+	for r := 0; r < runs; r++ {
+		var buf bytes.Buffer
+		w := sstable.NewWriter(&buf, opts)
+		for i := 0; i < entries; i++ {
+			off := rng.Intn(len(pool) - 256)
+			val := pool[off : off+256]
+			ik := keys.MakeInternal(nil, []byte(fmt.Sprintf("%016d", i*runs+r)), uint64(r*entries+i+1), keys.KindSet)
+			if err := w.Add(ik, val); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		if _, err := w.Finish(); err != nil {
+			tb.Fatal(err)
+		}
+		data := append([]byte(nil), buf.Bytes()...)
+		job.Runs = append(job.Runs, []Table{{Num: uint64(r + 1), Size: int64(len(data)), Data: memReaderAt(data)}})
+	}
+	return job
+}
+
+// BenchmarkCompactStoreJob is the sequential lane on storeJob: the `go
+// test -bench` twin of the repo benchmark's compact-merge mb_per_s.
+func BenchmarkCompactStoreJob(b *testing.B) {
+	job := storeJob(b)
+	b.SetBytes(job.InputBytes())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := (CPU{}).Compact(job, &nullEnv{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// TestSequentialCompactAllocsBudget pins the sequential path's allocs/op
+// on storeJob. Before the path read its input through BlockScanner into
+// one recycled buffer and the writer kept filter hashes instead of key
+// copies, this job cost 52.9k allocations: one key copy per entry, two
+// buffers and an iterator per input block. What is left is per table
+// (readers, writers, index and filter blocks), so a per-block allocation
+// creeping back (~2.7k input blocks) or a per-entry one (40k) trips it.
+func TestSequentialCompactAllocsBudget(t *testing.T) {
+	if testing.Short() {
+		t.Skip("benchmark-backed budget; skipped in -short")
+	}
+	job := storeJob(t)
+	res := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if _, err := (CPU{}).Compact(job, &nullEnv{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	// Measured 624.
+	const budget = 800
+	if got := res.AllocsPerOp(); got > budget {
+		t.Fatalf("sequential compaction allocates %d allocs/op, budget is %d", got, budget)
+	} else {
+		t.Logf("sequential compaction: %d allocs/op (budget %d)", got, budget)
+	}
+}
+
 // TestPipelinedCompactAllocsBudget pins the pipelined path's allocs/op on
 // the benchmark workload, the dynamic counterpart of hotalloc's static
 // check over the encoder and prefetch loops: the pools must actually
@@ -109,11 +191,11 @@ func TestPipelinedCompactAllocsBudget(t *testing.T) {
 			}
 		}
 	})
-	// Measured 373 allocs/op: dominated by per-table reader/iterator and
+	// Measured 349 allocs/op: dominated by per-table reader/iterator and
 	// pipeline setup for ~40k entries across ~600 blocks — the pools are
 	// recycling. The budget trips if a per-block allocation sneaks into
 	// the prefetch, merge or encode loop (that alone would add ~600).
-	const budget = 600
+	const budget = 430
 	if got := res.AllocsPerOp(); got > budget {
 		t.Fatalf("pipelined compaction allocates %d allocs/op, budget is %d", got, budget)
 	} else {

@@ -68,7 +68,7 @@ func (c CPU) compactPipelined(job *Job, env Env) (*Result, error) {
 			return nil, err
 		}
 		runs = append(runs, p)
-		its = append(its, p)
+		its = append(its, newRunIter(p))
 	}
 
 	// Abort ordering: the current output's file may still be written by

@@ -1,7 +1,6 @@
 package compaction
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -9,15 +8,15 @@ import (
 )
 
 // prefetchRun is the pipeline's input read-ahead stage for one sorted
-// run: a producer goroutine walks the run's tables with a BlockScanner,
-// reading and decompressing up to `window` data blocks ahead of the merge
-// cursor into pooled buffers, while the consumer side presents the run as
-// a forward-only iter.Iterator to the merging heap. This replaces the
-// sequential path's cold readBlockContents call at every block boundary
-// — the software analogue of the paper's KV transfer + decoder stages
-// running ahead of the merger.
+// run: a producer goroutine walks the run with the same runScanner the
+// sequential path uses, reading and decompressing up to `window` data
+// blocks ahead of the merge cursor into pooled buffers, and the consumer
+// side is the blockFeed of the run's runIter. Where the sequential path
+// reads a block when the merge reaches it, here the read has already
+// happened — the software analogue of the paper's KV transfer + decoder
+// stages running ahead of the merger.
 type prefetchRun struct {
-	readers []*sstable.Reader
+	scan runScanner
 
 	blocks chan prefetchItem
 	free   chan *sstable.BlockBuf
@@ -27,11 +26,7 @@ type prefetchRun struct {
 	closeOnce sync.Once
 
 	// Consumer state (merge goroutine only).
-	cur    *sstable.BlockIter
 	curBuf *sstable.BlockBuf
-	inited bool
-	eof    bool
-	err    error
 
 	stalls     int64
 	stallNanos int64
@@ -47,28 +42,22 @@ type prefetchItem struct {
 	eof      bool
 }
 
-var errPrefetchForwardOnly = fmt.Errorf("compaction: prefetch iterator is forward-only")
-
 // newPrefetchRun opens the run's tables and starts the read-ahead
 // producer with the given block window. The caller must Close it.
 func newPrefetchRun(run []Table, opts sstable.Options, window int) (*prefetchRun, error) {
 	if window < 1 {
 		window = 1
 	}
-	readers := make([]*sstable.Reader, len(run))
-	for i, t := range run {
-		r, err := sstable.NewReader(t.Data, t.Size, opts, nil, t.Num)
-		if err != nil {
-			return nil, fmt.Errorf("compaction: open table %d: %w", t.Num, err)
-		}
-		readers[i] = r
+	readers, err := openReaders(run, opts)
+	if err != nil {
+		return nil, err
 	}
 	nbufs := window + 2 // window in flight + one at the producer + one held by the consumer
 	p := &prefetchRun{
-		readers: readers,
-		blocks:  make(chan prefetchItem, window),
-		free:    make(chan *sstable.BlockBuf, nbufs),
-		stop:    make(chan struct{}),
+		scan:   runScanner{readers: readers},
+		blocks: make(chan prefetchItem, window),
+		free:   make(chan *sstable.BlockBuf, nbufs),
+		stop:   make(chan struct{}),
 	}
 	for i := 0; i < nbufs; i++ {
 		select {
@@ -83,49 +72,29 @@ func newPrefetchRun(run []Table, opts sstable.Options, window int) (*prefetchRun
 	return p, nil
 }
 
-// fill is the producer: scan every table of the run in order, pushing
-// decoded blocks until the run is exhausted, an error occurs, or Close
-// fires.
+// fill is the producer: scan the run in order, pushing decoded blocks
+// until the run is exhausted, an error occurs, or Close fires.
 //
 //fcae:cycle-accounting
 func (p *prefetchRun) fill() {
 	defer p.wg.Done()
-	var sc sstable.BlockScanner
-	for _, r := range p.readers {
-		sc.Reset(r)
-		for {
-			var buf *sstable.BlockBuf
-			select {
-			case buf = <-p.free:
-			case <-p.stop:
-				return
-			}
-			contents, ok, err := sc.Next(buf)
-			if err != nil {
-				select {
-				case p.blocks <- prefetchItem{err: err}:
-				case <-p.stop:
-				}
-				return
-			}
-			if !ok {
-				select {
-				case p.free <- buf:
-				case <-p.stop:
-					return
-				}
-				break
-			}
-			select {
-			case p.blocks <- prefetchItem{buf: buf, contents: contents}:
-			case <-p.stop:
-				return
-			}
+	for {
+		var buf *sstable.BlockBuf
+		select {
+		case buf = <-p.free:
+		case <-p.stop:
+			return
 		}
-	}
-	select {
-	case p.blocks <- prefetchItem{eof: true}:
-	case <-p.stop:
+		contents, ok, err := p.scan.nextBlock(buf)
+		item := prefetchItem{buf: buf, contents: contents, err: err, eof: err == nil && !ok}
+		select {
+		case p.blocks <- item:
+		case <-p.stop:
+			return
+		}
+		if item.err != nil || item.eof {
+			return
+		}
 	}
 }
 
@@ -157,9 +126,9 @@ func (p *prefetchRun) nextItem() prefetchItem {
 	return it
 }
 
-// loadNext recycles the consumed block's buffer and positions cur at the
-// start of the next block, if any.
-func (p *prefetchRun) loadNext() {
+// nextBlock implements blockFeed: recycle the block the merge has just
+// finished with, then take the next one off the queue.
+func (p *prefetchRun) nextBlock() ([]byte, bool, error) {
 	if p.curBuf != nil {
 		select {
 		case p.free <- p.curBuf:
@@ -167,93 +136,10 @@ func (p *prefetchRun) loadNext() {
 		}
 		p.curBuf = nil
 	}
-	if p.eof || p.err != nil {
-		return
-	}
 	it := p.nextItem()
-	switch {
-	case it.err != nil:
-		p.err = it.err
-	case it.eof:
-		p.eof = true
-	default:
-		p.curBuf = it.buf
-		if p.cur == nil {
-			bi, err := sstable.NewBlockIter(it.contents)
-			if err != nil {
-				p.err = err
-				return
-			}
-			p.cur = bi
-		} else if err := p.cur.Reset(it.contents); err != nil {
-			p.err = err
-			return
-		}
-		p.cur.SeekToFirst()
+	if it.err != nil || it.eof {
+		return nil, false, it.err
 	}
+	p.curBuf = it.buf
+	return it.contents, true, nil
 }
-
-// SeekToFirst implements iter.Iterator; valid exactly once, before any
-// other positioning call.
-func (p *prefetchRun) SeekToFirst() {
-	if p.inited {
-		p.err = errPrefetchForwardOnly
-		return
-	}
-	p.inited = true
-	p.loadNext()
-	p.skipEmpty()
-}
-
-// Next implements iter.Iterator.
-func (p *prefetchRun) Next() {
-	if p.err != nil || p.eof || p.cur == nil {
-		return
-	}
-	p.cur.Next()
-	p.skipEmpty()
-}
-
-// skipEmpty advances across block boundaries (and any empty blocks)
-// until an entry is available or the run ends.
-func (p *prefetchRun) skipEmpty() {
-	for p.err == nil && !p.eof && (p.cur == nil || !p.cur.Valid()) {
-		if p.cur != nil && p.cur.Error() != nil {
-			p.err = p.cur.Error()
-			return
-		}
-		p.loadNext()
-	}
-}
-
-// Valid implements iter.Iterator.
-func (p *prefetchRun) Valid() bool {
-	return p.err == nil && !p.eof && p.cur != nil && p.cur.Valid()
-}
-
-// Key implements iter.Iterator.
-func (p *prefetchRun) Key() []byte { return p.cur.Key() }
-
-// Value implements iter.Iterator.
-func (p *prefetchRun) Value() []byte { return p.cur.Value() }
-
-// Error implements iter.Iterator.
-func (p *prefetchRun) Error() error {
-	if p.err != nil {
-		return p.err
-	}
-	if p.cur != nil {
-		return p.cur.Error()
-	}
-	return nil
-}
-
-// SeekGE implements iter.Iterator; unsupported — the compaction merge
-// only ever scans forward from the start.
-func (p *prefetchRun) SeekGE([]byte) { p.err = errPrefetchForwardOnly }
-
-// SeekToLast implements iter.Iterator; unsupported.
-func (p *prefetchRun) SeekToLast() { p.err = errPrefetchForwardOnly }
-
-// Prev implements iter.Iterator; unsupported.
-func (p *prefetchRun) Prev() { p.err = errPrefetchForwardOnly }

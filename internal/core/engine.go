@@ -435,6 +435,7 @@ type outputBuilder struct {
 	cfg          Config
 	p            Params
 	bw           *sstable.BlockWriter
+	enc          snappy.Encoder // this lane's match-finder state, kept across blocks
 	cbuf         []byte
 	fbuf         []byte // finished-block scratch, reused across flushes
 	tables       []*OutputTableImage
@@ -514,7 +515,7 @@ func (o *outputBuilder) flushBlock() float64 {
 	ctype := byte(sstable.NoCompression)
 	payload := contents
 	if o.p.Compress {
-		o.cbuf = snappy.Encode(o.cbuf[:0], contents)
+		o.cbuf = o.enc.Encode(o.cbuf[:0], contents)
 		if len(o.cbuf) < len(contents)-len(contents)/8 {
 			payload = o.cbuf
 			ctype = byte(sstable.SnappyCompression)

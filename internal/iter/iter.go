@@ -6,11 +6,7 @@
 // sorted inputs.
 package iter
 
-import (
-	"container/heap"
-
-	"fcae/internal/keys"
-)
+import "fcae/internal/keys"
 
 // Iterator walks a sorted sequence of internal key/value entries in both
 // directions.
@@ -40,9 +36,16 @@ type Iterator interface {
 // merge is a strict weak order. The iterator supports both directions
 // with LevelDB-style direction switching: reversing repositions every
 // non-current child to just before the current key.
+//
+// The children that still have an entry sit in a binary heap of
+// mergeSlots ordered by key (smallest on top going forward, largest in
+// reverse). The heap is the iterator's own — concrete slots, no
+// heap.Interface dispatch, no boxing — and compares the keys cached in
+// the slots, so a step costs one Key() call on the child that moved, not
+// two per comparison.
 type Merging struct {
 	children []Iterator
-	h        mergeHeap
+	heap     []mergeSlot
 	inited   bool
 	reverse  bool
 }
@@ -52,39 +55,90 @@ func NewMerging(children ...Iterator) *Merging {
 	return &Merging{children: children}
 }
 
-type mergeHeap struct {
-	its     []Iterator
-	reverse bool
+// mergeSlot is one child in the heap together with the key it stands on.
+// key is the child's own buffer, not a copy: it holds only until the
+// child moves. So a child whose slot is in the heap is moved only by the
+// slot's methods, each of which re-reads the key; seeks and direction
+// switches move children directly and then rebuild every slot.
+type mergeSlot struct {
+	it  Iterator
+	key []byte
 }
 
-func (h mergeHeap) Len() int { return len(h.its) }
-func (h mergeHeap) Less(i, j int) bool {
-	c := keys.Compare(h.its[i].Key(), h.its[j].Key())
-	if h.reverse {
+// load reads the child's current key into the slot, reporting whether
+// the child still has an entry.
+func (s *mergeSlot) load() bool {
+	if !s.it.Valid() {
+		s.key = nil
+		return false
+	}
+	//fcae:view-ok the slot's key is re-read by every method that moves s.it; nothing else moves a child whose slot is in the heap
+	s.key = s.it.Key()
+	return true
+}
+
+func (s *mergeSlot) next() bool {
+	s.it.Next()
+	return s.load()
+}
+
+func (s *mergeSlot) prev() bool {
+	s.it.Prev()
+	return s.load()
+}
+
+// before reports whether slot i belongs above slot j in the heap.
+func (m *Merging) before(i, j int) bool {
+	c := keys.Compare(m.heap[i].key, m.heap[j].key)
+	if m.reverse {
 		return c > 0
 	}
 	return c < 0
 }
-func (h mergeHeap) Swap(i, j int)       { h.its[i], h.its[j] = h.its[j], h.its[i] }
-func (h *mergeHeap) Push(x interface{}) { h.its = append(h.its, x.(Iterator)) }
-func (h *mergeHeap) Pop() interface{} {
-	old := h.its
-	n := len(old)
-	x := old[n-1]
-	h.its = old[:n-1]
-	return x
+
+// siftDown restores the heap below slot i.
+func (m *Merging) siftDown(i int) {
+	n := len(m.heap)
+	for {
+		child := 2*i + 1
+		if child >= n {
+			return
+		}
+		if r := child + 1; r < n && m.before(r, child) {
+			child = r
+		}
+		if !m.before(child, i) {
+			return
+		}
+		m.heap[i], m.heap[child] = m.heap[child], m.heap[i]
+		i = child
+	}
 }
 
+// rebuild makes the heap from the children as they now stand.
 func (m *Merging) rebuild() {
-	m.h.its = m.h.its[:0]
-	m.h.reverse = m.reverse
+	m.heap = m.heap[:0]
 	for _, c := range m.children {
-		if c.Valid() {
-			m.h.its = append(m.h.its, c)
+		s := mergeSlot{it: c}
+		if s.load() {
+			m.heap = append(m.heap, s)
 		}
 	}
-	heap.Init(&m.h)
+	for i := len(m.heap)/2 - 1; i >= 0; i-- {
+		m.siftDown(i)
+	}
 	m.inited = true
+}
+
+// settleTop restores the heap after the top slot's child moved: alive
+// reports whether that child still has an entry.
+func (m *Merging) settleTop(alive bool) {
+	if !alive {
+		n := len(m.heap) - 1
+		m.heap[0] = m.heap[n]
+		m.heap = m.heap[:n]
+	}
+	m.siftDown(0)
 }
 
 // SeekToFirst positions every child at its start.
@@ -115,14 +169,14 @@ func (m *Merging) SeekGE(target []byte) {
 }
 
 // Valid reports whether an entry is available.
-func (m *Merging) Valid() bool { return m.inited && len(m.h.its) > 0 }
+func (m *Merging) Valid() bool { return m.inited && len(m.heap) > 0 }
 
 // Key returns the extreme current key across children (smallest when
 // iterating forward, largest in reverse).
-func (m *Merging) Key() []byte { return m.h.its[0].Key() }
+func (m *Merging) Key() []byte { return m.heap[0].key }
 
 // Value returns the value paired with Key.
-func (m *Merging) Value() []byte { return m.h.its[0].Value() }
+func (m *Merging) Value() []byte { return m.heap[0].it.Value() }
 
 // Next advances to the following entry, switching direction if needed.
 func (m *Merging) Next() {
@@ -132,7 +186,7 @@ func (m *Merging) Next() {
 	if m.reverse {
 		// Reposition every non-current child after the current key.
 		cur := append([]byte(nil), m.Key()...)
-		top := m.h.its[0]
+		top := m.heap[0].it
 		for _, c := range m.children {
 			if c == top {
 				continue
@@ -146,13 +200,7 @@ func (m *Merging) Next() {
 		m.rebuild()
 		return
 	}
-	top := m.h.its[0]
-	top.Next()
-	if top.Valid() {
-		heap.Fix(&m.h, 0)
-	} else {
-		heap.Pop(&m.h)
-	}
+	m.settleTop(m.heap[0].next())
 }
 
 // Prev steps to the preceding entry, switching direction if needed.
@@ -163,7 +211,7 @@ func (m *Merging) Prev() {
 	if !m.reverse {
 		// Reposition every non-current child before the current key.
 		cur := append([]byte(nil), m.Key()...)
-		top := m.h.its[0]
+		top := m.heap[0].it
 		for _, c := range m.children {
 			if c == top {
 				continue
@@ -180,13 +228,7 @@ func (m *Merging) Prev() {
 		m.rebuild()
 		return
 	}
-	top := m.h.its[0]
-	top.Prev()
-	if top.Valid() {
-		heap.Fix(&m.h, 0)
-	} else {
-		heap.Pop(&m.h)
-	}
+	m.settleTop(m.heap[0].prev())
 }
 
 // Error returns the first child error.

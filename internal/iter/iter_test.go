@@ -1,6 +1,7 @@
 package iter
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -201,63 +202,128 @@ func TestMergingDirectionSwitch(t *testing.T) {
 	}
 }
 
+// TestMergingRandomWalkMatchesModel drives Merging beside a sorted-slice
+// model through random SeekGE / SeekToFirst / SeekToLast / Next / Prev
+// walks: any number of children (some empty, some sharing user keys at
+// different sequences), direction switches at every position, walks off
+// both ends, and children running out while others still have entries.
 func TestMergingRandomWalkMatchesModel(t *testing.T) {
 	t.Parallel()
 	rng := rand.New(rand.NewSource(77))
-	for trial := 0; trial < 10; trial++ {
-		// Build children with globally unique user keys.
-		var model []string
+	for trial := 0; trial < 60; trial++ {
+		type entry struct{ key, val []byte }
+		var model []entry
 		var children []Iterator
-		n := 1 + rng.Intn(4)
-		used := map[int]bool{}
 		seq := uint64(1)
-		for c := 0; c < n; c++ {
-			var users []string
-			for i := 0; i < 5+rng.Intn(25); i++ {
-				k := rng.Intn(200)
-				if used[k] {
-					continue
-				}
-				used[k] = true
-				users = append(users, fmt.Sprintf("key%04d", k))
-			}
-			sort.Strings(users)
+		for c, n := 0, rng.Intn(10); c < n; c++ {
 			var ks, vs [][]byte
-			for _, u := range users {
-				ks = append(ks, ik(u, seq))
-				vs = append(vs, []byte(u))
-				model = append(model, u)
+			size := 0
+			if rng.Intn(4) > 0 { // one child in four is empty
+				size = 1 + rng.Intn(30)
+			}
+			users := map[int]bool{}
+			for i := 0; i < size; i++ {
+				users[rng.Intn(60)] = true
+			}
+			var sorted []int
+			for u := range users {
+				sorted = append(sorted, u)
+			}
+			sort.Ints(sorted)
+			for _, u := range sorted {
+				k := ik(fmt.Sprintf("key%04d", u), seq)
+				v := []byte(fmt.Sprintf("v%d@%d", u, seq))
 				seq++
+				ks, vs = append(ks, k), append(vs, v)
+				model = append(model, entry{k, v})
 			}
 			children = append(children, NewSlice(ks, vs))
 		}
-		sort.Strings(model)
-		if len(model) == 0 {
-			continue
-		}
+		sort.Slice(model, func(i, j int) bool { return keys.Compare(model[i].key, model[j].key) < 0 })
+
 		m := NewMerging(children...)
-		m.SeekToFirst()
-		pos := 0
-		for step := 0; step < 200; step++ {
-			if !m.Valid() {
-				t.Fatalf("trial %d: invalid at model pos %d", trial, pos)
+		pos := -1 // model position; outside [0, len) means invalid
+		check := func(op string) {
+			t.Helper()
+			valid := pos >= 0 && pos < len(model)
+			if m.Valid() != valid {
+				t.Fatalf("trial %d after %s: Valid = %v, model position %d of %d", trial, op, m.Valid(), pos, len(model))
 			}
-			if got := string(keys.UserKey(m.Key())); got != model[pos] {
-				t.Fatalf("trial %d step %d: %q != %q", trial, step, got, model[pos])
+			if !valid {
+				return
 			}
-			if rng.Intn(2) == 0 && pos+1 < len(model) {
-				m.Next()
-				pos++
-			} else if pos > 0 {
-				m.Prev()
-				pos--
-			} else {
-				m.Next()
-				pos++
-				if pos >= len(model) {
-					break
+			if !bytes.Equal(m.Key(), model[pos].key) || !bytes.Equal(m.Value(), model[pos].val) {
+				t.Fatalf("trial %d after %s: at %q=%q, model has %q=%q", trial, op, m.Key(), m.Value(), model[pos].key, model[pos].val)
+			}
+		}
+		if m.Valid() {
+			t.Fatalf("trial %d: valid before any positioning call", trial)
+		}
+		for step := 0; step < 300; step++ {
+			valid := pos >= 0 && pos < len(model)
+			switch op := rng.Intn(12); {
+			case op == 0:
+				m.SeekToFirst()
+				pos = 0
+				check("SeekToFirst")
+			case op == 1:
+				m.SeekToLast()
+				pos = len(model) - 1
+				check("SeekToLast")
+			case op == 2:
+				target := ik(fmt.Sprintf("key%04d", rng.Intn(62)), uint64(rng.Intn(int(seq)+1)))
+				m.SeekGE(target)
+				pos = sort.Search(len(model), func(i int) bool { return keys.Compare(model[i].key, target) >= 0 })
+				check("SeekGE")
+			case op < 8:
+				m.Next() // a no-op when invalid
+				if valid {
+					pos++
 				}
+				check("Next")
+			default:
+				m.Prev()
+				if valid {
+					pos--
+				}
+				check("Prev")
 			}
+		}
+		if err := m.Error(); err != nil {
+			t.Fatal(err)
 		}
 	}
 }
+
+// BenchmarkMergingNext is the Comparer stage alone: one Next of a k-way
+// merge over in-memory children with 24-byte internal keys, at the fan-in
+// of a typical software job (4) and of the 9-input engine.
+func BenchmarkMergingNext(b *testing.B) {
+	for _, fanIn := range []int{4, 9} {
+		b.Run(fmt.Sprintf("children=%d", fanIn), func(b *testing.B) {
+			const perChild = 10_000
+			children := make([]Iterator, fanIn)
+			for c := range children {
+				ks := make([][]byte, perChild)
+				vs := make([][]byte, perChild)
+				for i := range ks {
+					ks[i] = ik(fmt.Sprintf("%016d", i*fanIn+c), uint64(i+1))
+					vs[i] = ks[i][:8]
+				}
+				children[c] = NewSlice(ks, vs)
+			}
+			m := NewMerging(children...)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if !m.Valid() {
+					m.SeekToFirst()
+				}
+				benchSink = m.Key()
+				m.Next()
+			}
+		})
+	}
+}
+
+var benchSink []byte

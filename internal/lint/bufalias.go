@@ -1,9 +1,12 @@
 package lint
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"path/filepath"
+	"strings"
 )
 
 // BufAlias flags retention of iterator Key()/Value() views. Every
@@ -22,22 +25,196 @@ import (
 //     Key or Value (plain forwarders keep the documented lifetime)
 //   - reading a local bound to the view after the iterator's Next/Prev
 //     (in source order, within the same function)
+//
+// One retention shape can be vouched for: a struct that caches the view
+// of an iterator it also holds (x.key = x.it.Key(), the merging heap's
+// slots) and re-reads it whenever that iterator moves. `//fcae:view-ok
+// <reason>` on the store's line or the line above accepts it — the
+// reason is mandatory — and turns the claim into a check: every function
+// of the package that moves the iterator through that field (x.it.Next(),
+// Prev, SeekGE, SeekToFirst, SeekToLast) must, later in its body, call
+// a function holding a vouched store of that view (or be one, with the
+// store after the move). A move with neither is reported at the call. Only the `x.f = x.it.Key()`
+// form, both fields of one struct value, can carry the directive, and a
+// directive attached to nothing is itself a finding. Moves made through
+// another alias of the iterator are outside what the check can see.
 var BufAlias = &Analyzer{
 	Name: "bufalias",
 	Doc:  "iterator Key()/Value() views must be copied before they outlive the next positioning call",
 	Run:  runBufAlias,
 }
 
+const viewOKDirective = "//fcae:view-ok"
+
 func runBufAlias(pass *Pass) {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkBufAlias(pass, fd)
+	vouched := collectViewOKDirectives(pass)
+	var held []heldView
+	eachFuncDecl(pass, func(fd *ast.FuncDecl) {
+		held = append(held, checkBufAlias(pass, fd, vouched)...)
+	})
+	for _, d := range vouched {
+		if !d.used {
+			pass.Reportf(d.pos, "%s is not attached to a view store (x.f = x.it.Key()); remove it", viewOKDirective)
 		}
 	}
+	checked := make(map[[2]*types.Var]bool)
+	for _, hv := range held {
+		if pair := [2]*types.Var{hv.view, hv.iter}; !checked[pair] {
+			checked[pair] = true
+			checkHeldView(pass, hv, held)
+		}
+	}
+}
+
+func eachFuncDecl(pass *Pass, visit func(*ast.FuncDecl)) {
+	for _, f := range pass.Files {
+		for _, decl := range f.Decls {
+			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
+				visit(fd)
+			}
+		}
+	}
+}
+
+// viewOK is one //fcae:view-ok comment.
+type viewOK struct {
+	file string
+	line int
+	pos  token.Pos
+	used bool
+}
+
+// collectViewOKDirectives gathers the package's //fcae:view-ok comments,
+// reporting any without a reason.
+func collectViewOKDirectives(pass *Pass) []*viewOK {
+	var out []*viewOK
+	for _, f := range pass.Files {
+		for _, cg := range f.Comments {
+			for _, c := range cg.List {
+				if !strings.HasPrefix(c.Text, viewOKDirective) {
+					continue
+				}
+				if strings.TrimSpace(strings.TrimPrefix(c.Text, viewOKDirective)) == "" {
+					pass.Reportf(c.Pos(), "malformed %s directive: the reason is mandatory (%s <reason>)",
+						viewOKDirective, viewOKDirective)
+					continue
+				}
+				p := pass.Fset.Position(c.Pos())
+				out = append(out, &viewOK{file: p.Filename, line: p.Line, pos: c.Pos()})
+			}
+		}
+	}
+	return out
+}
+
+// vouchedAt returns the directive on pos's line or the line above.
+func vouchedAt(pass *Pass, vouched []*viewOK, pos token.Pos) *viewOK {
+	p := pass.Fset.Position(pos)
+	for _, d := range vouched {
+		if d.file == p.Filename && (d.line == p.Line || d.line == p.Line-1) {
+			return d
+		}
+	}
+	return nil
+}
+
+// heldView is one vouched store: struct field view caches the
+// Key()/Value() of the iterator in field iter of the same struct, and
+// refresh is the function whose body performs the store.
+type heldView struct {
+	view, iter *types.Var
+	refresh    types.Object
+	pos        token.Pos
+}
+
+// heldViewOf recognizes lhs = recv.Key() as x.f = x.it.Key().
+func heldViewOf(pass *Pass, fd *ast.FuncDecl, lhs *ast.SelectorExpr, recv ast.Expr, pos token.Pos) (heldView, bool) {
+	recvSel, ok := ast.Unparen(recv).(*ast.SelectorExpr)
+	if !ok || types.ExprString(lhs.X) != types.ExprString(recvSel.X) {
+		return heldView{}, false
+	}
+	view, iter := fieldOf(pass, lhs), fieldOf(pass, recvSel)
+	if view == nil || iter == nil {
+		return heldView{}, false
+	}
+	return heldView{view: view, iter: iter, refresh: pass.Info.Defs[fd.Name], pos: pos}, true
+}
+
+// fieldOf resolves a selector to the struct field it names, or nil.
+func fieldOf(pass *Pass, sel *ast.SelectorExpr) *types.Var {
+	s := pass.Info.Selections[sel]
+	if s == nil || s.Kind() != types.FieldVal {
+		return nil
+	}
+	v, _ := s.Obj().(*types.Var)
+	return v
+}
+
+var positioningMethods = map[string]bool{
+	"Next": true, "Prev": true, "SeekGE": true, "SeekToFirst": true, "SeekToLast": true,
+}
+
+// checkHeldView holds a vouched store to its claim: wherever the package
+// moves the iterator through hv.iter, a refresh of hv.view must follow in
+// the same function — a call to any function in held that stores the
+// same view, or such a store itself.
+func checkHeldView(pass *Pass, hv heldView, held []heldView) {
+	refreshers := make(map[types.Object]bool)
+	for _, h := range held {
+		if h.view == hv.view && h.iter == hv.iter {
+			refreshers[h.refresh] = true
+		}
+	}
+	eachFuncDecl(pass, func(fd *ast.FuncDecl) {
+		var moves []*ast.CallExpr
+		var lastRefresh token.Pos
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.CallExpr:
+				var callee types.Object
+				switch fun := n.Fun.(type) {
+				case *ast.Ident:
+					callee = pass.Info.Uses[fun]
+				case *ast.SelectorExpr:
+					callee = pass.Info.Uses[fun.Sel]
+					if recv, ok := ast.Unparen(fun.X).(*ast.SelectorExpr); ok &&
+						positioningMethods[fun.Sel.Name] && fieldOf(pass, recv) == hv.iter {
+						moves = append(moves, n)
+					}
+				}
+				if refreshers[callee] {
+					lastRefresh = n.Pos()
+				}
+			case *ast.AssignStmt:
+				if len(n.Lhs) != len(n.Rhs) {
+					return true
+				}
+				for i, rhs := range n.Rhs {
+					lhs, ok := n.Lhs[i].(*ast.SelectorExpr)
+					if !ok || fieldOf(pass, lhs) != hv.view {
+						continue
+					}
+					if recv, ok := ast.Unparen(viewCall(pass, rhs)).(*ast.SelectorExpr); ok && fieldOf(pass, recv) == hv.iter {
+						lastRefresh = n.Pos()
+					}
+				}
+			}
+			return true
+		})
+		for _, mv := range moves {
+			if lastRefresh > mv.Pos() {
+				continue
+			}
+			pass.Reportf(mv.Pos(),
+				"%s moves the iterator whose view field %s holds (vouched %s at %s) and never re-reads it; call %s after the move",
+				types.ExprString(mv.Fun), hv.view.Name(), viewOKDirective, shortPos(pass, hv.pos), hv.refresh.Name())
+		}
+	})
+}
+
+func shortPos(pass *Pass, pos token.Pos) string {
+	p := pass.Fset.Position(pos)
+	return fmt.Sprintf("%s:%d", filepath.Base(p.Filename), p.Line)
 }
 
 // viewCall returns the receiver expression of e when e is a raw
@@ -66,7 +243,7 @@ type localView struct {
 	pos  token.Pos
 }
 
-func checkBufAlias(pass *Pass, fd *ast.FuncDecl) {
+func checkBufAlias(pass *Pass, fd *ast.FuncDecl, vouched []*viewOK) (held []heldView) {
 	var locals []localView
 	assignedIdents := make(map[*ast.Ident]bool)  // idents appearing as assignment targets
 	writes := make(map[types.Object][]token.Pos) // all writes per local object
@@ -93,6 +270,17 @@ func checkBufAlias(pass *Pass, fd *ast.FuncDecl) {
 				}
 				switch lhs := n.Lhs[i].(type) {
 				case *ast.SelectorExpr:
+					if d := vouchedAt(pass, vouched, rhs.Pos()); d != nil {
+						d.used = true
+						if hv, ok := heldViewOf(pass, fd, lhs, recv, rhs.Pos()); ok {
+							held = append(held, hv)
+						} else {
+							pass.Reportf(rhs.Pos(),
+								"%s vouches only for x.f = x.it.Key() with f and it fields of one struct value; %s = %s is not that",
+								viewOKDirective, types.ExprString(lhs), types.ExprString(rhs))
+						}
+						continue
+					}
 					pass.Reportf(rhs.Pos(),
 						"%s view stored into field %s outlives the iterator's buffer; copy it (append(dst[:0], ...%s...))",
 						types.ExprString(rhs), types.ExprString(lhs), types.ExprString(rhs))
@@ -141,7 +329,7 @@ func checkBufAlias(pass *Pass, fd *ast.FuncDecl) {
 	})
 
 	if len(locals) == 0 {
-		return
+		return held
 	}
 	// For each local view, flag reads that happen (in source order) after
 	// a repositioning of its iterator, unless the local was re-assigned
@@ -173,6 +361,7 @@ func checkBufAlias(pass *Pass, fd *ast.FuncDecl) {
 			return true
 		})
 	}
+	return held
 }
 
 // identObj resolves an identifier to its object (definition or use).

@@ -25,6 +25,7 @@ var goldenAnalyzers = map[string][]*lint.Analyzer{
 	"chanflow":  {lint.ChanFlow},
 	"hotalloc":  {lint.HotAlloc},
 	"enumstr":   {lint.EnumStr},
+	"bufalias":  {lint.BufAlias},
 	"dyncall":   {lint.LockOrder, lint.GoLeak, lint.Taint, lint.ChanFlow, lint.HotAlloc},
 }
 

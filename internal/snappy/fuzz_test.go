@@ -32,3 +32,41 @@ func FuzzSnappyRoundtrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzSnappyDecode feeds arbitrary bytes to the decoder beside the
+// byte-at-a-time reference: they must agree on whether the stream is
+// valid and, when it is, on every output byte; and the decoder must not
+// write past the decoded length whatever the stream says.
+func FuzzSnappyDecode(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0x80})
+	f.Add([]byte{0x04, 0x0c, 'a', 'b', 'c', 'd'})
+	f.Add([]byte(newStream(36).literal("0123456789abcdefghij").copy2(7, 16)))
+	f.Add([]byte(newStream(84).literal("0123456789abcdefghij").copy2(3, 64)))
+	f.Add([]byte(newStream(23).literal("0123456789abcdefghij").copy1(9, 4)))
+	f.Add([]byte(newStream(40).literal("0123456789abcdefghij").copy2(21, 8).literal("0123456789ab")))
+	f.Add([]byte(newStream(3).literal("abcd").literal("0123456789abcdefghij")))
+	for _, blk := range benchBlocks() {
+		f.Add(Encode(nil, blk.data))
+	}
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if n, err := DecodedLen(data); err == nil && n > 4<<20 {
+			t.Skip("claimed length too large to be worth allocating")
+		}
+		want, wantErr := refDecode(nil, data)
+		got, overran, err := decodeGuarded(data)
+		if overran {
+			t.Fatal("Decode wrote past the decoded length")
+		}
+		if (err == nil) != (wantErr == nil) {
+			t.Fatalf("Decode err = %v, reference err = %v", err, wantErr)
+		}
+		if err != nil && err != wantErr {
+			t.Fatalf("Decode err = %v, reference err = %v", err, wantErr)
+		}
+		if err == nil && !bytes.Equal(got, want) {
+			t.Fatalf("Decode and the reference disagree on %d output bytes", len(want))
+		}
+	})
+}

@@ -12,6 +12,8 @@ package snappy
 import (
 	"encoding/binary"
 	"errors"
+	"math/bits"
+	"sync"
 )
 
 var (
@@ -61,25 +63,32 @@ func MinEncodedLen(n int) int {
 
 // DecodedLen returns the decoded length of src without decoding it.
 func DecodedLen(src []byte) (int, error) {
-	n, w := binary.Uvarint(src)
-	if w <= 0 {
-		return 0, ErrCorrupt
-	}
-	if n > maxDecodedLen {
-		return 0, ErrTooLarge
-	}
-	return int(n), nil
+	n, _, err := decodedLen(src)
+	return n, err
 }
 
-// Decode decompresses src, appending nothing: dst is used as the output
-// buffer when large enough, otherwise a new buffer is allocated. It returns
-// the decoded bytes.
+// decodedLen parses the preamble: the decoded length and the preamble's
+// own width in bytes.
+func decodedLen(src []byte) (n, width int, err error) {
+	v, w := binary.Uvarint(src)
+	if w <= 0 {
+		return 0, 0, ErrCorrupt
+	}
+	if v > maxDecodedLen {
+		return 0, 0, ErrTooLarge
+	}
+	return int(v), w, nil
+}
+
+// Decode decompresses src and returns the decoded bytes. dst is scratch
+// for the output: when its capacity covers the decoded length the result
+// aliases dst[:n] and nothing is allocated, otherwise a new buffer is
+// returned. Whatever dst held is overwritten, never appended to.
 func Decode(dst, src []byte) ([]byte, error) {
-	dLen, err := DecodedLen(src)
+	dLen, w, err := decodedLen(src)
 	if err != nil {
 		return nil, err
 	}
-	_, w := binary.Uvarint(src)
 	src = src[w:]
 	if cap(dst) < dLen {
 		//fcae:alloc-ok grow-on-demand scratch: callers pass a reused dst, so steady state re-slices
@@ -88,65 +97,105 @@ func Decode(dst, src []byte) ([]byte, error) {
 		dst = dst[:dLen]
 	}
 
+	// Every element is checked against both buffers before a byte moves:
+	// the wide copies below may write up to 16 bytes for a shorter
+	// element, but only where those 16 bytes lie inside dst[:dLen] (a
+	// later element overwrites the excess, or the final d != dLen check
+	// rejects the stream).
 	var d, s int
 	for s < len(src) {
 		tag := src[s]
+		var length, offset int
 		switch tag & 0x03 {
 		case tagLiteral:
-			x := int(tag >> 2)
-			s++
-			if x >= 60 {
-				extra := x - 59
-				if s+extra > len(src) {
+			x := uint32(tag >> 2)
+			switch {
+			case x < 60:
+				s++
+			case x == 60:
+				s += 2
+				if s > len(src) {
 					return nil, ErrCorrupt
 				}
-				x = 0
-				for i := extra - 1; i >= 0; i-- {
-					x = x<<8 | int(src[s+i])
+				x = uint32(src[s-1])
+			case x == 61:
+				s += 3
+				if s > len(src) {
+					return nil, ErrCorrupt
 				}
-				s += extra
+				x = uint32(src[s-2]) | uint32(src[s-1])<<8
+			case x == 62:
+				s += 4
+				if s > len(src) {
+					return nil, ErrCorrupt
+				}
+				x = uint32(src[s-3]) | uint32(src[s-2])<<8 | uint32(src[s-1])<<16
+			default:
+				s += 5
+				if s > len(src) {
+					return nil, ErrCorrupt
+				}
+				x = binary.LittleEndian.Uint32(src[s-4 : s])
 			}
-			length := x + 1
-			if length <= 0 || s+length > len(src) || d+length > dLen {
+			length = int(x) + 1
+			if length <= 0 || length > len(src)-s || length > dLen-d {
 				return nil, ErrCorrupt
 			}
-			copy(dst[d:], src[s:s+length])
+			if length <= 16 && len(src)-s >= 16 && dLen-d >= 16 {
+				copy16(dst[d:d+16], src[s:s+16])
+			} else {
+				copy(dst[d:d+length], src[s:s+length])
+			}
 			d += length
 			s += length
+			continue
 
 		case tagCopy1:
 			if s+2 > len(src) {
 				return nil, ErrCorrupt
 			}
-			length := int(tag>>2)&0x07 + 4
-			offset := int(tag>>5)<<8 | int(src[s+1])
+			length = int(tag>>2)&0x07 + 4
+			offset = int(tag>>5)<<8 | int(src[s+1])
 			s += 2
-			if err := copyMatch(dst, &d, dLen, offset, length); err != nil {
-				return nil, err
-			}
 
 		case tagCopy2:
 			if s+3 > len(src) {
 				return nil, ErrCorrupt
 			}
-			length := int(tag>>2) + 1
-			offset := int(binary.LittleEndian.Uint16(src[s+1 : s+3]))
+			length = int(tag>>2) + 1
+			offset = int(binary.LittleEndian.Uint16(src[s+1 : s+3]))
 			s += 3
-			if err := copyMatch(dst, &d, dLen, offset, length); err != nil {
-				return nil, err
-			}
 
 		case tagCopy4:
 			if s+5 > len(src) {
 				return nil, ErrCorrupt
 			}
-			length := int(tag>>2) + 1
-			offset := int(binary.LittleEndian.Uint32(src[s+1 : s+5]))
+			length = int(tag>>2) + 1
+			offset = int(binary.LittleEndian.Uint32(src[s+1 : s+5]))
 			s += 5
-			if err := copyMatch(dst, &d, dLen, offset, length); err != nil {
-				return nil, err
+		}
+
+		// A back-reference, which may overlap its own output.
+		if offset <= 0 || offset > d || length > dLen-d {
+			return nil, ErrCorrupt
+		}
+		switch {
+		case length <= 16 && offset >= 8 && dLen-d >= 16:
+			// Two 8-byte moves. offset >= 8 keeps each move's source clear
+			// of its own destination; the second may read what the first
+			// wrote, which is exactly the overlap semantics.
+			copy16(dst[d:d+16], dst[d-offset:d-offset+16])
+		case offset >= length:
+			copy(dst[d:d+length], dst[d-offset:])
+		default:
+			// Overlapping: dst[d-offset:d] is a pattern to repeat. Each
+			// pass copies everything produced so far, doubling the run.
+			end := d + length
+			for p, e := d-offset, d; e < end; {
+				e += copy(dst[e:end], dst[p:e])
 			}
 		}
+		d += length
 	}
 	if d != dLen {
 		return nil, ErrCorrupt
@@ -154,21 +203,41 @@ func Decode(dst, src []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// copyMatch applies a back-reference copy, which may self-overlap.
-func copyMatch(dst []byte, d *int, dLen, offset, length int) error {
-	if offset <= 0 || offset > *d || *d+length > dLen {
-		return ErrCorrupt
-	}
-	for i := 0; i < length; i++ {
-		dst[*d+i] = dst[*d+i-offset]
-	}
-	*d += length
-	return nil
+// copy16 moves 16 bytes as two 8-byte words, first word first, so a
+// source that overlaps the destination from at least 8 bytes behind
+// reads what the first store wrote.
+func copy16(dst, src []byte) {
+	_, _ = dst[15], src[15]
+	binary.LittleEndian.PutUint64(dst, binary.LittleEndian.Uint64(src))
+	binary.LittleEndian.PutUint64(dst[8:], binary.LittleEndian.Uint64(src[8:]))
+}
+
+// Encoder compresses blocks with a match-finder hash table that is kept
+// between calls, so a caller on a hot path (a table writer, an encode
+// worker, an engine output lane) pays for the table once. Only the part
+// of the table a block uses is cleared before that block, so the output
+// never depends on what the Encoder compressed before. The zero value is
+// ready to use; an Encoder must not be used by two goroutines at once.
+type Encoder struct {
+	table [maxTableSize]uint16
+}
+
+// encoders lends an Encoder to callers of the package-level Encode.
+var encoders = sync.Pool{New: func() interface{} { return new(Encoder) }}
+
+// Encode compresses src, returning the encoded block. dst is used when
+// large enough. It is Encoder.Encode on a borrowed Encoder, for callers
+// with no state of their own to keep one in.
+func Encode(dst, src []byte) []byte {
+	e := encoders.Get().(*Encoder)
+	dst = e.Encode(dst, src)
+	encoders.Put(e)
+	return dst
 }
 
 // Encode compresses src, returning the encoded block. dst is used when
 // large enough.
-func Encode(dst, src []byte) []byte {
+func (e *Encoder) Encode(dst, src []byte) []byte {
 	n := MaxEncodedLen(len(src))
 	if n < 0 {
 		panic("snappy: source too large")
@@ -191,7 +260,7 @@ func Encode(dst, src []byte) []byte {
 		if len(p) < minNonLiteralBlockSize {
 			d += emitLiteral(dst[d:], p)
 		} else {
-			d += encodeBlock(dst[d:], p)
+			d += e.encodeBlock(dst[d:], p)
 		}
 	}
 	return dst[:d]
@@ -255,74 +324,134 @@ func emitCopy(dst []byte, offset, length int) int {
 }
 
 const (
-	hashTableBits = 14
-	hashTableSize = 1 << hashTableBits
+	// The hash table has between minTableSize and maxTableSize entries,
+	// the smallest power of two that covers the block, as in the
+	// reference codec: a 4 KiB data block fills (and clears) 8 or 16 KiB
+	// of table, not all 32.
+	minTableBits = 8
+	maxTableBits = 14
+	maxTableSize = 1 << maxTableBits
+	tableMask    = maxTableSize - 1
 )
 
-func hash4(u uint32) uint32 {
-	return (u * 0x1e35a7bd) >> (32 - hashTableBits)
+func hash(u, shift uint32) uint32 {
+	return (u * 0x1e35a7bd) >> shift
 }
 
 func load32(b []byte, i int) uint32 {
 	return binary.LittleEndian.Uint32(b[i : i+4])
 }
 
-// encodeBlock compresses one block (len(src) <= maxBlockSize) using a
-// greedy hash-chain match finder like the reference implementation.
-func encodeBlock(dst, src []byte) int {
-	var table [hashTableSize]uint16
+func load64(b []byte, i int) uint64 {
+	return binary.LittleEndian.Uint64(b[i : i+8])
+}
 
+// encodeBlock compresses one block (minNonLiteralBlockSize <= len(src) <=
+// maxBlockSize) with a greedy hash match finder, like the reference
+// implementation, and returns the bytes written to dst.
+func (e *Encoder) encodeBlock(dst, src []byte) int {
+	shift := uint32(32 - minTableBits)
+	tableSize := 1 << minTableBits
+	for tableSize < maxTableSize && tableSize < len(src) {
+		tableSize *= 2
+		shift--
+	}
+	// Indexing through &tableMask lets the compiler drop the bounds
+	// checks; hash never produces more than tableSize anyway.
+	table := &e.table
+	clear(table[:tableSize])
+
+	// sLimit is where the search for matches stops: past it, fewer than
+	// inputMargin bytes remain, which is what lets the loops below load 8
+	// bytes at s without a length check.
 	sLimit := len(src) - inputMargin
 	d := 0
 	nextEmit := 0
+	// The block must start with a literal (nothing to copy from yet).
 	s := 1
-	nextHash := hash4(load32(src, s))
 
 	for {
-		skip := 32
-		nextS := s
+		// Scan for a match. One 64-bit load serves three positions: s,
+		// s+1 and s+2 are hashed from it, entered into the table and
+		// their candidates compared, then s moves on by 3 plus one for
+		// every 16 bytes since the last match, so incompressible input
+		// is skipped over ever faster. At every distance d that is still
+		// a denser search than the reference codec's (three positions in
+		// 3+d/16 against one in 1+d/32).
 		candidate := 0
 		for {
-			s = nextS
-			bytesBetweenHashLookups := skip >> 5
-			nextS = s + bytesBetweenHashLookups
-			skip += bytesBetweenHashLookups
-			if nextS > sLimit {
+			if s+2 > sLimit {
 				goto emitRemainder
 			}
-			candidate = int(table[nextHash])
-			table[nextHash] = uint16(s)
-			nextHash = hash4(load32(src, nextS))
-			if load32(src, s) == load32(src, candidate) {
+			x := load64(src, s)
+			h0 := hash(uint32(x), shift) & tableMask
+			h1 := hash(uint32(x>>8), shift) & tableMask
+			h2 := hash(uint32(x>>16), shift) & tableMask
+			candidate = int(table[h0])
+			table[h0] = uint16(s)
+			if uint32(x) == load32(src, candidate) {
 				break
 			}
+			candidate = int(table[h1])
+			table[h1] = uint16(s + 1)
+			if uint32(x>>8) == load32(src, candidate) {
+				s++
+				break
+			}
+			candidate = int(table[h2])
+			table[h2] = uint16(s + 2)
+			if uint32(x>>16) == load32(src, candidate) {
+				s += 2
+				break
+			}
+			s += 3 + (s-nextEmit)>>4
 		}
 
-		d += emitLiteral(dst[d:], src[nextEmit:s])
+		// A strided scan can land in the middle of a match: take back the
+		// bytes before s that match too.
+		for candidate > 0 && s > nextEmit && src[candidate-1] == src[s-1] {
+			candidate--
+			s--
+		}
+		if nextEmit < s {
+			d += emitLiteral(dst[d:], src[nextEmit:s])
+		}
 
+		// Emit copies for as long as one match is followed at once by the
+		// next.
 		for {
 			base := s
 			s += 4
 			i := candidate + 4
+			// Extend the match eight bytes at a time; the first differing
+			// byte is the lowest set bit of the XOR.
+			for s+8 <= len(src) {
+				if diff := load64(src, s) ^ load64(src, i); diff != 0 {
+					s += bits.TrailingZeros64(diff) >> 3
+					goto extended
+				}
+				s += 8
+				i += 8
+			}
 			for s < len(src) && src[i] == src[s] {
 				i++
 				s++
 			}
+		extended:
 			d += emitCopy(dst[d:], base-candidate, s-base)
 			nextEmit = s
 			if s >= sLimit {
 				goto emitRemainder
 			}
 
-			x := load32(src, s-1)
-			prevHash := hash4(x)
-			table[prevHash] = uint16(s - 1)
-			x = load32(src, s)
-			currHash := hash4(x)
-			candidate = int(table[currHash])
-			table[currHash] = uint16(s)
-			if x != load32(src, candidate) {
-				nextHash = hash4(load32(src, s+1))
+			// Enter s-1 and look s up, again from one load.
+			x := load64(src, s-1)
+			hPrev := hash(uint32(x), shift) & tableMask
+			hCur := hash(uint32(x>>8), shift) & tableMask
+			table[hPrev] = uint16(s - 1)
+			candidate = int(table[hCur])
+			table[hCur] = uint16(s)
+			if uint32(x>>8) != load32(src, candidate) {
 				s++
 				break
 			}

@@ -2,6 +2,7 @@ package snappy
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -97,15 +98,8 @@ func TestQuickRoundTripStructured(t *testing.T) {
 	t.Parallel()
 	// Structured inputs with repeats exercise the copy paths more than
 	// quick's random bytes.
-	rng := rand.New(rand.NewSource(99))
-	words := []string{"alpha", "beta", "gamma", "delta", "zipf", "0000001"}
-	for i := 0; i < 300; i++ {
-		var b bytes.Buffer
-		n := rng.Intn(5000)
-		for b.Len() < n {
-			b.WriteString(words[rng.Intn(len(words))])
-		}
-		roundTrip(t, b.Bytes())
+	for _, src := range structuredInputs(300) {
+		roundTrip(t, src)
 	}
 }
 
@@ -166,25 +160,74 @@ func TestEncodeReusesDst(t *testing.T) {
 	}
 }
 
+// benchBlocks are the 4 KiB inputs the codec benchmarks run on. "table"
+// is shaped like a data block of the repo benchmark's tables: 16-byte
+// keys under restart-point prefix compression, each followed by a value
+// that is half random bytes and half filler repeating them. "repeat" is
+// the best case (one 24-byte phrase), "random" the worst (no matches).
+func benchBlocks() []struct {
+	name string
+	data []byte
+} {
+	rng := rand.New(rand.NewSource(7))
+	var table []byte
+	for i := 0; len(table) < 4096; i++ {
+		shared := 12
+		if i%16 == 0 {
+			shared = 0 // restart point: the key is stored whole
+		}
+		key := fmt.Sprintf("%016d", 4_000_000+i*4)
+		table = append(table, byte(shared), byte(24-shared), 0xec, 0x01) // entry header
+		table = append(table, key[shared:]...)
+		table = append(table, 1, 0, 0, 0, 0, 0, 0, byte(i)) // trailer
+		for v := 0; v < 236; v += 100 {
+			half := make([]byte, 50)
+			for j := range half {
+				half[j] = byte(' ' + rng.Intn(95))
+			}
+			table = append(table, half...)
+			table = append(table, half...)
+		}
+	}
+	random := make([]byte, 4096)
+	rng.Read(random)
+	return []struct {
+		name string
+		data []byte
+	}{
+		{"repeat", bytes.Repeat([]byte("key-000001value-padding-"), 4096/24)},
+		{"table", table[:4096]},
+		{"random", random},
+	}
+}
+
 func BenchmarkEncode4KBlock(b *testing.B) {
-	src := bytes.Repeat([]byte("key-000001value-padding-"), 4096/24)
-	b.SetBytes(int64(len(src)))
-	var dst []byte
-	for i := 0; i < b.N; i++ {
-		dst = Encode(dst[:0], src)
+	for _, blk := range benchBlocks() {
+		b.Run(blk.name, func(b *testing.B) {
+			b.SetBytes(int64(len(blk.data)))
+			var e Encoder
+			var dst []byte
+			for i := 0; i < b.N; i++ {
+				dst = e.Encode(dst[:0], blk.data)
+			}
+			b.ReportMetric(float64(len(dst))/float64(len(blk.data)), "ratio")
+		})
 	}
 }
 
 func BenchmarkDecode4KBlock(b *testing.B) {
-	src := bytes.Repeat([]byte("key-000001value-padding-"), 4096/24)
-	enc := Encode(nil, src)
-	b.SetBytes(int64(len(src)))
-	var dst []byte
-	var err error
-	for i := 0; i < b.N; i++ {
-		dst, err = Decode(dst, enc)
-		if err != nil {
-			b.Fatal(err)
-		}
+	for _, blk := range benchBlocks() {
+		b.Run(blk.name, func(b *testing.B) {
+			enc := Encode(nil, blk.data)
+			b.SetBytes(int64(len(blk.data)))
+			var dst []byte
+			var err error
+			for i := 0; i < b.N; i++ {
+				dst, err = Decode(dst, enc)
+				if err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

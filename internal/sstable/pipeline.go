@@ -210,12 +210,13 @@ func (p *EncodePipeline) Stats() EncodeStats {
 //fcae:cycle-accounting
 func (p *EncodePipeline) encoderLoop() {
 	defer p.wg.Done()
+	enc := new(snappy.Encoder) // this worker's match-finder state
 	for t := range p.encodeq {
 		contents := t.raw
 		payload := contents
 		ctype := byte(NoCompression)
 		if p.compression == SnappyCompression {
-			t.cbuf = snappy.Encode(t.cbuf[:0], contents)
+			t.cbuf = enc.Encode(t.cbuf[:0], contents)
 			if len(t.cbuf) < len(contents)-len(contents)/8 {
 				payload = t.cbuf
 				ctype = byte(SnappyCompression)

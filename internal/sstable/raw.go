@@ -155,20 +155,14 @@ func (w *BlockWriter) FinishInto(dst []byte) []byte {
 // the host-side combiner for engine output. Block last-keys double as
 // index keys (they satisfy the separator contract exactly).
 type Assembler struct {
-	w          *Writer
-	filterKeys [][]byte
-	bitsPerKey int
+	w *Writer
 }
 
 // NewAssembler returns an assembler writing to w. opts.Compression is
 // ignored (blocks arrive already encoded); FilterBitsPerKey attaches a
 // bloom filter when filter keys are supplied.
 func NewAssembler(w io.Writer, opts Options) *Assembler {
-	opts = opts.withDefaults()
-	return &Assembler{
-		w:          NewWriter(w, opts),
-		bitsPerKey: opts.FilterBitsPerKey,
-	}
+	return &Assembler{w: NewWriter(w, opts)}
 }
 
 // AddRawBlock appends one pre-encoded block. lastKey is the block's final
@@ -206,18 +200,13 @@ func (a *Assembler) SetBounds(smallest, largest []byte) {
 
 // AddFilterKey registers a user key for the bloom filter.
 func (a *Assembler) AddFilterKey(userKey []byte) {
-	if a.bitsPerKey > 0 {
-		a.filterKeys = append(a.filterKeys, append([]byte(nil), userKey...))
+	if a.w.opts.FilterBitsPerKey > 0 {
+		a.w.filterHashes = append(a.w.filterHashes, bloom.Hash(userKey))
 	}
 }
 
 // Finish writes the index block, filter and footer.
 func (a *Assembler) Finish() (WriterStats, error) {
-	a.w.filterKeys = a.filterKeys
-	if a.bitsPerKey > 0 {
-		a.w.opts.FilterBitsPerKey = a.bitsPerKey
-		a.w.filter = bloomFor(a.bitsPerKey)
-	}
 	largest := append([]byte(nil), a.w.stats.Largest...)
 	stats, err := a.w.Finish()
 	if err == nil && largest != nil {
@@ -226,8 +215,6 @@ func (a *Assembler) Finish() (WriterStats, error) {
 	}
 	return stats, err
 }
-
-func bloomFor(bits int) bloom.Filter { return bloom.New(bits) }
 
 // flushPendingIndexRaw records the pending separator using the stored last
 // key verbatim (no separator shortening; the engine already supplies
@@ -240,18 +227,18 @@ func (w *Writer) flushPendingIndexRaw() {
 	w.hasPending = false
 }
 
-// writePreEncodedBlock stores an already-compressed block payload.
+// writePreEncodedBlock stores a block payload as it stands — already
+// compressed, or to be stored raw — followed by its type byte and CRC.
 func (w *Writer) writePreEncodedBlock(ctype byte, payload []byte) (Handle, error) {
 	h := Handle{Offset: uint64(w.offset), Size: uint64(len(payload))}
-	var trailer [BlockTrailerSize]byte
-	trailer[0] = ctype
+	w.trailer[0] = ctype
 	sum := crc.Value(payload)
-	sum = crc.Extend(sum, trailer[:1])
-	binary.LittleEndian.PutUint32(trailer[1:], sum)
+	sum = crc.Extend(sum, w.trailer[:1])
+	binary.LittleEndian.PutUint32(w.trailer[1:], sum)
 	if _, err := w.w.Write(payload); err != nil {
 		return Handle{}, err
 	}
-	if _, err := w.w.Write(trailer[:]); err != nil {
+	if _, err := w.w.Write(w.trailer[:]); err != nil {
 		return Handle{}, err
 	}
 	w.offset += int64(len(payload)) + BlockTrailerSize

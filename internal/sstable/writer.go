@@ -5,7 +5,6 @@ import (
 	"io"
 
 	"fcae/internal/bloom"
-	"fcae/internal/crc"
 	"fcae/internal/keys"
 	"fcae/internal/snappy"
 )
@@ -72,13 +71,17 @@ type Writer struct {
 	sepEnds []int
 	handles []Handle
 
-	filterKeys [][]byte
-	stats      WriterStats
-	lastKey    []byte
-	cbuf       []byte
-	sepScratch []byte
-	err        error
-	finished   bool
+	// filterHashes holds bloom.Hash of every user key added: all the
+	// filter block, built at Finish, needs of them.
+	filterHashes []uint32
+	stats        WriterStats
+	lastKey      []byte
+	enc          *snappy.Encoder // made by the first block compressed inline
+	cbuf         []byte
+	trailer      [BlockTrailerSize]byte // scratch: a local would escape through w.w.Write, once per block
+	sepScratch   []byte
+	err          error
+	finished     bool
 
 	// async is non-nil when the writer hands finished data blocks to an
 	// EncodePipeline instead of encoding them inline (see pipeline.go).
@@ -120,7 +123,7 @@ func (w *Writer) Add(ikey, value []byte) error {
 	w.lastKey = append(w.lastKey[:0], ikey...)
 	w.stats.Entries++
 	if w.opts.FilterBitsPerKey > 0 {
-		w.filterKeys = append(w.filterKeys, append([]byte(nil), keys.UserKey(ikey)...))
+		w.filterHashes = append(w.filterHashes, bloom.Hash(keys.UserKey(ikey)))
 	}
 
 	w.data.add(ikey, value)
@@ -195,30 +198,17 @@ func (w *Writer) writeBlock(contents []byte, c Compression) (Handle, error) {
 	payload := contents
 	ctype := byte(NoCompression)
 	if c == SnappyCompression {
-		w.cbuf = snappy.Encode(w.cbuf[:0], contents)
+		if w.enc == nil {
+			w.enc = new(snappy.Encoder)
+		}
+		w.cbuf = w.enc.Encode(w.cbuf[:0], contents)
 		// Only keep compression that actually saves space, as LevelDB does.
 		if len(w.cbuf) < len(contents)-len(contents)/8 {
 			payload = w.cbuf
 			ctype = byte(SnappyCompression)
 		}
 	}
-	h := Handle{Offset: uint64(w.offset), Size: uint64(len(payload))}
-	var trailer [BlockTrailerSize]byte
-	trailer[0] = ctype
-	sum := crc.Value(payload)
-	sum = crc.Extend(sum, trailer[:1])
-	trailer[1] = byte(sum)
-	trailer[2] = byte(sum >> 8)
-	trailer[3] = byte(sum >> 16)
-	trailer[4] = byte(sum >> 24)
-	if _, err := w.w.Write(payload); err != nil {
-		return Handle{}, err
-	}
-	if _, err := w.w.Write(trailer[:]); err != nil {
-		return Handle{}, err
-	}
-	w.offset += int64(len(payload)) + BlockTrailerSize
-	return h, nil
+	return w.writePreEncodedBlock(ctype, payload)
 }
 
 // EstimatedSize returns the bytes written so far plus the buffered block.
@@ -267,8 +257,8 @@ func (w *Writer) finishTail() (WriterStats, error) {
 
 	// Filter block (uncompressed).
 	meta := newBlockBuilder(1)
-	if w.opts.FilterBitsPerKey > 0 && len(w.filterKeys) > 0 {
-		fb := w.filter.Append(nil, w.filterKeys)
+	if w.opts.FilterBitsPerKey > 0 && len(w.filterHashes) > 0 {
+		fb := w.filter.AppendHashes(nil, w.filterHashes)
 		h, err := w.writeBlock(fb, NoCompression)
 		if err != nil {
 			w.err = err
