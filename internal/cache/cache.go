@@ -38,8 +38,11 @@ func New(capacity int64) *Cache {
 	return c
 }
 
+// shard spreads the blocks of one table over every shard: the offset is
+// mixed in before the high bits are taken, because offsets inside a file
+// are far below 2^32 and on their own never reach those bits.
 func (c *Cache) shard(k Key) *shard {
-	h := k.ID*0x9e3779b97f4a7c15 + k.Offset
+	h := (k.ID*0x9e3779b97f4a7c15 ^ k.Offset) * 0xff51afd7ed558ccd
 	return &c.shards[(h>>32)%shardCount]
 }
 

@@ -49,6 +49,29 @@ func TestEvictionBoundsSize(t *testing.T) {
 	}
 }
 
+// TestOneFileUsesWholeCache pins the shard hash: the blocks of a single
+// table (small, regularly spaced offsets under one id) must spread over
+// every shard, or that table is limited to 1/16 of the capacity.
+func TestOneFileUsesWholeCache(t *testing.T) {
+	t.Parallel()
+	c := New(8 << 20)
+	touched := make(map[*shard]bool)
+	for i := 0; i < 1000; i++ {
+		k := Key{ID: 7, Offset: uint64(i) * 4096}
+		touched[c.shard(k)] = true
+		c.Set(k, make([]byte, 4096))
+	}
+	if len(touched) != shardCount {
+		t.Fatalf("1000 blocks of one file touched %d of %d shards", len(touched), shardCount)
+	}
+	// 4 MB in an 8 MiB cache: nothing may have been evicted.
+	for i := 0; i < 1000; i++ {
+		if _, ok := c.Get(Key{ID: 7, Offset: uint64(i) * 4096}); !ok {
+			t.Fatalf("block %d of a file half the capacity was evicted (%d resident)", i, c.Len())
+		}
+	}
+}
+
 func TestLRUOrder(t *testing.T) {
 	t.Parallel()
 	// Single-shard-sized capacity to make eviction deterministic per shard:

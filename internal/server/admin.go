@@ -55,6 +55,10 @@ type adminStats struct {
 	Store       lsm.Stats               `json:"store"`
 	Dispatch    dispatch.Stats          `json:"dispatch"`
 	LevelFiles  [manifest.NumLevels]int `json:"level_files"`
+
+	// Requests over ResponseFlushes is the responses per socket write.
+	Requests        int64 `json:"requests"`
+	ResponseFlushes int64 `json:"response_flushes"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
@@ -66,6 +70,9 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Store:       s.db.Stats(),
 		Dispatch:    s.db.DispatchStats(),
 		LevelFiles:  s.db.LevelFiles(),
+
+		Requests:        s.met.requests.Value(),
+		ResponseFlushes: s.met.flushes.Value(),
 	}
 	w.Header().Set("Content-Type", "application/json")
 	enc := json.NewEncoder(w)

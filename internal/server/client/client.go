@@ -38,7 +38,7 @@ type Options struct {
 }
 
 func (o Options) withDefaults() Options {
-	if o.Conns == 0 {
+	if o.Conns <= 0 {
 		o.Conns = 2
 	}
 	if o.MaxPipeline == 0 {
@@ -82,6 +82,7 @@ type result struct {
 // Client is a pooled, pipelining connection to one server.
 type Client struct {
 	opts   Options
+	dial   dialFunc
 	closec chan struct{}
 	wg     sync.WaitGroup
 
@@ -92,16 +93,15 @@ type Client struct {
 }
 
 // poolConn is one pooled socket: ids allocates request ids, tokens is
-// the pipeline-depth semaphore, wmu serializes frame writes, and the
-// mu-guarded pending map is the response demultiplexer's routing table.
+// the pipeline-depth semaphore, w combines the requests of concurrent
+// callers into shared socket writes, and the mu-guarded pending map is
+// the response demultiplexer's routing table.
 type poolConn struct {
 	cl     *Client
 	nc     net.Conn
 	ids    atomic.Uint64
 	tokens chan struct{}
-
-	wmu  sync.Mutex
-	wbuf []byte
+	w      *server.FrameWriter
 
 	mu      sync.Mutex
 	pending map[uint64]chan result
@@ -109,38 +109,59 @@ type poolConn struct {
 	deadErr error
 }
 
+// dialFunc is net.DialTimeout's signature; tests substitute one that
+// blocks.
+type dialFunc func(network, addr string, timeout time.Duration) (net.Conn, error)
+
 // Dial connects the pool and returns a ready client. Every connection is
 // established eagerly so a bad address fails here, not on first use.
-func Dial(opts Options) (*Client, error) {
+func Dial(opts Options) (*Client, error) { return dialWith(opts, net.DialTimeout) }
+
+func dialWith(opts Options, dial dialFunc) (*Client, error) {
 	opts = opts.withDefaults()
 	if opts.Addr == "" {
 		return nil, errors.New("client: Options.Addr is required")
 	}
-	c := &Client{opts: opts, closec: make(chan struct{})}
-	for i := 0; i < opts.Conns; i++ {
-		pc, err := c.dialConn()
-		if err != nil {
+	c := &Client{opts: opts, closec: make(chan struct{}), dial: dial, conns: make([]*poolConn, opts.Conns)}
+	for slot := range c.conns {
+		if _, err := c.redial(slot, nil); err != nil {
 			_ = c.Close()
 			return nil, err
 		}
-		c.mu.Lock()
-		c.conns = append(c.conns, pc)
-		c.mu.Unlock()
 	}
 	return c, nil
 }
 
-func (c *Client) dialConn() (*poolConn, error) {
-	nc, err := net.DialTimeout("tcp", c.opts.Addr, c.opts.DialTimeout)
+// redial connects a replacement for old, the dead (or not yet dialed)
+// occupant of slot, and returns the connection the slot then holds. The
+// dial runs outside c.mu, so callers headed for live slots never wait
+// behind it; of several callers redialing one slot the first to finish
+// installs its connection and the others drop their spare and use the
+// winner's.
+func (c *Client) redial(slot int, old *poolConn) (*poolConn, error) {
+	nc, err := c.dial("tcp", c.opts.Addr, c.opts.DialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("client: dial %s: %w", c.opts.Addr, err)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.closed {
+		_ = nc.Close()
+		return nil, ErrClientClosed
+	}
+	if cur := c.conns[slot]; cur != old {
+		_ = nc.Close()
+		return cur, nil
 	}
 	pc := &poolConn{
 		cl:      c,
 		nc:      nc,
 		tokens:  make(chan struct{}, c.opts.MaxPipeline),
+		w:       server.NewFrameWriter(nc, c.opts.OpTimeout, nil),
 		pending: make(map[uint64]chan result),
 	}
+	c.conns[slot] = pc
+	// Started under c.mu, where Close has not yet begun waiting on wg.
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
@@ -152,31 +173,25 @@ func (c *Client) dialConn() (*poolConn, error) {
 // conn picks the next live connection round-robin, redialing dead slots
 // in place.
 func (c *Client) conn() (*poolConn, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.closed {
-		return nil, ErrClientClosed
-	}
-	var lastErr error
-	for i := 0; i < len(c.conns); i++ {
+	var err error
+	for range c.conns {
+		c.mu.Lock()
+		if c.closed {
+			c.mu.Unlock()
+			return nil, ErrClientClosed
+		}
 		slot := c.next % len(c.conns)
 		c.next++
 		pc := c.conns[slot]
-		if pc != nil && !pc.isDead() {
+		c.mu.Unlock()
+		if !pc.isDead() {
 			return pc, nil
 		}
-		npc, err := c.dialConn()
-		if err != nil {
-			lastErr = err
-			continue
+		if pc, err = c.redial(slot, pc); err == nil {
+			return pc, nil
 		}
-		c.conns[slot] = npc
-		return npc, nil
 	}
-	if lastErr == nil {
-		lastErr = errors.New("client: no connections configured")
-	}
-	return nil, lastErr
+	return nil, err
 }
 
 // Close tears the pool down: outstanding operations fail with
@@ -205,7 +220,7 @@ func (c *Client) Close() error {
 
 // Get fetches key's value; lsm.ErrNotFound when absent.
 func (c *Client) Get(key []byte) ([]byte, error) {
-	st, payload, err := c.do(server.OpGet, server.AppendGetPayload(nil, key))
+	st, payload, err := c.do(server.OpGet, func(dst []byte) []byte { return server.AppendGetPayload(dst, key) })
 	if err != nil {
 		return nil, err
 	}
@@ -217,7 +232,7 @@ func (c *Client) Get(key []byte) ([]byte, error) {
 
 // Put sets key to value.
 func (c *Client) Put(key, value []byte) error {
-	st, payload, err := c.do(server.OpPut, server.AppendPutPayload(nil, key, value))
+	st, payload, err := c.do(server.OpPut, func(dst []byte) []byte { return server.AppendPutPayload(dst, key, value) })
 	if err != nil {
 		return err
 	}
@@ -226,7 +241,7 @@ func (c *Client) Put(key, value []byte) error {
 
 // Delete removes key (a missing key is not an error).
 func (c *Client) Delete(key []byte) error {
-	st, payload, err := c.do(server.OpDelete, server.AppendDeletePayload(nil, key))
+	st, payload, err := c.do(server.OpDelete, func(dst []byte) []byte { return server.AppendDeletePayload(dst, key) })
 	if err != nil {
 		return err
 	}
@@ -235,7 +250,7 @@ func (c *Client) Delete(key []byte) error {
 
 // Write applies b atomically on the server.
 func (c *Client) Write(b *server.Batch) error {
-	st, payload, err := c.do(server.OpWrite, server.AppendWritePayload(nil, b))
+	st, payload, err := c.do(server.OpWrite, func(dst []byte) []byte { return server.AppendWritePayload(dst, b) })
 	if err != nil {
 		return err
 	}
@@ -249,7 +264,7 @@ func (c *Client) Scan(start []byte, limit int) ([]server.KV, error) {
 	if limit < 0 {
 		limit = 0
 	}
-	st, payload, err := c.do(server.OpScan, server.AppendScanPayload(nil, start, limit))
+	st, payload, err := c.do(server.OpScan, func(dst []byte) []byte { return server.AppendScanPayload(dst, start, limit) })
 	if err != nil {
 		return nil, err
 	}
@@ -263,8 +278,9 @@ func (c *Client) Scan(start []byte, limit int) ([]server.KV, error) {
 	return kvs, nil
 }
 
-// do runs one request/response exchange on a pooled connection.
-func (c *Client) do(op server.Op, payload []byte) (server.Status, []byte, error) {
+// do runs one request/response exchange on a pooled connection; payload
+// encodes the request straight into the connection's outgoing buffer.
+func (c *Client) do(op server.Op, payload func(dst []byte) []byte) (server.Status, []byte, error) {
 	pc, err := c.conn()
 	if err != nil {
 		return 0, nil, err
@@ -290,9 +306,12 @@ func (c *Client) do(op server.Op, payload []byte) (server.Status, []byte, error)
 	if err := pc.register(id, ch); err != nil {
 		return 0, nil, err
 	}
-	if err := pc.writeFrame(id, byte(op), payload, c.opts.OpTimeout); err != nil {
-		pc.unregister(id)
-		return 0, nil, err
+	// The pipeline slots taken say whether other callers are about to
+	// send on this connection too.
+	if err := pc.w.Send(id, byte(op), payload, len(pc.tokens) > 1); err != nil {
+		// The stream is in an unknown state: the connection dies, and
+		// with it every op waiting on it.
+		return 0, nil, pc.fail(fmt.Errorf("client: write: %w", err))
 	}
 	select {
 	case r := <-ch:
@@ -345,25 +364,6 @@ func (pc *poolConn) isDead() bool {
 	return pc.dead
 }
 
-// writeFrame serializes one frame onto the socket. A write failure kills
-// the connection (the stream is in an unknown state).
-func (pc *poolConn) writeFrame(id uint64, op byte, payload []byte, timeout time.Duration) error {
-	pc.wmu.Lock()
-	if timeout > 0 {
-		_ = pc.nc.SetWriteDeadline(time.Now().Add(timeout))
-	}
-	pc.wbuf = server.AppendFrame(pc.wbuf[:0], id, op, payload)
-	_, err := pc.nc.Write(pc.wbuf)
-	pc.wmu.Unlock()
-	if err != nil {
-		// fail's waiter notifications block on channels, so it must run
-		// outside wmu.
-		pc.fail(err)
-		return fmt.Errorf("client: write: %w", err)
-	}
-	return nil
-}
-
 // readLoop demultiplexes responses to their waiting ops until the
 // connection dies.
 func (pc *poolConn) readLoop() {
@@ -371,7 +371,7 @@ func (pc *poolConn) readLoop() {
 	for {
 		id, statusb, payload, err := server.ReadFrame(br, pc.cl.opts.MaxFrameBytes)
 		if err != nil {
-			pc.fail(fmt.Errorf("client: connection lost: %w", err))
+			_ = pc.fail(fmt.Errorf("client: connection lost: %w", err))
 			return
 		}
 		pc.complete(id, result{status: server.Status(statusb), payload: payload})
@@ -389,12 +389,13 @@ func (pc *poolConn) complete(id uint64, r result) {
 }
 
 // fail marks the connection dead exactly once, closes the socket, and
-// errors out every waiter.
-func (pc *poolConn) fail(err error) {
+// errors out every waiter. It returns the error the connection died of,
+// which is err only for the first caller.
+func (pc *poolConn) fail(err error) error {
 	pc.mu.Lock()
 	if pc.dead {
-		pc.mu.Unlock()
-		return
+		defer pc.mu.Unlock()
+		return pc.deadErr
 	}
 	pc.dead = true
 	pc.deadErr = err
@@ -405,4 +406,5 @@ func (pc *poolConn) fail(err error) {
 	for _, ch := range pending {
 		ch <- result{err: err}
 	}
+	return err
 }

@@ -2,35 +2,35 @@ package server
 
 import (
 	"bufio"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"fcae/internal/lsm"
 )
 
-// response is one frame queued for a connection's writer.
-type response struct {
-	id      uint64
-	status  Status
-	payload []byte
-}
-
 // conn serves one client connection: a read loop that admits and spawns
-// request handlers, and a single writer goroutine that serializes their
-// out-of-order responses back onto the socket. The connection's owner is
-// Server.serveConn; run returns only after every handler finished and
-// the writer flushed, so the server-wide connWg join covers everything.
+// request handlers, which send their out-of-order responses through the
+// connection's combining writer. The connection's owner is
+// Server.serveConn; run returns only after every handler finished, and a
+// handler returns only once its response is written or handed to a
+// handler that is still writing, so the server-wide connWg join covers
+// everything.
 type conn struct {
-	srv     *Server
-	nc      net.Conn
-	writech chan response
-	// handlers joins the per-request goroutines; writerWg joins the
-	// writer.
+	srv *Server
+	nc  net.Conn
+	w   *FrameWriter
+	// handlers joins the per-request goroutines.
 	handlers sync.WaitGroup
-	writerWg sync.WaitGroup
+	// unanswered counts requests read and not yet replied to.
+	unanswered atomic.Int32
+	// failed is set by the first reply that could not be written; the
+	// reader then stops, even with whole requests left in its buffer.
+	failed atomic.Bool
 }
 
 // stopReading half-closes the read side so a blocked ReadFrame returns
@@ -45,20 +45,19 @@ func (c *conn) stopReading() {
 }
 
 func (c *conn) run() {
-	c.writech = make(chan response, 64)
-	c.writerWg.Add(1)
-	go c.writeLoop()
+	c.w = NewFrameWriter(c.nc, c.srv.cfg.WriteTimeout, func(n int) {
+		c.srv.met.flushes.Inc()
+		c.srv.met.responseBytes.Add(int64(n))
+	})
 	c.readLoop()
 	c.handlers.Wait()
-	close(c.writech)
-	c.writerWg.Wait()
 	_ = c.nc.Close()
 }
 
 func (c *conn) readLoop() {
 	s := c.srv
 	br := bufio.NewReaderSize(c.nc, 32<<10)
-	for {
+	for !c.failed.Load() {
 		id, opb, payload, err := ReadFrame(br, s.cfg.MaxFrameBytes)
 		if err != nil {
 			// A malformed or oversized frame desynchronizes the stream;
@@ -68,12 +67,13 @@ func (c *conn) readLoop() {
 			}
 			return
 		}
+		c.unanswered.Add(1)
 		s.met.requests.Inc()
 		s.met.requestBytes.Add(int64(frameHeaderSize + framePrefixSize + len(payload)))
 		op := Op(opb)
 		if op < OpGet || op > OpScan {
 			s.met.protocolErrors.Inc()
-			c.enqueue(id, StatusErr, []byte(fmt.Sprintf("unknown opcode %d", opb)))
+			c.reply(id, StatusErr, []byte(fmt.Sprintf("unknown opcode %d", opb)))
 			continue
 		}
 		c.srv.met.opCount(op).Inc()
@@ -82,13 +82,13 @@ func (c *conn) readLoop() {
 		// behind a blocked memtable. Reads keep flowing.
 		if op.writes() && s.stall.stalled() {
 			s.met.busyStall.Inc()
-			c.enqueue(id, StatusBusy, nil)
+			c.reply(id, StatusBusy, nil)
 			continue
 		}
 		select {
 		case s.inflight <- struct{}{}:
 		case <-s.stopc:
-			c.enqueue(id, StatusClosing, nil)
+			c.reply(id, StatusClosing, nil)
 			return
 		}
 		c.handlers.Add(1)
@@ -102,7 +102,7 @@ func (c *conn) handle(id uint64, op Op, payload []byte) {
 	start := time.Now()
 	status, resp := c.execute(op, payload)
 	c.srv.met.opNanos(op).ObserveDuration(time.Since(start))
-	c.enqueue(id, status, resp)
+	c.reply(id, status, resp)
 }
 
 // execute runs one decoded request against the store.
@@ -184,8 +184,10 @@ func (c *conn) scan(start []byte, limit uint64) (Status, []byte) {
 
 	// Entries append one at a time; the frame budget (leave room for the
 	// frame prefix) caps the payload regardless of the requested limit.
+	// The count goes in front once it is known, right-aligned in the room
+	// reserved for the widest uvarint.
 	budget := s.cfg.MaxFrameBytes - 1024
-	payload := appendUvarint(nil, 0) // count backpatched below
+	payload := make([]byte, binary.MaxVarintLen64)
 	count := uint64(0)
 	var ok bool
 	if len(start) == 0 {
@@ -205,11 +207,10 @@ func (c *conn) scan(start []byte, limit uint64) (Status, []byte) {
 	if err := it.Error(); err != nil {
 		return s.statusOf(err)
 	}
-	// Rebuild with the real count prefix (uvarint width may differ from
-	// the zero placeholder).
-	out := appendUvarint(make([]byte, 0, len(payload)+9), count)
-	out = append(out, payload[1:]...)
-	return StatusOK, out
+	var prefix [binary.MaxVarintLen64]byte
+	n := binary.PutUvarint(prefix[:], count)
+	copy(payload[len(prefix)-n:], prefix[:n])
+	return StatusOK, payload[len(prefix)-n:]
 }
 
 // statusOf maps a store or admission error onto the wire.
@@ -231,38 +232,15 @@ func (s *Server) statusOf(err error) (Status, []byte) {
 	}
 }
 
-func (c *conn) enqueue(id uint64, st Status, payload []byte) {
-	c.writech <- response{id: id, status: st, payload: payload}
-}
-
-func (c *conn) writeLoop() {
-	defer c.writerWg.Done()
-	bw := bufio.NewWriterSize(c.nc, 32<<10)
-	var buf []byte
-	failed := false
-	for r := range c.writech {
-		if failed {
-			continue // peer is gone; drain so handlers never block
-		}
-		buf = AppendFrame(buf[:0], r.id, byte(r.status), r.payload)
-		if t := c.srv.cfg.WriteTimeout; t > 0 {
-			_ = c.nc.SetWriteDeadline(time.Now().Add(t))
-		}
-		if _, err := bw.Write(buf); err != nil {
-			failed = true
-			continue
-		}
-		// Flush only when the queue is momentarily empty: consecutive
-		// pipelined responses coalesce into one syscall.
-		if len(c.writech) == 0 {
-			if err := bw.Flush(); err != nil {
-				failed = true
-				continue
-			}
-		}
-		c.srv.met.responseBytes.Add(int64(len(buf)))
-	}
-	if !failed {
-		_ = bw.Flush()
+// reply sends the one response every request read gets. Responses of
+// requests that finish while a socket write is in progress leave together
+// in the next one. A failed write drops the connection: the reader stops,
+// and the replies still to come are discarded.
+func (c *conn) reply(id uint64, st Status, payload []byte) {
+	others := c.unanswered.Add(-1) > 0
+	fill := func(dst []byte) []byte { return append(dst, payload...) }
+	if err := c.w.Send(id, byte(st), fill, others); err != nil {
+		c.failed.Store(true)
+		_ = c.nc.Close()
 	}
 }

@@ -15,6 +15,9 @@ type serverMetrics struct {
 	// busyStall counts writes shed because the store was in a hard
 	// write stall.
 	busyStall *obs.Counter
+	// flushes counts the socket writes that carried responses: requests
+	// over flushes is the responses per syscall.
+	flushes *obs.Counter
 
 	ops   [OpScan + 1]*obs.Counter
 	nanos [OpScan + 1]*obs.Histogram
@@ -32,6 +35,7 @@ func newServerMetrics(r *obs.Registry) *serverMetrics {
 		connsOpened:    r.Counter("server_conns_opened"),
 		connsClosed:    r.Counter("server_conns_closed"),
 		busyStall:      r.Counter("server_busy_stall"),
+		flushes:        r.Counter("server_response_flushes"),
 		otherOps:       r.Counter("server_op_other"),
 		otherNanos:     r.Histogram("server_op_other_nanos"),
 	}

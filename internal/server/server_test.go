@@ -339,6 +339,96 @@ func TestServePipelinedById(t *testing.T) {
 			t.Fatalf("get id=%d: st=%v payload=%q want %q", id, st, payload, want)
 		}
 	}
+	// Every response left in some socket write, and no write was empty.
+	flushes, responses := s.met.flushes.Value(), s.met.requests.Value()
+	if responses != 2*n || flushes < 1 || flushes > responses {
+		t.Fatalf("server_response_flushes = %d for %d responses", flushes, responses)
+	}
+	t.Logf("%d responses in %d socket writes", responses, flushes)
+}
+
+// TestSlowReaderIsBoundedAndDropped pipelines GETs of a 64 KiB value on a
+// connection that never reads. What the server holds for that connection
+// stays bounded (handlers wait for the flusher, keep their MaxInFlight
+// tokens, and the reader stops admitting), the connection is dropped once
+// a socket write has made no progress for WriteTimeout, another
+// connection is served throughout, and Close returns with a connection
+// stuck the same way.
+func TestSlowReaderIsBoundedAndDropped(t *testing.T) {
+	t.Parallel()
+	const maxInFlight = 8
+	s := openTestServer(t, Config{MaxInFlight: maxInFlight, WriteTimeout: 500 * time.Millisecond})
+	good := dialRaw(t, s)
+	value := bytes.Repeat([]byte("v"), 64<<10)
+	good.send(1, OpPut, AppendPutPayload(nil, []byte("big"), value))
+	if _, st, _ := good.recv(); st != StatusOK {
+		t.Fatalf("put big: st=%v", st)
+	}
+	frameLen := int64(frameHeaderSize + framePrefixSize + len(value))
+
+	// stick opens a connection that asks for 256 MiB of replies and
+	// reads none of them.
+	stick := func() {
+		t.Helper()
+		slow := dialRaw(t, s)
+		_ = slow.nc.(*net.TCPConn).SetReadBuffer(4 << 10)
+		var reqs []byte
+		for i := 0; i < 4096; i++ {
+			reqs = AppendFrame(reqs, uint64(i), byte(OpGet), AppendGetPayload(nil, []byte("big")))
+		}
+		go func() { _, _ = slow.nc.Write(reqs) }() // the server stops reading part-way
+	}
+	stick()
+
+	// Replies generated and not yet written: the two buffers of the
+	// writer (each may pass the limit by one frame), one reply per
+	// running handler, and one request the reader holds while it waits
+	// for a token.
+	bound := 2*(maxBufferedBytes+frameLen) + (maxInFlight+1)*frameLen
+	held := func() int64 { return s.met.opCount(OpGet).Value()*frameLen - s.met.responseBytes.Value() }
+	var maxHeld int64
+	for id := uint64(2); s.met.connsClosed.Value() == 0; id++ {
+		if h := held(); h > maxHeld {
+			maxHeld = h
+		}
+		// While the stuck handlers hold every token this waits, for at
+		// most WriteTimeout; it is never refused.
+		good.send(id, OpPut, AppendPutPayload(nil, []byte("small"), []byte("v")))
+		if _, st, _ := good.recv(); st != StatusOK {
+			t.Fatalf("put beside the stuck connection: st=%v", st)
+		}
+	}
+	if maxHeld > bound {
+		t.Fatalf("server held %d bytes of replies for a peer that does not read, bound %d", maxHeld, bound)
+	}
+	if maxHeld < maxBufferedBytes {
+		t.Fatalf("held only %d bytes: the connection never backed up, the test measured nothing", maxHeld)
+	}
+	good.send(1, OpGet, AppendGetPayload(nil, []byte("small")))
+	if _, st, _ := good.recv(); st != StatusOK {
+		t.Fatalf("get after the drop: st=%v", st)
+	}
+
+	// Close while a second such connection is stuck: every token taken
+	// and the socket accepting nothing more.
+	stick()
+	for last := int64(-1); ; time.Sleep(20 * time.Millisecond) {
+		written := s.met.responseBytes.Value()
+		if written == last && len(s.inflight) == maxInFlight {
+			break
+		}
+		last = written
+	}
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close hung behind a connection whose peer does not read")
+	}
 }
 
 func TestUnknownOpcodeAndMalformedPayload(t *testing.T) {
