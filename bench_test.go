@@ -194,7 +194,7 @@ func BenchmarkCompactionExecutors(b *testing.B) {
 				MaxOutputFileBytes: 256 << 10,
 			}
 			if backend == "fcae" {
-				opts.Executor = fcae.MustNewEngineExecutor(fcae.MultiInputEngineConfig())
+				opts.DispatchConfig.Devices = []fcae.CompactionExecutor{fcae.MustNewEngineExecutor(fcae.MultiInputEngineConfig())}
 			}
 			keys := workload.NewKeyGen(16)
 			values := workload.NewValueGen(256, 0.5, 1)
@@ -402,7 +402,7 @@ func BenchmarkTieredVsLeveled(b *testing.B) {
 					opts.TieredRuns = 4
 				}
 				if cfg.engine {
-					opts.Executor = fcae.MustNewEngineExecutor(fcae.MultiInputEngineConfig())
+					opts.DispatchConfig.Devices = []fcae.CompactionExecutor{fcae.MustNewEngineExecutor(fcae.MultiInputEngineConfig())}
 				}
 				db := benchDB(b, opts)
 				keys := workload.NewKeyGen(16)

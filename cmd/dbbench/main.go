@@ -6,33 +6,17 @@
 // Usage:
 //
 //	dbbench [-db DIR] [-benchmarks fillseq,fillrandom,overwrite,readrandom,readseq,deleterandom]
-//	        [-num 100000] [-value_size 128] [-key_size 16] [-backend cpu|fcae]
-//	        [-engine_n 9] [-engine_v 8] [-compression_ratio 0.5]
-//	        [-compaction-workers 1] [-device-channels 1] [-fault-rate 0.0] [-fault-seed 1]
-//	        [-arena-bytes 0]
-//	        [-pipeline-depth 0] [-pipeline-encoders 0]
-//	        [-trace out.jsonl] [-metrics] [-json out.json]
-//	dbbench -compact-bench [-compact-runs 2] [-compact-entries 100000] [-json out.json]
+//	        [-num 100000] [-value_size 128] [-key_size 16] [-compression_ratio 0.5]
+//	        [-trace out.jsonl] [-metrics] [-json out.json] [store flags]
 //
-// -device-channels builds that many independent engine instances behind
-// the offload scheduler (backend=fcae only); -compaction-workers runs
-// that many background compactors against them; -fault-rate injects
-// device faults (errors, mid-merge write failures, stalls) at the given
-// probability, exercising the CPU-fallback path. -arena-bytes sizes each
-// channel's persistent device-memory staging arena (0 = modeled default,
-// negative disables; backend=fcae only).
+// The store flags (-backend, -engine_n, -engine_v, -compaction-workers,
+// -device-channels, -fault-rate, -fault-seed, -arena-bytes) are the ones
+// cmd/ycsb and cmd/fcaeserver take; see cmd/internal/storeflags.
 // -trace writes one JSON line per compaction (inputs, outputs, pairs,
 // modeled kernel/PCIe time, phase spans); -metrics dumps the final
 // metrics snapshot as JSON on stdout; -json writes a machine-readable
 // result blob (config, per-benchmark ops/s, store stats, dispatch
 // routing counters) to a file.
-//
-// -pipeline-depth enables the CPU lane's stage-parallel compaction data
-// path (read-ahead -> merge -> encode) with the given queue depth;
-// -pipeline-encoders sets its encoder worker count. -compact-bench
-// skips the store entirely and times one N-run compaction end-to-end,
-// sequential vs pipelined, reporting pairs/s, MB/s and per-stage stall
-// counters (see compactbench.go).
 package main
 
 import (
@@ -44,6 +28,7 @@ import (
 	"time"
 
 	"fcae"
+	"fcae/cmd/internal/storeflags"
 	"fcae/internal/workload"
 )
 
@@ -72,37 +57,17 @@ func main() {
 	num := flag.Int("num", 100000, "operations per benchmark")
 	valueSize := flag.Int("value_size", 128, "value length in bytes")
 	keySize := flag.Int("key_size", 16, "key length in bytes")
-	backend := flag.String("backend", "cpu", "compaction backend: cpu or fcae")
-	engineN := flag.Int("engine_n", 9, "FCAE decoder lanes")
-	engineV := flag.Int("engine_v", 8, "FCAE value lane width")
 	ratio := flag.Float64("compression_ratio", 0.5, "value compressibility")
-	workers := flag.Int("compaction-workers", 1, "concurrent background compaction workers")
-	channels := flag.Int("device-channels", 1, "device channels (engine instances) behind the scheduler; backend=fcae only")
-	faultRate := flag.Float64("fault-rate", 0, "device fault injection probability [0,1); backend=fcae only")
-	faultSeed := flag.Int64("fault-seed", 1, "fault injector RNG seed")
-	arenaBytes := flag.Int64("arena-bytes", 0, "per-channel device staging arena size (0 = modeled default, <0 disables); backend=fcae only")
+	store := storeflags.Register(flag.CommandLine)
 	tracePath := flag.String("trace", "", "write per-compaction JSONL trace records to this file")
 	metrics := flag.Bool("metrics", false, "dump the final metrics snapshot as JSON")
 	jsonPath := flag.String("json", "", "write a machine-readable result blob to this file")
-	pipelineDepth := flag.Int("pipeline-depth", 0, "CPU compaction pipeline queue depth (0 = sequential reference path)")
-	pipelineEncoders := flag.Int("pipeline-encoders", 0, "CPU compaction pipeline encoder workers (0 = min(GOMAXPROCS, 4))")
-	compactBench := flag.Bool("compact-bench", false, "time one N-run compaction, sequential vs pipelined, then exit (no store)")
-	compactRuns := flag.Int("compact-runs", 2, "input runs for -compact-bench")
-	compactEntries := flag.Int("compact-entries", 100000, "entries per run for -compact-bench")
 	flag.Parse()
 
-	if *compactBench {
-		depth := *pipelineDepth
-		if depth <= 0 {
-			depth = 4
-		}
-		if err := runCompactBench(*compactRuns, *compactEntries, *keySize, *valueSize, *ratio,
-			depth, *pipelineEncoders, *jsonPath); err != nil {
-			fatal(err)
-		}
-		return
+	opts, err := store.Options()
+	if err != nil {
+		fatal(err)
 	}
-
 	if *dir == "" {
 		d, err := os.MkdirTemp("", "fcae-dbbench-")
 		if err != nil {
@@ -112,42 +77,6 @@ func main() {
 		*dir = d
 	}
 
-	// -compaction-workers counts merge compactors; the pool has one more
-	// worker, which keeps a slot free for flushes.
-	var opts fcae.Options
-	opts.DispatchConfig.Workers = *workers + 1
-	opts.DispatchConfig.Tuning = fcae.DispatchTuning{
-		PipelineDepth:    *pipelineDepth,
-		PipelineEncoders: *pipelineEncoders,
-	}
-	if *backend == "fcae" {
-		cfg := fcae.MultiInputEngineConfig()
-		cfg.N = *engineN
-		cfg.V = *engineV
-		cfg.StagingBytes = *arenaBytes
-		if *channels < 1 {
-			fatal(fmt.Errorf("-device-channels must be >= 1, got %d", *channels))
-		}
-		devs := make([]fcae.CompactionExecutor, *channels)
-		for i := range devs {
-			exec, err := fcae.NewEngineExecutor(cfg)
-			if err != nil {
-				fatal(err)
-			}
-			devs[i] = exec
-		}
-		opts.DispatchConfig.Devices = devs
-		if *faultRate > 0 {
-			opts.DispatchConfig.FaultInjector = fcae.NewProbInjector(*faultSeed, *faultRate)
-		}
-	} else {
-		if *faultRate > 0 {
-			fatal(fmt.Errorf("-fault-rate requires -backend fcae (no device to fault)"))
-		}
-		if *arenaBytes != 0 {
-			fatal(fmt.Errorf("-arena-bytes requires -backend fcae (no device memory to stage)"))
-		}
-	}
 	var tw *fcae.TraceWriter
 	if *tracePath != "" {
 		f, err := os.Create(*tracePath)
@@ -165,7 +94,7 @@ func main() {
 	defer db.Close()
 
 	fmt.Printf("fcae dbbench: dir=%s backend=%s num=%d key=%dB value=%dB workers=%d channels=%d fault-rate=%g\n",
-		*dir, *backend, *num, *keySize, *valueSize, *workers, *channels, *faultRate)
+		*dir, store.Backend, *num, *keySize, *valueSize, store.Workers, store.Channels, store.FaultRate)
 
 	var results []benchResult
 	for _, name := range strings.Split(*benches, ",") {
@@ -206,16 +135,16 @@ func main() {
 	if *jsonPath != "" {
 		report := jsonReport{
 			Config: map[string]any{
-				"backend":            *backend,
+				"backend":            store.Backend,
 				"num":                *num,
 				"key_size":           *keySize,
 				"value_size":         *valueSize,
 				"compression_ratio":  *ratio,
-				"compaction_workers": *workers,
-				"device_channels":    *channels,
-				"fault_rate":         *faultRate,
-				"fault_seed":         *faultSeed,
-				"arena_bytes":        *arenaBytes,
+				"compaction_workers": store.Workers,
+				"device_channels":    store.Channels,
+				"fault_rate":         store.FaultRate,
+				"fault_seed":         store.FaultSeed,
+				"arena_bytes":        store.ArenaBytes,
 				"benchmarks":         *benches,
 			},
 			Benchmarks: results,

@@ -24,19 +24,6 @@ import (
 	"fcae/internal/sstable"
 )
 
-type memReaderAt []byte
-
-func (m memReaderAt) ReadAt(p []byte, off int64) (int, error) {
-	if off >= int64(len(m)) {
-		return 0, fmt.Errorf("read past end")
-	}
-	n := copy(p, m[off:])
-	if n < len(p) {
-		return n, io.ErrUnexpectedEOF
-	}
-	return n, nil
-}
-
 type memEnv struct {
 	next  uint64
 	files map[uint64]*bytes.Buffer
@@ -100,7 +87,7 @@ func main() {
 		if _, err := w.Finish(); err != nil {
 			fatal(err)
 		}
-		job.Runs = append(job.Runs, []compaction.Table{{Num: uint64(r + 1), Size: int64(buf.Len()), Data: memReaderAt(buf.Bytes())}})
+		job.Runs = append(job.Runs, []compaction.Table{{Num: uint64(r + 1), Size: int64(buf.Len()), Data: bytes.NewReader(buf.Bytes())}})
 	}
 	fmt.Printf("job: %d runs, %.1f MiB input, value=%dB\n", job.NumRuns(), float64(job.InputBytes())/(1<<20), *valueSize)
 
@@ -180,7 +167,7 @@ func sameContents(ea *memEnv, ra *compaction.Result, eb *memEnv, rb *compaction.
 		var out []string
 		for _, ot := range r.Outputs {
 			buf := e.files[ot.Num]
-			rd, err := sstable.NewReader(memReaderAt(buf.Bytes()), int64(buf.Len()), sstable.Options{}, nil, ot.Num)
+			rd, err := sstable.NewReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()), sstable.Options{}, nil, ot.Num)
 			if err != nil {
 				fatal(err)
 			}

@@ -5,23 +5,18 @@
 // Usage:
 //
 //	ycsb [-db DIR] [-workloads load,a,b,c,d,e,f] [-records 100000]
-//	     [-ops 100000] [-value_size 1024] [-backend cpu|fcae]
-//	     [-compaction-workers 1] [-device-channels 1] [-fault-rate 0.0]
-//	     [-arena-bytes 0] [-metrics]
+//	     [-ops 100000] [-value_size 1024] [-seed 7] [-metrics] [store flags]
 //	     [-addr host:port] [-admin host:port] [-client-conns 2] [-pipeline 128]
 //
-// -device-channels builds that many engine instances behind the offload
-// scheduler (backend=fcae only); -compaction-workers runs that many
-// background compactors; -fault-rate injects device faults at the given
-// probability. -arena-bytes sizes each channel's persistent
-// device-memory staging arena (0 = modeled default, negative disables;
-// backend=fcae only). -metrics dumps the final metrics snapshot as JSON
-// on stdout, machine-readable for BENCH_*.json tooling.
+// The store flags (-backend, -engine_n, -engine_v, -compaction-workers,
+// -device-channels, -fault-rate, -fault-seed, -arena-bytes) are the ones
+// cmd/dbbench and cmd/fcaeserver take; see cmd/internal/storeflags.
+// -metrics dumps the final metrics snapshot as JSON on stdout,
+// machine-readable for BENCH_*.json tooling.
 //
 // Network mode: -addr drives the same workloads through the
-// server/client wire protocol instead of the library; the store flags
-// (-db, -backend, -compaction-workers, ...) belong to the server process
-// and are rejected here. Writes shed by the server's admission control
+// server/client wire protocol instead of the library; -db and the store
+// flags belong to the server process and are rejected here. Writes shed by the server's admission control
 // (busy) are retried with backoff and counted. With -metrics, the
 // snapshot is scraped from the server's admin /metrics endpoint (-admin,
 // default derived from -addr by incrementing the port), so it includes
@@ -41,6 +36,7 @@ import (
 	"time"
 
 	"fcae"
+	"fcae/cmd/internal/storeflags"
 	"fcae/internal/workload"
 )
 
@@ -140,12 +136,8 @@ func main() {
 	records := flag.Int("records", 100000, "records loaded before the mixed workloads")
 	ops := flag.Int("ops", 100000, "operations per workload")
 	valueSize := flag.Int("value_size", 1024, "value length in bytes")
-	backend := flag.String("backend", "cpu", "compaction backend: cpu or fcae; in-process mode only")
-	workers := flag.Int("compaction-workers", 1, "concurrent background compaction workers; in-process mode only")
-	channels := flag.Int("device-channels", 1, "device channels (engine instances) behind the scheduler; backend=fcae only")
-	faultRate := flag.Float64("fault-rate", 0, "device fault injection probability [0,1); backend=fcae only")
-	arenaBytes := flag.Int64("arena-bytes", 0, "per-channel device staging arena size (0 = modeled default, <0 disables); backend=fcae only")
-	seed := flag.Int64("seed", 7, "RNG seed; every generator derives from this one stream")
+	sf := storeflags.Register(flag.CommandLine)
+	seed := flag.Int64("seed", 7, "workload RNG seed; every generator derives from this one stream")
 	metrics := flag.Bool("metrics", false, "dump the final metrics snapshot as JSON")
 	addr := flag.String("addr", "", "fcaeserver KV address; set to run over the wire instead of in-process")
 	adminAddr := flag.String("admin", "", "fcaeserver admin address for -metrics scraping (default: -addr's port + 1)")
@@ -155,17 +147,12 @@ func main() {
 
 	var store kv
 	if *addr != "" {
-		for flagName, bad := range map[string]bool{
-			"-db":                 *dir != "",
-			"-backend":            *backend != "cpu",
-			"-compaction-workers": *workers != 1,
-			"-device-channels":    *channels != 1,
-			"-fault-rate":         *faultRate != 0,
-			"-arena-bytes":        *arenaBytes != 0,
-		} {
-			if bad {
-				fatal(fmt.Errorf("%s configures the store and conflicts with -addr: set it on the fcaeserver process", flagName))
-			}
+		given := sf.Given()
+		if *dir != "" {
+			given = append(given, "-db")
+		}
+		if len(given) > 0 {
+			fatal(fmt.Errorf("%s: store flags conflict with -addr, set them on the fcaeserver process", strings.Join(given, ", ")))
 		}
 		cl, err := fcae.DialServer(fcae.ClientOptions{
 			Addr:        *addr,
@@ -187,31 +174,9 @@ func main() {
 			defer os.RemoveAll(d)
 			*dir = d
 		}
-		// -compaction-workers counts merge compactors; the pool has one
-		// more worker, which keeps a slot free for flushes.
-		var opts fcae.Options
-		opts.DispatchConfig.Workers = *workers + 1
-		if *backend == "fcae" {
-			if *channels < 1 {
-				fatal(fmt.Errorf("-device-channels must be >= 1, got %d", *channels))
-			}
-			cfg := fcae.MultiInputEngineConfig()
-			cfg.StagingBytes = *arenaBytes
-			devs := make([]fcae.CompactionExecutor, *channels)
-			for i := range devs {
-				devs[i] = fcae.MustNewEngineExecutor(cfg)
-			}
-			opts.DispatchConfig.Devices = devs
-			if *faultRate > 0 {
-				opts.DispatchConfig.FaultInjector = fcae.NewProbInjector(*seed, *faultRate)
-			}
-		} else {
-			if *faultRate > 0 {
-				fatal(fmt.Errorf("-fault-rate requires -backend fcae (no device to fault)"))
-			}
-			if *arenaBytes != 0 {
-				fatal(fmt.Errorf("-arena-bytes requires -backend fcae (no device memory to stage)"))
-			}
+		opts, err := sf.Options()
+		if err != nil {
+			fatal(err)
 		}
 		db, err := fcae.Open(*dir, opts)
 		if err != nil {
@@ -219,7 +184,7 @@ func main() {
 		}
 		defer db.Close()
 		store = &dbKV{db: db}
-		fmt.Printf("fcae ycsb: backend=%s records=%d ops=%d value=%dB\n", *backend, *records, *ops, *valueSize)
+		fmt.Printf("fcae ycsb: backend=%s records=%d ops=%d value=%dB\n", sf.Backend, *records, *ops, *valueSize)
 	}
 
 	inserted := uint64(0)

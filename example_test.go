@@ -32,9 +32,9 @@ func ExampleOpen_engine() {
 	defer os.RemoveAll(dir)
 
 	cfg := fcae.MultiInputEngineConfig()
-	db, err := fcae.Open(dir, fcae.Options{
-		Executor: fcae.MustNewEngineExecutor(cfg),
-	})
+	var opts fcae.Options
+	opts.DispatchConfig.Devices = []fcae.CompactionExecutor{fcae.MustNewEngineExecutor(cfg)}
+	db, err := fcae.Open(dir, opts)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -21,9 +21,10 @@ func main() {
 	defer os.RemoveAll(root)
 	dir := filepath.Join(root, "db")
 
+	engine := fcae.MustNewEngineExecutor(fcae.MultiInputEngineConfig())
 	db, err := fcae.Open(dir, fcae.Options{
-		Executor:      fcae.MustNewEngineExecutor(fcae.MultiInputEngineConfig()),
-		MemTableBytes: 1 << 20,
+		DispatchConfig: fcae.DispatchConfig{Devices: []fcae.CompactionExecutor{engine}},
+		MemTableBytes:  1 << 20,
 	})
 	if err != nil {
 		log.Fatal(err)

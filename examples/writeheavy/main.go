@@ -30,7 +30,9 @@ func main() {
 	u := cfg.Resources()
 	fmt.Printf("engine config: N=%d V=%d WIn=%d (BRAM %.0f%%, FF %.0f%%, LUT %.0f%%)\n",
 		cfg.N, cfg.V, cfg.WIn, u.BRAM, u.FF, u.LUT)
-	run("fcae engine", fcae.Options{Executor: fcae.MustNewEngineExecutor(cfg)})
+	var engine fcae.Options
+	engine.DispatchConfig.Devices = []fcae.CompactionExecutor{fcae.MustNewEngineExecutor(cfg)}
+	run("fcae engine", engine)
 }
 
 func run(label string, opts fcae.Options) {

@@ -25,9 +25,10 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
+	engine := fcae.MustNewEngineExecutor(fcae.MultiInputEngineConfig())
 	db, err := fcae.Open(dir, fcae.Options{
-		Executor:      fcae.MustNewEngineExecutor(fcae.MultiInputEngineConfig()),
-		MemTableBytes: 2 << 20,
+		DispatchConfig: fcae.DispatchConfig{Devices: []fcae.CompactionExecutor{engine}},
+		MemTableBytes:  2 << 20,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -17,8 +17,9 @@
 //   - Engine configuration: EngineConfig describes a synthesized engine
 //     (decoder lanes N, value lane width V, AXI widths, clock);
 //     DefaultEngineConfig and MultiInputEngineConfig are the paper's two
-//     build points, NewEngineExecutor turns one into a CompactionExecutor
-//     for Options.Executor, and CPUExecutor is the software baseline.
+//     build points, and NewEngineExecutor turns one into a device channel
+//     for Options.DispatchConfig.Devices. No devices means the software
+//     compactor, the paper's CPU baseline.
 //
 //   - Observability: an EventListener set in Options receives typed
 //     lifecycle events (flushes, compactions with per-phase Trace spans
@@ -38,13 +39,16 @@
 //
 // Quickstart:
 //
-//	db, err := fcae.Open(dir, fcae.Options{Executor: fcae.MustNewEngineExecutor(fcae.MultiInputEngineConfig())})
+//	var opts fcae.Options
+//	opts.DispatchConfig.Devices = []fcae.CompactionExecutor{
+//		fcae.MustNewEngineExecutor(fcae.MultiInputEngineConfig()),
+//	}
+//	db, err := fcae.Open(dir, opts)
 //	...
 //	db.Put([]byte("k"), []byte("v"))
 //	v, err := db.Get([]byte("k"))
 //
-// Omitting Executor selects the software (CPU) compactor, the paper's
-// baseline.
+// Leaving Devices empty selects the software (CPU) compactor.
 package fcae
 
 import (
@@ -330,9 +334,10 @@ func DefaultEngineConfig() EngineConfig { return core.DefaultConfig() }
 func MultiInputEngineConfig() EngineConfig { return core.MultiInputConfig() }
 
 // NewEngineExecutor returns a compaction executor backed by a simulated
-// FCAE engine with cfg. Pass it in Options.Executor; jobs whose fan-in
-// exceeds cfg.N fall back to software automatically (paper §VI-A). The
-// executor also publishes engine_* gauges into DB.Metrics.
+// FCAE engine with cfg: one device channel for
+// Options.DispatchConfig.Devices (build one instance per channel). Jobs
+// whose fan-in exceeds cfg.N fall back to software automatically (paper
+// §VI-A). The executor also publishes engine_* gauges into DB.Metrics.
 func NewEngineExecutor(cfg EngineConfig) (CompactionExecutor, error) {
 	return core.NewExecutor(cfg)
 }
@@ -345,19 +350,4 @@ func MustNewEngineExecutor(cfg EngineConfig) CompactionExecutor {
 		panic(err)
 	}
 	return x
-}
-
-// CPUExecutor returns the software reference compactor (the paper's CPU
-// baseline). It is also the implicit default when Options.Executor is nil.
-func CPUExecutor() CompactionExecutor { return compaction.CPU{} }
-
-// PipelinedCPUExecutor returns the software compactor with its
-// stage-parallel data path enabled: per-run block read-ahead, the merge,
-// and a pool of encoder workers run concurrently with byte-identical
-// outputs. depth is the bounded queue depth per stage (<= 0 falls back
-// to the sequential path); encoders <= 0 selects min(GOMAXPROCS, 4).
-// Equivalent to setting DispatchTuning.PipelineDepth/PipelineEncoders
-// without an explicit Executor.
-func PipelinedCPUExecutor(depth, encoders int) CompactionExecutor {
-	return compaction.CPU{Pipeline: compaction.PipelineConfig{Depth: depth, Encoders: encoders}}
 }

@@ -33,11 +33,11 @@ func TestPublicAPIQuickstart(t *testing.T) {
 
 func TestPublicAPIWithEngine(t *testing.T) {
 	opts := fcae.Options{
-		Executor:           fcae.MustNewEngineExecutor(fcae.MultiInputEngineConfig()),
 		MemTableBytes:      32 << 10,
 		BaseLevelBytes:     128 << 10,
 		MaxOutputFileBytes: 32 << 10,
 	}
+	opts.DispatchConfig.Devices = []fcae.CompactionExecutor{fcae.MustNewEngineExecutor(fcae.MultiInputEngineConfig())}
 	db, err := fcae.Open(t.TempDir(), opts)
 	if err != nil {
 		t.Fatal(err)
@@ -129,8 +129,8 @@ func TestPublicAPITieredMode(t *testing.T) {
 		MemTableBytes:      32 << 10,
 		BaseLevelBytes:     128 << 10,
 		MaxOutputFileBytes: 32 << 10,
-		Executor:           fcae.MustNewEngineExecutor(fcae.MultiInputEngineConfig()),
 	}
+	opts.DispatchConfig.Devices = []fcae.CompactionExecutor{fcae.MustNewEngineExecutor(fcae.MultiInputEngineConfig())}
 	db, err := fcae.Open(t.TempDir(), opts)
 	if err != nil {
 		t.Fatal(err)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"fcae/internal/core"
+	"fcae/internal/lsm"
 	"fcae/internal/lsmsim"
 )
 
@@ -142,10 +143,10 @@ func Fig15(scale Scale) *Report {
 		add("valueLen", fmt.Sprint(vl), lsmsim.Config{ValueLen: vl})
 	}
 	for _, bs := range []int{2 << 10, 4 << 10, 64 << 10, 1 << 20} {
-		add("blockKB", fmt.Sprint(bs>>10), lsmsim.Config{ValueLen: 128, BlockSize: bs})
+		add("blockKB", fmt.Sprint(bs>>10), lsmsim.Config{ValueLen: 128, Store: lsm.Options{BlockSize: bs}})
 	}
 	for _, ratio := range []int{4, 8, 10, 16} {
-		add("levelRatio", fmt.Sprint(ratio), lsmsim.Config{ValueLen: 128, LevelRatio: ratio})
+		add("levelRatio", fmt.Sprint(ratio), lsmsim.Config{ValueLen: 128, Store: lsm.Options{LevelRatio: ratio}})
 	}
 	r.Notes = append(r.Notes,
 		"paper: speedup falls as key length grows, rises with value length, is flat in block size (~2.4x), and falls as the leveling ratio grows")
@@ -251,10 +252,10 @@ func TieredSim(scale Scale) *Report {
 	}
 	row("leveled", lsmsim.Config{ValueLen: 512, DataBytes: data})
 	row("leveled", lsmsim.Config{ValueLen: 512, DataBytes: data, Backend: lsmsim.BackendFCAE})
-	row("tiered", lsmsim.Config{ValueLen: 512, DataBytes: data, TieredRuns: 4})
-	row("tiered-2in", lsmsim.Config{ValueLen: 512, DataBytes: data, TieredRuns: 4,
+	row("tiered", lsmsim.Config{ValueLen: 512, DataBytes: data, Store: lsm.Options{TieredRuns: 4}})
+	row("tiered-2in", lsmsim.Config{ValueLen: 512, DataBytes: data, Store: lsm.Options{TieredRuns: 4},
 		Backend: lsmsim.BackendFCAE, Engine: core.DefaultConfig()})
-	row("tiered-9in", lsmsim.Config{ValueLen: 512, DataBytes: data, TieredRuns: 4,
+	row("tiered-9in", lsmsim.Config{ValueLen: 512, DataBytes: data, Store: lsm.Options{TieredRuns: 4},
 		Backend: lsmsim.BackendFCAE})
 	r.Notes = append(r.Notes,
 		"paper §VII-C: lazy compaction (SifrDB/PebblesDB) needs N>2; only the 9-input engine keeps tiered merges in hardware")

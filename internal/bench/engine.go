@@ -12,20 +12,6 @@ import (
 	"fcae/internal/sstable"
 )
 
-// memReaderAt adapts a byte slice for table input.
-type memReaderAt []byte
-
-func (m memReaderAt) ReadAt(p []byte, off int64) (int, error) {
-	if off >= int64(len(m)) {
-		return 0, fmt.Errorf("bench: read past end")
-	}
-	n := copy(p, m[off:])
-	if n < len(p) {
-		return n, fmt.Errorf("bench: short read")
-	}
-	return n, nil
-}
-
 // buildRun renders n sorted entries with incompressible values into one
 // SSTable held in memory: the input shape of the paper's compaction-speed
 // experiments (16-byte keys, Table IV).
@@ -44,7 +30,7 @@ func buildRun(prefix byte, n, valueLen int, seqBase uint64, stride int, rng *ran
 	if _, err := w.Finish(); err != nil {
 		panic(err)
 	}
-	return compaction.Table{Num: 1, Size: int64(buf.Len()), Data: memReaderAt(buf.Bytes())}
+	return compaction.Table{Num: 1, Size: int64(buf.Len()), Data: bytes.NewReader(buf.Bytes())}
 }
 
 // speedJob builds a 2-run compaction job shaped like an L_i -> L_{i+1}

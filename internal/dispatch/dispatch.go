@@ -113,22 +113,10 @@ type Tuning struct {
 	// DeviceImageBudget caps the input bytes of a device job; larger jobs
 	// route to the CPU lane. 0 means unlimited.
 	DeviceImageBudget int64
-	// CPUSlots bounds concurrent CPU-lane merges; 0 means unbounded (the
-	// caller's worker count is the natural bound).
-	CPUSlots int
 	// AgingWait is the starvation bound for deep-priority jobs: a deep
 	// job that has waited this long at its queue head is dequeued ahead
 	// of pending L0 jobs (default 500ms).
 	AgingWait time.Duration
-	// PipelineDepth enables the CPU lane's stage-parallel data path
-	// (read-ahead → merge → encode) with the given bounded queue depth;
-	// 0 keeps the sequential reference path. Ignored when Config.CPU is
-	// set explicitly.
-	PipelineDepth int
-	// PipelineEncoders is the CPU pipeline's encoder worker count; <= 0
-	// selects min(GOMAXPROCS, 4). Ignored when PipelineDepth is 0 or
-	// Config.CPU is set.
-	PipelineEncoders int
 }
 
 // Validate rejects nonsensical tuning values.
@@ -147,12 +135,8 @@ func (t Tuning) Validate() error {
 		return neg("RetryBackoff", int64(t.RetryBackoff))
 	case t.DeviceImageBudget < 0:
 		return neg("DeviceImageBudget", t.DeviceImageBudget)
-	case t.CPUSlots < 0:
-		return neg("CPUSlots", int64(t.CPUSlots))
 	case t.AgingWait < 0:
 		return neg("AgingWait", int64(t.AgingWait))
-	case t.PipelineDepth < 0:
-		return neg("PipelineDepth", int64(t.PipelineDepth))
 	}
 	return nil
 }
@@ -290,10 +274,9 @@ type Scheduler struct {
 	injector    FaultInjector
 	tun         Tuning
 	maxRuns     int
-	arenaBytes  int64         // summed channel arena capacity
-	arenaBudget int64         // smallest positive channel input budget
-	qcond       *sync.Cond    // signals queue state changes; locks qmu
-	cpuSlots    chan struct{} // nil when CPUSlots == 0
+	arenaBytes  int64      // summed channel arena capacity
+	arenaBudget int64      // smallest positive channel input budget
+	qcond       *sync.Cond // signals queue state changes; locks qmu
 	stop        chan struct{}
 	wg          sync.WaitGroup
 
@@ -321,10 +304,7 @@ func New(cfg Config) (*Scheduler, error) {
 	}
 	cpu := cfg.CPU
 	if cpu == nil {
-		cpu = compaction.CPU{Pipeline: compaction.PipelineConfig{
-			Depth:    cfg.Tuning.PipelineDepth,
-			Encoders: cfg.Tuning.PipelineEncoders,
-		}}
+		cpu = compaction.CPU{}
 	}
 	s := &Scheduler{
 		devices:  cfg.Devices,
@@ -345,9 +325,6 @@ func New(cfg Config) (*Scheduler, error) {
 				s.arenaBudget = b
 			}
 		}
-	}
-	if s.tun.CPUSlots > 0 {
-		s.cpuSlots = make(chan struct{}, s.tun.CPUSlots)
 	}
 	if len(s.devices) > 0 {
 		s.st.LaneJobs = make([]int64, len(s.devices))
@@ -575,14 +552,6 @@ func (s *Scheduler) Execute(job *compaction.Job, env compaction.Env, pri Priorit
 func (s *Scheduler) runCPU(job *compaction.Job, env compaction.Env, route *Route) (*compaction.Result, Route, error) {
 	route.Lane = obs.LaneCPU
 	route.Executor = s.cpu.Name()
-	if s.cpuSlots != nil {
-		select {
-		case s.cpuSlots <- struct{}{}:
-			defer func() { <-s.cpuSlots }()
-		case <-s.stop:
-			return nil, *route, ErrClosed
-		}
-	}
 	done := job.Trace.StartSpan("cpu_merge")
 	res, err := s.cpu.Compact(job, env)
 	done()

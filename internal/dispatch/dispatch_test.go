@@ -632,7 +632,6 @@ func TestTuningValidate(t *testing.T) {
 		{MaxDeviceRetries: -2},
 		{RetryBackoff: -time.Millisecond},
 		{DeviceImageBudget: -1},
-		{CPUSlots: -1},
 		{AgingWait: -time.Second},
 	}
 	for i, tn := range bad {

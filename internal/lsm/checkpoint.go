@@ -45,7 +45,7 @@ func (db *DB) Checkpoint(dest string) error {
 	}
 
 	// Fresh manifest referencing the copied tables.
-	vs, err := manifest.Open(dest, db.opts.manifestConfig())
+	vs, err := manifest.Open(dest, db.opts.ManifestConfig())
 	if err != nil {
 		return err
 	}

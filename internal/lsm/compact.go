@@ -8,7 +8,6 @@ import (
 
 	"fcae/internal/compaction"
 	"fcae/internal/dispatch"
-	"fcae/internal/keys"
 	"fcae/internal/manifest"
 	"fcae/internal/memtable"
 	"fcae/internal/obs"
@@ -498,16 +497,6 @@ func (db *DB) runCompaction(c *manifest.Compaction) (err error) {
 	db.met.transferNanos.Add(res.Stats.TransferTime.Nanoseconds())
 	db.met.tablesCreated.Add(int64(len(res.Outputs)))
 	db.met.compactionWall.ObserveDuration(time.Since(start))
-	if pl := res.Stats.Pipeline; pl.Blocks > 0 {
-		db.met.pipelineBlocks.Add(pl.Blocks)
-		db.met.pipelinePrefetchStalls.Add(pl.PrefetchStalls)
-		db.met.pipelinePrefetchNanos.Add(pl.PrefetchStallNanos)
-		db.met.pipelineEncodeStalls.Add(pl.EncodeStalls)
-		db.met.pipelineEncodeNanos.Add(pl.EncodeStallNanos)
-		db.met.pipelineSubmitStalls.Add(pl.SubmitStalls)
-		db.met.pipelineSubmitNanos.Add(pl.SubmitStallNanos)
-		db.met.pipelineSizeSyncs.Add(pl.SizeSyncs)
-	}
 	ls := &db.stats.Levels[c.Level]
 	ls.Compactions++
 	ls.BytesRead += res.Stats.BytesRead
@@ -663,9 +652,4 @@ func (db *DB) deleteObsoleteFilesLocked() {
 			}
 		}
 	}
-}
-
-// compactionKeyRange is exposed for tests.
-func compactionKeyRange(c *manifest.Compaction) keys.Range {
-	return keys.Range{Start: c.SmallestUser, Limit: c.LargestUser}
 }

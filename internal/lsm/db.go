@@ -142,17 +142,17 @@ func Open(dir string, opts Options) (*DB, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	vs, err := manifest.Open(dir, opts.manifestConfig())
+	vs, err := manifest.Open(dir, opts.ManifestConfig())
 	if err != nil {
 		return nil, err
 	}
 	bc := cache.New(opts.BlockCacheBytes)
 	reg := obs.NewRegistry()
-	dcfg := opts.dispatchConfig()
+	dcfg := opts.DispatchConfig
 	sched, err := dispatch.New(dispatch.Config{
 		Devices:  dcfg.Devices,
 		Injector: dcfg.FaultInjector,
@@ -175,7 +175,7 @@ func Open(dir string, opts Options) (*DB, error) {
 		poolSize:       dcfg.Workers,
 		snapshots:      make(map[uint64]int),
 		seq:            vs.LastSeq(),
-		memSeed:        opts.SkiplistSeed,
+		memSeed:        skiplistSeed,
 		manualLevel:    -1,
 		pendingOutputs: make(map[uint64]bool),
 	}
@@ -217,6 +217,10 @@ func Open(dir string, opts Options) (*DB, error) {
 	}
 	return db, nil
 }
+
+// skiplistSeed seeds the first memtable's skiplist; each later memtable
+// takes the next integer, so a store's memtable shapes are reproducible.
+const skiplistSeed = 0xfcae
 
 func (db *DB) nextMemSeedLocked() int64 {
 	db.memSeed++

@@ -7,7 +7,6 @@ import (
 	"os"
 	"testing"
 
-	"fcae/internal/core"
 	"fcae/internal/keys"
 )
 
@@ -160,12 +159,8 @@ func TestCompactionsPreserveData(t *testing.T) {
 }
 
 func TestFCAEBackendEndToEnd(t *testing.T) {
-	exec, err := core.NewExecutor(core.MultiInputConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
 	opts := smallOpts()
-	opts.Executor = exec
+	opts.DispatchConfig.Devices = newDeviceChannels(t, 1)
 	db := openTest(t, opts)
 	want := fillRandom(t, db, 4000, 100, 11)
 	if err := db.WaitIdle(); err != nil {
@@ -182,13 +177,9 @@ func TestFCAEBackendEndToEnd(t *testing.T) {
 }
 
 func TestFCAEAndCPUProduceSameContents(t *testing.T) {
-	exec, err := core.NewExecutor(core.MultiInputConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
 	cpuOpts := smallOpts()
 	fcaeOpts := smallOpts()
-	fcaeOpts.Executor = exec
+	fcaeOpts.DispatchConfig.Devices = newDeviceChannels(t, 1)
 
 	cpuDB := openTest(t, cpuOpts)
 	fcaeDB := openTest(t, fcaeOpts)

@@ -310,31 +310,6 @@ func TestDispatchStress(t *testing.T) {
 	t.Logf("dispatch = %+v, stats fallbacks = %d", db.DispatchStats(), db.Stats().SWFallbacks)
 }
 
-// TestDispatchOptionValidation covers how Options.Executor resolves into
-// the dispatch configuration: it is the single device channel unless it is
-// the CPU executor, and it excludes DispatchConfig.Devices.
-func TestDispatchOptionValidation(t *testing.T) {
-	devs := newDeviceChannels(t, 1)
-	inj := dispatch.NewProbInjector(1, 0.5)
-	bad := []Options{
-		{Executor: devs[0], DispatchConfig: DispatchConfig{Devices: devs}},
-		// A CPU executor is not a device: nothing to fault.
-		{Executor: compaction.CPU{}, DispatchConfig: DispatchConfig{FaultInjector: inj}},
-	}
-	for i, o := range bad {
-		if err := o.Validate(); err == nil {
-			t.Errorf("case %d: Validate accepted %+v", i, o)
-		}
-	}
-	ok := Options{Executor: devs[0], DispatchConfig: DispatchConfig{FaultInjector: inj}}
-	if err := ok.Validate(); err != nil {
-		t.Errorf("device Executor with a fault injector rejected: %v", err)
-	}
-	if got := ok.dispatchConfig(); len(got.Devices) != 1 || got.Workers != 2 {
-		t.Errorf("resolved config = %d devices, %d workers; want 1 and the default 2", len(got.Devices), got.Workers)
-	}
-}
-
 // TestDispatchConfigValidation covers DispatchConfig's own rejection paths.
 func TestDispatchConfigValidation(t *testing.T) {
 	devs := newDeviceChannels(t, 1)
@@ -358,6 +333,10 @@ func TestDispatchConfigValidation(t *testing.T) {
 	}}
 	if err := ok.Validate(); err != nil {
 		t.Errorf("valid DispatchConfig rejected: %v", err)
+	}
+	ok.DispatchConfig.Workers = 0
+	if got := ok.WithDefaults().DispatchConfig; len(got.Devices) != 1 || got.Workers != 2 {
+		t.Errorf("resolved config = %d devices, %d workers; want 1 and the default 2", len(got.Devices), got.Workers)
 	}
 }
 

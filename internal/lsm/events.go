@@ -98,15 +98,6 @@ type dbMetrics struct {
 	transferNanos   *obs.Counter
 	compactionWall  *obs.Histogram
 
-	pipelineBlocks         *obs.Counter
-	pipelinePrefetchStalls *obs.Counter
-	pipelinePrefetchNanos  *obs.Counter
-	pipelineEncodeStalls   *obs.Counter
-	pipelineEncodeNanos    *obs.Counter
-	pipelineSubmitStalls   *obs.Counter
-	pipelineSubmitNanos    *obs.Counter
-	pipelineSizeSyncs      *obs.Counter
-
 	stallCount *obs.Counter
 	stallNanos *obs.Counter
 	stallWait  *obs.Histogram
@@ -140,15 +131,6 @@ func newDBMetrics(r *obs.Registry) dbMetrics {
 		kernelNanos:     r.Counter("compaction_kernel_nanos"),
 		transferNanos:   r.Counter("compaction_transfer_nanos"),
 		compactionWall:  r.Histogram("compaction_wall_nanos"),
-
-		pipelineBlocks:         r.Counter("compaction_pipeline_blocks"),
-		pipelinePrefetchStalls: r.Counter("compaction_pipeline_prefetch_stalls"),
-		pipelinePrefetchNanos:  r.Counter("compaction_pipeline_prefetch_stall_nanos"),
-		pipelineEncodeStalls:   r.Counter("compaction_pipeline_encode_stalls"),
-		pipelineEncodeNanos:    r.Counter("compaction_pipeline_encode_stall_nanos"),
-		pipelineSubmitStalls:   r.Counter("compaction_pipeline_submit_stalls"),
-		pipelineSubmitNanos:    r.Counter("compaction_pipeline_submit_stall_nanos"),
-		pipelineSizeSyncs:      r.Counter("compaction_pipeline_size_syncs"),
 
 		stallCount: r.Counter("stall_count"),
 		stallNanos: r.Counter("stall_nanos"),
@@ -195,7 +177,7 @@ func (db *DB) registerGauges() {
 	// Engine totals: channel 0 publishes under the plain engine_* names
 	// (the historical single-executor layout); further channels would
 	// collide on those names, so only the first publisher registers.
-	for _, exec := range db.opts.dispatchConfig().Devices {
+	for _, exec := range db.opts.DispatchConfig.Devices {
 		if p, ok := exec.(obs.MetricsPublisher); ok {
 			p.PublishMetrics(r)
 			break

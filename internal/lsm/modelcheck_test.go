@@ -7,8 +7,6 @@ import (
 	"os"
 	"sort"
 	"testing"
-
-	"fcae/internal/core"
 )
 
 // TestModelCheck drives the store with random operations — puts, deletes,
@@ -20,7 +18,7 @@ func TestModelCheck(t *testing.T) {
 		"cpu": smallOpts,
 		"fcae": func() Options {
 			o := smallOpts()
-			o.Executor, _ = core.NewExecutor(core.MultiInputConfig())
+			o.DispatchConfig.Devices = newDeviceChannels(t, 1)
 			return o
 		},
 	}

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"testing"
 
+	"fcae/internal/compaction"
 	"fcae/internal/core"
 	"fcae/internal/obs"
 )
@@ -280,7 +281,7 @@ func TestTraceMatchesStats(t *testing.T) {
 	var buf bytes.Buffer
 	tw := obs.NewTraceWriter(&buf)
 	opts := smallOpts()
-	opts.Executor = exec
+	opts.DispatchConfig.Devices = []compaction.Executor{exec}
 	opts.EventListener = tw
 	db := openTest(t, opts)
 

@@ -65,15 +65,12 @@ type Options struct {
 	// BlockSize is the SSTable data block size (Table IV: 4 KiB default,
 	// swept 2 KiB - 1 MiB in Fig 15c).
 	BlockSize int
-	// RestartInterval for data blocks.
-	RestartInterval int
 	// DisableCompression turns per-block snappy compression off.
 	DisableCompression bool
-	// FilterBitsPerKey attaches bloom filters to tables (10 by default,
-	// 0 < disables via DisableFilter).
+	// FilterBitsPerKey sizes the bloom filter attached to every table: 0
+	// selects the default 10 bits per key, a negative value builds tables
+	// without filters.
 	FilterBitsPerKey int
-	// DisableFilter turns bloom filters off.
-	DisableFilter bool
 	// BlockCacheBytes bounds the shared block cache (default 8 MiB).
 	BlockCacheBytes int64
 	// LevelRatio is Size(L_{i+1})/Size(L_i) (Table IV: default 10,
@@ -96,21 +93,15 @@ type Options struct {
 	L0SlowdownTrigger int
 	// L0StopTrigger blocks writes at this L0 file count.
 	L0StopTrigger int
-	// Executor performs compaction merges; nil selects the software
-	// executor (compaction.CPU). Jobs whose fan-in exceeds
-	// Executor.MaxRuns fall back to software, the paper's §VI-A rule. A
-	// non-CPU Executor becomes a single device channel on the dispatch
-	// scheduler; use DispatchConfig.Devices to configure more channels
-	// (the two are mutually exclusive).
-	Executor compaction.Executor
 	// DispatchConfig groups the offload scheduler's configuration: device
-	// channels, the shared flush/compaction worker pool size, fault
-	// injection and scheduler tuning. Zero-value fields select defaults.
+	// channels (the one way to name a compaction device; none means the
+	// software compactor), the shared flush/compaction worker pool size,
+	// fault injection and scheduler tuning. Jobs whose fan-in exceeds a
+	// device's MaxRuns fall back to software, the paper's §VI-A rule.
+	// Zero-value fields select defaults.
 	DispatchConfig DispatchConfig
 	// SyncWrites fsyncs the WAL on every commit.
 	SyncWrites bool
-	// SkiplistSeed fixes memtable randomness for reproducible tests.
-	SkiplistSeed int64
 	// EventListener, when non-nil, receives store lifecycle events (see
 	// package obs for the delivery contract: sequenced under the store
 	// mutex, delivered strictly outside it).
@@ -129,10 +120,6 @@ func (o Options) Validate() error {
 		return neg("MemTableBytes", o.MemTableBytes)
 	case o.BlockSize < 0:
 		return neg("BlockSize", int64(o.BlockSize))
-	case o.RestartInterval < 0:
-		return neg("RestartInterval", int64(o.RestartInterval))
-	case o.FilterBitsPerKey < 0:
-		return neg("FilterBitsPerKey", int64(o.FilterBitsPerKey))
 	case o.BlockCacheBytes < 0:
 		return neg("BlockCacheBytes", o.BlockCacheBytes)
 	case o.LevelRatio < 0:
@@ -146,19 +133,13 @@ func (o Options) Validate() error {
 	case o.TieredRuns < 0:
 		return neg("TieredRuns", int64(o.TieredRuns))
 	}
-	if o.Executor != nil && len(o.DispatchConfig.Devices) > 0 {
-		return fmt.Errorf("lsm: invalid Options: Executor and DispatchConfig.Devices are mutually exclusive; put every channel in DispatchConfig.Devices")
-	}
-	if err := o.dispatchConfig().Validate(); err != nil {
+	if err := o.DispatchConfig.Validate(); err != nil {
 		return fmt.Errorf("lsm: invalid Options: %w", err)
-	}
-	if o.DisableFilter && o.FilterBitsPerKey > 0 {
-		return fmt.Errorf("lsm: invalid Options: DisableFilter set but FilterBitsPerKey is %d", o.FilterBitsPerKey)
 	}
 	// Contradictions are checked on the resolved values so that setting
 	// only one trigger cannot silently invert the throttle ladder against
 	// a defaulted neighbor.
-	r := o.withDefaults()
+	r := o.WithDefaults()
 	if r.L0SlowdownTrigger > r.L0StopTrigger {
 		return fmt.Errorf("lsm: invalid Options: L0SlowdownTrigger (%d) exceeds L0StopTrigger (%d); writes would stop before they slow down",
 			r.L0SlowdownTrigger, r.L0StopTrigger)
@@ -170,69 +151,40 @@ func (o Options) Validate() error {
 	return nil
 }
 
-func (o Options) withDefaults() Options {
+// WithDefaults resolves unset fields to the paper's settings (Table IV).
+// Each default is written once, in the package that owns the parameter:
+// the level shape and the L0 compaction trigger in manifest.Config, the
+// block size in sstable.Options, the memtable, filter, cache, write
+// throttle and worker pool here. The simulator (package lsmsim) resolves
+// its modeled store through this same method.
+func (o Options) WithDefaults() Options {
 	if o.MemTableBytes <= 0 {
 		o.MemTableBytes = 4 << 20
 	}
-	if o.BlockSize <= 0 {
-		o.BlockSize = 4096
-	}
-	if o.RestartInterval <= 0 {
-		o.RestartInterval = 16
-	}
-	if o.FilterBitsPerKey <= 0 && !o.DisableFilter {
+	o.BlockSize = sstable.Options{BlockSize: o.BlockSize}.WithDefaults().BlockSize
+	if o.FilterBitsPerKey == 0 {
 		o.FilterBitsPerKey = 10
-	}
-	if o.DisableFilter {
-		o.FilterBitsPerKey = 0
 	}
 	if o.BlockCacheBytes <= 0 {
 		o.BlockCacheBytes = 8 << 20
 	}
-	if o.LevelRatio <= 0 {
-		o.LevelRatio = 10
-	}
-	if o.BaseLevelBytes == 0 {
-		o.BaseLevelBytes = 10 << 20
-	}
-	if o.MaxOutputFileBytes == 0 {
-		o.MaxOutputFileBytes = 2 << 20
-	}
-	if o.L0CompactionTrigger <= 0 {
-		o.L0CompactionTrigger = 4
-	}
+	m := o.ManifestConfig().WithDefaults()
+	o.LevelRatio, o.BaseLevelBytes = m.LevelRatio, m.BaseLevelBytes
+	o.MaxOutputFileBytes, o.L0CompactionTrigger = m.MaxOutputFileBytes, m.L0CompactionTrigger
 	if o.L0SlowdownTrigger <= 0 {
 		o.L0SlowdownTrigger = 8
 	}
 	if o.L0StopTrigger <= 0 {
 		o.L0StopTrigger = 12
 	}
-	if o.Executor == nil {
-		o.Executor = compaction.CPU{}
-	}
-	if o.SkiplistSeed == 0 {
-		o.SkiplistSeed = 0xfcae
+	if o.DispatchConfig.Workers == 0 {
+		o.DispatchConfig.Workers = 2
 	}
 	return o
 }
 
-// dispatchConfig resolves the effective dispatch configuration: a non-CPU
-// Executor becomes the single device channel when DispatchConfig.Devices
-// is empty (a CPU or nil Executor means no devices at all, so every merge
-// runs on the scheduler's CPU lane), and the pool defaults to 2 workers.
-func (o Options) dispatchConfig() DispatchConfig {
-	c := o.DispatchConfig
-	if len(c.Devices) == 0 && o.Executor != nil {
-		if _, isCPU := o.Executor.(compaction.CPU); !isCPU {
-			c.Devices = []compaction.Executor{o.Executor}
-		}
-	}
-	if c.Workers == 0 {
-		c.Workers = 2
-	}
-	return c
-}
-
+// tableOpts maps resolved options onto the table format's; the restart
+// interval is the format's own default.
 func (o Options) tableOpts() sstable.Options {
 	compression := sstable.SnappyCompression
 	if o.DisableCompression {
@@ -240,13 +192,13 @@ func (o Options) tableOpts() sstable.Options {
 	}
 	return sstable.Options{
 		BlockSize:        o.BlockSize,
-		RestartInterval:  o.RestartInterval,
 		Compression:      compression,
-		FilterBitsPerKey: o.FilterBitsPerKey,
-	}
+		FilterBitsPerKey: max(o.FilterBitsPerKey, 0),
+	}.WithDefaults()
 }
 
-func (o Options) manifestConfig() manifest.Config {
+// ManifestConfig is the level-shaping subset of the options.
+func (o Options) ManifestConfig() manifest.Config {
 	return manifest.Config{
 		LevelRatio:          o.LevelRatio,
 		BaseLevelBytes:      o.BaseLevelBytes,

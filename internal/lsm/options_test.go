@@ -1,8 +1,14 @@
 package lsm
 
 import (
+	"bytes"
+	"fmt"
 	"strings"
 	"testing"
+
+	"fcae/internal/keys"
+	"fcae/internal/manifest"
+	"fcae/internal/sstable"
 )
 
 func TestOptionsValidate(t *testing.T) {
@@ -13,13 +19,14 @@ func TestOptionsValidate(t *testing.T) {
 	}{
 		{name: "zero value", opts: Options{}},
 		{name: "paper defaults spelled out", opts: Options{
-			MemTableBytes: 4 << 20, BlockSize: 4096, RestartInterval: 16,
+			MemTableBytes: 4 << 20, BlockSize: 4096,
 			FilterBitsPerKey: 10, LevelRatio: 10,
 			L0CompactionTrigger: 4, L0SlowdownTrigger: 8, L0StopTrigger: 12,
 		}},
 		{name: "tiered runs", opts: Options{TieredRuns: 4}},
 		{name: "compression disabled alone", opts: Options{DisableCompression: true}},
-		{name: "filter disabled alone", opts: Options{DisableFilter: true}},
+		{name: "filter disabled alone", opts: Options{FilterBitsPerKey: -1}},
+		{name: "negative filter bits", opts: Options{FilterBitsPerKey: -10}},
 		{name: "equal triggers", opts: Options{
 			L0CompactionTrigger: 6, L0SlowdownTrigger: 6, L0StopTrigger: 6,
 		}},
@@ -28,19 +35,12 @@ func TestOptionsValidate(t *testing.T) {
 			wantErr: "MemTableBytes is negative"},
 		{name: "negative block size", opts: Options{BlockSize: -4096},
 			wantErr: "BlockSize is negative"},
-		{name: "negative restart interval", opts: Options{RestartInterval: -2},
-			wantErr: "RestartInterval is negative"},
-		{name: "negative filter bits", opts: Options{FilterBitsPerKey: -10},
-			wantErr: "FilterBitsPerKey is negative"},
 		{name: "negative cache", opts: Options{BlockCacheBytes: -1},
 			wantErr: "BlockCacheBytes is negative"},
 		{name: "negative level ratio", opts: Options{LevelRatio: -10},
 			wantErr: "LevelRatio is negative"},
 		{name: "negative tiered runs", opts: Options{TieredRuns: -1},
 			wantErr: "TieredRuns is negative"},
-		{name: "filter contradiction",
-			opts:    Options{DisableFilter: true, FilterBitsPerKey: 10},
-			wantErr: "DisableFilter set but FilterBitsPerKey"},
 		{name: "slowdown above stop",
 			opts:    Options{L0SlowdownTrigger: 20, L0StopTrigger: 10},
 			wantErr: "L0SlowdownTrigger (20) exceeds L0StopTrigger (10)"},
@@ -77,5 +77,65 @@ func TestOpenRejectsInvalidOptions(t *testing.T) {
 	_, err := Open(dir, Options{L0SlowdownTrigger: 99, L0StopTrigger: 3})
 	if err == nil || !strings.Contains(err.Error(), "L0SlowdownTrigger") {
 		t.Fatalf("Open with inverted triggers: err = %v", err)
+	}
+}
+
+// TestZeroOptionsResolve pins what the zero Options resolves to — the
+// paper's Table IV settings — wherever each default is declared.
+func TestZeroOptionsResolve(t *testing.T) {
+	o := Options{}.WithDefaults()
+	if got, want := o.tableOpts(), (sstable.Options{
+		BlockSize: 4096, RestartInterval: 16, Compression: sstable.SnappyCompression, FilterBitsPerKey: 10,
+	}); got != want {
+		t.Errorf("table options = %+v, want %+v", got, want)
+	}
+	if got, want := o.ManifestConfig(), (manifest.Config{
+		LevelRatio: 10, BaseLevelBytes: 10 << 20, L0CompactionTrigger: 4, MaxOutputFileBytes: 2 << 20,
+	}); got != want {
+		t.Errorf("manifest config = %+v, want %+v", got, want)
+	}
+	if got := o.ManifestConfig().MaxBytes(3); got != 1000<<20 {
+		t.Errorf("L3 budget = %d, want 1000 MiB", got)
+	}
+	if o.MemTableBytes != 4<<20 || o.BlockCacheBytes != 8<<20 || o.DispatchConfig.Workers != 2 {
+		t.Errorf("memtable %d, block cache %d, workers %d; want 4 MiB, 8 MiB, 2",
+			o.MemTableBytes, o.BlockCacheBytes, o.DispatchConfig.Workers)
+	}
+	if o.L0CompactionTrigger != 4 || o.L0SlowdownTrigger != 8 || o.L0StopTrigger != 12 {
+		t.Errorf("L0 ladder = %d/%d/%d, want 4/8/12", o.L0CompactionTrigger, o.L0SlowdownTrigger, o.L0StopTrigger)
+	}
+	if again := o.WithDefaults(); again.tableOpts() != o.tableOpts() || again.ManifestConfig() != o.ManifestConfig() {
+		t.Errorf("WithDefaults is not idempotent: %+v then %+v", o, again)
+	}
+}
+
+// TestFilterBitsResolve covers the one filter knob: 0 is the default 10
+// bits, and a negative value reaches the table writer as 0 bits, which
+// builds a table with no filter block.
+func TestFilterBitsResolve(t *testing.T) {
+	for _, tc := range []struct{ set, want int }{{0, 10}, {6, 6}, {-1, 0}, {-10, 0}} {
+		to := Options{FilterBitsPerKey: tc.set}.WithDefaults().tableOpts()
+		if to.FilterBitsPerKey != tc.want {
+			t.Errorf("FilterBitsPerKey %d resolved to %d table bits, want %d", tc.set, to.FilterBitsPerKey, tc.want)
+		}
+		var buf bytes.Buffer
+		w := sstable.NewWriter(&buf, to)
+		for i := 0; i < 100; i++ {
+			ik := keys.MakeInternal(nil, []byte(fmt.Sprintf("key%03d", i)), 1, keys.KindSet)
+			if err := w.Add(ik, []byte("v")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := w.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		r, err := sstable.NewReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()), to, nil, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Only a table without a filter answers "maybe" for an absent key.
+		if got := r.MayContain([]byte("absent")); got != (tc.want == 0) {
+			t.Errorf("FilterBitsPerKey %d: MayContain(absent) = %v", tc.set, got)
+		}
 	}
 }

@@ -116,8 +116,6 @@ func (db *DB) CompactRange(start, limit []byte) error {
 			v := db.vs.Current()
 			touched := false
 			for _, f := range v.Levels[level] {
-				fr := keys.Range{Start: keys.UserKey(f.Smallest), Limit: nil}
-				_ = fr
 				if rangeTouchesFile(r, f) {
 					touched = true
 					break

@@ -25,7 +25,7 @@ import (
 // compaction of much older data can surface the older version. Sequence
 // numbers inside each table are preserved exactly.
 func Repair(dir string, opts Options) (err error) {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	entries, err := os.ReadDir(dir)
 	if err != nil {
 		return err
@@ -70,7 +70,7 @@ func Repair(dir string, opts Options) (err error) {
 		tables = append(tables, tbl{num, t.size, t.smallest, t.largest, t.maxSeq})
 	}
 
-	vs, err := manifest.Open(dir, opts.manifestConfig())
+	vs, err := manifest.Open(dir, opts.ManifestConfig())
 	if err != nil {
 		return err
 	}

@@ -7,8 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-
-	"fcae/internal/core"
 )
 
 // TestConcurrentReadersWritersCompactions hammers the store with parallel
@@ -18,12 +16,8 @@ import (
 // count, so readers constantly hold tables the LRU has already evicted;
 // any error a reader sees (a closed or unlinked file above all) fails it.
 func TestConcurrentReadersWritersCompactions(t *testing.T) {
-	exec, err := core.NewExecutor(core.MultiInputConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
 	opts := smallOpts()
-	opts.Executor = exec
+	opts.DispatchConfig.Devices = newDeviceChannels(t, 1)
 	opts.BlockCacheBytes = 8 << 10 // reads must reach the file, not a cached block
 	db := openTest(t, opts)
 	const cachedTables = 2

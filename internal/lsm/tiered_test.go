@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"fcae/internal/compaction"
 	"fcae/internal/core"
 )
 
@@ -60,7 +61,7 @@ func TestTieredMultiRunJobsReachEngine(t *testing.T) {
 			t.Fatal(err)
 		}
 		opts := tieredOpts()
-		opts.Executor = exec
+		opts.DispatchConfig.Devices = []compaction.Executor{exec}
 		db := openTest(t, opts)
 		fillRandom(t, db, 5000, 100, 77)
 		if err := db.WaitIdle(); err != nil {
@@ -189,7 +190,7 @@ func TestTieredRecovery(t *testing.T) {
 func TestTieredModelCheck(t *testing.T) {
 	runModelCheck(t, func() Options {
 		o := tieredOpts()
-		o.Executor, _ = core.NewExecutor(core.MultiInputConfig())
+		o.DispatchConfig.Devices = newDeviceChannels(t, 1)
 		return o
 	}, 3000, 83)
 }

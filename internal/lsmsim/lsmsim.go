@@ -11,6 +11,8 @@ import (
 	"time"
 
 	"fcae/internal/core"
+	"fcae/internal/lsm"
+	"fcae/internal/manifest"
 	"fcae/internal/model"
 	"fcae/internal/sim"
 )
@@ -44,15 +46,14 @@ type Config struct {
 	ValueLen  int   // value bytes (default 128)
 	DataBytes int64 // total payload to write
 
-	MemTableBytes  int64
-	BlockSize      int
-	LevelRatio     int
-	BaseLevelBytes int64
-	FileBytes      int64 // compaction output table size (2 MiB)
-
-	L0Trigger  int
-	L0Slowdown int
-	L0Stop     int
+	// Store is the modeled store, in the store's own options and resolved
+	// by the store's own defaulting: simulating a store that just ran is
+	// passing the Options it was opened with. The model reads the memtable
+	// size, block size, level shape (ratio, L1 budget, table size, tiered
+	// runs) and the L0 trigger / slowdown / stop ladder; with TieredRuns
+	// > 0 merges have run-count fan-in, so engines with small N fall back
+	// to software more often (§VII-C).
+	Store lsm.Options
 
 	Backend Backend
 	Engine  core.Config // engine configuration for BackendFCAE
@@ -72,12 +73,6 @@ type Config struct {
 	// the §VII-E near-storage direction (see nearstorage.go).
 	Placement Placement
 
-	// TieredRuns, when > 0, models tiered (lazy) compaction: each level
-	// accumulates up to TieredRuns sorted runs before a full-level merge
-	// pushes one run down (§VII-C). Tiered merges have run-count fan-in,
-	// so engines with small N fall back to software more often.
-	TieredRuns int
-
 	// OverlapCPUFlush gives the CPU backend's flushes their own core
 	// instead of LevelDB's single background thread (ablation only:
 	// quantifies how much of the FCAE schedule benefit comes from
@@ -95,30 +90,7 @@ func (c Config) withDefaults() Config {
 	if c.DataBytes <= 0 {
 		c.DataBytes = 1 << 30
 	}
-	if c.MemTableBytes <= 0 {
-		c.MemTableBytes = 4 << 20
-	}
-	if c.BlockSize <= 0 {
-		c.BlockSize = 4096
-	}
-	if c.LevelRatio <= 0 {
-		c.LevelRatio = 10
-	}
-	if c.BaseLevelBytes <= 0 {
-		c.BaseLevelBytes = 10 << 20
-	}
-	if c.FileBytes <= 0 {
-		c.FileBytes = 2 << 20
-	}
-	if c.L0Trigger <= 0 {
-		c.L0Trigger = 4
-	}
-	if c.L0Slowdown <= 0 {
-		c.L0Slowdown = 8
-	}
-	if c.L0Stop <= 0 {
-		c.L0Stop = 12
-	}
+	c.Store = c.Store.WithDefaults()
 	if c.Engine.N == 0 {
 		c.Engine = core.MultiInputConfig()
 	}
@@ -132,7 +104,7 @@ func (c Config) withDefaults() Config {
 // plus block format overheads (varint lengths, restarts, trailers).
 func (c Config) entryBytes() int64 {
 	overhead := 6 // varints + restart amortization
-	perBlock := c.BlockSize / (c.KeyLen + 8 + c.ValueLen + overhead)
+	perBlock := c.Store.BlockSize / (c.KeyLen + 8 + c.ValueLen + overhead)
 	if perBlock < 1 {
 		perBlock = 1
 	}
@@ -178,6 +150,7 @@ type Result struct {
 // state is one live simulation.
 type state struct {
 	cfg       Config
+	shape     manifest.Config // cfg.Store's level budgets
 	sim       *sim.Sim
 	entry     int64
 	diskEntry int64
@@ -222,6 +195,14 @@ type bgTask struct {
 	done func()
 }
 
+// newState starts a simulation of cfg, which must already be resolved.
+func newState(cfg Config) *state {
+	return &state{
+		cfg: cfg, shape: cfg.Store.ManifestConfig(), sim: &sim.Sim{},
+		entry: cfg.entryBytes(), diskEntry: cfg.diskEntryBytes(), writeFrac: 1,
+	}
+}
+
 const writerChunk = 2048 // entries simulated per writer event
 
 // readDisturbFactor is the extra read cost while a compaction is running
@@ -240,7 +221,7 @@ const overlapFactor = 0.6
 // 10, 14 and 15.
 func RunFill(cfg Config) Result {
 	cfg = cfg.withDefaults()
-	s := &state{cfg: cfg, sim: &sim.Sim{}, entry: cfg.entryBytes(), diskEntry: cfg.diskEntryBytes(), writeFrac: 1}
+	s := newState(cfg)
 	s.total = cfg.DataBytes / int64(cfg.KeyLen+cfg.ValueLen)
 	if s.total < 1 {
 		s.total = 1
@@ -269,9 +250,9 @@ func (s *state) writerStep() {
 		return
 	}
 	// Stall rules (paper §I / LevelDB's MakeRoomForWrite).
-	memFull := s.mem >= s.cfg.MemTableBytes
+	memFull := s.mem >= s.cfg.Store.MemTableBytes
 	switch {
-	case len(s.l0) >= s.cfg.L0Stop, memFull && s.immBytes > 0:
+	case len(s.l0) >= s.cfg.Store.L0StopTrigger, memFull && s.immBytes > 0:
 		// Hard stop: wait for background progress.
 		if !s.writerWait {
 			s.writerWait = true
@@ -291,7 +272,7 @@ func (s *state) writerStep() {
 		n = writerChunk
 	}
 	if s.writeFrac > 0 {
-		until := (s.cfg.MemTableBytes - s.mem + s.entry - 1) / s.entry
+		until := (s.cfg.Store.MemTableBytes - s.mem + s.entry - 1) / s.entry
 		until = int64(float64(until) / s.writeFrac)
 		if until < 1 {
 			until = 1
@@ -323,7 +304,7 @@ func (s *state) writerStep() {
 		}
 	}
 	// Slowdown trigger: LevelDB sleeps 1ms per write while L0 backs up.
-	if len(s.l0) >= s.cfg.L0Slowdown {
+	if len(s.l0) >= s.cfg.Store.L0SlowdownTrigger {
 		dur += time.Duration(n) * time.Millisecond
 		s.res.StallTime += time.Duration(n) * time.Millisecond
 		s.res.SlowdownWrites += n
@@ -436,16 +417,15 @@ type compactionJob struct {
 // pick selects the most urgent compaction, mirroring the real store's
 // score rule.
 func (s *state) pick() *compactionJob {
-	if s.cfg.TieredRuns > 0 {
+	if s.shape.TieredRuns > 0 {
 		return s.pickTiered()
 	}
 	bestLevel, bestScore := -1, 0.0
-	if sc := float64(len(s.l0)) / float64(s.cfg.L0Trigger); sc >= 1 && sc > bestScore {
+	if sc := float64(len(s.l0)) / float64(s.shape.L0CompactionTrigger); sc >= 1 && sc > bestScore {
 		bestLevel, bestScore = 0, sc
 	}
 	for level := 1; level < 7; level++ {
-		max := s.maxBytes(level)
-		if sc := float64(s.levels[level]) / float64(max); sc >= 1 && sc > bestScore {
+		if sc := float64(s.levels[level]) / float64(s.shape.MaxBytes(level)); sc >= 1 && sc > bestScore {
 			bestLevel, bestScore = level, sc
 		}
 	}
@@ -475,7 +455,7 @@ func (s *state) pick() *compactionJob {
 		}}
 	default:
 		level := bestLevel
-		file := s.cfg.FileBytes
+		file := int64(s.shape.MaxOutputFileBytes)
 		if file > s.levels[level] {
 			file = s.levels[level]
 		}
@@ -487,7 +467,7 @@ func (s *state) pick() *compactionJob {
 		overlap := s.levels[level+1]
 		if s.levels[level] > file {
 			overlap = int64(float64(s.levels[level+1]) * float64(file) / float64(s.levels[level]) * overlapFactor)
-			overlap += s.cfg.FileBytes / 2 // boundary effect
+			overlap += int64(s.shape.MaxOutputFileBytes) / 2 // boundary effect
 		}
 		if overlap > s.levels[level+1] {
 			overlap = s.levels[level+1]
@@ -509,11 +489,11 @@ func (s *state) pick() *compactionJob {
 // write-amplification saving of tiering.
 func (s *state) pickTiered() *compactionJob {
 	bestLevel, bestScore := -1, 0.0
-	if sc := float64(len(s.l0)) / float64(s.cfg.L0Trigger); sc >= 1 {
+	if sc := float64(len(s.l0)) / float64(s.shape.L0CompactionTrigger); sc >= 1 {
 		bestLevel, bestScore = 0, sc
 	}
 	for level := 1; level < 7; level++ {
-		if sc := float64(s.runs[level]) / float64(s.cfg.TieredRuns); sc >= 1 && sc > bestScore {
+		if sc := float64(s.runs[level]) / float64(s.shape.TieredRuns); sc >= 1 && sc > bestScore {
 			bestLevel, bestScore = level, sc
 		}
 	}
@@ -551,14 +531,6 @@ func (s *state) pickTiered() *compactionJob {
 			s.maxLevel = out
 		}
 	}}
-}
-
-func (s *state) maxBytes(level int) int64 {
-	b := s.cfg.BaseLevelBytes
-	for l := 1; l < level; l++ {
-		b *= int64(s.cfg.LevelRatio)
-	}
-	return b
 }
 
 // maybeCompact starts the next compaction when one is due and none is

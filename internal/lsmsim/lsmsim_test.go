@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"fcae/internal/core"
+	"fcae/internal/lsm"
 )
 
 func fill(t *testing.T, cfg Config) Result {
@@ -95,8 +96,8 @@ func TestStallsAppearUnderCompactionPressure(t *testing.T) {
 
 func TestBlockSizeInsensitive(t *testing.T) {
 	// Paper Fig 15c: throughput is flat in data block size.
-	small := fill(t, Config{ValueLen: 128, BlockSize: 2 << 10, DataBytes: 256 << 20, Backend: BackendFCAE})
-	large := fill(t, Config{ValueLen: 128, BlockSize: 1 << 20, DataBytes: 256 << 20, Backend: BackendFCAE})
+	small := fill(t, Config{ValueLen: 128, Store: lsm.Options{BlockSize: 2 << 10}, DataBytes: 256 << 20, Backend: BackendFCAE})
+	large := fill(t, Config{ValueLen: 128, Store: lsm.Options{BlockSize: 1 << 20}, DataBytes: 256 << 20, Backend: BackendFCAE})
 	ratio := small.Throughput / large.Throughput
 	if ratio < 0.8 || ratio > 1.25 {
 		t.Fatalf("block size changed throughput by %.2fx; paper says flat", ratio)
@@ -107,7 +108,7 @@ func TestLevelingRatioReducesSpeedup(t *testing.T) {
 	// Paper Fig 15d: larger leveling ratio -> less frequent compaction ->
 	// smaller FCAE advantage.
 	speedup := func(ratio int) float64 {
-		base := Config{ValueLen: 128, LevelRatio: ratio, DataBytes: 512 << 20}
+		base := Config{ValueLen: 128, Store: lsm.Options{LevelRatio: ratio}, DataBytes: 512 << 20}
 		cpu := fill(t, base)
 		f := base
 		f.Backend = BackendFCAE
@@ -231,7 +232,7 @@ func TestNearStorageHelpsWhenCompactionBound(t *testing.T) {
 
 func TestTieredSimReducesWriteAmp(t *testing.T) {
 	leveled := fill(t, Config{ValueLen: 512, DataBytes: 1 << 30})
-	tiered := fill(t, Config{ValueLen: 512, DataBytes: 1 << 30, TieredRuns: 4})
+	tiered := fill(t, Config{ValueLen: 512, DataBytes: 1 << 30, Store: lsm.Options{TieredRuns: 4}})
 	if tiered.WriteAmp >= leveled.WriteAmp {
 		t.Fatalf("tiered WA %.2f should undercut leveled %.2f", tiered.WriteAmp, leveled.WriteAmp)
 	}
@@ -243,9 +244,9 @@ func TestTieredSimReducesWriteAmp(t *testing.T) {
 func TestTieredSimNineInputCoversMoreJobs(t *testing.T) {
 	// Tiered merges carry multi-run fan-in; the 9-input engine absorbs
 	// them, the 2-input engine falls back (paper §VII-C).
-	two := fill(t, Config{ValueLen: 512, DataBytes: 1 << 30, TieredRuns: 4,
+	two := fill(t, Config{ValueLen: 512, DataBytes: 1 << 30, Store: lsm.Options{TieredRuns: 4},
 		Backend: BackendFCAE, Engine: core.DefaultConfig()})
-	nine := fill(t, Config{ValueLen: 512, DataBytes: 1 << 30, TieredRuns: 4,
+	nine := fill(t, Config{ValueLen: 512, DataBytes: 1 << 30, Store: lsm.Options{TieredRuns: 4},
 		Backend: BackendFCAE})
 	if two.SWFallbacks <= nine.SWFallbacks {
 		t.Fatalf("2-input engine should fall back more: %d vs %d", two.SWFallbacks, nine.SWFallbacks)

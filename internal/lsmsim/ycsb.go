@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"fcae/internal/model"
-	"fcae/internal/sim"
 )
 
 // YCSB workload mixes (paper Table IX). Fractions sum to 1.
@@ -78,7 +77,7 @@ func (s *state) readCost(hitProb float64) time.Duration {
 // 16 B keys and 1 KiB values, then 20 M operations).
 func RunYCSB(cfg Config, w YCSBWorkload, loadBytes int64, opCount int64) YCSBResult {
 	cfg = cfg.withDefaults()
-	s := &state{cfg: cfg, sim: &sim.Sim{}, entry: cfg.entryBytes(), diskEntry: cfg.diskEntryBytes(), writeFrac: 1}
+	s := newState(cfg)
 	s.preload(loadBytes)
 
 	writeFrac := w.Update + w.Insert + w.RMW
@@ -120,7 +119,7 @@ func (s *state) preload(loadBytes int64) {
 	disk := int64(float64(loadBytes) * s.cfg.DiskCompression)
 	for level := 1; level <= 6 && disk > 0; level++ {
 		take := disk
-		if cap := s.maxBytes(level); take > cap && level < 6 {
+		if cap := int64(s.shape.MaxBytes(level)); take > cap && level < 6 {
 			take = cap
 		}
 		s.levels[level] += take

@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"fcae/internal/crc"
-	"fcae/internal/keys"
 	"fcae/internal/wal"
 )
 
@@ -31,7 +30,9 @@ type Config struct {
 	TieredRuns int
 }
 
-// WithDefaults fills unset fields with the paper's defaults.
+// WithDefaults fills unset fields with the paper's defaults. This is the
+// one place the level-shape defaults are written; the store's options and
+// the simulator derive theirs from it.
 func (c Config) WithDefaults() Config {
 	if c.LevelRatio <= 0 {
 		c.LevelRatio = 10
@@ -376,26 +377,4 @@ func (vs *VersionSet) LiveFileNums() map[uint64]bool {
 		mark(v)
 	}
 	return live
-}
-
-// MaxNextLevelOverlappingBytes reports the worst-case overlap between a
-// file at some level and the next level, a write-amplification signal
-// surfaced in stats.
-func (vs *VersionSet) MaxNextLevelOverlappingBytes() uint64 {
-	vs.mu.Lock()
-	v := vs.current
-	vs.mu.Unlock()
-	var max uint64
-	for level := 1; level < NumLevels-1; level++ {
-		for _, f := range v.Levels[level] {
-			var sum uint64
-			for _, o := range v.Overlapping(level+1, keys.UserKey(f.Smallest), keys.UserKey(f.Largest)) {
-				sum += o.Size
-			}
-			if sum > max {
-				max = sum
-			}
-		}
-	}
-	return max
 }

@@ -97,12 +97,6 @@ func (v *Version) Overlapping(level int, smallest, largest []byte) []*FileMetada
 	return out
 }
 
-// PickLevelForMemTableOutput chooses the level for a fresh flush. LevelDB
-// pushes non-overlapping output down up to two levels to reduce write
-// amplification; we flush to L0 always for simplicity and paper fidelity
-// (the paper's flushes land in L0, making L0→L1 the 9-input case).
-func (v *Version) PickLevelForMemTableOutput() int { return 0 }
-
 // ForEachOverlapping visits files that may contain userKey, newest first:
 // L0 files from newest to oldest, then one file per deeper level. The
 // visit function returns false to stop.

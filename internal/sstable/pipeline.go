@@ -132,7 +132,7 @@ func NewEncodePipeline(opts Options, depth, encoders int) *EncodePipeline {
 	if encoders < 1 {
 		encoders = 1
 	}
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	ntasks := depth + encoders + 2
 	p := &EncodePipeline{
 		compression: opts.Compression,

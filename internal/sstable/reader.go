@@ -27,7 +27,7 @@ type Reader struct {
 // NewReader opens the table stored in f. blockCache may be nil; cacheID
 // must be unique per file when a cache is shared.
 func NewReader(f io.ReaderAt, size int64, opts Options, blockCache *cache.Cache, cacheID uint64) (*Reader, error) {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	r := &Reader{f: f, size: size, opts: opts, cache: blockCache, cacheID: cacheID}
 	if size < FooterSize {
 		return nil, fmt.Errorf("%w: file of %d bytes has no footer", ErrCorrupt, size)

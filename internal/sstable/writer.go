@@ -23,8 +23,10 @@ type Options struct {
 	FilterBitsPerKey int
 }
 
-// withDefaults fills unset fields.
-func (o Options) withDefaults() Options {
+// WithDefaults fills unset fields. This is the one place the block size
+// and restart interval defaults are written; the store's options and the
+// simulator derive theirs from it.
+func (o Options) WithDefaults() Options {
 	if o.BlockSize <= 0 {
 		o.BlockSize = 4096
 	}
@@ -90,7 +92,7 @@ type Writer struct {
 
 // NewWriter returns a Writer emitting the table to w.
 func NewWriter(w io.Writer, opts Options) *Writer {
-	opts = opts.withDefaults()
+	opts = opts.WithDefaults()
 	tw := &Writer{
 		w:    w,
 		opts: opts,
