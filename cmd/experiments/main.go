@@ -3,8 +3,9 @@
 //
 // Usage:
 //
-//	experiments [-run all|tableV|fig9|tableVI|fig10|fig11|tableVII|fig12|fig13|fig14|tableVIII|fig15|fig16|ablation]
-//	            [-scale 1.0] [-maxgb 1024]
+//	experiments [-run all|tableV|fig9|tableVI|fig10|fig11|tableVII|fig12|fig13|fig14|tableVIII|fig15|fig16|
+//	                  ablation|ablationSchedule|nearStorage|stageUtil|tiered]
+//	            [-scale 1.0] [-maxgb 1024] [-format text|csv]
 //
 // -scale shrinks data sizes for quick runs (0.1 completes in seconds);
 // -maxgb bounds the Fig 14 / Table VIII sweep.
@@ -14,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"fcae/internal/bench"
@@ -33,74 +35,24 @@ func main() {
 	}
 	all := want["all"]
 
-	emit := func(reports ...*bench.Report) {
-		for _, r := range reports {
-			if r == nil {
+	printed := false
+	for _, e := range bench.Experiments {
+		if !all && !slices.ContainsFunc(e.IDs, func(id string) bool { return want[strings.ToLower(id)] }) {
+			continue
+		}
+		for _, r := range e.Run(sc, *maxGB) {
+			if !all && !want[strings.ToLower(r.ID)] {
 				continue
 			}
-			if all || want[strings.ToLower(r.ID)] {
-				if *format == "csv" {
-					fmt.Print(r.CSV())
-				} else {
-					fmt.Println(r.String())
-				}
+			printed = true
+			if *format == "csv" {
+				fmt.Print(r.CSV())
+			} else {
+				fmt.Println(r.String())
 			}
 		}
 	}
-
-	need := func(ids ...string) bool {
-		if all {
-			return true
-		}
-		for _, id := range ids {
-			if want[id] {
-				return true
-			}
-		}
-		return false
-	}
-
-	if need("tablev", "fig9") {
-		tv, f9 := bench.TableV(sc)
-		emit(tv, f9)
-	}
-	if need("tablevi", "fig11") {
-		tv, f11 := bench.TableVI(sc)
-		emit(tv, f11)
-	}
-	if need("fig10") {
-		emit(bench.Fig10(sc))
-	}
-	if need("tablevii") {
-		emit(bench.TableVII())
-	}
-	if need("fig12", "fig13") {
-		f12, f13 := bench.Fig12And13(sc)
-		emit(f12, f13)
-	}
-	if need("fig14", "tableviii") {
-		f14, t8 := bench.Fig14(sc, *maxGB)
-		emit(f14, t8)
-	}
-	if need("fig15") {
-		emit(bench.Fig15(sc))
-	}
-	if need("fig16") {
-		emit(bench.Fig16(sc))
-	}
-	if need("ablation") {
-		emit(bench.Ablations(sc), bench.ScheduleAblation(sc))
-	}
-	if need("nearstorage") {
-		emit(bench.NearStorage(sc))
-	}
-	if need("stageutil") {
-		emit(bench.StageUtilization(sc, bench.DefaultEngineConfig()))
-	}
-	if need("tiered") {
-		emit(bench.TieredSim(sc))
-	}
-	if !all && len(want) == 0 {
+	if !printed {
 		fmt.Fprintln(os.Stderr, "nothing selected; see -run")
 		os.Exit(2)
 	}

@@ -262,25 +262,33 @@ func TieredSim(scale Scale) *Report {
 	return r
 }
 
-// All regenerates every report at the given scale; maxGB bounds the Fig 14
-// sweep.
-func All(scale Scale, maxGB float64) []*Report {
-	tableV, fig9 := TableV(scale)
-	tableVI, fig11 := TableVI(scale)
-	fig12, fig13 := Fig12And13(scale)
-	fig14, tableVIII := Fig14(scale, maxGB)
-	return []*Report{
-		tableV, fig9,
-		tableVI, fig11,
-		Fig10(scale),
-		TableVII(),
-		fig12, fig13,
-		fig14, tableVIII,
-		Fig15(scale),
-		Fig16(scale),
-		Ablations(scale),
-		ScheduleAblation(scale),
-		NearStorage(scale),
-		TieredSim(scale),
-	}
+// An Experiment regenerates the reports named by IDs, which is what
+// cmd/experiments -run selects by; maxGB bounds the Fig 14 sweep.
+type Experiment struct {
+	IDs []string
+	Run func(scale Scale, maxGB float64) []*Report
+}
+
+// Experiments is the one list of what the repo regenerates, in the order
+// cmd/experiments prints it and testdata/quick.csv pins it.
+var Experiments = []Experiment{
+	{[]string{"TableV", "Fig9"}, func(s Scale, _ float64) []*Report { return pair(TableV(s)) }},
+	{[]string{"TableVI", "Fig11"}, func(s Scale, _ float64) []*Report { return pair(TableVI(s)) }},
+	{[]string{"Fig10"}, one(Fig10)},
+	{[]string{"TableVII"}, func(Scale, float64) []*Report { return []*Report{TableVII()} }},
+	{[]string{"Fig12", "Fig13"}, func(s Scale, _ float64) []*Report { return pair(Fig12And13(s)) }},
+	{[]string{"Fig14", "TableVIII"}, func(s Scale, maxGB float64) []*Report { return pair(Fig14(s, maxGB)) }},
+	{[]string{"Fig15"}, one(Fig15)},
+	{[]string{"Fig16"}, one(Fig16)},
+	{[]string{"Ablation"}, one(Ablations)},
+	{[]string{"AblationSchedule"}, one(ScheduleAblation)},
+	{[]string{"NearStorage"}, one(NearStorage)},
+	{[]string{"StageUtil"}, one(func(s Scale) *Report { return StageUtilization(s, DefaultEngineConfig()) })},
+	{[]string{"Tiered"}, one(TieredSim)},
+}
+
+func pair(a, b *Report) []*Report { return []*Report{a, b} }
+
+func one(f func(Scale) *Report) func(Scale, float64) []*Report {
+	return func(s Scale, _ float64) []*Report { return []*Report{f(s)} }
 }

@@ -135,8 +135,6 @@ func (db *DB) flushMem(mem *memtable.MemTable, jobID uint64) (err error) {
 		return err
 	}
 	if meta != nil {
-		db.stats.Flushes++
-		db.stats.FlushBytes += int64(meta.Size)
 		db.met.flushes.Inc()
 		db.met.flushBytes.Add(int64(meta.Size))
 		db.met.tablesCreated.Inc()
@@ -259,7 +257,6 @@ func (db *DB) chargeSeek(level int, f *manifest.FileMetadata) {
 	if f.AllowedSeeks > 0 {
 		f.AllowedSeeks--
 		if f.AllowedSeeks == 0 && db.manualLevel < 0 && level < manifest.NumLevels-1 {
-			db.stats.SeekCompactions++
 			db.met.seekCompactions.Inc()
 			db.manualLevel = level
 			db.bgCond.Broadcast()
@@ -295,7 +292,7 @@ func (db *DB) runCompaction(c *manifest.Compaction) (err error) {
 		pri = dispatch.PriorityL0
 	}
 
-	if !c.Tiered && c.IsTrivialMove() {
+	if c.IsTrivialMove() {
 		f := c.Inputs[0][0]
 		db.queueEventLocked(func(l obs.EventListener) {
 			l.CompactionBegin(obs.CompactionBeginEvent{
@@ -312,7 +309,6 @@ func (db *DB) runCompaction(c *manifest.Compaction) (err error) {
 		moved.RunID = 0
 		edit.AddFile(c.Level+1, &moved)
 		c.RecordCompactPointer(edit)
-		db.stats.TrivialMoves++
 		db.met.trivialMoves.Inc()
 		err = db.vs.LogAndApply(edit)
 		movedInfo := obs.TableInfo{Num: f.Num, Level: c.Level + 1, Size: int64(f.Size)}
@@ -370,8 +366,7 @@ func (db *DB) runCompaction(c *manifest.Compaction) (err error) {
 		Trace:            tr,
 	}
 
-	// Level-0 inputs each form their own sorted run; a deeper level's
-	// files concatenate into one run (paper §IV step 2).
+	// One merge input per sorted run (paper §IV step 2).
 	openDone := tr.StartSpan("open_runs")
 	var opened []*os.File
 	defer func() {
@@ -380,7 +375,7 @@ func (db *DB) runCompaction(c *manifest.Compaction) (err error) {
 			_ = f.Close()
 		}
 	}()
-	openRun := func(files []*manifest.FileMetadata) error {
+	for _, files := range c.InputRuns() {
 		var run []compaction.Table
 		for _, fm := range files {
 			f, err := os.Open(tablePath(db.dir, fm.Num))
@@ -391,30 +386,6 @@ func (db *DB) runCompaction(c *manifest.Compaction) (err error) {
 			run = append(run, compaction.Table{Num: fm.Num, Size: int64(fm.Size), Data: f})
 		}
 		job.Runs = append(job.Runs, run)
-		return nil
-	}
-	if c.Level == 0 {
-		for _, fm := range c.Inputs[0] {
-			if err := openRun([]*manifest.FileMetadata{fm}); err != nil {
-				return err
-			}
-		}
-	} else if c.Tiered {
-		// Tiered levels: one merge input per sorted run (paper §VII-C).
-		for _, run := range manifest.RunGroupsOf(c.Inputs[0]) {
-			if err := openRun(run); err != nil {
-				return err
-			}
-		}
-	} else if len(c.Inputs[0]) > 0 {
-		if err := openRun(c.Inputs[0]); err != nil {
-			return err
-		}
-	}
-	if len(c.Inputs[1]) > 0 {
-		if err := openRun(c.Inputs[1]); err != nil {
-			return err
-		}
 	}
 	openDone()
 
@@ -477,34 +448,24 @@ func (db *DB) runCompaction(c *manifest.Compaction) (err error) {
 		})
 	}
 
-	db.stats.Compactions++
 	db.met.compactions.Inc()
 	if route.OnDevice() {
-		db.stats.HWCompactions++
 		db.met.hwCompactions.Inc()
 	}
 	if route.Fallback() {
-		db.stats.SWFallbacks++
 		db.met.swFallbacks.Inc()
 	}
-	db.stats.CompactionRead += res.Stats.BytesRead
-	db.stats.CompactionWrite += res.Stats.BytesWritten
-	db.stats.KernelTime += res.Stats.KernelTime
-	db.stats.TransferTime += res.Stats.TransferTime
+	wall := time.Since(start)
 	db.met.compactionRead.Add(res.Stats.BytesRead)
 	db.met.compactionWrite.Add(res.Stats.BytesWritten)
 	db.met.kernelNanos.Add(res.Stats.KernelTime.Nanoseconds())
 	db.met.transferNanos.Add(res.Stats.TransferTime.Nanoseconds())
 	db.met.tablesCreated.Add(int64(len(res.Outputs)))
-	db.met.compactionWall.ObserveDuration(time.Since(start))
-	ls := &db.stats.Levels[c.Level]
-	ls.Compactions++
-	ls.BytesRead += res.Stats.BytesRead
-	ls.BytesWritten += res.Stats.BytesWritten
-	ls.Wall += time.Since(start)
+	db.met.compactionWall.ObserveDuration(wall)
 	db.met.levelCompactions[c.Level].Inc()
 	db.met.levelRead[c.Level].Add(res.Stats.BytesRead)
 	db.met.levelWrite[c.Level].Add(res.Stats.BytesWritten)
+	db.met.levelWallNanos[c.Level].Add(wall.Nanoseconds())
 	return nil
 }
 
@@ -607,10 +568,10 @@ func (db *DB) WaitIdle() error {
 		if db.closed {
 			return ErrClosed
 		}
-		idle := db.imm == nil && !db.flushBusy && db.compacting == 0 &&
-			db.manualLevel < 0 && db.vs.PickCompaction() == nil
-		if idle {
-			return nil
+		if db.imm == nil && !db.flushBusy && db.compacting == 0 && db.manualLevel < 0 {
+			if _, _, due := db.vs.Config().PickLevel(db.vs.Current().Shape(), nil); !due {
+				return nil
+			}
 		}
 		db.bgCond.Wait()
 	}

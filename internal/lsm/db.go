@@ -95,11 +95,10 @@ type DB struct {
 	// flushEvents outside it (see events.go).
 	pendingEvents []func(obs.EventListener)
 	jobSeq        uint64 // flush/compaction job id allocator
-
-	stats Stats
 }
 
-// Stats aggregates operational counters.
+// Stats aggregates operational counters. It is a view over the metrics
+// registry (see DB.Stats), not a second set of books.
 type Stats struct {
 	Writes          int64
 	BytesWritten    int64
@@ -411,10 +410,6 @@ func (db *DB) write(b *Batch) error {
 		db.bgErr = err
 	} else {
 		db.seq = base + uint64(total) - 1
-		db.stats.Writes += int64(total)
-		db.stats.BytesWritten += int64(len(rep))
-		db.stats.GroupCommits++
-		db.stats.GroupedWrites += int64(len(group))
 		db.met.writes.Add(int64(total))
 		db.met.writeBytes.Add(int64(len(rep)))
 		db.met.groupCommits.Inc()
@@ -504,11 +499,9 @@ func (db *DB) waitStalledLocked(reason obs.StallReason) {
 	db.recordStallLocked(reason, time.Since(start))
 }
 
-// recordStallLocked folds one stall into stats, metrics and the event
-// queue. Callers hold db.mu.
+// recordStallLocked folds one stall into the metrics and the event queue.
+// Callers hold db.mu.
 func (db *DB) recordStallLocked(reason obs.StallReason, d time.Duration) {
-	db.stats.StallTime += d
-	db.stats.StallWrites++
 	db.met.stallCount.Inc()
 	db.met.stallNanos.Add(d.Nanoseconds())
 	db.met.stallWait.ObserveDuration(d)
@@ -633,11 +626,45 @@ func (db *DB) Has(key []byte) (bool, error) {
 	return err == nil, err
 }
 
-// Stats returns a copy of the operational counters.
+// Stats returns the operational counters, read from the registry
+// instruments that Metrics also reports. Every one of them is incremented
+// with db.mu held, so the snapshot taken under it is consistent.
 func (db *DB) Stats() Stats {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	return db.stats
+	return db.statsLocked()
+}
+
+func (db *DB) statsLocked() Stats {
+	m := &db.met
+	st := Stats{
+		Writes:          m.writes.Value(),
+		BytesWritten:    m.writeBytes.Value(),
+		GroupCommits:    m.groupCommits.Value(),
+		GroupedWrites:   m.groupedWrites.Value(),
+		Flushes:         m.flushes.Value(),
+		FlushBytes:      m.flushBytes.Value(),
+		Compactions:     m.compactions.Value(),
+		HWCompactions:   m.hwCompactions.Value(),
+		SWFallbacks:     m.swFallbacks.Value(),
+		TrivialMoves:    m.trivialMoves.Value(),
+		SeekCompactions: m.seekCompactions.Value(),
+		CompactionRead:  m.compactionRead.Value(),
+		CompactionWrite: m.compactionWrite.Value(),
+		KernelTime:      time.Duration(m.kernelNanos.Value()),
+		TransferTime:    time.Duration(m.transferNanos.Value()),
+		StallTime:       time.Duration(m.stallNanos.Value()),
+		StallWrites:     m.stallCount.Value(),
+	}
+	for i := range st.Levels {
+		st.Levels[i] = LevelStat{
+			Compactions:  m.levelCompactions[i].Value(),
+			BytesRead:    m.levelRead[i].Value(),
+			BytesWritten: m.levelWrite[i].Value(),
+			Wall:         time.Duration(m.levelWallNanos[i].Value()),
+		}
+	}
+	return st
 }
 
 // WriteQueueDepth returns the number of Write calls inside the writer

@@ -108,6 +108,7 @@ type dbMetrics struct {
 	levelCompactions [manifest.NumLevels]*obs.Counter
 	levelRead        [manifest.NumLevels]*obs.Counter
 	levelWrite       [manifest.NumLevels]*obs.Counter
+	levelWallNanos   [manifest.NumLevels]*obs.Counter
 }
 
 func newDBMetrics(r *obs.Registry) dbMetrics {
@@ -143,6 +144,7 @@ func newDBMetrics(r *obs.Registry) dbMetrics {
 		m.levelCompactions[i] = r.Counter(fmt.Sprintf("level%d_compactions", i))
 		m.levelRead[i] = r.Counter(fmt.Sprintf("level%d_read_bytes", i))
 		m.levelWrite[i] = r.Counter(fmt.Sprintf("level%d_write_bytes", i))
+		m.levelWallNanos[i] = r.Counter(fmt.Sprintf("level%d_wall_nanos", i))
 	}
 	return m
 }

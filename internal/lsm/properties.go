@@ -14,7 +14,7 @@ import (
 // counters, in the spirit of LevelDB's GetProperty("leveldb.stats").
 func (db *DB) PropertyString() string {
 	db.mu.Lock()
-	st := db.stats
+	st := db.statsLocked()
 	memBytes := db.mem.ApproximateSize()
 	immPending := db.imm != nil
 	db.mu.Unlock()
@@ -70,10 +70,11 @@ func (db *DB) Registry() *obs.Registry {
 func (db *DB) WriteAmplification() float64 {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if db.stats.FlushBytes == 0 {
+	flushed := db.met.flushBytes.Value()
+	if flushed == 0 {
 		return 0
 	}
-	return float64(db.stats.FlushBytes+db.stats.CompactionWrite) / float64(db.stats.FlushBytes)
+	return float64(flushed+db.met.compactionWrite.Value()) / float64(flushed)
 }
 
 // ApproximateSize estimates the on-disk bytes holding user keys in

@@ -4,7 +4,9 @@
 // writes vs background flush and compaction, write stalls, the FPGA
 // offload freeing the host core — at data sizes (up to 1 TB) that would be
 // impractical to materialize. The timing constants come from
-// internal/model and the engine pipeline model in internal/core.
+// internal/model and the engine pipeline model in internal/core; the
+// compaction policy is the store's own (package manifest, DESIGN.md
+// "Compaction policy").
 package lsmsim
 
 import (
@@ -129,9 +131,12 @@ type Result struct {
 	Throughput float64 // payload MB/s, the paper's write-throughput metric
 
 	Flushes       int64
-	Compactions   int64
+	Compactions   int64 // merges; trivial moves are counted apart, as in lsm.Stats
+	TrivialMoves  int64
 	HWCompactions int64
 	SWFallbacks   int64
+	// LevelCompactions counts the merges by source level.
+	LevelCompactions [manifest.NumLevels]int64
 
 	BytesFlushed   int64
 	CompactionIn   int64
@@ -150,7 +155,7 @@ type Result struct {
 // state is one live simulation.
 type state struct {
 	cfg       Config
-	shape     manifest.Config // cfg.Store's level budgets
+	policy    manifest.Config // cfg.Store's level budgets and triggers
 	sim       *sim.Sim
 	entry     int64
 	diskEntry int64
@@ -163,12 +168,12 @@ type state struct {
 	writeFrac  float64
 	extraPerOp time.Duration
 
-	mem        int64
-	immBytes   int64 // immutable memtable being flushed (0 = none)
-	l0         []int64
-	levels     [8]int64
-	runs       [8]int // sorted runs per level (tiered mode)
-	maxLevel   int
+	mem      int64
+	immBytes int64 // immutable memtable being flushed (0 = none)
+	// tree is the modeled tree in the form the store's policy scores. The
+	// model keeps what the policy reads: Files and Runs at L0, Bytes below
+	// it, and Runs below it in tiered mode.
+	tree       manifest.Shape
 	writerBusy bool
 	writerWait bool // blocked on flush/compaction completion
 
@@ -198,7 +203,7 @@ type bgTask struct {
 // newState starts a simulation of cfg, which must already be resolved.
 func newState(cfg Config) *state {
 	return &state{
-		cfg: cfg, shape: cfg.Store.ManifestConfig(), sim: &sim.Sim{},
+		cfg: cfg, policy: cfg.Store.ManifestConfig(), sim: &sim.Sim{},
 		entry: cfg.entryBytes(), diskEntry: cfg.diskEntryBytes(), writeFrac: 1,
 	}
 }
@@ -209,11 +214,19 @@ const writerChunk = 2048 // entries simulated per writer event
 // (device contention and cache churn).
 const readDisturbFactor = 0.35
 
-// overlapFactor scales the size-proportional next-level overlap of a
-// compaction: the compact pointer rotates through the key space, so the
-// average merge sees less than the full proportional share. Calibrated
-// against Table VI's LevelDB column together with the live CPU cost model.
-const overlapFactor = 0.6
+// The two constants of the overlap estimate (overlapBytes), fitted to four
+// fills of the real store (EXPERIMENTS.md "Simulator vs store") and held to
+// it by TestSimulatorTracksStore.
+const (
+	// overlapFactor scales the size-proportional next-level overlap of a
+	// compaction. The model keeps every version of a key, so its levels are
+	// fatter than the store's, and the compact pointer merges into the
+	// stretch of the next level that has gone longest without a merge.
+	overlapFactor = 0.3
+	// firstLap is the share of a level's first lap over the next one during
+	// which its pushes land clear of what the lap has already left there.
+	firstLap = 0.85
+)
 
 // RunFill simulates a db_bench-style random-load: a single client writing
 // DataBytes of key-value payload as fast as the store admits, returning
@@ -240,7 +253,11 @@ func RunFill(cfg Config) Result {
 	if s.res.BytesFlushed > 0 {
 		s.res.WriteAmp = float64(s.res.BytesFlushed+s.res.CompactionOut) / float64(s.res.BytesFlushed)
 	}
-	s.res.MaxLevel = s.maxLevel
+	for level, ls := range s.tree {
+		if ls.Bytes > 0 {
+			s.res.MaxLevel = level
+		}
+	}
 	return s.res
 }
 
@@ -252,7 +269,7 @@ func (s *state) writerStep() {
 	// Stall rules (paper §I / LevelDB's MakeRoomForWrite).
 	memFull := s.mem >= s.cfg.Store.MemTableBytes
 	switch {
-	case len(s.l0) >= s.cfg.Store.L0StopTrigger, memFull && s.immBytes > 0:
+	case s.tree[0].Files >= s.cfg.Store.L0StopTrigger, memFull && s.immBytes > 0:
 		// Hard stop: wait for background progress.
 		if !s.writerWait {
 			s.writerWait = true
@@ -304,7 +321,7 @@ func (s *state) writerStep() {
 		}
 	}
 	// Slowdown trigger: LevelDB sleeps 1ms per write while L0 backs up.
-	if len(s.l0) >= s.cfg.Store.L0SlowdownTrigger {
+	if s.tree[0].Files >= s.cfg.Store.L0SlowdownTrigger {
 		dur += time.Duration(n) * time.Millisecond
 		s.res.StallTime += time.Duration(n) * time.Millisecond
 		s.res.SlowdownWrites += n
@@ -345,7 +362,9 @@ func (s *state) scheduleFlush() {
 	diskBytes := memBytes / s.entry * s.diskEntry
 	cpu, disk := s.flushDuration(memBytes)
 	finish := func() {
-		s.l0 = append(s.l0, diskBytes)
+		s.tree[0].Files++
+		s.tree[0].Runs++
+		s.tree[0].Bytes += uint64(diskBytes)
 		s.immBytes = 0
 		s.res.Flushes++
 		s.res.BytesFlushed += diskBytes
@@ -405,146 +424,105 @@ func (s *state) pumpBG() {
 	})
 }
 
-// compactionJob describes one picked merge.
+// compactionJob describes one picked compaction.
 type compactionJob struct {
 	level    int
+	trivial  bool // a re-link: no bytes read or written
 	inBytes  int64
 	outBytes int64
 	runs     int
 	apply    func()
 }
 
-// pick selects the most urgent compaction, mirroring the real store's
-// score rule.
-func (s *state) pick() *compactionJob {
-	if s.shape.TieredRuns > 0 {
-		return s.pickTiered()
+// overlapBytes estimates how many bytes of level a job overlaps whose
+// inputs are in of the of bytes on their own level, i.e. span that share
+// of the key space — the one quantity the store reads off its file
+// boundaries and a scalar model has to guess. A lap of the compact pointer
+// pushes the inputs' level down once, of bytes; until level holds firstLap
+// of that, the pointer is still ahead of everything it has pushed and
+// there is none. After that it is overlapFactor of the proportional share
+// plus one table, half of one cut off at each end of the input range.
+func (s *state) overlapBytes(level int, in, of uint64) uint64 {
+	if level >= len(s.tree) {
+		return 0
 	}
-	bestLevel, bestScore := -1, 0.0
-	if sc := float64(len(s.l0)) / float64(s.shape.L0CompactionTrigger); sc >= 1 && sc > bestScore {
-		bestLevel, bestScore = 0, sc
-	}
-	for level := 1; level < 7; level++ {
-		if sc := float64(s.levels[level]) / float64(s.shape.MaxBytes(level)); sc >= 1 && sc > bestScore {
-			bestLevel, bestScore = level, sc
-		}
-	}
+	all := s.tree[level].Bytes
 	switch {
-	case bestLevel < 0:
-		return nil
-	case bestLevel == 0:
-		var l0Bytes int64
-		for _, f := range s.l0 {
-			l0Bytes += f
-		}
-		// Random keys: every L0 file spans the key space, so the merge
-		// rewrites all of L1 (paper §VII-C: "eight SSTables on Level 0 and
-		// Level 1 are involved ... in most cases").
-		overlap := s.levels[1]
-		runs := len(s.l0)
-		if overlap > 0 {
-			runs++
-		}
-		in := l0Bytes + overlap
-		return &compactionJob{level: 0, inBytes: in, outBytes: in, runs: runs, apply: func() {
-			s.l0 = s.l0[:0]
-			s.levels[1] += l0Bytes
-			if s.maxLevel < 1 {
-				s.maxLevel = 1
-			}
-		}}
-	default:
-		level := bestLevel
-		file := int64(s.shape.MaxOutputFileBytes)
-		if file > s.levels[level] {
-			file = s.levels[level]
-		}
-		// Expected overlap of one file with the next level: the file spans
-		// file/levels[level] of the key space, so it overlaps that share
-		// of the next level's bytes (≈ half the worst-case ratio+1 files
-		// once both levels are at their steady-state ratio, since the
-		// compact pointer rotates through the key space).
-		overlap := s.levels[level+1]
-		if s.levels[level] > file {
-			overlap = int64(float64(s.levels[level+1]) * float64(file) / float64(s.levels[level]) * overlapFactor)
-			overlap += int64(s.shape.MaxOutputFileBytes) / 2 // boundary effect
-		}
-		if overlap > s.levels[level+1] {
-			overlap = s.levels[level+1]
-		}
-		in := file + overlap
-		return &compactionJob{level: level, inBytes: in, outBytes: in, runs: 2, apply: func() {
-			s.levels[level] -= file
-			s.levels[level+1] += file
-			if s.maxLevel < level+1 {
-				s.maxLevel = level + 1
-			}
-		}}
+	case in >= of:
+		return all
+	case float64(all) < firstLap*float64(of):
+		return 0
 	}
+	share := float64(all) * float64(in) / float64(of)
+	return min(all, uint64(share*overlapFactor)+s.policy.MaxOutputFileBytes)
 }
 
-// pickTiered models full-level lazy merges: a level's runs combine into
-// one run at the next level once the run count reaches the threshold.
-// Each merge reads and writes only the level's own bytes — the
-// write-amplification saving of tiering.
-func (s *state) pickTiered() *compactionJob {
-	bestLevel, bestScore := -1, 0.0
-	if sc := float64(len(s.l0)) / float64(s.shape.L0CompactionTrigger); sc >= 1 {
-		bestLevel, bestScore = 0, sc
-	}
-	for level := 1; level < 7; level++ {
-		if sc := float64(s.runs[level]) / float64(s.shape.TieredRuns); sc >= 1 && sc > bestScore {
-			bestLevel, bestScore = level, sc
-		}
-	}
-	if bestLevel < 0 {
+// pick asks the store's policy which level compacts next and sizes the job
+// the store would build there.
+func (s *state) pick() *compactionJob {
+	level, out, ok := s.policy.PickLevel(s.tree, nil)
+	if !ok {
 		return nil
 	}
-	if bestLevel == 0 {
-		var l0Bytes int64
-		for _, f := range s.l0 {
-			l0Bytes += f
-		}
-		nRuns := len(s.l0)
-		return &compactionJob{level: 0, inBytes: l0Bytes, outBytes: l0Bytes, runs: nRuns, apply: func() {
-			s.l0 = s.l0[:0]
-			s.levels[1] += l0Bytes
-			s.runs[1]++
-			if s.maxLevel < 1 {
-				s.maxLevel = 1
-			}
+	from := s.tree[level]
+	if s.policy.TieredRuns > 0 {
+		// A full-level lazy merge reads and writes only the level's own
+		// bytes — the write-amplification saving of tiering — and lands as
+		// one fresh run.
+		n := int64(from.Bytes)
+		return &compactionJob{level: level, inBytes: n, outBytes: n, runs: from.Runs, apply: func() {
+			s.tree[level] = manifest.LevelShape{}
+			s.tree[out].Bytes += from.Bytes
+			s.tree[out].Runs++
 		}}
 	}
-	level := bestLevel
-	bytes := s.levels[level]
-	nRuns := s.runs[level]
-	out := level + 1
-	if out > 6 {
-		out = 6 // deepest level rewrites in place
+	// Leveled: the one table after the compact pointer, or all of L0 — with
+	// random keys every L0 file spans the key space, so the job takes them
+	// all and rewrites all of L1 (paper §VII-C: "eight SSTables on Level 0
+	// and Level 1 are involved ... in most cases").
+	files, runs, bytes := 1, 1, min(s.policy.MaxOutputFileBytes, from.Bytes)
+	if level == 0 {
+		files, runs, bytes = from.Files, from.Runs, from.Bytes
 	}
-	return &compactionJob{level: level, inBytes: bytes, outBytes: bytes, runs: nRuns, apply: func() {
-		s.levels[level] -= bytes
-		s.runs[level] -= nRuns
-		s.levels[out] += bytes
-		s.runs[out]++
-		if s.maxLevel < out {
-			s.maxLevel = out
-		}
-	}}
+	overlap := s.overlapBytes(out, bytes, from.Bytes)
+	next := 0 // output-level tables read; the policy only asks whether there are any
+	if overlap > 0 {
+		next = 1
+	}
+	n := int64(bytes + overlap)
+	return &compactionJob{
+		level:   level,
+		trivial: s.policy.TrivialMove(files, next, s.overlapBytes(out+1, bytes, from.Bytes)),
+		inBytes: n, outBytes: n, runs: runs + next,
+		apply: func() {
+			if level == 0 {
+				s.tree[0] = manifest.LevelShape{}
+			} else {
+				s.tree[level].Bytes -= bytes
+			}
+			s.tree[out].Bytes += bytes
+		},
+	}
 }
 
 // maybeCompact starts the next compaction when one is due and none is
-// running (the store runs one merge at a time).
+// running (the store runs one merge at a time). Trivial moves cost a
+// manifest edit and no data movement, so they apply on the spot.
 func (s *state) maybeCompact() {
 	if s.compacting {
 		return
 	}
 	job := s.pick()
+	for ; job != nil && job.trivial; job = s.pick() {
+		s.res.TrivialMoves++
+		job.apply()
+	}
 	if job == nil {
 		return
 	}
 	s.compacting = true
 	s.res.Compactions++
+	s.res.LevelCompactions[job.level]++
 	s.res.CompactionIn += job.inBytes
 	s.res.CompactionOut += job.outBytes
 

@@ -59,13 +59,13 @@ const scanLength = 50 // YCSB default scan length
 
 // readCost models one point read against the current tree shape.
 func (s *state) readCost(hitProb float64) time.Duration {
-	levels := 1 // memtable
-	for l := 1; l < 7; l++ {
-		if s.levels[l] > 0 {
-			levels++
+	probes := 1 + s.tree[0].Files // memtable, every L0 file
+	for _, ls := range s.tree[1:] {
+		if ls.Bytes > 0 {
+			probes++
 		}
 	}
-	probe := time.Duration(levels+len(s.l0)) * model.ReadPerLevelProbe
+	probe := time.Duration(probes) * model.ReadPerLevelProbe
 	// Expected block fetch cost.
 	miss := (1 - hitProb) * float64(model.ReadDiskSeek)
 	hit := hitProb * float64(model.ReadMemHit)
@@ -116,16 +116,14 @@ func RunYCSB(cfg Config, w YCSBWorkload, loadBytes int64, opCount int64) YCSBRes
 // preload fills the tree shape with loadBytes of existing data, bottom
 // level first, so reads probe a realistic number of levels.
 func (s *state) preload(loadBytes int64) {
-	disk := int64(float64(loadBytes) * s.cfg.DiskCompression)
-	for level := 1; level <= 6 && disk > 0; level++ {
+	disk := uint64(float64(loadBytes) * s.cfg.DiskCompression)
+	last := len(s.tree) - 1
+	for level := 1; level <= last && disk > 0; level++ {
 		take := disk
-		if cap := int64(s.shape.MaxBytes(level)); take > cap && level < 6 {
-			take = cap
+		if level < last {
+			take = min(take, s.policy.MaxBytes(level))
 		}
-		s.levels[level] += take
+		s.tree[level].Bytes += take
 		disk -= take
-		if s.maxLevel < level {
-			s.maxLevel = level
-		}
 	}
 }

@@ -305,7 +305,7 @@ func TestPickCompactionL0Trigger(t *testing.T) {
 	if err := vs.LogAndApply(edit); err != nil {
 		t.Fatal(err)
 	}
-	if c := vs.PickCompaction(); c != nil {
+	if c := vs.PickCompactionFiltered(nil); c != nil {
 		t.Fatal("compaction picked below L0 trigger")
 	}
 	edit2 := &VersionEdit{}
@@ -313,7 +313,7 @@ func TestPickCompactionL0Trigger(t *testing.T) {
 	if err := vs.LogAndApply(edit2); err != nil {
 		t.Fatal(err)
 	}
-	c := vs.PickCompaction()
+	c := vs.PickCompactionFiltered(nil)
 	if c == nil || c.Level != 0 {
 		t.Fatalf("expected L0 compaction, got %+v", c)
 	}
@@ -344,7 +344,7 @@ func TestPickCompactionSizeTrigger(t *testing.T) {
 	if err := vs.LogAndApply(edit); err != nil {
 		t.Fatal(err)
 	}
-	c := vs.PickCompaction()
+	c := vs.PickCompactionFiltered(nil)
 	if c == nil || c.Level != 1 {
 		t.Fatalf("expected L1 compaction, got %+v", c)
 	}
@@ -369,7 +369,7 @@ func TestTrivialMove(t *testing.T) {
 	if err := vs.LogAndApply(edit); err != nil {
 		t.Fatal(err)
 	}
-	c := vs.PickCompaction()
+	c := vs.PickCompactionFiltered(nil)
 	if c == nil {
 		t.Fatal("no compaction picked")
 	}
@@ -391,7 +391,7 @@ func TestCompactPointerRotation(t *testing.T) {
 	if err := vs.LogAndApply(edit); err != nil {
 		t.Fatal(err)
 	}
-	c1 := vs.PickCompaction()
+	c1 := vs.PickCompactionFiltered(nil)
 	if c1 == nil {
 		t.Fatal("no compaction")
 	}
@@ -402,7 +402,7 @@ func TestCompactPointerRotation(t *testing.T) {
 	if err := vs.LogAndApply(e); err != nil {
 		t.Fatal(err)
 	}
-	c2 := vs.PickCompaction()
+	c2 := vs.PickCompactionFiltered(nil)
 	if c2 == nil {
 		t.Fatal("no second compaction")
 	}

@@ -7,17 +7,16 @@ import (
 // Compaction describes one merge job: the files consumed from Level and
 // Level+1 and the bookkeeping needed to install the result. It is exactly
 // the unit the paper's host scheduler offloads to the FPGA (paper §IV
-// steps 1-3); NumInputs tells the scheduler whether the job fits the
-// engine's N-input limit (paper §VI-A).
+// steps 1-3). Which level, whether it is a re-link and how many runs it
+// reads are the policy's decisions (policy.go); this file finds the files.
 type Compaction struct {
-	Level  int
-	Inputs [2][]*FileMetadata // Inputs[0] from Level, Inputs[1] from Level+1
+	Level int
+	// Inputs[0] are the files from Level, Inputs[1] those from Level+1. In
+	// tiered mode (Cfg.TieredRuns > 0) a job is a full-level merge: all
+	// runs of Level combine into ONE fresh run at OutputLevel(), without
+	// touching the next level's existing runs (the lazy part).
+	Inputs [2][]*FileMetadata
 	Cfg    Config
-
-	// Tiered marks a full-level tiered merge: all runs of Level combine
-	// into ONE fresh run at OutputLevel(), without touching the next
-	// level's existing runs (the lazy part).
-	Tiered bool
 
 	// SmallestUser / LargestUser bound the union of all inputs.
 	SmallestUser []byte
@@ -31,50 +30,13 @@ type Compaction struct {
 // NumInputFiles returns the total file count consumed.
 func (c *Compaction) NumInputFiles() int { return len(c.Inputs[0]) + len(c.Inputs[1]) }
 
-// NumInputs returns the number of sorted runs feeding the merge: at level
-// 0 every file is its own run (key ranges may overlap); a leveled deeper
-// level contributes a single concatenated run (paper §IV step 2); a tiered
-// level contributes one run per RunID group.
-func (c *Compaction) NumInputs() int {
-	n := 0
-	switch {
-	case c.Level == 0:
-		n = len(c.Inputs[0])
-	case c.Tiered:
-		n = len(RunGroupsOf(c.Inputs[0]))
-	case len(c.Inputs[0]) > 0:
-		n = 1
-	}
-	if len(c.Inputs[1]) > 0 {
-		n++
-	}
-	return n
-}
+// NumInputs returns the number of sorted runs feeding the merge.
+func (c *Compaction) NumInputs() int { return len(c.InputRuns()) }
 
-// OutputLevel is where the merge's output tables land: Level+1, except a
-// tiered merge of the deepest level, which rewrites in place.
+// OutputLevel is where the merge's output tables land.
 func (c *Compaction) OutputLevel() int {
-	if c.Tiered && c.Level == NumLevels-1 {
-		return c.Level
-	}
-	return c.Level + 1
-}
-
-// RunGroupsOf groups files (sorted by RunID, Smallest — version storage
-// order) into their sorted runs, oldest first.
-func RunGroupsOf(files []*FileMetadata) [][]*FileMetadata {
-	if len(files) == 0 {
-		return nil
-	}
-	var groups [][]*FileMetadata
-	start := 0
-	for i := 1; i <= len(files); i++ {
-		if i == len(files) || files[i].RunID != files[start].RunID {
-			groups = append(groups, files[start:i])
-			start = i
-		}
-	}
-	return groups
+	out, _ := c.Cfg.OutputLevel(c.Level)
+	return out
 }
 
 // InputBytes returns the total input size.
@@ -91,16 +53,11 @@ func (c *Compaction) InputBytes() uint64 {
 // IsTrivialMove reports whether the job can be satisfied by re-linking a
 // single input file into the next level without rewriting it.
 func (c *Compaction) IsTrivialMove() bool {
-	if len(c.Inputs[0]) != 1 || len(c.Inputs[1]) != 0 {
-		return false
-	}
-	// Avoid moving a file that overlaps too many grandparent bytes, which
-	// would make a future compaction at level+1 expensive.
 	var overlap uint64
 	for _, f := range c.grandparents {
 		overlap += f.Size
 	}
-	return overlap <= 10*c.Cfg.MaxOutputFileBytes
+	return c.Cfg.TrivialMove(len(c.Inputs[0]), len(c.Inputs[1]), overlap)
 }
 
 // IsBottomLevel reports whether no data deeper than the merge's output can
@@ -108,7 +65,7 @@ func (c *Compaction) IsTrivialMove() bool {
 // tiered merge must also treat the output level's other, unconsumed runs
 // as "deeper": a dropped tombstone would resurrect their entries.
 func (c *Compaction) IsBottomLevel(v *Version) bool {
-	if c.Tiered {
+	if c.Cfg.TieredRuns > 0 {
 		inputs := make(map[uint64]bool, len(c.Inputs[0]))
 		for _, f := range c.Inputs[0] {
 			inputs[f.Num] = true
@@ -135,112 +92,41 @@ func (c *Compaction) IsBottomLevel(v *Version) bool {
 	return true
 }
 
-// PickCompaction selects the most urgent compaction in v, or nil when no
-// level needs work. Size-triggered compactions take priority; the
-// compactPointers rotate through each level's key space so work spreads
-// evenly.
-func (vs *VersionSet) PickCompaction() *Compaction {
-	return vs.PickCompactionFiltered(nil)
-}
-
-// PickCompactionFiltered is PickCompaction restricted to levels the caller
-// accepts: allowed is consulted with each candidate's input and output
-// level, and rejected levels are skipped in score order. Concurrent
-// compaction workers use it to pick non-overlapping level ranges while one
-// or more jobs are already in flight; nil means no restriction.
+// PickCompactionFiltered builds the most urgent compaction of the current
+// version on a level allowed accepts (nil accepts all; see Config.PickLevel),
+// or returns nil when no such level needs work. The compactPointers rotate
+// through each level's key space so work spreads evenly.
 func (vs *VersionSet) PickCompactionFiltered(allowed func(level, outputLevel int) bool) *Compaction {
 	vs.mu.Lock()
 	defer vs.mu.Unlock()
-	v := vs.current
-
-	if vs.cfg.TieredRuns > 0 {
-		return vs.pickTiered(v, allowed)
-	}
-	bestLevel, bestScore := -1, 0.0
-	for level := 0; level < NumLevels-1; level++ {
-		if allowed != nil && !allowed(level, level+1) {
-			continue
-		}
-		var score float64
-		if level == 0 {
-			score = float64(len(v.Levels[0])) / float64(vs.cfg.L0CompactionTrigger)
-		} else {
-			score = float64(v.LevelBytes(level)) / float64(vs.cfg.MaxBytes(level))
-		}
-		if score > bestScore {
-			bestLevel, bestScore = level, score
-		}
-	}
-	if bestScore < 1.0 {
+	level, _, ok := vs.cfg.PickLevel(vs.current.Shape(), allowed)
+	if !ok {
 		return nil
 	}
-	return vs.buildCompactionLocked(v, bestLevel)
-}
-
-// tieredOutputLevel mirrors Compaction.OutputLevel for a tiered merge of
-// level before the Compaction exists.
-func tieredOutputLevel(level int) int {
-	if level == NumLevels-1 {
-		return level
-	}
-	return level + 1
-}
-
-// pickTiered selects a full-level merge when a level's run count reaches
-// the tiering threshold. L0 keeps its file-count trigger.
-func (vs *VersionSet) pickTiered(v *Version, allowed func(level, outputLevel int) bool) *Compaction {
-	bestLevel, bestScore := -1, 0.0
-	if allowed == nil || allowed(0, 1) {
-		if sc := float64(len(v.Levels[0])) / float64(vs.cfg.L0CompactionTrigger); sc > bestScore {
-			bestLevel, bestScore = 0, sc
-		}
-	}
-	for level := 1; level < NumLevels; level++ {
-		if allowed != nil && !allowed(level, tieredOutputLevel(level)) {
-			continue
-		}
-		sc := float64(v.NumRuns(level)) / float64(vs.cfg.TieredRuns)
-		if sc > bestScore {
-			bestLevel, bestScore = level, sc
-		}
-	}
-	if bestScore < 1.0 {
-		return nil
-	}
-	c := &Compaction{Level: bestLevel, Cfg: vs.cfg, Tiered: bestLevel > 0}
-	if bestLevel == 0 {
-		// L0 merge: all files, pushed as one run into L1; L1's existing
-		// runs are left alone.
-		c.Inputs[0] = append([]*FileMetadata(nil), v.Levels[0]...)
-		c.Tiered = true
-	} else {
-		c.Inputs[0] = append([]*FileMetadata(nil), v.Levels[bestLevel]...)
-	}
-	c.SmallestUser, c.LargestUser = inputUserRange(c.Inputs[0])
-	return c
+	return vs.buildCompactionLocked(level)
 }
 
 // PickCompactionAtLevel forces a compaction at the given level, used by
-// manual compaction and tests. Returns nil if the level is empty.
+// manual compaction and tests. Returns nil if the level is empty or has no
+// output level.
 func (vs *VersionSet) PickCompactionAtLevel(level int) *Compaction {
 	vs.mu.Lock()
 	defer vs.mu.Unlock()
-	v := vs.current
-	if len(v.Levels[level]) == 0 {
+	if _, ok := vs.cfg.OutputLevel(level); !ok || len(vs.current.Levels[level]) == 0 {
 		return nil
 	}
+	return vs.buildCompactionLocked(level)
+}
+
+func (vs *VersionSet) buildCompactionLocked(level int) *Compaction {
+	v := vs.current
+	c := &Compaction{Level: level, Cfg: vs.cfg}
 	if vs.cfg.TieredRuns > 0 {
 		// Tiered mode always merges whole levels.
-		c := &Compaction{Level: level, Cfg: vs.cfg, Tiered: true}
 		c.Inputs[0] = append([]*FileMetadata(nil), v.Levels[level]...)
 		c.SmallestUser, c.LargestUser = inputUserRange(c.Inputs[0])
 		return c
 	}
-	return vs.buildCompactionLocked(v, level)
-}
-
-func (vs *VersionSet) buildCompactionLocked(v *Version, level int) *Compaction {
-	c := &Compaction{Level: level, Cfg: vs.cfg}
 
 	// Seed with the file after the compact pointer (round robin).
 	var seed *FileMetadata

@@ -2,6 +2,7 @@ package manifest
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"fcae/internal/keys"
@@ -194,26 +195,26 @@ func (v *Version) checkInvariants() error {
 	return nil
 }
 
-// RunGroups returns the level's files grouped into sorted runs, newest run
-// (largest RunID) first. Levels are stored sorted by (RunID, Smallest), so
-// groups are consecutive slices.
-func (v *Version) RunGroups(level int) [][]*FileMetadata {
-	files := v.Levels[level]
-	if len(files) == 0 {
-		return nil
-	}
-	var groups [][]*FileMetadata
+// splitRuns cuts files, in version storage order (RunID, Smallest), into
+// sorted runs, oldest first: consecutive files of one RunID, or every file
+// on its own when each is a run (level 0).
+func splitRuns(files []*FileMetadata, each bool) [][]*FileMetadata {
+	var runs [][]*FileMetadata
 	start := 0
 	for i := 1; i <= len(files); i++ {
-		if i == len(files) || files[i].RunID != files[start].RunID {
-			groups = append(groups, files[start:i])
+		if i == len(files) || each || files[i].RunID != files[start].RunID {
+			runs = append(runs, files[start:i])
 			start = i
 		}
 	}
-	// Reverse: newest RunID last in storage order, first for probing.
-	for i, j := 0, len(groups)-1; i < j; i, j = i+1, j-1 {
-		groups[i], groups[j] = groups[j], groups[i]
-	}
+	return runs
+}
+
+// RunGroups returns the level's files grouped into sorted runs, newest run
+// (largest RunID) first for probing.
+func (v *Version) RunGroups(level int) [][]*FileMetadata {
+	groups := splitRuns(v.Levels[level], false)
+	slices.Reverse(groups)
 	return groups
 }
 
