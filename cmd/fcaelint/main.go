@@ -16,23 +16,10 @@
 //
 // Flags:
 //
-//	-json               emit a report object: {"resolver": {mode,
-//	                    static_edges, dynamic_edges}, "findings": [...]}
-//	                    where each finding is {file, line, col, analyzer,
-//	                    message}. The resolver header records how many
-//	                    call-graph edges came from direct (static)
-//	                    resolution vs interface/func-value (dynamic)
-//	                    resolution, so consumers can tell whether a clean
-//	                    run actually had dynamic dispatch coverage.
-//	-baseline FILE      suppress findings listed in FILE (see below)
-//	-write-baseline FILE  write the current findings to FILE and exit 0
-//	-C DIR              analyze the module containing DIR instead of cwd
-//	-list               list the analyzers and exit
-//
-// A baseline file holds one "file: analyzer: message" line per accepted
-// finding — deliberately line-number-free so entries survive unrelated
-// edits. Use -write-baseline once to adopt a legacy tree, then burn the
-// file down finding by finding.
+//	-json     emit a report object, {"findings": [...]}, each finding
+//	          {file, line, col, analyzer, message, category}
+//	-C DIR    analyze the module containing DIR instead of cwd
+//	-list     list the analyzers and exit
 package main
 
 import (
@@ -51,24 +38,9 @@ func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// jsonReport is the -json wire schema: a resolver header describing how
-// the call graph was built, then the findings.
+// jsonReport is the -json wire schema.
 type jsonReport struct {
-	Resolver jsonResolver `json:"resolver"`
-	Findings []jsonDiag   `json:"findings"`
-}
-
-// jsonResolver records the call-graph resolution mode and edge counts of
-// the run. Mode is "dynamic": the suite resolves interface method calls
-// through instantiated-type sets and func-value calls through
-// assignment flow, in addition to direct static calls. StaticEdges and
-// DynamicEdges count call sites resolved each way — a clean run with
-// zero dynamic edges means no interface seams were exercised, not that
-// they were checked.
-type jsonResolver struct {
-	Mode         string `json:"mode"`
-	StaticEdges  int64  `json:"static_edges"`
-	DynamicEdges int64  `json:"dynamic_edges"`
+	Findings []jsonDiag `json:"findings"`
 }
 
 // jsonDiag is the -json wire schema, one object per finding.
@@ -87,12 +59,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("fcaelint", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	list := fs.Bool("list", false, "list the analyzers and exit")
-	jsonOut := fs.Bool("json", false, "emit findings as a JSON array")
-	baselinePath := fs.String("baseline", "", "suppress findings listed in this file")
-	writeBaseline := fs.String("write-baseline", "", "write current findings to this file and exit 0")
+	jsonOut := fs.Bool("json", false, `emit a JSON report object, {"findings": [...]}`)
 	dir := fs.String("C", "", "analyze the module containing this directory (default: cwd)")
 	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: fcaelint [-list] [-json] [-baseline file] [-write-baseline file] [-C dir] [./... | pkg-dir ...]\n\nAnalyzers:\n")
+		fmt.Fprintf(stderr, "usage: fcaelint [-list] [-json] [-C dir] [./... | pkg-dir ...]\n\nAnalyzers:\n")
 		for _, a := range lint.Analyzers() {
 			fmt.Fprintf(stderr, "  %-15s %s\n", a.Name, a.Doc)
 		}
@@ -145,7 +115,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "fcaelint:", err)
 		return 2
 	}
-	diags, stats := lint.CheckStats(pkgs, lint.Analyzers())
+	diags := lint.Check(pkgs, lint.Analyzers())
 
 	rel := func(filename string) string {
 		if r, err := filepath.Rel(root, filename); err == nil && !strings.HasPrefix(r, "..") {
@@ -164,50 +134,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		diags = kept
 	}
 
-	if *writeBaseline != "" {
-		var b strings.Builder
-		for _, d := range diags {
-			b.WriteString(baselineKey(rel(d.Pos.Filename), d.Analyzer, d.Message))
-			b.WriteByte('\n')
-		}
-		if err := os.WriteFile(*writeBaseline, []byte(b.String()), 0o644); err != nil {
-			fmt.Fprintln(stderr, "fcaelint:", err)
-			return 2
-		}
-		fmt.Fprintf(stderr, "fcaelint: wrote %d baseline entrie(s) to %s\n", len(diags), *writeBaseline)
-		return 0
-	}
-
-	if *baselinePath != "" {
-		accepted, err := loadBaseline(*baselinePath)
-		if err != nil {
-			fmt.Fprintln(stderr, "fcaelint:", err)
-			return 2
-		}
-		kept := diags[:0]
-		suppressed := 0
-		for _, d := range diags {
-			if accepted[baselineKey(rel(d.Pos.Filename), d.Analyzer, d.Message)] {
-				suppressed++
-				continue
-			}
-			kept = append(kept, d)
-		}
-		diags = kept
-		if suppressed > 0 {
-			fmt.Fprintf(stderr, "fcaelint: %d finding(s) suppressed by baseline\n", suppressed)
-		}
-	}
-
 	if *jsonOut {
-		report := jsonReport{
-			Resolver: jsonResolver{
-				Mode:         "dynamic",
-				StaticEdges:  stats.StaticEdges,
-				DynamicEdges: stats.DynamicEdges,
-			},
-			Findings: make([]jsonDiag, 0, len(diags)),
-		}
+		report := jsonReport{Findings: make([]jsonDiag, 0, len(diags))}
 		for _, d := range diags {
 			report.Findings = append(report.Findings, jsonDiag{
 				File:     rel(d.Pos.Filename),
@@ -245,27 +173,4 @@ func underAnyFilter(relFile string, filters []string) bool {
 		}
 	}
 	return false
-}
-
-// baselineKey is the line-number-free identity of a finding.
-func baselineKey(relFile, analyzer, message string) string {
-	return relFile + ": " + analyzer + ": " + message
-}
-
-// loadBaseline reads accepted-finding keys, one per line; blank lines and
-// #-comments are skipped.
-func loadBaseline(path string) (map[string]bool, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	accepted := make(map[string]bool)
-	for _, line := range strings.Split(string(data), "\n") {
-		line = strings.TrimSpace(line)
-		if line == "" || strings.HasPrefix(line, "#") {
-			continue
-		}
-		accepted[line] = true
-	}
-	return accepted, nil
 }

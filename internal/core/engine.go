@@ -457,7 +457,7 @@ func newOutputBuilder(cfg Config, p Params) *outputBuilder {
 //fcae:cycle-accounting
 func (o *outputBuilder) retain(b []byte) []byte {
 	if dst, ok := o.p.Arena.takeOut(len(b)); ok {
-		//fcae:alloc-ok arena-backed: takeOut pre-carved exactly len(b) capacity, append cannot grow
+		// Arena-backed: takeOut pre-carved exactly len(b) capacity, so this append cannot grow.
 		return append(dst, b...)
 	}
 	//fcae:alloc-ok retained output must outlive the merge loop; the arena is absent or its output region is full
@@ -479,7 +479,7 @@ func (o *outputBuilder) add(ikey, value []byte) (float64, error) {
 		o.wantClose = false
 	}
 	if o.cur == nil {
-		//fcae:alloc-ok one table image per output table, not per pair; its bound bytes go through retain
+		// One table image per output table, not per pair; its bound bytes go through retain.
 		o.cur = &OutputTableImage{Smallest: o.retain(ikey)}
 		o.curous = 0
 	}
@@ -487,7 +487,7 @@ func (o *outputBuilder) add(ikey, value []byte) (float64, error) {
 	o.blockEntries++
 	o.last = append(o.last[:0], ikey...)
 	if o.p.CollectFilterKeys {
-		//fcae:alloc-ok filter keys are retained output handed to the host assembler; key bytes go through retain
+		// Filter keys are retained output handed to the host assembler; key bytes go through retain.
 		o.cur.FilterKeys = append(o.cur.FilterKeys, o.retain(keys.UserKey(ikey)))
 	}
 	o.cur.Entries++

@@ -14,9 +14,9 @@ import (
 // needed." The executor round-trips both across the simulated DMA
 // boundary so the layouts are genuinely exercised.
 
-// The wire widths of both meta blocks, validated by the devmem analyzer
-// against the paper's layout. Spelled as field sums so a layout change
-// is a one-line edit here and a deliberate analyzer update.
+// The wire widths of both meta blocks (paper Fig 8), spelled as field sums.
+// The codecs write field by field, so a wrong width fails TestMetaInRoundTrip /
+// TestMetaOutRoundTrip; devmem keeps the bare numbers out of the Meta functions.
 const (
 	metaInHeaderLen      = 4         // u32 numSSTables
 	metaInEntryLen       = 8 + 8 + 4 // u64 indexOff + u64 indexLen + u32 numBlocks

@@ -6,7 +6,6 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
-	"strings"
 )
 
 // BufAlias flags retention of iterator Key()/Value() views. Every
@@ -35,9 +34,9 @@ import (
 // Prev, SeekGE, SeekToFirst, SeekToLast) must, later in its body, call
 // a function holding a vouched store of that view (or be one, with the
 // store after the move). A move with neither is reported at the call. Only the `x.f = x.it.Key()`
-// form, both fields of one struct value, can carry the directive, and a
-// directive attached to nothing is itself a finding. Moves made through
-// another alias of the iterator are outside what the check can see.
+// form, both fields of one struct value, can carry the directive; one on
+// any other line is unused, which the directive index reports. Moves made
+// through another alias of the iterator are outside what the check can see.
 var BufAlias = &Analyzer{
 	Name: "bufalias",
 	Doc:  "iterator Key()/Value() views must be copied before they outlive the next positioning call",
@@ -46,76 +45,29 @@ var BufAlias = &Analyzer{
 
 const viewOKDirective = "//fcae:view-ok"
 
-func runBufAlias(pass *Pass) {
-	vouched := collectViewOKDirectives(pass)
-	var held []heldView
-	eachFuncDecl(pass, func(fd *ast.FuncDecl) {
-		held = append(held, checkBufAlias(pass, fd, vouched)...)
-	})
-	for _, d := range vouched {
-		if !d.used {
-			pass.Reportf(d.pos, "%s is not attached to a view store (x.f = x.it.Key()); remove it", viewOKDirective)
-		}
-	}
-	checked := make(map[[2]*types.Var]bool)
-	for _, hv := range held {
-		if pair := [2]*types.Var{hv.view, hv.iter}; !checked[pair] {
-			checked[pair] = true
-			checkHeldView(pass, hv, held)
-		}
-	}
-}
-
-func eachFuncDecl(pass *Pass, visit func(*ast.FuncDecl)) {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			if fd, ok := decl.(*ast.FuncDecl); ok && fd.Body != nil {
-				visit(fd)
+func runBufAlias(pass *ModulePass) {
+	// Views are held and refreshed by functions of one package.
+	for _, pkg := range pass.Module.Pkgs {
+		var held []heldView
+		eachFuncDecl(pass.Module, pkg, func(fd *ast.FuncDecl) {
+			held = append(held, checkBufAlias(pass, pkg, fd)...)
+		})
+		checked := make(map[[2]*types.Var]bool)
+		for _, hv := range held {
+			if pair := [2]*types.Var{hv.view, hv.iter}; !checked[pair] {
+				checked[pair] = true
+				checkHeldView(pass, pkg, hv, held)
 			}
 		}
 	}
 }
 
-// viewOK is one //fcae:view-ok comment.
-type viewOK struct {
-	file string
-	line int
-	pos  token.Pos
-	used bool
-}
-
-// collectViewOKDirectives gathers the package's //fcae:view-ok comments,
-// reporting any without a reason.
-func collectViewOKDirectives(pass *Pass) []*viewOK {
-	var out []*viewOK
-	for _, f := range pass.Files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if !strings.HasPrefix(c.Text, viewOKDirective) {
-					continue
-				}
-				if strings.TrimSpace(strings.TrimPrefix(c.Text, viewOKDirective)) == "" {
-					pass.Reportf(c.Pos(), "malformed %s directive: the reason is mandatory (%s <reason>)",
-						viewOKDirective, viewOKDirective)
-					continue
-				}
-				p := pass.Fset.Position(c.Pos())
-				out = append(out, &viewOK{file: p.Filename, line: p.Line, pos: c.Pos()})
-			}
+func eachFuncDecl(m *Module, pkg *Package, visit func(*ast.FuncDecl)) {
+	for _, fi := range m.Funcs() {
+		if fi.Pkg == pkg {
+			visit(fi.Decl)
 		}
 	}
-	return out
-}
-
-// vouchedAt returns the directive on pos's line or the line above.
-func vouchedAt(pass *Pass, vouched []*viewOK, pos token.Pos) *viewOK {
-	p := pass.Fset.Position(pos)
-	for _, d := range vouched {
-		if d.file == p.Filename && (d.line == p.Line || d.line == p.Line-1) {
-			return d
-		}
-	}
-	return nil
 }
 
 // heldView is one vouched store: struct field view caches the
@@ -128,21 +80,21 @@ type heldView struct {
 }
 
 // heldViewOf recognizes lhs = recv.Key() as x.f = x.it.Key().
-func heldViewOf(pass *Pass, fd *ast.FuncDecl, lhs *ast.SelectorExpr, recv ast.Expr, pos token.Pos) (heldView, bool) {
+func heldViewOf(info *types.Info, fd *ast.FuncDecl, lhs *ast.SelectorExpr, recv ast.Expr, pos token.Pos) (heldView, bool) {
 	recvSel, ok := ast.Unparen(recv).(*ast.SelectorExpr)
 	if !ok || types.ExprString(lhs.X) != types.ExprString(recvSel.X) {
 		return heldView{}, false
 	}
-	view, iter := fieldOf(pass, lhs), fieldOf(pass, recvSel)
+	view, iter := fieldOf(info, lhs), fieldOf(info, recvSel)
 	if view == nil || iter == nil {
 		return heldView{}, false
 	}
-	return heldView{view: view, iter: iter, refresh: pass.Info.Defs[fd.Name], pos: pos}, true
+	return heldView{view: view, iter: iter, refresh: info.Defs[fd.Name], pos: pos}, true
 }
 
 // fieldOf resolves a selector to the struct field it names, or nil.
-func fieldOf(pass *Pass, sel *ast.SelectorExpr) *types.Var {
-	s := pass.Info.Selections[sel]
+func fieldOf(info *types.Info, sel *ast.SelectorExpr) *types.Var {
+	s := info.Selections[sel]
 	if s == nil || s.Kind() != types.FieldVal {
 		return nil
 	}
@@ -158,14 +110,15 @@ var positioningMethods = map[string]bool{
 // moves the iterator through hv.iter, a refresh of hv.view must follow in
 // the same function — a call to any function in held that stores the
 // same view, or such a store itself.
-func checkHeldView(pass *Pass, hv heldView, held []heldView) {
+func checkHeldView(pass *ModulePass, pkg *Package, hv heldView, held []heldView) {
+	info := pkg.Info
 	refreshers := make(map[types.Object]bool)
 	for _, h := range held {
 		if h.view == hv.view && h.iter == hv.iter {
 			refreshers[h.refresh] = true
 		}
 	}
-	eachFuncDecl(pass, func(fd *ast.FuncDecl) {
+	eachFuncDecl(pass.Module, pkg, func(fd *ast.FuncDecl) {
 		var moves []*ast.CallExpr
 		var lastRefresh token.Pos
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -174,11 +127,11 @@ func checkHeldView(pass *Pass, hv heldView, held []heldView) {
 				var callee types.Object
 				switch fun := n.Fun.(type) {
 				case *ast.Ident:
-					callee = pass.Info.Uses[fun]
+					callee = info.Uses[fun]
 				case *ast.SelectorExpr:
-					callee = pass.Info.Uses[fun.Sel]
+					callee = info.Uses[fun.Sel]
 					if recv, ok := ast.Unparen(fun.X).(*ast.SelectorExpr); ok &&
-						positioningMethods[fun.Sel.Name] && fieldOf(pass, recv) == hv.iter {
+						positioningMethods[fun.Sel.Name] && fieldOf(info, recv) == hv.iter {
 						moves = append(moves, n)
 					}
 				}
@@ -191,10 +144,10 @@ func checkHeldView(pass *Pass, hv heldView, held []heldView) {
 				}
 				for i, rhs := range n.Rhs {
 					lhs, ok := n.Lhs[i].(*ast.SelectorExpr)
-					if !ok || fieldOf(pass, lhs) != hv.view {
+					if !ok || fieldOf(info, lhs) != hv.view {
 						continue
 					}
-					if recv, ok := ast.Unparen(viewCall(pass, rhs)).(*ast.SelectorExpr); ok && fieldOf(pass, recv) == hv.iter {
+					if recv, ok := ast.Unparen(viewCall(pkg, rhs)).(*ast.SelectorExpr); ok && fieldOf(info, recv) == hv.iter {
 						lastRefresh = n.Pos()
 					}
 				}
@@ -207,19 +160,19 @@ func checkHeldView(pass *Pass, hv heldView, held []heldView) {
 			}
 			pass.Reportf(mv.Pos(),
 				"%s moves the iterator whose view field %s holds (vouched %s at %s) and never re-reads it; call %s after the move",
-				types.ExprString(mv.Fun), hv.view.Name(), viewOKDirective, shortPos(pass, hv.pos), hv.refresh.Name())
+				types.ExprString(mv.Fun), hv.view.Name(), viewOKDirective, shortPos(pass.Module.Fset, hv.pos), hv.refresh.Name())
 		}
 	})
 }
 
-func shortPos(pass *Pass, pos token.Pos) string {
-	p := pass.Fset.Position(pos)
+func shortPos(fset *token.FileSet, pos token.Pos) string {
+	p := fset.Position(pos)
 	return fmt.Sprintf("%s:%d", filepath.Base(p.Filename), p.Line)
 }
 
 // viewCall returns the receiver expression of e when e is a raw
 // iterator Key()/Value() call, else nil.
-func viewCall(pass *Pass, e ast.Expr) ast.Expr {
+func viewCall(pkg *Package, e ast.Expr) ast.Expr {
 	call, ok := ast.Unparen(e).(*ast.CallExpr)
 	if !ok || len(call.Args) != 0 {
 		return nil
@@ -228,10 +181,10 @@ func viewCall(pass *Pass, e ast.Expr) ast.Expr {
 	if !ok || (sel.Sel.Name != "Key" && sel.Sel.Name != "Value") {
 		return nil
 	}
-	if pass.Info.Selections[sel] == nil {
+	if pkg.Info.Selections[sel] == nil {
 		return nil // not a method call
 	}
-	if !hasMethod(pass.Pkg, pass.Info.TypeOf(sel.X), "Next") {
+	if !hasMethod(pkg.Types, pkg.Info.TypeOf(sel.X), "Next") {
 		return nil
 	}
 	return sel.X
@@ -243,7 +196,8 @@ type localView struct {
 	pos  token.Pos
 }
 
-func checkBufAlias(pass *Pass, fd *ast.FuncDecl, vouched []*viewOK) (held []heldView) {
+func checkBufAlias(pass *ModulePass, pkg *Package, fd *ast.FuncDecl) (held []heldView) {
+	info := pkg.Info
 	var locals []localView
 	assignedIdents := make(map[*ast.Ident]bool)  // idents appearing as assignment targets
 	writes := make(map[types.Object][]token.Pos) // all writes per local object
@@ -255,7 +209,7 @@ func checkBufAlias(pass *Pass, fd *ast.FuncDecl, vouched []*viewOK) (held []held
 			for _, lhs := range n.Lhs {
 				if id, ok := lhs.(*ast.Ident); ok {
 					assignedIdents[id] = true
-					if obj := identObj(pass, id); obj != nil {
+					if obj := identObj(info, id); obj != nil {
 						writes[obj] = append(writes[obj], id.Pos())
 					}
 				}
@@ -264,15 +218,15 @@ func checkBufAlias(pass *Pass, fd *ast.FuncDecl, vouched []*viewOK) (held []held
 				return true
 			}
 			for i, rhs := range n.Rhs {
-				recv := viewCall(pass, rhs)
+				recv := viewCall(pkg, rhs)
 				if recv == nil {
 					continue
 				}
 				switch lhs := n.Lhs[i].(type) {
 				case *ast.SelectorExpr:
-					if d := vouchedAt(pass, vouched, rhs.Pos()); d != nil {
-						d.used = true
-						if hv, ok := heldViewOf(pass, fd, lhs, recv, rhs.Pos()); ok {
+					if d := pass.Module.Directives.AtLine("view-ok", rhs.Pos()); d != nil {
+						d.Use()
+						if hv, ok := heldViewOf(info, fd, lhs, recv, rhs.Pos()); ok {
 							held = append(held, hv)
 						} else {
 							pass.Reportf(rhs.Pos(),
@@ -289,16 +243,16 @@ func checkBufAlias(pass *Pass, fd *ast.FuncDecl, vouched []*viewOK) (held []held
 						"%s view stored into %s outlives the iterator's buffer; copy it first",
 						types.ExprString(rhs), types.ExprString(lhs))
 				case *ast.Ident:
-					if obj := identObj(pass, lhs); obj != nil {
+					if obj := identObj(info, lhs); obj != nil {
 						locals = append(locals, localView{obj: obj, recv: types.ExprString(recv), pos: rhs.Pos()})
 					}
 				}
 			}
 		case *ast.CallExpr:
 			if id, ok := n.Fun.(*ast.Ident); ok && id.Name == "append" && n.Ellipsis == token.NoPos {
-				if _, isBuiltin := pass.Info.Uses[id].(*types.Builtin); isBuiltin {
+				if _, isBuiltin := info.Uses[id].(*types.Builtin); isBuiltin {
 					for _, arg := range n.Args[1:] {
-						if viewCall(pass, arg) != nil {
+						if viewCall(pkg, arg) != nil {
 							pass.Reportf(arg.Pos(),
 								"%s view appended as an element retains the iterator's buffer; append a copy",
 								types.ExprString(arg))
@@ -309,7 +263,7 @@ func checkBufAlias(pass *Pass, fd *ast.FuncDecl, vouched []*viewOK) (held []held
 			// Track repositioning calls for the local-view pass.
 			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && len(n.Args) == 0 &&
 				(sel.Sel.Name == "Next" || sel.Sel.Name == "Prev") &&
-				pass.Info.Selections[sel] != nil {
+				info.Selections[sel] != nil {
 				recv := types.ExprString(sel.X)
 				repositions[recv] = append(repositions[recv], n.Pos())
 			}
@@ -318,7 +272,7 @@ func checkBufAlias(pass *Pass, fd *ast.FuncDecl, vouched []*viewOK) (held []held
 				return true // forwarding iterator: same documented lifetime
 			}
 			for _, res := range n.Results {
-				if viewCall(pass, res) != nil {
+				if viewCall(pkg, res) != nil {
 					pass.Reportf(res.Pos(),
 						"returning raw %s leaks the iterator's reused buffer; return a copy",
 						types.ExprString(res))
@@ -341,7 +295,7 @@ func checkBufAlias(pass *Pass, fd *ast.FuncDecl, vouched []*viewOK) (held []held
 		}
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
 			id, ok := n.(*ast.Ident)
-			if !ok || assignedIdents[id] || identObj(pass, id) != lv.obj || id.Pos() <= lv.pos {
+			if !ok || assignedIdents[id] || identObj(info, id) != lv.obj || id.Pos() <= lv.pos {
 				return true
 			}
 			lastWrite := lv.pos
@@ -365,9 +319,9 @@ func checkBufAlias(pass *Pass, fd *ast.FuncDecl, vouched []*viewOK) (held []held
 }
 
 // identObj resolves an identifier to its object (definition or use).
-func identObj(pass *Pass, id *ast.Ident) types.Object {
-	if obj := pass.Info.Defs[id]; obj != nil {
+func identObj(info *types.Info, id *ast.Ident) types.Object {
+	if obj := info.Defs[id]; obj != nil {
 		return obj
 	}
-	return pass.Info.Uses[id]
+	return info.Uses[id]
 }

@@ -45,7 +45,7 @@ var ChanFlow = &Analyzer{
 	Doc: "channel ownership/shutdown discipline: owner-only close (//fcae:chan-owner " +
 		"declares extra holders), worker-loop sends select on stop, one-sided fields " +
 		"declare a direction, no blocking channel ops while a mutex is held",
-	RunModule: runChanFlow,
+	Run: runChanFlow,
 }
 
 const chanOwnerDirective = "//fcae:chan-owner"
@@ -73,24 +73,6 @@ type chanClose struct {
 	pos token.Pos
 }
 
-// walkParents is ast.Inspect with an ancestor stack: visit receives the
-// chain of ancestors (innermost last) for every node; returning false
-// skips the node's children.
-func walkParents(root ast.Node, visit func(stack []ast.Node, n ast.Node) bool) {
-	var stack []ast.Node
-	ast.Inspect(root, func(n ast.Node) bool {
-		if n == nil {
-			stack = stack[:len(stack)-1]
-			return true
-		}
-		if !visit(stack, n) {
-			return false
-		}
-		stack = append(stack, n)
-		return true
-	})
-}
-
 func runChanFlow(pass *ModulePass) {
 	m := pass.Module
 	decls := collectChanDecls(m)
@@ -105,7 +87,11 @@ func runChanFlow(pass *ModulePass) {
 	holders := collectChanOwnerDirectives(pass, decls)
 	for _, d := range sortedChanDecls(decls) {
 		for _, cl := range d.closes {
-			if len(d.owners) == 0 || d.owners[cl.fn] || holders[d.key][cl.fn] {
+			if len(d.owners) == 0 || d.owners[cl.fn] {
+				continue
+			}
+			if grant := holders[d.key][cl.fn]; grant != nil {
+				grant.Use()
 				continue
 			}
 			pass.ReportCat(cl.pos, "close-owner",
@@ -405,38 +391,24 @@ func exprInList(list []ast.Expr, expr ast.Node) bool {
 	return false
 }
 
-// collectChanOwnerDirectives parses //fcae:chan-owner <key> doc-comment
-// directives into key -> holder set, reporting malformed or dangling ones.
-func collectChanOwnerDirectives(pass *ModulePass, decls map[types.Object]*chanDecl) map[string]map[*FuncInfo]bool {
+// collectChanOwnerDirectives reads //fcae:chan-owner <key> into key ->
+// holder -> grant, reporting the ones that name no tracked channel.
+func collectChanOwnerDirectives(pass *ModulePass, decls map[types.Object]*chanDecl) map[string]map[*FuncInfo]*Directive {
 	known := make(map[string]bool, len(decls))
 	for _, d := range decls {
 		known[d.key] = true
 	}
-	holders := make(map[string]map[*FuncInfo]bool)
-	for _, fi := range pass.Module.Funcs() {
-		if fi.Decl.Doc == nil {
+	holders := make(map[string]map[*FuncInfo]*Directive)
+	for _, d := range pass.Module.Directives.All("chan-owner") {
+		if !known[d.Args] {
+			d.Use()
+			pass.ReportCat(d.Pos, "directive", "%s directive names unknown channel %q", d, d.Args)
 			continue
 		}
-		for _, c := range fi.Decl.Doc.List {
-			if !strings.HasPrefix(c.Text, chanOwnerDirective) {
-				continue
-			}
-			key := strings.TrimSpace(strings.TrimPrefix(c.Text, chanOwnerDirective))
-			if key == "" {
-				pass.ReportCat(c.Pos(), "directive",
-					"malformed %s directive: want %q", chanOwnerDirective, chanOwnerDirective+" pkg.Type.field")
-				continue
-			}
-			if !known[key] {
-				pass.ReportCat(c.Pos(), "directive",
-					"%s directive names unknown channel %q", chanOwnerDirective, key)
-				continue
-			}
-			if holders[key] == nil {
-				holders[key] = make(map[*FuncInfo]bool)
-			}
-			holders[key][fi] = true
+		if holders[d.Args] == nil {
+			holders[d.Args] = make(map[*FuncInfo]*Directive)
 		}
+		holders[d.Args][d.Func] = d
 	}
 	return holders
 }
@@ -461,74 +433,41 @@ func ownerNames(owners map[*FuncInfo]bool) string {
 
 // --- rule 4: blocking channel ops while a mutex is held ---------------------
 
-// chanOp is one blocking channel operation or a static call made with the
-// lexical lock context at that point.
-type chanLockEvent struct {
-	pos    token.Pos
-	kind   int // clLock, clUnlock, clOp, clCall
-	key    string
-	what   string
-	callee *FuncInfo
-}
-
-const (
-	clLock = iota
-	clUnlock
-	clOp
-	clCall
-)
-
+// chanLockBody is one swept body: EvNode events are its blocking channel
+// operations, EvCall events its calls, each with the locks held there.
 type chanLockBody struct {
 	fi     *FuncInfo // nil for function literals
 	name   string
-	blocks bool // performs a blocking channel op directly
-	// ops/calls carry the held-lock snapshot for reporting.
-	ops []struct {
-		pos  token.Pos
-		what string
-		held []string
-	}
-	calls []struct {
-		pos    token.Pos
-		callee *FuncInfo
-		held   []string
-	}
+	events []LockEvent
 }
 
 func runChanUnderLock(pass *ModulePass) {
 	m := pass.Module
 	var bodies []*chanLockBody
-	var declBodies []*chanLockBody
+	blocking := make(map[*FuncInfo]bool) // performs a blocking channel op, directly or through a call
 	for _, fi := range m.Funcs() {
-		b := sweepChanLockBody(m, fi.Pkg, fi.Decl.Body, lockEntryKey(fi), fi.Name())
-		b.fi = fi
+		b := &chanLockBody{fi: fi, name: fi.Name(), events: m.SweepLocks(fi.Pkg, fi.Decl.Body, lockEntryKey(fi), blockingChanOp(fi.Pkg))}
 		bodies = append(bodies, b)
-		declBodies = append(declBodies, b)
-		// //fcae:impl-pure claims the body never blocks on a channel; a
-		// direct blocking op inside it makes the directive the bug.
-		if fi.ImplPure() && len(b.ops) > 0 {
-			pass.ReportCat(b.ops[0].pos, "chan-under-lock",
-				"%s is marked %s but performs a %s", fi.Name(), implPureDirective, b.ops[0].what)
+		for _, e := range b.events {
+			if e.Kind == EvNode {
+				blocking[fi] = true
+			}
 		}
 		for _, lit := range nestedFuncLits(fi.Decl.Body) {
-			lb := sweepChanLockBody(m, fi.Pkg, lit.Body, "", "function literal in "+fi.Name())
-			bodies = append(bodies, lb)
+			bodies = append(bodies, &chanLockBody{name: "function literal in " + fi.Name(),
+				events: m.SweepLocks(fi.Pkg, lit.Body, "", blockingChanOp(fi.Pkg))})
 		}
 	}
 
-	// Fixpoint: blocking propagates up the static call graph.
-	blocking := make(map[*FuncInfo]bool, len(declBodies))
-	for _, b := range declBodies {
-		blocking[b.fi] = b.blocks
-	}
+	// Fixpoint: blocking propagates up the call graph.
 	for changed := true; changed; {
 		changed = false
-		for _, b := range declBodies {
-			if blocking[b.fi] {
+		for _, b := range bodies {
+			if b.fi == nil || blocking[b.fi] {
 				continue
 			}
-			for _, c := range b.calls {
-				if blocking[c.callee] {
+			for _, e := range b.events {
+				if e.Kind == EvCall && blocking[e.Callee] {
 					blocking[b.fi] = true
 					changed = true
 					break
@@ -539,124 +478,50 @@ func runChanUnderLock(pass *ModulePass) {
 
 	seen := make(map[token.Pos]bool)
 	for _, b := range bodies {
-		for _, op := range b.ops {
-			if len(op.held) > 0 && !seen[op.pos] {
-				seen[op.pos] = true
-				pass.ReportCat(op.pos, "chan-under-lock",
-					"%s in %s while %s is held: a channel wait under a mutex stalls every path into the lock",
-					op.what, b.name, strings.Join(op.held, ", "))
+		for _, e := range b.events {
+			if len(e.Held) == 0 || seen[e.Pos] {
+				continue
 			}
-		}
-		for _, c := range b.calls {
-			if len(c.held) > 0 && blocking[c.callee] && !seen[c.pos] {
-				seen[c.pos] = true
-				pass.ReportCat(c.pos, "chan-under-lock",
+			switch {
+			case e.Kind == EvNode:
+				seen[e.Pos] = true
+				pass.ReportCat(e.Pos, "chan-under-lock",
+					"%s in %s while %s is held: a channel wait under a mutex stalls every path into the lock",
+					e.What, b.name, strings.Join(e.Held, ", "))
+			case e.Kind == EvCall && blocking[e.Callee]:
+				seen[e.Pos] = true
+				pass.ReportCat(e.Pos, "chan-under-lock",
 					"call to %s in %s while %s is held: the callee performs a blocking channel operation",
-					c.callee.Name(), b.name, strings.Join(c.held, ", "))
+					e.Callee.Name(), b.name, strings.Join(e.Held, ", "))
 			}
 		}
 	}
 }
 
-// sweepChanLockBody walks one body lexically, recording lock transitions,
-// blocking channel operations and static calls with the held set at each.
-func sweepChanLockBody(m *Module, pkg *Package, body *ast.BlockStmt, entryKey, name string) *chanLockBody {
-	var events []chanLockEvent
-	deferred := make(map[*ast.CallExpr]bool)
-	walkParents(body, func(stack []ast.Node, n ast.Node) bool {
+// blockingChanOp is the sweep classifier for rule 4: it labels the
+// operations that can park the goroutine on a channel.
+func blockingChanOp(pkg *Package) func(stack []ast.Node, n ast.Node) string {
+	return func(stack []ast.Node, n ast.Node) string {
 		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false // separate body
-		case *ast.DeferStmt:
-			deferred[n.Call] = true
 		case *ast.SendStmt:
 			if !isSelectComm(stack, n) {
-				events = append(events, chanLockEvent{pos: n.Pos(), kind: clOp, what: "channel send"})
+				return "channel send"
 			}
 		case *ast.UnaryExpr:
 			if n.Op == token.ARROW && !isSelectComm(stack, n) {
-				events = append(events, chanLockEvent{pos: n.Pos(), kind: clOp, what: "channel receive"})
+				return "channel receive"
 			}
 		case *ast.SelectStmt:
 			if !selectHasDefault(n) {
-				events = append(events, chanLockEvent{pos: n.Pos(), kind: clOp, what: "blocking select"})
+				return "blocking select"
 			}
 		case *ast.RangeStmt:
 			if _, ok := pkg.Info.TypeOf(n.X).Underlying().(*types.Chan); ok {
-				events = append(events, chanLockEvent{pos: n.Pos(), kind: clOp, what: "range over channel"})
-			}
-		case *ast.CallExpr:
-			if deferred[n] {
-				return true
-			}
-			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && isSyncMutex(pkg.Info.TypeOf(sel.X)) {
-				key := lockKeyOf(pkg, sel.X)
-				if key == "" {
-					return true
-				}
-				switch {
-				case lockMethods[sel.Sel.Name]:
-					events = append(events, chanLockEvent{pos: n.Pos(), kind: clLock, key: key})
-				case unlockMethods[sel.Sel.Name]:
-					events = append(events, chanLockEvent{pos: n.Pos(), kind: clUnlock, key: key})
-				}
-				return true
-			}
-			if callee := m.StaticCallee(pkg.Info, n); callee != nil {
-				events = append(events, chanLockEvent{pos: n.Pos(), kind: clCall, callee: callee})
-			} else {
-				// Interface dispatch / function-value call: any resolved
-				// implementation may block, except those declared
-				// //fcae:impl-pure.
-				for _, dc := range m.DynamicCallees(pkg.Info, n) {
-					if dc.ImplPure() {
-						continue
-					}
-					events = append(events, chanLockEvent{pos: n.Pos(), kind: clCall, callee: dc})
-				}
+				return "range over channel"
 			}
 		}
-		return true
-	})
-	sort.SliceStable(events, func(i, j int) bool { return events[i].pos < events[j].pos })
-
-	b := &chanLockBody{name: name}
-	held := make(map[string]int)
-	if entryKey != "" {
-		held[entryKey] = 1
+		return ""
 	}
-	positives := func() []string {
-		var out []string
-		for k, c := range held {
-			if c > 0 {
-				out = append(out, k)
-			}
-		}
-		sort.Strings(out)
-		return out
-	}
-	for _, e := range events {
-		switch e.kind {
-		case clLock:
-			held[e.key]++
-		case clUnlock:
-			held[e.key]--
-		case clOp:
-			b.blocks = true
-			b.ops = append(b.ops, struct {
-				pos  token.Pos
-				what string
-				held []string
-			}{e.pos, e.what, positives()})
-		case clCall:
-			b.calls = append(b.calls, struct {
-				pos    token.Pos
-				callee *FuncInfo
-				held   []string
-			}{e.pos, e.callee, positives()})
-		}
-	}
-	return b
 }
 
 // isSelectComm reports whether n is (inside) the comm statement of a

@@ -9,7 +9,7 @@ import (
 // The golden corpora under testdata/{chanflow,hotalloc} cover the broad
 // shapes; these unit tests pin the edge decisions each analyzer makes —
 // directive semantics, cross-package composition, and the deliberate
-// non-findings that keep the suite baseline-free on the real tree.
+// non-findings that keep the real tree clean without suppressions.
 
 func TestChanFlowOwnerDirectiveGrantsClose(t *testing.T) {
 	t.Parallel()

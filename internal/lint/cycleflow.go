@@ -26,41 +26,28 @@ var CycleFlow = &Analyzer{
 	Run: runCycleFlow,
 }
 
-const cycleDirective = "//fcae:cycle-accounting"
-
 var cycleIdent = regexp.MustCompile(`(?i)cycle|clock|busy`)
 
-func runCycleFlow(pass *Pass) {
-	if !strings.HasSuffix(pass.Pkg.Path(), "internal/core") {
-		return
-	}
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			if hasCycleDirective(fd.Doc) {
-				continue
-			}
-			checkCycleFlow(pass, fd)
+func runCycleFlow(pass *ModulePass) {
+	for _, fi := range pass.Module.Funcs() {
+		if isCorePkg(fi.Pkg) && !cycleAccounted(pass.Module, fi.Decl) {
+			checkCycleFlow(pass, fi.Decl)
 		}
 	}
 }
 
-func hasCycleDirective(doc *ast.CommentGroup) bool {
-	if doc == nil {
-		return false
-	}
-	for _, c := range doc.List {
-		if strings.HasPrefix(strings.TrimSpace(c.Text), cycleDirective) {
-			return true
-		}
-	}
-	return false
+// isCorePkg reports whether pkg is the engine model, internal/core.
+func isCorePkg(pkg *Package) bool {
+	return strings.HasSuffix(pkg.Types.Path(), "internal/core")
 }
 
-func checkCycleFlow(pass *Pass, fd *ast.FuncDecl) {
+// cycleAccounted reports whether fd's doc comment carries
+// //fcae:cycle-accounting.
+func cycleAccounted(m *Module, fd *ast.FuncDecl) bool {
+	return len(m.Directives.OnFunc("cycle-accounting", fd)) > 0
+}
+
+func checkCycleFlow(pass *ModulePass, fd *ast.FuncDecl) {
 	reported := make(map[token.Pos]bool)
 	report := func(pos token.Pos, what string) {
 		if reported[pos] {

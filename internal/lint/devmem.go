@@ -5,7 +5,6 @@ import (
 	"go/token"
 	"go/types"
 	"path/filepath"
-	"strconv"
 	"strings"
 )
 
@@ -19,11 +18,12 @@ import (
 //     DataMem/IndexMem regions — is confined to memlayout.go; everyone
 //     else goes through the accessors so the 64 B/cycle AXI alignment
 //     cannot be silently broken.
-//  2. The MetaIn/MetaOut wire widths are declared as named package
-//     constants whose values the analyzer validates against the paper's
-//     layout (MetaIn: 4-byte header, 20-byte entries; MetaOut: 4-byte
-//     header, 12 fixed bytes per entry), and the Meta encode/decode
-//     functions may not use the bare magic numbers.
+//  2. The Meta encode/decode functions spell the MetaIn/MetaOut entry
+//     widths (20 and 12 bytes) with the named constants of meta.go, never
+//     as bare literals, so a layout change is made in one place. (What
+//     the constants must equal is pinned where a wrong value fails: the
+//     codecs write field by field, so TestMetaInRoundTrip and
+//     TestMetaOutRoundTrip break on any other width.)
 //  3. Every timing-relevant loop — one whose header or body touches
 //     cycle/clock/busy quantities — must live in a function carrying the
 //     //fcae:cycle-accounting directive, extending cycleflow (which only
@@ -31,7 +31,7 @@ import (
 var DevMem = &Analyzer{
 	Name: "devmem",
 	Doc: "device-memory offsets only via the aligning builder in memlayout.go; " +
-		"MetaIn/MetaOut widths as validated named constants; cycle loops under //fcae:cycle-accounting",
+		"MetaIn/MetaOut widths as named constants; cycle loops under //fcae:cycle-accounting",
 	Run: runDevMem,
 }
 
@@ -48,35 +48,25 @@ var memFields = map[string]map[string]bool{
 	"InputImage": {"DataMem": true, "IndexMem": true},
 }
 
-// metaWidthConsts is the required named-constant layer over the paper's
-// MetaIn/MetaOut encoding: header lengths and per-entry widths in bytes.
-var metaWidthConsts = map[string]int64{
-	"metaInHeaderLen":      4,         // count word
-	"metaInEntryLen":       8 + 8 + 4, // srcA off, srcB off, block count
-	"metaOutHeaderLen":     4,         // count word
-	"metaOutEntryFixedLen": 4 + 8,     // key len + data len
-}
-
-func runDevMem(pass *Pass) {
-	isCore := strings.HasSuffix(pass.Pkg.Path(), "internal/core")
-	for _, f := range pass.Files {
-		base := filepath.Base(pass.Fset.Position(f.Pos()).Filename)
-		if !(isCore && base == "memlayout.go") {
-			checkLayoutArith(pass, f)
+func runDevMem(pass *ModulePass) {
+	for _, pkg := range pass.Module.Pkgs {
+		isCore := isCorePkg(pkg)
+		for _, f := range pkg.Files {
+			base := filepath.Base(pkg.Fset.Position(f.Pos()).Filename)
+			if !(isCore && base == "memlayout.go") {
+				checkLayoutArith(pass, pkg.Info, f)
+			}
+			if isCore {
+				checkMetaMagic(pass, f)
+				checkCycleLoops(pass, f)
+			}
 		}
-		if isCore {
-			checkMetaMagic(pass, f)
-			checkCycleLoops(pass, f)
-		}
-	}
-	if isCore {
-		checkMetaConsts(pass)
 	}
 }
 
 // checkLayoutArith flags raw offset arithmetic and region growth outside
 // the builder.
-func checkLayoutArith(pass *Pass, f *ast.File) {
+func checkLayoutArith(pass *ModulePass, info *types.Info, f *ast.File) {
 	ast.Inspect(f, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.BinaryExpr:
@@ -84,7 +74,7 @@ func checkLayoutArith(pass *Pass, f *ast.File) {
 				return true
 			}
 			for _, op := range []ast.Expr{n.X, n.Y} {
-				if _, field := coreFieldSel(pass, op, layoutFields); field != "" {
+				if _, field := coreFieldSel(info, op, layoutFields); field != "" {
 					pass.Reportf(op.Pos(),
 						"raw arithmetic on device-memory layout field %s outside memlayout.go; extents come from the aligning InputBuilder (use its accessors)",
 						field)
@@ -93,7 +83,7 @@ func checkLayoutArith(pass *Pass, f *ast.File) {
 		case *ast.AssignStmt:
 			if n.Tok == token.ASSIGN || n.Tok == token.DEFINE {
 				for _, lhs := range n.Lhs {
-					if _, field := coreFieldSel(pass, lhs, memFields); field != "" {
+					if _, field := coreFieldSel(info, lhs, memFields); field != "" {
 						pass.Reportf(lhs.Pos(),
 							"direct assignment to device memory region %s outside memlayout.go; regions are built only by the InputBuilder",
 							field)
@@ -103,26 +93,26 @@ func checkLayoutArith(pass *Pass, f *ast.File) {
 			}
 			// Compound assignment (+=, <<=, ...) is arithmetic.
 			for _, lhs := range n.Lhs {
-				if _, field := coreFieldSel(pass, lhs, layoutFields); field != "" {
+				if _, field := coreFieldSel(info, lhs, layoutFields); field != "" {
 					pass.Reportf(lhs.Pos(),
 						"raw arithmetic on device-memory layout field %s outside memlayout.go; extents come from the aligning InputBuilder (use its accessors)",
 						field)
 				}
-				if _, field := coreFieldSel(pass, lhs, memFields); field != "" {
+				if _, field := coreFieldSel(info, lhs, memFields); field != "" {
 					pass.Reportf(lhs.Pos(),
 						"direct growth of device memory region %s outside memlayout.go; regions are built only by the InputBuilder",
 						field)
 				}
 			}
 		case *ast.IncDecStmt:
-			if _, field := coreFieldSel(pass, n.X, layoutFields); field != "" {
+			if _, field := coreFieldSel(info, n.X, layoutFields); field != "" {
 				pass.Reportf(n.X.Pos(),
 					"raw arithmetic on device-memory layout field %s outside memlayout.go; extents come from the aligning InputBuilder (use its accessors)",
 					field)
 			}
 		case *ast.CallExpr:
 			if id, ok := ast.Unparen(n.Fun).(*ast.Ident); ok && id.Name == "append" && len(n.Args) > 0 {
-				if _, field := coreFieldSel(pass, n.Args[0], memFields); field != "" {
+				if _, field := coreFieldSel(info, n.Args[0], memFields); field != "" {
 					pass.Reportf(n.Args[0].Pos(),
 						"append to device memory region %s outside memlayout.go; regions are built only by the InputBuilder",
 						field)
@@ -136,14 +126,14 @@ func checkLayoutArith(pass *Pass, f *ast.File) {
 // coreFieldSel reports whether e (parens and conversions unwrapped) selects
 // one of the given fields on an internal/core layout type; it returns the
 // selector and "Type.field" on a match.
-func coreFieldSel(pass *Pass, e ast.Expr, fields map[string]map[string]bool) (*ast.SelectorExpr, string) {
+func coreFieldSel(info *types.Info, e ast.Expr, fields map[string]map[string]bool) (*ast.SelectorExpr, string) {
 	e = ast.Unparen(e)
 	for {
 		call, ok := e.(*ast.CallExpr)
 		if !ok || len(call.Args) != 1 {
 			break
 		}
-		if tv, ok := pass.Info.Types[call.Fun]; !ok || !tv.IsType() {
+		if tv, ok := info.Types[call.Fun]; !ok || !tv.IsType() {
 			break
 		}
 		e = ast.Unparen(call.Args[0])
@@ -152,7 +142,7 @@ func coreFieldSel(pass *Pass, e ast.Expr, fields map[string]map[string]bool) (*a
 	if !ok {
 		return nil, ""
 	}
-	n := namedOf(pass.Info.TypeOf(sel.X))
+	n := namedOf(info.TypeOf(sel.X))
 	if n == nil || n.Obj().Pkg() == nil || !strings.HasSuffix(n.Obj().Pkg().Path(), "internal/core") {
 		return nil, ""
 	}
@@ -172,43 +162,10 @@ func arithOp(op token.Token) bool {
 	return false
 }
 
-// checkMetaConsts validates the required width constants against the
-// paper's layout.
-func checkMetaConsts(pass *Pass) {
-	var anchor token.Pos
-	if len(pass.Files) > 0 {
-		anchor = pass.Files[0].Name.Pos()
-	}
-	for name, want := range metaWidthConsts {
-		obj := pass.Pkg.Scope().Lookup(name)
-		c, ok := obj.(*types.Const)
-		if !ok {
-			pass.Reportf(anchor, "package %s must declare const %s = %d (MetaIn/MetaOut wire width from the paper's layout)",
-				pass.Pkg.Name(), name, want)
-			continue
-		}
-		got, exact := constInt64(c)
-		if !exact || got != want {
-			pass.Reportf(c.Pos(), "const %s = %s does not match the paper's MetaIn/MetaOut layout (want %d)",
-				name, c.Val().String(), want)
-		}
-	}
-}
-
-func constInt64(c *types.Const) (int64, bool) {
-	v := c.Val()
-	if v == nil {
-		return 0, false
-	}
-	s := v.ExactString()
-	n, err := strconv.ParseInt(s, 10, 64)
-	return n, err == nil
-}
-
 // checkMetaMagic flags bare 20/12 integer literals in the Meta
 // encode/decode functions — the entry widths must be spelled with the
 // named constants so a layout change is made in exactly one place.
-func checkMetaMagic(pass *Pass, f *ast.File) {
+func checkMetaMagic(pass *ModulePass, f *ast.File) {
 	for _, decl := range f.Decls {
 		fd, ok := decl.(*ast.FuncDecl)
 		if !ok || fd.Body == nil || !strings.Contains(fd.Name.Name, "Meta") {
@@ -231,10 +188,10 @@ func checkMetaMagic(pass *Pass, f *ast.File) {
 
 // checkCycleLoops requires //fcae:cycle-accounting on any function whose
 // loops touch cycle-model quantities, even read-only.
-func checkCycleLoops(pass *Pass, f *ast.File) {
+func checkCycleLoops(pass *ModulePass, f *ast.File) {
 	for _, decl := range f.Decls {
 		fd, ok := decl.(*ast.FuncDecl)
-		if !ok || fd.Body == nil || hasCycleDirective(fd.Doc) {
+		if !ok || fd.Body == nil || cycleAccounted(pass.Module, fd) {
 			continue
 		}
 		ast.Inspect(fd.Body, func(n ast.Node) bool {
@@ -247,8 +204,8 @@ func checkCycleLoops(pass *Pass, f *ast.File) {
 			}
 			if ident := firstCycleIdent(loop); ident != "" {
 				pass.Reportf(loop.Pos(),
-					"timing-relevant loop in %s touches %q but the function lacks the %s directive",
-					fd.Name.Name, ident, cycleDirective)
+					"timing-relevant loop in %s touches %q but the function lacks the //fcae:cycle-accounting directive",
+					fd.Name.Name, ident)
 				return false // one report per loop nest is enough
 			}
 			return true

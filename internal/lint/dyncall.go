@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/types"
 	"sort"
-	"strings"
 	"sync"
 )
 
@@ -34,38 +33,11 @@ import (
 //     assignment-flow pass: the named functions and bound methods that
 //     flow into each func-typed field, parameter and variable anywhere in
 //     the module form that slot's callee set.
-//
-// Because the union over-approximates the targets of any one call site,
-// a concrete implementation that is trivially lock-free can carry
-// `//fcae:impl-pure` in its doc comment: lockorder and chanflow's
-// under-lock rule skip such callees during dynamic propagation (and
-// report the directive itself when the marked body visibly acquires a
-// lock or blocks on a channel, so the exemption cannot rot silently).
-
-// implPureDirective exempts a trivially lock-free implementation from
-// dynamic-dispatch propagation in lockorder and chanflow.
-const implPureDirective = "//fcae:impl-pure"
-
-// ImplPure reports whether fi's doc comment carries //fcae:impl-pure,
-// declaring the implementation free of lock acquisitions and blocking
-// channel operations for dynamic-dispatch propagation purposes.
-func (fi *FuncInfo) ImplPure() bool {
-	if fi == nil || fi.Decl == nil || fi.Decl.Doc == nil {
-		return false
-	}
-	for _, c := range fi.Decl.Doc.List {
-		text := strings.TrimSpace(c.Text)
-		if text == implPureDirective || strings.HasPrefix(text, implPureDirective+" ") {
-			return true
-		}
-	}
-	return false
-}
 
 // dynResolver holds the module's dynamic-dispatch facts. The live-type
 // set and the assignment-flow slots are built once in BuildModule and
-// read-only afterwards; per-call resolution results are memoized under mu
-// because the analyzers run concurrently over a shared Module.
+// read-only afterwards; a call site is resolved once, under mu, because
+// the analyzers run concurrently over a shared Module.
 type dynResolver struct {
 	m *Module
 
@@ -80,31 +52,9 @@ type dynResolver struct {
 	// anywhere in the module, in declaration order.
 	slots map[types.Object][]*FuncInfo
 
-	mu           sync.Mutex
-	ifaceCache   map[*types.Func][]*FuncInfo
-	callCache    map[*ast.CallExpr][]*FuncInfo
-	staticSeen   map[*ast.CallExpr]bool
-	staticEdges  int64
-	dynamicEdges int64
-}
-
-// ResolverStats counts the distinct call edges each resolver produced
-// during analysis: StaticEdges are direct calls resolved to module
-// functions, DynamicEdges are (call site, concrete callee) pairs produced
-// by interface-dispatch and function-value resolution.
-type ResolverStats struct {
-	StaticEdges  int64
-	DynamicEdges int64
-}
-
-// ResolverStats returns the edge counts accumulated so far.
-func (m *Module) ResolverStats() ResolverStats {
-	if m.dyn == nil {
-		return ResolverStats{}
-	}
-	m.dyn.mu.Lock()
-	defer m.dyn.mu.Unlock()
-	return ResolverStats{StaticEdges: m.dyn.staticEdges, DynamicEdges: m.dyn.dynamicEdges}
+	mu         sync.Mutex
+	ifaceCache map[*types.Func][]*FuncInfo
+	callCache  map[*ast.CallExpr][]*FuncInfo
 }
 
 // DynamicCallees resolves an interface method call or a call through a
@@ -113,38 +63,14 @@ func (m *Module) ResolverStats() ResolverStats {
 // whose targets cannot be determined resolve to nil.
 func (m *Module) DynamicCallees(info *types.Info, call *ast.CallExpr) []*FuncInfo {
 	r := m.dyn
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	if res, ok := r.callCache[call]; ok {
-		r.mu.Unlock()
-		return res
-	}
-	r.mu.Unlock()
-	res := r.resolve(info, call)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if prev, ok := r.callCache[call]; ok {
-		return prev // another analyzer resolved it concurrently
+	res, ok := r.callCache[call]
+	if !ok {
+		res = r.resolve(info, call)
+		r.callCache[call] = res
 	}
-	r.callCache[call] = res
-	r.dynamicEdges += int64(len(res))
 	return res
-}
-
-// noteStaticEdge counts a StaticCallee hit once per call site.
-func (m *Module) noteStaticEdge(call *ast.CallExpr) {
-	r := m.dyn
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if !r.staticSeen[call] {
-		r.staticSeen[call] = true
-		r.staticEdges++
-	}
 }
 
 // resolve classifies the call shape and dispatches to the interface or
@@ -161,7 +87,7 @@ func (r *dynResolver) resolve(info *types.Info, call *ast.CallExpr) []*FuncInfo 
 					if recvNamed == nil || !r.modulePkg[recvNamed.Obj().Pkg()] {
 						return nil // stdlib or anonymous interface: not a module seam
 					}
-					return r.implsOf(fn)
+					return r.implsOfLocked(fn)
 				}
 			case types.FieldVal:
 				return r.slots[sel.Obj()]
@@ -181,16 +107,12 @@ func (r *dynResolver) resolve(info *types.Info, call *ast.CallExpr) []*FuncInfo 
 	return nil
 }
 
-// implsOf returns the concrete methods of every live type implementing
+// implsOfLocked returns the concrete methods of every live type implementing
 // the interface that declares method, memoized per interface method.
-func (r *dynResolver) implsOf(method *types.Func) []*FuncInfo {
-	r.mu.Lock()
+func (r *dynResolver) implsOfLocked(method *types.Func) []*FuncInfo {
 	if out, ok := r.ifaceCache[method]; ok {
-		r.mu.Unlock()
 		return out
 	}
-	r.mu.Unlock()
-
 	recv := method.Type().(*types.Signature).Recv()
 	if recv == nil {
 		return nil
@@ -219,12 +141,6 @@ func (r *dynResolver) implsOf(method *types.Func) []*FuncInfo {
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Decl.Pos() < out[j].Decl.Pos() })
-
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if prev, ok := r.ifaceCache[method]; ok {
-		return prev
-	}
 	r.ifaceCache[method] = out
 	return out
 }
@@ -237,7 +153,6 @@ func buildDynResolver(m *Module) *dynResolver {
 		slots:      make(map[types.Object][]*FuncInfo),
 		ifaceCache: make(map[*types.Func][]*FuncInfo),
 		callCache:  make(map[*ast.CallExpr][]*FuncInfo),
-		staticSeen: make(map[*ast.CallExpr]bool),
 	}
 
 	instSet := make(map[*types.Named]bool)
@@ -317,7 +232,7 @@ func buildDynResolver(m *Module) *dynResolver {
 					if builtinName(info, n) == "new" && len(n.Args) == 1 {
 						mark(info.TypeOf(n.Args[0]))
 					}
-					if callee := m.staticCalleeOf(info, n); callee != nil {
+					if callee := m.StaticCallee(info, n); callee != nil {
 						sig := callee.Obj.Type().(*types.Signature)
 						for i, arg := range n.Args {
 							if i < sig.Params().Len() {
@@ -377,43 +292,18 @@ func buildDynResolver(m *Module) *dynResolver {
 // are deliberately not tracked: they have no FuncInfo, and the summaries
 // they would contribute are already collected from their enclosing body.
 func (r *dynResolver) funcValue(pkg *Package, e ast.Expr) *FuncInfo {
-	var obj types.Object
-	switch x := ast.Unparen(e).(type) {
-	case *ast.Ident:
-		obj = pkg.Info.Uses[x]
-	case *ast.SelectorExpr:
-		if sel := pkg.Info.Selections[x]; sel != nil {
-			obj = sel.Obj()
-		} else {
-			obj = pkg.Info.Uses[x.Sel]
-		}
-	}
-	if fn, ok := obj.(*types.Func); ok {
-		return r.m.funcs[fn]
-	}
-	return nil
+	fn, _ := denoted(pkg.Info, e).(*types.Func)
+	return r.m.funcs[fn]
 }
 
 // lvalueObj resolves an assignment target to its object: a plain
 // identifier or a field selector. Index expressions and other shapes
 // return nil (untracked).
 func lvalueObj(info *types.Info, lhs ast.Expr) types.Object {
-	switch x := ast.Unparen(lhs).(type) {
-	case *ast.Ident:
-		if x.Name == "_" {
-			return nil
-		}
-		if obj := info.Defs[x]; obj != nil {
-			return obj
-		}
-		return info.Uses[x]
-	case *ast.SelectorExpr:
-		if sel := info.Selections[x]; sel != nil {
-			return sel.Obj()
-		}
-		return info.Uses[x.Sel]
+	if obj := assignTarget(info, lhs); obj != nil {
+		return obj
 	}
-	return nil
+	return denoted(info, lhs)
 }
 
 // baseStruct returns the struct type beneath t, unwrapping pointers.

@@ -1,127 +1,13 @@
 package lint_test
 
 import (
+	"go/ast"
 	"os"
 	"path/filepath"
-	"strings"
 	"testing"
 
 	"fcae/internal/lint"
 )
-
-// TestImplPureIsLoadBearing proves the implpure golden case is clean
-// *because of* the directive: the same fixture with the //fcae:impl-pure
-// line stripped must produce the chan-under-lock finding the directive
-// suppresses.
-func TestImplPureIsLoadBearing(t *testing.T) {
-	t.Parallel()
-	src, err := os.ReadFile(filepath.Join("testdata", "dyncall", "implpure", "implpure.go"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	stripped := strings.ReplaceAll(string(src), "//fcae:impl-pure", "// (directive stripped)")
-	if stripped == string(src) {
-		t.Fatal("fixture no longer contains //fcae:impl-pure")
-	}
-
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte("module fixture\n\ngo 1.22\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "implpure.go"), []byte(stripped), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := lint.LoadModule(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags := lint.Check(pkgs, []*lint.Analyzer{lint.ChanFlow})
-	found := false
-	for _, d := range diags {
-		if strings.Contains(d.Message, "call to fixture.Probe.Sample") &&
-			strings.Contains(d.Message, "blocking channel operation") {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("stripping //fcae:impl-pure should surface the chan-under-lock finding; got %v", diags)
-	}
-}
-
-// TestImplPureValidated proves a lying directive is itself reported: a
-// marked body that directly blocks on a channel or takes a lock fails.
-func TestImplPureValidated(t *testing.T) {
-	t.Parallel()
-	const src = `package fixture
-
-import "sync"
-
-type T struct {
-	mu sync.Mutex
-	ch chan int
-}
-
-// Grab lies about being pure.
-//
-//fcae:impl-pure not actually
-func (t *T) Grab() {
-	t.mu.Lock()
-	t.mu.Unlock()
-}
-
-// Send lies about being pure.
-//
-//fcae:impl-pure not actually
-func (t *T) Send() {
-	t.ch <- 1
-}
-`
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "go.mod"), []byte("module fixture\n\ngo 1.22\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "lying.go"), []byte(src), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := lint.LoadModule(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	diags := lint.Check(pkgs, []*lint.Analyzer{lint.LockOrder, lint.ChanFlow})
-	var lockReport, chanReport bool
-	for _, d := range diags {
-		if strings.Contains(d.Message, "marked //fcae:impl-pure but acquires") {
-			lockReport = true
-		}
-		if strings.Contains(d.Message, "marked //fcae:impl-pure but performs") {
-			chanReport = true
-		}
-	}
-	if !lockReport || !chanReport {
-		t.Errorf("lying //fcae:impl-pure bodies must be reported (lock=%v chan=%v): %v", lockReport, chanReport, diags)
-	}
-}
-
-// TestResolverStats checks CheckStats reports both static and dynamic
-// call edges for a module with an interface seam.
-func TestResolverStats(t *testing.T) {
-	t.Parallel()
-	dir, err := filepath.Abs(filepath.Join("testdata", "dyncall", "ifacelock"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	pkgs, err := lint.LoadModule(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, stats := lint.CheckStats(pkgs, []*lint.Analyzer{lint.LockOrder})
-	if stats.StaticEdges == 0 {
-		t.Errorf("expected static edges (Drain -> Reset), got %+v", stats)
-	}
-	if stats.DynamicEdges == 0 {
-		t.Errorf("expected dynamic edges (Submit -> Stage), got %+v", stats)
-	}
-}
 
 // TestDynamicCalleesStdlibInterfaceUnresolved checks the module-seam
 // restriction: calls through stdlib or anonymous interfaces must not
@@ -155,8 +41,18 @@ var _ = anon
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, stats := lint.CheckStats(pkgs, []*lint.Analyzer{lint.LockOrder})
-	if stats.DynamicEdges != 0 {
-		t.Errorf("stdlib/anonymous interface calls must stay unresolved, got %d dynamic edges", stats.DynamicEdges)
+	m := lint.BuildModule(pkgs)
+	for _, pkg := range pkgs {
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				if call, ok := n.(*ast.CallExpr); ok {
+					if got := m.DynamicCallees(pkg.Info, call); len(got) != 0 {
+						t.Errorf("stdlib/anonymous interface calls must stay unresolved, %s resolved to %d callee(s)",
+							pkg.Fset.Position(call.Pos()), len(got))
+					}
+				}
+				return true
+			})
+		}
 	}
 }

@@ -3,7 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
-	"strings"
+	"sort"
 )
 
 // EnumStr enforces the repo's enum convention on the Lane/RouteReason/
@@ -21,10 +21,7 @@ import (
 //     declaration;
 //  2. MarshalJSON and UnmarshalJSON must come as a pair — one without
 //     the other means values encode but do not decode (or vice versa),
-//     breaking the JSON round-trip. A deliberately one-sided surface (a
-//     metrics-only enum that is emitted but never parsed) declares
-//     itself with `//fcae:enum-no-roundtrip <reason>` on the present
-//     method's doc comment; the reason is mandatory;
+//     breaking the JSON round-trip;
 //  3. when the pair exists, each declared constant must also be
 //     mentioned in the UnmarshalJSON body, so every value String()
 //     produces parses back (MarshalJSON conventionally delegates to
@@ -36,7 +33,7 @@ var EnumStr = &Analyzer{
 	Name: "enumstr",
 	Doc: "enum constants (integer type with a String method) need a String case " +
 		"and, when the type has JSON methods, an UnmarshalJSON case",
-	RunModule: runEnumStr,
+	Run: runEnumStr,
 }
 
 func runEnumStr(pass *ModulePass) {
@@ -78,16 +75,10 @@ func runEnumStr(pass *ModulePass) {
 			unmarshal := enumMethodBody(m, named, "UnmarshalJSON")
 			switch {
 			case marshal != nil && unmarshal == nil:
-				if enumNoRoundtrip(pass, marshal) {
-					continue
-				}
 				pass.ReportCat(marshal.Decl.Pos(), "json-roundtrip",
 					"%s has MarshalJSON but no UnmarshalJSON; encoded values cannot be decoded back",
 					named.Obj().Name())
 			case unmarshal != nil && marshal == nil:
-				if enumNoRoundtrip(pass, unmarshal) {
-					continue
-				}
 				pass.ReportCat(unmarshal.Decl.Pos(), "json-roundtrip",
 					"%s has UnmarshalJSON but no MarshalJSON; the wire format is asymmetric",
 					named.Obj().Name())
@@ -106,30 +97,6 @@ func runEnumStr(pass *ModulePass) {
 			}
 		}
 	}
-}
-
-const enumNoRoundtripDirective = "//fcae:enum-no-roundtrip"
-
-// enumNoRoundtrip reports whether the one-sided JSON method declares the
-// asymmetry deliberate. A reason-less directive is reported in place and
-// still suppresses the pair finding — the intent was declared, the
-// missing reason is the one thing left to fix.
-func enumNoRoundtrip(pass *ModulePass, fi *FuncInfo) bool {
-	if fi.Decl.Doc == nil {
-		return false
-	}
-	for _, c := range fi.Decl.Doc.List {
-		if strings.HasPrefix(c.Text, enumNoRoundtripDirective+" ") &&
-			strings.TrimSpace(strings.TrimPrefix(c.Text, enumNoRoundtripDirective)) != "" {
-			return true
-		}
-		if strings.TrimSpace(c.Text) == enumNoRoundtripDirective {
-			pass.ReportCat(c.Pos(), "directive",
-				"malformed %s directive: a reason is mandatory", enumNoRoundtripDirective)
-			return true
-		}
-	}
-	return false
 }
 
 // enumMethodBody returns the module FuncInfo of named's method, or nil
@@ -154,11 +121,7 @@ func enumConsts(scope *types.Scope, named *types.Named) []*types.Const {
 			out = append(out, c)
 		}
 	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Pos() < out[j-1].Pos(); j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Pos() < out[j].Pos() })
 	return out
 }
 

@@ -18,35 +18,38 @@ var ErrWrap = &Analyzer{
 	Run:  runErrWrap,
 }
 
-func runErrWrap(pass *Pass) {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			call, ok := n.(*ast.CallExpr)
-			if !ok || !isPkgFunc(pass, call, "fmt", "Errorf") || len(call.Args) < 2 {
-				return true
-			}
-			lit, ok := call.Args[0].(*ast.BasicLit)
-			if !ok {
-				return true // dynamic format string: out of scope
-			}
-			format, err := strconv.Unquote(lit.Value)
-			if err != nil || strings.Contains(format, "%w") {
-				return true
-			}
-			for _, arg := range call.Args[1:] {
-				t := pass.Info.TypeOf(arg)
-				if t == nil {
-					continue
-				}
-				if isErrorType(t) || (!types.IsInterface(t) && types.Implements(t, errorType)) ||
-					types.Implements(types.NewPointer(t), errorType) && isConcreteNamed(t) {
-					pass.Reportf(arg.Pos(), "error %s formatted into fmt.Errorf without %%w (errors.Is/As will not see it)",
-						types.ExprString(arg))
+func runErrWrap(pass *ModulePass) {
+	for _, pkg := range pass.Module.Pkgs {
+		info := pkg.Info
+		for _, f := range pkg.Files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				call, ok := n.(*ast.CallExpr)
+				if !ok || !isPkgFunc(info, call, "fmt", "Errorf") || len(call.Args) < 2 {
 					return true
 				}
-			}
-			return true
-		})
+				lit, ok := call.Args[0].(*ast.BasicLit)
+				if !ok {
+					return true // dynamic format string: out of scope
+				}
+				format, err := strconv.Unquote(lit.Value)
+				if err != nil || strings.Contains(format, "%w") {
+					return true
+				}
+				for _, arg := range call.Args[1:] {
+					t := info.TypeOf(arg)
+					if t == nil {
+						continue
+					}
+					if isErrorType(t) || (!types.IsInterface(t) && types.Implements(t, errorType)) ||
+						types.Implements(types.NewPointer(t), errorType) && isConcreteNamed(t) {
+						pass.Reportf(arg.Pos(), "error %s formatted into fmt.Errorf without %%w (errors.Is/As will not see it)",
+							types.ExprString(arg))
+						return true
+					}
+				}
+				return true
+			})
+		}
 	}
 }
 
@@ -58,11 +61,11 @@ func isConcreteNamed(t types.Type) bool {
 }
 
 // isPkgFunc reports whether call invokes pkgPath.name.
-func isPkgFunc(pass *Pass, call *ast.CallExpr, pkgPath, name string) bool {
+func isPkgFunc(info *types.Info, call *ast.CallExpr, pkgPath, name string) bool {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || sel.Sel.Name != name {
 		return false
 	}
-	fn, ok := pass.Info.Uses[sel.Sel].(*types.Func)
+	fn, ok := info.Uses[sel.Sel].(*types.Func)
 	return ok && fn.Pkg() != nil && fn.Pkg().Path() == pkgPath
 }

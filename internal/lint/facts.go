@@ -20,8 +20,9 @@ import (
 // interface, and a function-value call fans out to the named funcs and
 // bound methods the assignment-flow pass saw stored into that slot. The
 // union over-approximates any one call site, so analyzers that propagate
-// "callee might do X" facts stay sound; the //fcae:impl-pure directive
-// exempts implementations where the over-approximation would be noise.
+// "callee might do X" facts stay sound. Two more shared pieces sit beside
+// the resolver: the lexical lock-state sweep (locksweep.go) and the index
+// of //fcae: directive comments (directive.go).
 
 // FuncInfo pairs a declared function with its body and owning package.
 type FuncInfo struct {
@@ -48,8 +49,9 @@ func (fi *FuncInfo) Name() string {
 // Module is the shared facts framework: every type-checked package of the
 // module plus a function index used to resolve static calls.
 type Module struct {
-	Pkgs []*Package
-	Fset *token.FileSet
+	Pkgs       []*Package
+	Fset       *token.FileSet
+	Directives *DirectiveIndex
 
 	funcs map[*types.Func]*FuncInfo
 	order []*FuncInfo // deterministic iteration order (by position)
@@ -82,6 +84,7 @@ func BuildModule(pkgs []*Package) *Module {
 	}
 	sort.Slice(m.order, func(i, j int) bool { return m.order[i].Decl.Pos() < m.order[j].Decl.Pos() })
 	m.dyn = buildDynResolver(m)
+	m.Directives = buildDirectiveIndex(m)
 	return m
 }
 
@@ -97,56 +100,47 @@ func (m *Module) FuncInfo(fn *types.Func) *FuncInfo { return m.funcs[fn] }
 // concrete receiver type. Interface dispatch and calls through function
 // values return nil — use DynamicCallees for those.
 func (m *Module) StaticCallee(info *types.Info, call *ast.CallExpr) *FuncInfo {
-	fi := m.staticCalleeOf(info, call)
-	if fi != nil {
-		m.noteStaticEdge(call)
-	}
-	return fi
+	// Nil for functions outside the module and for interface methods: a
+	// Selection through an interface yields an object with no body.
+	fn, _ := denoted(info, call.Fun).(*types.Func)
+	return m.funcs[fn]
 }
 
-// staticCalleeOf is StaticCallee without the edge accounting, for use
-// during resolver construction (before counters exist to be meaningful).
-func (m *Module) staticCalleeOf(info *types.Info, call *ast.CallExpr) *FuncInfo {
-	var obj types.Object
-	switch fun := ast.Unparen(call.Fun).(type) {
+// Callees returns every module function call may reach: its static callee
+// alone when the call is direct, otherwise the possible dynamic callees.
+func (m *Module) Callees(info *types.Info, call *ast.CallExpr) []*FuncInfo {
+	if fi := m.StaticCallee(info, call); fi != nil {
+		return []*FuncInfo{fi}
+	}
+	return m.DynamicCallees(info, call)
+}
+
+// denoted returns the object an identifier or selector expression names —
+// a function, method, field or variable — or nil for any other shape.
+func denoted(info *types.Info, e ast.Expr) types.Object {
+	switch x := ast.Unparen(e).(type) {
 	case *ast.Ident:
-		obj = info.Uses[fun]
+		return info.Uses[x]
 	case *ast.SelectorExpr:
-		if sel := info.Selections[fun]; sel != nil {
-			obj = sel.Obj()
-		} else {
-			obj = info.Uses[fun.Sel] // package-qualified function
+		if sel := info.Selections[x]; sel != nil {
+			return sel.Obj()
 		}
+		return info.Uses[x.Sel] // package-qualified
 	}
-	fn, ok := obj.(*types.Func)
-	if !ok {
-		return nil
-	}
-	fi := m.funcs[fn]
-	if fi == nil {
-		return nil // not in module, or interface method without a body
-	}
-	// Interface methods share the declared *types.Func only on the
-	// interface side; a Selection through an interface yields an object
-	// with no body and is already filtered above.
-	return fi
+	return nil
 }
 
-// ModulePass carries the whole module through one module-level analyzer.
+// ModulePass carries the whole module through one analyzer.
 type ModulePass struct {
 	Module *Module
 
-	analyzer *Analyzer
+	analyzer string
 	diags    *[]Diagnostic
 }
 
 // Reportf records a finding anchored at pos.
 func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Pos:      p.Module.Fset.Position(pos),
-		Analyzer: p.analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-	})
+	p.ReportCat(pos, "", format, args...)
 }
 
 // ReportCat records a finding with a machine-readable category (the
@@ -154,7 +148,7 @@ func (p *ModulePass) Reportf(pos token.Pos, format string, args ...any) {
 func (p *ModulePass) ReportCat(pos token.Pos, category, format string, args ...any) {
 	*p.diags = append(*p.diags, Diagnostic{
 		Pos:      p.Module.Fset.Position(pos),
-		Analyzer: p.analyzer.Name,
+		Analyzer: p.analyzer,
 		Message:  fmt.Sprintf(format, args...),
 		Category: category,
 	})
@@ -185,4 +179,22 @@ func nestedFuncLits(body *ast.BlockStmt) []*ast.FuncLit {
 		return true
 	})
 	return lits
+}
+
+// walkParents is ast.Inspect with an ancestor stack: visit receives the
+// chain of ancestors (innermost last) for every node; returning false
+// skips the node's children.
+func walkParents(root ast.Node, visit func(stack []ast.Node, n ast.Node) bool) {
+	var stack []ast.Node
+	ast.Inspect(root, func(n ast.Node) bool {
+		if n == nil {
+			stack = stack[:len(stack)-1]
+			return true
+		}
+		if !visit(stack, n) {
+			return false
+		}
+		stack = append(stack, n)
+		return true
+	})
 }

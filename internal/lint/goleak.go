@@ -2,6 +2,7 @@ package lint
 
 import (
 	"go/ast"
+	"go/token"
 	"go/types"
 )
 
@@ -28,7 +29,7 @@ var GoLeak = &Analyzer{
 	Name: "goleak",
 	Doc: "goroutines of a type with Close/Stop must be joined: wg.Add before go, " +
 		"Done in the body, Wait reachable from Close/Stop",
-	RunModule: runGoLeak,
+	Run: runGoLeak,
 }
 
 func runGoLeak(pass *ModulePass) {
@@ -104,18 +105,7 @@ func checkGoStmt(pass *ModulePass, fi *FuncInfo, gs *ast.GoStmt, closers map[*ty
 	}
 
 	// (2) Add on the owner's WaitGroup lexically before the go statement.
-	addBefore := false
-	ast.Inspect(fi.Decl.Body, func(n ast.Node) bool {
-		if addBefore {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok && call.Pos() < gs.Pos() &&
-			isWGFieldCall(fi.Pkg, owner, call, "Add") {
-			addBefore = true
-		}
-		return true
-	})
-	if !addBefore {
+	if add := firstWGCall(fi.Pkg, owner, fi.Decl.Body, "Add"); !add.IsValid() || add > gs.Pos() {
 		pass.Reportf(gs.Pos(),
 			"goroutine of %s is not registered before it starts; call the WaitGroup's Add before the go statement",
 			owner.Obj().Name())
@@ -123,40 +113,13 @@ func checkGoStmt(pass *ModulePass, fi *FuncInfo, gs *ast.GoStmt, closers map[*ty
 
 	// (3) Done inside the goroutine body (skipped when the body is outside
 	// the module — a summary can only understate).
-	if body != nil {
-		done := false
-		ast.Inspect(body, func(n ast.Node) bool {
-			if done {
-				return false
-			}
-			if call, ok := n.(*ast.CallExpr); ok && isWGFieldCall(bpkg, owner, call, "Done") {
-				done = true
-			}
-			return true
-		})
-		if !done {
-			pass.Reportf(gs.Pos(),
-				"goroutine of %s never calls Done on its WaitGroup; Close would wait forever (defer it first in the body)",
-				owner.Obj().Name())
-		}
+	if body != nil && !firstWGCall(bpkg, owner, body, "Done").IsValid() {
+		pass.Reportf(gs.Pos(),
+			"goroutine of %s never calls Done on its WaitGroup; Close would wait forever (defer it first in the body)",
+			owner.Obj().Name())
 	}
 
-	// (4) Wait reachable from Close/Stop, reported once per type.
-	if _, seen := waitOK[owner]; !seen {
-		ok := false
-		for _, closer := range closers[owner] {
-			if waitReachable(m, owner, closer, make(map[*FuncInfo]bool)) {
-				ok = true
-				break
-			}
-		}
-		waitOK[owner] = ok
-		if !ok {
-			pass.Reportf(gs.Pos(),
-				"%s spawns goroutines but neither Close nor Stop reaches a Wait on its WaitGroup; workers leak past shutdown",
-				owner.Obj().Name())
-		}
-	}
+	checkWaitReachable(pass, gs, owner, closers, waitOK)
 }
 
 // checkDynamicSpawn applies the join discipline to one concrete method a
@@ -165,7 +128,6 @@ func checkGoStmt(pass *ModulePass, fi *FuncInfo, gs *ast.GoStmt, closers map[*ty
 // concrete type's WaitGroup field, so registration is the implementation's
 // contract (Done in the body, Wait from its own Close/Stop).
 func checkDynamicSpawn(pass *ModulePass, gs *ast.GoStmt, dc *FuncInfo, closers map[*types.Named][]*FuncInfo, waitOK map[*types.Named]bool) {
-	m := pass.Module
 	recv := dc.Obj.Type().(*types.Signature).Recv()
 	if recv == nil {
 		return
@@ -182,37 +144,43 @@ func checkDynamicSpawn(pass *ModulePass, gs *ast.GoStmt, dc *FuncInfo, closers m
 		return
 	}
 
-	done := false
-	ast.Inspect(dc.Decl.Body, func(n ast.Node) bool {
-		if done {
-			return false
-		}
-		if call, ok := n.(*ast.CallExpr); ok && isWGFieldCall(dc.Pkg, owner, call, "Done") {
-			done = true
-		}
-		return true
-	})
-	if !done {
+	if !firstWGCall(dc.Pkg, owner, dc.Decl.Body, "Done").IsValid() {
 		pass.Reportf(gs.Pos(),
 			"goroutine resolves to %s which never calls Done on %s's WaitGroup; Close would wait forever (defer it first in the body)",
 			dc.Name(), owner.Obj().Name())
 	}
+	checkWaitReachable(pass, gs, owner, closers, waitOK)
+}
 
-	if _, seen := waitOK[owner]; !seen {
-		ok := false
-		for _, closer := range closers[owner] {
-			if waitReachable(m, owner, closer, make(map[*FuncInfo]bool)) {
-				ok = true
-				break
-			}
+// firstWGCall returns where body first calls method on one of owner's
+// WaitGroup fields, or NoPos when it never does.
+func firstWGCall(pkg *Package, owner *types.Named, body *ast.BlockStmt, method string) token.Pos {
+	first := token.NoPos
+	ast.Inspect(body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && !first.IsValid() && isWGFieldCall(pkg, owner, call, method) {
+			first = call.Pos()
 		}
-		waitOK[owner] = ok
-		if !ok {
-			pass.Reportf(gs.Pos(),
-				"%s spawns goroutines but neither Close nor Stop reaches a Wait on its WaitGroup; workers leak past shutdown",
-				owner.Obj().Name())
+		return !first.IsValid()
+	})
+	return first
+}
+
+// checkWaitReachable is rule (4): a Wait on owner's WaitGroup must be
+// reachable from its Close or Stop. Reported once per type.
+func checkWaitReachable(pass *ModulePass, gs *ast.GoStmt, owner *types.Named, closers map[*types.Named][]*FuncInfo, waitOK map[*types.Named]bool) {
+	if _, seen := waitOK[owner]; seen {
+		return
+	}
+	for _, closer := range closers[owner] {
+		if waitReachable(pass.Module, owner, closer, make(map[*FuncInfo]bool)) {
+			waitOK[owner] = true
+			return
 		}
 	}
+	waitOK[owner] = false
+	pass.Reportf(gs.Pos(),
+		"%s spawns goroutines but neither Close nor Stop reaches a Wait on its WaitGroup; workers leak past shutdown",
+		owner.Obj().Name())
 }
 
 // hasWaitGroupField reports whether the named struct type declares a
@@ -270,15 +238,8 @@ func waitReachable(m *Module, owner *types.Named, start *FuncInfo, visited map[*
 			found = true
 			return false
 		}
-		if callee := m.StaticCallee(start.Pkg.Info, call); callee != nil {
+		for _, callee := range m.Callees(start.Pkg.Info, call) {
 			if waitReachable(m, owner, callee, visited) {
-				found = true
-				return false
-			}
-			return true
-		}
-		for _, dc := range m.DynamicCallees(start.Pkg.Info, call) {
-			if waitReachable(m, owner, dc, visited) {
 				found = true
 				return false
 			}

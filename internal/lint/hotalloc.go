@@ -4,7 +4,6 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
-	"strings"
 )
 
 // HotAlloc guards the paper's central performance claim: the merge kernel
@@ -28,13 +27,14 @@ import (
 // A site that is deliberate — a grow-on-demand scratch buffer, a bounded
 // debug path — is suppressed by `//fcae:alloc-ok <reason>` on the same
 // line or the line above; the reason is mandatory so the exemption
-// carries its justification in the diff.
+// carries its justification in the diff, and a directive that ends up
+// suppressing nothing is reported by the directive index.
 var HotAlloc = &Analyzer{
 	Name: "hotalloc",
 	Doc: "no per-iteration allocation in //fcae:cycle-accounting hot loops: flags " +
 		"make, growing append, string concat, interface boxing and closures reached " +
 		"from hot code; //fcae:alloc-ok <reason> suppresses a deliberate site",
-	RunModule: runHotAlloc,
+	Run: runHotAlloc,
 }
 
 const allocOKDirective = "//fcae:alloc-ok"
@@ -70,7 +70,6 @@ type haBody struct {
 
 func runHotAlloc(pass *ModulePass) {
 	m := pass.Module
-	okLines := collectAllocOKDirectives(pass)
 
 	bodies := make(map[*FuncInfo]*haBody)
 	for _, fi := range m.Funcs() {
@@ -80,7 +79,7 @@ func runHotAlloc(pass *ModulePass) {
 	// Seed: the cycle-accounted functions themselves.
 	hotness := make(map[*FuncInfo]int)
 	for _, fi := range m.Funcs() {
-		if hasCycleDirective(fi.Decl.Doc) {
+		if cycleAccounted(m, fi.Decl) {
 			hotness[fi] = haHot
 		}
 	}
@@ -117,7 +116,8 @@ func runHotAlloc(pass *ModulePass) {
 			if h == haHot && !s.inLoop {
 				continue
 			}
-			if okLines.suppresses(m.Fset.Position(s.pos)) {
+			if ok := m.Directives.AtLine("alloc-ok", s.pos); ok != nil {
+				ok.Use()
 				continue
 			}
 			where := "hot loop"
@@ -174,15 +174,11 @@ func collectHotAllocBody(m *Module, fi *FuncInfo) *haBody {
 			default:
 				return true // other builtins never box or allocate here
 			}
-			if callee := m.StaticCallee(info, n); callee != nil {
+			// Through an interface or a function value inside a hot region,
+			// every resolved implementation inherits the hotness, so its
+			// alloc sites get flagged too.
+			for _, callee := range m.Callees(info, n) {
 				b.calls = append(b.calls, haCall{callee, inLoop})
-			} else {
-				// Interface dispatch / function-value call inside a hot
-				// region: every resolved implementation inherits the
-				// hotness, so its alloc sites get flagged too.
-				for _, dc := range m.DynamicCallees(info, n) {
-					b.calls = append(b.calls, haCall{dc, inLoop})
-				}
 			}
 			if !inReturn {
 				if boxed := boxedArg(info, n); boxed != "" {
@@ -273,48 +269,4 @@ func boxedArg(info *types.Info, call *ast.CallExpr) string {
 		return at.String() + " argument"
 	}
 	return ""
-}
-
-// allocOKIndex maps file -> line -> directive reason for every
-// //fcae:alloc-ok comment in the module.
-type allocOKIndex map[string]map[int]string
-
-// suppresses reports whether a directive sits on the finding's line or
-// the line directly above it.
-func (idx allocOKIndex) suppresses(pos token.Position) bool {
-	lines := idx[pos.Filename]
-	if lines == nil {
-		return false
-	}
-	_, same := lines[pos.Line]
-	_, above := lines[pos.Line-1]
-	return same || above
-}
-
-func collectAllocOKDirectives(pass *ModulePass) allocOKIndex {
-	idx := make(allocOKIndex)
-	for _, pkg := range pass.Module.Pkgs {
-		for _, f := range pkg.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					if !strings.HasPrefix(c.Text, allocOKDirective) {
-						continue
-					}
-					reason := strings.TrimSpace(strings.TrimPrefix(c.Text, allocOKDirective))
-					p := pass.Module.Fset.Position(c.Pos())
-					if reason == "" {
-						pass.ReportCat(c.Pos(), "directive",
-							"malformed %s directive: the reason is mandatory (%s <reason>)",
-							allocOKDirective, allocOKDirective)
-						continue
-					}
-					if idx[p.Filename] == nil {
-						idx[p.Filename] = make(map[int]string)
-					}
-					idx[p.Filename][p.Line] = reason
-				}
-			}
-		}
-	}
-	return idx
 }

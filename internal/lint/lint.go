@@ -5,18 +5,14 @@
 // without importing it.
 //
 // The suite encodes invariants the compiler cannot check and that matter
-// specifically to an LSM-tree store driving a device compaction engine:
-// lock discipline around the DB's big mutex, the no-listener-callbacks-
-// under-lock rule of the observability layer, error wrapping on recovery
-// paths, iterator buffer lifetimes, swallowed I/O errors on durability
-// paths, and containment of the paper's device-cycle accounting model.
-// See DESIGN.md ("Static analysis") for the invariant each analyzer
-// protects.
+// specifically to an LSM-tree store driving a device compaction engine.
+// DESIGN.md ("Static analysis") holds the ledger: one row per analyzer
+// with the invariant it protects, what it has caught and what it guards
+// in the tree today.
 package lint
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
 	"go/types"
 	"sort"
@@ -37,35 +33,14 @@ func (d Diagnostic) String() string {
 	return fmt.Sprintf("%s:%d:%d: %s: %s", d.Pos.Filename, d.Pos.Line, d.Pos.Column, d.Analyzer, d.Message)
 }
 
-// Pass carries one type-checked package through one analyzer run.
-type Pass struct {
-	Fset  *token.FileSet
-	Files []*ast.File
-	Pkg   *types.Package
-	Info  *types.Info
-
-	analyzer *Analyzer
-	diags    *[]Diagnostic
-}
-
-// Reportf records a finding anchored at pos.
-func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
-	*p.diags = append(*p.diags, Diagnostic{
-		Pos:      p.Fset.Position(pos),
-		Analyzer: p.analyzer.Name,
-		Message:  fmt.Sprintf(format, args...),
-	})
-}
-
-// Analyzer is one named check. Exactly one of Run and RunModule is set:
-// Run sees one type-checked package at a time; RunModule sees the whole
-// module at once through the facts framework (call graph, function
-// summaries) and is how the cross-package analyzers work.
+// Analyzer is one named check. Run sees the whole module at once through
+// the facts layer (function index, call resolution, lock-state sweep,
+// directive index); an analyzer whose rule is local to a package ranges
+// over Module.Pkgs itself.
 type Analyzer struct {
-	Name      string
-	Doc       string
-	Run       func(*Pass)
-	RunModule func(*ModulePass)
+	Name string
+	Doc  string
+	Run  func(*ModulePass)
 }
 
 // Analyzers returns the full fcaelint suite in reporting order.
@@ -76,54 +51,28 @@ func Analyzers() []*Analyzer {
 	}
 }
 
-// Check runs the given analyzers over every package and returns the
-// findings sorted by file position. Analyzers run in parallel, each
-// accumulating into its own slice; go/types structures are read-only
+// Check runs the given analyzers over one Module built from pkgs and
+// returns the findings sorted by file position. Analyzers run in parallel,
+// each accumulating into its own slice; go/types structures are read-only
 // after loading, so concurrent passes over shared packages are safe.
 // (The dynamic resolver's caches are mutex-guarded for the same reason.)
+// The directive index reports last: only then is it known which
+// suppressions and grants nobody consulted.
 func Check(pkgs []*Package, analyzers []*Analyzer) []Diagnostic {
-	diags, _ := CheckStats(pkgs, analyzers)
-	return diags
-}
-
-// CheckStats is Check plus the call-edge counts the module analyzers
-// resolved — the fcaelint -json report header, so a baseline records
-// whether it was produced with dynamic resolution and how much of the
-// call graph it covered.
-func CheckStats(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, ResolverStats) {
-	var mod *Module
-	for _, a := range analyzers {
-		if a.RunModule != nil {
-			mod = BuildModule(pkgs)
-			break
-		}
-	}
+	mod := BuildModule(pkgs)
 	results := make([][]Diagnostic, len(analyzers))
+	ran := make(map[string]bool, len(analyzers))
 	var wg sync.WaitGroup
 	for i, a := range analyzers {
+		ran[a.Name] = true
 		wg.Add(1)
 		go func(i int, a *Analyzer) {
 			defer wg.Done()
-			var out []Diagnostic
-			if a.RunModule != nil {
-				a.RunModule(&ModulePass{Module: mod, analyzer: a, diags: &out})
-			} else {
-				for _, pkg := range pkgs {
-					a.Run(&Pass{
-						Fset:     pkg.Fset,
-						Files:    pkg.Files,
-						Pkg:      pkg.Types,
-						Info:     pkg.Info,
-						analyzer: a,
-						diags:    &out,
-					})
-				}
-			}
-			results[i] = out
+			a.Run(&ModulePass{Module: mod, analyzer: a.Name, diags: &results[i]})
 		}(i, a)
 	}
 	wg.Wait()
-	var diags []Diagnostic
+	diags := mod.Directives.findings(ran)
 	for _, out := range results {
 		diags = append(diags, out...)
 	}
@@ -140,11 +89,7 @@ func CheckStats(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, ResolverS
 		}
 		return a.Analyzer < b.Analyzer
 	})
-	var stats ResolverStats
-	if mod != nil {
-		stats = mod.ResolverStats()
-	}
-	return diags, stats
+	return diags
 }
 
 // errorType is the universe error interface, shared by several analyzers.

@@ -3,7 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/token"
-	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -23,24 +23,19 @@ import (
 // where flush acquires vs.mu yields the edge DB.mu -> VersionSet.mu even
 // though the two acquisitions live in different packages.
 //
-// Lock identity is `pkg.Type.field` for struct-field mutexes (the repo
-// convention: one lock instance class per field) and `pkg.name` for
-// variable mutexes. Held state is tracked lexically in source order, the
-// same approximation obscallback uses: a deferred Unlock does not clear
-// the state, deferred calls are ignored (they run at return), function
-// literals are separate not-held bodies, and a method named *Locked
-// starts with its receiver's mu held. The release set is what keeps the
-// store's unlock-then-relock windows (makeRoomForWrite, flushMem) from
-// reading as recursive acquisition: a callee's net-released locks cancel
-// the caller's held set during composition.
+// Lock identity and held state come from the shared sweep (locksweep.go).
+// Its release set is what keeps the store's unlock-then-relock windows
+// (makeRoomForWrite, flushMem) from reading as recursive acquisition: a
+// callee's net-released locks cancel the caller's held set during
+// composition. A directive naming a lock the sweep never saw locked or
+// unlocked anywhere in the module is itself a finding: after a rename it
+// would declare an order between nothing.
 var LockOrder = &Analyzer{
 	Name: "lockorder",
 	Doc: "lock acquisitions must not cycle; //fcae:lock-order A -> B declares " +
 		"the documented order and acquisitions contradicting it are reported",
-	RunModule: runLockOrder,
+	Run: runLockOrder,
 }
-
-const lockOrderDirective = "//fcae:lock-order"
 
 // lockAcq is one acquisition fact: key is acquired while held are held,
 // after the enclosing call chain net-released rel (caller locks that are
@@ -79,19 +74,13 @@ func runLockOrder(pass *ModulePass) {
 	m := pass.Module
 	var decls []*loBody
 	var lits []*loBody
+	known := make(map[string]bool) // every lock the module locks or unlocks
 	for _, fi := range m.Funcs() {
-		b := sweepLockBody(m, fi.Pkg, fi.Decl.Body, lockEntryKey(fi), fi.Name())
+		b := sweepLockBody(m, fi.Pkg, fi.Decl.Body, lockEntryKey(fi), fi.Name(), known)
 		b.fi = fi
 		decls = append(decls, b)
-		// //fcae:impl-pure claims the body is lock-free; a direct
-		// acquisition inside it invalidates the exemption everywhere the
-		// dynamic resolver honored it, so the directive itself is the bug.
-		if fi.ImplPure() && len(b.acqs) > 0 {
-			pass.Reportf(b.acqs[0].pos, "%s is marked %s but acquires %s", fi.Name(), implPureDirective, b.acqs[0].key)
-		}
 		for _, lit := range nestedFuncLits(fi.Decl.Body) {
-			lb := sweepLockBody(m, fi.Pkg, lit.Body, "", "function literal in "+fi.Name())
-			lits = append(lits, lb)
+			lits = append(lits, sweepLockBody(m, fi.Pkg, lit.Body, "", "function literal in "+fi.Name(), known))
 		}
 	}
 
@@ -143,17 +132,17 @@ func runLockOrder(pass *ModulePass) {
 			}
 		}
 	}
-	declared := collectLockDirectives(pass)
-	for _, d := range declared {
+	for _, d := range collectLockDirectives(pass, known) {
 		k := [2]string{d.from, d.to}
 		if edges[k] == nil {
 			edges[k] = d
 		}
 	}
 
-	// Any edge inside a non-trivial strongly connected component closes a
-	// cycle. Detected edges are reported at the acquisition site; declared
-	// edges only when the cycle is formed purely by directives.
+	// An edge closes a cycle when its head leads back to its tail (the
+	// graph is a few dozen locks, so a search per edge is cheap). Detected
+	// edges are reported at the acquisition site; declared edges only when
+	// the cycle is formed purely by directives.
 	sortedEdges := make([]*loEdge, 0, len(edges))
 	for _, e := range edges {
 		sortedEdges = append(sortedEdges, e)
@@ -164,122 +153,47 @@ func runLockOrder(pass *ModulePass) {
 		}
 		return sortedEdges[i].to < sortedEdges[j].to
 	})
-	scc := lockSCC(sortedEdges)
-	inCycle := func(e *loEdge) bool {
-		return scc[e.from] == scc[e.to]
-	}
-	cycleHasDetected := make(map[int]bool)
+	adj := make(map[string][]string)
 	for _, e := range sortedEdges {
-		if inCycle(e) && !e.declared {
-			cycleHasDetected[scc[e.from]] = true
-		}
+		adj[e.from] = append(adj[e.from], e.to)
 	}
 	for _, e := range sortedEdges {
-		if !inCycle(e) {
+		back := lockPath(adj, e.to, e.from)
+		if back == nil {
 			continue
 		}
-		cycle := lockCyclePath(sortedEdges, e, scc)
-		if e.declared {
-			if !cycleHasDetected[scc[e.from]] {
-				pass.Reportf(e.pos, "declared lock-order edge %s -> %s participates in a cycle: %s", e.from, e.to, cycle)
+		cycle := strings.Join(append([]string{e.from}, back...), " -> ")
+		if !e.declared {
+			pass.Reportf(e.pos, "lock-order violation: %s acquired in %s while %s is held, completing cycle %s", e.to, e.fn, e.from, cycle)
+			continue
+		}
+		// A detected edge on some cycle through e.from gets the report.
+		detected := false
+		for _, x := range sortedEdges {
+			if !x.declared && lockPath(adj, e.from, x.from) != nil && lockPath(adj, x.to, e.from) != nil {
+				detected = true
 			}
-			continue
 		}
-		pass.Reportf(e.pos, "lock-order violation: %s acquired in %s while %s is held, completing cycle %s", e.to, e.fn, e.from, cycle)
+		if !detected {
+			pass.Reportf(e.pos, "declared lock-order edge %s -> %s participates in a cycle: %s", e.from, e.to, cycle)
+		}
 	}
 }
 
-// sweepLockBody walks one body lexically and records its own lock
-// transitions and static calls with the lock context at each point.
-func sweepLockBody(m *Module, pkg *Package, body *ast.BlockStmt, entryKey, name string) *loBody {
-	const (
-		loLock = iota
-		loUnlock
-		loCall
-	)
-	type loEvent struct {
-		pos    token.Pos
-		kind   int
-		key    string
-		callee *FuncInfo
-	}
-	var events []loEvent
-	deferred := make(map[*ast.CallExpr]bool)
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false // analyzed as its own body
-		case *ast.DeferStmt:
-			deferred[n.Call] = true
-		case *ast.CallExpr:
-			if deferred[n] {
-				return true
-			}
-			if sel, ok := n.Fun.(*ast.SelectorExpr); ok && isSyncMutex(pkg.Info.TypeOf(sel.X)) {
-				key := lockKeyOf(pkg, sel.X)
-				if key == "" {
-					return true
-				}
-				switch {
-				case lockMethods[sel.Sel.Name]:
-					events = append(events, loEvent{pos: n.Pos(), kind: loLock, key: key})
-				case unlockMethods[sel.Sel.Name]:
-					events = append(events, loEvent{pos: n.Pos(), kind: loUnlock, key: key})
-				}
-				return true
-			}
-			if callee := m.StaticCallee(pkg.Info, n); callee != nil {
-				events = append(events, loEvent{pos: n.Pos(), kind: loCall, callee: callee})
-			} else {
-				// Interface dispatch / function-value call: the acquisition
-				// facts of every possible concrete callee apply, except
-				// implementations marked //fcae:impl-pure.
-				for _, dc := range m.DynamicCallees(pkg.Info, n) {
-					if dc.ImplPure() {
-						continue
-					}
-					events = append(events, loEvent{pos: n.Pos(), kind: loCall, callee: dc})
-				}
-			}
-		}
-		return true
-	})
-	sort.Slice(events, func(i, j int) bool { return events[i].pos < events[j].pos })
-
+// sweepLockBody turns one body's sweep into its own acquisitions and
+// calls, each with the lock context at that point, and adds every lock it
+// sees to known.
+func sweepLockBody(m *Module, pkg *Package, body *ast.BlockStmt, entryKey, name string, known map[string]bool) *loBody {
 	b := &loBody{name: name}
-	held := make(map[string]int)
-	if entryKey != "" {
-		held[entryKey] = 1
-	}
-	positives := func() []string {
-		var out []string
-		for k, c := range held {
-			if c > 0 {
-				out = append(out, k)
-			}
-		}
-		sort.Strings(out)
-		return out
-	}
-	negatives := func() []string {
-		var out []string
-		for k, c := range held {
-			if c < 0 {
-				out = append(out, k)
-			}
-		}
-		sort.Strings(out)
-		return out
-	}
-	for _, e := range events {
-		switch e.kind {
-		case loLock:
-			b.acqs = append(b.acqs, lockAcq{key: e.key, held: positives(), rel: negatives(), pos: e.pos, fn: name})
-			held[e.key]++
-		case loUnlock:
-			held[e.key]--
-		case loCall:
-			b.calls = append(b.calls, lockCall{callee: e.callee, held: positives(), rel: negatives()})
+	for _, e := range m.SweepLocks(pkg, body, entryKey, nil) {
+		switch e.Kind {
+		case EvLock:
+			known[e.Key] = true
+			b.acqs = append(b.acqs, lockAcq{key: e.Key, held: e.Held, rel: e.Released, pos: e.Pos, fn: name})
+		case EvUnlock:
+			known[e.Key] = true
+		case EvCall:
+			b.calls = append(b.calls, lockCall{callee: e.Callee, held: e.Held, rel: e.Released})
 		}
 	}
 	return b
@@ -354,154 +268,48 @@ func unionStrings(a, b []string) []string {
 	return out
 }
 
-// lockEntryKey returns the lock held on entry for *Locked methods: the
-// receiver type's mu field, per the mutexguard convention.
-func lockEntryKey(fi *FuncInfo) string {
-	if !strings.HasSuffix(fi.Obj.Name(), "Locked") {
-		return ""
-	}
-	recv := fi.Obj.Type().(*types.Signature).Recv()
-	if recv == nil {
-		return ""
-	}
-	n := namedOf(recv.Type())
-	if n == nil || n.Obj().Pkg() == nil {
-		return ""
-	}
-	st, ok := n.Underlying().(*types.Struct)
-	if !ok {
-		return ""
-	}
-	for i := 0; i < st.NumFields(); i++ {
-		f := st.Field(i)
-		if f.Name() == "mu" && isSyncMutex(f.Type()) {
-			return n.Obj().Pkg().Name() + "." + n.Obj().Name() + ".mu"
-		}
-	}
-	return ""
-}
-
-// lockKeyOf names the lock instance class denoted by the mutex expression
-// e: pkg.Type.field for struct fields, pkg.name for variables. Returns ""
-// when the expression has no stable name (skip the event).
-func lockKeyOf(pkg *Package, e ast.Expr) string {
-	switch x := e.(type) {
-	case *ast.SelectorExpr:
-		if n := namedOf(pkg.Info.TypeOf(x.X)); n != nil && n.Obj().Pkg() != nil {
-			return n.Obj().Pkg().Name() + "." + n.Obj().Name() + "." + x.Sel.Name
-		}
-		return pkg.Types.Name() + "." + x.Sel.Name
-	case *ast.Ident:
-		return pkg.Types.Name() + "." + x.Name
-	}
-	return ""
-}
-
-// collectLockDirectives parses //fcae:lock-order A -> B comments.
-func collectLockDirectives(pass *ModulePass) []*loEdge {
+// collectLockDirectives reads //fcae:lock-order A -> B into declared
+// edges, reporting the ones that are not of that form or name a lock
+// outside known.
+func collectLockDirectives(pass *ModulePass, known map[string]bool) []*loEdge {
 	var out []*loEdge
-	for _, pkg := range pass.Module.Pkgs {
-		for _, f := range pkg.Files {
-			for _, cg := range f.Comments {
-				for _, c := range cg.List {
-					if !strings.HasPrefix(c.Text, lockOrderDirective) {
-						continue
-					}
-					rest := strings.TrimSpace(strings.TrimPrefix(c.Text, lockOrderDirective))
-					parts := strings.Split(rest, "->")
-					if len(parts) != 2 || strings.TrimSpace(parts[0]) == "" || strings.TrimSpace(parts[1]) == "" {
-						pass.Reportf(c.Pos(), "malformed %s directive: want %q", lockOrderDirective, lockOrderDirective+" pkg.Type.mu -> pkg.Type.mu")
-						continue
-					}
-					out = append(out, &loEdge{
-						from:     strings.TrimSpace(parts[0]),
-						to:       strings.TrimSpace(parts[1]),
-						pos:      c.Pos(),
-						declared: true,
-					})
-				}
+	for _, d := range pass.Module.Directives.All("lock-order") {
+		from, to, ok := strings.Cut(d.Args, "->")
+		from, to = strings.TrimSpace(from), strings.TrimSpace(to)
+		if !ok || from == "" || to == "" || strings.Contains(to, "->") {
+			pass.Reportf(d.Pos, "%s", d.Malformed())
+			continue
+		}
+		unknown := false
+		for _, key := range []string{from, to} {
+			if !known[key] {
+				unknown = true
+				pass.Reportf(d.Pos, "%s names unknown lock %q: nothing in the module locks or unlocks it", d, key)
 			}
+		}
+		if !unknown {
+			out = append(out, &loEdge{from: from, to: to, pos: d.Pos, declared: true})
 		}
 	}
 	return out
 }
 
-// lockSCC computes strongly connected components (Tarjan) and returns a
-// component id per node; nodes in the same non-trivial component are
-// mutually reachable. Trivial single-node components get unique ids, so
-// scc[a] == scc[b] for a != b implies a cycle through both.
-func lockSCC(edges []*loEdge) map[string]int {
-	adj := make(map[string][]string)
-	nodes := make(map[string]bool)
-	for _, e := range edges {
-		adj[e.from] = append(adj[e.from], e.to)
-		nodes[e.from], nodes[e.to] = true, true
-	}
-	var order []string
-	for n := range nodes {
-		order = append(order, n)
-	}
-	sort.Strings(order)
-
-	index := make(map[string]int)
-	low := make(map[string]int)
-	onStack := make(map[string]bool)
-	comp := make(map[string]int)
-	var stack []string
-	next, ncomp := 0, 0
-	var strongconnect func(v string)
-	strongconnect = func(v string) {
-		index[v] = next
-		low[v] = next
-		next++
-		stack = append(stack, v)
-		onStack[v] = true
-		for _, w := range adj[v] {
-			if _, seen := index[w]; !seen {
-				strongconnect(w)
-				if low[w] < low[v] {
-					low[v] = low[w]
-				}
-			} else if onStack[w] && index[w] < low[v] {
-				low[v] = index[w]
-			}
-		}
-		if low[v] == index[v] {
-			for {
-				w := stack[len(stack)-1]
-				stack = stack[:len(stack)-1]
-				onStack[w] = false
-				comp[w] = ncomp
-				if w == v {
-					break
-				}
-			}
-			ncomp++
-		}
-	}
-	for _, n := range order {
-		if _, seen := index[n]; !seen {
-			strongconnect(n)
-		}
-	}
-	return comp
-}
-
-// lockCyclePath renders the cycle an in-SCC edge closes: a shortest path
-// from e.to back to e.from through the component, prefixed with the edge.
-func lockCyclePath(edges []*loEdge, e *loEdge, scc map[string]int) string {
-	adj := make(map[string][]string)
-	for _, x := range edges {
-		if scc[x.from] == scc[e.from] && scc[x.to] == scc[e.from] {
-			adj[x.from] = append(adj[x.from], x.to)
-		}
-	}
-	// BFS from e.to to e.from.
-	prev := map[string]string{e.to: e.to}
-	queue := []string{e.to}
-	for len(queue) > 0 && prev[e.from] == "" {
+// lockPath returns a shortest path from one lock to another along adj,
+// both ends included (just [from] when they are the same lock), or nil
+// when there is none.
+func lockPath(adj map[string][]string, from, to string) []string {
+	prev := map[string]string{from: from}
+	for queue := []string{from}; len(queue) > 0; queue = queue[1:] {
 		v := queue[0]
-		queue = queue[1:]
+		if v == to {
+			path := []string{to}
+			for v != from {
+				v = prev[v]
+				path = append(path, v)
+			}
+			slices.Reverse(path)
+			return path
+		}
 		for _, w := range adj[v] {
 			if _, seen := prev[w]; !seen {
 				prev[w] = v
@@ -509,18 +317,5 @@ func lockCyclePath(edges []*loEdge, e *loEdge, scc map[string]int) string {
 			}
 		}
 	}
-	path := []string{e.from, e.to}
-	if _, ok := prev[e.from]; ok && e.from != e.to {
-		var back []string
-		for v := e.from; v != e.to; v = prev[v] {
-			back = append(back, v)
-		}
-		back = append(back, e.to)
-		// back is e.from .. e.to reversed; rebuild forward from e.to.
-		path = []string{e.from}
-		for i := len(back) - 1; i >= 0; i-- {
-			path = append(path, back[i])
-		}
-	}
-	return strings.Join(path, " -> ")
+	return nil
 }

@@ -20,14 +20,16 @@ var MutexGuard = &Analyzer{
 	Run: runMutexGuard,
 }
 
-var lockMethods = map[string]bool{
-	"Lock": true, "RLock": true, "TryLock": true, "TryRLock": true,
+func runMutexGuard(pass *ModulePass) {
+	for _, pkg := range pass.Module.Pkgs {
+		checkMutexGuard(pass, pkg)
+	}
 }
 
-func runMutexGuard(pass *Pass) {
+func checkMutexGuard(pass *ModulePass, pkg *Package) {
 	// Pass 1: find guarded structs and their field sets.
 	guarded := make(map[string]map[string]bool) // struct type name -> guarded fields
-	for _, f := range pass.Files {
+	for _, f := range pkg.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
 			ts, ok := n.(*ast.TypeSpec)
 			if !ok {
@@ -45,7 +47,7 @@ func runMutexGuard(pass *Pass) {
 						fields[name.Name] = true
 						continue
 					}
-					if name.Name == "mu" && isSyncMutex(pass.Info.TypeOf(fld.Type)) {
+					if name.Name == "mu" && isSyncMutex(pkg.Info.TypeOf(fld.Type)) {
 						sawMu = true
 					}
 				}
@@ -61,13 +63,13 @@ func runMutexGuard(pass *Pass) {
 	}
 
 	// Pass 2: check each method of a guarded struct.
-	for _, f := range pass.Files {
+	for _, f := range pkg.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Recv == nil || fd.Body == nil {
 				continue
 			}
-			typeName, recvObj := receiverOf(pass, fd)
+			typeName, recvObj := receiverOf(pkg.Info, fd)
 			fields := guarded[typeName]
 			if fields == nil || recvObj == nil {
 				continue
@@ -75,7 +77,7 @@ func runMutexGuard(pass *Pass) {
 			if strings.HasSuffix(fd.Name.Name, "Locked") {
 				continue
 			}
-			if acquiresMu(pass, fd.Body, recvObj) {
+			if acquiresLock(pass.Module, pkg, fd.Body, pkg.Types.Name()+"."+typeName+".mu") {
 				continue
 			}
 			reported := make(map[string]bool)
@@ -85,7 +87,7 @@ func runMutexGuard(pass *Pass) {
 					return true
 				}
 				x, ok := sel.X.(*ast.Ident)
-				if !ok || pass.Info.Uses[x] != recvObj {
+				if !ok || pkg.Info.Uses[x] != recvObj {
 					return true
 				}
 				name := sel.Sel.Name
@@ -101,24 +103,8 @@ func runMutexGuard(pass *Pass) {
 	}
 }
 
-// isSyncMutex reports whether t is sync.Mutex or sync.RWMutex.
-func isSyncMutex(t types.Type) bool {
-	if t == nil {
-		return false
-	}
-	n, ok := t.(*types.Named)
-	if !ok {
-		return false
-	}
-	obj := n.Obj()
-	if obj.Pkg() == nil || obj.Pkg().Path() != "sync" {
-		return false
-	}
-	return obj.Name() == "Mutex" || obj.Name() == "RWMutex"
-}
-
 // receiverOf returns the receiver's base type name and its object.
-func receiverOf(pass *Pass, fd *ast.FuncDecl) (string, types.Object) {
+func receiverOf(info *types.Info, fd *ast.FuncDecl) (string, types.Object) {
 	if len(fd.Recv.List) != 1 || len(fd.Recv.List[0].Names) != 1 {
 		return "", nil
 	}
@@ -135,34 +121,22 @@ func receiverOf(pass *Pass, fd *ast.FuncDecl) (string, types.Object) {
 	if !ok {
 		return "", nil
 	}
-	return id.Name, pass.Info.Defs[name]
+	return id.Name, info.Defs[name]
 }
 
-// acquiresMu reports whether body contains a recv.mu.Lock-style call.
-func acquiresMu(pass *Pass, body *ast.BlockStmt, recvObj types.Object) bool {
-	found := false
-	ast.Inspect(body, func(n ast.Node) bool {
-		if found {
-			return false
+// acquiresLock reports whether the sweep of body — the function's own
+// statements or a function literal inside it — sees key locked.
+func acquiresLock(m *Module, pkg *Package, body *ast.BlockStmt, key string) bool {
+	bodies := []*ast.BlockStmt{body}
+	for _, lit := range nestedFuncLits(body) {
+		bodies = append(bodies, lit.Body)
+	}
+	for _, b := range bodies {
+		for _, e := range m.SweepLocks(pkg, b, "", nil) {
+			if e.Kind == EvLock && e.Key == key {
+				return true
+			}
 		}
-		call, ok := n.(*ast.CallExpr)
-		if !ok {
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok || !lockMethods[sel.Sel.Name] {
-			return true
-		}
-		mu, ok := sel.X.(*ast.SelectorExpr)
-		if !ok || mu.Sel.Name != "mu" {
-			return true
-		}
-		x, ok := mu.X.(*ast.Ident)
-		if ok && pass.Info.Uses[x] == recvObj {
-			found = true
-			return false
-		}
-		return true
-	})
-	return found
+	}
+	return false
 }

@@ -2,9 +2,7 @@ package lint
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
-	"sort"
 	"strings"
 )
 
@@ -15,13 +13,10 @@ import (
 // hold times. The sanctioned pattern is to SEQUENCE under the lock — append
 // a delivery closure to a queue — and DELIVER after Unlock.
 //
-// Lock state is tracked lexically per function body: a visible
-// <expr>.mu.Lock() sets it, <expr>.mu.Unlock() clears it, and a method
-// named *Locked starts with the mutex held (the mutexguard convention). A
-// deferred Unlock does not clear the state — it runs at return, after any
-// call in the body. Function literals are analyzed as fresh not-held
-// bodies: a closure queued under the lock runs later, outside it, so
-// listener calls inside it are legal.
+// Lock state comes from the shared sweep (locksweep.go), narrowed to
+// locks named mu: the rule is about the store mutex, and evMu is held
+// around delivery by design. The rule stays lexical — what a callee does
+// with the listener is that callee's finding.
 var ObsCallback = &Analyzer{
 	Name: "obscallback",
 	Doc: "EventListener methods must not be invoked while mu is held; " +
@@ -29,101 +24,38 @@ var ObsCallback = &Analyzer{
 	Run: runObsCallback,
 }
 
-var unlockMethods = map[string]bool{
-	"Unlock": true, "RUnlock": true,
-}
-
-func runObsCallback(pass *Pass) {
-	for _, f := range pass.Files {
-		ast.Inspect(f, func(n ast.Node) bool {
-			switch fn := n.(type) {
-			case *ast.FuncDecl:
-				if fn.Body != nil {
-					checkObsBody(pass, fn.Body, strings.HasSuffix(fn.Name.Name, "Locked"), fn.Name.Name)
-				}
-			case *ast.FuncLit:
-				checkObsBody(pass, fn.Body, false, "function literal")
-			}
-			return true
-		})
+func runObsCallback(pass *ModulePass) {
+	for _, fi := range pass.Module.Funcs() {
+		checkObsBody(pass, fi.Pkg, fi.Decl.Body, lockEntryKey(fi), fi.Obj.Name())
+		for _, lit := range nestedFuncLits(fi.Decl.Body) {
+			checkObsBody(pass, fi.Pkg, lit.Body, "", "function literal")
+		}
 	}
 }
 
-const (
-	evLock = iota
-	evUnlock
-	evListenerCall
-)
-
-type obsEvent struct {
-	pos  token.Pos
-	kind int
-	name string // listener method name for evListenerCall
-}
-
-// checkObsBody gathers this body's own lock transitions and listener calls
-// (nested function literals are separate bodies) and sweeps them in source
-// order.
-func checkObsBody(pass *Pass, body *ast.BlockStmt, entryHeld bool, fnName string) {
-	var events []obsEvent
-	deferred := make(map[*ast.CallExpr]bool)
-	ast.Inspect(body, func(n ast.Node) bool {
-		switch n := n.(type) {
-		case *ast.FuncLit:
-			return false // analyzed as its own body
-		case *ast.DeferStmt:
-			deferred[n.Call] = true
-		case *ast.CallExpr:
-			sel, ok := n.Fun.(*ast.SelectorExpr)
-			if !ok {
-				return true
-			}
-			switch {
-			case lockMethods[sel.Sel.Name] && isMuSelector(pass, sel.X):
-				if !deferred[n] {
-					events = append(events, obsEvent{pos: n.Pos(), kind: evLock})
-				}
-			case unlockMethods[sel.Sel.Name] && isMuSelector(pass, sel.X):
-				// A deferred Unlock runs at return: it never exposes the
-				// rest of the body, so it does not clear the lexical state.
-				if !deferred[n] {
-					events = append(events, obsEvent{pos: n.Pos(), kind: evUnlock})
-				}
-			case isEventListener(pass.Info.TypeOf(sel.X)):
-				events = append(events, obsEvent{pos: n.Pos(), kind: evListenerCall, name: sel.Sel.Name})
+// checkObsBody reports this body's listener calls made with a mu held.
+func checkObsBody(pass *ModulePass, pkg *Package, body *ast.BlockStmt, entryKey, fnName string) {
+	listenerCall := func(_ []ast.Node, n ast.Node) string {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if sel, ok := call.Fun.(*ast.SelectorExpr); ok && isEventListener(pkg.Info.TypeOf(sel.X)) {
+				return sel.Sel.Name
 			}
 		}
-		return true
-	})
-	sort.Slice(events, func(i, j int) bool { return events[i].pos < events[j].pos })
-
-	held := entryHeld
-	for _, e := range events {
-		switch e.kind {
-		case evLock:
-			held = true
-		case evUnlock:
-			held = false
-		case evListenerCall:
-			if held {
-				pass.Reportf(e.pos,
+		return ""
+	}
+	for _, e := range pass.Module.SweepLocks(pkg, body, entryKey, listenerCall) {
+		if e.Kind != EvNode {
+			continue
+		}
+		for _, key := range e.Held {
+			if strings.HasSuffix(key, ".mu") {
+				pass.Reportf(e.Pos,
 					"%s invokes EventListener method %s while mu is held (queue a delivery closure under the lock and invoke it after Unlock)",
-					fnName, e.name)
+					fnName, e.What)
+				break
 			}
 		}
 	}
-}
-
-// isMuSelector reports whether e denotes a field or variable named "mu" of
-// type sync.Mutex or sync.RWMutex.
-func isMuSelector(pass *Pass, e ast.Expr) bool {
-	switch x := e.(type) {
-	case *ast.SelectorExpr:
-		return x.Sel.Name == "mu" && isSyncMutex(pass.Info.TypeOf(x))
-	case *ast.Ident:
-		return x.Name == "mu" && isSyncMutex(pass.Info.TypeOf(x))
-	}
-	return false
 }
 
 // isEventListener reports whether t is a named interface type called

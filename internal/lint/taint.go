@@ -35,7 +35,7 @@ var Taint = &Analyzer{
 	Name: "taint",
 	Doc: "slice/index bounds derived from untrusted decoded bytes require a " +
 		"prior validation check, including through helper calls",
-	RunModule: runTaint,
+	Run: runTaint,
 }
 
 const (
@@ -276,7 +276,7 @@ func sweepTaint(b *taintBody, sums map[*FuncInfo]*taintSummary, init map[types.O
 				report(act.pos, "untrusted decoded value used as "+act.what+" without a prior bounds check")
 			}
 		case actCall:
-			if report == nil || m == nil {
+			if report == nil {
 				continue
 			}
 			callee := m.StaticCallee(b.pkg.Info, act.call)
@@ -331,19 +331,10 @@ func taintMultiAssign(b *taintBody, sums map[*FuncInfo]*taintSummary, state map[
 				return i == 0
 			}
 		}
-		if b.m != nil {
-			if callee := b.m.StaticCallee(b.pkg.Info, act.multi); callee != nil {
-				if s := sums[callee]; s != nil && s.returnsTainted {
-					lhs := act.lhs[i]
-					return lhs != nil && isIntegerObj(lhs)
-				}
-			} else {
-				for _, dc := range b.m.DynamicCallees(b.pkg.Info, act.multi) {
-					if s := sums[dc]; s != nil && s.returnsTainted {
-						lhs := act.lhs[i]
-						return lhs != nil && isIntegerObj(lhs)
-					}
-				}
+		for _, callee := range b.m.Callees(b.pkg.Info, act.multi) {
+			if s := sums[callee]; s != nil && s.returnsTainted {
+				lhs := act.lhs[i]
+				return lhs != nil && isIntegerObj(lhs)
 			}
 		}
 		return false
@@ -388,17 +379,9 @@ func taintedExpr(pkg *Package, m *Module, sums map[*FuncInfo]*taintSummary, stat
 				return true
 			}
 		}
-		if m != nil {
-			if callee := m.StaticCallee(pkg.Info, x); callee != nil {
-				if s := sums[callee]; s != nil && s.returnsTainted {
-					return true
-				}
-			} else {
-				for _, dc := range m.DynamicCallees(pkg.Info, x) {
-					if s := sums[dc]; s != nil && s.returnsTainted {
-						return true
-					}
-				}
+		for _, callee := range m.Callees(pkg.Info, x) {
+			if s := sums[callee]; s != nil && s.returnsTainted {
+				return true
 			}
 		}
 		return false
@@ -408,18 +391,7 @@ func taintedExpr(pkg *Package, m *Module, sums map[*FuncInfo]*taintSummary, stat
 
 // binaryFunc returns the encoding/binary function or method called, if any.
 func binaryFunc(info *types.Info, call *ast.CallExpr) *types.Func {
-	var obj types.Object
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.SelectorExpr:
-		if sel := info.Selections[fun]; sel != nil {
-			obj = sel.Obj()
-		} else {
-			obj = info.Uses[fun.Sel]
-		}
-	case *ast.Ident:
-		obj = info.Uses[fun]
-	}
-	fn, ok := obj.(*types.Func)
+	fn, ok := denoted(info, call.Fun).(*types.Func)
 	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "encoding/binary" {
 		return nil
 	}
@@ -433,10 +405,7 @@ func assignTarget(info *types.Info, lhs ast.Expr) types.Object {
 	if !ok || id.Name == "_" {
 		return nil
 	}
-	if obj := info.Defs[id]; obj != nil {
-		return obj
-	}
-	return info.Uses[id]
+	return identObj(info, id)
 }
 
 func isComparison(op token.Token) bool {

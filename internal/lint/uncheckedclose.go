@@ -25,32 +25,26 @@ var UncheckedClose = &Analyzer{
 
 var closeKin = map[string]bool{"Close": true, "Flush": true, "Sync": true}
 
-func runUncheckedClose(pass *Pass) {
-	for _, f := range pass.Files {
-		// Function bodies are walked explicitly so deferred Closes can be
-		// judged against the enclosing function's result list. A nested
-		// function literal re-scopes the rule: its own signature decides.
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil {
-				continue
-			}
-			checkCloseBody(pass, fd.Body, funcReturnsError(pass, fd.Type))
-		}
+func runUncheckedClose(pass *ModulePass) {
+	// Function bodies are walked explicitly so deferred Closes can be
+	// judged against the enclosing function's result list. A nested
+	// function literal re-scopes the rule: its own signature decides.
+	for _, fi := range pass.Module.Funcs() {
+		checkCloseBody(pass, fi.Pkg.Info, fi.Decl.Body, funcReturnsError(fi.Pkg.Info, fi.Decl.Type))
 	}
 }
 
-func checkCloseBody(pass *Pass, body *ast.BlockStmt, returnsError bool) {
+func checkCloseBody(pass *ModulePass, info *types.Info, body *ast.BlockStmt, returnsError bool) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.FuncLit:
-			checkCloseBody(pass, n.Body, funcReturnsError(pass, n.Type))
+			checkCloseBody(pass, info, n.Body, funcReturnsError(info, n.Type))
 			return false
 		case *ast.DeferStmt:
 			if !returnsError {
 				return true
 			}
-			if sel := closeKinCall(pass, n.Call); sel != nil {
+			if sel := closeKinCall(info, n.Call); sel != nil {
 				recv := types.ExprString(sel.X)
 				pass.Reportf(n.Pos(),
 					"defer %s.%s() discards the error in an error-returning function (capture it in the result or write `defer func() { _ = %s.%s() }()`)",
@@ -62,7 +56,7 @@ func checkCloseBody(pass *Pass, body *ast.BlockStmt, returnsError bool) {
 			if !ok {
 				return true
 			}
-			if sel := closeKinCall(pass, call); sel != nil {
+			if sel := closeKinCall(info, call); sel != nil {
 				recv := types.ExprString(sel.X)
 				pass.Reportf(n.Pos(), "%s.%s() error is silently dropped (handle it or write `_ = %s.%s()`)",
 					recv, sel.Sel.Name, recv, sel.Sel.Name)
@@ -75,15 +69,15 @@ func checkCloseBody(pass *Pass, body *ast.BlockStmt, returnsError bool) {
 
 // closeKinCall returns the selector of a no-arg Close/Flush/Sync method
 // call whose sole result is an error, or nil.
-func closeKinCall(pass *Pass, call *ast.CallExpr) *ast.SelectorExpr {
+func closeKinCall(info *types.Info, call *ast.CallExpr) *ast.SelectorExpr {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok || !closeKin[sel.Sel.Name] || len(call.Args) != 0 {
 		return nil
 	}
-	if pass.Info.Selections[sel] == nil {
+	if info.Selections[sel] == nil {
 		return nil // package function or conversion, not a method
 	}
-	if !isErrorType(pass.Info.TypeOf(call)) {
+	if !isErrorType(info.TypeOf(call)) {
 		return nil
 	}
 	return sel
@@ -91,12 +85,12 @@ func closeKinCall(pass *Pass, call *ast.CallExpr) *ast.SelectorExpr {
 
 // funcReturnsError reports whether the function type has an error among
 // its results.
-func funcReturnsError(pass *Pass, ft *ast.FuncType) bool {
+func funcReturnsError(info *types.Info, ft *ast.FuncType) bool {
 	if ft.Results == nil {
 		return false
 	}
 	for _, r := range ft.Results.List {
-		if isErrorType(pass.Info.TypeOf(r.Type)) {
+		if isErrorType(info.TypeOf(r.Type)) {
 			return true
 		}
 	}

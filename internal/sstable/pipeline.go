@@ -351,7 +351,7 @@ func (w *Writer) stageAsync(contents []byte) {
 		return
 	}
 	if a.spare == nil {
-		//fcae:alloc-ok two builders alternate for the writer's lifetime; this is the one-time second
+		// Two builders alternate for the writer's lifetime; this is the one-time second.
 		a.spare = newBlockBuilder(w.opts.RestartInterval)
 	}
 	a.stagedBuilder = w.data

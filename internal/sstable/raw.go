@@ -136,7 +136,7 @@ func (w *BlockWriter) Empty() bool { return w.b.empty() }
 
 // Finish returns the completed block contents and resets the builder.
 func (w *BlockWriter) Finish() []byte {
-	//fcae:alloc-ok the copy is the API contract: the caller keeps the block, the builder's buffer is reused
+	// The copy is the API contract: the caller keeps the block, the builder's buffer is reused.
 	out := append([]byte(nil), w.b.finish()...)
 	w.b.reset()
 	return out
