@@ -545,7 +545,8 @@ func (db *DB) release(rs readState) {
 	db.flushEvents()
 }
 
-// Get returns the value for key, or ErrNotFound.
+// Get returns the value for key, or ErrNotFound. The returned slice is a
+// copy: it is the caller's to keep and to write.
 func (db *DB) Get(key []byte) ([]byte, error) {
 	rs, err := db.acquire()
 	if err != nil {
@@ -555,20 +556,22 @@ func (db *DB) Get(key []byte) ([]byte, error) {
 	return db.getAt(key, rs.seq, rs)
 }
 
-// getAt reads key as of seq from the acquired state.
+// getAt reads key as of seq from the acquired state. Whatever it returns
+// is a copy: a memtable hands out its own memory, which the caller must
+// neither write nor, by holding on to it, keep alive.
 func (db *DB) getAt(key []byte, seq uint64, rs readState) ([]byte, error) {
 	if val, del, found := rs.mem.Get(key, seq); found {
 		if del {
 			return nil, ErrNotFound
 		}
-		return val, nil
+		return append([]byte(nil), val...), nil
 	}
 	if rs.imm != nil {
 		if val, del, found := rs.imm.Get(key, seq); found {
 			if del {
 				return nil, ErrNotFound
 			}
-			return val, nil
+			return append([]byte(nil), val...), nil
 		}
 	}
 	var (

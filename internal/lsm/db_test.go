@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"fcae/internal/keys"
+	"fcae/internal/memtable"
 )
 
 func openTest(t *testing.T, opts Options) *DB {
@@ -748,4 +749,42 @@ func TestRepairQuarantinesCorruptTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	db2.Close()
+}
+
+// TestGetReturnsACopy: what Get returns is the caller's. Writing into it
+// must not reach the stored entry, wherever the read found it.
+func TestGetReturnsACopy(t *testing.T) {
+	db := openTest(t, Options{})
+	key := []byte("k")
+	if err := db.Put(key, []byte("value")); err != nil {
+		t.Fatal(err)
+	}
+	snap := db.NewSnapshot()
+	defer snap.Release()
+	scribble := func(where string, get func() ([]byte, error)) {
+		t.Helper()
+		for read := 0; read < 2; read++ {
+			got, err := get()
+			if err != nil || string(got) != "value" {
+				t.Fatalf("%s, read %d: Get = %q, %v; want %q", where, read, got, err, "value")
+			}
+			got[0] = 'X'
+		}
+	}
+	scribble("memtable", func() ([]byte, error) { return db.Get(key) })
+	scribble("memtable through a snapshot", func() ([]byte, error) { return snap.Get(key) })
+	scribble("immutable memtable", func() ([]byte, error) {
+		rs, err := db.acquire()
+		if err != nil {
+			return nil, err
+		}
+		defer db.release(rs)
+		// Where a rotation would leave the two memtables.
+		rs.mem, rs.imm = memtable.New(0), rs.mem
+		return db.getAt(key, rs.seq, rs)
+	})
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	scribble("table", func() ([]byte, error) { return db.Get(key) })
 }

@@ -20,7 +20,8 @@ func (db *DB) NewSnapshot() *Snapshot {
 // Seq returns the snapshot's sequence number.
 func (s *Snapshot) Seq() uint64 { return s.seq }
 
-// Get reads key as of the snapshot.
+// Get reads key as of the snapshot. The returned slice is a copy: it is
+// the caller's to keep and to write.
 func (s *Snapshot) Get(key []byte) ([]byte, error) {
 	rs, err := s.db.acquire()
 	if err != nil {

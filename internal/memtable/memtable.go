@@ -1,96 +1,74 @@
-// Package memtable implements the mutable in-memory write buffer. Entries
-// are stored in a skiplist as a single encoded record
-//
-//	varint(len(ikey)) ikey varint(len(value)) value
-//
-// ordered by the internal-key comparator, exactly as in LevelDB, so that a
-// flush ("the first type of compaction", paper §II-A) is a simple in-order
-// scan into an SSTable builder.
+// Package memtable implements the mutable in-memory write buffer: a
+// skiplist of (internal key, value) entries ordered by the internal-key
+// comparator, exactly as in LevelDB, so that a flush ("the first type of
+// compaction", paper §II-A) is a simple in-order scan into an SSTable
+// builder. The list keeps key and value apart, so no entry is encoded or
+// decoded here; every key and value read out of a MemTable is the list's
+// own memory, valid as long as the MemTable and not to be written.
 package memtable
 
 import (
-	"encoding/binary"
-	"errors"
+	"math/bits"
+	"sync"
+	"sync/atomic"
 
 	"fcae/internal/keys"
 	"fcae/internal/skiplist"
 )
 
-// ErrNotFound is returned by Get when the key has no entry in this table.
-var ErrNotFound = errors.New("memtable: not found")
-
 // MemTable is a sorted in-memory buffer of recent writes. Add calls must be
 // serialized by the caller; reads may run concurrently with one writer.
 type MemTable struct {
 	list *skiplist.List
+	// ikey is the writer's scratch for the internal key of the entry
+	// being added; the list copies it.
+	ikey []byte
+	// prefixes counts the two uvarint length prefixes per entry that this
+	// package once stored. ApproximateSize still includes them so that a
+	// memtable fills, and so rotates and flushes, at the same write.
+	prefixes atomic.Int64
 }
 
 // New returns an empty MemTable. seed fixes skiplist randomness.
 func New(seed int64) *MemTable {
-	return &MemTable{list: skiplist.New(compareEntries, seed)}
+	return &MemTable{list: skiplist.New(keys.Compare, seed)}
 }
 
-// compareEntries orders encoded entries by their internal key.
-func compareEntries(a, b []byte) int {
-	return keys.Compare(decodeKey(a), decodeKey(b))
-}
-
-func decodeKey(entry []byte) []byte {
-	n, w := binary.Uvarint(entry)
-	if w <= 0 || n > uint64(len(entry)-w) {
-		return nil // corrupt self-encoded entry; compare as empty key
-	}
-	return entry[w : w+int(n)]
-}
-
-func decodeKV(entry []byte) (ikey, value []byte) {
-	n, w := binary.Uvarint(entry)
-	if w <= 0 || n > uint64(len(entry)-w) {
-		return nil, nil
-	}
-	ikey = entry[w : w+int(n)]
-	rest := entry[w+int(n):]
-	vn, vw := binary.Uvarint(rest)
-	if vw <= 0 || vn > uint64(len(rest)-vw) {
-		return ikey, nil
-	}
-	return ikey, rest[vw : vw+int(vn)]
-}
-
-func encodeEntry(ikey, value []byte) []byte {
-	buf := make([]byte, 0, len(ikey)+len(value)+2*binary.MaxVarintLen32)
-	var tmp [binary.MaxVarintLen32]byte
-	buf = append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(len(ikey)))]...)
-	buf = append(buf, ikey...)
-	buf = append(buf, tmp[:binary.PutUvarint(tmp[:], uint64(len(value)))]...)
-	return append(buf, value...)
-}
+func uvarintLen(n int) int64 { return int64(bits.Len64(uint64(n)|1)+6) / 7 }
 
 // Add inserts a (user key, value) pair at the given sequence number. kind
 // distinguishes sets from deletion tombstones.
 func (m *MemTable) Add(seq uint64, kind keys.Kind, user, value []byte) {
-	ikey := keys.MakeInternal(nil, user, seq, kind)
-	m.list.Insert(encodeEntry(ikey, value))
+	m.ikey = keys.MakeInternal(m.ikey[:0], user, seq, kind)
+	m.list.Insert(m.ikey, value)
+	m.prefixes.Add(uvarintLen(len(m.ikey)) + uvarintLen(len(value)))
 }
 
+// lookups recycles the internal keys Get searches for. The list's
+// comparator is a func value, so a key handed to it escapes and a buffer on
+// Get's stack would be a heap allocation per call.
+var lookups = sync.Pool{New: func() any { return new([]byte) }}
+
 // Get looks up the newest entry for user visible at snapshot seq. found
-// reports whether any entry exists; deleted reports a tombstone.
+// reports whether any entry exists; deleted reports a tombstone. value is
+// the table's own memory, not a copy.
 func (m *MemTable) Get(user []byte, seq uint64) (value []byte, deleted, found bool) {
-	lookup := keys.MakeInternal(nil, user, seq, keys.KindSet)
+	lookup := lookups.Get().(*[]byte)
+	*lookup = keys.MakeInternal((*lookup)[:0], user, seq, keys.KindSet)
 	it := m.list.NewIterator()
-	it.SeekGE(encodeEntry(lookup, nil))
+	it.SeekGE(*lookup)
+	lookups.Put(lookup)
 	if !it.Valid() {
 		return nil, false, false
 	}
-	ikey, val := decodeKV(it.Key())
+	ikey, value := it.Key(), it.Value()
 	if keys.CompareUser(keys.UserKey(ikey), user) != 0 {
 		return nil, false, false
 	}
-	_, kind := keys.DecodeTrailer(ikey)
-	if kind == keys.KindDelete {
+	if _, kind := keys.DecodeTrailer(ikey); kind == keys.KindDelete {
 		return nil, true, true
 	}
-	return val, false, true
+	return value, false, true
 }
 
 // Len returns the number of entries.
@@ -98,44 +76,20 @@ func (m *MemTable) Len() int { return m.list.Len() }
 
 // ApproximateSize returns the bytes consumed by stored entries, used to
 // decide when the table is full and must become immutable (paper §II-A).
-func (m *MemTable) ApproximateSize() int64 { return m.list.Bytes() }
+func (m *MemTable) ApproximateSize() int64 { return m.list.Bytes() + m.prefixes.Load() }
 
 // Empty reports whether the table has no entries.
 func (m *MemTable) Empty() bool { return m.list.Len() == 0 }
 
-// Iterator yields entries in internal-key order.
-type Iterator struct {
-	it *skiplist.Iterator
-}
+// Iterator yields entries in internal-key order: the list's iterator, whose
+// keys are internal keys, with the Error method the iterator contract asks
+// for.
+type Iterator struct{ skiplist.Iterator }
 
 // NewIterator returns an unpositioned iterator over the table.
 func (m *MemTable) NewIterator() *Iterator {
-	return &Iterator{it: m.list.NewIterator()}
+	return &Iterator{*m.list.NewIterator()}
 }
-
-// Valid reports whether the iterator is positioned.
-func (it *Iterator) Valid() bool { return it.it.Valid() }
-
-// Key returns the current internal key.
-func (it *Iterator) Key() []byte { k, _ := decodeKV(it.it.Key()); return k }
-
-// Value returns the current value.
-func (it *Iterator) Value() []byte { _, v := decodeKV(it.it.Key()); return v }
-
-// Next advances the iterator.
-func (it *Iterator) Next() { it.it.Next() }
-
-// Prev steps the iterator backwards.
-func (it *Iterator) Prev() { it.it.Prev() }
-
-// SeekGE positions at the first entry with internal key >= ikey.
-func (it *Iterator) SeekGE(ikey []byte) { it.it.SeekGE(encodeEntry(ikey, nil)) }
-
-// SeekToFirst positions at the smallest entry.
-func (it *Iterator) SeekToFirst() { it.it.SeekToFirst() }
-
-// SeekToLast positions at the largest entry.
-func (it *Iterator) SeekToLast() { it.it.SeekToLast() }
 
 // Error always returns nil: memtable iteration cannot fail.
 func (it *Iterator) Error() error { return nil }

@@ -386,11 +386,20 @@ func TestSlowReaderIsBoundedAndDropped(t *testing.T) {
 	// for a token.
 	bound := 2*(maxBufferedBytes+frameLen) + (maxInFlight+1)*frameLen
 	held := func() int64 { return s.met.opCount(OpGet).Value()*frameLen - s.met.responseBytes.Value() }
-	var maxHeld int64
-	for id := uint64(2); s.met.connsClosed.Value() == 0; id++ {
-		if h := held(); h > maxHeld {
-			maxHeld = h
+	// held is sampled on a goroutine of its own until the drop: a PUT below
+	// can wait out the whole WriteTimeout behind the stuck handlers, so
+	// sampling between PUTs may look once, before anything backed up.
+	sampled := make(chan int64, 1)
+	go func() {
+		var maxHeld int64
+		for ; s.met.connsClosed.Value() == 0; time.Sleep(100 * time.Microsecond) {
+			if h := held(); h > maxHeld {
+				maxHeld = h
+			}
 		}
+		sampled <- maxHeld
+	}()
+	for id := uint64(2); s.met.connsClosed.Value() == 0; id++ {
 		// While the stuck handlers hold every token this waits, for at
 		// most WriteTimeout; it is never refused.
 		good.send(id, OpPut, AppendPutPayload(nil, []byte("small"), []byte("v")))
@@ -398,6 +407,7 @@ func TestSlowReaderIsBoundedAndDropped(t *testing.T) {
 			t.Fatalf("put beside the stuck connection: st=%v", st)
 		}
 	}
+	maxHeld := <-sampled
 	if maxHeld > bound {
 		t.Fatalf("server held %d bytes of replies for a peer that does not read, bound %d", maxHeld, bound)
 	}

@@ -2,9 +2,11 @@ package skiplist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"sort"
+	"strconv"
 	"sync"
 	"testing"
 )
@@ -36,7 +38,7 @@ func TestInsertAndContains(t *testing.T) {
 	l := newList()
 	keys := []string{"delta", "alpha", "charlie", "bravo", "echo"}
 	for _, k := range keys {
-		l.Insert([]byte(k))
+		l.Insert([]byte(k), nil)
 	}
 	if l.Len() != len(keys) {
 		t.Fatalf("Len = %d, want %d", l.Len(), len(keys))
@@ -61,7 +63,7 @@ func TestIterationIsSorted(t *testing.T) {
 		if l.Contains([]byte(k)) {
 			continue
 		}
-		l.Insert([]byte(k))
+		l.Insert([]byte(k), nil)
 		want = append(want, k)
 	}
 	sort.Strings(want)
@@ -84,7 +86,7 @@ func TestSeekGE(t *testing.T) {
 	t.Parallel()
 	l := newList()
 	for _, k := range []string{"b", "d", "f"} {
-		l.Insert([]byte(k))
+		l.Insert([]byte(k), nil)
 	}
 	cases := []struct{ target, want string }{
 		{"a", "b"}, {"b", "b"}, {"c", "d"}, {"d", "d"}, {"e", "f"}, {"f", "f"},
@@ -106,7 +108,7 @@ func TestSeekLTAndPrev(t *testing.T) {
 	t.Parallel()
 	l := newList()
 	for _, k := range []string{"b", "d", "f"} {
-		l.Insert([]byte(k))
+		l.Insert([]byte(k), nil)
 	}
 	it := l.NewIterator()
 	it.SeekLT([]byte("e"))
@@ -131,7 +133,7 @@ func TestSeekToLast(t *testing.T) {
 	t.Parallel()
 	l := newList()
 	for i := 0; i < 100; i++ {
-		l.Insert([]byte(fmt.Sprintf("%04d", i)))
+		l.Insert([]byte(fmt.Sprintf("%04d", i)), nil)
 	}
 	it := l.NewIterator()
 	it.SeekToLast()
@@ -143,19 +145,29 @@ func TestSeekToLast(t *testing.T) {
 func TestBytesAccounting(t *testing.T) {
 	t.Parallel()
 	l := newList()
-	l.Insert([]byte("abc"))
-	l.Insert([]byte("defgh"))
+	l.Insert([]byte("abc"), nil)
+	l.Insert([]byte("defgh"), nil)
 	if l.Bytes() != 8 {
 		t.Fatalf("Bytes = %d, want 8", l.Bytes())
 	}
 }
 
+// concurrentValue is the value TestConcurrentReadersWithWriter stores under
+// key number i: its length and its every byte follow from i, so a reader
+// can tell a torn or misplaced one from the key alone.
+func concurrentValue(i int) []byte {
+	return bytes.Repeat([]byte{byte(i)}, i%13*53)
+}
+
 // TestConcurrentReadersWithWriter exercises the single-writer /
-// multi-reader contract under the race detector.
+// multi-reader contract under the race detector, over a fill long enough
+// that the writer opens new chunks of both slabs under the readers: a link
+// into a chunk a reader's directory lacks panics, and an entry read before
+// its bytes or lengths were written fails the length and content checks.
 func TestConcurrentReadersWithWriter(t *testing.T) {
 	t.Parallel()
 	l := newList()
-	const total = 2000
+	const total = 8000
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
 	for r := 0; r < 4; r++ {
@@ -176,36 +188,95 @@ func TestConcurrentReadersWithWriter(t *testing.T) {
 						return
 					}
 					prev = append(prev[:0], it.Key()...)
+					i, err := strconv.Atoi(string(prev[1:]))
+					if len(prev) != 9 || err != nil {
+						t.Errorf("read key %q, which was never inserted", prev)
+						return
+					}
+					if !bytes.Equal(it.Value(), concurrentValue(i)) {
+						t.Errorf("key %q: value of %d bytes is not the one inserted", prev, len(it.Value()))
+						return
+					}
 				}
 			}
 		}()
 	}
 	for i := 0; i < total; i++ {
-		l.Insert([]byte(fmt.Sprintf("k%08d", i*2654435761%total)))
+		n := i * 2654435761 % total
+		l.Insert([]byte(fmt.Sprintf("k%08d", n)), concurrentValue(n))
 	}
 	close(stop)
 	wg.Wait()
 	if l.Len() != total {
 		t.Fatalf("Len = %d, want %d", l.Len(), total)
 	}
+	crossedChunks(t, l)
 }
 
 func BenchmarkInsert(b *testing.B) {
 	l := newList()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		l.Insert([]byte(fmt.Sprintf("key-%012d", i*2654435761)))
+		l.Insert([]byte(fmt.Sprintf("key-%012d", i*2654435761)), nil)
 	}
 }
 
 func BenchmarkSeekGE(b *testing.B) {
 	l := newList()
 	for i := 0; i < 100000; i++ {
-		l.Insert([]byte(fmt.Sprintf("key-%012d", i)))
+		l.Insert([]byte(fmt.Sprintf("key-%012d", i)), nil)
 	}
 	it := l.NewIterator()
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		it.SeekGE([]byte(fmt.Sprintf("key-%012d", i%100000)))
+	}
+}
+
+// The 4MiB benchmarks have the shape the repo benchmark's memtable.add_ns
+// and memtable.get_ns probes time: 16-byte keys with 128-byte values, as
+// many as fill a 4 MiB memtable, in scattered order.
+const (
+	fillKeyLen   = 16
+	fillValueLen = 128
+	fillEntries  = (4 << 20) / (fillKeyLen + fillValueLen)
+)
+
+func fillKey(dst []byte, i int) []byte {
+	dst = append(dst[:0], "fill-key"...)
+	return binary.BigEndian.AppendUint64(dst, uint64(i*7919%fillEntries))
+}
+
+func fill4MiB() *List {
+	l := newList()
+	value := make([]byte, fillValueLen)
+	var key []byte
+	for i := 0; i < fillEntries; i++ {
+		key = fillKey(key, i)
+		l.Insert(key, value)
+	}
+	return l
+}
+
+// BenchmarkInsert4MiB reports one whole fill per iteration.
+func BenchmarkInsert4MiB(b *testing.B) {
+	b.ReportAllocs()
+	b.SetBytes(fillEntries * (fillKeyLen + fillValueLen))
+	for i := 0; i < b.N; i++ {
+		fill4MiB()
+	}
+}
+
+func BenchmarkSeekGE4MiB(b *testing.B) {
+	l := fill4MiB()
+	it := l.NewIterator()
+	var key []byte
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		key = fillKey(key, i)
+		it.SeekGE(key)
 	}
 }
