@@ -54,6 +54,7 @@ package fcae
 import (
 	"fcae/internal/compaction"
 	"fcae/internal/core"
+	"fcae/internal/corruption"
 	"fcae/internal/dispatch"
 	"fcae/internal/lsm"
 	"fcae/internal/obs"
@@ -262,6 +263,17 @@ var (
 	ErrNotFound = lsm.ErrNotFound
 	// ErrClosed is returned after Close.
 	ErrClosed = lsm.ErrClosed
+	// ErrCorruption is the class of every error that means bytes the store
+	// wrote came back damaged; test for it with errors.Is. It covers a
+	// table whose footer, index, filter or data block fails its checksum
+	// or does not parse (from Get, iterators and compaction; Repair sets
+	// such a table aside instead), a MANIFEST record that fails its
+	// checksum or does not decode, and a logged write batch that does not
+	// parse. It does not cover a torn tail of the write-ahead log: a record
+	// there that is cut short or fails its checksum is what a crash leaves
+	// behind, so recovery stops at it and Open succeeds. Nor does it cover
+	// I/O errors, which pass through as the operating system reported them.
+	ErrCorruption = corruption.Err
 )
 
 // Network service types. OpenServer starts the TCP KV service (pipelined

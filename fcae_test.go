@@ -2,11 +2,17 @@ package fcae_test
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
+	"path/filepath"
 	"testing"
 
 	"fcae"
+	"fcae/internal/lsm"
+	"fcae/internal/manifest"
+	"fcae/internal/sstable"
+	"fcae/internal/wal"
 )
 
 func TestPublicAPIQuickstart(t *testing.T) {
@@ -191,5 +197,66 @@ func TestPublicAPIRepairAndCheckpoint(t *testing.T) {
 	defer db3.Close()
 	if v, err := db3.Get([]byte("k")); err != nil || string(v) != "v" {
 		t.Fatalf("checkpoint Get = %q, %v", v, err)
+	}
+}
+
+// TestCorruptionClass: the four corruption sentinels a store can return
+// are one class to a caller, and stay themselves to the code that
+// already matches them.
+func TestCorruptionClass(t *testing.T) {
+	for _, sentinel := range []error{wal.ErrCorrupt, manifest.ErrCorruptEdit, sstable.ErrCorrupt, lsm.ErrBatchCorrupt} {
+		wrapped := fmt.Errorf("reading: %w", sentinel)
+		if !errors.Is(wrapped, fcae.ErrCorruption) {
+			t.Errorf("%v is not fcae.ErrCorruption", sentinel)
+		}
+		if !errors.Is(wrapped, sentinel) {
+			t.Errorf("%v no longer matches itself", sentinel)
+		}
+	}
+	if errors.Is(fcae.ErrNotFound, fcae.ErrCorruption) || errors.Is(wal.ErrCorrupt, sstable.ErrCorrupt) {
+		t.Error("the class matches errors outside it, or the sentinels each other")
+	}
+}
+
+// TestDamagedTableSurfacesAsCorruption flips one byte in a data block of
+// a closed store's table: the key stored there must come back from the
+// public API as ErrCorruption, not as a value, a miss or a panic.
+func TestDamagedTableSurfacesAsCorruption(t *testing.T) {
+	dir := t.TempDir()
+	db, err := fcae.Open(dir, fcae.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if err := db.Put([]byte(fmt.Sprintf("k%04d", i)), []byte("value")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	tables, err := filepath.Glob(filepath.Join(dir, "*.ldb"))
+	if err != nil || len(tables) != 1 {
+		t.Fatalf("want one table, got %v, %v", tables, err)
+	}
+	data, err := os.ReadFile(tables[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	data[10] ^= 0x40 // the first data block starts at offset 0
+	if err := os.WriteFile(tables[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	db, err = fcae.Open(dir, fcae.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db.Close()
+	if v, err := db.Get([]byte("k0000")); !errors.Is(err, fcae.ErrCorruption) {
+		t.Fatalf("Get over a damaged block = %q, %v; want fcae.ErrCorruption", v, err)
 	}
 }

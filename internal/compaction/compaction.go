@@ -90,17 +90,18 @@ type Stats struct {
 	Pipeline PipelineStats
 }
 
-// PipelineStats counts per-stage stalls of the pipelined CPU data path,
-// the software analogues of the paper's pipeline-occupancy counters:
-// prefetch stalls mean the read-ahead stage is the bottleneck, encode
-// stalls the encoder workers, submit stalls the writer behind them.
+// PipelineStats counts the stalls of the pipelined CPU data path's encode
+// stage, the software analogues of the paper's pipeline-occupancy
+// counters: encode stalls mean the encoder workers are the bottleneck,
+// submit stalls the writer behind them.
 type PipelineStats struct {
 	// Blocks is the number of output data blocks pushed through the
 	// encode stage.
 	Blocks int64
-	// PrefetchStalls counts merge-side waits for a prefetched input
-	// block; PrefetchStallNanos is the summed wait.
-	PrefetchStalls     int64
+	// PrefetchStallNanos is always 0: the read-ahead stage it timed was
+	// deleted in PR 24. The field stays because the frozen benchmark
+	// ledger compiles against it; the [benchmark] PR that unpins the lane
+	// (ROADMAP item 4) removes it.
 	PrefetchStallNanos int64
 	// EncodeStalls counts writer-side waits for an encoder to finish a
 	// block; EncodeStallNanos is the summed wait.
@@ -118,8 +119,6 @@ type PipelineStats struct {
 // Add accumulates o into s (for aggregating job stats into DB totals).
 func (s *PipelineStats) Add(o PipelineStats) {
 	s.Blocks += o.Blocks
-	s.PrefetchStalls += o.PrefetchStalls
-	s.PrefetchStallNanos += o.PrefetchStallNanos
 	s.EncodeStalls += o.EncodeStalls
 	s.EncodeStallNanos += o.EncodeStallNanos
 	s.SubmitStalls += o.SubmitStalls
@@ -151,11 +150,14 @@ type Executor interface {
 	Compact(job *Job, env Env) (*Result, error)
 }
 
-// dropPolicy implements LevelDB's shadowing rules during a merge. Entries
-// arrive in internal-key order (user key ascending, seq descending).
-type dropPolicy struct {
-	smallestSnapshot uint64
-	bottomLevel      bool
+// DropPolicy is the Validity Check (paper §V-A): LevelDB's shadowing rules
+// applied to a merge's entries as they arrive in internal-key order (user
+// key ascending, seq descending). Every executor decides with this one.
+type DropPolicy struct {
+	// SmallestSnapshot is the oldest live snapshot sequence.
+	SmallestSnapshot uint64
+	// BottomLevel allows tombstones themselves to be dropped.
+	BottomLevel bool
 
 	curUser    []byte
 	hasCur     bool
@@ -163,8 +165,8 @@ type dropPolicy struct {
 	lastSeqFor uint64 // sequence of the previous entry for curUser
 }
 
-// drop reports whether the entry (ikey) is garbage.
-func (d *dropPolicy) drop(ikey []byte) bool {
+// Drop reports whether the entry (ikey) is garbage.
+func (d *DropPolicy) Drop(ikey []byte) bool {
 	user := keys.UserKey(ikey)
 	seq, kind := keys.DecodeTrailer(ikey)
 	if !d.hasCur || keys.CompareUser(user, d.curUser) != 0 {
@@ -174,11 +176,11 @@ func (d *dropPolicy) drop(ikey []byte) bool {
 	}
 	dropped := false
 	switch {
-	case d.hasPrev && d.lastSeqFor <= d.smallestSnapshot:
+	case d.hasPrev && d.lastSeqFor <= d.SmallestSnapshot:
 		// A newer entry for this user key is already visible to the
 		// oldest snapshot: this one is shadowed.
 		dropped = true
-	case kind == keys.KindDelete && seq <= d.smallestSnapshot && d.bottomLevel:
+	case kind == keys.KindDelete && seq <= d.SmallestSnapshot && d.BottomLevel:
 		// The tombstone itself is obsolete once nothing deeper exists.
 		dropped = true
 	}
@@ -190,9 +192,9 @@ func (d *dropPolicy) drop(ikey []byte) bool {
 // CPU is the software reference executor: a heap merge over run iterators
 // feeding an sstable writer, the paper's "CPU baseline" and the fallback
 // for jobs exceeding the engine's input limit. With Pipeline.Depth > 0
-// the data path runs stage-parallel (read-ahead → merge → encode, see
-// pipelined.go) with byte-identical outputs; the zero value is the
-// sequential reference implementation.
+// the finished output blocks are encoded and written by a worker pool
+// behind the merge (see pipelined.go) with byte-identical outputs; the
+// zero value writes them inline.
 type CPU struct {
 	Pipeline PipelineConfig
 }
@@ -203,65 +205,45 @@ func (CPU) Name() string { return "cpu" }
 // MaxRuns implements Executor: the software path takes any fan-in.
 func (CPU) MaxRuns() int { return 0 }
 
-// Compact implements Executor.
+// Compact implements Executor. This is the one CPU merge loop: drop what
+// the Validity Check rejects, rotate the output table only at a user-key
+// boundary, count pairs. Where a table's blocks are encoded is the
+// outputs' business.
 func (c CPU) Compact(job *Job, env Env) (*Result, error) {
-	if c.Pipeline.Depth > 0 {
-		return c.compactPipelined(job, env)
-	}
-	return c.compactSequential(job, env)
-}
-
-// compactSequential is the single-goroutine reference data path; the
-// pipelined path must produce byte-identical outputs.
-func (CPU) compactSequential(job *Job, env Env) (*Result, error) {
 	its := make([]iter.Iterator, 0, len(job.Runs))
 	for _, run := range job.Runs {
-		readers, err := openReaders(run, job.TableOpts)
+		it, err := newRunIter(run, job.TableOpts)
 		if err != nil {
 			return nil, err
 		}
-		its = append(its, newRunIter(&scanFeed{scan: runScanner{readers: readers}}))
+		its = append(its, it)
 	}
 	merged := iter.NewMerging(its...)
 	merged.SeekToFirst()
 
 	res := &Result{}
 	res.Stats.BytesRead = job.InputBytes()
-	drop := dropPolicy{smallestSnapshot: job.SmallestSnapshot, bottomLevel: job.BottomLevel}
-
-	var out *outputWriter
-	defer func() {
-		if out != nil {
-			out.abort()
-		}
-	}()
+	drop := DropPolicy{SmallestSnapshot: job.SmallestSnapshot, BottomLevel: job.BottomLevel}
+	out := newOutputs(job, env, res, c.Pipeline)
+	defer out.close()
 
 	var lastUser []byte
 	for ; merged.Valid(); merged.Next() {
+		if err := out.err(); err != nil {
+			return nil, err
+		}
 		res.Stats.PairsIn++
 		ikey := merged.Key()
-		if drop.drop(ikey) {
+		if drop.Drop(ikey) {
 			res.Stats.PairsDropped++
 			continue
 		}
 		// Close a full output only at a user-key boundary so that no user
 		// key ever spans two tables in one level (that would break the
-		// one-file-per-level lookup invariant).
-		if out != nil && uint64(out.w.EstimatedSize()) >= job.MaxOutputBytes &&
-			keys.CompareUser(keys.UserKey(ikey), lastUser) != 0 {
-			done := job.Trace.StartSpan("flush_table")
-			ot, err := out.finish()
-			done()
-			if err != nil {
-				return nil, err
-			}
-			res.Outputs = append(res.Outputs, ot)
-			res.Stats.BytesWritten += ot.Size
-			out = nil
-		}
-		if out == nil {
-			var err error
-			if out, err = newOutput(env, job.TableOpts); err != nil {
+		// one-file-per-level lookup invariant). The size test is the cheap
+		// one and goes first.
+		if out.full() && keys.CompareUser(keys.UserKey(ikey), lastUser) != 0 {
+			if err := out.finish(); err != nil {
 				return nil, err
 			}
 		}
@@ -274,57 +256,134 @@ func (CPU) compactSequential(job *Job, env Env) (*Result, error) {
 	if err := merged.Error(); err != nil {
 		return nil, err
 	}
-	if out != nil {
-		done := job.Trace.StartSpan("flush_table")
-		ot, err := out.finish()
-		done()
-		if err != nil {
-			return nil, err
-		}
-		if ot.Entries > 0 {
-			res.Outputs = append(res.Outputs, ot)
-			res.Stats.BytesWritten += ot.Size
-		}
-		out = nil
+	if err := out.finish(); err != nil {
+		return nil, err
+	}
+	if err := out.drain(); err != nil {
+		return nil, err
 	}
 	return res, nil
 }
 
-// outputWriter pairs an sstable writer with its destination file.
-type outputWriter struct {
+// NewOutputTable describes a finished table from its writer's stats.
+func NewOutputTable(num uint64, s sstable.WriterStats) OutputTable {
+	return OutputTable{
+		Num:      num,
+		Size:     s.FileSize,
+		Entries:  s.Entries,
+		Smallest: s.Smallest,
+		Largest:  s.Largest,
+	}
+}
+
+// outputs is where the merge loop's entries go: one output table at a
+// time, opened on the first entry it receives. Without a pipe a table's
+// blocks are encoded and written inside add and its tail inside finish;
+// with one (pipelined.go) both happen on the pipe's goroutines, finish
+// only queues the tail, and drain collects the results.
+type outputs struct {
+	job *Job
+	env Env
+	res *Result
+
+	// The open table; w is nil between tables.
 	num uint64
 	f   io.WriteCloser
 	w   *sstable.Writer
+
+	pipe    *sstable.EncodePipeline
+	pending []pendingOutput
 }
 
-func newOutput(env Env, opts sstable.Options) (*outputWriter, error) {
-	num, f, err := env.NewOutput()
-	if err != nil {
-		return nil, err
+func newOutputs(job *Job, env Env, res *Result, cfg PipelineConfig) *outputs {
+	o := &outputs{job: job, env: env, res: res}
+	if cfg.Depth > 0 {
+		cfg = cfg.withDefaults()
+		o.pipe = sstable.NewEncodePipeline(job.TableOpts, cfg.Depth, cfg.Encoders)
 	}
-	return &outputWriter{num: num, f: f, w: sstable.NewWriter(f, opts)}, nil
+	return o
 }
 
-func (o *outputWriter) add(ikey, value []byte) error { return o.w.Add(ikey, value) }
+// full reports whether the open table has reached the job's size cap,
+// exactly as Writer.EstimatedSize would say of an inline writer. Behind a
+// pipe the size of a block still being encoded is known only in bounds:
+// the merge waits for the encoders (SizeExact) only when the cap falls
+// between them, so both lanes rotate at the same entry.
+func (o *outputs) full() bool {
+	if o.w == nil {
+		return false
+	}
+	lo, hi := o.w.SizeBounds()
+	if uint64(hi) < o.job.MaxOutputBytes {
+		return false
+	}
+	return uint64(lo) >= o.job.MaxOutputBytes || uint64(o.w.SizeExact()) >= o.job.MaxOutputBytes
+}
 
-func (o *outputWriter) finish() (OutputTable, error) {
-	stats, err := o.w.Finish()
+// add appends an entry to the open table, opening one first if needed.
+func (o *outputs) add(ikey, value []byte) error {
+	if o.w == nil {
+		num, f, err := o.env.NewOutput()
+		if err != nil {
+			return err
+		}
+		o.num, o.f = num, f
+		if o.pipe != nil {
+			o.w = sstable.NewWriterAsync(f, o.job.TableOpts, o.pipe)
+		} else {
+			o.w = sstable.NewWriter(f, o.job.TableOpts)
+		}
+	}
+	if err := o.w.Add(ikey, value); err != nil {
+		return err
+	}
+	// Hand any block the Add completed to the encoders (a no-op inline).
+	// The hand-off lives here, not inside Add, so lock-holding users of
+	// the writer never share a code path with channel waits.
+	o.w.PumpAsync()
+	return nil
+}
+
+// finish completes the open table, if there is one.
+func (o *outputs) finish() error {
+	if o.w == nil {
+		return nil
+	}
+	w, f := o.w, o.f
+	o.w, o.f = nil, nil
+	if o.pipe != nil {
+		o.pending = append(o.pending, pendingOutput{num: o.num, reply: w.FinishAsync()})
+		return nil
+	}
+	done := o.job.Trace.StartSpan("flush_table")
+	stats, err := w.Finish()
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	done()
 	if err != nil {
+		return err
+	}
+	o.record(o.num, stats)
+	return nil
+}
+
+// record adds one finished table to the result.
+func (o *outputs) record(num uint64, stats sstable.WriterStats) {
+	o.res.Outputs = append(o.res.Outputs, NewOutputTable(num, stats))
+	o.res.Stats.BytesWritten += stats.FileSize
+}
+
+// close releases what an abandoned merge leaves behind; after a merge
+// that ran to the end it only joins the pipe's goroutines. The open
+// table's file may still be written by the pipe's sequencer, so the pipe
+// is joined before the file is closed. A half-written output is deleted
+// by the obsolete-file sweep, so its close error is irrelevant.
+func (o *outputs) close() {
+	if o.pipe != nil {
+		o.pipe.Close()
+	}
+	if o.f != nil {
 		_ = o.f.Close()
-		return OutputTable{}, err
 	}
-	if err := o.f.Close(); err != nil {
-		return OutputTable{}, err
-	}
-	return OutputTable{
-		Num:      o.num,
-		Size:     stats.FileSize,
-		Entries:  stats.Entries,
-		Smallest: stats.Smallest,
-		Largest:  stats.Largest,
-	}, nil
 }
-
-// abort discards a half-written output; the file is deleted by the
-// obsolete-file sweep, so its close error is irrelevant.
-func (o *outputWriter) abort() { _ = o.f.Close() }

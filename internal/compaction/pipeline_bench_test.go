@@ -174,9 +174,9 @@ func TestSequentialCompactAllocsBudget(t *testing.T) {
 
 // TestPipelinedCompactAllocsBudget pins the pipelined path's allocs/op on
 // the benchmark workload, the dynamic counterpart of hotalloc's static
-// check over the encoder and prefetch loops: the pools must actually
-// recycle, so allocations stay proportional to tables (a handful each),
-// not blocks (hundreds) or entries (tens of thousands).
+// check over the encoder loop: the pools must actually recycle, so
+// allocations stay proportional to tables (a handful each), not blocks
+// (hundreds) or entries (tens of thousands).
 func TestPipelinedCompactAllocsBudget(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark-backed budget; skipped in -short")
@@ -191,11 +191,11 @@ func TestPipelinedCompactAllocsBudget(t *testing.T) {
 			}
 		}
 	})
-	// Measured 349 allocs/op: dominated by per-table reader/iterator and
+	// Measured 271 allocs/op: dominated by per-table reader/iterator and
 	// pipeline setup for ~40k entries across ~600 blocks — the pools are
 	// recycling. The budget trips if a per-block allocation sneaks into
-	// the prefetch, merge or encode loop (that alone would add ~600).
-	const budget = 430
+	// the read, merge or encode loop (that alone would add ~600).
+	const budget = 325
 	if got := res.AllocsPerOp(); got > budget {
 		t.Fatalf("pipelined compaction allocates %d allocs/op, budget is %d", got, budget)
 	} else {

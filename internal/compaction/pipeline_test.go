@@ -2,6 +2,8 @@ package compaction
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"math/rand"
@@ -248,5 +250,34 @@ func TestCompactPipelineDepthZeroIsSequential(t *testing.T) {
 	}
 	if res.Stats.Pipeline != (PipelineStats{}) {
 		t.Fatalf("depth 0 ran the pipeline: %+v", res.Stats.Pipeline)
+	}
+}
+
+// outputDigest is the SHA-256 over a result's output files, in output
+// order.
+func outputDigest(env *memEnv, res *Result) string {
+	h := sha256.New()
+	for _, ot := range res.Outputs {
+		h.Write(env.files[ot.Num].Bytes())
+	}
+	return hex.EncodeToString(h.Sum(nil))
+}
+
+// TestCompactGoldenDigest pins the bytes both CPU lanes write for
+// storeJob to a digest recorded at a779388, before the lanes shared one
+// merge loop and one block framing: byte-identity with what the store
+// has always written, not only between today's lanes.
+func TestCompactGoldenDigest(t *testing.T) {
+	const want = "0058f563114871d31c97e7e7c40d94e96ca4e9ec16ab34f7b192e36d842cb002"
+	job := storeJob(t)
+	for _, cpu := range []CPU{{}, {Pipeline: PipelineConfig{Depth: 4}}} {
+		env := newMemEnv()
+		res, err := cpu.Compact(job, env)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := outputDigest(env, res); got != want {
+			t.Errorf("%+v: %d outputs digest to %s, want %s", cpu, len(res.Outputs), got, want)
+		}
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"time"
 
+	"fcae/internal/compaction"
 	"fcae/internal/keys"
 	"fcae/internal/snappy"
 	"fcae/internal/sstable"
@@ -48,14 +49,10 @@ type Params struct {
 }
 
 func (p Params) withDefaults() Params {
-	if p.BlockSize <= 0 {
-		p.BlockSize = 4096
-	}
+	t := sstable.Options{BlockSize: p.BlockSize, RestartInterval: p.RestartInterval}.WithDefaults()
+	p.BlockSize, p.RestartInterval = t.BlockSize, t.RestartInterval
 	if p.TableBytes <= 0 {
 		p.TableBytes = 2 << 20
-	}
-	if p.RestartInterval <= 0 {
-		p.RestartInterval = 16
 	}
 	return p
 }
@@ -114,7 +111,7 @@ type lane struct {
 	// it is the lane's persistent block iterator, Reset onto each new
 	// data block so the decode loop does no per-block parse allocation;
 	// itLive marks whether it currently holds undrained entries.
-	it     *sstable.BlockIter
+	it     sstable.BlockIter
 	itLive bool
 	decomp []byte
 
@@ -199,7 +196,8 @@ func (e *Engine) Run(inputs []*InputImage, p Params) (*Result, error) {
 	}
 
 	var cmpClock, xferClock, encClock float64
-	drop := engineDropPolicy{smallestSnapshot: p.SmallestSnapshot, bottomLevel: p.BottomLevel}
+	// The Validity Check module of §V-A.
+	drop := compaction.DropPolicy{SmallestSnapshot: p.SmallestSnapshot, BottomLevel: p.BottomLevel}
 	out := newOutputBuilder(e.cfg, p)
 
 	traceLimit := p.TraceLimit
@@ -239,7 +237,7 @@ func (e *Engine) Run(inputs []*InputImage, p Params) (*Result, error) {
 		cmpClock = start + cmpP
 		res.Stats.ComparerBusy += cmpP
 
-		dropped := drop.drop(w.key)
+		dropped := drop.Drop(w.key)
 		if dropped {
 			res.Stats.PairsDropped++
 		} else {
@@ -343,26 +341,11 @@ func (e *Engine) advance(l *lane, consumeTime float64) error {
 		if err != nil {
 			return err
 		}
-		ctype, payload := raw[0], raw[1:]
-		var contents []byte
-		switch sstable.Compression(ctype) {
-		case sstable.NoCompression:
-			contents = payload
-		case sstable.SnappyCompression:
-			contents, err = snappy.Decode(l.decomp[:0], payload)
-			if err != nil {
-				return fmt.Errorf("core: decoder lane: %w", err)
-			}
-			l.decomp = contents
-		default:
-			return fmt.Errorf("%w: unknown block compression %d", ErrLayout, ctype)
+		contents, err := sstable.DecodeBlock(&l.decomp, raw[0], raw[1:])
+		if err != nil {
+			return fmt.Errorf("core: decoder lane: %w", err)
 		}
-		if l.it == nil {
-			l.it, err = sstable.NewBlockIter(contents)
-			if err != nil {
-				return err
-			}
-		} else if err := l.it.Reset(contents); err != nil {
+		if err := l.it.Reset(contents); err != nil {
 			return err
 		}
 		l.it.SeekToFirst()
@@ -398,43 +381,13 @@ func (l *lane) setPair(cfg Config) {
 	l.live = true
 }
 
-// engineDropPolicy mirrors the software compactor's shadowing rules; this
-// is the Validity Check module of §V-A.
-type engineDropPolicy struct {
-	smallestSnapshot uint64
-	bottomLevel      bool
-	curUser          []byte
-	hasCur           bool
-	hasPrev          bool
-	lastSeqFor       uint64
-}
-
-func (d *engineDropPolicy) drop(ikey []byte) bool {
-	user := keys.UserKey(ikey)
-	seq, kind := keys.DecodeTrailer(ikey)
-	if !d.hasCur || keys.CompareUser(user, d.curUser) != 0 {
-		d.curUser = append(d.curUser[:0], user...)
-		d.hasCur = true
-		d.hasPrev = false
-	}
-	dropped := false
-	switch {
-	case d.hasPrev && d.lastSeqFor <= d.smallestSnapshot:
-		dropped = true
-	case kind == keys.KindDelete && seq <= d.smallestSnapshot && d.bottomLevel:
-		dropped = true
-	}
-	d.hasPrev = true
-	d.lastSeqFor = seq
-	return dropped
-}
-
 // outputBuilder is the Encoder side: Data Block Encoder + Index Block
 // Encoder + output buffer (§V-A).
 type outputBuilder struct {
 	cfg          Config
 	p            Params
 	bw           *sstable.BlockWriter
+	compression  sstable.Compression
 	enc          snappy.Encoder // this lane's match-finder state, kept across blocks
 	cbuf         []byte
 	fbuf         []byte // finished-block scratch, reused across flushes
@@ -447,7 +400,11 @@ type outputBuilder struct {
 }
 
 func newOutputBuilder(cfg Config, p Params) *outputBuilder {
-	return &outputBuilder{cfg: cfg, p: p, bw: sstable.NewBlockWriter(p.RestartInterval)}
+	o := &outputBuilder{cfg: cfg, p: p, bw: sstable.NewBlockWriter(p.RestartInterval)}
+	if p.Compress {
+		o.compression = sstable.SnappyCompression
+	}
+	return o
 }
 
 // retain copies b into the arena's retained-output region when one is
@@ -512,15 +469,7 @@ func (o *outputBuilder) flushBlock() float64 {
 	// payload goes through retain (arena region or heap copy).
 	contents := o.bw.FinishInto(o.fbuf[:0])
 	o.fbuf = contents
-	ctype := byte(sstable.NoCompression)
-	payload := contents
-	if o.p.Compress {
-		o.cbuf = o.enc.Encode(o.cbuf[:0], contents)
-		if len(o.cbuf) < len(contents)-len(contents)/8 {
-			payload = o.cbuf
-			ctype = byte(sstable.SnappyCompression)
-		}
-	}
+	ctype, payload := sstable.EncodeBlock(&o.enc, &o.cbuf, contents, o.compression)
 	o.cur.Blocks = append(o.cur.Blocks, OutputBlock{
 		CType:    ctype,
 		Payload:  o.retain(payload),

@@ -2,6 +2,8 @@ package core
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"fmt"
 	"io"
 	"math/rand"
@@ -125,9 +127,10 @@ func defaultJob(runs ...[]compaction.Table) *compaction.Job {
 	}
 }
 
-func TestEngineMatchesCPUExecutor(t *testing.T) {
+// shadowingJob is two interleaved runs with overlapping key space and
+// some shadowing.
+func shadowingJob(t *testing.T) *compaction.Job {
 	opts := sstable.Options{Compression: sstable.SnappyCompression, FilterBitsPerKey: 10}
-	// Two interleaved runs with overlapping key space and some shadowing.
 	runA := genRun("key-a", 600, 64, 1000)
 	runB := genRun("key-a", 400, 64, 5000) // same prefix: overlaps and shadows
 	for i := range runB {
@@ -135,8 +138,11 @@ func TestEngineMatchesCPUExecutor(t *testing.T) {
 	}
 	tA := buildTable(t, opts, runA)
 	tB := buildTable(t, opts, runB)
+	return defaultJob([]compaction.Table{tA}, []compaction.Table{tB})
+}
 
-	job := defaultJob([]compaction.Table{tA}, []compaction.Table{tB})
+func TestEngineMatchesCPUExecutor(t *testing.T) {
+	job := shadowingJob(t)
 
 	cpuEnv := newMemEnv()
 	cpuRes, err := compaction.CPU{}.Compact(job, cpuEnv)
@@ -170,6 +176,30 @@ func TestEngineMatchesCPUExecutor(t *testing.T) {
 	}
 	if fpgaRes.Stats.KernelTime <= 0 || fpgaRes.Stats.TransferTime <= 0 {
 		t.Fatal("FCAE must report modeled kernel and transfer times")
+	}
+}
+
+// TestEngineGoldenDigest pins the bytes the engine lane (heap images
+// through the arena executor, host assembly included) writes for
+// shadowingJob to a digest recorded at a779388, before the lane's block
+// decode and encode moved into sstable's framing functions.
+func TestEngineGoldenDigest(t *testing.T) {
+	const want = "3a70f418b68f31777cc4f8e5f3455f495a039653ecba4310059db401a52fe8ec"
+	fx, err := NewExecutor(MultiInputConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := newMemEnv()
+	res, err := fx.Compact(shadowingJob(t), env)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := sha256.New()
+	for _, ot := range res.Outputs {
+		h.Write(env.files[ot.Num].Bytes())
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Fatalf("%d outputs digest to %s, want %s", len(res.Outputs), got, want)
 	}
 }
 

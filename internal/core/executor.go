@@ -253,11 +253,5 @@ func assembleTable(img *OutputTableImage, env compaction.Env, opts sstable.Optio
 	if err := f.Close(); err != nil {
 		return compaction.OutputTable{}, err
 	}
-	return compaction.OutputTable{
-		Num:      num,
-		Size:     stats.FileSize,
-		Entries:  stats.Entries,
-		Smallest: stats.Smallest,
-		Largest:  stats.Largest,
-	}, nil
+	return compaction.NewOutputTable(num, stats), nil
 }

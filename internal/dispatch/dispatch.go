@@ -342,10 +342,6 @@ func (s *Scheduler) Channels() int { return len(s.devices) }
 // MaxRuns returns the device pool's admission fan-in limit (0 unlimited).
 func (s *Scheduler) MaxRuns() int { return s.maxRuns }
 
-// ArenaBudget returns the admission input-bytes bound derived from the
-// channels' staging arenas (0 when no channel has one).
-func (s *Scheduler) ArenaBudget() int64 { return s.arenaBudget }
-
 // Close stops the channel goroutines and fails stranded requests. Safe to
 // call twice. In-flight Execute calls return ErrClosed.
 //

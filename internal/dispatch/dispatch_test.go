@@ -573,8 +573,8 @@ func TestArenaAdmission(t *testing.T) {
 	dev := &arenaExec{fakeExec: fakeExec{name: "fcae", maxRuns: 4}, arenaBytes: 1 << 20, inputBudget: 512}
 	cpu := &fakeExec{name: "cpu"}
 	s := newTestSched(t, Config{Devices: []compaction.Executor{dev}, CPU: cpu})
-	if got := s.ArenaBudget(); got != 512 {
-		t.Fatalf("ArenaBudget = %d, want 512", got)
+	if got := s.arenaBudget; got != 512 {
+		t.Fatalf("arenaBudget = %d, want 512", got)
 	}
 	_, route, err := s.Execute(testJob(1), &nullEnv{}, PriorityDeep) // 1KiB input > 512B budget
 	if err != nil {

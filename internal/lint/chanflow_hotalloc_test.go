@@ -169,12 +169,12 @@ func (p *P) Close() {
 	wantClean(t, checkFixture(t, lint.ChanFlow, map[string]string{"p.go": src}))
 }
 
-// The prefetch-producer pattern (internal/compaction/prefetch.go): a
-// stop-carrying struct whose producer loop sends items, recycled buffers
-// and an eof sentinel — every loop send a select case beside the stop
-// receive (or a default, for the capacity-guaranteed constructor
-// seeding). The sentinel replaces closing the data channel, so the only
-// close is the granted stop.
+// The sentinel-producer pattern (the tree has no instance left; the rule
+// still has to read one right): a stop-carrying struct whose producer
+// loop sends items, recycled buffers and an eof sentinel — every loop
+// send a select case beside the stop receive (or a default, for the
+// capacity-guaranteed constructor seeding). The sentinel replaces closing
+// the data channel, so the only close is the granted stop.
 func TestChanFlowSentinelProducerSelectSends(t *testing.T) {
 	t.Parallel()
 	src := `package p

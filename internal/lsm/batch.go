@@ -2,8 +2,8 @@ package lsm
 
 import (
 	"encoding/binary"
-	"errors"
 
+	"fcae/internal/corruption"
 	"fcae/internal/keys"
 )
 
@@ -18,7 +18,7 @@ type Batch struct {
 const batchHeaderSize = 12
 
 // ErrBatchCorrupt reports a malformed batch replayed from the WAL.
-var ErrBatchCorrupt = errors.New("lsm: corrupt write batch")
+var ErrBatchCorrupt = corruption.New("lsm: corrupt write batch")
 
 func (b *Batch) init() {
 	if len(b.rep) == 0 {

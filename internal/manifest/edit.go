@@ -7,8 +7,9 @@ package manifest
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
+
+	"fcae/internal/corruption"
 )
 
 // NumLevels is the number of on-disk levels (L0..L6), matching LevelDB.
@@ -71,7 +72,7 @@ const (
 )
 
 // ErrCorruptEdit reports a malformed manifest record.
-var ErrCorruptEdit = errors.New("manifest: corrupt version edit")
+var ErrCorruptEdit = corruption.New("manifest: corrupt version edit")
 
 // SetLogNum records the WAL number whose contents are reflected on disk.
 func (e *VersionEdit) SetLogNum(n uint64) { e.HasLogNum, e.LogNum = true, n }

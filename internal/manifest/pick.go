@@ -27,9 +27,6 @@ type Compaction struct {
 	grandparents []*FileMetadata
 }
 
-// NumInputFiles returns the total file count consumed.
-func (c *Compaction) NumInputFiles() int { return len(c.Inputs[0]) + len(c.Inputs[1]) }
-
 // NumInputs returns the number of sorted runs feeding the merge.
 func (c *Compaction) NumInputs() int { return len(c.InputRuns()) }
 

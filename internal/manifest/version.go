@@ -226,20 +226,3 @@ func (v *Version) NumRuns(level int) int {
 	}
 	return len(v.RunGroups(level))
 }
-
-// DebugString renders the version's level shape, useful in tests and the
-// stats output.
-func (v *Version) DebugString() string {
-	s := ""
-	for level := 0; level < NumLevels; level++ {
-		if len(v.Levels[level]) == 0 {
-			continue
-		}
-		s += fmt.Sprintf("L%d:", level)
-		for _, f := range v.Levels[level] {
-			s += fmt.Sprintf(" %d(%dB)", f.Num, f.Size)
-		}
-		s += "\n"
-	}
-	return s
-}

@@ -4,6 +4,8 @@ import (
 	"encoding/binary"
 	"fmt"
 	"sort"
+
+	"fcae/internal/keys"
 )
 
 // blockBuilder assembles one block of prefix-compressed entries:
@@ -119,8 +121,11 @@ func (b *block) reset(contents []byte) error {
 	return nil
 }
 
-// blockIter iterates over a decoded block.
-type blockIter struct {
+// BlockIter iterates over one decoded block's entries. It is exported for
+// the block-at-a-time readers — the compaction scanner's consumers and
+// the engine's Data Block Decoder — which hold one per input lane and
+// Reset it onto each block in turn.
+type BlockIter struct {
 	b     *block
 	off   int // offset of the NEXT entry to decode
 	key   []byte
@@ -129,15 +134,49 @@ type blockIter struct {
 	err   error
 }
 
-func (b *block) iter() *blockIter { return &blockIter{b: b} }
+func (b *block) iter() *BlockIter { return &BlockIter{b: b} }
 
-func (it *blockIter) Valid() bool   { return it.valid && it.err == nil }
-func (it *blockIter) Key() []byte   { return it.key }
-func (it *blockIter) Value() []byte { return it.val }
-func (it *blockIter) Error() error  { return it.err }
+// NewBlockIter parses contents (already decoded) as a data block and
+// returns an iterator positioned before the first entry.
+func NewBlockIter(contents []byte) (*BlockIter, error) {
+	it := new(BlockIter)
+	if err := it.Reset(contents); err != nil {
+		return nil, err
+	}
+	return it, nil
+}
+
+// Reset re-points the iterator at new data-block contents, reusing the
+// parse state (restart array, key scratch) so a decode loop does no
+// per-block allocation. The zero BlockIter may be Reset. The iterator is
+// left before the first entry: SeekToFirst or Next moves onto it.
+func (it *BlockIter) Reset(contents []byte) error {
+	if it.b == nil {
+		it.b = &block{cmp: keys.Compare}
+	}
+	if err := it.b.reset(contents); err != nil {
+		return err
+	}
+	it.rewind()
+	return nil
+}
+
+// rewind puts the iterator before the block's first entry.
+func (it *BlockIter) rewind() {
+	it.off = 0
+	it.key = it.key[:0]
+	it.val = nil
+	it.valid = false
+	it.err = nil
+}
+
+func (it *BlockIter) Valid() bool   { return it.valid && it.err == nil }
+func (it *BlockIter) Key() []byte   { return it.key }
+func (it *BlockIter) Value() []byte { return it.val }
+func (it *BlockIter) Error() error  { return it.err }
 
 // parseNext decodes the entry at it.off, updating key/val.
-func (it *blockIter) parseNext() bool {
+func (it *BlockIter) parseNext() bool {
 	if it.off >= len(it.b.data) {
 		it.valid = false
 		return false
@@ -179,21 +218,21 @@ func (it *blockIter) parseNext() bool {
 	return true
 }
 
-func (it *blockIter) corrupt(msg string) {
+func (it *BlockIter) corrupt(msg string) {
 	//fcae:alloc-ok corruption path: fires at most once, then iteration is dead
 	it.err = fmt.Errorf("%w: %s", ErrCorrupt, msg)
 	it.valid = false
 }
 
 // SeekToFirst positions at the first entry.
-func (it *blockIter) SeekToFirst() {
+func (it *BlockIter) SeekToFirst() {
 	it.off = 0
 	it.key = it.key[:0]
 	it.parseNext()
 }
 
 // Next advances to the following entry.
-func (it *blockIter) Next() {
+func (it *BlockIter) Next() {
 	if it.err != nil {
 		return
 	}
@@ -202,7 +241,7 @@ func (it *blockIter) Next() {
 
 // SeekGE positions at the first entry with key >= target, binary-searching
 // the restart array and then scanning.
-func (it *blockIter) SeekGE(target []byte) {
+func (it *BlockIter) SeekGE(target []byte) {
 	if it.err != nil {
 		return
 	}
@@ -227,7 +266,7 @@ func (it *blockIter) SeekGE(target []byte) {
 }
 
 // SeekToLast positions at the final entry.
-func (it *blockIter) SeekToLast() {
+func (it *BlockIter) SeekToLast() {
 	it.off = int(it.b.restarts[len(it.b.restarts)-1])
 	it.key = it.key[:0]
 	for it.parseNext() {
@@ -238,7 +277,7 @@ func (it *blockIter) SeekToLast() {
 }
 
 // Prev steps backwards by rescanning from the nearest earlier restart.
-func (it *blockIter) Prev() {
+func (it *BlockIter) Prev() {
 	if it.err != nil || !it.valid {
 		return
 	}

@@ -8,8 +8,9 @@ package sstable
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
+
+	"fcae/internal/corruption"
 )
 
 const (
@@ -46,7 +47,7 @@ func (c Compression) String() string {
 }
 
 // ErrCorrupt reports a malformed or checksum-failing table region.
-var ErrCorrupt = errors.New("sstable: corrupt table")
+var ErrCorrupt = corruption.New("sstable: corrupt table")
 
 // Handle locates a block within the file (offset and length exclude the
 // block trailer).

@@ -1,0 +1,78 @@
+package sstable
+
+import (
+	"encoding/binary"
+	"fmt"
+
+	"fcae/internal/crc"
+	"fcae/internal/snappy"
+)
+
+// Block framing: a stored block is its payload, one type byte naming the
+// payload's codec, and a CRC-32C over both. This file is the only place
+// that layout is known — readBlock checks it, DecodeBlock and EncodeBlock
+// map between payload and contents, sealBlock closes it — so every path
+// that reads or writes a table (point reads, iterators, the compaction
+// scanner, the engine's device images and its host-side assembler, both
+// table writers) agrees on it by construction.
+
+// readBlock reads the block at h into *buf, growing it when it is too
+// small, and verifies the checksum. The payload aliases *buf.
+func (r *Reader) readBlock(h Handle, buf *[]byte) (ctype byte, payload []byte, err error) {
+	n := int(h.Size) + BlockTrailerSize
+	if cap(*buf) < n {
+		*buf = make([]byte, n)
+	}
+	raw := (*buf)[:n]
+	if _, err := r.f.ReadAt(raw, int64(h.Offset)); err != nil {
+		return 0, nil, err
+	}
+	payload, trailer := raw[:h.Size], raw[h.Size:]
+	if crc.Extend(crc.Value(payload), trailer[:1]) != binary.LittleEndian.Uint32(trailer[1:]) {
+		return 0, nil, fmt.Errorf("%w: block checksum mismatch at offset %d", ErrCorrupt, h.Offset)
+	}
+	return trailer[0], payload, nil
+}
+
+// DecodeBlock returns the contents of a stored block given its type byte
+// and payload. An uncompressed payload is its own contents and is
+// returned as is; a compressed one is decoded into *scratch, which grows
+// when too small and whose old contents are overwritten.
+func DecodeBlock(scratch *[]byte, ctype byte, payload []byte) ([]byte, error) {
+	switch Compression(ctype) {
+	case NoCompression:
+		return payload, nil
+	case SnappyCompression:
+		contents, err := snappy.Decode(*scratch, payload)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+		}
+		*scratch = contents
+		return contents, nil
+	default:
+		return nil, fmt.Errorf("%w: unknown compression %d", ErrCorrupt, ctype)
+	}
+}
+
+// EncodeBlock returns the type byte and payload contents are stored as
+// under c. Compression is kept only when it saves an eighth, as LevelDB
+// does; otherwise the payload is contents itself. A compressed payload
+// lives in *scratch (grown when too small); enc is the caller's
+// match-finder state and may be nil under NoCompression.
+func EncodeBlock(enc *snappy.Encoder, scratch *[]byte, contents []byte, c Compression) (ctype byte, payload []byte) {
+	if c == SnappyCompression {
+		*scratch = enc.Encode((*scratch)[:0], contents)
+		if len(*scratch) < len(contents)-len(contents)/8 {
+			return byte(SnappyCompression), *scratch
+		}
+	}
+	return byte(NoCompression), contents
+}
+
+// sealBlock fills in the trailer of a payload stored under ctype. The
+// trailer is the caller's (a local would escape into the checksum call,
+// once per block).
+func sealBlock(t *[BlockTrailerSize]byte, ctype byte, payload []byte) {
+	t[0] = ctype
+	binary.LittleEndian.PutUint32(t[1:], crc.Extend(crc.Value(payload), t[:1]))
+}

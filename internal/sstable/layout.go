@@ -1,11 +1,6 @@
 package sstable
 
-import (
-	"encoding/binary"
-	"fmt"
-
-	"fcae/internal/snappy"
-)
+import "fmt"
 
 // BlockLayout describes one data block's physical shape: the structures
 // the engine's Decoder walks (paper §II-B), decoded from the stored block
@@ -44,34 +39,26 @@ type Layout struct {
 // summary.
 func (r *Reader) Layout() (Layout, error) {
 	var l Layout
+	var scratch []byte
+	var it BlockIter
 	err := r.VisitRawBlocks(func(b RawBlock) error {
-		contents := b.Payload
-		if Compression(b.CType) == SnappyCompression {
-			var err error
-			if contents, err = snappy.Decode(nil, b.Payload); err != nil {
-				return fmt.Errorf("%w: block %d: %v", ErrCorrupt, len(l.Blocks), err)
-			}
+		contents, err := DecodeBlock(&scratch, b.CType, b.Payload)
+		if err != nil {
+			return fmt.Errorf("block %d: %w", len(l.Blocks), err)
 		}
-		if len(contents) < 4 {
-			return fmt.Errorf("%w: block %d: %d-byte contents", ErrCorrupt, len(l.Blocks), len(contents))
-		}
-		restarts := int(binary.LittleEndian.Uint32(contents[len(contents)-4:]))
-		if restarts < 1 || len(contents) < 4+4*restarts {
-			return fmt.Errorf("%w: block %d: bad restart count %d", ErrCorrupt, len(l.Blocks), restarts)
+		if err := it.Reset(contents); err != nil {
+			return fmt.Errorf("block %d: %w", len(l.Blocks), err)
 		}
 		entries := 0
-		it, err := NewBlockIter(contents)
-		if err != nil {
-			return err
-		}
-		for it.SeekToFirst(); it.Valid(); it.Next() {
+		for it.Next(); it.Valid(); it.Next() {
 			entries++
 		}
 		if err := it.Error(); err != nil {
 			return err
 		}
+		restarts := len(it.b.restarts)
 		l.Blocks = append(l.Blocks, BlockLayout{
-			IndexKey:    b.IndexKey,
+			IndexKey:    append([]byte(nil), b.IndexKey...),
 			Compression: Compression(b.CType),
 			PayloadLen:  len(b.Payload),
 			ContentLen:  len(contents),

@@ -1,14 +1,12 @@
 package sstable
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"fcae/internal/crc"
 	"fcae/internal/snappy"
 )
 
@@ -203,32 +201,20 @@ func (p *EncodePipeline) Stats() EncodeStats {
 	}
 }
 
-// encoderLoop is one encode-stage worker: compress (keeping compression
-// only when it saves space, exactly as writeBlock does), checksum, and
-// resolve the block's encoded size before signalling the sequencer.
+// encoderLoop is one encode-stage worker: encode and seal the block
+// exactly as writeBlock does, and resolve its encoded size before
+// signalling the sequencer.
 //
 //fcae:cycle-accounting
 func (p *EncodePipeline) encoderLoop() {
 	defer p.wg.Done()
 	enc := new(snappy.Encoder) // this worker's match-finder state
 	for t := range p.encodeq {
-		contents := t.raw
-		payload := contents
-		ctype := byte(NoCompression)
-		if p.compression == SnappyCompression {
-			t.cbuf = enc.Encode(t.cbuf[:0], contents)
-			if len(t.cbuf) < len(contents)-len(contents)/8 {
-				payload = t.cbuf
-				ctype = byte(SnappyCompression)
-			}
-		}
-		t.payload = payload
-		t.trailer[0] = ctype
-		sum := crc.Value(payload)
-		sum = crc.Extend(sum, t.trailer[:1])
-		binary.LittleEndian.PutUint32(t.trailer[1:], sum)
+		var ctype byte
+		ctype, t.payload = EncodeBlock(enc, &t.cbuf, t.raw, p.compression)
+		sealBlock(&t.trailer, ctype, t.payload)
 		if t.rec != nil {
-			t.rec.enc.Store(int64(len(payload)) + BlockTrailerSize)
+			t.rec.enc.Store(int64(len(t.payload)) + BlockTrailerSize)
 		}
 		t.ready <- struct{}{}
 	}
@@ -262,8 +248,7 @@ func (p *EncodePipeline) sequencerLoop() {
 	}
 }
 
-// writeSequenced writes one encoded block and records its handle,
-// mirroring writeBlock's offset accounting byte for byte.
+// writeSequenced writes one encoded block and records its handle.
 func (p *EncodePipeline) writeSequenced(t *encTask) {
 	select {
 	case <-t.ready:
@@ -275,15 +260,10 @@ func (p *EncodePipeline) writeSequenced(t *encTask) {
 	}
 	tw := t.w
 	if tw.async.werr == nil {
-		h := Handle{Offset: uint64(tw.offset), Size: uint64(len(t.payload))}
-		if _, err := tw.w.Write(t.payload); err != nil {
-			tw.async.werr = err
-			p.noteErr(err)
-		} else if _, err := tw.w.Write(t.trailer[:]); err != nil {
+		if h, err := tw.writeSealed(t.payload, &t.trailer); err != nil {
 			tw.async.werr = err
 			p.noteErr(err)
 		} else {
-			tw.offset += int64(len(t.payload)) + BlockTrailerSize
 			tw.handles = append(tw.handles, h)
 		}
 	}
@@ -362,24 +342,21 @@ func (w *Writer) stageAsync(contents []byte) {
 
 // PumpAsync hands the staged data block, if any, to the encode pipeline.
 // The producer calls it between Add calls; this is the only place the
-// writer blocks on pipeline backpressure.
+// writer blocks on pipeline backpressure. Small enough to inline: it is
+// called once per entry and acts once per block.
 func (w *Writer) PumpAsync() {
-	a := w.async
-	if a == nil || a.stagedBuilder == nil {
-		return
+	if a := w.async; a != nil && a.stagedBuilder != nil {
+		w.submitStaged()
 	}
-	w.submitAsync(a.stagedContents)
-	a.stagedBuilder.reset()
-	a.spare = a.stagedBuilder
-	a.stagedBuilder = nil
-	a.stagedContents = nil
 }
 
-// submitAsync copies the completed block into a pooled task and hands it
-// to the encode stage and, in the same order, to the sequencer.
-func (w *Writer) submitAsync(contents []byte) {
+// submitStaged copies the staged block into a pooled task, hands it to
+// the encode stage and, in the same order, to the sequencer, and takes
+// the staged builder back as the spare.
+func (w *Writer) submitStaged() {
 	a := w.async
 	p := a.pipe
+	contents := a.stagedContents
 	var t *encTask
 	select {
 	case t = <-p.free:
@@ -410,6 +387,10 @@ func (w *Writer) submitAsync(contents []byte) {
 		p.orderq <- seqItem{blk: t}
 		p.submitStallNanos.Add(time.Since(start).Nanoseconds())
 	}
+	a.stagedBuilder.reset()
+	a.spare = a.stagedBuilder
+	a.stagedBuilder = nil
+	a.stagedContents = nil
 }
 
 // fold moves resolved in-flight blocks into the exact base, recycling

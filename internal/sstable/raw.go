@@ -1,13 +1,9 @@
 package sstable
 
 import (
-	"encoding/binary"
-	"fmt"
 	"io"
 
 	"fcae/internal/bloom"
-	"fcae/internal/crc"
-	"fcae/internal/keys"
 )
 
 // Raw block access for the FCAE engine: the host splits input tables into
@@ -26,86 +22,23 @@ type RawBlock struct {
 	Payload  []byte
 }
 
-// VisitRawBlocks calls visit for every data block in index order.
+// VisitRawBlocks calls visit for every data block in index order. One
+// buffer is recycled across blocks: b's bytes are valid for the call
+// only, and a visitor that keeps any copies them.
 func (r *Reader) VisitRawBlocks(visit func(b RawBlock) error) error {
-	it := r.index.iter()
-	for it.SeekToFirst(); it.Valid(); it.Next() {
-		h, _, err := DecodeHandle(it.Value())
-		if err != nil {
+	var sc BlockScanner
+	var buf BlockBuf
+	sc.Reset(r)
+	for {
+		b, ok, err := sc.NextRaw(&buf)
+		if !ok || err != nil {
 			return err
 		}
-		raw := make([]byte, h.Size+BlockTrailerSize)
-		if _, err := r.f.ReadAt(raw, int64(h.Offset)); err != nil {
-			return err
-		}
-		payload := raw[:h.Size]
-		trailer := raw[h.Size:]
-		sum := crc.Value(payload)
-		sum = crc.Extend(sum, trailer[:1])
-		if sum != binary.LittleEndian.Uint32(trailer[1:]) {
-			return fmt.Errorf("%w: raw block checksum mismatch at %d", ErrCorrupt, h.Offset)
-		}
-		if err := visit(RawBlock{
-			IndexKey: append([]byte(nil), it.Key()...),
-			CType:    trailer[0],
-			Payload:  payload,
-		}); err != nil {
+		if err := visit(b); err != nil {
 			return err
 		}
 	}
-	return it.Error()
 }
-
-// BlockIter iterates the entries of one decoded data block's contents,
-// exposed for the engine's Data Block Decoder.
-type BlockIter struct {
-	inner *blockIter
-}
-
-// NewBlockIter parses contents (already decompressed) and returns an
-// iterator positioned before the first entry.
-func NewBlockIter(contents []byte) (*BlockIter, error) {
-	b, err := newBlock(contents, keys.Compare)
-	if err != nil {
-		return nil, err
-	}
-	return &BlockIter{inner: b.iter()}, nil
-}
-
-// Reset re-points the iterator at new block contents, reusing the parse
-// state (restart array, key scratch) so a decode loop holding one
-// BlockIter per lane does no per-block allocation. The iterator is left
-// positioned before the first entry, exactly as NewBlockIter returns it.
-func (it *BlockIter) Reset(contents []byte) error {
-	if err := it.inner.b.reset(contents); err != nil {
-		return err
-	}
-	inner := it.inner
-	inner.off = 0
-	inner.key = inner.key[:0]
-	inner.val = nil
-	inner.valid = false
-	inner.err = nil
-	return nil
-}
-
-// SeekToFirst positions at the first entry.
-func (it *BlockIter) SeekToFirst() { it.inner.SeekToFirst() }
-
-// Next advances to the following entry.
-func (it *BlockIter) Next() { it.inner.Next() }
-
-// Valid reports whether an entry is available.
-func (it *BlockIter) Valid() bool { return it.inner.Valid() }
-
-// Key returns the current internal key.
-func (it *BlockIter) Key() []byte { return it.inner.Key() }
-
-// Value returns the current value.
-func (it *BlockIter) Value() []byte { return it.inner.Value() }
-
-// Error returns the first parse error.
-func (it *BlockIter) Error() error { return it.inner.Error() }
 
 // BlockWriter builds one data block's contents in the standard format,
 // exposed for the engine's Data Block Encoder.
@@ -114,12 +47,10 @@ type BlockWriter struct {
 }
 
 // NewBlockWriter returns an empty builder with the given restart interval
-// (0 selects the default of 16).
+// (0 selects Options.WithDefaults').
 func NewBlockWriter(restartInterval int) *BlockWriter {
-	if restartInterval <= 0 {
-		restartInterval = 16
-	}
-	return &BlockWriter{b: newBlockBuilder(restartInterval)}
+	opts := Options{RestartInterval: restartInterval}.WithDefaults()
+	return &BlockWriter{b: newBlockBuilder(opts.RestartInterval)}
 }
 
 // Add appends an entry; keys must strictly increase.
@@ -228,17 +159,21 @@ func (w *Writer) flushPendingIndexRaw() {
 }
 
 // writePreEncodedBlock stores a block payload as it stands — already
-// compressed, or to be stored raw — followed by its type byte and CRC.
+// compressed, or to be stored raw — followed by its trailer.
 func (w *Writer) writePreEncodedBlock(ctype byte, payload []byte) (Handle, error) {
+	sealBlock(&w.trailer, ctype, payload)
+	return w.writeSealed(payload, &w.trailer)
+}
+
+// writeSealed writes a payload and the trailer sealing it, and returns
+// the block's handle. The one place a block reaches the file and the
+// offset moves, for the inline writer and the pipeline's sequencer alike.
+func (w *Writer) writeSealed(payload []byte, trailer *[BlockTrailerSize]byte) (Handle, error) {
 	h := Handle{Offset: uint64(w.offset), Size: uint64(len(payload))}
-	w.trailer[0] = ctype
-	sum := crc.Value(payload)
-	sum = crc.Extend(sum, w.trailer[:1])
-	binary.LittleEndian.PutUint32(w.trailer[1:], sum)
 	if _, err := w.w.Write(payload); err != nil {
 		return Handle{}, err
 	}
-	if _, err := w.w.Write(w.trailer[:]); err != nil {
+	if _, err := w.w.Write(trailer[:]); err != nil {
 		return Handle{}, err
 	}
 	w.offset += int64(len(payload)) + BlockTrailerSize

@@ -2,15 +2,12 @@ package sstable
 
 import (
 	"bytes"
-	"encoding/binary"
 	"fmt"
 	"io"
 
 	"fcae/internal/bloom"
 	"fcae/internal/cache"
-	"fcae/internal/crc"
 	"fcae/internal/keys"
-	"fcae/internal/snappy"
 )
 
 // Reader provides random access to a finished table.
@@ -40,7 +37,7 @@ func NewReader(f io.ReaderAt, size int64, opts Options, blockCache *cache.Cache,
 	if err != nil {
 		return nil, err
 	}
-	idxContents, err := r.readBlockContents(footer.Index)
+	idxContents, err := r.readUncached(footer.Index)
 	if err != nil {
 		return nil, err
 	}
@@ -57,7 +54,7 @@ func (r *Reader) loadFilter(metaH Handle) error {
 	if metaH.Size == 0 {
 		return nil
 	}
-	contents, err := r.readBlockContents(metaH)
+	contents, err := r.readUncached(metaH)
 	if err != nil {
 		return err
 	}
@@ -72,7 +69,7 @@ func (r *Reader) loadFilter(metaH Handle) error {
 			if err != nil {
 				return err
 			}
-			fb, err := r.readBlockContents(h)
+			fb, err := r.readUncached(h)
 			if err != nil {
 				return err
 			}
@@ -83,42 +80,34 @@ func (r *Reader) loadFilter(metaH Handle) error {
 	return it.Error()
 }
 
-// readBlockContents reads, verifies and decompresses the block at h,
+// readBlockContents returns the contents of the data block at h,
 // consulting the block cache.
 func (r *Reader) readBlockContents(h Handle) ([]byte, error) {
-	if r.cache != nil {
-		if v, ok := r.cache.Get(cache.Key{ID: r.cacheID, Offset: h.Offset}); ok {
-			return v, nil
-		}
+	if r.cache == nil {
+		return r.readUncached(h)
 	}
-	raw := make([]byte, h.Size+BlockTrailerSize)
-	if _, err := r.f.ReadAt(raw, int64(h.Offset)); err != nil {
+	key := cache.Key{ID: r.cacheID, Offset: h.Offset}
+	if v, ok := r.cache.Get(key); ok {
+		return v, nil
+	}
+	contents, err := r.readUncached(h)
+	if err == nil {
+		r.cache.Set(key, contents)
+	}
+	return contents, err
+}
+
+// readUncached reads, verifies and decodes the block at h into fresh
+// buffers. The index, metaindex and filter blocks come straight through
+// here: the reader keeps them in its own fields for its lifetime, so a
+// cached copy could never be hit and would only evict data blocks.
+func (r *Reader) readUncached(h Handle) ([]byte, error) {
+	var raw, scratch []byte
+	ctype, payload, err := r.readBlock(h, &raw)
+	if err != nil {
 		return nil, err
 	}
-	payload := raw[:h.Size]
-	trailer := raw[h.Size:]
-	sum := crc.Value(payload)
-	sum = crc.Extend(sum, trailer[:1])
-	if sum != binary.LittleEndian.Uint32(trailer[1:]) {
-		return nil, fmt.Errorf("%w: block checksum mismatch at offset %d", ErrCorrupt, h.Offset)
-	}
-	var contents []byte
-	switch Compression(trailer[0]) {
-	case NoCompression:
-		contents = payload
-	case SnappyCompression:
-		var err error
-		contents, err = snappy.Decode(nil, payload)
-		if err != nil {
-			return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-	default:
-		return nil, fmt.Errorf("%w: unknown compression %d", ErrCorrupt, trailer[0])
-	}
-	if r.cache != nil {
-		r.cache.Set(cache.Key{ID: r.cacheID, Offset: h.Offset}, contents)
-	}
-	return contents, nil
+	return DecodeBlock(&scratch, ctype, payload)
 }
 
 // MayContain consults the table bloom filter for a user key. It returns
@@ -160,8 +149,8 @@ func (r *Reader) Get(userKey []byte, seq uint64) (value []byte, deleted, found b
 // Iterator is a two-level iterator over the table's index and data blocks.
 type Iterator struct {
 	r     *Reader
-	index *blockIter
-	data  *blockIter
+	index *BlockIter
+	data  *BlockIter
 	err   error
 }
 

@@ -1,24 +1,15 @@
 package sstable
 
-import (
-	"encoding/binary"
-	"fmt"
-
-	"fcae/internal/crc"
-	"fcae/internal/snappy"
-)
-
-// BlockScanner is the read-ahead seam for the compaction pipeline's
-// prefetch stage: a strictly forward, index-ordered walk over a table's
-// data blocks that reads and decompresses into caller-owned buffers. It
-// bypasses the block cache on purpose — a compaction touches every block
-// exactly once, and filling the cache with them would evict the read
-// path's working set.
+// BlockScanner is how whole tables are read: a strictly forward,
+// index-ordered walk over a table's data blocks that reads and decodes
+// into caller-owned buffers. It bypasses the block cache on purpose — a
+// compaction touches every block exactly once, and filling the cache with
+// them would evict the read path's working set.
 
 // BlockBuf holds one block's scratch: raw is the read buffer (payload +
-// trailer), scratch the snappy decode target. The contents returned by
-// Next alias one of the two, so a buffer must not be reused until its
-// contents have been consumed; recycle the BlockBuf as a unit.
+// trailer), scratch the decode target. The bytes Next and NextRaw return
+// alias one of the two, so a buffer must not be reused until they have
+// been consumed; recycle the BlockBuf as a unit.
 type BlockBuf struct {
 	raw     []byte
 	scratch []byte
@@ -27,61 +18,45 @@ type BlockBuf struct {
 // BlockScanner walks one table's data blocks in index order.
 type BlockScanner struct {
 	r  *Reader
-	it blockIter
+	it BlockIter
 }
 
-// Reset points the scanner at r's first data block, reusing the
+// Reset points the scanner before r's first data block, reusing the
 // scanner's iterator state across tables.
 func (s *BlockScanner) Reset(r *Reader) {
 	s.r = r
 	s.it.b = r.index
-	s.it.off = 0
-	s.it.key = s.it.key[:0]
-	s.it.val = nil
-	s.it.valid = false
-	s.it.err = nil
-	s.it.SeekToFirst()
+	s.it.rewind()
 }
 
-// Next reads the next data block into buf and returns its decompressed
-// contents (aliasing buf's storage). ok is false at the end of the table
-// or on error.
-func (s *BlockScanner) Next(buf *BlockBuf) (contents []byte, ok bool, err error) {
+// NextRaw reads the next data block into buf and returns it as stored,
+// checksum verified. The payload aliases buf and the index key the
+// scanner: both hold until the next call. ok is false at the end of the
+// table or on error.
+func (s *BlockScanner) NextRaw(buf *BlockBuf) (b RawBlock, ok bool, err error) {
+	s.it.Next()
 	if !s.it.Valid() {
-		return nil, false, s.it.Error()
+		return RawBlock{}, false, s.it.Error()
 	}
 	h, _, err := DecodeHandle(s.it.Value())
 	if err != nil {
+		return RawBlock{}, false, err
+	}
+	ctype, payload, err := s.r.readBlock(h, &buf.raw)
+	if err != nil {
+		return RawBlock{}, false, err
+	}
+	return RawBlock{IndexKey: s.it.Key(), CType: ctype, Payload: payload}, true, nil
+}
+
+// Next reads the next data block into buf and returns its decoded
+// contents (aliasing buf's storage). ok is false at the end of the table
+// or on error.
+func (s *BlockScanner) Next(buf *BlockBuf) (contents []byte, ok bool, err error) {
+	b, ok, err := s.NextRaw(buf)
+	if !ok {
 		return nil, false, err
 	}
-	s.it.Next()
-	n := int(h.Size) + BlockTrailerSize
-	if cap(buf.raw) < n {
-		//fcae:alloc-ok grow-on-demand scratch: buffers are pooled by the prefetcher, so steady state re-slices
-		buf.raw = make([]byte, n)
-	}
-	buf.raw = buf.raw[:n]
-	if _, err := s.r.f.ReadAt(buf.raw, int64(h.Offset)); err != nil {
-		return nil, false, err
-	}
-	payload := buf.raw[:h.Size]
-	trailer := buf.raw[h.Size:]
-	sum := crc.Value(payload)
-	sum = crc.Extend(sum, trailer[:1])
-	if sum != binary.LittleEndian.Uint32(trailer[1:]) {
-		return nil, false, fmt.Errorf("%w: block checksum mismatch at offset %d", ErrCorrupt, h.Offset)
-	}
-	switch Compression(trailer[0]) {
-	case NoCompression:
-		contents = payload
-	case SnappyCompression:
-		buf.scratch, err = snappy.Decode(buf.scratch, payload)
-		if err != nil {
-			return nil, false, fmt.Errorf("%w: %v", ErrCorrupt, err)
-		}
-		contents = buf.scratch
-	default:
-		return nil, false, fmt.Errorf("%w: unknown compression %d", ErrCorrupt, trailer[0])
-	}
-	return contents, true, nil
+	contents, err = DecodeBlock(&buf.scratch, b.CType, b.Payload)
+	return contents, err == nil, err
 }

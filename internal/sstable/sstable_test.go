@@ -219,6 +219,29 @@ func TestBlockCacheIsUsed(t *testing.T) {
 	}
 }
 
+// TestOpenLeavesBlockCacheAlone: the index, metaindex and filter blocks
+// live in the Reader's own fields, so opening a table must neither insert
+// them into a shared cache (where they could never be hit and would evict
+// data blocks) nor count misses for them; the cache sees data blocks only.
+func TestOpenLeavesBlockCacheAlone(t *testing.T) {
+	entries := seqEntries(2000, 64)
+	f, _ := buildTable(t, Options{FilterBitsPerKey: 10}, entries)
+	c := cache.New(1 << 20)
+	r, err := NewReader(f, int64(len(f)), Options{}, c, 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if hits, misses := c.Stats(); c.Len() != 0 || hits != 0 || misses != 0 {
+		t.Fatalf("open left %d blocks, %d hits, %d misses in the cache; want none", c.Len(), hits, misses)
+	}
+	if _, _, found, err := r.Get([]byte(entries[0].user), keys.MaxSeq); err != nil || !found {
+		t.Fatalf("Get: found=%v, %v", found, err)
+	}
+	if hits, misses := c.Stats(); c.Len() != 1 || hits != 0 || misses != 1 {
+		t.Fatalf("one Get left %d blocks, %d hits, %d misses; want 1, 0, 1", c.Len(), hits, misses)
+	}
+}
+
 func TestRejectsOutOfOrderKeys(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf, Options{})

@@ -197,20 +197,10 @@ func (w *Writer) finishDataBlock() {
 // writeBlock writes contents (compressing per c) plus the trailer and
 // returns its handle.
 func (w *Writer) writeBlock(contents []byte, c Compression) (Handle, error) {
-	payload := contents
-	ctype := byte(NoCompression)
-	if c == SnappyCompression {
-		if w.enc == nil {
-			w.enc = new(snappy.Encoder)
-		}
-		w.cbuf = w.enc.Encode(w.cbuf[:0], contents)
-		// Only keep compression that actually saves space, as LevelDB does.
-		if len(w.cbuf) < len(contents)-len(contents)/8 {
-			payload = w.cbuf
-			ctype = byte(SnappyCompression)
-		}
+	if w.enc == nil && c != NoCompression {
+		w.enc = new(snappy.Encoder)
 	}
-	return w.writePreEncodedBlock(ctype, payload)
+	return w.writePreEncodedBlock(EncodeBlock(w.enc, &w.cbuf, contents, c))
 }
 
 // EstimatedSize returns the bytes written so far plus the buffered block.

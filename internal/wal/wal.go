@@ -13,9 +13,10 @@ package wal
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"io"
+
+	"fcae/internal/corruption"
 )
 
 // BlockSize is the physical block size of the log file.
@@ -35,7 +36,7 @@ const (
 )
 
 // ErrCorrupt reports a damaged log file region.
-var ErrCorrupt = errors.New("wal: corrupt record")
+var ErrCorrupt = corruption.New("wal: corrupt record")
 
 // crcFunc computes the masked checksum of type byte + payload.
 type crcFunc func(t byte, payload []byte) uint32
