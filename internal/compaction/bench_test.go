@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"fcae/internal/keys"
@@ -65,32 +64,20 @@ func (e *nullEnv) NewOutput() (uint64, io.WriteCloser, error) {
 	return e.next, nullFile{}, nil
 }
 
-// BenchmarkCompactPipeline compares the sequential and pipelined CPU data
-// paths on the 2-run workload. The acceptance bar is >= 1.3x pipelined
-// throughput at 4+ cores.
-func BenchmarkCompactPipeline(b *testing.B) {
-	job := benchJob(b, 40000)
-	bytesIn := job.InputBytes()
-	run := func(b *testing.B, cpu CPU) {
-		b.SetBytes(bytesIn)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := cpu.Compact(job, &nullEnv{}); err != nil {
-				b.Fatal(err)
-			}
+// benchCompact times the CPU lane on job, output discarded.
+func benchCompact(b *testing.B, job *Job) {
+	b.SetBytes(job.InputBytes())
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := (CPU{}).Compact(job, &nullEnv{}); err != nil {
+			b.Fatal(err)
 		}
 	}
-	b.Run("sequential", func(b *testing.B) { run(b, CPU{}) })
-	b.Run("pipelined", func(b *testing.B) {
-		run(b, CPU{Pipeline: PipelineConfig{Depth: 4}})
-	})
-	for _, enc := range []int{1, 2, 4} {
-		b.Run(fmt.Sprintf("pipelined-enc%d", enc), func(b *testing.B) {
-			run(b, CPU{Pipeline: PipelineConfig{Depth: 4, Encoders: enc}})
-		})
-	}
 }
+
+// BenchmarkCompactMerge is the CPU lane on the 2-run workload.
+func BenchmarkCompactMerge(b *testing.B) { benchCompact(b, benchJob(b, 40000)) }
 
 // storeJob builds the job a default store issues and the repo benchmark's
 // compact-merge times: four runs of 10k entries interleaved key by key,
@@ -129,22 +116,12 @@ func storeJob(tb testing.TB) *Job {
 	return job
 }
 
-// BenchmarkCompactStoreJob is the sequential lane on storeJob: the `go
+// BenchmarkCompactStoreJob is the CPU lane on storeJob: the `go
 // test -bench` twin of the repo benchmark's compact-merge mb_per_s.
-func BenchmarkCompactStoreJob(b *testing.B) {
-	job := storeJob(b)
-	b.SetBytes(job.InputBytes())
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := (CPU{}).Compact(job, &nullEnv{}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
+func BenchmarkCompactStoreJob(b *testing.B) { benchCompact(b, storeJob(b)) }
 
-// TestSequentialCompactAllocsBudget pins the sequential path's allocs/op
-// on storeJob. Before the path read its input through BlockScanner into
+// TestSequentialCompactAllocsBudget pins the CPU lane's allocs/op on
+// storeJob. Before the path read its input through BlockScanner into
 // one recycled buffer and the writer kept filter hashes instead of key
 // copies, this job cost 52.9k allocations: one key copy per entry, two
 // buffers and an iterator per input block. What is left is per table
@@ -155,51 +132,12 @@ func TestSequentialCompactAllocsBudget(t *testing.T) {
 		t.Skip("benchmark-backed budget; skipped in -short")
 	}
 	job := storeJob(t)
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := (CPU{}).Compact(job, &nullEnv{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	// Measured 624.
-	const budget = 800
+	res := testing.Benchmark(func(b *testing.B) { benchCompact(b, job) })
+	// Measured 470.
+	const budget = 600
 	if got := res.AllocsPerOp(); got > budget {
 		t.Fatalf("sequential compaction allocates %d allocs/op, budget is %d", got, budget)
 	} else {
 		t.Logf("sequential compaction: %d allocs/op (budget %d)", got, budget)
-	}
-}
-
-// TestPipelinedCompactAllocsBudget pins the pipelined path's allocs/op on
-// the benchmark workload, the dynamic counterpart of hotalloc's static
-// check over the encoder loop: the pools must actually recycle, so
-// allocations stay proportional to tables (a handful each), not blocks
-// (hundreds) or entries (tens of thousands).
-func TestPipelinedCompactAllocsBudget(t *testing.T) {
-	if testing.Short() {
-		t.Skip("benchmark-backed budget; skipped in -short")
-	}
-	job := benchJob(t, 20000)
-	cpu := CPU{Pipeline: PipelineConfig{Depth: 4, Encoders: 2}}
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := cpu.Compact(job, &nullEnv{}); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	// Measured 271 allocs/op: dominated by per-table reader/iterator and
-	// pipeline setup for ~40k entries across ~600 blocks — the pools are
-	// recycling. The budget trips if a per-block allocation sneaks into
-	// the read, merge or encode loop (that alone would add ~600).
-	const budget = 325
-	if got := res.AllocsPerOp(); got > budget {
-		t.Fatalf("pipelined compaction allocates %d allocs/op, budget is %d", got, budget)
-	} else {
-		t.Logf("pipelined compaction: %d allocs/op (budget %d, GOMAXPROCS %d)",
-			got, budget, runtime.GOMAXPROCS(0))
 	}
 }

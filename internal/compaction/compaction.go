@@ -85,46 +85,24 @@ type Stats struct {
 	KernelTime time.Duration
 	// TransferTime is the modeled PCIe transfer time (FCAE only).
 	TransferTime time.Duration
-	// Pipeline carries the pipelined CPU path's per-stage stall and
-	// occupancy counters; zero when the job ran sequentially.
+	// Pipeline is always zero: the lane it counted is deleted. Removed by
+	// ROADMAP item 4's [benchmark] PR, with the compaction.pipe_* rows.
 	Pipeline PipelineStats
 }
 
-// PipelineStats counts the stalls of the pipelined CPU data path's encode
-// stage, the software analogues of the paper's pipeline-occupancy
-// counters: encode stalls mean the encoder workers are the bottleneck,
-// submit stalls the writer behind them.
+// PipelineConfig and PipelineStats are compile shims for the frozen
+// benchmark ledger, with no effect: the pipelined lane is deleted (see
+// EXPERIMENTS.md, "The pipelined lane's verdict"). ROADMAP item 4's
+// [benchmark] PR removes both, CPU.Pipeline and Stats.Pipeline.
+type PipelineConfig struct{ Depth int }
+
+// PipelineStats is always zero; see PipelineConfig.
 type PipelineStats struct {
-	// Blocks is the number of output data blocks pushed through the
-	// encode stage.
-	Blocks int64
-	// PrefetchStallNanos is always 0: the read-ahead stage it timed was
-	// deleted in PR 24. The field stays because the frozen benchmark
-	// ledger compiles against it; the [benchmark] PR that unpins the lane
-	// (ROADMAP item 4) removes it.
-	PrefetchStallNanos int64
-	// EncodeStalls counts writer-side waits for an encoder to finish a
-	// block; EncodeStallNanos is the summed wait.
-	EncodeStalls     int64
-	EncodeStallNanos int64
-	// SubmitStalls counts merge-side waits for a free output-block slot;
-	// SubmitStallNanos is the summed wait.
-	SubmitStalls     int64
-	SubmitStallNanos int64
-	// SizeSyncs counts table-rotation decisions that had to drain
-	// in-flight encodes because the size bounds straddled the threshold.
-	SizeSyncs int64
+	EncodeStallNanos, PrefetchStallNanos, SubmitStallNanos int64
 }
 
-// Add accumulates o into s (for aggregating job stats into DB totals).
-func (s *PipelineStats) Add(o PipelineStats) {
-	s.Blocks += o.Blocks
-	s.EncodeStalls += o.EncodeStalls
-	s.EncodeStallNanos += o.EncodeStallNanos
-	s.SubmitStalls += o.SubmitStalls
-	s.SubmitStallNanos += o.SubmitStallNanos
-	s.SizeSyncs += o.SizeSyncs
-}
+// Add does nothing: there is nothing but zeros to add. See PipelineConfig.
+func (s *PipelineStats) Add(PipelineStats) {}
 
 // Result is the outcome of a compaction.
 type Result struct {
@@ -191,11 +169,9 @@ func (d *DropPolicy) Drop(ikey []byte) bool {
 
 // CPU is the software reference executor: a heap merge over run iterators
 // feeding an sstable writer, the paper's "CPU baseline" and the fallback
-// for jobs exceeding the engine's input limit. With Pipeline.Depth > 0
-// the finished output blocks are encoded and written by a worker pool
-// behind the merge (see pipelined.go) with byte-identical outputs; the
-// zero value writes them inline.
+// for jobs exceeding the engine's input limit.
 type CPU struct {
+	// Pipeline is ignored; see PipelineConfig.
 	Pipeline PipelineConfig
 }
 
@@ -207,9 +183,8 @@ func (CPU) MaxRuns() int { return 0 }
 
 // Compact implements Executor. This is the one CPU merge loop: drop what
 // the Validity Check rejects, rotate the output table only at a user-key
-// boundary, count pairs. Where a table's blocks are encoded is the
-// outputs' business.
-func (c CPU) Compact(job *Job, env Env) (*Result, error) {
+// boundary, count pairs.
+func (CPU) Compact(job *Job, env Env) (*Result, error) {
 	its := make([]iter.Iterator, 0, len(job.Runs))
 	for _, run := range job.Runs {
 		it, err := newRunIter(run, job.TableOpts)
@@ -224,14 +199,11 @@ func (c CPU) Compact(job *Job, env Env) (*Result, error) {
 	res := &Result{}
 	res.Stats.BytesRead = job.InputBytes()
 	drop := DropPolicy{SmallestSnapshot: job.SmallestSnapshot, BottomLevel: job.BottomLevel}
-	out := newOutputs(job, env, res, c.Pipeline)
+	out := &outputs{job: job, env: env, res: res}
 	defer out.close()
 
 	var lastUser []byte
 	for ; merged.Valid(); merged.Next() {
-		if err := out.err(); err != nil {
-			return nil, err
-		}
 		res.Stats.PairsIn++
 		ikey := merged.Key()
 		if drop.Drop(ikey) {
@@ -259,9 +231,6 @@ func (c CPU) Compact(job *Job, env Env) (*Result, error) {
 	if err := out.finish(); err != nil {
 		return nil, err
 	}
-	if err := out.drain(); err != nil {
-		return nil, err
-	}
 	return res, nil
 }
 
@@ -277,10 +246,7 @@ func NewOutputTable(num uint64, s sstable.WriterStats) OutputTable {
 }
 
 // outputs is where the merge loop's entries go: one output table at a
-// time, opened on the first entry it receives. Without a pipe a table's
-// blocks are encoded and written inside add and its tail inside finish;
-// with one (pipelined.go) both happen on the pipe's goroutines, finish
-// only queues the tail, and drain collects the results.
+// time, opened on the first entry it receives.
 type outputs struct {
 	job *Job
 	env Env
@@ -290,34 +256,11 @@ type outputs struct {
 	num uint64
 	f   io.WriteCloser
 	w   *sstable.Writer
-
-	pipe    *sstable.EncodePipeline
-	pending []pendingOutput
 }
 
-func newOutputs(job *Job, env Env, res *Result, cfg PipelineConfig) *outputs {
-	o := &outputs{job: job, env: env, res: res}
-	if cfg.Depth > 0 {
-		cfg = cfg.withDefaults()
-		o.pipe = sstable.NewEncodePipeline(job.TableOpts, cfg.Depth, cfg.Encoders)
-	}
-	return o
-}
-
-// full reports whether the open table has reached the job's size cap,
-// exactly as Writer.EstimatedSize would say of an inline writer. Behind a
-// pipe the size of a block still being encoded is known only in bounds:
-// the merge waits for the encoders (SizeExact) only when the cap falls
-// between them, so both lanes rotate at the same entry.
+// full reports whether the open table has reached the job's size cap.
 func (o *outputs) full() bool {
-	if o.w == nil {
-		return false
-	}
-	lo, hi := o.w.SizeBounds()
-	if uint64(hi) < o.job.MaxOutputBytes {
-		return false
-	}
-	return uint64(lo) >= o.job.MaxOutputBytes || uint64(o.w.SizeExact()) >= o.job.MaxOutputBytes
+	return o.w != nil && uint64(o.w.EstimatedSize()) >= o.job.MaxOutputBytes
 }
 
 // add appends an entry to the open table, opening one first if needed.
@@ -328,20 +271,9 @@ func (o *outputs) add(ikey, value []byte) error {
 			return err
 		}
 		o.num, o.f = num, f
-		if o.pipe != nil {
-			o.w = sstable.NewWriterAsync(f, o.job.TableOpts, o.pipe)
-		} else {
-			o.w = sstable.NewWriter(f, o.job.TableOpts)
-		}
+		o.w = sstable.NewWriter(f, o.job.TableOpts)
 	}
-	if err := o.w.Add(ikey, value); err != nil {
-		return err
-	}
-	// Hand any block the Add completed to the encoders (a no-op inline).
-	// The hand-off lives here, not inside Add, so lock-holding users of
-	// the writer never share a code path with channel waits.
-	o.w.PumpAsync()
-	return nil
+	return o.w.Add(ikey, value)
 }
 
 // finish completes the open table, if there is one.
@@ -351,10 +283,6 @@ func (o *outputs) finish() error {
 	}
 	w, f := o.w, o.f
 	o.w, o.f = nil, nil
-	if o.pipe != nil {
-		o.pending = append(o.pending, pendingOutput{num: o.num, reply: w.FinishAsync()})
-		return nil
-	}
 	done := o.job.Trace.StartSpan("flush_table")
 	stats, err := w.Finish()
 	if cerr := f.Close(); err == nil {
@@ -364,25 +292,15 @@ func (o *outputs) finish() error {
 	if err != nil {
 		return err
 	}
-	o.record(o.num, stats)
+	o.res.Outputs = append(o.res.Outputs, NewOutputTable(o.num, stats))
+	o.res.Stats.BytesWritten += stats.FileSize
 	return nil
 }
 
-// record adds one finished table to the result.
-func (o *outputs) record(num uint64, stats sstable.WriterStats) {
-	o.res.Outputs = append(o.res.Outputs, NewOutputTable(num, stats))
-	o.res.Stats.BytesWritten += stats.FileSize
-}
-
-// close releases what an abandoned merge leaves behind; after a merge
-// that ran to the end it only joins the pipe's goroutines. The open
-// table's file may still be written by the pipe's sequencer, so the pipe
-// is joined before the file is closed. A half-written output is deleted
-// by the obsolete-file sweep, so its close error is irrelevant.
+// close releases the table an abandoned merge leaves open. A half-written
+// output is deleted by the obsolete-file sweep, so its close error is
+// irrelevant.
 func (o *outputs) close() {
-	if o.pipe != nil {
-		o.pipe.Close()
-	}
 	if o.f != nil {
 		_ = o.f.Close()
 	}

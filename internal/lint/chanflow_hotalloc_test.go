@@ -115,7 +115,8 @@ func (r *R) wait() int { return <-r.done }
 	wantClean(t, checkFixture(t, lint.ChanFlow, map[string]string{"p.go": src}))
 }
 
-// The encode-pipeline ownership pattern (internal/sstable/pipeline.go):
+// The encode-pipeline ownership pattern (no tree code has this shape
+// since the pipelined compaction lane was deleted; the rule is kept):
 // a multi-queue worker pool with NO stop-style field — shutdown is
 // queue-close itself, granted to Close by directives, and workers drain
 // via range. Completion hand-off uses a buffered per-task token channel

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 
 	"fcae/internal/keys"
@@ -749,6 +751,53 @@ func TestRepairQuarantinesCorruptTables(t *testing.T) {
 		t.Fatal(err)
 	}
 	db2.Close()
+}
+
+// TestRepairReportsFailedQuarantine: a damaged table that cannot be moved
+// aside is in no version and still named like a live table, so the next
+// Open would unlink it. Repair must say so and leave it where it is. A
+// non-empty directory in the quarantine name's place fails the rename
+// even for root.
+func TestRepairReportsFailedQuarantine(t *testing.T) {
+	dir := t.TempDir()
+	db, err := Open(dir, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		if err := db.Put([]byte(fmt.Sprintf("k%04d", i)), []byte("v")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var damaged string
+	entries, _ := os.ReadDir(dir)
+	for _, e := range entries {
+		if kind, _ := parseFileName(e.Name()); kind == kindTable {
+			damaged = filepath.Join(dir, e.Name())
+		}
+	}
+	if damaged == "" {
+		t.Fatal("flush left no table")
+	}
+	if err := os.WriteFile(damaged, []byte("garbage"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.MkdirAll(filepath.Join(damaged+".corrupt", "squatter"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	err = Repair(dir, Options{})
+	if err == nil || !strings.HasPrefix(err.Error(), "lsm: repair: ") {
+		t.Fatalf("Repair with a blocked quarantine: err = %v, want an lsm: repair: error", err)
+	}
+	if got, err := os.ReadFile(damaged); err != nil || string(got) != "garbage" {
+		t.Fatalf("the damaged table is gone from %s: %q, %v", damaged, got, err)
+	}
 }
 
 // TestGetReturnsACopy: what Get returns is the caller's. Writing into it

@@ -3,6 +3,7 @@ package lsm
 import (
 	"fmt"
 	"os"
+	"path/filepath"
 
 	"fcae/internal/keys"
 	"fcae/internal/manifest"
@@ -40,13 +41,13 @@ func Repair(dir string, opts Options) (err error) {
 	}
 	var tables []tbl
 	var maxNum uint64
+	var oldMeta []string
 
 	for _, e := range entries {
 		kind, num := parseFileName(e.Name())
 		switch kind {
 		case kindManifest, kindCurrent:
-			// Discard old metadata; it is being rebuilt.
-			os.Remove(dir + "/" + e.Name())
+			oldMeta = append(oldMeta, e.Name())
 			continue
 		case kindWAL:
 			if num > maxNum {
@@ -63,11 +64,24 @@ func Repair(dir string, opts Options) (err error) {
 		t, err := scanTable(dir, num, opts)
 		if err != nil {
 			// Quarantine the unreadable table rather than losing data
-			// silently or blocking recovery.
-			os.Rename(tablePath(dir, num), tablePath(dir, num)+".corrupt")
+			// silently or blocking recovery. A table that could not be
+			// moved aside stops the repair: left under its own name and
+			// in no version, the next Open would delete it as obsolete.
+			if rerr := os.Rename(tablePath(dir, num), tablePath(dir, num)+".corrupt"); rerr != nil {
+				return fmt.Errorf("lsm: repair: quarantine unreadable table (%v): %w", err, rerr)
+			}
 			continue
 		}
 		tables = append(tables, tbl{num, t.size, t.smallest, t.largest, t.maxSeq})
+	}
+
+	// Discard the old metadata, which is being rebuilt — only now, so that
+	// a repair stopped by a table it could not quarantine has not yet cost
+	// the directory the manifest that names the others.
+	for _, name := range oldMeta {
+		if err := os.Remove(filepath.Join(dir, name)); err != nil {
+			return fmt.Errorf("lsm: repair: %w", err)
+		}
 	}
 
 	vs, err := manifest.Open(dir, opts.ManifestConfig())

@@ -52,15 +52,6 @@ func MaxEncodedLen(n int) int {
 	return 32 + n + n/6
 }
 
-// MinEncodedLen returns a lower bound on the encoded length of any n
-// source bytes: the densest element the format allows is a copy-2 tag,
-// whose 3 encoded bytes cover at most 64 source bytes, and the length
-// preamble takes at least 1 byte. Used to bracket in-flight block sizes
-// before their encodes resolve.
-func MinEncodedLen(n int) int {
-	return 1 + 3*n/64
-}
-
 // DecodedLen returns the decoded length of src without decoding it.
 func DecodedLen(src []byte) (int, error) {
 	n, _, err := decodedLen(src)

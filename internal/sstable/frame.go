@@ -13,12 +13,17 @@ import (
 // that layout is known — readBlock checks it, DecodeBlock and EncodeBlock
 // map between payload and contents, sealBlock closes it — so every path
 // that reads or writes a table (point reads, iterators, the compaction
-// scanner, the engine's device images and its host-side assembler, both
-// table writers) agrees on it by construction.
+// scanner, the engine's device images and its host-side assembler, the
+// table writer) agrees on it by construction.
 
 // readBlock reads the block at h into *buf, growing it when it is too
-// small, and verifies the checksum. The payload aliases *buf.
+// small, and verifies the checksum. The payload aliases *buf. No checksum
+// covers the footer's handles, and an index block's can be forged with
+// it, so h is held to the file's size before it sizes anything.
 func (r *Reader) readBlock(h Handle, buf *[]byte) (ctype byte, payload []byte, err error) {
+	if size := uint64(r.size); h.Size > size || h.Offset > size-h.Size || size-h.Size-h.Offset < BlockTrailerSize {
+		return 0, nil, fmt.Errorf("%w: block at offset %d, %d bytes, lies outside the file's %d", ErrCorrupt, h.Offset, h.Size, r.size)
+	}
 	n := int(h.Size) + BlockTrailerSize
 	if cap(*buf) < n {
 		*buf = make([]byte, n)

@@ -104,15 +104,12 @@ func (a *Assembler) AddRawBlock(lastKey []byte, ctype byte, payload []byte, entr
 		return a.w.err
 	}
 	a.w.flushPendingIndexRaw()
-	h, err := a.w.writePreEncodedBlock(ctype, payload)
+	h, err := a.w.writeSealed(ctype, payload)
 	if err != nil {
 		a.w.err = err
 		return err
 	}
-	a.w.handles = append(a.w.handles, h)
-	a.w.pendingKey = append(a.w.pendingKey[:0], lastKey...)
-	a.w.hasPending = true
-	a.w.stats.DataBlocks++
+	a.w.setPending(h, lastKey)
 	a.w.stats.Entries += entries
 	if a.w.stats.Smallest == nil {
 		// Smallest is patched by SetBounds; keep a placeholder.
@@ -147,33 +144,26 @@ func (a *Assembler) Finish() (WriterStats, error) {
 	return stats, err
 }
 
-// flushPendingIndexRaw records the pending separator using the stored last
-// key verbatim (no separator shortening; the engine already supplies
-// minimal keys). The entry is emitted by finishTail.
+// flushPendingIndexRaw emits the pending block's index entry under the
+// stored last key verbatim (no separator shortening; the engine already
+// supplies minimal keys).
 func (w *Writer) flushPendingIndexRaw() {
-	if !w.hasPending {
-		return
+	if w.hasPending {
+		w.addIndexEntry(w.pendingKey)
 	}
-	w.recordSep(w.pendingKey)
-	w.hasPending = false
 }
 
-// writePreEncodedBlock stores a block payload as it stands — already
-// compressed, or to be stored raw — followed by its trailer.
-func (w *Writer) writePreEncodedBlock(ctype byte, payload []byte) (Handle, error) {
-	sealBlock(&w.trailer, ctype, payload)
-	return w.writeSealed(payload, &w.trailer)
-}
-
-// writeSealed writes a payload and the trailer sealing it, and returns
+// writeSealed stores a block payload as it stands — already compressed,
+// or to be stored raw — followed by the trailer sealing it, and returns
 // the block's handle. The one place a block reaches the file and the
-// offset moves, for the inline writer and the pipeline's sequencer alike.
-func (w *Writer) writeSealed(payload []byte, trailer *[BlockTrailerSize]byte) (Handle, error) {
+// offset moves.
+func (w *Writer) writeSealed(ctype byte, payload []byte) (Handle, error) {
+	sealBlock(&w.trailer, ctype, payload)
 	h := Handle{Offset: uint64(w.offset), Size: uint64(len(payload))}
 	if _, err := w.w.Write(payload); err != nil {
 		return Handle{}, err
 	}
-	if _, err := w.w.Write(trailer[:]); err != nil {
+	if _, err := w.w.Write(w.trailer[:]); err != nil {
 		return Handle{}, err
 	}
 	w.offset += int64(len(payload)) + BlockTrailerSize

@@ -48,55 +48,44 @@ type WriterStats struct {
 
 // Writer builds an SSTable from internal keys added in increasing order.
 //
-// The index block is built at Finish from two parallel records: seps
-// (one separator per data block, computed when the next key — and so the
-// shortest separator — is known) and handles (one Handle per data block,
-// recorded in write order). Keeping them separate is what lets the
-// asynchronous encode pipeline hand completed blocks to workers while the
-// merge keeps adding entries: the separator is known on the producing
-// side long before the block's final file offset is. The sequential path
-// records both inline, so a table's bytes are identical either way.
+// The index block grows as data blocks are written. A block's entry waits
+// for the next key, so that its separator can be the shortest key between
+// the two blocks: pendingKey and pendingHandle hold the one block that is
+// written but not yet indexed.
 type Writer struct {
 	w      io.Writer
 	opts   Options
 	data   *blockBuilder
+	index  *blockBuilder
 	filter bloom.Filter
 
-	offset     int64
-	pendingKey []byte // last key of the block awaiting a separator
-	hasPending bool
-
-	// Deferred index entries: sepBuf/sepEnds is a flat encoding of one
-	// separator key per finished data block; handles holds the written
-	// blocks' handles in the same order.
-	sepBuf  []byte
-	sepEnds []int
-	handles []Handle
+	offset        int64
+	pendingKey    []byte // last key of the block awaiting its index entry
+	pendingHandle Handle
+	hasPending    bool
 
 	// filterHashes holds bloom.Hash of every user key added: all the
 	// filter block, built at Finish, needs of them.
 	filterHashes []uint32
 	stats        WriterStats
 	lastKey      []byte
-	enc          *snappy.Encoder // made by the first block compressed inline
+	enc          *snappy.Encoder // made by the first block compressed
 	cbuf         []byte
 	trailer      [BlockTrailerSize]byte // scratch: a local would escape through w.w.Write, once per block
 	sepScratch   []byte
+	handleBuf    []byte
 	err          error
 	finished     bool
-
-	// async is non-nil when the writer hands finished data blocks to an
-	// EncodePipeline instead of encoding them inline (see pipeline.go).
-	async *asyncWriter
 }
 
 // NewWriter returns a Writer emitting the table to w.
 func NewWriter(w io.Writer, opts Options) *Writer {
 	opts = opts.WithDefaults()
 	tw := &Writer{
-		w:    w,
-		opts: opts,
-		data: newBlockBuilder(opts.RestartInterval),
+		w:     w,
+		opts:  opts,
+		data:  newBlockBuilder(opts.RestartInterval),
+		index: newBlockBuilder(1),
 	}
 	if opts.FilterBitsPerKey > 0 {
 		tw.filter = bloom.New(opts.FilterBitsPerKey)
@@ -135,9 +124,8 @@ func (w *Writer) Add(ikey, value []byte) error {
 	return w.err
 }
 
-// flushPendingIndex records the deferred separator for the previous data
-// block, using the shortest separator below the upcoming key. The index
-// entry itself is emitted by finishTail once the block's handle is known.
+// flushPendingIndex emits the index entry of the previous data block,
+// using the shortest separator below the upcoming key.
 func (w *Writer) flushPendingIndex(upcoming []byte) {
 	if !w.hasPending {
 		return
@@ -160,36 +148,36 @@ func (w *Writer) flushPendingIndex(upcoming []byte) {
 		w.sepScratch = keys.MakeInternal(w.sepScratch[:0], u, keys.MaxSeq, keys.KindSet)
 		sep = w.sepScratch
 	}
-	w.recordSep(sep)
+	w.addIndexEntry(sep)
+}
+
+// addIndexEntry maps sep to the pending block's handle.
+func (w *Writer) addIndexEntry(sep []byte) {
+	w.handleBuf = w.pendingHandle.EncodeTo(w.handleBuf[:0])
+	w.index.add(sep, w.handleBuf)
 	w.hasPending = false
 }
 
-// recordSep appends one separator to the flat deferred-index record.
-func (w *Writer) recordSep(sep []byte) {
-	w.sepBuf = append(w.sepBuf, sep...)
-	w.sepEnds = append(w.sepEnds, len(w.sepBuf))
-}
-
-// finishDataBlock compresses and writes the current data block — or, in
-// async mode, hands its contents to the encode pipeline.
+// finishDataBlock compresses and writes the current data block.
 func (w *Writer) finishDataBlock() {
 	if w.data.empty() || w.err != nil {
 		return
 	}
 	contents := w.data.finish()
 	w.stats.RawDataSize += int64(len(contents))
-	if w.async != nil {
-		w.stageAsync(contents)
-	} else {
-		h, err := w.writeBlock(contents, w.opts.Compression)
-		if err != nil {
-			w.err = err
-			return
-		}
-		w.handles = append(w.handles, h)
-		w.data.reset()
+	h, err := w.writeBlock(contents, w.opts.Compression)
+	if err != nil {
+		w.err = err
+		return
 	}
-	w.pendingKey = append(w.pendingKey[:0], w.lastKey...)
+	w.data.reset()
+	w.setPending(h, w.lastKey)
+}
+
+// setPending records a written data block as awaiting its index entry.
+func (w *Writer) setPending(h Handle, lastKey []byte) {
+	w.pendingHandle = h
+	w.pendingKey = append(w.pendingKey[:0], lastKey...)
 	w.hasPending = true
 	w.stats.DataBlocks++
 }
@@ -200,7 +188,7 @@ func (w *Writer) writeBlock(contents []byte, c Compression) (Handle, error) {
 	if w.enc == nil && c != NoCompression {
 		w.enc = new(snappy.Encoder)
 	}
-	return w.writePreEncodedBlock(EncodeBlock(w.enc, &w.cbuf, contents, c))
+	return w.writeSealed(EncodeBlock(w.enc, &w.cbuf, contents, c))
 }
 
 // EstimatedSize returns the bytes written so far plus the buffered block.
@@ -212,9 +200,7 @@ func (w *Writer) EstimatedSize() int64 {
 func (w *Writer) Entries() int { return w.stats.Entries }
 
 // Finish writes the filter, metaindex, index blocks and footer, returning
-// the final table stats. Async writers must use FinishAsync instead: their
-// tail is written by the pipeline's sequencer once every data block is on
-// disk.
+// the final table stats.
 func (w *Writer) Finish() (WriterStats, error) {
 	if w.err != nil {
 		return w.stats, w.err
@@ -222,28 +208,10 @@ func (w *Writer) Finish() (WriterStats, error) {
 	if w.finished {
 		return w.stats, fmt.Errorf("sstable: Finish called twice")
 	}
-	if w.async != nil {
-		return w.stats, fmt.Errorf("sstable: Finish on an async writer (use FinishAsync)")
-	}
 	w.finished = true
 	w.finishDataBlock()
 	w.flushPendingIndex(nil)
 	if w.err != nil {
-		return w.stats, w.err
-	}
-	return w.finishTail()
-}
-
-// finishTail writes the filter, metaindex and index blocks plus the
-// footer. In async mode it runs on the pipeline's sequencer goroutine
-// after the last data block has been written; by then the producing side
-// has stopped touching the writer (the finish hand-off orders the two).
-func (w *Writer) finishTail() (WriterStats, error) {
-	if w.async != nil && w.async.werr != nil {
-		return w.stats, w.async.werr
-	}
-	if len(w.sepEnds) != len(w.handles) {
-		w.err = fmt.Errorf("sstable: internal: %d separators for %d data blocks", len(w.sepEnds), len(w.handles))
 		return w.stats, w.err
 	}
 
@@ -263,18 +231,7 @@ func (w *Writer) finishTail() (WriterStats, error) {
 		w.err = err
 		return w.stats, err
 	}
-	// Pair the recorded separators with the written handles, in block
-	// order. The builder sees the same entry sequence the incremental
-	// build did, so the index block's bytes are unchanged.
-	index := newBlockBuilder(1)
-	var hbuf []byte
-	start := 0
-	for i, end := range w.sepEnds {
-		hbuf = w.handles[i].EncodeTo(hbuf[:0])
-		index.add(w.sepBuf[start:end], hbuf)
-		start = end
-	}
-	indexHandle, err := w.writeRawBlock(index.finish())
+	indexHandle, err := w.writeRawBlock(w.index.finish())
 	if err != nil {
 		w.err = err
 		return w.stats, err
