@@ -260,3 +260,50 @@ func TestDamagedTableSurfacesAsCorruption(t *testing.T) {
 		t.Fatalf("Get over a damaged block = %q, %v; want fcae.ErrCorruption", v, err)
 	}
 }
+
+// TestShortTableFailsTheMergeAsCorruption cuts a live table to less than
+// the size its manifest entry records and forces the merge that reads it,
+// on the CPU lane and through the engine: the compaction sizes its inputs
+// from the manifest, so the early end of file is damage and must come back
+// as ErrCorruption — it came back as a bare io.EOF.
+func TestShortTableFailsTheMergeAsCorruption(t *testing.T) {
+	for _, lane := range []string{"cpu", "engine"} {
+		t.Run(lane, func(t *testing.T) {
+			dir := t.TempDir()
+			var opts fcae.Options
+			if lane == "engine" {
+				opts.DispatchConfig.Devices = []fcae.CompactionExecutor{fcae.MustNewEngineExecutor(fcae.MultiInputEngineConfig())}
+			}
+			db, err := fcae.Open(dir, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			// Two overlapping level-0 tables: a merge, not a trivial move.
+			for flush := 0; flush < 2; flush++ {
+				for i := 0; i < 2000; i++ {
+					if err := db.Put([]byte(fmt.Sprintf("k%05d", i*2+flush)), bytes.Repeat([]byte{byte(i)}, 100)); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := db.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			tables, err := filepath.Glob(filepath.Join(dir, "*.ldb"))
+			if err != nil || len(tables) != 2 {
+				t.Fatalf("want two tables, got %v, %v", tables, err)
+			}
+			st, err := os.Stat(tables[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(tables[0], st.Size()*2/3); err != nil {
+				t.Fatal(err)
+			}
+			if err := db.CompactLevel(0); !errors.Is(err, fcae.ErrCorruption) {
+				t.Fatalf("merge over a table cut to two thirds of its recorded size: %v, want fcae.ErrCorruption", err)
+			}
+		})
+	}
+}

@@ -133,8 +133,11 @@ func TestSequentialCompactAllocsBudget(t *testing.T) {
 	}
 	job := storeJob(t)
 	res := testing.Benchmark(func(b *testing.B) { benchCompact(b, job) })
-	// Measured 470.
-	const budget = 600
+	// Measured 437: 470 before the writer's region took over its encode
+	// buffer and trailer and the scanner's window the per-run read buffer.
+	// The budget is that 470, so bulk I/O may not buy its syscalls with
+	// allocations.
+	const budget = 470
 	if got := res.AllocsPerOp(); got > budget {
 		t.Fatalf("sequential compaction allocates %d allocs/op, budget is %d", got, budget)
 	} else {

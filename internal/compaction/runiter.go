@@ -7,10 +7,11 @@ import (
 )
 
 // This file is how the CPU data path reads its input: a run's tables are
-// walked block by block through sstable.BlockScanner (cache bypassed, CRC
-// checked, decoded into one recycled BlockBuf) and the blocks' entries
-// through one BlockIter re-pointed per block. Nothing here allocates per
-// block or per entry.
+// walked block by block through sstable.BlockScanner (cache bypassed, read
+// a window at a time, CRC checked, decoded into one recycled BlockBuf) and
+// the blocks' entries through one BlockIter re-pointed per block. Nothing
+// here allocates per block or per entry; the run's one scanner carries its
+// window from table to table.
 
 var errRunForwardOnly = fmt.Errorf("compaction: run iterator is forward-only")
 

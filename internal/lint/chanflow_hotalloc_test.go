@@ -115,61 +115,6 @@ func (r *R) wait() int { return <-r.done }
 	wantClean(t, checkFixture(t, lint.ChanFlow, map[string]string{"p.go": src}))
 }
 
-// The encode-pipeline ownership pattern (no tree code has this shape
-// since the pipelined compaction lane was deleted; the rule is kept):
-// a multi-queue worker pool with NO stop-style field — shutdown is
-// queue-close itself, granted to Close by directives, and workers drain
-// via range. Completion hand-off uses a buffered per-task token channel
-// (named ready, not a stop-style name) sent bare inside the worker loop:
-// legal precisely because the struct carries no stop field, which is the
-// contract this fixture pins.
-func TestChanFlowPipelineQueueOwnership(t *testing.T) {
-	t.Parallel()
-	src := `package p
-
-type task struct{ ready chan struct{} }
-
-type P struct {
-	encodeq chan *task
-	orderq  chan *task
-}
-
-func newP() *P {
-	p := &P{encodeq: make(chan *task, 4), orderq: make(chan *task, 4)}
-	go p.encoder()
-	go p.sequencer()
-	return p
-}
-
-func (p *P) encoder() {
-	for t := range p.encodeq {
-		t.ready <- struct{}{}
-	}
-}
-
-func (p *P) sequencer() {
-	for t := range p.orderq {
-		<-t.ready
-	}
-}
-
-func (p *P) submit(t *task) {
-	p.encodeq <- t
-	p.orderq <- t
-}
-
-// Close flushes and joins; queue-close is the designed shutdown.
-//
-//fcae:chan-owner p.P.encodeq
-//fcae:chan-owner p.P.orderq
-func (p *P) Close() {
-	close(p.encodeq)
-	close(p.orderq)
-}
-`
-	wantClean(t, checkFixture(t, lint.ChanFlow, map[string]string{"p.go": src}))
-}
-
 // The sentinel-producer pattern (the tree has no instance left; the rule
 // still has to read one right): a stop-carrying struct whose producer
 // loop sends items, recycled buffers and an eof sentinel — every loop

@@ -3,6 +3,7 @@ package sstable
 import (
 	"encoding/binary"
 	"fmt"
+	"io"
 
 	"fcae/internal/crc"
 	"fcae/internal/snappy"
@@ -10,28 +11,59 @@ import (
 
 // Block framing: a stored block is its payload, one type byte naming the
 // payload's codec, and a CRC-32C over both. This file is the only place
-// that layout is known — readBlock checks it, DecodeBlock and EncodeBlock
-// map between payload and contents, sealBlock closes it — so every path
-// that reads or writes a table (point reads, iterators, the compaction
-// scanner, the engine's device images and its host-side assembler, the
-// table writer) agrees on it by construction.
+// that layout is known — checkHandle and verifyBlock check it, DecodeBlock
+// and EncodeBlock map between payload and contents, sealBlock closes it —
+// so every path that reads or writes a table (point reads, iterators, the
+// compaction scanner, the engine's device images and its host-side
+// assembler, the table writer) agrees on it by construction.
 
 // readBlock reads the block at h into *buf, growing it when it is too
-// small, and verifies the checksum. The payload aliases *buf. No checksum
-// covers the footer's handles, and an index block's can be forged with
-// it, so h is held to the file's size before it sizes anything.
+// small, and verifies the checksum. The payload aliases *buf. It is
+// checkHandle, one read of exactly the block, and verifyBlock; the
+// scanner's window (scan.go) puts a different fetch between the same two.
 func (r *Reader) readBlock(h Handle, buf *[]byte) (ctype byte, payload []byte, err error) {
-	if size := uint64(r.size); h.Size > size || h.Offset > size-h.Size || size-h.Size-h.Offset < BlockTrailerSize {
-		return 0, nil, fmt.Errorf("%w: block at offset %d, %d bytes, lies outside the file's %d", ErrCorrupt, h.Offset, h.Size, r.size)
+	if err := r.checkHandle(h); err != nil {
+		return 0, nil, err
 	}
 	n := int(h.Size) + BlockTrailerSize
 	if cap(*buf) < n {
 		*buf = make([]byte, n)
 	}
 	raw := (*buf)[:n]
-	if _, err := r.f.ReadAt(raw, int64(h.Offset)); err != nil {
+	if _, err := r.readAt(raw, int64(h.Offset)); err != nil {
 		return 0, nil, err
 	}
+	return verifyBlock(h, raw)
+}
+
+// checkHandle holds h and its trailer to the file's size. No checksum
+// covers the footer's handles, and an index block's can be forged with
+// it, so this runs before h sizes a buffer or places a read.
+func (r *Reader) checkHandle(h Handle) error {
+	if size := uint64(r.size); h.Size > size || h.Offset > size-h.Size || size-h.Size-h.Offset < BlockTrailerSize {
+		return fmt.Errorf("%w: block at offset %d, %d bytes, lies outside the file's %d", ErrCorrupt, h.Offset, h.Size, r.size)
+	}
+	return nil
+}
+
+// readAt fills p from the file at off and returns how much of it was
+// filled. Every caller has held off+len(p) to the size the reader was
+// opened with, so a read that ends early means the file is shorter than
+// the manifest or the caller's stat recorded: damage, not end of input.
+func (r *Reader) readAt(p []byte, off int64) (int, error) {
+	n, err := r.f.ReadAt(p, off)
+	if n == len(p) {
+		return n, nil
+	}
+	if err == io.EOF || err == io.ErrUnexpectedEOF {
+		err = fmt.Errorf("%w: file ends at offset %d, short of its recorded %d bytes", ErrCorrupt, off+int64(n), r.size)
+	}
+	return n, err
+}
+
+// verifyBlock checks the stored block raw (payload and trailer, read from
+// h) against its checksum and splits it.
+func verifyBlock(h Handle, raw []byte) (ctype byte, payload []byte, err error) {
 	payload, trailer := raw[:h.Size], raw[h.Size:]
 	if crc.Extend(crc.Value(payload), trailer[:1]) != binary.LittleEndian.Uint32(trailer[1:]) {
 		return 0, nil, fmt.Errorf("%w: block checksum mismatch at offset %d", ErrCorrupt, h.Offset)

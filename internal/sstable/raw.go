@@ -22,15 +22,14 @@ type RawBlock struct {
 	Payload  []byte
 }
 
-// VisitRawBlocks calls visit for every data block in index order. One
-// buffer is recycled across blocks: b's bytes are valid for the call
-// only, and a visitor that keeps any copies them.
+// VisitRawBlocks calls visit for every data block in index order. The
+// scanner's window is recycled under the blocks: b's bytes are valid for
+// the call only, and a visitor that keeps any copies them.
 func (r *Reader) VisitRawBlocks(visit func(b RawBlock) error) error {
 	var sc BlockScanner
-	var buf BlockBuf
 	sc.Reset(r)
 	for {
-		b, ok, err := sc.NextRaw(&buf)
+		b, ok, err := sc.NextRaw()
 		if !ok || err != nil {
 			return err
 		}
@@ -151,21 +150,4 @@ func (w *Writer) flushPendingIndexRaw() {
 	if w.hasPending {
 		w.addIndexEntry(w.pendingKey)
 	}
-}
-
-// writeSealed stores a block payload as it stands — already compressed,
-// or to be stored raw — followed by the trailer sealing it, and returns
-// the block's handle. The one place a block reaches the file and the
-// offset moves.
-func (w *Writer) writeSealed(ctype byte, payload []byte) (Handle, error) {
-	sealBlock(&w.trailer, ctype, payload)
-	h := Handle{Offset: uint64(w.offset), Size: uint64(len(payload))}
-	if _, err := w.w.Write(payload); err != nil {
-		return Handle{}, err
-	}
-	if _, err := w.w.Write(w.trailer[:]); err != nil {
-		return Handle{}, err
-	}
-	w.offset += int64(len(payload)) + BlockTrailerSize
-	return h, nil
 }

@@ -30,7 +30,7 @@ func NewReader(f io.ReaderAt, size int64, opts Options, blockCache *cache.Cache,
 		return nil, fmt.Errorf("%w: file of %d bytes has no footer", ErrCorrupt, size)
 	}
 	var fbuf [FooterSize]byte
-	if _, err := f.ReadAt(fbuf[:], size-FooterSize); err != nil {
+	if _, err := r.readAt(fbuf[:], size-FooterSize); err != nil {
 		return nil, err
 	}
 	footer, err := DecodeFooter(fbuf[:])

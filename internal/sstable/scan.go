@@ -2,16 +2,28 @@ package sstable
 
 // BlockScanner is how whole tables are read: a strictly forward,
 // index-ordered walk over a table's data blocks that reads and decodes
-// into caller-owned buffers. It bypasses the block cache on purpose — a
+// into buffers its caller keeps. It bypasses the block cache on purpose — a
 // compaction touches every block exactly once, and filling the cache with
 // them would evict the read path's working set.
+//
+// It reads through a window instead: one ReadAt of scanWindow bytes
+// (clipped to the file) serves every block whose handle lies inside it,
+// so a table costs a read per window, not per block. The window belongs
+// to the scanner and a scanner to one sorted run — Reset moves it from
+// table to table and keeps the buffer — so a merge holds one window per
+// input run for as long as it runs, and nothing outlives the merge. That
+// is also why the window is no substitute for the cache and does not feed
+// it: it holds stored bytes (compressed, trailer and all) that exactly one
+// reader will ever ask for, in the order it asks.
 
-// BlockBuf holds one block's scratch: raw is the read buffer (payload +
-// trailer), scratch the decode target. The bytes Next and NextRaw return
-// alias one of the two, so a buffer must not be reused until they have
-// been consumed; recycle the BlockBuf as a unit.
+// scanWindow is how much of a table one read brings in. 256 KiB is where
+// the store's fill stopped improving (EXPERIMENTS.md, "Bulk I/O"): a
+// 2 MiB table in eight reads instead of five hundred.
+const scanWindow = 256 << 10
+
+// BlockBuf is the decode target of one block. The contents Next returns
+// may alias it, so it must not be reused until they have been consumed.
 type BlockBuf struct {
-	raw     []byte
 	scratch []byte
 }
 
@@ -19,21 +31,28 @@ type BlockBuf struct {
 type BlockScanner struct {
 	r  *Reader
 	it BlockIter
+
+	// win holds the file's bytes [winOff, winOff+len(win)). Its capacity
+	// is max(scanWindow, the largest block met), never more than the size
+	// of the largest file scanned.
+	win    []byte
+	winOff int64
 }
 
 // Reset points the scanner before r's first data block, reusing the
-// scanner's iterator state across tables.
+// scanner's iterator state and window buffer across tables.
 func (s *BlockScanner) Reset(r *Reader) {
 	s.r = r
 	s.it.b = r.index
 	s.it.rewind()
+	s.win = s.win[:0]
 }
 
-// NextRaw reads the next data block into buf and returns it as stored,
-// checksum verified. The payload aliases buf and the index key the
-// scanner: both hold until the next call. ok is false at the end of the
-// table or on error.
-func (s *BlockScanner) NextRaw(buf *BlockBuf) (b RawBlock, ok bool, err error) {
+// NextRaw returns the next data block as stored, handle bounded and
+// checksum verified exactly as readBlock does. The payload aliases the
+// scanner's window and the index key its iterator: both hold until the
+// next call. ok is false at the end of the table or on error.
+func (s *BlockScanner) NextRaw() (b RawBlock, ok bool, err error) {
 	s.it.Next()
 	if !s.it.Valid() {
 		return RawBlock{}, false, s.it.Error()
@@ -42,18 +61,47 @@ func (s *BlockScanner) NextRaw(buf *BlockBuf) (b RawBlock, ok bool, err error) {
 	if err != nil {
 		return RawBlock{}, false, err
 	}
-	ctype, payload, err := s.r.readBlock(h, &buf.raw)
+	if err := s.r.checkHandle(h); err != nil {
+		return RawBlock{}, false, err
+	}
+	raw, err := s.fetch(int64(h.Offset), int(h.Size)+BlockTrailerSize)
+	if err != nil {
+		return RawBlock{}, false, err
+	}
+	ctype, payload, err := verifyBlock(h, raw)
 	if err != nil {
 		return RawBlock{}, false, err
 	}
 	return RawBlock{IndexKey: s.it.Key(), CType: ctype, Payload: payload}, true, nil
 }
 
-// Next reads the next data block into buf and returns its decoded
-// contents (aliasing buf's storage). ok is false at the end of the table
+// fetch returns the n bytes stored at off, which checkHandle has held to
+// the file. Bytes inside the window cost nothing; anything else — the
+// next window's first block, a block an out-of-order index points back
+// to — refills the window starting at off.
+func (s *BlockScanner) fetch(off int64, n int) ([]byte, error) {
+	if off < s.winOff || off+int64(n) > s.winOff+int64(len(s.win)) {
+		want := int(min(int64(max(n, scanWindow)), s.r.size-off))
+		if cap(s.win) < want {
+			s.win = make([]byte, want)
+		}
+		// A file shorter than its recorded size ends the window early.
+		// That is this block's error only if this block is cut; a later
+		// one finds it when it refills.
+		got, err := s.r.readAt(s.win[:want], off)
+		s.win, s.winOff = s.win[:got], off
+		if got < n {
+			return nil, err
+		}
+	}
+	return s.win[off-s.winOff:][:n], nil
+}
+
+// Next returns the next data block's decoded contents, which alias buf's
+// storage or the scanner's window. ok is false at the end of the table
 // or on error.
 func (s *BlockScanner) Next(buf *BlockBuf) (contents []byte, ok bool, err error) {
-	b, ok, err := s.NextRaw(buf)
+	b, ok, err := s.NextRaw()
 	if !ok {
 		return nil, false, err
 	}

@@ -46,12 +46,22 @@ type WriterStats struct {
 	Largest     []byte
 }
 
+// regionSize is how much of a table reaches the io.Writer at a time.
+// 64 KiB is where the store's fill stopped improving (EXPERIMENTS.md,
+// "Bulk I/O"): a 2 MiB table in 33 writes instead of a thousand.
+const regionSize = 64 << 10
+
 // Writer builds an SSTable from internal keys added in increasing order.
 //
 // The index block grows as data blocks are written. A block's entry waits
 // for the next key, so that its separator can be the shortest key between
 // the two blocks: pendingKey and pendingHandle hold the one block that is
 // written but not yet indexed.
+//
+// Blocks are sealed into a region and the region is handed to the
+// io.Writer whole, when it fills and at Finish. A write error therefore
+// surfaces from a later Add than the one whose block it lost, or from
+// Finish — from one of them always, and every later call repeats it.
 type Writer struct {
 	w      io.Writer
 	opts   Options
@@ -59,7 +69,16 @@ type Writer struct {
 	index  *blockBuilder
 	filter bloom.Filter
 
-	offset        int64
+	// offset is the table's logical size: every block sealed so far,
+	// handed over or not. Handles, EstimatedSize and so every cut point
+	// are made from it, which is what keeps them independent of regionSize.
+	offset int64
+	// region holds the table's bytes [offset-len(region), offset), sealed
+	// and not yet handed to w. A compressed payload is encoded straight
+	// into its tail, so the region costs a compressed block no copy; its
+	// capacity is regionSize plus room for the largest block met.
+	region []byte
+
 	pendingKey    []byte // last key of the block awaiting its index entry
 	pendingHandle Handle
 	hasPending    bool
@@ -70,8 +89,6 @@ type Writer struct {
 	stats        WriterStats
 	lastKey      []byte
 	enc          *snappy.Encoder // made by the first block compressed
-	cbuf         []byte
-	trailer      [BlockTrailerSize]byte // scratch: a local would escape through w.w.Write, once per block
 	sepScratch   []byte
 	handleBuf    []byte
 	err          error
@@ -182,16 +199,64 @@ func (w *Writer) setPending(h Handle, lastKey []byte) {
 	w.stats.DataBlocks++
 }
 
-// writeBlock writes contents (compressing per c) plus the trailer and
-// returns its handle.
+// writeBlock stores contents (compressing per c) plus the trailer and
+// returns its handle. The compressed form is built where it will lie.
 func (w *Writer) writeBlock(contents []byte, c Compression) (Handle, error) {
-	if w.enc == nil && c != NoCompression {
-		w.enc = new(snappy.Encoder)
+	if c == SnappyCompression {
+		if w.enc == nil {
+			w.enc = new(snappy.Encoder)
+		}
+		tail := w.tail(snappy.MaxEncodedLen(len(contents)) + BlockTrailerSize)
+		if ctype, payload := EncodeBlock(w.enc, &tail, contents, c); ctype != byte(NoCompression) {
+			return w.seal(ctype, len(payload))
+		}
 	}
-	return w.writeSealed(EncodeBlock(w.enc, &w.cbuf, contents, c))
+	return w.writeSealed(byte(NoCompression), contents)
 }
 
-// EstimatedSize returns the bytes written so far plus the buffered block.
+// tail returns the region's unused end, empty and with room for n bytes.
+// The region grows to make it: it is handed over when full, never to make
+// room, so every write but a table's last carries at least regionSize.
+func (w *Writer) tail(n int) []byte {
+	if cap(w.region)-len(w.region) < n {
+		grown := make([]byte, len(w.region), max(regionSize, len(w.region))+n)
+		copy(grown, w.region)
+		w.region = grown
+	}
+	return w.region[len(w.region):]
+}
+
+// writeSealed stores a block payload as it stands — already compressed,
+// or to be stored raw — followed by the trailer sealing it, and returns
+// the block's handle.
+func (w *Writer) writeSealed(ctype byte, payload []byte) (Handle, error) {
+	copy(w.tail(len(payload) + BlockTrailerSize)[:len(payload)], payload)
+	return w.seal(ctype, len(payload))
+}
+
+// seal closes the block whose n payload bytes lie at the region's tail:
+// the trailer goes after them, the offset moves past both, and a region
+// that is now full goes to the file. The one place a block joins the table.
+func (w *Writer) seal(ctype byte, n int) (Handle, error) {
+	end := len(w.region) + n
+	w.region = w.region[:end+BlockTrailerSize]
+	sealBlock((*[BlockTrailerSize]byte)(w.region[end:]), ctype, w.region[end-n:end])
+	h := Handle{Offset: uint64(w.offset), Size: uint64(n)}
+	w.offset += int64(n) + BlockTrailerSize
+	if len(w.region) < regionSize {
+		return h, nil
+	}
+	return h, w.flushRegion()
+}
+
+// flushRegion hands the region to the file in one Write.
+func (w *Writer) flushRegion() error {
+	_, err := w.w.Write(w.region)
+	w.region = w.region[:0]
+	return err
+}
+
+// EstimatedSize returns the bytes sealed so far plus the open block.
 func (w *Writer) EstimatedSize() int64 {
 	return w.offset + int64(w.data.estimatedSize())
 }
@@ -200,7 +265,9 @@ func (w *Writer) EstimatedSize() int64 {
 func (w *Writer) Entries() int { return w.stats.Entries }
 
 // Finish writes the filter, metaindex, index blocks and footer, returning
-// the final table stats.
+// the final table stats. A nil error means every byte of the table has
+// been handed to the io.Writer — nothing stays behind in the region — so
+// a Sync the caller issues next covers the whole file.
 func (w *Writer) Finish() (WriterStats, error) {
 	if w.err != nil {
 		return w.stats, w.err
@@ -237,7 +304,8 @@ func (w *Writer) Finish() (WriterStats, error) {
 		return w.stats, err
 	}
 	footer := Footer{MetaIndex: metaHandle, Index: indexHandle}
-	if _, err := w.w.Write(footer.Encode()); err != nil {
+	w.region = append(w.region, footer.Encode()...)
+	if err := w.flushRegion(); err != nil {
 		w.err = err
 		return w.stats, err
 	}

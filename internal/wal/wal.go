@@ -15,6 +15,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"slices"
 
 	"fcae/internal/corruption"
 )
@@ -41,16 +42,22 @@ var ErrCorrupt = corruption.New("wal: corrupt record")
 // crcFunc computes the masked checksum of type byte + payload.
 type crcFunc func(t byte, payload []byte) uint32
 
-// Writer appends logical records to an io.Writer.
+// maxRetainedGather bounds the gather buffer a Writer keeps between
+// records: one huge record may grow it past this, and that is not kept.
+const maxRetainedGather = 2 << 20
+
+// Writer appends logical records to an io.Writer, one Write per record.
 type Writer struct {
-	w          io.Writer
-	blockOff   int // offset within the current block
-	buf        [headerSize]byte
-	crc        crcFunc
-	written    int64
-	flushAfter bool
-	flusher    interface{ Flush() error }
-	syncer     interface{ Sync() error }
+	w        io.Writer
+	blockOff int // offset within the current block
+	crc      crcFunc
+	written  int64
+	// gather is where Append lays a record out as it will lie in the
+	// file — fragment headers, payloads, block padding — so that the
+	// file gets it in one Write.
+	gather  []byte
+	flusher interface{ Flush() error }
+	syncer  interface{ Sync() error }
 }
 
 // NewWriter returns a Writer emitting records to w. If w implements
@@ -67,27 +74,25 @@ func NewWriter(w io.Writer, crc crcFunc) *Writer {
 }
 
 // Append writes one logical record, fragmenting across blocks as needed.
+// The whole record — every fragment and any padding before it — goes to
+// the io.Writer in a single Write before Append returns, and the writer's
+// position moves only if that Write succeeded.
 func (w *Writer) Append(record []byte) error {
-	begin := true
-	for {
-		leftover := BlockSize - w.blockOff
+	// Sized up front so a long record does not regrow it: the payload, a
+	// header per block it touches, one more for a first fragment in a
+	// block's tail, and less than a header of padding.
+	buf := slices.Grow(w.gather[:0], len(record)+headerSize*(len(record)/(BlockSize-headerSize)+3))
+	blockOff := w.blockOff
+	for begin := true; ; begin = false {
+		leftover := BlockSize - blockOff
 		if leftover < headerSize {
 			// Fill trailer with zeros; readers skip it.
-			if leftover > 0 {
-				var zeros [headerSize]byte
-				if _, err := w.w.Write(zeros[:leftover]); err != nil {
-					return err
-				}
-				w.written += int64(leftover)
-			}
-			w.blockOff = 0
+			var zeros [headerSize]byte
+			buf = append(buf, zeros[:leftover]...)
+			blockOff = 0
 			leftover = BlockSize
 		}
-		avail := leftover - headerSize
-		frag := record
-		if len(frag) > avail {
-			frag = frag[:avail]
-		}
+		frag := record[:min(len(record), leftover-headerSize)]
 		record = record[len(frag):]
 		end := len(record) == 0
 
@@ -102,28 +107,23 @@ func (w *Writer) Append(record []byte) error {
 		default:
 			t = typeMiddle
 		}
-		if err := w.emit(t, frag); err != nil {
-			return err
-		}
-		begin = false
+		buf = binary.LittleEndian.AppendUint32(buf, w.crc(byte(t), frag))
+		buf = binary.LittleEndian.AppendUint16(buf, uint16(len(frag)))
+		buf = append(buf, byte(t))
+		buf = append(buf, frag...)
+		blockOff += headerSize + len(frag)
 		if end {
-			return nil
+			break
 		}
 	}
-}
-
-func (w *Writer) emit(t recordType, payload []byte) error {
-	binary.LittleEndian.PutUint32(w.buf[0:4], w.crc(byte(t), payload))
-	binary.LittleEndian.PutUint16(w.buf[4:6], uint16(len(payload)))
-	w.buf[6] = byte(t)
-	if _, err := w.w.Write(w.buf[:]); err != nil {
+	if cap(buf) <= maxRetainedGather {
+		w.gather = buf
+	}
+	if _, err := w.w.Write(buf); err != nil {
 		return err
 	}
-	if _, err := w.w.Write(payload); err != nil {
-		return err
-	}
-	w.blockOff += headerSize + len(payload)
-	w.written += int64(headerSize + len(payload))
+	w.blockOff = blockOff
+	w.written += int64(len(buf))
 	return nil
 }
 

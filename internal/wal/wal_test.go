@@ -2,6 +2,8 @@ package wal
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -182,5 +184,193 @@ func BenchmarkReplay(b *testing.B) {
 		if n != 10000 {
 			b.Fatalf("replayed %d records", n)
 		}
+	}
+}
+
+// countingWriter records the size of every Write it is handed.
+type countingWriter struct {
+	bytes.Buffer
+	writes []int
+}
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	w.writes = append(w.writes, len(p))
+	return w.Buffer.Write(p)
+}
+
+// fragmentAtATime lays records out the way the writer did when it handed
+// the file every header, payload and padding run in a Write of its own:
+// the byte-for-byte reference for what one Write per record must produce.
+func fragmentAtATime(records [][]byte) []byte {
+	var out []byte
+	for _, record := range records {
+		for begin := true; ; begin = false {
+			leftover := BlockSize - len(out)%BlockSize
+			if leftover < headerSize {
+				out = append(out, make([]byte, leftover)...)
+				leftover = BlockSize
+			}
+			frag := record[:min(len(record), leftover-headerSize)]
+			record = record[len(frag):]
+			t := typeMiddle
+			switch end := len(record) == 0; {
+			case begin && end:
+				t = typeFull
+			case begin:
+				t = typeFirst
+			case end:
+				t = typeLast
+			}
+			out = binary.LittleEndian.AppendUint32(out, testCRC(byte(t), frag))
+			out = binary.LittleEndian.AppendUint16(out, uint16(len(frag)))
+			out = append(append(out, byte(t)), frag...)
+			if len(record) == 0 {
+				break
+			}
+		}
+	}
+	return out
+}
+
+// boundaryRecords crosses every kind of block boundary: a record that
+// stops 3 bytes short of the first block's end (so the next one starts
+// with padding), one spread over more than three blocks, an empty one,
+// one that fills its block exactly, one that finds 6 bytes left, and one
+// that finds exactly a header's room and so opens with an empty fragment.
+func boundaryRecords() [][]byte {
+	rng := rand.New(rand.NewSource(26))
+	var records [][]byte
+	add := func(r []byte) { records = append(records, r) }
+	sized := func(n int) []byte {
+		b := make([]byte, n)
+		rng.Read(b)
+		return b
+	}
+	room := func() int { return BlockSize - len(fragmentAtATime(records))%BlockSize }
+	add(sized(BlockSize - headerSize - 3))
+	add([]byte("lands after a 3-byte tail"))
+	add(sized(3*BlockSize + 123))
+	add(nil)
+	add(sized(room() - headerSize))
+	add([]byte("starts a block"))
+	add(sized(room() - headerSize - 6))
+	add([]byte("finds 6 bytes, all padding"))
+	add(sized(room() - 2*headerSize))
+	add([]byte("opens with an empty fragment"))
+	return records
+}
+
+// TestAppendIsOneWrite: every logical record reaches the file in exactly
+// one Write — fragments, headers and the padding before them included —
+// and the file is byte for byte the one a Write per fragment made.
+func TestAppendIsOneWrite(t *testing.T) {
+	t.Parallel()
+	records := boundaryRecords()
+	var f countingWriter
+	w := NewWriter(&f, testCRC)
+	for i, r := range records {
+		before := f.Len()
+		if err := w.Append(r); err != nil {
+			t.Fatal(err)
+		}
+		if len(f.writes) != i+1 {
+			t.Fatalf("record %d (%d bytes) took %d writes, want 1", i, len(r), len(f.writes)-i)
+		}
+		if w.Size() != int64(f.Len()) || f.writes[i] != f.Len()-before {
+			t.Fatalf("record %d: Size %d, file %d, write of %d", i, w.Size(), f.Len(), f.writes[i])
+		}
+	}
+	if f.writes[1] != 3+headerSize+len(records[1]) {
+		t.Errorf("the record after a 3-byte tail wrote %d bytes, want its padding, header and payload", f.writes[1])
+	}
+	if n := f.writes[2] - len(records[2]); n < 4*headerSize {
+		t.Errorf("the long record carried %d bytes of headers, want at least four fragments' worth", n)
+	}
+	if !bytes.Equal(f.Bytes(), fragmentAtATime(records)) {
+		t.Error("the file differs from the fragment-at-a-time layout")
+	}
+	roundTrip(t, records)
+}
+
+// shortWriter takes limit more bytes, then fails, keeping the part of the
+// failing Write that fit — as a full disk does.
+type shortWriter struct {
+	limit int
+}
+
+var errDiskFull = fmt.Errorf("disk full")
+
+func (w *shortWriter) Write(p []byte) (int, error) {
+	if len(p) > w.limit {
+		n := w.limit
+		w.limit = 0
+		return n, errDiskFull
+	}
+	w.limit -= len(p)
+	return len(p), nil
+}
+
+// TestAppendFailureDoesNotAdvance: wherever in a record's bytes the file
+// gives out — in the padding before it, inside a header or a payload,
+// between two fragments — Append returns the error, and Size and the
+// block offset stay where the last whole record left them.
+func TestAppendFailureDoesNotAdvance(t *testing.T) {
+	t.Parallel()
+	f := &shortWriter{}
+	w := NewWriter(f, testCRC)
+	var laid [][]byte // the records appended so far
+	for _, step := range []struct {
+		record []byte
+		probed bool
+		layout string
+	}{
+		{make([]byte, BlockSize-headerSize-3), false, "leaves a 3-byte tail"},
+		{[]byte("after the tail"), true, "padding, header, payload"},
+		{make([]byte, BlockSize-(headerSize+len("after the tail"))-headerSize-20), false, "leaves 20 bytes"},
+		{[]byte("split over two blocks: 13 bytes, then the rest"), true, "two fragments"},
+		{nil, true, "an empty record"},
+	} {
+		before := len(fragmentAtATime(laid))
+		laid = append(laid, step.record)
+		size := len(fragmentAtATime(laid)) - before
+		if step.probed {
+			for limit := 0; limit < size; limit++ {
+				f.limit = limit
+				if err := w.Append(step.record); !errors.Is(err, errDiskFull) {
+					t.Fatalf("%s, file fails after %d of %d bytes: Append = %v", step.layout, limit, size, err)
+				}
+				if w.Size() != int64(before) || w.blockOff != before%BlockSize {
+					t.Fatalf("%s, file fails after %d of %d bytes: Size = %d, blockOff = %d; want %d, %d",
+						step.layout, limit, size, w.Size(), w.blockOff, before, before%BlockSize)
+				}
+			}
+		}
+		f.limit = size
+		if err := w.Append(step.record); err != nil {
+			t.Fatalf("%s: %v", step.layout, err)
+		}
+		if w.Size() != int64(before+size) || w.blockOff != (before+size)%BlockSize {
+			t.Fatalf("%s: Size = %d, blockOff = %d after a whole record ending at %d", step.layout, w.Size(), w.blockOff, before+size)
+		}
+	}
+}
+
+// TestGatherBufferIsBounded: the buffer a record is laid out in is kept
+// for the next record, unless one huge record grew it past the cap.
+func TestGatherBufferIsBounded(t *testing.T) {
+	t.Parallel()
+	w := NewWriter(io.Discard, testCRC)
+	if err := w.Append(make([]byte, 1000)); err != nil {
+		t.Fatal(err)
+	}
+	small := cap(w.gather)
+	if small == 0 || small > 2000 {
+		t.Fatalf("a 1000-byte record left a gather buffer of %d bytes", small)
+	}
+	if err := w.Append(make([]byte, maxRetainedGather+1)); err != nil {
+		t.Fatal(err)
+	}
+	if cap(w.gather) > maxRetainedGather {
+		t.Fatalf("a huge record left %d bytes retained, cap is %d", cap(w.gather), maxRetainedGather)
 	}
 }
