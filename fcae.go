@@ -74,6 +74,11 @@ type (
 	// Batch is an atomic group of writes.
 	Batch = lsm.Batch
 	// Iterator walks user keys in ascending order at a fixed snapshot.
+	// Key and Value return read-only views — going forward, Value is the
+	// table block's own bytes — valid until the next positioning call or
+	// Close; copy what must outlive that, write into neither. A closed
+	// iterator stays closed: every positioning call on it returns false
+	// and Error reports ErrClosed.
 	Iterator = lsm.Iterator
 	// Snapshot is a consistent read view.
 	Snapshot = lsm.Snapshot

@@ -46,6 +46,7 @@ type Iterator interface {
 type Merging struct {
 	children []Iterator
 	heap     []mergeSlot
+	pivot    []byte // the key a direction switch repositions around
 	inited   bool
 	reverse  bool
 }
@@ -53,6 +54,17 @@ type Merging struct {
 // NewMerging returns a merging iterator over children.
 func NewMerging(children ...Iterator) *Merging {
 	return &Merging{children: children}
+}
+
+// Reset makes m an unpositioned merge over children, which it keeps. The
+// zero Merging may be Reset, so a Merging can be a field of what owns its
+// children; the heap is sized for them once.
+func (m *Merging) Reset(children []Iterator) {
+	if cap(m.heap) < len(children) {
+		m.heap = make([]mergeSlot, 0, len(children))
+	}
+	m.children, m.heap = children, m.heap[:0]
+	m.inited, m.reverse = false, false
 }
 
 // mergeSlot is one child in the heap together with the key it stands on.
@@ -185,8 +197,8 @@ func (m *Merging) Next() {
 	}
 	if m.reverse {
 		// Reposition every non-current child after the current key.
-		cur := append([]byte(nil), m.Key()...)
-		top := m.heap[0].it
+		m.pivot = append(m.pivot[:0], m.Key()...)
+		cur, top := m.pivot, m.heap[0].it
 		for _, c := range m.children {
 			if c == top {
 				continue
@@ -210,8 +222,8 @@ func (m *Merging) Prev() {
 	}
 	if !m.reverse {
 		// Reposition every non-current child before the current key.
-		cur := append([]byte(nil), m.Key()...)
-		top := m.heap[0].it
+		m.pivot = append(m.pivot[:0], m.Key()...)
+		cur, top := m.pivot, m.heap[0].it
 		for _, c := range m.children {
 			if c == top {
 				continue

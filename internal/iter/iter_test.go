@@ -327,3 +327,29 @@ func BenchmarkMergingNext(b *testing.B) {
 }
 
 var benchSink []byte
+
+// TestMergingReset: a Merging re-pointed at other children, from wherever
+// its last walk stopped and in whichever direction, merges them as a new
+// one would, and the zero Merging may be Reset.
+func TestMergingReset(t *testing.T) {
+	t.Parallel()
+	var m Merging
+	m.Reset([]Iterator{slice("a", "c", "e", "g"), slice("b", "d", "f")})
+	if m.Valid() {
+		t.Fatal("valid straight after Reset")
+	}
+	m.Next() // a no-op until the merge is positioned
+	m.SeekToLast()
+	m.Prev() // mid-walk, in reverse
+	if !m.Valid() || string(keys.UserKey(m.Key())) != "f" {
+		t.Fatal("walk went wrong")
+	}
+	m.Reset([]Iterator{slice("x"), slice("w", "y"), slice("v")})
+	if m.Valid() {
+		t.Fatal("valid straight after the second Reset")
+	}
+	m.SeekToFirst()
+	if got := collect(&m); fmt.Sprint(got) != "[v w x y]" {
+		t.Fatalf("after Reset: %v", got)
+	}
+}

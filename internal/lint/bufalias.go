@@ -31,12 +31,16 @@ import (
 // <reason>` on the store's line or the line above accepts it — the
 // reason is mandatory — and turns the claim into a check: every function
 // of the package that moves the iterator through that field (x.it.Next(),
-// Prev, SeekGE, SeekToFirst, SeekToLast) must, later in its body, call
-// a function holding a vouched store of that view (or be one, with the
-// store after the move). A move with neither is reported at the call. Only the `x.f = x.it.Key()`
-// form, both fields of one struct value, can carry the directive; one on
-// any other line is unused, which the directive index reports. Moves made
-// through another alias of the iterator are outside what the check can see.
+// Prev, SeekGE, SeekToFirst, SeekToLast) must, later in its body, put
+// something current into the field: call a function holding a vouched
+// store of that view (or be one, with the store after the move), or
+// overwrite the field with anything that is not the field itself — a copy
+// taken while the iterator stood on the entry, or nil — or call a function
+// that does. A move with none of these is reported at the call. Only the
+// `x.f = x.it.Key()` form, both fields of one struct value, can carry the
+// directive; one on any other line is unused, which the directive index
+// reports. Moves made through another alias of the iterator are outside
+// what the check can see.
 var BufAlias = &Analyzer{
 	Name: "bufalias",
 	Doc:  "iterator Key()/Value() views must be copied before they outlive the next positioning call",
@@ -56,7 +60,7 @@ func runBufAlias(pass *ModulePass) {
 		for _, hv := range held {
 			if pair := [2]*types.Var{hv.view, hv.iter}; !checked[pair] {
 				checked[pair] = true
-				checkHeldView(pass, pkg, hv, held)
+				checkHeldView(pass, pkg, hv)
 			}
 		}
 	}
@@ -106,18 +110,47 @@ var positioningMethods = map[string]bool{
 	"Next": true, "Prev": true, "SeekGE": true, "SeekToFirst": true, "SeekToLast": true,
 }
 
-// checkHeldView holds a vouched store to its claim: wherever the package
-// moves the iterator through hv.iter, a refresh of hv.view must follow in
-// the same function — a call to any function in held that stores the
-// same view, or such a store itself.
-func checkHeldView(pass *ModulePass, pkg *Package, hv heldView, held []heldView) {
-	info := pkg.Info
-	refreshers := make(map[types.Object]bool)
-	for _, h := range held {
-		if h.view == hv.view && h.iter == hv.iter {
-			refreshers[h.refresh] = true
+// overwrites reports whether as stores into field view something other
+// than the field's own old contents.
+func overwrites(info *types.Info, as *ast.AssignStmt, view *types.Var) bool {
+	if len(as.Lhs) != len(as.Rhs) {
+		return false
+	}
+	for i, lhs := range as.Lhs {
+		sel, ok := lhs.(*ast.SelectorExpr)
+		if !ok || fieldOf(info, sel) != view {
+			continue
+		}
+		stale := false
+		ast.Inspect(as.Rhs[i], func(n ast.Node) bool {
+			if rs, ok := n.(*ast.SelectorExpr); ok && fieldOf(info, rs) == view {
+				stale = true
+			}
+			return !stale
+		})
+		if !stale {
+			return true
 		}
 	}
+	return false
+}
+
+// checkHeldView holds a vouched store to its claim: wherever the package
+// moves the iterator through hv.iter, a refresh of hv.view must follow in
+// the same function — a store into the field of the view re-read or of
+// anything else that is not the field's old contents, or a call to a
+// function that makes such a store.
+func checkHeldView(pass *ModulePass, pkg *Package, hv heldView) {
+	info := pkg.Info
+	refreshers := make(map[types.Object]bool)
+	eachFuncDecl(pass.Module, pkg, func(fd *ast.FuncDecl) {
+		ast.Inspect(fd.Body, func(n ast.Node) bool {
+			if as, ok := n.(*ast.AssignStmt); ok && overwrites(info, as, hv.view) {
+				refreshers[info.Defs[fd.Name]] = true
+			}
+			return true
+		})
+	})
 	eachFuncDecl(pass.Module, pkg, func(fd *ast.FuncDecl) {
 		var moves []*ast.CallExpr
 		var lastRefresh token.Pos
@@ -139,17 +172,8 @@ func checkHeldView(pass *ModulePass, pkg *Package, hv heldView, held []heldView)
 					lastRefresh = n.Pos()
 				}
 			case *ast.AssignStmt:
-				if len(n.Lhs) != len(n.Rhs) {
-					return true
-				}
-				for i, rhs := range n.Rhs {
-					lhs, ok := n.Lhs[i].(*ast.SelectorExpr)
-					if !ok || fieldOf(info, lhs) != hv.view {
-						continue
-					}
-					if recv, ok := ast.Unparen(viewCall(pkg, rhs)).(*ast.SelectorExpr); ok && fieldOf(info, recv) == hv.iter {
-						lastRefresh = n.Pos()
-					}
+				if overwrites(info, n, hv.view) {
+					lastRefresh = n.Pos()
 				}
 			}
 			return true

@@ -61,3 +61,30 @@ func rebuild(slots []slot, children []*child) []slot {
 	}
 	return slots
 }
+
+// A move may also be followed by a store of something that is not a view
+// at all: a walk that leaves the child behind the entry it wants keeps a
+// copy taken while the child stood on it, and puts the copy in the field.
+type cursor struct {
+	it    *child
+	key   []byte
+	saved []byte
+}
+
+func (c *cursor) forward() {
+	c.it.Next()
+	//fcae:view-ok the child stays on the entry until the next call
+	c.key = c.it.Key()
+}
+
+func (c *cursor) backward() {
+	c.saved = append(c.saved[:0], c.it.Key()...)
+	c.it.Prev()
+	c.key = c.saved
+}
+
+// last moves and then calls a function that overwrites.
+func (c *cursor) last() {
+	c.it.SeekToFirst()
+	c.backward()
+}

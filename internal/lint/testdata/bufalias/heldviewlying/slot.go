@@ -53,3 +53,9 @@ func (s *slot) silent() {
 //
 //fcae:view-ok nothing here stores a view
 func idle() {}
+
+// Storing the field's own old contents back is not a refresh.
+func (s *slot) trim() {
+	s.it.Next()
+	s.key = s.key[:0]
+}

@@ -6,26 +6,40 @@ import (
 	"fcae/internal/iter"
 	"fcae/internal/keys"
 	"fcae/internal/manifest"
+	"fcae/internal/memtable"
 	"fcae/internal/sstable"
 )
 
 // Iterator walks user keys at a fixed snapshot, in either direction.
 // Entries newer than the snapshot, shadowed versions and tombstones are
-// filtered out. Key/Value views are valid until the next positioning call.
-// The iterator holds its read state — and with it every table of its
-// version — until Close.
+// filtered out. Key and Value are views, to be read and not written, valid
+// until the next positioning call or Close. The iterator holds its read
+// state — and with it every table of its version — until Close; after
+// Close every positioning call fails and Error reports ErrClosed.
+//
+// Everything a scan needs is built once, in four allocations whatever the
+// version's shape: the Iterator itself (the memtable cursors, the merge
+// and the scratch keys are its fields), one slab of run cursors, the
+// merge's child slice and its heap.
 type Iterator struct {
-	db       *DB
-	seq      uint64
-	state    readState
-	runs     []*levelIter
-	internal *iter.Merging
-	err      error
-	valid    bool
-	reverse  bool // direction of the last positioning call
-	key      []byte
-	value    []byte
-	closed   bool
+	db    *DB
+	seq   uint64
+	state readState
+
+	mem, imm memtable.Iterator
+	runs     []levelIter  // one per sorted run of the version
+	internal iter.Merging // over &mem, &imm and every &runs[i]
+
+	err     error
+	valid   bool
+	reverse bool // direction of the last positioning call
+	closed  bool
+	key     []byte
+	value   []byte
+
+	seek  []byte // the internal key Seek and a direction switch position at
+	skip  []byte // the user key whose older versions the forward walk passes over
+	saved []byte // the surfaced value when the cursor has moved past it (reverse)
 }
 
 // NewIterator returns an iterator over the current state of the database.
@@ -42,40 +56,65 @@ func (db *DB) NewIterator() (*Iterator, error) {
 // gets a levelIter that takes tables from the table cache as the cursor
 // reaches them.
 func (db *DB) newIterator(rs readState, seq uint64) *Iterator {
-	it := &Iterator{db: db, seq: seq, state: rs}
-	children := []iter.Iterator{rs.mem.NewIterator()}
-	if rs.imm != nil {
-		children = append(children, rs.imm.NewIterator())
-	}
-	addRun := func(files []*manifest.FileMetadata) {
-		run := &levelIter{tables: db.tables, files: files}
-		it.runs = append(it.runs, run)
-		children = append(children, run)
-	}
+	it := &Iterator{db: db, seq: seq, state: rs, mem: *rs.mem.NewIterator()}
 	// Each L0 table is its own sorted run; a leveled level is a single
 	// run and a tiered level contributes several (§VII-C).
-	l0 := rs.version.Levels[0]
-	for i := range l0 {
-		addRun(l0[i : i+1])
+	v := rs.version
+	var groups [manifest.NumLevels][][]*manifest.FileMetadata
+	n := len(v.Levels[0])
+	for level := 1; level < len(v.Levels); level++ {
+		groups[level] = v.RunGroups(level)
+		n += len(groups[level])
 	}
-	for level := 1; level < len(rs.version.Levels); level++ {
-		for _, run := range rs.version.RunGroups(level) {
-			addRun(run)
+	it.runs = make([]levelIter, 0, n)
+	for i := range v.Levels[0] {
+		it.runs = append(it.runs, levelIter{tables: db.tables, files: v.Levels[0][i : i+1]})
+	}
+	for _, runs := range groups[1:] {
+		for _, files := range runs {
+			it.runs = append(it.runs, levelIter{tables: db.tables, files: files})
 		}
 	}
-	it.internal = iter.NewMerging(children...)
+	children := append(make([]iter.Iterator, 0, n+2), &it.mem)
+	if rs.imm != nil {
+		it.imm = *rs.imm.NewIterator()
+		children = append(children, &it.imm)
+	}
+	for i := range it.runs {
+		children = append(children, &it.runs[i])
+	}
+	it.internal.Reset(children)
 	return it
+}
+
+// open reports whether the iterator can still be positioned. A closed one
+// has given its tables and its version back, so it says ErrClosed instead
+// of reading either.
+func (it *Iterator) open() bool {
+	if !it.closed {
+		return true
+	}
+	if it.err == nil {
+		it.err = ErrClosed
+	}
+	return false
 }
 
 // First positions at the smallest visible key.
 func (it *Iterator) First() bool {
+	if !it.open() {
+		return false
+	}
 	it.internal.SeekToFirst()
 	it.reverse = false
-	return it.findNextUserEntry(nil)
+	return it.findNextUserEntry(false)
 }
 
 // Last positions at the largest visible key.
 func (it *Iterator) Last() bool {
+	if !it.open() {
+		return false
+	}
 	it.internal.SeekToLast()
 	it.reverse = true
 	return it.findPrevUserEntry()
@@ -83,39 +122,43 @@ func (it *Iterator) Last() bool {
 
 // Seek positions at the first visible key >= userKey.
 func (it *Iterator) Seek(userKey []byte) bool {
-	it.internal.SeekGE(keys.MakeInternal(nil, userKey, it.seq, keys.KindSet))
+	if !it.open() {
+		return false
+	}
+	it.seek = keys.MakeInternal(it.seek[:0], userKey, it.seq, keys.KindSet)
+	it.internal.SeekGE(it.seek)
 	it.reverse = false
-	return it.findNextUserEntry(nil)
+	return it.findNextUserEntry(false)
 }
 
 // Next advances to the following visible key.
 func (it *Iterator) Next() bool {
-	if !it.valid {
+	if !it.open() || !it.valid {
 		return false
 	}
-	skip := append([]byte(nil), it.key...)
+	it.skip = append(it.skip[:0], it.key...)
 	if it.reverse {
 		// The internal iterator sits before the current key's span; jump
 		// past every version of the current key. A zero trailer sorts
 		// after all real entries of the same user key.
-		it.internal.SeekGE(keys.MakeInternal(nil, skip, 0, keys.KindDelete))
+		it.seek = keys.MakeInternal(it.seek[:0], it.skip, 0, keys.KindDelete)
+		it.internal.SeekGE(it.seek)
 		it.reverse = false
 	} else {
 		it.internal.Next()
 	}
-	return it.findNextUserEntry(skip)
+	return it.findNextUserEntry(true)
 }
 
 // Prev steps to the preceding visible key.
 func (it *Iterator) Prev() bool {
-	if !it.valid {
+	if !it.open() || !it.valid {
 		return false
 	}
 	if !it.reverse {
 		// The internal iterator sits on the surfaced entry; step backward
 		// past every version of the current key (newer, invisible
 		// versions sort before it).
-		cur := append([]byte(nil), it.key...)
 		for it.internal.Valid() {
 			p, ok := keys.Parse(it.internal.Key())
 			if !ok {
@@ -123,7 +166,7 @@ func (it *Iterator) Prev() bool {
 				it.valid = false
 				return false
 			}
-			if keys.CompareUser(p.User, cur) < 0 {
+			if keys.CompareUser(p.User, it.key) < 0 {
 				break
 			}
 			it.internal.Prev()
@@ -134,13 +177,13 @@ func (it *Iterator) Prev() bool {
 }
 
 // findNextUserEntry scans forward for the next visible entry, skipping
-// entries for the user key `skip`, anything above the snapshot, shadowed
-// versions and deletions.
-func (it *Iterator) findNextUserEntry(skip []byte) bool {
+// anything above the snapshot, shadowed versions and deletions — and, when
+// skipping is set, the entries of the user key in it.skip. It stops with
+// the cursor on the entry it surfaces.
+func (it *Iterator) findNextUserEntry(skipping bool) bool {
 	it.valid = false
-	for it.internal.Valid() {
-		ikey := it.internal.Key()
-		p, ok := keys.Parse(ikey)
+	for ; it.internal.Valid(); it.internal.Next() {
+		p, ok := keys.Parse(it.internal.Key())
 		if !ok {
 			it.err = sstable.ErrCorrupt
 			return false
@@ -148,17 +191,18 @@ func (it *Iterator) findNextUserEntry(skip []byte) bool {
 		switch {
 		case p.Seq > it.seq:
 			// Not visible in this snapshot.
-		case skip != nil && keys.CompareUser(p.User, skip) == 0:
+		case skipping && keys.CompareUser(p.User, it.skip) == 0:
 			// Older version of a key already surfaced (or deleted).
 		case p.Kind == keys.KindDelete:
-			skip = append(skip[:0], p.User...)
+			it.skip = append(it.skip[:0], p.User...)
+			skipping = true
 		default:
 			it.key = append(it.key[:0], p.User...)
-			it.value = append(it.value[:0], it.internal.Value()...)
+			//fcae:view-ok every forward positioning call ends here with the cursor on the surfaced entry, and nothing moves the cursor between calls: the value is good for as long as Value promises
+			it.value = it.internal.Value()
 			it.valid = true
 			return true
 		}
-		it.internal.Next()
 	}
 	it.err = it.internal.Error()
 	return false
@@ -167,11 +211,12 @@ func (it *Iterator) findNextUserEntry(skip []byte) bool {
 // findPrevUserEntry scans backward for the previous visible entry
 // (LevelDB's FindPrevUserEntry): walking backwards, the last visible
 // entry seen for a user key before stepping past it is that key's newest
-// version; a tombstone seen later (i.e. newer) discards it.
+// version; a tombstone seen later (i.e. newer) discards it. The cursor
+// ends up before the entry it surfaces, so the value is kept as a copy.
 func (it *Iterator) findPrevUserEntry() bool {
 	it.valid = false
 	kind := keys.KindDelete // sentinel: nothing saved yet
-	var savedKey, savedValue []byte
+	it.key, it.saved = it.key[:0], it.saved[:0]
 	for it.internal.Valid() {
 		p, ok := keys.Parse(it.internal.Key())
 		if !ok {
@@ -179,17 +224,16 @@ func (it *Iterator) findPrevUserEntry() bool {
 			return false
 		}
 		if p.Seq <= it.seq {
-			if kind != keys.KindDelete && keys.CompareUser(p.User, savedKey) < 0 {
-				// saved holds the newest visible version of savedKey.
+			if kind != keys.KindDelete && keys.CompareUser(p.User, it.key) < 0 {
+				// it.key and it.saved hold the newest visible version.
 				break
 			}
 			kind = p.Kind
 			if kind == keys.KindDelete {
-				savedKey = savedKey[:0]
-				savedValue = savedValue[:0]
+				it.key, it.saved = it.key[:0], it.saved[:0]
 			} else {
-				savedKey = append(savedKey[:0], p.User...)
-				savedValue = append(savedValue[:0], it.internal.Value()...)
+				it.key = append(it.key[:0], p.User...)
+				it.saved = append(it.saved[:0], it.internal.Value()...)
 			}
 		}
 		it.internal.Prev()
@@ -198,8 +242,7 @@ func (it *Iterator) findPrevUserEntry() bool {
 		it.err = it.internal.Error()
 		return false
 	}
-	it.key = append(it.key[:0], savedKey...)
-	it.value = append(it.value[:0], savedValue...)
+	it.value = it.saved
 	it.valid = true
 	return true
 }
@@ -216,16 +259,17 @@ func (it *Iterator) Value() []byte { return it.value }
 // Error returns the first error encountered.
 func (it *Iterator) Error() error { return it.err }
 
-// Close releases the iterator's tables and its read state. It always
-// returns nil; the error result is kept for callers that check it.
+// Close releases the iterator's tables and its read state, and ends the
+// life of what Key and Value returned. Closing twice is a no-op. It
+// always returns nil; the error result is kept for callers that check it.
 func (it *Iterator) Close() error {
 	if it.closed {
 		return nil
 	}
 	it.closed = true
-	it.valid = false
-	for _, run := range it.runs {
-		run.close()
+	it.valid, it.key, it.value = false, nil, nil
+	for i := range it.runs {
+		it.runs[i].close()
 	}
 	it.db.release(it.state)
 	return nil
@@ -234,13 +278,14 @@ func (it *Iterator) Close() error {
 // levelIter concatenates the tables of one sorted run — a level >= 1, one
 // run of a tiered level, or a single L0 table — whose key ranges are
 // disjoint and sorted. At most one table is open at a time, taken from the
-// table cache when the cursor reaches it and returned when it leaves.
+// table cache when the cursor reaches it and returned when it leaves; the
+// one table cursor moves from table to table with its scratch.
 type levelIter struct {
 	tables *tableCache
 	files  []*manifest.FileMetadata
-	idx    int          // index of the open table; meaningful while handle != nil
-	handle *tableHandle // nil when no table is open
-	cur    *sstable.Iterator
+	idx    int              // index of the open table; meaningful while handle != nil
+	handle *tableHandle     // nil when no table is open
+	cur    sstable.Iterator // over handle's table
 	err    error
 }
 
@@ -259,19 +304,22 @@ func (l *levelIter) open(i int) bool {
 		l.err = err
 		return false
 	}
-	l.idx, l.handle, l.cur = i, h, h.reader.NewIterator()
+	l.idx, l.handle = i, h
+	l.cur.Init(h.reader)
 	return true
 }
 
-// close returns the open table, leaving the iterator exhausted.
+// close returns the open table, leaving the iterator exhausted and its
+// cursor holding no reader and no block.
 func (l *levelIter) close() {
 	if l.handle != nil {
 		l.tables.release(l.handle)
-		l.handle, l.cur = nil, nil
+		l.handle = nil
+		l.cur.Init(nil)
 	}
 }
 
-func (l *levelIter) Valid() bool { return l.err == nil && l.cur != nil && l.cur.Valid() }
+func (l *levelIter) Valid() bool { return l.err == nil && l.handle != nil && l.cur.Valid() }
 
 func (l *levelIter) SeekToFirst() {
 	if l.open(0) {
@@ -300,7 +348,7 @@ func (l *levelIter) SeekToLast() {
 }
 
 func (l *levelIter) Next() {
-	if l.cur == nil {
+	if l.handle == nil {
 		return
 	}
 	l.cur.Next()
@@ -308,7 +356,7 @@ func (l *levelIter) Next() {
 }
 
 func (l *levelIter) Prev() {
-	if l.cur == nil {
+	if l.handle == nil {
 		return
 	}
 	l.cur.Prev()
@@ -318,7 +366,7 @@ func (l *levelIter) Prev() {
 // skipEmpty moves forward through the run until the cursor is on an entry,
 // the run is exhausted or an error stops it.
 func (l *levelIter) skipEmpty() {
-	for l.err == nil && l.cur != nil && !l.cur.Valid() {
+	for l.err == nil && l.handle != nil && !l.cur.Valid() {
 		if l.err = l.cur.Error(); l.err == nil && l.open(l.idx+1) {
 			l.cur.SeekToFirst()
 		}
@@ -326,7 +374,7 @@ func (l *levelIter) skipEmpty() {
 }
 
 func (l *levelIter) skipEmptyBackward() {
-	for l.err == nil && l.cur != nil && !l.cur.Valid() {
+	for l.err == nil && l.handle != nil && !l.cur.Valid() {
 		if l.err = l.cur.Error(); l.err == nil && l.open(l.idx-1) {
 			l.cur.SeekToLast()
 		}

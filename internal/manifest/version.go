@@ -102,15 +102,22 @@ func (v *Version) Overlapping(level int, smallest, largest []byte) []*FileMetada
 // L0 files from newest to oldest, then one file per deeper level. The
 // visit function returns false to stop.
 func (v *Version) ForEachOverlapping(userKey []byte, visit func(level int, f *FileMetadata) bool) {
-	// L0: all overlapping files, newest (highest number) first.
-	var l0 []*FileMetadata
+	// L0: all overlapping files, newest (highest number) first. Writes
+	// stop at a dozen L0 files by default, so the candidates fit the
+	// stack and an insertion sort.
+	var stack [16]*FileMetadata
+	l0 := stack[:0]
 	for _, f := range v.Levels[0] {
 		if keys.CompareUser(userKey, keys.UserKey(f.Smallest)) >= 0 &&
 			keys.CompareUser(userKey, keys.UserKey(f.Largest)) <= 0 {
+			i := len(l0)
 			l0 = append(l0, f)
+			for ; i > 0 && l0[i-1].Num < f.Num; i-- {
+				l0[i] = l0[i-1]
+			}
+			l0[i] = f
 		}
 	}
-	sort.Slice(l0, func(i, j int) bool { return l0[i].Num > l0[j].Num })
 	for _, f := range l0 {
 		if !visit(0, f) {
 			return

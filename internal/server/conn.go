@@ -96,17 +96,37 @@ func (c *conn) readLoop() {
 	}
 }
 
+// maxPooledReply bounds what Server.replyBufs keeps: one huge scan must
+// not leave a buffer of its size behind every handler, as DB.write does
+// not keep an oversized group buffer.
+const maxPooledReply = 1 << 20
+
 func (c *conn) handle(id uint64, op Op, payload []byte) {
 	defer c.handlers.Done()
 	defer func() { <-c.srv.inflight }()
 	start := time.Now()
-	status, resp := c.execute(op, payload)
+	// A SCAN builds its reply in a borrowed buffer, which is the handler's
+	// until reply has returned: Send copies the payload into the
+	// connection's outgoing buffer before it returns, so nothing refers
+	// to the buffer afterwards.
+	var buf *[]byte
+	if op == OpScan {
+		buf = c.srv.replyBufs.Get().(*[]byte)
+	}
+	status, resp := c.execute(op, payload, buf)
 	c.srv.met.opNanos(op).ObserveDuration(time.Since(start))
 	c.reply(id, status, resp)
+	if buf != nil {
+		if cap(*buf) > maxPooledReply {
+			*buf = nil
+		}
+		c.srv.replyBufs.Put(buf)
+	}
 }
 
-// execute runs one decoded request against the store.
-func (c *conn) execute(op Op, payload []byte) (Status, []byte) {
+// execute runs one decoded request against the store. buf is the reply
+// buffer a SCAN builds its payload in, nil for every other op.
+func (c *conn) execute(op Op, payload []byte, buf *[]byte) (Status, []byte) {
 	s := c.srv
 	switch op {
 	case OpGet:
@@ -160,7 +180,7 @@ func (c *conn) execute(op Op, payload []byte) (Status, []byte) {
 		if err != nil || len(rest) != 0 {
 			return c.malformed(op)
 		}
-		return c.scan(start, limit)
+		return c.scan(start, limit, buf)
 	}
 	return StatusErr, []byte(fmt.Sprintf("unhandled opcode %d", op))
 }
@@ -170,7 +190,9 @@ func (c *conn) malformed(op Op) (Status, []byte) {
 	return StatusErr, []byte(fmt.Sprintf("malformed %s payload", op))
 }
 
-func (c *conn) scan(start []byte, limit uint64) (Status, []byte) {
+// scan builds the reply in *buf, which keeps whatever capacity the reply
+// grew it to; the payload returned is a slice of it.
+func (c *conn) scan(start []byte, limit uint64, buf *[]byte) (Status, []byte) {
 	s := c.srv
 	max := uint64(s.cfg.MaxScanEntries)
 	if limit == 0 || limit > max {
@@ -182,12 +204,14 @@ func (c *conn) scan(start []byte, limit uint64) (Status, []byte) {
 	}
 	defer func() { _ = it.Close() }()
 
-	// Entries append one at a time; the frame budget (leave room for the
-	// frame prefix) caps the payload regardless of the requested limit.
-	// The count goes in front once it is known, right-aligned in the room
-	// reserved for the widest uvarint.
+	// Entries append one at a time, straight from the iterator's views;
+	// the frame budget (leave room for the frame prefix) caps the payload
+	// regardless of the requested limit. The count goes in front once it
+	// is known, right-aligned in the room reserved for the widest uvarint.
 	budget := s.cfg.MaxFrameBytes - 1024
-	payload := make([]byte, binary.MaxVarintLen64)
+	var prefix [binary.MaxVarintLen64]byte
+	payload := append((*buf)[:0], prefix[:]...)
+	defer func() { *buf = payload }()
 	count := uint64(0)
 	var ok bool
 	if len(start) == 0 {
@@ -197,7 +221,13 @@ func (c *conn) scan(start []byte, limit uint64) (Status, []byte) {
 	}
 	for ; ok && count < limit; ok = it.Next() {
 		k, v := it.Key(), it.Value()
-		if len(payload)+len(k)+len(v)+2*10 > budget {
+		if len(payload)+len(k)+len(v)+2*binary.MaxVarintLen64 > budget {
+			if count == 0 {
+				// Nothing fits, and an empty OK reply would read as the
+				// end of the data.
+				return StatusErr, []byte(fmt.Sprintf("scan: entry of %d key and %d value bytes exceeds the %d-byte frame limit",
+					len(k), len(v), s.cfg.MaxFrameBytes))
+			}
 			break
 		}
 		payload = AppendBytes(payload, k)
@@ -207,7 +237,6 @@ func (c *conn) scan(start []byte, limit uint64) (Status, []byte) {
 	if err := it.Error(); err != nil {
 		return s.statusOf(err)
 	}
-	var prefix [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(prefix[:], count)
 	copy(payload[len(prefix)-n:], prefix[:n])
 	return StatusOK, payload[len(prefix)-n:]

@@ -25,6 +25,12 @@ func FuzzFrameDecode(f *testing.F) {
 	// Hostile seeds: huge claimed lengths with tiny bodies.
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0, 0, 0, 0, 0, 1})
 	f.Add([]byte{0, 0, 0, 9, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff})
+	// SCAN replies whose count outruns their bytes: by 2^62 pairs, and by
+	// the back half of one.
+	f.Add(AppendFrame(nil, 6, byte(StatusOK), hostileScanCount()))
+	f.Add(hostileScanCount())
+	f.Add(AppendFrame(nil, 7, byte(StatusOK), truncatedScanReply()))
+	f.Add(truncatedScanReply())
 
 	const maxFrame = 1 << 20
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -112,6 +112,9 @@ type Server struct {
 	inflight chan struct{}
 	active   atomic.Int64
 	draining atomic.Bool
+	// replyBufs recycles the buffers SCAN replies are built in (*[]byte),
+	// so a scan allocates nothing that grows with its reply.
+	replyBufs sync.Pool
 	// connWg joins the acceptor and every connection goroutine; wg joins
 	// the admin listener.
 	connWg sync.WaitGroup
@@ -139,6 +142,8 @@ func Open(dir string, opts lsm.Options, cfg Config) (*Server, error) {
 		stopc:    make(chan struct{}),
 		inflight: make(chan struct{}, cfg.MaxInFlight),
 		conns:    make(map[*conn]struct{}),
+
+		replyBufs: sync.Pool{New: func() any { return new([]byte) }},
 	}
 	if opts.EventListener != nil {
 		opts.EventListener = obs.MultiListener{s.stall, opts.EventListener}

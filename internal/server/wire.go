@@ -324,14 +324,19 @@ type KV struct {
 }
 
 // DecodeScanPayload decodes an OK SCAN response payload. Pairs alias p.
-// The declared count never sizes an allocation — entries append one at a
-// time and a count exceeding the encoded pairs is ErrMalformedFrame.
+// The result is sized once, by a count the payload's own length has
+// vouched for: a pair takes at least its two length bytes, so a count
+// above half the bytes that follow it is ErrMalformedFrame before it
+// sizes anything, as is one exceeding the encoded pairs.
 func DecodeScanPayload(p []byte) ([]KV, error) {
 	count, p, err := ReadUvarint(p)
 	if err != nil {
 		return nil, err
 	}
-	var out []KV
+	if count > uint64(len(p)/2) {
+		return nil, fmt.Errorf("%w: scan result declares %d pairs in %d bytes", ErrMalformedFrame, count, len(p))
+	}
+	out := make([]KV, 0, count)
 	for i := uint64(0); i < count; i++ {
 		var k, v []byte
 		if k, p, err = ReadBytes(p); err != nil {

@@ -122,11 +122,12 @@ func (b *block) reset(contents []byte) error {
 }
 
 // BlockIter iterates over one decoded block's entries. It is exported for
-// the block-at-a-time readers — the compaction scanner's consumers and
-// the engine's Data Block Decoder — which hold one per input lane and
-// Reset it onto each block in turn.
+// the block-at-a-time readers — the table iterator, the compaction
+// scanner's consumers and the engine's Data Block Decoder — which hold one
+// per cursor or input lane and Reset it onto each block in turn.
 type BlockIter struct {
-	b     *block
+	b     *block // &own after Reset; a block parsed elsewhere after share
+	own   block
 	off   int // offset of the NEXT entry to decode
 	key   []byte
 	val   []byte
@@ -151,14 +152,29 @@ func NewBlockIter(contents []byte) (*BlockIter, error) {
 // per-block allocation. The zero BlockIter may be Reset. The iterator is
 // left before the first entry: SeekToFirst or Next moves onto it.
 func (it *BlockIter) Reset(contents []byte) error {
-	if it.b == nil {
-		it.b = &block{cmp: keys.Compare}
-	}
-	if err := it.b.reset(contents); err != nil {
+	it.own.cmp = keys.Compare
+	it.b = &it.own
+	if err := it.own.reset(contents); err != nil {
 		return err
 	}
 	it.rewind()
 	return nil
+}
+
+// share points the iterator at a block somebody else parsed and keeps —
+// a table's index block, read by every cursor on the table and written by
+// none — and leaves it before the first entry.
+func (it *BlockIter) share(b *block) {
+	it.b = b
+	it.rewind()
+}
+
+// drop lets go of the block and of the value view into it; the key
+// scratch and the restart array keep their capacity.
+func (it *BlockIter) drop() {
+	it.b = nil
+	it.own.data = nil
+	it.rewind()
 }
 
 // rewind puts the iterator before the block's first entry.

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"sync"
 
 	"fcae/internal/bloom"
 	"fcae/internal/cache"
@@ -97,17 +98,34 @@ func (r *Reader) readBlockContents(h Handle) ([]byte, error) {
 	return contents, err
 }
 
-// readUncached reads, verifies and decodes the block at h into fresh
-// buffers. The index, metaindex and filter blocks come straight through
-// here: the reader keeps them in its own fields for its lifetime, so a
-// cached copy could never be hit and would only evict data blocks.
+// readBufs recycles the buffer a stored block is read into, which is
+// garbage as soon as a compressed block is decoded out of it.
+var readBufs = sync.Pool{New: func() any { return new([]byte) }}
+
+// maxPooledReadBuf bounds what readBufs keeps: one table with a huge block
+// must not leave a buffer of that size behind every reader.
+const maxPooledReadBuf = 1 << 20
+
+// readUncached reads, verifies and decodes the block at h; the contents
+// are the caller's. The index, metaindex and filter blocks come straight
+// through here: the reader keeps them in its own fields for its lifetime,
+// so a cached copy could never be hit and would only evict data blocks.
 func (r *Reader) readUncached(h Handle) ([]byte, error) {
-	var raw, scratch []byte
-	ctype, payload, err := r.readBlock(h, &raw)
-	if err != nil {
-		return nil, err
+	raw := readBufs.Get().(*[]byte)
+	var contents []byte
+	ctype, payload, err := r.readBlock(h, raw)
+	if err == nil {
+		var decoded []byte
+		contents, err = DecodeBlock(&decoded, ctype, payload)
+		if Compression(ctype) == NoCompression {
+			*raw = nil // the contents are the buffer: it leaves with them
+		}
 	}
-	return DecodeBlock(&scratch, ctype, payload)
+	if cap(*raw) > maxPooledReadBuf {
+		*raw = nil
+	}
+	readBufs.Put(raw)
+	return contents, err
 }
 
 // MayContain consults the table bloom filter for a user key. It returns
@@ -121,14 +139,34 @@ func (r *Reader) MayContain(userKey []byte) bool {
 	return bloom.MayContain(r.filter, userKey)
 }
 
+// pointRead is what a Get needs besides the table: the two-level cursor
+// and the internal key it seeks. Both are recycled, so a Get's only
+// allocation is the value it returns.
+type pointRead struct {
+	it     Iterator
+	lookup []byte
+}
+
+var pointReads = sync.Pool{New: func() any { return new(pointRead) }}
+
 // Get returns the value for the newest entry of userKey visible at seq.
+// The value is a copy.
 func (r *Reader) Get(userKey []byte, seq uint64) (value []byte, deleted, found bool, err error) {
 	if !r.MayContain(userKey) {
 		return nil, false, false, nil
 	}
-	lookup := keys.MakeInternal(nil, userKey, seq, keys.KindSet)
-	it := r.NewIterator()
-	it.SeekGE(lookup)
+	p := pointReads.Get().(*pointRead)
+	value, deleted, found, err = p.get(r, userKey, seq)
+	p.it.Init(nil)
+	pointReads.Put(p)
+	return value, deleted, found, err
+}
+
+func (p *pointRead) get(r *Reader, userKey []byte, seq uint64) (value []byte, deleted, found bool, err error) {
+	p.lookup = keys.MakeInternal(p.lookup[:0], userKey, seq, keys.KindSet)
+	it := &p.it
+	it.Init(r)
+	it.SeekGE(p.lookup)
 	if err := it.Error(); err != nil {
 		return nil, false, false, err
 	}
@@ -146,22 +184,45 @@ func (r *Reader) Get(userKey []byte, seq uint64) (value []byte, deleted, found b
 	return append([]byte(nil), it.Value()...), false, true, nil
 }
 
-// Iterator is a two-level iterator over the table's index and data blocks.
+// Iterator is a two-level iterator over the table's index and data
+// blocks. It owns one BlockIter per level and re-points the data one at
+// each block it crosses, so the key scratch and restart array are
+// allocated once per Iterator, not per block; Init moves the whole cursor
+// to another table the same way. The zero Iterator is ready for Init.
 type Iterator struct {
-	r     *Reader
-	index *BlockIter
-	data  *BlockIter
-	err   error
+	r      *Reader
+	index  BlockIter // shares r.index
+	data   BlockIter
+	loaded bool // data stands on the block of index's current entry
+	err    error
 }
 
 // NewIterator returns an unpositioned iterator over the table.
 func (r *Reader) NewIterator() *Iterator {
-	return &Iterator{r: r, index: r.index.iter()}
+	it := new(Iterator)
+	it.Init(r)
+	return it
+}
+
+// Init makes it an unpositioned iterator over r's table, dropping whatever
+// table it walked before. Init(nil) only drops: the iterator then holds no
+// reader and no block, just its scratch, and must be Init'ed again before
+// use.
+func (it *Iterator) Init(r *Reader) {
+	it.r = r
+	it.loaded = false
+	it.err = nil
+	it.data.drop()
+	if r == nil {
+		it.index.drop()
+		return
+	}
+	it.index.share(r.index)
 }
 
 // loadData opens the data block referenced by the current index entry.
 func (it *Iterator) loadData() bool {
-	it.data = nil
+	it.loaded = false
 	if !it.index.Valid() {
 		return false
 	}
@@ -175,18 +236,17 @@ func (it *Iterator) loadData() bool {
 		it.err = err
 		return false
 	}
-	b, err := newBlock(contents, keys.Compare)
-	if err != nil {
+	if err := it.data.Reset(contents); err != nil {
 		it.err = err
 		return false
 	}
-	it.data = b.iter()
+	it.loaded = true
 	return true
 }
 
 // Valid reports whether the iterator is positioned on an entry.
 func (it *Iterator) Valid() bool {
-	return it.err == nil && it.data != nil && it.data.Valid()
+	return it.err == nil && it.loaded && it.data.Valid()
 }
 
 // Key returns the current internal key.
@@ -200,7 +260,7 @@ func (it *Iterator) Error() error {
 	if it.err != nil {
 		return it.err
 	}
-	if it.data != nil && it.data.Error() != nil {
+	if it.loaded && it.data.Error() != nil {
 		return it.data.Error()
 	}
 	return it.index.Error()
@@ -238,7 +298,7 @@ func (it *Iterator) SeekToLast() {
 
 // Next advances to the following entry, crossing block boundaries.
 func (it *Iterator) Next() {
-	if it.data == nil {
+	if !it.loaded {
 		return
 	}
 	it.data.Next()
@@ -247,7 +307,7 @@ func (it *Iterator) Next() {
 
 // Prev steps to the preceding entry, crossing block boundaries.
 func (it *Iterator) Prev() {
-	if it.data == nil {
+	if !it.loaded {
 		return
 	}
 	it.data.Prev()
@@ -255,14 +315,14 @@ func (it *Iterator) Prev() {
 }
 
 func (it *Iterator) skipForwardEmpty() {
-	for it.err == nil && (it.data == nil || !it.data.Valid()) {
-		if it.data != nil && it.data.Error() != nil {
+	for it.err == nil && (!it.loaded || !it.data.Valid()) {
+		if it.loaded && it.data.Error() != nil {
 			it.err = it.data.Error()
 			return
 		}
 		it.index.Next()
 		if !it.index.Valid() {
-			it.data = nil
+			it.loaded = false
 			return
 		}
 		if !it.loadData() {
@@ -273,14 +333,14 @@ func (it *Iterator) skipForwardEmpty() {
 }
 
 func (it *Iterator) skipBackwardEmpty() {
-	for it.err == nil && (it.data == nil || !it.data.Valid()) {
-		if it.data != nil && it.data.Error() != nil {
+	for it.err == nil && (!it.loaded || !it.data.Valid()) {
+		if it.loaded && it.data.Error() != nil {
 			it.err = it.data.Error()
 			return
 		}
 		it.index.Prev()
 		if !it.index.Valid() {
-			it.data = nil
+			it.loaded = false
 			return
 		}
 		if !it.loadData() {

@@ -43,8 +43,7 @@ type BlockScanner struct {
 // scanner's iterator state and window buffer across tables.
 func (s *BlockScanner) Reset(r *Reader) {
 	s.r = r
-	s.it.b = r.index
-	s.it.rewind()
+	s.it.share(r.index)
 	s.win = s.win[:0]
 }
 
