@@ -258,9 +258,10 @@ type outputs struct {
 	w   *sstable.Writer
 }
 
-// full reports whether the open table has reached the job's size cap.
+// full reports whether the open table has reached the job's size cap
+// (sstable.TableFull: sealed data blocks only, as the engine counts).
 func (o *outputs) full() bool {
-	return o.w != nil && uint64(o.w.EstimatedSize()) >= o.job.MaxOutputBytes
+	return o.w != nil && o.w.Full(int64(o.job.MaxOutputBytes))
 }
 
 // add appends an entry to the open table, opening one first if needed.

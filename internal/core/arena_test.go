@@ -207,15 +207,7 @@ func TestExecutorArenaEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d heap compact: %v", round, err)
 		}
-		a, b := scanOutputs(t, envA, resA), scanOutputs(t, envB, resB)
-		if len(a) != len(b) {
-			t.Fatalf("round %d: arena %d entries, heap %d", round, len(a), len(b))
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("round %d entry %d differs: arena=%+v heap=%+v", round, i, a[i], b[i])
-			}
-		}
+		requireSameFiles(t, envA, resA, envB, resB)
 	}
 	if hw, cap := withArena.ArenaHighWater(), withArena.ArenaBytes(); hw <= 0 || hw > cap {
 		t.Fatalf("ArenaHighWater = %d after arena-backed jobs, want in (0, %d]", hw, cap)

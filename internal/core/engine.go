@@ -34,7 +34,7 @@ type Params struct {
 	// attach bloom filters while combining the output.
 	CollectFilterKeys bool
 	// Arena, when non-nil, backs the run's retained output (table bounds,
-	// block last-keys, compressed payloads, filter keys) with the
+	// block index keys, compressed payloads, filter keys) with the
 	// channel's staging arena instead of per-item heap allocations. The
 	// caller owns the arena's lifetime; output slices die at its Reset.
 	Arena *Arena
@@ -382,7 +382,10 @@ func (l *lane) setPair(cfg Config) {
 }
 
 // outputBuilder is the Encoder side: Data Block Encoder + Index Block
-// Encoder + output buffer (§V-A).
+// Encoder + output buffer (§V-A). Where a table ends and what key a block
+// is indexed under are sstable's decisions (TableFull, IndexKey), the ones
+// sstable.Writer makes: the host assembles these images into the files the
+// CPU lane would have written.
 type outputBuilder struct {
 	cfg          Config
 	p            Params
@@ -391,11 +394,13 @@ type outputBuilder struct {
 	enc          snappy.Encoder // this lane's match-finder state, kept across blocks
 	cbuf         []byte
 	fbuf         []byte // finished-block scratch, reused across flushes
+	ibuf         []byte // index-key scratch
 	tables       []*OutputTableImage
 	cur          *OutputTableImage
-	curous       int64 // current table's accumulated block bytes
+	sealed       int64 // current table's sealed data-block bytes
 	last         []byte
 	blockEntries int
+	unindexed    bool // cur's last block awaits its index key; last is its last key
 	wantClose    bool // table is full; close at the next user-key boundary
 }
 
@@ -438,8 +443,9 @@ func (o *outputBuilder) add(ikey, value []byte) (float64, error) {
 	if o.cur == nil {
 		// One table image per output table, not per pair; its bound bytes go through retain.
 		o.cur = &OutputTableImage{Smallest: o.retain(ikey)}
-		o.curous = 0
+		o.sealed = 0
 	}
+	o.indexBlock(ikey)
 	o.bw.Add(ikey, value)
 	o.blockEntries++
 	o.last = append(o.last[:0], ikey...)
@@ -452,9 +458,7 @@ func (o *outputBuilder) add(ikey, value []byte) (float64, error) {
 		cycles += o.flushBlock()
 		// Table threshold check (§V-A: when the accumulated size of data
 		// blocks exceeds the threshold, the SSTable is completed).
-		if o.curous >= o.p.TableBytes {
-			o.wantClose = true
-		}
+		o.wantClose = sstable.TableFull(o.sealed, o.p.TableBytes)
 	}
 	return cycles, nil
 }
@@ -471,21 +475,34 @@ func (o *outputBuilder) flushBlock() float64 {
 	o.fbuf = contents
 	ctype, payload := sstable.EncodeBlock(&o.enc, &o.cbuf, contents, o.compression)
 	o.cur.Blocks = append(o.cur.Blocks, OutputBlock{
-		CType:    ctype,
-		Payload:  o.retain(payload),
-		LastKey:  o.retain(o.last),
-		RawBytes: len(contents),
-		Entries:  o.blockEntries,
+		CType:   ctype,
+		Payload: o.retain(payload),
+		Entries: o.blockEntries,
 	})
-	o.curous += int64(len(payload)) + 1
+	o.unindexed = true
+	o.sealed += sstable.SealedSize(len(payload))
 	o.blockEntries = 0
 	return o.cfg.outputFlushCycles(len(payload))
+}
+
+// indexBlock gives the block flushed last its index key, once what follows
+// it is known: the next kept pair's key, or nil when the table closes. The
+// Index Block Encoder holds one key per block (Fig 8), the shortest that
+// separates it from the next.
+func (o *outputBuilder) indexBlock(upcoming []byte) {
+	if !o.unindexed {
+		return
+	}
+	o.ibuf = sstable.IndexKey(o.ibuf[:0], o.last, upcoming)
+	o.cur.Blocks[len(o.cur.Blocks)-1].IndexKey = o.retain(o.ibuf)
+	o.unindexed = false
 }
 
 func (o *outputBuilder) closeTable() {
 	if o.cur == nil {
 		return
 	}
+	o.indexBlock(nil)
 	o.cur.Largest = o.retain(o.last)
 	o.tables = append(o.tables, o.cur)
 	o.cur = nil

@@ -2,8 +2,6 @@ package core
 
 import (
 	"bytes"
-	"crypto/sha256"
-	"encoding/hex"
 	"fmt"
 	"io"
 	"math/rand"
@@ -141,65 +139,141 @@ func shadowingJob(t *testing.T) *compaction.Job {
 	return defaultJob([]compaction.Table{tA}, []compaction.Table{tB})
 }
 
-func TestEngineMatchesCPUExecutor(t *testing.T) {
-	job := shadowingJob(t)
-
-	cpuEnv := newMemEnv()
-	cpuRes, err := compaction.CPU{}.Compact(job, cpuEnv)
-	if err != nil {
-		t.Fatal(err)
+// requireSameFiles fails unless a and b hold the same output tables: equal
+// file bytes, and the same size, entry count and bounds reported for each.
+func requireSameFiles(t *testing.T, envA *memEnv, a *compaction.Result, envB *memEnv, b *compaction.Result) {
+	t.Helper()
+	if len(a.Outputs) != len(b.Outputs) {
+		t.Fatalf("%d output tables against %d", len(a.Outputs), len(b.Outputs))
 	}
-	fx, err := NewExecutor(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fpgaEnv := newMemEnv()
-	fpgaRes, err := fx.Compact(job, fpgaEnv)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cpuEntries := scanOutputs(t, cpuEnv, cpuRes)
-	fpgaEntries := scanOutputs(t, fpgaEnv, fpgaRes)
-	if len(cpuEntries) != len(fpgaEntries) {
-		t.Fatalf("CPU produced %d entries, FCAE %d", len(cpuEntries), len(fpgaEntries))
-	}
-	for i := range cpuEntries {
-		if cpuEntries[i] != fpgaEntries[i] {
-			t.Fatalf("entry %d differs: cpu=%+v fcae=%+v", i, cpuEntries[i], fpgaEntries[i])
+	for i, oa := range a.Outputs {
+		ob := b.Outputs[i]
+		fa, fb := envA.files[oa.Num].Bytes(), envB.files[ob.Num].Bytes()
+		if !bytes.Equal(fa, fb) {
+			n := 0
+			for n < len(fa) && n < len(fb) && fa[n] == fb[n] {
+				n++
+			}
+			t.Fatalf("output %d: files of %d and %d bytes part at offset %d", i, len(fa), len(fb), n)
 		}
-	}
-	if fpgaRes.Stats.PairsIn != cpuRes.Stats.PairsIn ||
-		fpgaRes.Stats.PairsOut != cpuRes.Stats.PairsOut ||
-		fpgaRes.Stats.PairsDropped != cpuRes.Stats.PairsDropped {
-		t.Fatalf("stats diverge: cpu=%+v fcae=%+v", cpuRes.Stats, fpgaRes.Stats)
-	}
-	if fpgaRes.Stats.KernelTime <= 0 || fpgaRes.Stats.TransferTime <= 0 {
-		t.Fatal("FCAE must report modeled kernel and transfer times")
+		if oa.Size != ob.Size || oa.Entries != ob.Entries ||
+			!bytes.Equal(oa.Smallest, ob.Smallest) || !bytes.Equal(oa.Largest, ob.Largest) {
+			t.Fatalf("output %d described differently: %+v against %+v", i, oa, ob)
+		}
 	}
 }
 
-// TestEngineGoldenDigest pins the bytes the engine lane (heap images
-// through the arena executor, host assembly included) writes for
-// shadowingJob to a digest recorded at a779388, before the lane's block
-// decode and encode moved into sstable's framing functions.
-func TestEngineGoldenDigest(t *testing.T) {
-	const want = "3a70f418b68f31777cc4f8e5f3455f495a039653ecba4310059db401a52fe8ec"
-	fx, err := NewExecutor(MultiInputConfig())
+// straddlingJob is two runs holding 48 versions of each of 30 user keys,
+// all of them above the job's SmallestSnapshot and so all kept: a user key
+// spans more than one 4 KiB block, so blocks end between two versions of
+// one key (whose index key cannot be shortened) and a table that fills
+// mid-key has to wait, sealing further blocks, for the key to end.
+func straddlingJob(t *testing.T) *compaction.Job {
+	rng := rand.New(rand.NewSource(7))
+	var newer, older []entry
+	for u := 0; u < 30; u++ {
+		user := fmt.Sprintf("user%04d", u*7)
+		for v := 24; v > 0; v-- {
+			val := make([]byte, 100)
+			rng.Read(val)
+			newer = append(newer, entry{user, uint64(1000 + v), keys.KindSet, string(val)})
+			older = append(older, entry{user, uint64(v), keys.KindSet, string(val[:60])})
+		}
+	}
+	opts := sstable.Options{Compression: sstable.SnappyCompression}
+	job := defaultJob([]compaction.Table{buildTable(t, opts, newer)}, []compaction.Table{buildTable(t, opts, older)})
+	job.SmallestSnapshot, job.BottomLevel = 0, false
+	return job
+}
+
+// filledBeforeLastBlock reports whether the table in file became full
+// (sstable.TableFull at limit) on sealing a block that is not its last:
+// the entry after that block was another version of the block's last user
+// key, and the table had to stay open for it.
+func filledBeforeLastBlock(t *testing.T, file []byte, limit int64) bool {
+	t.Helper()
+	r, err := sstable.NewReader(memReaderAt(file), int64(len(file)), sstable.Options{}, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	env := newMemEnv()
-	res, err := fx.Compact(shadowingJob(t), env)
+	l, err := r.Layout()
 	if err != nil {
 		t.Fatal(err)
 	}
-	h := sha256.New()
-	for _, ot := range res.Outputs {
-		h.Write(env.files[ot.Num].Bytes())
+	var sealed int64
+	for i, b := range l.Blocks {
+		sealed += sstable.SealedSize(b.PayloadLen)
+		if sstable.TableFull(sealed, limit) {
+			return i < len(l.Blocks)-1
+		}
 	}
-	if got := hex.EncodeToString(h.Sum(nil)); got != want {
-		t.Fatalf("%d outputs digest to %s, want %s", len(res.Outputs), got, want)
+	return false
+}
+
+// TestEngineMatchesCPUBytes holds the engine lane to the CPU lane's bytes:
+// the same job through compaction.CPU and through core.Executor — either
+// engine shape, staging arena on and off — leaves the same files. Which
+// lane ran a compaction cannot be read off the disk.
+func TestEngineMatchesCPUBytes(t *testing.T) {
+	plain := shadowingJob(t)
+	plain.TableOpts.Compression = sstable.NoCompression
+	for _, tc := range []struct {
+		name      string
+		job       *compaction.Job
+		limit     uint64 // 2 MiB leaves one table; the others cut three or more
+		straddles bool   // some table must fill in the middle of a user key
+	}{
+		{"shadowing/one-table", shadowingJob(t), 2 << 20, false},
+		{"shadowing/cut", shadowingJob(t), 2 << 10, false},
+		{"uncompressed/one-table", plain, 2 << 20, false},
+		{"uncompressed/cut", plain, 16 << 10, false},
+		{"straddling/cut", straddlingJob(t), 6 << 10, true},
+	} {
+		job := *tc.job
+		job.MaxOutputBytes = tc.limit
+		cpuEnv := newMemEnv()
+		cpuRes, err := compaction.CPU{}.Compact(&job, cpuEnv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n, cut := len(cpuRes.Outputs), tc.limit < 2<<20; (cut && n < 3) || (!cut && n != 1) {
+			t.Fatalf("%s: %d output tables at a limit of %d", tc.name, n, tc.limit)
+		}
+		if tc.straddles {
+			waited := false
+			for _, ot := range cpuRes.Outputs {
+				waited = waited || filledBeforeLastBlock(t, cpuEnv.files[ot.Num].Bytes(), int64(tc.limit))
+			}
+			if !waited {
+				t.Fatalf("%s: no table filled in the middle of a user key's versions", tc.name)
+			}
+		}
+		for _, cfg := range []Config{DefaultConfig(), MultiInputConfig()} {
+			for _, staging := range []int64{0, -1} {
+				cfg.StagingBytes = staging
+				t.Run(fmt.Sprintf("%s/N=%d/staging=%d", tc.name, cfg.N, staging), func(t *testing.T) {
+					fx, err := NewExecutor(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					env := newMemEnv()
+					res, err := fx.Compact(&job, env)
+					if err != nil {
+						t.Fatal(err)
+					}
+					requireSameFiles(t, cpuEnv, cpuRes, env, res)
+					if res.Stats.PairsIn != cpuRes.Stats.PairsIn ||
+						res.Stats.PairsOut != cpuRes.Stats.PairsOut ||
+						res.Stats.PairsDropped != cpuRes.Stats.PairsDropped ||
+						res.Stats.BytesWritten != cpuRes.Stats.BytesWritten {
+						t.Fatalf("stats diverge: cpu=%+v fcae=%+v", cpuRes.Stats, res.Stats)
+					}
+					if res.Stats.KernelTime <= 0 || res.Stats.TransferTime <= 0 {
+						t.Fatal("FCAE must report modeled kernel and transfer times")
+					}
+				})
+			}
+		}
 	}
 }
 
@@ -400,11 +474,15 @@ func TestEngineEmptyInput(t *testing.T) {
 }
 
 func TestEngineRandomizedEquivalence(t *testing.T) {
-	// Property: for random overlapping runs, FCAE output == CPU output.
+	// Property: for random overlapping runs, the FCAE lane writes the CPU
+	// lane's files.
 	rng := rand.New(rand.NewSource(42))
 	opts := sstable.Options{Compression: sstable.SnappyCompression}
 	for trial := 0; trial < 5; trial++ {
-		nRuns := 2 + rng.Intn(7) // up to 9 inputs
+		nRuns := 9 // the engine's full fan-in first, then 2 to 9 inputs
+		if trial > 0 {
+			nRuns = 2 + rng.Intn(8)
+		}
 		var runs [][]compaction.Table
 		seq := uint64(1)
 		for r := 0; r < nRuns; r++ {
@@ -428,7 +506,8 @@ func TestEngineRandomizedEquivalence(t *testing.T) {
 			runs = append(runs, []compaction.Table{buildTable(t, opts, es)})
 		}
 		job := defaultJob(runs...)
-		job.BottomLevel = rng.Intn(2) == 0
+		job.BottomLevel = trial%2 == 0
+		job.MaxOutputBytes = uint64(1<<10 + rng.Intn(3<<10))
 
 		cpuEnv := newMemEnv()
 		cpuRes, err := compaction.CPU{}.Compact(job, cpuEnv)
@@ -441,15 +520,8 @@ func TestEngineRandomizedEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c, f := scanOutputs(t, cpuEnv, cpuRes), scanOutputs(t, fEnv, fRes)
-		if len(c) != len(f) {
-			t.Fatalf("trial %d: cpu %d entries, fcae %d", trial, len(c), len(f))
-		}
-		for i := range c {
-			if c[i] != f[i] {
-				t.Fatalf("trial %d entry %d: %+v vs %+v", trial, i, c[i], f[i])
-			}
-		}
+		t.Logf("trial %d: %d runs, bottom level %v, %d output tables", trial, nRuns, job.BottomLevel, len(cpuRes.Outputs))
+		requireSameFiles(t, cpuEnv, cpuRes, fEnv, fRes)
 	}
 }
 
@@ -486,7 +558,7 @@ func TestEngineRejectsCorruptDeviceImage(t *testing.T) {
 
 	// Out-of-range block reference.
 	oob := *img
-	oob.IndexMem = appendIndexEntry(nil, IndexEntry{LastKey: []byte("x"), Offset: 1 << 40, Size: 64})
+	oob.IndexMem = appendIndexEntry(nil, IndexEntry{IndexKey: []byte("x"), Offset: 1 << 40, Size: 64})
 	oob.Tables = []TableDesc{{IndexOff: 0, IndexLen: uint64(len(oob.IndexMem)), NumBlocks: 1}}
 	if _, err := eng.Run([]*InputImage{&oob}, Params{}); err == nil {
 		t.Fatal("out-of-range block reference accepted")

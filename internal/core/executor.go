@@ -236,7 +236,7 @@ func assembleTable(img *OutputTableImage, env compaction.Env, opts sstable.Optio
 	}
 	a := sstable.NewAssembler(f, opts)
 	for _, blk := range img.Blocks {
-		if err := a.AddRawBlock(blk.LastKey, blk.CType, blk.Payload, blk.Entries); err != nil {
+		if err := a.AddRawBlock(blk.IndexKey, blk.CType, blk.Payload, blk.Entries); err != nil {
 			_ = f.Close()
 			return compaction.OutputTable{}, err
 		}

@@ -23,9 +23,9 @@ var ErrLayout = errors.New("core: corrupt device memory image")
 // Memory. Size excludes alignment padding and includes the leading
 // compression-type byte.
 type IndexEntry struct {
-	LastKey []byte
-	Offset  uint64
-	Size    uint64
+	IndexKey []byte
+	Offset   uint64
+	Size     uint64
 }
 
 // TableDesc locates one SSTable inside an input image.
@@ -248,13 +248,13 @@ func (b *InputBuilder) BeginTable() {
 // and its index entry to the current table. On an arena-backed builder it
 // returns an error wrapping compaction.ErrArenaExhausted when the block
 // would overflow a staging region; heap-backed builders never fail.
-func (b *InputBuilder) AddBlock(lastKey []byte, ctype byte, payload []byte) error {
+func (b *InputBuilder) AddBlock(indexKey []byte, ctype byte, payload []byte) error {
 	if b.arena != nil {
 		// Conservative worst-case growth so append can never reallocate
 		// out of the arena: ctype + payload + full alignment pad on the
 		// data side, three max-width varints + key on the index side.
 		dataNeed := 1 + len(payload) + b.align
-		idxNeed := len(lastKey) + 3*binary.MaxVarintLen64
+		idxNeed := len(indexKey) + 3*binary.MaxVarintLen64
 		if len(b.img.DataMem)+dataNeed > cap(b.img.DataMem) {
 			return fmt.Errorf("%w: data region (%d staged, block needs %d, cap %d)",
 				compaction.ErrArenaExhausted, len(b.img.DataMem), dataNeed, cap(b.img.DataMem))
@@ -279,7 +279,7 @@ func (b *InputBuilder) AddBlock(lastKey []byte, ctype byte, payload []byte) erro
 	}
 
 	// Index stream entry.
-	e := IndexEntry{LastKey: lastKey, Offset: off, Size: size}
+	e := IndexEntry{IndexKey: indexKey, Offset: off, Size: size}
 	b.img.IndexMem = appendIndexEntry(b.img.IndexMem, e)
 	t.IndexLen = uint64(len(b.img.IndexMem)) - t.IndexOff
 	t.NumBlocks++
@@ -298,8 +298,8 @@ func (b *InputBuilder) Finish() *InputImage {
 
 func appendIndexEntry(dst []byte, e IndexEntry) []byte {
 	var tmp [binary.MaxVarintLen64]byte
-	dst = append(dst, tmp[:binary.PutUvarint(tmp[:], uint64(len(e.LastKey)))]...)
-	dst = append(dst, e.LastKey...)
+	dst = append(dst, tmp[:binary.PutUvarint(tmp[:], uint64(len(e.IndexKey)))]...)
+	dst = append(dst, e.IndexKey...)
 	dst = append(dst, tmp[:binary.PutUvarint(tmp[:], e.Offset)]...)
 	dst = append(dst, tmp[:binary.PutUvarint(tmp[:], e.Size)]...)
 	return dst
@@ -316,7 +316,7 @@ func (s *indexStream) next() (IndexEntry, error) {
 	if n <= 0 || uint64(len(s.buf)-n) < kl {
 		return e, fmt.Errorf("%w: bad index key length", ErrLayout)
 	}
-	e.LastKey = s.buf[n : n+int(kl)]
+	e.IndexKey = s.buf[n : n+int(kl)]
 	s.buf = s.buf[n+int(kl):]
 	off, n := binary.Uvarint(s.buf)
 	if n <= 0 {
@@ -362,12 +362,12 @@ func (im *InputImage) DecodeIndex(table int) ([]IndexEntry, error) {
 }
 
 // OutputBlock is one encoded output data block: contents are in the
-// sstable block format, compressed per CType.
+// sstable block format, compressed per CType. IndexKey is the key the
+// block is indexed under (sstable.IndexKey), as on the input side.
 type OutputBlock struct {
 	CType    byte
 	Payload  []byte
-	LastKey  []byte
-	RawBytes int // uncompressed contents size
+	IndexKey []byte
 	Entries  int
 }
 
@@ -405,7 +405,7 @@ func (o *OutputTableImage) DataBytes(wOut int) int64 {
 func (o *OutputTableImage) IndexBytes() int64 {
 	var n int64
 	for _, b := range o.Blocks {
-		n += int64(len(b.LastKey)) + 2*binary.MaxVarintLen64
+		n += int64(len(b.IndexKey)) + 2*binary.MaxVarintLen64
 	}
 	return n
 }

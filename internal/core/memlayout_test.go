@@ -28,8 +28,8 @@ func TestInputImageRoundTrip(t *testing.T) {
 	if len(entries) != 2 {
 		t.Fatalf("index entries = %d", len(entries))
 	}
-	if string(entries[0].LastKey) != "key-a" || string(entries[1].LastKey) != "key-b" {
-		t.Fatalf("keys = %q, %q", entries[0].LastKey, entries[1].LastKey)
+	if string(entries[0].IndexKey) != "key-a" || string(entries[1].IndexKey) != "key-b" {
+		t.Fatalf("keys = %q, %q", entries[0].IndexKey, entries[1].IndexKey)
 	}
 	// Recover block one: ctype byte + payload at the recorded offset.
 	e := entries[0]
@@ -90,8 +90,8 @@ func TestImageBytesAccounting(t *testing.T) {
 func TestOutputTableImageAccounting(t *testing.T) {
 	o := &OutputTableImage{
 		Blocks: []OutputBlock{
-			{CType: 1, Payload: make([]byte, 100), LastKey: []byte("k1")},
-			{CType: 0, Payload: make([]byte, 63), LastKey: []byte("k2")},
+			{CType: 1, Payload: make([]byte, 100), IndexKey: []byte("k1")},
+			{CType: 0, Payload: make([]byte, 63), IndexKey: []byte("k2")},
 		},
 	}
 	// 101 -> 128 aligned, 64 -> 64 aligned at WOut=64.
@@ -135,13 +135,13 @@ func TestMetaInRoundTrip(t *testing.T) {
 func TestMetaOutRoundTrip(t *testing.T) {
 	outputs := []*OutputTableImage{
 		{
-			Blocks:   []OutputBlock{{CType: 0, Payload: make([]byte, 100), LastKey: []byte("k1")}},
+			Blocks:   []OutputBlock{{CType: 0, Payload: make([]byte, 100), IndexKey: []byte("k1")}},
 			Smallest: []byte("aaa"),
 			Largest:  []byte("mmm"),
 			Entries:  42,
 		},
 		{
-			Blocks:   []OutputBlock{{CType: 1, Payload: make([]byte, 63), LastKey: []byte("k2")}},
+			Blocks:   []OutputBlock{{CType: 1, Payload: make([]byte, 63), IndexKey: []byte("k2")}},
 			Smallest: []byte("nnn"),
 			Largest:  []byte("zzz"),
 			Entries:  7,

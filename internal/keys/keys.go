@@ -83,43 +83,35 @@ func Compare(a, b []byte) int {
 // CompareUser orders plain user keys bytewise.
 func CompareUser(a, b []byte) int { return bytes.Compare(a, b) }
 
-// Separator returns a key k with a <= k < b in user-key order that is as
-// short as possible, used for index block separators. a and b are user
-// keys; the result may alias a.
-func Separator(a, b []byte) []byte {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
+// Separator appends to dst a key k with a <= k < b in user-key order that
+// is as short as possible, used for index block separators. a and b are
+// user keys; k is a itself unless a strictly greater, shorter key exists.
+func Separator(dst, a, b []byte) []byte {
+	n := min(len(a), len(b))
 	i := 0
 	for i < n && a[i] == b[i] {
 		i++
 	}
-	if i >= n {
-		// One is a prefix of the other; a itself is the shortest choice.
-		return a
+	// When one is a prefix of the other, a itself is the shortest choice.
+	if i < n && a[i] < 0xff && a[i]+1 < b[i] {
+		dst = append(dst, a[:i+1]...)
+		dst[len(dst)-1]++
+		return dst
 	}
-	if a[i] < 0xff && a[i]+1 < b[i] {
-		sep := make([]byte, i+1)
-		copy(sep, a[:i+1])
-		sep[i]++
-		return sep
-	}
-	return a
+	return append(dst, a...)
 }
 
-// Successor returns a short key >= a in user-key order, used as the final
-// index entry of a table.
-func Successor(a []byte) []byte {
+// Successor appends to dst a short key >= a in user-key order, used as the
+// final index entry of a table.
+func Successor(dst, a []byte) []byte {
 	for i := 0; i < len(a); i++ {
 		if a[i] != 0xff {
-			s := make([]byte, i+1)
-			copy(s, a[:i+1])
-			s[i]++
-			return s
+			dst = append(dst, a[:i+1]...)
+			dst[len(dst)-1]++
+			return dst
 		}
 	}
-	return a
+	return append(dst, a...)
 }
 
 // Range is an inclusive-exclusive span of user keys. An empty Limit means

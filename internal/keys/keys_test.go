@@ -73,7 +73,7 @@ func TestSeparatorProperties(t *testing.T) {
 		if bytes.Equal(a, b) {
 			return true
 		}
-		sep := Separator(a, b)
+		sep := Separator(nil, a, b)
 		return bytes.Compare(sep, a) >= 0 && bytes.Compare(sep, b) < 0 && len(sep) <= len(a)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
@@ -83,16 +83,20 @@ func TestSeparatorProperties(t *testing.T) {
 
 func TestSeparatorShortens(t *testing.T) {
 	t.Parallel()
-	sep := Separator([]byte("abcdefgh"), []byte("abzzz"))
-	if want := "abd"; string(sep) != want {
+	// Both append: what dst already holds stays in front.
+	sep := Separator([]byte("dst|"), []byte("abcdefgh"), []byte("abzzz"))
+	if want := "dst|abd"; string(sep) != want {
 		t.Fatalf("Separator = %q, want %q", sep, want)
+	}
+	if got, want := Successor(sep, []byte("\xffq")), "dst|abd\xffr"; string(got) != want {
+		t.Fatalf("Successor = %q, want %q", got, want)
 	}
 }
 
 func TestSuccessorProperties(t *testing.T) {
 	t.Parallel()
 	f := func(a []byte) bool {
-		s := Successor(a)
+		s := Successor(nil, a)
 		return bytes.Compare(s, a) >= 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
@@ -103,7 +107,7 @@ func TestSuccessorProperties(t *testing.T) {
 func TestSuccessorAllFF(t *testing.T) {
 	t.Parallel()
 	in := []byte{0xff, 0xff}
-	if got := Successor(in); !bytes.Equal(got, in) {
+	if got := Successor(nil, in); !bytes.Equal(got, in) {
 		t.Fatalf("Successor(ff ff) = %x", got)
 	}
 }

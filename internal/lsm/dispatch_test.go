@@ -3,6 +3,7 @@ package lsm
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"math/rand"
 	"sync"
 	"testing"
@@ -11,7 +12,9 @@ import (
 	"fcae/internal/compaction"
 	"fcae/internal/core"
 	"fcae/internal/dispatch"
+	"fcae/internal/keys"
 	"fcae/internal/obs"
+	"fcae/internal/sstable"
 )
 
 // newDeviceChannels builds n independent FCAE engine instances, one per
@@ -489,4 +492,104 @@ func TestArenaFallbackIntegrity(t *testing.T) {
 		t.Fatalf("dispatch_fallback_arena gauge = 0, want > 0")
 	}
 	t.Logf("dispatch = %+v", ds)
+}
+
+// memOutputs is a compaction.Env keeping every output file in memory.
+type memOutputs struct {
+	next  uint64
+	files map[uint64]*bytes.Buffer
+}
+
+type memOutput struct{ *bytes.Buffer }
+
+func (memOutput) Close() error { return nil }
+
+func (e *memOutputs) NewOutput() (uint64, io.WriteCloser, error) {
+	if e.files == nil {
+		e.files = make(map[uint64]*bytes.Buffer)
+	}
+	e.next++
+	e.files[e.next] = new(bytes.Buffer)
+	return e.next, memOutput{e.files[e.next]}, nil
+}
+
+// TestFaultFallbackWritesTheDevicesFiles runs one job through a scheduler
+// whose device succeeds and through schedulers whose device faults with
+// retries off, so the job is redone on the CPU lane (dispatch.ReasonFault):
+// the tables the fallback leaves are the device's, byte for byte. Which
+// lane ran is not recorded on disk, which is what lets a crash between a
+// device fault and its CPU retry be recovered without knowing either.
+func TestFaultFallbackWritesTheDevicesFiles(t *testing.T) {
+	opts := Options{}.WithDefaults().tableOpts()
+	job := &compaction.Job{
+		SmallestSnapshot: 2500, // some shadowed versions are still visible to it
+		TableOpts:        opts,
+		MaxOutputBytes:   32 << 10,
+	}
+	rng := rand.New(rand.NewSource(11))
+	for r := 0; r < 3; r++ {
+		var buf bytes.Buffer
+		w := sstable.NewWriter(&buf, opts)
+		for i := 0; i < 1500; i++ {
+			kind, val := keys.KindSet, make([]byte, 200)
+			rng.Read(val[:100])
+			if i%17 == r {
+				kind, val = keys.KindDelete, nil
+			}
+			// Runs share every other key; newer runs carry higher sequences.
+			ik := keys.MakeInternal(nil, []byte(fmt.Sprintf("key%07d", i*2+r%2)), uint64((3-r)*1500+i), kind)
+			if err := w.Add(ik, val); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if _, err := w.Finish(); err != nil {
+			t.Fatal(err)
+		}
+		job.Runs = append(job.Runs, []compaction.Table{{Num: uint64(r + 1), Size: int64(buf.Len()), Data: bytes.NewReader(buf.Bytes())}})
+	}
+
+	run := func(inj dispatch.FaultInjector) (*memOutputs, *compaction.Result, dispatch.Route) {
+		t.Helper()
+		s, err := dispatch.New(dispatch.Config{
+			Devices:  newDeviceChannels(t, 1),
+			Injector: inj,
+			Tuning:   dispatch.Tuning{MaxDeviceRetries: -1},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		env := &memOutputs{}
+		res, route, err := s.Execute(job, env, obs.PriorityL0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return env, res, route
+	}
+
+	devEnv, devRes, route := run(nil)
+	if !route.OnDevice() {
+		t.Fatalf("clean run routed to %v (%v), want a device channel", route.Lane, route.Reason)
+	}
+	if len(devRes.Outputs) < 3 {
+		t.Fatalf("device wrote %d tables, want the job cut into 3 or more", len(devRes.Outputs))
+	}
+	for _, fault := range []dispatch.Fault{
+		{Kind: dispatch.FaultError},                         // the card rejects the job
+		{Kind: dispatch.FaultWrite, FailAfterBytes: 40_000}, // it dies inside its second table
+	} {
+		env, res, route := run(dispatch.NewScriptInjector(fault))
+		if route.Lane != obs.LaneCPU || route.Reason != dispatch.ReasonFault || route.Faults != 1 {
+			t.Fatalf("%v fault: route = %+v, want the CPU lane for ReasonFault after one fault", fault.Kind, route)
+		}
+		if len(res.Outputs) != len(devRes.Outputs) {
+			t.Fatalf("%v fault: fallback wrote %d tables, device %d", fault.Kind, len(res.Outputs), len(devRes.Outputs))
+		}
+		for i, ot := range res.Outputs {
+			want, got := devEnv.files[devRes.Outputs[i].Num].Bytes(), env.files[ot.Num].Bytes()
+			if !bytes.Equal(got, want) {
+				t.Fatalf("%v fault: table %d of the fallback (%d bytes) is not the device's (%d bytes)", fault.Kind, i, len(got), len(want))
+			}
+		}
+	}
 }

@@ -82,8 +82,11 @@ func (w *BlockWriter) FinishInto(dst []byte) []byte {
 }
 
 // Assembler writes a standard table file from pre-encoded raw data blocks,
-// the host-side combiner for engine output. Block last-keys double as
-// index keys (they satisfy the separator contract exactly).
+// the host-side combiner for engine output. Each block arrives with the
+// key it is indexed under — the engine's output builder has already
+// decided it, with IndexKey — and the assembler decides nothing: given
+// the blocks, keys, bounds and filter keys a Writer would have produced,
+// it produces that Writer's file.
 type Assembler struct {
 	w *Writer
 }
@@ -95,26 +98,21 @@ func NewAssembler(w io.Writer, opts Options) *Assembler {
 	return &Assembler{w: NewWriter(w, opts)}
 }
 
-// AddRawBlock appends one pre-encoded block. lastKey is the block's final
-// internal key; ctype/payload are written verbatim with a fresh checksum
-// trailer.
-func (a *Assembler) AddRawBlock(lastKey []byte, ctype byte, payload []byte, entries int) error {
+// AddRawBlock appends one pre-encoded block and its index entry. indexKey
+// is any key at or above the block's last and below the next block's
+// first, and is used verbatim; ctype/payload are written verbatim with a
+// fresh checksum trailer.
+func (a *Assembler) AddRawBlock(indexKey []byte, ctype byte, payload []byte, entries int) error {
 	if a.w.err != nil {
 		return a.w.err
 	}
-	a.w.flushPendingIndexRaw()
 	h, err := a.w.writeSealed(ctype, payload)
 	if err != nil {
 		a.w.err = err
 		return err
 	}
-	a.w.setPending(h, lastKey)
+	a.w.addIndexEntry(indexKey, h)
 	a.w.stats.Entries += entries
-	if a.w.stats.Smallest == nil {
-		// Smallest is patched by SetBounds; keep a placeholder.
-		a.w.stats.Smallest = append([]byte(nil), lastKey...)
-	}
-	a.w.lastKey = append(a.w.lastKey[:0], lastKey...)
 	return nil
 }
 
@@ -132,22 +130,5 @@ func (a *Assembler) AddFilterKey(userKey []byte) {
 	}
 }
 
-// Finish writes the index block, filter and footer.
-func (a *Assembler) Finish() (WriterStats, error) {
-	largest := append([]byte(nil), a.w.stats.Largest...)
-	stats, err := a.w.Finish()
-	if err == nil && largest != nil {
-		stats.Largest = largest
-		a.w.stats.Largest = largest
-	}
-	return stats, err
-}
-
-// flushPendingIndexRaw emits the pending block's index entry under the
-// stored last key verbatim (no separator shortening; the engine already
-// supplies minimal keys).
-func (w *Writer) flushPendingIndexRaw() {
-	if w.hasPending {
-		w.addIndexEntry(w.pendingKey)
-	}
-}
+// Finish writes the filter, metaindex and index blocks and the footer.
+func (a *Assembler) Finish() (WriterStats, error) { return a.w.finishTable() }

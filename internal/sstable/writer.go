@@ -38,12 +38,11 @@ func (o Options) WithDefaults() Options {
 
 // WriterStats summarizes a finished table.
 type WriterStats struct {
-	Entries     int
-	DataBlocks  int
-	FileSize    int64
-	RawDataSize int64 // uncompressed data-block bytes
-	Smallest    []byte
-	Largest     []byte
+	Entries    int
+	DataBlocks int
+	FileSize   int64
+	Smallest   []byte
+	Largest    []byte
 }
 
 // regionSize is how much of a table reaches the io.Writer at a time.
@@ -55,8 +54,8 @@ const regionSize = 64 << 10
 //
 // The index block grows as data blocks are written. A block's entry waits
 // for the next key, so that its separator can be the shortest key between
-// the two blocks: pendingKey and pendingHandle hold the one block that is
-// written but not yet indexed.
+// the two blocks (IndexKey): pendingHandle holds the one block that is
+// written but not yet indexed, and lastKey is still its last key.
 //
 // Blocks are sealed into a region and the region is handed to the
 // io.Writer whole, when it fills and at Finish. A write error therefore
@@ -70,8 +69,8 @@ type Writer struct {
 	filter bloom.Filter
 
 	// offset is the table's logical size: every block sealed so far,
-	// handed over or not. Handles, EstimatedSize and so every cut point
-	// are made from it, which is what keeps them independent of regionSize.
+	// handed over or not. Handles and Full, and so every cut point, are
+	// made from it, which is what keeps them independent of regionSize.
 	offset int64
 	// region holds the table's bytes [offset-len(region), offset), sealed
 	// and not yet handed to w. A compressed payload is encoded straight
@@ -79,8 +78,7 @@ type Writer struct {
 	// capacity is regionSize plus room for the largest block met.
 	region []byte
 
-	pendingKey    []byte // last key of the block awaiting its index entry
-	pendingHandle Handle
+	pendingHandle Handle // the block awaiting its index entry
 	hasPending    bool
 
 	// filterHashes holds bloom.Hash of every user key added: all the
@@ -142,37 +140,23 @@ func (w *Writer) Add(ikey, value []byte) error {
 }
 
 // flushPendingIndex emits the index entry of the previous data block,
-// using the shortest separator below the upcoming key.
+// under its IndexKey below the upcoming key (nil at the end of the table).
+// No entry has been added since the block was sealed, so lastKey is the
+// block's.
 func (w *Writer) flushPendingIndex(upcoming []byte) {
 	if !w.hasPending {
 		return
 	}
-	// The MaxSeq trailer is only safe when the separator user key is
-	// STRICTLY greater than the block's last user key; otherwise
-	// (user, MaxSeq) would sort before the block's own entries and seeks
-	// at older snapshot sequences would skip the block. Fall back to the
-	// full last internal key in that case, exactly as LevelDB's
-	// FindShortestSeparator does.
-	sep := w.pendingKey
-	pendingUser := keys.UserKey(w.pendingKey)
-	var u []byte
-	if upcoming != nil {
-		u = keys.Separator(pendingUser, keys.UserKey(upcoming))
-	} else {
-		u = keys.Successor(pendingUser)
-	}
-	if keys.CompareUser(u, pendingUser) > 0 {
-		w.sepScratch = keys.MakeInternal(w.sepScratch[:0], u, keys.MaxSeq, keys.KindSet)
-		sep = w.sepScratch
-	}
-	w.addIndexEntry(sep)
+	w.sepScratch = IndexKey(w.sepScratch[:0], w.lastKey, upcoming)
+	w.addIndexEntry(w.sepScratch, w.pendingHandle)
+	w.hasPending = false
 }
 
-// addIndexEntry maps sep to the pending block's handle.
-func (w *Writer) addIndexEntry(sep []byte) {
-	w.handleBuf = w.pendingHandle.EncodeTo(w.handleBuf[:0])
-	w.index.add(sep, w.handleBuf)
-	w.hasPending = false
+// addIndexEntry maps key to the data block at h.
+func (w *Writer) addIndexEntry(key []byte, h Handle) {
+	w.handleBuf = h.EncodeTo(w.handleBuf[:0])
+	w.index.add(key, w.handleBuf)
+	w.stats.DataBlocks++
 }
 
 // finishDataBlock compresses and writes the current data block.
@@ -180,23 +164,13 @@ func (w *Writer) finishDataBlock() {
 	if w.data.empty() || w.err != nil {
 		return
 	}
-	contents := w.data.finish()
-	w.stats.RawDataSize += int64(len(contents))
-	h, err := w.writeBlock(contents, w.opts.Compression)
+	h, err := w.writeBlock(w.data.finish(), w.opts.Compression)
 	if err != nil {
 		w.err = err
 		return
 	}
 	w.data.reset()
-	w.setPending(h, w.lastKey)
-}
-
-// setPending records a written data block as awaiting its index entry.
-func (w *Writer) setPending(h Handle, lastKey []byte) {
-	w.pendingHandle = h
-	w.pendingKey = append(w.pendingKey[:0], lastKey...)
-	w.hasPending = true
-	w.stats.DataBlocks++
+	w.pendingHandle, w.hasPending = h, true
 }
 
 // writeBlock stores contents (compressing per c) plus the trailer and
@@ -242,7 +216,7 @@ func (w *Writer) seal(ctype byte, n int) (Handle, error) {
 	w.region = w.region[:end+BlockTrailerSize]
 	sealBlock((*[BlockTrailerSize]byte)(w.region[end:]), ctype, w.region[end-n:end])
 	h := Handle{Offset: uint64(w.offset), Size: uint64(n)}
-	w.offset += int64(n) + BlockTrailerSize
+	w.offset += SealedSize(n)
 	if len(w.region) < regionSize {
 		return h, nil
 	}
@@ -256,19 +230,30 @@ func (w *Writer) flushRegion() error {
 	return err
 }
 
-// EstimatedSize returns the bytes sealed so far plus the open block.
-func (w *Writer) EstimatedSize() int64 {
-	return w.offset + int64(w.data.estimatedSize())
-}
+// Full reports whether the data blocks sealed so far make the table
+// TableFull at limit. Only data blocks are sealed before Finish.
+func (w *Writer) Full(limit int64) bool { return TableFull(w.offset, limit) }
 
 // Entries returns the number of entries added so far.
 func (w *Writer) Entries() int { return w.stats.Entries }
 
-// Finish writes the filter, metaindex, index blocks and footer, returning
-// the final table stats. A nil error means every byte of the table has
-// been handed to the io.Writer — nothing stays behind in the region — so
-// a Sync the caller issues next covers the whole file.
+// Finish seals the open data block and writes the filter, metaindex and
+// index blocks and the footer, returning the final table stats. A nil
+// error means every byte of the table has been handed to the io.Writer —
+// nothing stays behind in the region — so a Sync the caller issues next
+// covers the whole file.
 func (w *Writer) Finish() (WriterStats, error) {
+	if w.err == nil && !w.finished {
+		w.finishDataBlock()
+		w.flushPendingIndex(nil)
+		w.stats.Largest = append([]byte(nil), w.lastKey...)
+	}
+	return w.finishTable()
+}
+
+// finishTable writes what follows a table's data blocks, each of them
+// sealed and indexed by now.
+func (w *Writer) finishTable() (WriterStats, error) {
 	if w.err != nil {
 		return w.stats, w.err
 	}
@@ -276,11 +261,6 @@ func (w *Writer) Finish() (WriterStats, error) {
 		return w.stats, fmt.Errorf("sstable: Finish called twice")
 	}
 	w.finished = true
-	w.finishDataBlock()
-	w.flushPendingIndex(nil)
-	if w.err != nil {
-		return w.stats, w.err
-	}
 
 	// Filter block (uncompressed).
 	meta := newBlockBuilder(1)
@@ -311,7 +291,6 @@ func (w *Writer) Finish() (WriterStats, error) {
 	}
 	w.offset += FooterSize
 	w.stats.FileSize = w.offset
-	w.stats.Largest = append([]byte(nil), w.lastKey...)
 	return w.stats, nil
 }
 
