@@ -23,12 +23,13 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"strings"
-	"time"
 
 	"fcae"
 	"fcae/cmd/internal/storeflags"
+	"fcae/cmd/internal/target"
 	"fcae/internal/workload"
 )
 
@@ -169,151 +170,84 @@ func main() {
 	}
 }
 
-func runBench(db *fcae.DB, name string, num, keySize, valueSize int, ratio float64) (benchResult, error) {
-	keys := workload.NewKeyGen(keySize)
-	values := workload.NewValueGen(valueSize, ratio, 42)
+// bench is one db_bench benchmark: the op it issues over uniform keys
+// drawn from seed (in order when seed is 0), and the divisor of -num that
+// gives its op count (seeks are pricier: seekrandom runs a tenth as many).
+// A writerSeed runs a background writer over its own uniform keys while
+// the benchmark reads: the contention the paper's offload targets.
+type bench struct {
+	op               workload.Op
+	seed, writerSeed int64
+	div              int
+}
 
-	var seq workload.Sequence
-	write := true
-	switch name {
-	case "fillseq":
-		seq = &workload.Sequential{}
-	case "fillrandom", "overwrite":
-		seq = workload.NewUniform(uint64(num), 4711)
-	case "readrandom":
-		seq, write = workload.NewUniform(uint64(num), 1213), false
-	case "readseq":
-		seq, write = &workload.Sequential{}, false
-	case "deleterandom":
-		seq = workload.NewUniform(uint64(num), 99)
-	case "seekrandom":
-		return runSeekRandom(db, num, keySize)
-	case "readwhilewriting":
-		return runReadWhileWriting(db, num, keySize, valueSize, ratio)
-	default:
+var benches = map[string]bench{
+	"fillseq":          {op: workload.OpUpdate},
+	"fillrandom":       {op: workload.OpUpdate, seed: 4711},
+	"overwrite":        {op: workload.OpUpdate, seed: 4711},
+	"readrandom":       {op: workload.OpRead, seed: 1213},
+	"readseq":          {op: workload.OpRead},
+	"deleterandom":     {op: workload.OpDelete, seed: 99},
+	"seekrandom":       {op: workload.OpScan, seed: 77, div: 10},
+	"readwhilewriting": {op: workload.OpRead, seed: 13, writerSeed: 31},
+}
+
+func runBench(db *fcae.DB, name string, num, keySize, valueSize int, ratio float64) (benchResult, error) {
+	b, ok := benches[name]
+	if !ok {
 		return benchResult{}, fmt.Errorf("unknown benchmark %q", name)
 	}
-
-	start := time.Now()
-	found := 0
-	for i := 0; i < num; i++ {
-		k := keys.Key(seq.Next())
-		switch {
-		case name == "deleterandom":
-			if err := db.Delete(k); err != nil {
-				return benchResult{}, err
-			}
-		case write:
-			if err := db.Put(k, values.Value()); err != nil {
-				return benchResult{}, err
-			}
-		default:
-			if _, err := db.Get(k); err == nil {
-				found++
-			} else if err != fcae.ErrNotFound {
-				return benchResult{}, err
-			}
-		}
+	n := num / max(b.div, 1)
+	t := target.DB{DB: db}
+	stop, writer := make(chan struct{}), make(chan error, 1)
+	if b.writerSeed == 0 {
+		writer <- nil
+	} else {
+		w := &workload.Stream{Op: workload.OpUpdate, Keys: workload.NewKeyGen(keySize),
+			Pick: keySeq(num, b.writerSeed), Values: workload.NewValueGen(valueSize, ratio, 5), Stop: stop}
+		go func() { _, err := workload.Run(t, w, math.MaxInt); writer <- err }()
 	}
-	elapsed := time.Since(start)
-	res := benchResult{
-		Name:        name,
-		Ops:         num,
-		MicrosPerOp: float64(elapsed.Microseconds()) / float64(num),
-		OpsPerSec:   float64(num) / elapsed.Seconds(),
-		MBPerSec:    float64(num*(keySize+valueSize)) / 1e6 / elapsed.Seconds(),
-		Found:       found,
-	}
-	extra := ""
-	if !write {
-		extra = fmt.Sprintf(" (found %d)", found)
-	}
-	fmt.Printf("%-12s : %10.3f micros/op; %8.1f ops/sec; %7.1f MB/s%s\n",
-		name, res.MicrosPerOp, res.OpsPerSec, res.MBPerSec, extra)
-	return res, nil
-}
-
-// runSeekRandom measures iterator seek + short scan latency.
-func runSeekRandom(db *fcae.DB, num, keySize int) (benchResult, error) {
-	keys := workload.NewKeyGen(keySize)
-	seq := workload.NewUniform(uint64(num), 77)
-	start := time.Now()
-	entries := 0
-	for i := 0; i < num/10; i++ { // seeks are pricier; 10% of the op count
-		it, err := db.NewIterator()
-		if err != nil {
-			return benchResult{}, err
-		}
-		for ok, n := it.Seek(keys.Key(seq.Next())), 0; ok && n < 10; ok, n = it.Next(), n+1 {
-			entries++
-		}
-		if err := it.Close(); err != nil {
-			return benchResult{}, err
-		}
-	}
-	elapsed := time.Since(start)
-	res := benchResult{
-		Name:        "seekrandom",
-		Ops:         num / 10,
-		MicrosPerOp: float64(elapsed.Microseconds()) / float64(num/10),
-		OpsPerSec:   float64(num/10) / elapsed.Seconds(),
-		Found:       entries,
-	}
-	fmt.Printf("%-12s : %10.3f micros/op; %8.1f seeks/sec (%d entries)\n",
-		"seekrandom", res.MicrosPerOp, res.OpsPerSec, entries)
-	return res, nil
-}
-
-// runReadWhileWriting measures read latency with one writer running, the
-// contention scenario the paper's offload targets.
-func runReadWhileWriting(db *fcae.DB, num, keySize, valueSize int, ratio float64) (benchResult, error) {
-	keys := workload.NewKeyGen(keySize)
-	values := workload.NewValueGen(valueSize, ratio, 5)
-	stop := make(chan struct{})
-	writerErr := make(chan error, 1)
-	go func() {
-		wkeys := workload.NewKeyGen(keySize)
-		wseq := workload.NewUniform(uint64(num), 31)
-		for {
-			select {
-			case <-stop:
-				writerErr <- nil
-				return
-			default:
-			}
-			if err := db.Put(wkeys.Key(wseq.Next()), values.Value()); err != nil {
-				writerErr <- err
-				return
-			}
-		}
-	}()
-	seq := workload.NewUniform(uint64(num), 13)
-	start := time.Now()
-	found := 0
-	for i := 0; i < num; i++ {
-		if _, err := db.Get(keys.Key(seq.Next())); err == nil {
-			found++
-		} else if err != fcae.ErrNotFound {
-			close(stop)
-			<-writerErr
-			return benchResult{}, err
-		}
-	}
-	elapsed := time.Since(start)
+	r, err := workload.Run(t, &workload.Stream{Op: b.op, Keys: workload.NewKeyGen(keySize),
+		Pick: keySeq(num, b.seed), Values: workload.NewValueGen(valueSize, ratio, 42), ScanLength: 10}, n)
 	close(stop)
-	if err := <-writerErr; err != nil {
+	if werr := <-writer; err == nil {
+		err = werr
+	}
+	if err != nil {
 		return benchResult{}, err
 	}
 	res := benchResult{
-		Name:        "readwhilewriting",
-		Ops:         num,
-		MicrosPerOp: float64(elapsed.Microseconds()) / float64(num),
-		OpsPerSec:   float64(num) / elapsed.Seconds(),
-		Found:       found,
+		Name:        name,
+		Ops:         n,
+		MicrosPerOp: float64(r.Elapsed.Microseconds()) / float64(n),
+		OpsPerSec:   float64(n) / r.Elapsed.Seconds(),
+		Found:       r.Found + r.Entries,
 	}
-	fmt.Printf("%-12s : %10.3f micros/op; %8.1f reads/sec (found %d)\n",
-		"readwhilewriting", res.MicrosPerOp, res.OpsPerSec, found)
+	switch {
+	case b.op == workload.OpScan:
+		fmt.Printf("%-12s : %10.3f micros/op; %8.1f seeks/sec (%d entries)\n",
+			name, res.MicrosPerOp, res.OpsPerSec, r.Entries)
+	case b.writerSeed != 0:
+		fmt.Printf("%-12s : %10.3f micros/op; %8.1f reads/sec (found %d)\n",
+			name, res.MicrosPerOp, res.OpsPerSec, r.Found)
+	default:
+		res.MBPerSec = float64(n*(keySize+valueSize)) / 1e6 / r.Elapsed.Seconds()
+		extra := ""
+		if b.op == workload.OpRead {
+			extra = fmt.Sprintf(" (found %d)", r.Found)
+		}
+		fmt.Printf("%-12s : %10.3f micros/op; %8.1f ops/sec; %7.1f MB/s%s\n",
+			name, res.MicrosPerOp, res.OpsPerSec, res.MBPerSec, extra)
+	}
 	return res, nil
+}
+
+// keySeq draws uniform indices over [0, num) from seed, or 0, 1, 2... if 0.
+func keySeq(num int, seed int64) workload.Sequence {
+	if seed == 0 {
+		return &workload.Sequential{}
+	}
+	return workload.NewUniform(uint64(num), seed)
 }
 
 func fatal(err error) {

@@ -24,111 +24,22 @@
 package main
 
 import (
-	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
 
 	"fcae"
 	"fcae/cmd/internal/storeflags"
+	"fcae/cmd/internal/target"
 	"fcae/internal/workload"
 )
-
-type spec struct {
-	name                            string
-	read, update, insert, scan, rmw float64
-	latest                          bool
-}
-
-var specs = map[string]spec{
-	"load": {name: "Load", insert: 1},
-	"a":    {name: "A", read: 0.5, update: 0.5},
-	"b":    {name: "B", read: 0.95, update: 0.05},
-	"c":    {name: "C", read: 1},
-	"d":    {name: "D", read: 0.95, insert: 0.05, latest: true},
-	"e":    {name: "E", scan: 0.95, insert: 0.05},
-	"f":    {name: "F", read: 0.5, rmw: 0.5},
-}
-
-const scanLength = 50
-
-// kv abstracts the workload's target so one driver serves both the
-// in-process store and the wire client.
-type kv interface {
-	Get(key []byte) ([]byte, error)
-	Put(key, value []byte) error
-	// Scan walks up to limit entries from start, returning how many it saw.
-	Scan(start []byte, limit int) (int, error)
-	// BusyRetries reports writes that were shed with ErrServerBusy and
-	// retried (always 0 in-process).
-	BusyRetries() int
-}
-
-// dbKV is the in-process backend.
-type dbKV struct {
-	db *fcae.DB
-}
-
-func (d *dbKV) Get(key []byte) ([]byte, error) { return d.db.Get(key) }
-
-func (d *dbKV) Put(key, value []byte) error { return d.db.Put(key, value) }
-
-func (d *dbKV) Scan(start []byte, limit int) (int, error) {
-	it, err := d.db.NewIterator()
-	if err != nil {
-		return 0, err
-	}
-	n := 0
-	for ok := it.Seek(start); ok && n < limit; ok = it.Next() {
-		n++
-	}
-	if err := it.Close(); err != nil {
-		return n, err
-	}
-	return n, nil
-}
-
-func (d *dbKV) BusyRetries() int { return 0 }
-
-// netKV drives a remote fcaeserver. Busy shedding (the server's
-// stall-aware admission control) is retried with exponential backoff —
-// exactly what a production client does during a write stall.
-type netKV struct {
-	cl      *fcae.Client
-	retries int
-}
-
-const maxBusyRetries = 200
-
-func (n *netKV) Get(key []byte) ([]byte, error) { return n.cl.Get(key) }
-
-func (n *netKV) Put(key, value []byte) error {
-	backoff := time.Millisecond
-	for attempt := 0; ; attempt++ {
-		err := n.cl.Put(key, value)
-		if !errors.Is(err, fcae.ErrServerBusy) || attempt >= maxBusyRetries {
-			return err
-		}
-		n.retries++
-		time.Sleep(backoff)
-		if backoff < 64*time.Millisecond {
-			backoff *= 2
-		}
-	}
-}
-
-func (n *netKV) Scan(start []byte, limit int) (int, error) {
-	kvs, err := n.cl.Scan(start, limit)
-	return len(kvs), err
-}
-
-func (n *netKV) BusyRetries() int { return n.retries }
 
 func main() {
 	dir := flag.String("db", "", "database directory (default: a temp dir); in-process mode only")
@@ -145,7 +56,9 @@ func main() {
 	pipeline := flag.Int("pipeline", 128, "network mode: max outstanding requests per connection")
 	flag.Parse()
 
-	var store kv
+	var store workload.Target
+	var db *fcae.DB                        // nil in network mode
+	busyRetries := func() int { return 0 } // writes the server shed and the client retried
 	if *addr != "" {
 		given := sf.Given()
 		if *dir != "" {
@@ -163,7 +76,8 @@ func main() {
 			fatal(err)
 		}
 		defer cl.Close()
-		store = &netKV{cl: cl}
+		client := &target.Client{Client: cl}
+		store, busyRetries = client, client.BusyRetries
 		fmt.Printf("fcae ycsb: addr=%s records=%d ops=%d value=%dB\n", *addr, *records, *ops, *valueSize)
 	} else {
 		if *dir == "" {
@@ -178,33 +92,34 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		db, err := fcae.Open(*dir, opts)
+		db, err = fcae.Open(*dir, opts)
 		if err != nil {
 			fatal(err)
 		}
 		defer db.Close()
-		store = &dbKV{db: db}
+		store = target.DB{DB: db}
 		fmt.Printf("fcae ycsb: backend=%s records=%d ops=%d value=%dB\n", sf.Backend, *records, *ops, *valueSize)
 	}
 
-	inserted := uint64(0)
+	var inserts workload.Sequential
 	for _, name := range strings.Split(strings.ToLower(*workloads), ",") {
 		name = strings.TrimSpace(name)
-		sp, ok := specs[name]
-		if !ok {
+		i := slices.IndexFunc(workload.YCSB, func(w workload.Workload) bool { return strings.EqualFold(w.Name, name) })
+		if i < 0 {
 			fatal(fmt.Errorf("unknown workload %q", name))
 		}
+		w := workload.YCSB[i]
 		n := *ops
-		if name == "load" {
+		if w.Name == "Load" {
 			n = *records
 		}
-		if err := run(store, sp, n, *records, *valueSize, *seed, &inserted); err != nil {
-			fatal(fmt.Errorf("workload %s: %w", sp.name, err))
+		if err := run(store, busyRetries, w, n, *records, *valueSize, *seed, &inserts); err != nil {
+			fatal(fmt.Errorf("workload %s: %w", w.Name, err))
 		}
 	}
 
 	if *metrics {
-		out, err := fetchMetrics(store, *addr, *adminAddr)
+		out, err := fetchMetrics(db, *addr, *adminAddr)
 		if err != nil {
 			fatal(err)
 		}
@@ -214,10 +129,9 @@ func main() {
 
 // fetchMetrics returns the final metrics snapshot: the in-process
 // registry, or (network mode) the serving process's /metrics document.
-func fetchMetrics(store kv, addr, adminAddr string) ([]byte, error) {
-	d, ok := store.(*dbKV)
-	if ok {
-		return d.db.Metrics().JSON()
+func fetchMetrics(db *fcae.DB, addr, adminAddr string) ([]byte, error) {
+	if db != nil {
+		return db.Metrics().JSON()
 	}
 	if adminAddr == "" {
 		derived, err := deriveAdminAddr(addr)
@@ -252,72 +166,33 @@ func deriveAdminAddr(addr string) (string, error) {
 	return net.JoinHostPort(host, strconv.Itoa(p+1)), nil
 }
 
-func run(store kv, sp spec, n, records, valueSize int, seed int64, inserted *uint64) error {
+// run drives one workload. Every generator draws from one stream seeded
+// by seed, so a run is a function of the seed alone.
+func run(store workload.Target, busyRetries func() int, w workload.Workload, n, records, valueSize int, seed int64, inserts *workload.Sequential) error {
 	rng := workload.NewRand(seed)
-	keys := workload.NewKeyGen(16)
-	values := workload.NewValueGenRand(valueSize, 0.5, rng)
-	mix := workload.NewMixRand(sp.read, sp.update, sp.insert, sp.scan, sp.rmw, rng)
-	var pick workload.Sequence
-	latest := workload.NewLatestRand(uint64(records), rng)
-	if sp.latest {
-		pick = latest
+	s := &workload.Stream{
+		Keys:       workload.NewKeyGen(16),
+		Values:     workload.NewValueGenRand(valueSize, 0.5, rng),
+		Mix:        workload.NewMixRand(w.Read, w.Update, w.Insert, w.Scan, w.RMW, rng),
+		Inserts:    inserts,
+		ScanLength: workload.ScanLength,
+	}
+	if w.Latest {
+		s.Pick = workload.NewLatestRand(uint64(records), rng)
 	} else {
-		pick = workload.NewZipfianRand(uint64(records), rng)
+		s.Pick = workload.NewZipfianRand(uint64(records), rng)
 	}
-
-	startRetries := store.BusyRetries()
-	start := time.Now()
-	var reads, writes, scans, notFound int
-	for i := 0; i < n; i++ {
-		op := mix.Next()
-		if sp.name == "Load" {
-			op = workload.OpInsert
-		}
-		switch op {
-		case workload.OpRead:
-			if _, err := store.Get(keys.Key(pick.Next())); errors.Is(err, fcae.ErrNotFound) {
-				notFound++
-			} else if err != nil {
-				return err
-			}
-			reads++
-		case workload.OpUpdate:
-			if err := store.Put(keys.Key(pick.Next()), values.Value()); err != nil {
-				return err
-			}
-			writes++
-		case workload.OpInsert:
-			id := *inserted
-			*inserted++
-			latest.Observe(id)
-			if err := store.Put(keys.Key(id), values.Value()); err != nil {
-				return err
-			}
-			writes++
-		case workload.OpScan:
-			if _, err := store.Scan(keys.Key(pick.Next()), scanLength); err != nil {
-				return err
-			}
-			scans++
-		case workload.OpRMW:
-			k := append([]byte(nil), keys.Key(pick.Next())...)
-			if _, err := store.Get(k); err != nil && !errors.Is(err, fcae.ErrNotFound) {
-				return err
-			}
-			if err := store.Put(k, values.Value()); err != nil {
-				return err
-			}
-			reads++
-			writes++
-		}
+	startRetries := busyRetries()
+	r, err := workload.Run(store, s, n)
+	if err != nil {
+		return err
 	}
-	elapsed := time.Since(start)
 	extra := ""
-	if r := store.BusyRetries() - startRetries; r > 0 {
-		extra = fmt.Sprintf(", %d busy-retries", r)
+	if retries := busyRetries() - startRetries; retries > 0 {
+		extra = fmt.Sprintf(", %d busy-retries", retries)
 	}
 	fmt.Printf("%-5s: %9.1f ops/sec (%d reads, %d writes, %d scans, %d not-found%s) in %s\n",
-		sp.name, float64(n)/elapsed.Seconds(), reads, writes, scans, notFound, extra, elapsed.Round(time.Millisecond))
+		w.Name, float64(n)/r.Elapsed.Seconds(), r.Reads, r.Writes, r.Scans, r.NotFound, extra, r.Elapsed.Round(time.Millisecond))
 	return nil
 }
 

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"errors"
 	"fmt"
 	"log"
 	"os"
@@ -82,7 +83,7 @@ func main() {
 		for ok, n := it.Seek(keys.Key(zipf.Next())), 0; ok && n < scanLen; ok, n = it.Next(), n+1 {
 			entries++
 		}
-		if err := it.Close(); err != nil {
+		if err := errors.Join(it.Error(), it.Close()); err != nil {
 			log.Fatal(err)
 		}
 	}

@@ -273,11 +273,13 @@ var (
 	// table whose footer, index, filter or data block fails its checksum
 	// or does not parse (from Get, iterators and compaction; Repair sets
 	// such a table aside instead), a MANIFEST record that fails its
-	// checksum or does not decode, and a logged write batch that does not
-	// parse. It does not cover a torn tail of the write-ahead log: a record
-	// there that is cut short or fails its checksum is what a crash leaves
-	// behind, so recovery stops at it and Open succeeds. Nor does it cover
-	// I/O errors, which pass through as the operating system reported them.
+	// checksum or does not decode, a logged write batch that does not
+	// parse, and a damaged write-ahead log (Open names it; Repair keeps its
+	// records ahead of the damage) — except the torn tail a crash leaves:
+	// damage in a log with no intact record after it, where that log's
+	// replay stops and Open succeeds (a damaged record length hides the
+	// rest of its 32 KiB block, so records there go unchecked). Nor does
+	// it cover I/O errors.
 	ErrCorruption = corruption.Err
 )
 

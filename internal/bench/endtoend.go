@@ -6,6 +6,7 @@ import (
 	"fcae/internal/core"
 	"fcae/internal/lsm"
 	"fcae/internal/lsmsim"
+	"fcae/internal/workload"
 )
 
 // fillPair runs the fill workload on both backends.
@@ -162,15 +163,12 @@ func Fig16(scale Scale) *Report {
 	}
 	load := scale.bytes(20 << 30)
 	ops := load / 1040 // paper: operation count equals the record count
-	for _, w := range lsmsim.YCSBWorkloads {
+	for _, w := range workload.YCSB {
 		cfg := lsmsim.Config{ValueLen: 1024}
 		cpu := lsmsim.RunYCSB(cfg, w, load, ops)
 		cfg.Backend = lsmsim.BackendFCAE
 		fcae := lsmsim.RunYCSB(cfg, w, load, ops)
-		r.Rows = append(r.Rows, []string{
-			w.Name, f1(cpu.KOpsPerSec), f1(fcae.KOpsPerSec),
-			f2(fcae.KOpsPerSec / cpu.KOpsPerSec),
-		})
+		r.Rows = append(r.Rows, []string{w.Name, f1(cpu), f1(fcae), f2(fcae / cpu)})
 	}
 	r.Notes = append(r.Notes,
 		"paper: LevelDB-FCAE wins every workload; speedup grows with write ratio, up to 2.2x on Load; read-only C is unchanged")

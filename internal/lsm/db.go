@@ -248,6 +248,10 @@ func (db *DB) recoverWALs() error {
 	return nil
 }
 
+// replayWALLocked applies log num to the memtable. Damage with no intact
+// record after it is what a crash leaves, in any log (a retiring log is
+// not synced), so recovery stops there; any other damage fails recovery
+// rather than drop the whole records behind it.
 func (db *DB) replayWALLocked(num uint64) error {
 	f, err := os.Open(walPath(db.dir, num))
 	if err != nil {
@@ -261,8 +265,10 @@ func (db *DB) replayWALLocked(num uint64) error {
 			return nil
 		}
 		if errors.Is(err, wal.ErrCorrupt) {
-			// Torn tail from a crash: recovery stops here.
-			return nil
+			if tail, terr := r.DamageIsTail(); terr != nil || tail {
+				return terr
+			}
+			return fmt.Errorf("%w (Repair salvages the records before it)", err)
 		}
 		if err != nil {
 			return err

@@ -1,13 +1,16 @@
 package lsm
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 
 	"fcae/internal/keys"
 	"fcae/internal/manifest"
 	"fcae/internal/sstable"
+	"fcae/internal/wal"
 )
 
 // Repair rebuilds a database whose MANIFEST/CURRENT metadata is lost or
@@ -17,8 +20,9 @@ import (
 // placed at level 1 as individual runs (tiered layout), which preserves
 // correctness because sequence numbers order overlapping entries and the
 // read path probes runs newest-first. Unreadable tables are renamed aside
-// with a .corrupt suffix. WAL files are left in place and replayed by the
-// next Open.
+// with a .corrupt suffix. Logs are replayed by the next Open; a damaged one,
+// which Open might refuse, is renamed the same way and a fresh log under
+// its name keeps the records ahead of the damage.
 //
 // Limitation (shared with LevelDB's RepairDB): recency across recovered
 // tables is approximated by file number, so when multiple tables hold
@@ -52,6 +56,9 @@ func Repair(dir string, opts Options) (err error) {
 		case kindWAL:
 			if num > maxNum {
 				maxNum = num
+			}
+			if err := salvageWAL(dir, num); err != nil {
+				return fmt.Errorf("lsm: repair: salvage %06d.log: %w", num, err)
 			}
 			continue
 		case kindTable:
@@ -161,4 +168,35 @@ func scanTable(dir string, num uint64, opts Options) (*scannedTable, error) {
 	}
 	out.largest = append([]byte(nil), out.largest...)
 	return out, nil
+}
+
+// salvageWAL reads log num end to end. A damaged log is renamed with a
+// .corrupt suffix, and a fresh log under its name takes the records ahead
+// of the damage.
+func salvageWAL(dir string, num uint64) error {
+	path := walPath(dir, num)
+	f, err := os.Open(path)
+	if err != nil {
+		return err
+	}
+	defer func() { _ = f.Close() }()
+	r := wal.NewReader(f, walCRC)
+	for err == nil {
+		_, err = r.Next()
+	}
+	if err == io.EOF {
+		return nil
+	}
+	if !errors.Is(err, wal.ErrCorrupt) {
+		return err
+	}
+	if err := os.Rename(path, path+".corrupt"); err != nil {
+		return err
+	}
+	out, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	_, err = io.Copy(out, io.NewSectionReader(f, 0, r.Offset()))
+	return errors.Join(err, out.Sync(), out.Close())
 }

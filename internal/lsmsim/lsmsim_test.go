@@ -5,6 +5,7 @@ import (
 
 	"fcae/internal/core"
 	"fcae/internal/lsm"
+	"fcae/internal/workload"
 )
 
 func fill(t *testing.T, cfg Config) Result {
@@ -157,23 +158,35 @@ func TestDeterminism(t *testing.T) {
 	}
 }
 
+// ycsbRow returns the Table IX row named name.
+func ycsbRow(t *testing.T, name string) workload.Workload {
+	t.Helper()
+	for _, w := range workload.YCSB {
+		if w.Name == name {
+			return w
+		}
+	}
+	t.Fatalf("no Table IX row %q", name)
+	return workload.Workload{}
+}
+
 func TestYCSBReadOnlyUnchanged(t *testing.T) {
 	// Paper Fig 16: workload C (read only) is identical across backends.
-	cpu := RunYCSB(Config{ValueLen: 1024}, WorkloadC, 2<<30, 1_000_000)
-	fcae := RunYCSB(Config{ValueLen: 1024, Backend: BackendFCAE}, WorkloadC, 2<<30, 1_000_000)
-	ratio := fcae.KOpsPerSec / cpu.KOpsPerSec
+	cpu := RunYCSB(Config{ValueLen: 1024}, ycsbRow(t, "C"), 2<<30, 1_000_000)
+	fcae := RunYCSB(Config{ValueLen: 1024, Backend: BackendFCAE}, ycsbRow(t, "C"), 2<<30, 1_000_000)
+	ratio := fcae / cpu
 	if ratio < 0.99 || ratio > 1.01 {
 		t.Fatalf("read-only workload changed by %.3fx across backends", ratio)
 	}
 }
 
 func TestYCSBSpeedupGrowsWithWriteRatio(t *testing.T) {
-	ratio := func(w YCSBWorkload) float64 {
+	ratio := func(w workload.Workload) float64 {
 		cpu := RunYCSB(Config{ValueLen: 1024}, w, 2<<30, 1_000_000)
 		f := RunYCSB(Config{ValueLen: 1024, Backend: BackendFCAE}, w, 2<<30, 1_000_000)
-		return f.KOpsPerSec / cpu.KOpsPerSec
+		return f / cpu
 	}
-	b, a, load := ratio(WorkloadB), ratio(WorkloadA), ratio(WorkloadLoad)
+	b, a, load := ratio(ycsbRow(t, "B")), ratio(ycsbRow(t, "A")), ratio(ycsbRow(t, "Load"))
 	if !(load >= a && a >= b && b >= 0.99) {
 		t.Fatalf("speedups should grow with write ratio: B=%.2f A=%.2f Load=%.2f", b, a, load)
 	}
@@ -181,11 +194,11 @@ func TestYCSBSpeedupGrowsWithWriteRatio(t *testing.T) {
 
 func TestYCSBNoRegressionAnywhere(t *testing.T) {
 	// Paper: "LevelDB-FCAE outperforms LevelDB in all workloads".
-	for _, w := range YCSBWorkloads {
+	for _, w := range workload.YCSB {
 		cpu := RunYCSB(Config{ValueLen: 1024}, w, 1<<30, 500_000)
 		f := RunYCSB(Config{ValueLen: 1024, Backend: BackendFCAE}, w, 1<<30, 500_000)
-		if f.KOpsPerSec < cpu.KOpsPerSec*0.98 {
-			t.Errorf("workload %s regressed: %.1f vs %.1f kops", w.Name, f.KOpsPerSec, cpu.KOpsPerSec)
+		if f < cpu*0.98 {
+			t.Errorf("workload %s regressed: %.1f vs %.1f kops", w.Name, f, cpu)
 		}
 	}
 }

@@ -4,58 +4,8 @@ import (
 	"time"
 
 	"fcae/internal/model"
+	"fcae/internal/workload"
 )
-
-// YCSB workload mixes (paper Table IX). Fractions sum to 1.
-type YCSBWorkload struct {
-	Name   string
-	Read   float64
-	Update float64 // update = write of an existing key
-	Insert float64
-	Scan   float64
-	RMW    float64 // read-modify-write
-	// Distribution drives the block-cache hit probability of reads.
-	Distribution string // "zipfian", "latest", "uniform"
-}
-
-// The six workloads of Table IX plus the load phase.
-var (
-	WorkloadLoad = YCSBWorkload{Name: "Load", Insert: 1.0, Distribution: "zipfian"}
-	WorkloadA    = YCSBWorkload{Name: "A", Read: 0.5, Update: 0.5, Distribution: "zipfian"}
-	WorkloadB    = YCSBWorkload{Name: "B", Read: 0.95, Update: 0.05, Distribution: "zipfian"}
-	WorkloadC    = YCSBWorkload{Name: "C", Read: 1.0, Distribution: "zipfian"}
-	WorkloadD    = YCSBWorkload{Name: "D", Read: 0.95, Insert: 0.05, Distribution: "latest"}
-	WorkloadE    = YCSBWorkload{Name: "E", Scan: 0.95, Insert: 0.05, Distribution: "zipfian"}
-	WorkloadF    = YCSBWorkload{Name: "F", Read: 0.5, RMW: 0.5, Distribution: "zipfian"}
-)
-
-// YCSBWorkloads lists the paper's evaluation order.
-var YCSBWorkloads = []YCSBWorkload{WorkloadLoad, WorkloadA, WorkloadB, WorkloadC, WorkloadD, WorkloadE, WorkloadF}
-
-// cacheHitProb maps request distributions to block-cache hit rates; the
-// skewed distributions keep their working set resident.
-func cacheHitProb(dist string) float64 {
-	switch dist {
-	case "latest":
-		return 0.95
-	case "zipfian":
-		return 0.80
-	default:
-		return 0.30
-	}
-}
-
-// YCSBResult reports one simulated workload run.
-type YCSBResult struct {
-	Workload   YCSBWorkload
-	Backend    Backend
-	Ops        int64
-	Elapsed    time.Duration
-	KOpsPerSec float64
-	WriteFrac  float64
-}
-
-const scanLength = 50 // YCSB default scan length
 
 // readCost models one point read against the current tree shape.
 func (s *state) readCost(hitProb float64) time.Duration {
@@ -74,19 +24,24 @@ func (s *state) readCost(hitProb float64) time.Duration {
 
 // RunYCSB simulates one YCSB workload of opCount operations against a
 // store pre-loaded with loadBytes of data (paper §VII-D: 20 M records of
-// 16 B keys and 1 KiB values, then 20 M operations).
-func RunYCSB(cfg Config, w YCSBWorkload, loadBytes int64, opCount int64) YCSBResult {
+// 16 B keys and 1 KiB values, then 20 M operations) and returns its
+// throughput in thousands of ops per second.
+func RunYCSB(cfg Config, w workload.Workload, loadBytes int64, opCount int64) (kopsPerSec float64) {
 	cfg = cfg.withDefaults()
 	s := newState(cfg)
 	s.preload(loadBytes)
 
-	writeFrac := w.Update + w.Insert + w.RMW
-	hitProb := cacheHitProb(w.Distribution)
+	// Skewed keys keep the reads' working set in the block cache; the latest
+	// distribution's more so than the zipfian's.
+	hitProb := 0.80
+	if w.Latest {
+		hitProb = 0.95
+	}
 
 	// Per-op expected cost of the read-side work (reads, scans, and the
 	// read half of RMW); writes go through the usual write path.
 	read := s.readCost(hitProb)
-	scan := s.readCost(hitProb) + scanLength*time.Microsecond
+	scan := s.readCost(hitProb) + workload.ScanLength*time.Microsecond
 
 	s.total = opCount
 	s.remaining = opCount
@@ -95,22 +50,15 @@ func RunYCSB(cfg Config, w YCSBWorkload, loadBytes int64, opCount int64) YCSBRes
 	// The client thread interleaves reads and writes; model the read-side
 	// time as a per-op surcharge on the writer loop.
 	s.extraPerOp = time.Duration(w.Read*float64(read) + w.Scan*float64(scan) + w.RMW*float64(read))
-	s.writeFrac = writeFrac
+	s.writeFrac = w.Update + w.Insert + w.RMW
 
 	s.writerStep()
 	s.sim.Run()
 
-	res := YCSBResult{
-		Workload:  w,
-		Backend:   cfg.Backend,
-		Ops:       opCount,
-		Elapsed:   s.sim.Now(),
-		WriteFrac: writeFrac,
+	if s.sim.Now() == 0 {
+		return 0
 	}
-	if res.Elapsed > 0 {
-		res.KOpsPerSec = float64(opCount) / res.Elapsed.Seconds() / 1e3
-	}
-	return res
+	return float64(opCount) / s.sim.Now().Seconds() / 1e3
 }
 
 // preload fills the tree shape with loadBytes of existing data, bottom

@@ -160,6 +160,8 @@ type Reader struct {
 	off     int // read offset in block
 	eof     bool
 	scratch []byte
+	base    int64 // file offset of block
+	whole   int64 // file offset just past the last record Next returned
 }
 
 // NewReader returns a Reader consuming records from r.
@@ -186,6 +188,7 @@ func (r *Reader) Next() ([]byte, error) {
 			if inFragmented {
 				return nil, ErrCorrupt
 			}
+			r.whole = r.base + int64(r.off)
 			return payload, nil
 		case typeFirst:
 			if inFragmented {
@@ -202,6 +205,7 @@ func (r *Reader) Next() ([]byte, error) {
 			if !inFragmented {
 				return nil, ErrCorrupt
 			}
+			r.whole = r.base + int64(r.off)
 			return append(r.scratch, payload...), nil
 		default:
 			return nil, fmt.Errorf("%w: unknown record type %d", ErrCorrupt, t)
@@ -226,15 +230,43 @@ func (r *Reader) nextPhysical() (recordType, []byte, error) {
 		length := int(binary.LittleEndian.Uint16(h[4:6]))
 		t := recordType(h[6])
 		if r.off+headerSize+length > r.n {
+			// Where the next record starts is unknown: resume at the
+			// next block.
+			r.off = r.n
 			return 0, nil, ErrCorrupt
 		}
 		payload := r.block[r.off+headerSize : r.off+headerSize+length]
 		want := binary.LittleEndian.Uint32(h[0:4])
+		r.off += headerSize + length
 		if r.crc(byte(t), payload) != want {
 			return 0, nil, ErrCorrupt
 		}
-		r.off += headerSize + length
 		return t, payload, nil
+	}
+}
+
+// Offset is the length of the log's prefix that holds the records Next has
+// returned: copied out, that prefix is a whole log of them.
+func (r *Reader) Offset() int64 { return r.whole }
+
+// DamageIsTail reports, once Next has returned ErrCorrupt, whether the
+// damage is all the log has left: no record after it, in the same block or
+// a later one, has a checksum that holds. Only such damage can be a write
+// torn by a crash; anything else lost records that were whole. A damaged
+// length field hides where the rest of its block's records start, so those
+// go unchecked. It reads the rest of the log, so Next must not be called
+// after it.
+func (r *Reader) DamageIsTail() (bool, error) {
+	for {
+		_, _, err := r.nextPhysical()
+		switch {
+		case err == nil:
+			return false, nil
+		case err == io.EOF:
+			return true, nil
+		case err != ErrCorrupt:
+			return false, err
+		}
 	}
 }
 
@@ -243,6 +275,7 @@ func (r *Reader) fill() error {
 	if r.eof {
 		return io.EOF
 	}
+	r.base += int64(r.n)
 	n, err := io.ReadFull(r.r, r.block[:])
 	r.off = 0
 	r.n = n

@@ -134,6 +134,46 @@ func TestReaderStopsAtTruncatedTail(t *testing.T) {
 	}
 }
 
+// TestDamageIsTail: damage is a tail only when no intact record follows
+// it — a cut-short log, a fragment chain missing its end, a bad last
+// record — never a bad byte with a whole record after it, in its own
+// block or a later one.
+func TestDamageIsTail(t *testing.T) {
+	t.Parallel()
+	var buf bytes.Buffer
+	w := NewWriter(&buf, testCRC)
+	for i := 0; i < 100; i++ {
+		if err := w.Append(bytes.Repeat([]byte{byte(i)}, 1000)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	log := buf.Bytes() // 100 records of 1007 bytes: four blocks
+	for _, tc := range []struct {
+		name   string
+		damage func([]byte) []byte
+		tail   bool
+	}{
+		{"cut mid-record", func(b []byte) []byte { return b[:len(b)-500] }, true},
+		{"cut inside a record spanning blocks", func(b []byte) []byte { return b[:BlockSize+10] }, true},
+		{"flip in the last record", func(b []byte) []byte { b[len(b)-300] ^= 1; return b }, true},
+		{"flip with a record after it in the block", func(b []byte) []byte { b[len(b)-1500] ^= 1; return b }, false},
+		{"flip in the first block", func(b []byte) []byte { b[5000] ^= 1; return b }, false},
+		{"flip in a fragment header", func(b []byte) []byte { b[2*BlockSize+2] ^= 1; return b }, false},
+	} {
+		r := NewReader(bytes.NewReader(tc.damage(bytes.Clone(log))), testCRC)
+		var err error
+		for err == nil {
+			_, err = r.Next()
+		}
+		if err != ErrCorrupt {
+			t.Fatalf("%s: Next = %v, want ErrCorrupt", tc.name, err)
+		}
+		if tail, err := r.DamageIsTail(); err != nil || tail != tc.tail {
+			t.Errorf("%s: DamageIsTail = %v, %v; want %v", tc.name, tail, err, tc.tail)
+		}
+	}
+}
+
 func TestWriterSizeTracksBytes(t *testing.T) {
 	t.Parallel()
 	var buf bytes.Buffer

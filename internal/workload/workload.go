@@ -1,7 +1,12 @@
 // Package workload provides the key/value and request-distribution
 // generators behind the db_bench and YCSB style benchmarks (paper §VII-A:
 // "the built-in benchmark of LevelDB, db_bench, and YCSB benchmark are
-// used"). Generators are deterministic given a seed.
+// used"), paper Table IX's mixes, and the one op loop, Run, that drives a
+// Target with them. Generators are deterministic given a seed.
+//
+// The package imports only the standard library: the store and the wire
+// client reach Run through adapters in cmd/internal/target, so store tests
+// can use the generators without an import cycle.
 package workload
 
 import (
@@ -274,6 +279,8 @@ const (
 	OpInsert
 	OpScan
 	OpRMW
+	// OpDelete removes a key; no YCSB mix draws it (db_bench deleterandom).
+	OpDelete
 )
 
 // Mix selects operations according to YCSB workload proportions.
@@ -308,3 +315,29 @@ func (m *Mix) Next() Op {
 	}
 	return OpRead
 }
+
+// Workload is one row of paper Table IX: the fractions of each operation
+// kind (summing to 1) and the distribution keys are drawn from.
+type Workload struct {
+	Name                            string
+	Read, Update, Insert, Scan, RMW float64
+	// Latest draws keys from the latest distribution; otherwise they come
+	// from the scrambled zipfian.
+	Latest bool
+}
+
+// YCSB is Table IX in the paper's evaluation order: the load phase, then
+// workloads A-F. cmd/ycsb runs these rows against the store and
+// internal/lsmsim simulates them.
+var YCSB = []Workload{
+	{Name: "Load", Insert: 1},
+	{Name: "A", Read: 0.5, Update: 0.5},
+	{Name: "B", Read: 0.95, Update: 0.05},
+	{Name: "C", Read: 1},
+	{Name: "D", Read: 0.95, Insert: 0.05, Latest: true},
+	{Name: "E", Scan: 0.95, Insert: 0.05},
+	{Name: "F", Read: 0.5, RMW: 0.5},
+}
+
+// ScanLength is the entries one YCSB scan reads (YCSB's default).
+const ScanLength = 50
