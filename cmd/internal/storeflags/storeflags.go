@@ -67,11 +67,19 @@ func (f *Flags) Given() []string {
 }
 
 // Options turns the parsed flags into store options, rejecting an unknown
-// backend and device flags that have no device to act on.
+// backend, out-of-range values and device flags that have no device to
+// act on.
 func (f *Flags) Options() (fcae.Options, error) {
-	// -compaction-workers counts merge compactors; the pool has one more
-	// worker, which keeps a slot free for flushes.
 	var opts fcae.Options
+	// -compaction-workers counts merge compactors; the pool has one more
+	// worker, which keeps a slot free for flushes. A pool of 0 would mean
+	// the default, so a negative count is refused rather than resized.
+	if f.Workers < 0 {
+		return opts, fmt.Errorf("-compaction-workers must be >= 0, got %d", f.Workers)
+	}
+	if !(f.FaultRate >= 0 && f.FaultRate < 1) {
+		return opts, fmt.Errorf("-fault-rate must be in [0,1), got %v", f.FaultRate)
+	}
 	opts.DispatchConfig.Workers = f.Workers + 1
 	switch f.Backend {
 	case "cpu":

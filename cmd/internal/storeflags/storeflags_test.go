@@ -33,6 +33,12 @@ func TestFlagsToOptions(t *testing.T) {
 		{name: "arena without a device", args: []string{"-arena-bytes", "4096"}, wantErr: "-arena-bytes requires -backend fcae"},
 		{name: "no channels", args: []string{"-backend", "fcae", "-device-channels", "0"}, wantErr: "-device-channels must be >= 1"},
 		{name: "engine that cannot be built", args: []string{"-backend", "fcae", "-engine_n", "1"}, wantErr: "core:"},
+		{name: "no compactors", args: []string{"-compaction-workers", "0"}, workers: 1},
+		{name: "workers -1", args: []string{"-compaction-workers", "-1"}, wantErr: "-compaction-workers must be >= 0, got -1"},
+		{name: "workers -5", args: []string{"-compaction-workers", "-5"}, wantErr: "-compaction-workers must be >= 0, got -5"},
+		{name: "negative fault rate on cpu", args: []string{"-fault-rate", "-0.5"}, wantErr: "-fault-rate must be in [0,1), got -0.5"},
+		{name: "fault rate of one", args: []string{"-backend", "fcae", "-fault-rate", "1"}, wantErr: "-fault-rate must be in [0,1), got 1"},
+		{name: "fault rate not a number", args: []string{"-backend", "fcae", "-fault-rate", "NaN"}, wantErr: "-fault-rate must be in [0,1), got NaN"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

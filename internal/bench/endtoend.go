@@ -256,7 +256,7 @@ func TieredSim(scale Scale) *Report {
 	row("tiered-9in", lsmsim.Config{ValueLen: 512, DataBytes: data, Store: lsm.Options{TieredRuns: 4},
 		Backend: lsmsim.BackendFCAE})
 	r.Notes = append(r.Notes,
-		"paper §VII-C: lazy compaction (SifrDB/PebblesDB) needs N>2; only the 9-input engine keeps tiered merges in hardware")
+		"paper §VII-C: lazy compaction (SifrDB/PebblesDB) needs N>2; only the 9-input engine keeps tiered merges in hardware, all but those over its staging-arena input budget")
 	return r
 }
 

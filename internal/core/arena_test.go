@@ -94,6 +94,14 @@ func TestConfigArenaBytes(t *testing.T) {
 	if got := cfg.ArenaBytes(); got != want {
 		t.Fatalf("modeled default: ArenaBytes = %d, want %d", got, want)
 	}
+	// The admission budget a simulator reads off the config is the one the
+	// built arena reports.
+	for _, staging := range []int64{-1, 0, 8 << 10, 12345} {
+		cfg.StagingBytes = staging
+		if got, want := cfg.ArenaInputBudget(), NewArena(cfg.ArenaBytes()).InputBudget(); got != want {
+			t.Errorf("StagingBytes %d: Config.ArenaInputBudget = %d, Arena.InputBudget = %d", staging, got, want)
+		}
+	}
 }
 
 func TestArenaTakeOutAndReset(t *testing.T) {

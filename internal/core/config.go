@@ -145,6 +145,13 @@ func (c Config) ArenaBytes() int64 {
 	return total
 }
 
+// ArenaInputBudget is the largest job input, in bytes, that a channel
+// built from c can stage (0 when the arena is disabled): the dispatcher's
+// arena admission limit, computed without building the executor.
+func (c Config) ArenaInputBudget() int64 {
+	return arenaInputBudget(c.ArenaBytes())
+}
+
 // withDefaults fills zero fields.
 func (c Config) withDefaults() Config {
 	d := DefaultConfig()

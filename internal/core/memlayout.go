@@ -108,8 +108,7 @@ func NewArena(total int64) *Arena {
 		return nil
 	}
 	slab := make([]byte, total)
-	idx := total / 8
-	data := total / 2
+	idx, data := arenaRegions(total)
 	return &Arena{
 		index: slab[:idx:idx],
 		data:  slab[idx : idx+data : idx+data],
@@ -160,15 +159,25 @@ func (a *Arena) noteHighWater() {
 	}
 }
 
-// InputBudget returns a conservative bound on a job's total input bytes
-// such that image staging fits the data region: the region size less a
-// 1/8 margin for per-block compression-type bytes and alignment padding.
+// InputBudget returns arenaInputBudget of the arena's size (0 for nil).
 // The dispatcher uses it for admission; jobs above it route to CPU.
 func (a *Arena) InputBudget() int64 {
-	if a == nil {
-		return 0
-	}
-	return int64(len(a.data) - len(a.data)/8)
+	return arenaInputBudget(a.Cap())
+}
+
+// arenaRegions carves an arena of total bytes: 1/8 index region, 1/2 data
+// region, the remainder for retained output.
+func arenaRegions(total int64) (index, data int64) {
+	return total / 8, total / 2
+}
+
+// arenaInputBudget is a conservative bound on a job's total input bytes
+// such that image staging fits the data region of an arena of total bytes:
+// the region size less a 1/8 margin for per-block compression-type bytes
+// and alignment padding.
+func arenaInputBudget(total int64) int64 {
+	_, data := arenaRegions(total)
+	return data - data/8
 }
 
 // indexRegion returns the unconsumed index region as an empty slice with

@@ -4,7 +4,8 @@
 // the kernel alone). It owns a two-priority job queue feeding a pool of
 // device channels — each wrapping one compaction executor instance, the
 // analogue of one FCAE compaction unit — plus a software (CPU) lane, and
-// routes every job through an admission policy:
+// routes every job through an admission policy, the first three rules of
+// which are the pure function Admit that the simulator calls too:
 //
 //   - fan-in: jobs whose run count exceeds the device's N go to the CPU
 //     lane (the paper's "#SSTable in L0 > N-1 → SW compaction" rule);
@@ -89,6 +90,40 @@ type ArenaSizer interface {
 	// lifetime (0 = no arena). Unlike the two sizing bounds it moves
 	// while the scheduler runs, so Stats reads it per snapshot.
 	ArenaHighWater() int64
+}
+
+// Pool is what offload admission knows about the device channels: how
+// many there are and the weakest channel's limits. Zero limits are
+// unlimited.
+type Pool struct {
+	// Channels is the device channel count; 0 runs every job on the CPU.
+	Channels int
+	// MaxRuns is the smallest positive executor fan-in (the engine's N).
+	MaxRuns int
+	// ImageBudget is Tuning.DeviceImageBudget.
+	ImageBudget int64
+	// ArenaBudget is the smallest positive channel arena input budget.
+	ArenaBudget int64
+}
+
+// Admit decides whether a job of runs sorted inputs and inputBytes may
+// queue for a device channel: it returns obs.RouteNone when it may, else
+// the reason it runs on the CPU lane. It is the one statement of the
+// paper's §VI-A software-fallback rule, called by Scheduler.Execute and by
+// the simulator (package lsmsim). The saturated and mid-build arena routes
+// depend on queue and runtime state, so Execute takes them itself.
+func Admit(p Pool, runs int, inputBytes int64) RouteReason {
+	switch {
+	case p.Channels == 0:
+		return ReasonNoDevice
+	case p.MaxRuns > 0 && runs > p.MaxRuns:
+		return ReasonFanIn
+	case p.ImageBudget > 0 && inputBytes > p.ImageBudget:
+		return ReasonBudget
+	case p.ArenaBudget > 0 && inputBytes > p.ArenaBudget:
+		return ReasonArena
+	}
+	return obs.RouteNone
 }
 
 // Tuning bounds the scheduler's queueing and retry behavior. The zero
@@ -269,16 +304,15 @@ type deviceResult struct {
 // channel goroutine.
 type Scheduler struct {
 	// Immutable after New.
-	devices     []compaction.Executor
-	cpu         compaction.Executor
-	injector    FaultInjector
-	tun         Tuning
-	maxRuns     int
-	arenaBytes  int64      // summed channel arena capacity
-	arenaBudget int64      // smallest positive channel input budget
-	qcond       *sync.Cond // signals queue state changes; locks qmu
-	stop        chan struct{}
-	wg          sync.WaitGroup
+	devices    []compaction.Executor
+	cpu        compaction.Executor
+	injector   FaultInjector
+	tun        Tuning
+	pool       Pool
+	arenaBytes int64      // summed channel arena capacity
+	qcond      *sync.Cond // signals queue state changes; locks qmu
+	stop       chan struct{}
+	wg         sync.WaitGroup
 
 	qmu        sync.Mutex
 	high       []*request // PriorityL0 jobs, FIFO
@@ -311,19 +345,16 @@ func New(cfg Config) (*Scheduler, error) {
 		cpu:      cpu,
 		injector: cfg.Injector,
 		tun:      cfg.Tuning.withDefaults(len(cfg.Devices)),
+		pool:     Pool{Channels: len(cfg.Devices), ImageBudget: cfg.Tuning.DeviceImageBudget},
 		stop:     make(chan struct{}),
 	}
 	s.qcond = sync.NewCond(&s.qmu)
 	// The pool's admission limits are the weakest channel's (0 = none).
 	for _, d := range s.devices {
-		if m := d.MaxRuns(); m > 0 && (s.maxRuns == 0 || m < s.maxRuns) {
-			s.maxRuns = m
-		}
+		s.pool.MaxRuns = minPositive(s.pool.MaxRuns, d.MaxRuns())
 		if az, ok := d.(ArenaSizer); ok {
 			s.arenaBytes += az.ArenaBytes()
-			if b := az.ArenaInputBudget(); b > 0 && (s.arenaBudget == 0 || b < s.arenaBudget) {
-				s.arenaBudget = b
-			}
+			s.pool.ArenaBudget = minPositive(s.pool.ArenaBudget, az.ArenaInputBudget())
 		}
 	}
 	if len(s.devices) > 0 {
@@ -336,11 +367,13 @@ func New(cfg Config) (*Scheduler, error) {
 	return s, nil
 }
 
-// Channels returns the device channel count.
-func (s *Scheduler) Channels() int { return len(s.devices) }
-
-// MaxRuns returns the device pool's admission fan-in limit (0 unlimited).
-func (s *Scheduler) MaxRuns() int { return s.maxRuns }
+// minPositive is the smaller of two limits where 0 means none.
+func minPositive[T int | int64](limit, v T) T {
+	if v > 0 && (limit == 0 || v < limit) {
+		return v
+	}
+	return limit
+}
 
 // Close stops the channel goroutines and fails stranded requests. Safe to
 // call twice. In-flight Execute calls return ErrClosed.
@@ -459,21 +492,8 @@ func (s *Scheduler) Execute(job *compaction.Job, env compaction.Env, pri Priorit
 	if closed {
 		return nil, route, ErrClosed
 	}
-	switch {
-	case len(s.devices) == 0:
-		route.Reason = ReasonNoDevice
-		return s.runCPU(job, env, &route)
-	case s.maxRuns > 0 && job.NumRuns() > s.maxRuns:
-		route.Reason = ReasonFanIn
-		s.noteFallback(ReasonFanIn)
-		return s.runCPU(job, env, &route)
-	case s.tun.DeviceImageBudget > 0 && job.InputBytes() > s.tun.DeviceImageBudget:
-		route.Reason = ReasonBudget
-		s.noteFallback(ReasonBudget)
-		return s.runCPU(job, env, &route)
-	case s.arenaBudget > 0 && job.InputBytes() > s.arenaBudget:
-		route.Reason = ReasonArena
-		s.noteFallback(ReasonArena)
+	if route.Reason = Admit(s.pool, job.NumRuns(), job.InputBytes()); route.Reason != obs.RouteNone {
+		s.noteFallback(route.Reason)
 		return s.runCPU(job, env, &route)
 	}
 

@@ -210,6 +210,36 @@ func TestRoutingTable(t *testing.T) {
 	})
 }
 
+// TestAdmit pins the admission rule's order and its boundaries: the first
+// failing check names the reason, a budget admits input equal to it, and a
+// zero limit is no limit.
+func TestAdmit(t *testing.T) {
+	full := Pool{Channels: 1, MaxRuns: 4, ImageBudget: 1000, ArenaBudget: 500}
+	for _, tc := range []struct {
+		name  string
+		pool  Pool
+		runs  int
+		bytes int64
+		want  RouteReason
+	}{
+		{"admitted", full, 4, 500, obs.RouteNone},
+		{"no device", Pool{}, 1, 1, ReasonNoDevice},
+		{"no device before fan-in", Pool{MaxRuns: 2}, 9, 1 << 40, ReasonNoDevice},
+		{"fan-in", full, 5, 1, ReasonFanIn},
+		{"fan-in before budgets", full, 5, 1 << 40, ReasonFanIn},
+		{"image budget", full, 1, 1001, ReasonBudget},
+		{"image budget before arena", Pool{Channels: 1, ImageBudget: 1000, ArenaBudget: 2000}, 1, 1001, ReasonBudget},
+		{"arena at its budget", full, 1, 500, obs.RouteNone},
+		{"arena one byte over", full, 1, 501, ReasonArena},
+		{"image at its budget", Pool{Channels: 1, ImageBudget: 1000}, 1, 1000, obs.RouteNone},
+		{"zero limits are unlimited", Pool{Channels: 2}, 1 << 20, 1 << 40, obs.RouteNone},
+	} {
+		if got := Admit(tc.pool, tc.runs, tc.bytes); got != tc.want {
+			t.Errorf("%s: Admit(%+v, %d, %d) = %q, want %q", tc.name, tc.pool, tc.runs, tc.bytes, got, tc.want)
+		}
+	}
+}
+
 // TestFaultRetryThenSuccess proves a single injected fault is retried on
 // the device and succeeds without CPU involvement.
 func TestFaultRetryThenSuccess(t *testing.T) {
@@ -573,8 +603,8 @@ func TestArenaAdmission(t *testing.T) {
 	dev := &arenaExec{fakeExec: fakeExec{name: "fcae", maxRuns: 4}, arenaBytes: 1 << 20, inputBudget: 512}
 	cpu := &fakeExec{name: "cpu"}
 	s := newTestSched(t, Config{Devices: []compaction.Executor{dev}, CPU: cpu})
-	if got := s.arenaBudget; got != 512 {
-		t.Fatalf("arenaBudget = %d, want 512", got)
+	if got := s.pool.ArenaBudget; got != 512 {
+		t.Fatalf("pool.ArenaBudget = %d, want 512", got)
 	}
 	_, route, err := s.Execute(testJob(1), &nullEnv{}, PriorityDeep) // 1KiB input > 512B budget
 	if err != nil {

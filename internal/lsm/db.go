@@ -451,19 +451,22 @@ func (db *DB) popWritersLocked(n int) {
 	db.queued.Add(int64(-n))
 }
 
-// makeRoomForWrite applies LevelDB's throttling rules: slow down when L0
-// backs up, switch memtables when full, and stop when both memtables and
-// L0 are saturated (paper §I: "system jam may occur, as flushing new data
-// to disk is hindered by frequent compaction").
+// makeRoomForWrite carries out the steps of the write-admission ladder
+// (Options.NextWriteStep): sleep, wait, rotate memtables, or return.
 func (db *DB) makeRoomForWrite() error {
 	slept := false
 	for {
-		switch {
-		case db.bgErr != nil:
+		if db.bgErr != nil {
 			return db.bgErr
-		case db.closed:
+		}
+		if db.closed {
 			return ErrClosed
-		case !slept && db.vs.Current().NumFiles(0) >= db.opts.L0SlowdownTrigger:
+		}
+		memFull := db.mem.ApproximateSize() >= db.opts.MemTableBytes
+		switch db.opts.NextWriteStep(db.vs.Current().NumFiles(0), memFull, db.imm != nil, slept) {
+		case WriteProceed:
+			return nil
+		case WriteSlowDown:
 			db.queueEventLocked(func(l obs.EventListener) {
 				l.WriteStallBegin(obs.WriteStallBeginEvent{Reason: obs.StallL0Slowdown})
 			})
@@ -472,14 +475,11 @@ func (db *DB) makeRoomForWrite() error {
 			db.mu.Lock()
 			db.recordStallLocked(obs.StallL0Slowdown, time.Millisecond)
 			slept = true
-		case db.mem.ApproximateSize() < db.opts.MemTableBytes:
-			return nil
-		case db.imm != nil:
-			// Previous flush still running: wait.
+		case WriteWaitFlush:
 			db.waitStalledLocked(obs.StallMemTableFull)
-		case db.vs.Current().NumFiles(0) >= db.opts.L0StopTrigger:
+		case WriteWaitL0:
 			db.waitStalledLocked(obs.StallL0Stop)
-		default:
+		case WriteRotate:
 			// Switch to a fresh memtable and WAL.
 			if err := db.newWALLocked(); err != nil {
 				db.bgErr = err

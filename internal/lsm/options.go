@@ -183,6 +183,49 @@ func (o Options) WithDefaults() Options {
 	return o
 }
 
+// WriteStep is the next rung of the write-admission ladder, LevelDB's
+// MakeRoomForWrite (paper §I: "system jam may occur, as flushing new data
+// to disk is hindered by frequent compaction").
+type WriteStep int
+
+const (
+	// WriteProceed: the memtable has room; the write goes ahead.
+	WriteProceed WriteStep = iota
+	// WriteSlowDown: L0 has reached L0SlowdownTrigger; the write sleeps
+	// 1 ms, once, then asks again (obs.StallL0Slowdown).
+	WriteSlowDown
+	// WriteRotate: the memtable is full and nothing holds back swapping in
+	// a fresh one and flushing the old; then ask again.
+	WriteRotate
+	// WriteWaitFlush: the memtable is full and the previous one is still
+	// flushing; wait for background progress (obs.StallMemTableFull).
+	WriteWaitFlush
+	// WriteWaitL0: the memtable is full and L0 has reached L0StopTrigger;
+	// wait for background progress (obs.StallL0Stop).
+	WriteWaitL0
+)
+
+// NextWriteStep is the one statement of the ladder, called by the store
+// before every write group and by the simulator (package lsmsim) before
+// every chunk of writes. l0Files is the L0 file count, memFull whether the
+// memtable has reached MemTableBytes, flushPending whether the previous
+// memtable is still flushing, slowed whether this write already slept.
+// The order is LevelDB's: slow down once, then the room check, so L0's
+// stop trigger holds a write back only when the memtable is full.
+func (o Options) NextWriteStep(l0Files int, memFull, flushPending, slowed bool) WriteStep {
+	switch {
+	case !slowed && l0Files >= o.L0SlowdownTrigger:
+		return WriteSlowDown
+	case !memFull:
+		return WriteProceed
+	case flushPending:
+		return WriteWaitFlush
+	case l0Files >= o.L0StopTrigger:
+		return WriteWaitL0
+	}
+	return WriteRotate
+}
+
 // tableOpts maps resolved options onto the table format's; the restart
 // interval is the format's own default.
 func (o Options) tableOpts() sstable.Options {

@@ -139,3 +139,35 @@ func TestFilterBitsResolve(t *testing.T) {
 		}
 	}
 }
+
+// TestNextWriteStep pins LevelDB's MakeRoomForWrite order on the default
+// 8 / 12 ladder: the slowdown comes once and first, then the room check;
+// a pending flush holds a full memtable back before L0's stop trigger is
+// read, and that trigger holds back only a full memtable.
+func TestNextWriteStep(t *testing.T) {
+	o := Options{}.WithDefaults()
+	for _, tc := range []struct {
+		l0                            int
+		memFull, flushPending, slowed bool
+		want                          WriteStep
+	}{
+		{l0: 0, want: WriteProceed},
+		{l0: 7, want: WriteProceed},
+		{l0: 8, want: WriteSlowDown},
+		{l0: 8, slowed: true, want: WriteProceed},
+		{l0: 12, want: WriteSlowDown},
+		{l0: 12, slowed: true, want: WriteProceed},
+		{l0: 12, memFull: true, slowed: true, want: WriteWaitL0},
+		{l0: 12, memFull: true, want: WriteSlowDown},
+		{l0: 0, memFull: true, want: WriteRotate},
+		{l0: 11, memFull: true, slowed: true, want: WriteRotate},
+		{l0: 0, memFull: true, flushPending: true, want: WriteWaitFlush},
+		{l0: 12, memFull: true, flushPending: true, slowed: true, want: WriteWaitFlush},
+		{l0: 0, flushPending: true, want: WriteProceed},
+	} {
+		if got := o.NextWriteStep(tc.l0, tc.memFull, tc.flushPending, tc.slowed); got != tc.want {
+			t.Errorf("NextWriteStep(l0 %d, memFull %v, flushPending %v, slowed %v) = %d, want %d",
+				tc.l0, tc.memFull, tc.flushPending, tc.slowed, got, tc.want)
+		}
+	}
+}

@@ -5,6 +5,8 @@ import (
 	"math"
 	"testing"
 
+	"fcae/internal/compaction"
+	"fcae/internal/core"
 	"fcae/internal/lsm"
 	"fcae/internal/workload"
 )
@@ -102,6 +104,78 @@ func TestSimulatorTracksStore(t *testing.T) {
 			within("write amp", sim.WriteAmp, storeAmp, tc.writeAmp, 0)
 			if 2*sim.TrivialMoves < st.TrivialMoves {
 				t.Errorf("trivial moves: simulator %d, store %d: under half", sim.TrivialMoves, st.TrivialMoves)
+			}
+		})
+	}
+}
+
+// TestArenaAdmissionMatchesStore runs the same 9-input engine, once with a
+// staging arena far smaller than a flushed table and once at the modeled
+// default, through a real store and through the simulator. Both decide
+// offload admission with dispatch.Admit on the same limits, so both must
+// send the small arena's merges to the CPU and keep the default's on the
+// device.
+func TestArenaAdmissionMatchesStore(t *testing.T) {
+	const (
+		records  = 20_000
+		keyLen   = 16
+		valueLen = 512
+		seed     = 1
+	)
+	for _, tc := range []struct {
+		name     string
+		staging  int64
+		fallback bool
+	}{
+		{"1 MiB arena", 1 << 20, true},
+		{"default arena", 0, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			engine := core.MultiInputConfig()
+			engine.StagingBytes = tc.staging
+			exec, err := core.NewExecutor(engine)
+			if err != nil {
+				t.Fatal(err)
+			}
+			store := lsm.Options{MemTableBytes: 1 << 20,
+				DispatchConfig: lsm.DispatchConfig{Devices: []compaction.Executor{exec}}}
+			db, err := lsm.Open(t.TempDir(), store)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer db.Close()
+			keys, ids := workload.NewKeyGen(keyLen), workload.NewUniform(records, seed)
+			values := workload.NewValueGen(valueLen, 0.5, seed)
+			for i := 0; i < records; i++ {
+				if err := db.Put(keys.Key(ids.Next()), values.Value()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := db.WaitIdle(); err != nil {
+				t.Fatal(err)
+			}
+			ds, st := db.DispatchStats(), db.Stats()
+
+			payload := int64(records * (keyLen + valueLen))
+			sim := RunFill(Config{
+				KeyLen: keyLen, ValueLen: valueLen, DataBytes: payload, Store: store,
+				Backend: BackendFCAE, Engine: engine,
+				DiskCompression: float64(st.FlushBytes) / float64(payload),
+			})
+			storeFallbacks := ds.FallbackFanIn + ds.FallbackBudget + ds.FallbackArena + ds.FallbackSaturated + ds.FallbackFault
+			t.Logf("store: %d device jobs, %d arena fallbacks of %d; simulator: %d hardware, %d fallbacks",
+				ds.DeviceJobs, ds.FallbackArena, storeFallbacks, sim.HWCompactions, sim.SWFallbacks)
+			if tc.fallback {
+				if ds.FallbackArena == 0 || sim.SWFallbacks == 0 {
+					t.Errorf("a %d-byte input budget must send merges to the CPU in both", engine.ArenaInputBudget())
+				}
+				return
+			}
+			if storeFallbacks != 0 || sim.SWFallbacks != 0 {
+				t.Errorf("at the default arena neither may fall back")
+			}
+			if ds.DeviceJobs == 0 || sim.HWCompactions == 0 {
+				t.Errorf("at the default arena both must merge on the device")
 			}
 		})
 	}

@@ -13,9 +13,11 @@ import (
 	"time"
 
 	"fcae/internal/core"
+	"fcae/internal/dispatch"
 	"fcae/internal/lsm"
 	"fcae/internal/manifest"
 	"fcae/internal/model"
+	"fcae/internal/obs"
 	"fcae/internal/sim"
 )
 
@@ -156,6 +158,7 @@ type Result struct {
 type state struct {
 	cfg       Config
 	policy    manifest.Config // cfg.Store's level budgets and triggers
+	pool      dispatch.Pool   // the offload admission limits the store would set
 	sim       *sim.Sim
 	entry     int64
 	diskEntry int64
@@ -202,8 +205,16 @@ type bgTask struct {
 
 // newState starts a simulation of cfg, which must already be resolved.
 func newState(cfg Config) *state {
+	pool := dispatch.Pool{
+		MaxRuns:     cfg.Engine.N,
+		ImageBudget: cfg.Store.DispatchConfig.Tuning.DeviceImageBudget,
+		ArenaBudget: cfg.Engine.ArenaInputBudget(),
+	}
+	if cfg.Backend == BackendFCAE {
+		pool.Channels = 1 // the store's one engine instance; the model runs one merge at a time
+	}
 	return &state{
-		cfg: cfg, policy: cfg.Store.ManifestConfig(), sim: &sim.Sim{},
+		cfg: cfg, policy: cfg.Store.ManifestConfig(), pool: pool, sim: &sim.Sim{},
 		entry: cfg.entryBytes(), diskEntry: cfg.diskEntryBytes(), writeFrac: 1,
 	}
 }
@@ -266,22 +277,28 @@ func (s *state) writerStep() {
 	if s.writerBusy || s.remaining <= 0 {
 		return
 	}
-	// Stall rules (paper §I / LevelDB's MakeRoomForWrite).
-	memFull := s.mem >= s.cfg.Store.MemTableBytes
-	switch {
-	case s.tree[0].Files >= s.cfg.Store.L0StopTrigger, memFull && s.immBytes > 0:
-		// Hard stop: wait for background progress.
-		if !s.writerWait {
-			s.writerWait = true
-			s.res.StopStalls++
+	// The store's write ladder decides for the whole chunk: a slowdown
+	// charges every write in it 1 ms.
+	slowed := false
+	for room := false; !room; {
+		memFull := s.mem >= s.cfg.Store.MemTableBytes
+		switch s.cfg.Store.NextWriteStep(s.tree[0].Files, memFull, s.immBytes > 0, slowed) {
+		case lsm.WriteProceed:
+			room = true
+		case lsm.WriteSlowDown:
+			slowed = true
+		case lsm.WriteRotate:
+			s.immBytes = s.mem
+			s.mem = 0
+			s.scheduleFlush()
+		case lsm.WriteWaitFlush, lsm.WriteWaitL0:
+			// Wait for background progress.
+			if !s.writerWait {
+				s.writerWait = true
+				s.res.StopStalls++
+			}
+			return
 		}
-		return
-	case memFull:
-		// Rotate memtables and schedule the flush.
-		s.immBytes = s.mem
-		s.mem = 0
-		s.scheduleFlush()
-		// fall through to keep writing into the fresh memtable
 	}
 
 	n := s.remaining
@@ -320,8 +337,7 @@ func (s *state) writerStep() {
 			dur += window / 2
 		}
 	}
-	// Slowdown trigger: LevelDB sleeps 1ms per write while L0 backs up.
-	if s.tree[0].Files >= s.cfg.Store.L0SlowdownTrigger {
+	if slowed {
 		dur += time.Duration(n) * time.Millisecond
 		s.res.StallTime += time.Duration(n) * time.Millisecond
 		s.res.SlowdownWrites += n
@@ -540,8 +556,7 @@ func (s *state) maybeCompact() {
 		s.maybeCompact()
 	}
 
-	useHW := s.cfg.Backend == BackendFCAE && job.runs <= s.cfg.Engine.N
-	if useHW {
+	if dispatch.Admit(s.pool, job.runs, job.inBytes) == obs.RouteNone {
 		// Offloaded merge: data staging + kernel; the host core stays
 		// free for flushes (paper §VI-A).
 		kernel := time.Duration(float64(pairs) * s.cfg.Engine.BottleneckPeriod(s.cfg.KeyLen+8, s.cfg.ValueLen) / s.cfg.Engine.ClockHz * float64(time.Second))
@@ -559,14 +574,7 @@ func (s *state) maybeCompact() {
 	cpu := time.Duration(pairs) * model.CPULivePairTime(s.cfg.KeyLen+8, s.cfg.ValueLen, job.runs)
 	dur := cpu + disk
 	if s.cfg.Backend == BackendCPU {
-		s.enqueueBG(bgTask{dur: dur, done: func() {
-			s.compacting = false
-			job.apply()
-			s.wakeWriter()
-			s.maybeCompact()
-		}})
-		// s.compacting stays true until the task runs; finish duplicated
-		// to keep the queue semantics explicit.
+		s.enqueueBG(bgTask{dur: dur, done: finish})
 		return
 	}
 	// FCAE fallback: runs on the shared host core at half speed.

@@ -95,6 +95,19 @@ func TestStallsAppearUnderCompactionPressure(t *testing.T) {
 	}
 }
 
+// TestSlowdownBeforeStop sets the slowdown and stop triggers equal. The
+// store's ladder slows a write down while its memtable has room and stops
+// it only once the memtable is full, so the simulator, which asks the same
+// ladder, must charge slowdowns too. Flushes get their own core so one can
+// land while the writer still has room, as the store's worker pool lets it.
+func TestSlowdownBeforeStop(t *testing.T) {
+	r := fill(t, Config{ValueLen: 512, DataBytes: 1 << 30, OverlapCPUFlush: true,
+		Store: lsm.Options{L0SlowdownTrigger: 8, L0StopTrigger: 8}})
+	if r.SlowdownWrites == 0 {
+		t.Fatalf("no slowed writes with L0SlowdownTrigger == L0StopTrigger (%d stop stalls)", r.StopStalls)
+	}
+}
+
 func TestBlockSizeInsensitive(t *testing.T) {
 	// Paper Fig 15c: throughput is flat in data block size.
 	small := fill(t, Config{ValueLen: 128, Store: lsm.Options{BlockSize: 2 << 10}, DataBytes: 256 << 20, Backend: BackendFCAE})
