@@ -1,9 +1,9 @@
 // Package client is the Go client for the fcae network server: a small
 // connection pool whose every connection pipelines requests (many
 // outstanding ops share one socket, responses demultiplexed by request
-// id), with per-op deadlines and typed protocol errors. All methods are
-// safe for concurrent use; throughput comes from calling them from many
-// goroutines so the pipeline fills.
+// id), with an end-to-end deadline per op and typed protocol errors. All
+// methods are safe for concurrent use; throughput comes from calling them
+// from many goroutines so the pipeline fills.
 package client
 
 import (
@@ -20,25 +20,57 @@ import (
 )
 
 // Options configures a Client. Zero values select defaults; Addr is
-// mandatory.
+// mandatory. Validate lists what Dial rejects.
 type Options struct {
 	// Addr is the server's KV address, e.g. "127.0.0.1:4490".
 	Addr string
-	// Conns is the connection-pool size. Default 2.
+	// Conns is the connection-pool size. 0 selects 2.
 	Conns int
-	// MaxPipeline bounds outstanding requests per connection. Default 128.
+	// MaxPipeline bounds outstanding requests per connection, at most
+	// 65536. 0 selects 128.
 	MaxPipeline int
-	// DialTimeout bounds each TCP dial. Default 5s.
+	// DialTimeout bounds each TCP dial. 0 selects 5s.
 	DialTimeout time.Duration
 	// OpTimeout bounds each operation end to end (slot wait + write +
-	// response). 0 means no deadline. Default 30s.
+	// response). 0 selects 30s; a negative value disables the deadline.
+	// One sweep per connection enforces it every OpTimeout/8 (at least
+	// every millisecond), so an op times out never early and at most that
+	// period late.
 	OpTimeout time.Duration
-	// MaxFrameBytes bounds response frames (0 = server.DefaultMaxFrameBytes).
+	// MaxFrameBytes bounds response frames. 0 selects
+	// server.DefaultMaxFrameBytes.
 	MaxFrameBytes int
 }
 
+// maxPipeline bounds Options.MaxPipeline: each connection allocates its
+// slot table up front.
+const maxPipeline = 1 << 16
+
+// sweepsPerTimeout is how many deadline sweeps a connection makes per
+// OpTimeout: the most an op can overstay is OpTimeout/sweepsPerTimeout.
+const sweepsPerTimeout = 8
+
+// Validate reports an option no default stands in for: a missing Addr, a
+// negative count, size or dial timeout, or a pipeline deeper than 65536.
+// A negative OpTimeout is valid: it disables the deadline.
+func (o Options) Validate() error {
+	switch {
+	case o.Addr == "":
+		return errors.New("client: Options.Addr is required")
+	case o.Conns < 0:
+		return fmt.Errorf("client: Options.Conns %d is negative", o.Conns)
+	case o.MaxPipeline < 0 || o.MaxPipeline > maxPipeline:
+		return fmt.Errorf("client: Options.MaxPipeline %d is outside [0, %d]", o.MaxPipeline, maxPipeline)
+	case o.DialTimeout < 0:
+		return fmt.Errorf("client: Options.DialTimeout %v is negative", o.DialTimeout)
+	case o.MaxFrameBytes < 0:
+		return fmt.Errorf("client: Options.MaxFrameBytes %d is negative", o.MaxFrameBytes)
+	}
+	return nil
+}
+
 func (o Options) withDefaults() Options {
-	if o.Conns <= 0 {
+	if o.Conns == 0 {
 		o.Conns = 2
 	}
 	if o.MaxPipeline == 0 {
@@ -83,30 +115,70 @@ type result struct {
 type Client struct {
 	opts   Options
 	dial   dialFunc
+	epoch  time.Time // op deadlines count nanoseconds from here, on the monotonic clock
 	closec chan struct{}
 	wg     sync.WaitGroup
+	// live holds what conns holds, for the per-op pick, which takes no
+	// lock; redial stores each connection in both under mu. next is the
+	// pick's round-robin cursor, a plain integer moved only with
+	// sync/atomic, so that tests can aim the next pick by assigning it.
+	live []atomic.Pointer[poolConn]
+	next uint32
 
 	mu     sync.Mutex
 	conns  []*poolConn
-	next   int
 	closed bool
 }
 
-// poolConn is one pooled socket: ids allocates request ids, tokens is
-// the pipeline-depth semaphore, w combines the requests of concurrent
-// callers into shared socket writes, and the mu-guarded pending map is
-// the response demultiplexer's routing table.
+// poolConn is one pooled socket. slots is its pipeline and free holds the
+// indices of the idle slots, so taking one from free is both the depth
+// bound and the allocation; a request's id names its slot (slot.arm), so
+// the reader routes a response by index, not through a map. w combines
+// the requests of concurrent callers into shared socket writes.
 type poolConn struct {
-	cl     *Client
-	nc     net.Conn
-	ids    atomic.Uint64
-	tokens chan struct{}
-	w      *server.FrameWriter
+	cl    *Client
+	nc    net.Conn
+	w     *server.FrameWriter
+	slots []slot
+	free  chan uint32
+	stop  chan struct{} // closed by fail: ends the deadline sweep
+	dead  atomic.Bool
 
 	mu      sync.Mutex
-	pending map[uint64]chan result
-	dead    bool
 	deadErr error
+}
+
+// slot is one pipeline position of a connection. The op holding its
+// index arms it with a fresh id and waits on reply; whoever first swaps
+// that id out — the reader with the response, the deadline sweep, or
+// fail — sends the op its one result.
+type slot struct {
+	id       atomic.Uint64 // the request in flight; 0 while idle
+	deadline atomic.Int64  // the op's deadline, in nanoseconds since Client.epoch
+	seq      uint64        // times armed; touched only by the op holding the slot
+	reply    chan result   // made on first use; buffered for the one result
+}
+
+// arm gives slot i of n its next id, seq·n + i, due at deadline. The
+// deadline is stored first, so whoever loads the id sees its deadline.
+func (s *slot) arm(i uint32, n int, deadline int64) uint64 {
+	if s.reply == nil {
+		s.reply = make(chan result, 1)
+	}
+	s.seq++
+	id := s.seq*uint64(n) + uint64(i)
+	s.deadline.Store(deadline)
+	s.id.Store(id)
+	return id
+}
+
+// settle hands r to the op waiting as id, unless another caller already
+// settled it or the slot has moved on to a later id; of all the callers
+// for one id, exactly one wins.
+func (s *slot) settle(id uint64, r result) {
+	if s.id.CompareAndSwap(id, 0) {
+		s.reply <- r // buffered; the holder drains it before it re-arms
+	}
 }
 
 // dialFunc is net.DialTimeout's signature; tests substitute one that
@@ -118,13 +190,20 @@ type dialFunc func(network, addr string, timeout time.Duration) (net.Conn, error
 func Dial(opts Options) (*Client, error) { return dialWith(opts, net.DialTimeout) }
 
 func dialWith(opts Options, dial dialFunc) (*Client, error) {
-	opts = opts.withDefaults()
-	if opts.Addr == "" {
-		return nil, errors.New("client: Options.Addr is required")
+	if err := opts.Validate(); err != nil {
+		return nil, err
 	}
-	c := &Client{opts: opts, closec: make(chan struct{}), dial: dial, conns: make([]*poolConn, opts.Conns)}
-	for slot := range c.conns {
-		if _, err := c.redial(slot, nil); err != nil {
+	opts = opts.withDefaults()
+	c := &Client{
+		opts:   opts,
+		dial:   dial,
+		epoch:  time.Now(),
+		closec: make(chan struct{}),
+		live:   make([]atomic.Pointer[poolConn], opts.Conns),
+		conns:  make([]*poolConn, opts.Conns),
+	}
+	for at := range c.conns {
+		if _, err := c.redial(at, nil); err != nil {
 			_ = c.Close()
 			return nil, err
 		}
@@ -133,61 +212,78 @@ func dialWith(opts Options, dial dialFunc) (*Client, error) {
 }
 
 // redial connects a replacement for old, the dead (or not yet dialed)
-// occupant of slot, and returns the connection the slot then holds. The
-// dial runs outside c.mu, so callers headed for live slots never wait
-// behind it; of several callers redialing one slot the first to finish
-// installs its connection and the others drop their spare and use the
-// winner's.
-func (c *Client) redial(slot int, old *poolConn) (*poolConn, error) {
+// occupant of pool position at, and returns the connection the position
+// then holds. The dial runs outside c.mu, so callers headed for live
+// positions never wait behind it; of several callers redialing one
+// position the first to finish installs its connection and the others
+// drop their spare and use the winner's.
+func (c *Client) redial(at int, old *poolConn) (*poolConn, error) {
+	select {
+	case <-c.closec:
+		return nil, ErrClientClosed
+	default:
+	}
 	nc, err := c.dial("tcp", c.opts.Addr, c.opts.DialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("client: dial %s: %w", c.opts.Addr, err)
 	}
+	pc := c.newPoolConn(nc)
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		_ = nc.Close()
 		return nil, ErrClientClosed
 	}
-	if cur := c.conns[slot]; cur != old {
+	if cur := c.conns[at]; cur != old {
 		_ = nc.Close()
 		return cur, nil
 	}
-	pc := &poolConn{
-		cl:      c,
-		nc:      nc,
-		tokens:  make(chan struct{}, c.opts.MaxPipeline),
-		w:       server.NewFrameWriter(nc, c.opts.OpTimeout, nil),
-		pending: make(map[uint64]chan result),
-	}
-	c.conns[slot] = pc
+	c.conns[at] = pc
+	c.live[at].Store(pc)
 	// Started under c.mu, where Close has not yet begun waiting on wg.
 	c.wg.Add(1)
 	go func() {
 		defer c.wg.Done()
 		pc.readLoop()
 	}()
+	if c.opts.OpTimeout > 0 {
+		c.wg.Add(1)
+		go func() {
+			defer c.wg.Done()
+			pc.sweep(max(c.opts.OpTimeout/sweepsPerTimeout, time.Millisecond))
+		}()
+	}
 	return pc, nil
 }
 
-// conn picks the next live connection round-robin, redialing dead slots
-// in place.
+// newPoolConn wraps nc with every slot idle.
+func (c *Client) newPoolConn(nc net.Conn) *poolConn {
+	n := c.opts.MaxPipeline
+	free := make(chan uint32, n)
+	for i := 0; i < n; i++ {
+		free <- uint32(i)
+	}
+	return &poolConn{
+		cl:    c,
+		nc:    nc,
+		w:     server.NewFrameWriter(nc, c.opts.OpTimeout, nil),
+		slots: make([]slot, n),
+		free:  free,
+		stop:  make(chan struct{}),
+	}
+}
+
+// conn picks the next connection round-robin, without a lock, redialing a
+// dead one in place.
 func (c *Client) conn() (*poolConn, error) {
 	var err error
-	for range c.conns {
-		c.mu.Lock()
-		if c.closed {
-			c.mu.Unlock()
-			return nil, ErrClientClosed
-		}
-		slot := c.next % len(c.conns)
-		c.next++
-		pc := c.conns[slot]
-		c.mu.Unlock()
+	for range c.live {
+		at := int((atomic.AddUint32(&c.next, 1) - 1) % uint32(len(c.live)))
+		pc := c.live[at].Load()
 		if !pc.isDead() {
 			return pc, nil
 		}
-		if pc, err = c.redial(slot, pc); err == nil {
+		if pc, err = c.redial(at, pc); err == nil {
 			return pc, nil
 		}
 	}
@@ -195,7 +291,7 @@ func (c *Client) conn() (*poolConn, error) {
 }
 
 // Close tears the pool down: outstanding operations fail with
-// ErrClientClosed and every demultiplexer goroutine is joined.
+// ErrClientClosed and every demultiplexer and sweep goroutine is joined.
 // Idempotent.
 //
 //fcae:chan-owner client.Client.closec
@@ -280,50 +376,60 @@ func (c *Client) Scan(start []byte, limit int) ([]server.KV, error) {
 
 // do runs one request/response exchange on a pooled connection; payload
 // encodes the request straight into the connection's outgoing buffer.
+// Every path past take ends in one receive of the slot's result.
 func (c *Client) do(op server.Op, payload func(dst []byte) []byte) (server.Status, []byte, error) {
 	pc, err := c.conn()
 	if err != nil {
 		return 0, nil, err
 	}
+	deadline := int64(time.Since(c.epoch) + c.opts.OpTimeout)
+	i, err := pc.take(op)
+	if err != nil {
+		return 0, nil, err
+	}
+	s := &pc.slots[i]
+	id := s.arm(i, len(pc.slots), deadline)
+	if pc.dead.Load() {
+		// fail may have swept the slots before this one was armed.
+		s.settle(id, result{err: pc.err()})
+	} else if err := pc.w.Send(id, byte(op), payload, len(pc.free) < cap(pc.free)-1); err != nil {
+		// The slots taken say whether other callers are about to send on
+		// this connection too. A failed write leaves the stream in an
+		// unknown state: the connection dies, and with it every op waiting
+		// on it, this one included.
+		pc.fail(fmt.Errorf("client: write: %w", err))
+	}
+	r := <-s.reply
+	pc.free <- i
+	if r.err == ErrOpTimeout {
+		// The response may still arrive; the reader will find the slot
+		// idle or re-armed and drop it.
+		r.err = fmt.Errorf("%w: %s", ErrOpTimeout, op)
+	}
+	return r.status, r.payload, r.err
+}
+
+// take returns the index of an idle slot, waiting while every slot is
+// busy: the only place an op selects or starts a timer.
+func (pc *poolConn) take(op server.Op) (uint32, error) {
+	select {
+	case i := <-pc.free:
+		return i, nil
+	default:
+	}
 	var deadline <-chan time.Time
-	if c.opts.OpTimeout > 0 {
-		timer := time.NewTimer(c.opts.OpTimeout)
+	if d := pc.cl.opts.OpTimeout; d > 0 {
+		timer := time.NewTimer(d)
 		defer timer.Stop()
 		deadline = timer.C
 	}
-	// Pipeline slot: bounds outstanding requests per connection.
 	select {
-	case pc.tokens <- struct{}{}:
-	case <-c.closec:
-		return 0, nil, ErrClientClosed
+	case i := <-pc.free:
+		return i, nil
+	case <-pc.cl.closec:
+		return 0, ErrClientClosed
 	case <-deadline:
-		return 0, nil, fmt.Errorf("%w: %s awaiting pipeline slot", ErrOpTimeout, op)
-	}
-	defer func() { <-pc.tokens }()
-
-	id := pc.ids.Add(1)
-	ch := make(chan result, 1)
-	if err := pc.register(id, ch); err != nil {
-		return 0, nil, err
-	}
-	// The pipeline slots taken say whether other callers are about to
-	// send on this connection too.
-	if err := pc.w.Send(id, byte(op), payload, len(pc.tokens) > 1); err != nil {
-		// The stream is in an unknown state: the connection dies, and
-		// with it every op waiting on it.
-		return 0, nil, pc.fail(fmt.Errorf("client: write: %w", err))
-	}
-	select {
-	case r := <-ch:
-		return r.status, r.payload, r.err
-	case <-c.closec:
-		pc.unregister(id)
-		return 0, nil, ErrClientClosed
-	case <-deadline:
-		// The response may still arrive; the demultiplexer will find no
-		// waiter and drop it.
-		pc.unregister(id)
-		return 0, nil, fmt.Errorf("%w: %s", ErrOpTimeout, op)
+		return 0, fmt.Errorf("%w: %s awaiting pipeline slot", ErrOpTimeout, op)
 	}
 }
 
@@ -342,69 +448,80 @@ func statusErr(st server.Status, payload []byte) error {
 	}
 }
 
-func (pc *poolConn) register(id uint64, ch chan result) error {
+func (pc *poolConn) isDead() bool { return pc.dead.Load() }
+
+// err returns the error the connection died of.
+func (pc *poolConn) err() error {
 	pc.mu.Lock()
 	defer pc.mu.Unlock()
-	if pc.dead {
-		return pc.deadErr
-	}
-	pc.pending[id] = ch
-	return nil
+	return pc.deadErr
 }
 
-func (pc *poolConn) unregister(id uint64) {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	delete(pc.pending, id)
-}
-
-func (pc *poolConn) isDead() bool {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return pc.dead
-}
-
-// readLoop demultiplexes responses to their waiting ops until the
-// connection dies.
+// readLoop routes responses to their waiting ops until the connection
+// dies.
 func (pc *poolConn) readLoop() {
 	br := bufio.NewReaderSize(pc.nc, 32<<10)
+	n := uint64(len(pc.slots))
 	for {
 		id, statusb, payload, err := server.ReadFrame(br, pc.cl.opts.MaxFrameBytes)
 		if err != nil {
-			_ = pc.fail(fmt.Errorf("client: connection lost: %w", err))
+			pc.fail(fmt.Errorf("client: connection lost: %w", err))
 			return
 		}
-		pc.complete(id, result{status: server.Status(statusb), payload: payload})
+		// Every id issued is seq·n + slot with seq ≥ 1, so a smaller one
+		// names no request; a response whose op already timed out finds its
+		// slot idle or re-armed, and settle drops it.
+		if id >= n {
+			pc.slots[id%n].settle(id, result{status: server.Status(statusb), payload: payload})
+		}
 	}
 }
 
-func (pc *poolConn) complete(id uint64, r result) {
-	pc.mu.Lock()
-	ch := pc.pending[id]
-	delete(pc.pending, id)
-	pc.mu.Unlock()
-	if ch != nil {
-		ch <- r // buffered; at most one send per channel ever happens
+// sweep times out, every period, the ops whose deadline has passed, until
+// fail closes stop.
+func (pc *poolConn) sweep(every time.Duration) {
+	tick := time.NewTicker(every)
+	defer tick.Stop()
+	for {
+		select {
+		case <-pc.stop:
+			return
+		case <-tick.C:
+		}
+		now := int64(time.Since(pc.cl.epoch))
+		for i := range pc.slots {
+			s := &pc.slots[i]
+			// A deadline read after the id is that id's or a later one's,
+			// and a later id fails settle's match.
+			if id := s.id.Load(); id != 0 && s.deadline.Load() <= now {
+				s.settle(id, result{err: ErrOpTimeout})
+			}
+		}
 	}
 }
 
-// fail marks the connection dead exactly once, closes the socket, and
-// errors out every waiter. It returns the error the connection died of,
-// which is err only for the first caller.
-func (pc *poolConn) fail(err error) error {
+// fail marks the connection dead exactly once, closes the socket, stops
+// the sweep, and settles every armed slot with err; later callers change
+// nothing.
+//
+//fcae:chan-owner client.poolConn.stop
+func (pc *poolConn) fail(err error) {
 	pc.mu.Lock()
-	if pc.dead {
-		defer pc.mu.Unlock()
-		return pc.deadErr
+	if pc.dead.Load() {
+		pc.mu.Unlock()
+		return
 	}
-	pc.dead = true
 	pc.deadErr = err
-	pending := pc.pending
-	pc.pending = nil
+	pc.dead.Store(true)
 	pc.mu.Unlock()
 	_ = pc.nc.Close()
-	for _, ch := range pending {
-		ch <- result{err: err}
+	close(pc.stop)
+	// An op armed after its slot is passed here sees dead and settles
+	// itself.
+	for i := range pc.slots {
+		s := &pc.slots[i]
+		if id := s.id.Load(); id != 0 {
+			s.settle(id, result{err: err})
+		}
 	}
-	return err
 }

@@ -3,8 +3,14 @@ package client
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"fmt"
+	"io"
 	"net"
+	"runtime"
+	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -86,10 +92,15 @@ func (c *Client) slot(i int) *poolConn {
 	return c.conns[i]
 }
 
+// pendingLen counts the armed slots: ops whose result is not yet settled.
 func (pc *poolConn) pendingLen() int {
-	pc.mu.Lock()
-	defer pc.mu.Unlock()
-	return len(pc.pending)
+	n := 0
+	for i := range pc.slots {
+		if pc.slots[i].id.Load() != 0 {
+			n++
+		}
+	}
+	return n
 }
 
 // get runs one Get in its own goroutine.
@@ -305,4 +316,184 @@ func TestCloseFailsOpsInFlight(t *testing.T) {
 		p := &pipeNet{serve: func(int, net.Conn) { <-stop }}
 		run(t, p, func(pc *poolConn) bool { return pc.pendingLen() == ops })
 	})
+}
+
+// TestDialValidatesOptions: a negative count, size or dial timeout, or a
+// pipeline deeper than the slot table allows, fails Dial naming the field
+// before anything is dialed. MaxPipeline -1 used to panic in makechan, and
+// the other negatives were taken silently. A negative OpTimeout is valid:
+// it disables the deadline.
+func TestDialValidatesOptions(t *testing.T) {
+	t.Parallel()
+	cases := []struct {
+		opts  Options
+		field string // "" when Dial must succeed
+	}{
+		{Options{Addr: "pipe"}, ""},
+		{Options{Addr: "pipe", OpTimeout: -1}, ""},
+		{Options{Addr: "pipe", MaxPipeline: maxPipeline}, ""},
+		{Options{}, "Addr"},
+		{Options{Addr: "pipe", Conns: -1}, "Conns"},
+		{Options{Addr: "pipe", MaxPipeline: -1}, "MaxPipeline"},
+		{Options{Addr: "pipe", MaxPipeline: maxPipeline + 1}, "MaxPipeline"},
+		{Options{Addr: "pipe", DialTimeout: -time.Second}, "DialTimeout"},
+		{Options{Addr: "pipe", MaxFrameBytes: -1}, "MaxFrameBytes"},
+	}
+	for _, tc := range cases {
+		p := &pipeNet{serve: echo}
+		c, err := dialWith(tc.opts, p.dial)
+		if tc.field == "" {
+			if err != nil {
+				t.Errorf("%+v: %v", tc.opts, err)
+				continue
+			}
+			if _, err := c.Get([]byte("k")); err != nil {
+				t.Errorf("%+v: Get: %v", tc.opts, err)
+			}
+			_ = c.Close()
+			continue
+		}
+		if err == nil {
+			_ = c.Close()
+			t.Errorf("%+v: Dial succeeded, want an error naming %s", tc.opts, tc.field)
+			continue
+		}
+		if !strings.Contains(err.Error(), "Options."+tc.field) {
+			t.Errorf("%+v: err = %v, want it to name Options.%s", tc.opts, err, tc.field)
+		}
+		if n := p.dials.Load(); n != 0 {
+			t.Errorf("%+v: %d dials before the options were rejected", tc.opts, n)
+		}
+	}
+}
+
+// TestTimeoutsRaceReplies runs ops whose deadlines (5–20 ms) race replies
+// that come back after random delays, in any order, some after their op
+// gave up, through a pipeline too shallow for every caller at once. Each op
+// must return its own payload or ErrOpTimeout, never another op's reply;
+// afterwards no slot is armed and every slot is free, and Close leaves no
+// goroutine behind. Run it under -race.
+func TestTimeoutsRaceReplies(t *testing.T) {
+	baseline := runtime.NumGoroutine()
+	slowEcho := func(_ int, nc net.Conn) {
+		var repliers sync.WaitGroup
+		defer repliers.Wait()
+		br := bufio.NewReader(nc)
+		for n := uint64(0); ; n++ {
+			id, _, payload, err := server.ReadFrame(br, 0)
+			if err != nil {
+				return
+			}
+			delay := time.Duration(n*7919%25) * time.Millisecond
+			repliers.Add(1)
+			go func() {
+				defer repliers.Done()
+				time.Sleep(delay)
+				_, _ = nc.Write(server.AppendFrame(nil, id, byte(server.StatusOK), payload))
+			}()
+		}
+	}
+	var clients []*Client
+	var ok, timedOut atomic.Int64
+	var wg sync.WaitGroup
+	for ci, timeout := range []time.Duration{5 * time.Millisecond, 10 * time.Millisecond, 20 * time.Millisecond} {
+		c, err := dialWith(Options{Addr: "pipe", Conns: 2, MaxPipeline: 4, OpTimeout: timeout}, (&pipeNet{serve: slowEcho}).dial)
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		clients = append(clients, c)
+		for g := 0; g < 12; g++ {
+			wg.Add(1)
+			go func(ci, g int) {
+				defer wg.Done()
+				for i := 0; i < 40; i++ {
+					key := []byte(fmt.Sprintf("c%d-g%02d-%03d", ci, g, i))
+					v, err := c.Get(key)
+					switch {
+					case err == nil && bytes.Equal(v, server.AppendGetPayload(nil, key)):
+						ok.Add(1)
+					case errors.Is(err, ErrOpTimeout) && v == nil:
+						timedOut.Add(1)
+					default:
+						t.Errorf("Get %s = %q, %v; want its own payload or ErrOpTimeout", key, v, err)
+						return
+					}
+				}
+			}(ci, g)
+		}
+	}
+	wg.Wait()
+	if ok.Load() == 0 || timedOut.Load() == 0 {
+		t.Fatalf("%d answered, %d timed out: both outcomes must occur", ok.Load(), timedOut.Load())
+	}
+	t.Logf("%d answered, %d timed out", ok.Load(), timedOut.Load())
+	for _, c := range clients {
+		for at := range c.conns {
+			pc := c.slot(at)
+			if n := pc.pendingLen(); n != 0 || len(pc.free) != cap(pc.free) || pc.isDead() {
+				t.Fatalf("after every op returned: %d slots armed, %d of %d free, dead=%v", n, len(pc.free), cap(pc.free), pc.isDead())
+			}
+		}
+		if err := c.Close(); err != nil {
+			t.Fatalf("Close: %v", err)
+		}
+	}
+	waitFor(t, "the goroutine count to return to its baseline", func() bool { return runtime.NumGoroutine() <= baseline+2 })
+}
+
+// noDeadline drops write deadlines: on a net.Pipe each one allocates a
+// timer, which is the pipe's cost, not the client's.
+type noDeadline struct{ net.Conn }
+
+func (noDeadline) SetWriteDeadline(time.Time) error { return nil }
+
+// quietEcho is echo without allocating: one buffer, the request frame sent
+// back with its op byte turned into StatusOK.
+func quietEcho(_ int, nc net.Conn) {
+	buf := make([]byte, 64<<10)
+	for {
+		if _, err := io.ReadFull(nc, buf[:4]); err != nil {
+			return
+		}
+		n := binary.BigEndian.Uint32(buf)
+		if _, err := io.ReadFull(nc, buf[4:4+n]); err != nil {
+			return
+		}
+		buf[12] = byte(server.StatusOK)
+		if _, err := nc.Write(buf[:4+n]); err != nil {
+			return
+		}
+	}
+}
+
+// TestOpAllocationBudget: a warm Get or Put allocates only the response
+// frame the reader hands it (its length word and its body). A timer, a
+// reply channel and a map entry per op made it 7.
+func TestOpAllocationBudget(t *testing.T) {
+	p := &pipeNet{serve: quietEcho, wrap: func(_ int, nc net.Conn) net.Conn { return noDeadline{nc} }}
+	c := dialPipe(t, p, Options{Conns: 1})
+	key, val := []byte("key-0001"), bytes.Repeat([]byte("v"), 128)
+	ops := map[string]func() error{
+		"Get": func() error { _, err := c.Get(key); return err },
+		"Put": func() error { return c.Put(key, val) },
+	}
+	// Every slot's reply channel is made on its first use.
+	for i := 0; i < 2*c.opts.MaxPipeline; i++ {
+		for _, op := range ops {
+			if err := op(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	const budget = 2
+	for name, op := range ops {
+		n := testing.AllocsPerRun(1000, func() {
+			if err := op(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if n > budget {
+			t.Errorf("a warm %s allocates %.1f times, want <= %d", name, n, budget)
+		}
+	}
 }

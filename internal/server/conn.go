@@ -58,13 +58,18 @@ func (c *conn) readLoop() {
 	s := c.srv
 	br := bufio.NewReaderSize(c.nc, 32<<10)
 	for !c.failed.Load() {
-		id, opb, payload, err := ReadFrame(br, s.cfg.MaxFrameBytes)
+		// The body is the handler's until its reply is written, and comes
+		// back here through s.bodies; a request answered without a handler
+		// gives it back at once.
+		body := s.bodies.Get().(*[]byte)
+		id, opb, payload, err := readFrame(br, s.cfg.MaxFrameBytes, body)
 		if err != nil {
 			// A malformed or oversized frame desynchronizes the stream;
 			// the only safe reaction is dropping the connection.
 			if errors.Is(err, ErrMalformedFrame) || errors.Is(err, ErrFrameTooLarge) {
 				s.met.protocolErrors.Inc()
 			}
+			recycle(&s.bodies, body)
 			return
 		}
 		c.unanswered.Add(1)
@@ -74,6 +79,7 @@ func (c *conn) readLoop() {
 		if op < OpGet || op > OpScan {
 			s.met.protocolErrors.Inc()
 			c.reply(id, StatusErr, []byte(fmt.Sprintf("unknown opcode %d", opb)))
+			recycle(&s.bodies, body)
 			continue
 		}
 		c.srv.met.opCount(op).Inc()
@@ -83,32 +89,45 @@ func (c *conn) readLoop() {
 		if op.writes() && s.stall.stalled() {
 			s.met.busyStall.Inc()
 			c.reply(id, StatusBusy, nil)
+			recycle(&s.bodies, body)
 			continue
 		}
 		select {
 		case s.inflight <- struct{}{}:
 		case <-s.stopc:
 			c.reply(id, StatusClosing, nil)
+			recycle(&s.bodies, body)
 			return
 		}
 		c.handlers.Add(1)
-		go c.handle(id, op, payload)
+		go c.handle(id, op, payload, body)
 	}
 }
 
-// maxPooledReply bounds what Server.replyBufs keeps: one huge scan must
-// not leave a buffer of its size behind every handler, as DB.write does
-// not keep an oversized group buffer.
+// maxPooledReply bounds the buffers the server's pools keep: one huge
+// scan or request must not leave a buffer of its size behind every
+// handler, as DB.write does not keep an oversized group buffer.
 const maxPooledReply = 1 << 20
 
-func (c *conn) handle(id uint64, op Op, payload []byte) {
+// recycle returns buf to pool, dropping its bytes when they outgrew
+// maxPooledReply.
+func recycle(pool *sync.Pool, buf *[]byte) {
+	if cap(*buf) > maxPooledReply {
+		*buf = nil
+	}
+	pool.Put(buf)
+}
+
+// handle executes one request whose payload lies in body. body, and a
+// SCAN's reply buffer, are the handler's until reply has returned: every
+// store call copies what it keeps (a batch copies its keys and values,
+// Get returns a copy, a scan's iterator is closed before execute returns),
+// and Send copies the reply into the connection's outgoing buffer before
+// it returns, so nothing refers to either buffer afterwards.
+func (c *conn) handle(id uint64, op Op, payload []byte, body *[]byte) {
 	defer c.handlers.Done()
 	defer func() { <-c.srv.inflight }()
 	start := time.Now()
-	// A SCAN builds its reply in a borrowed buffer, which is the handler's
-	// until reply has returned: Send copies the payload into the
-	// connection's outgoing buffer before it returns, so nothing refers
-	// to the buffer afterwards.
 	var buf *[]byte
 	if op == OpScan {
 		buf = c.srv.replyBufs.Get().(*[]byte)
@@ -116,11 +135,9 @@ func (c *conn) handle(id uint64, op Op, payload []byte) {
 	status, resp := c.execute(op, payload, buf)
 	c.srv.met.opNanos(op).ObserveDuration(time.Since(start))
 	c.reply(id, status, resp)
+	recycle(&c.srv.bodies, body)
 	if buf != nil {
-		if cap(*buf) > maxPooledReply {
-			*buf = nil
-		}
-		c.srv.replyBufs.Put(buf)
+		recycle(&c.srv.replyBufs, buf)
 	}
 }
 

@@ -1,6 +1,7 @@
 package server_test
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -329,5 +330,54 @@ func TestClientOpsAfterClose(t *testing.T) {
 	// Close is idempotent.
 	if err := c.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
+	}
+}
+
+// TestPipelinedPutThenGetKeepsBytes is a model check of the recycled
+// request bodies: pipelined writers put values of many sizes, each read
+// straight back, while other requests are read into the bodies the server
+// recycles. Every GET, and the store itself afterwards, must hold the
+// bytes last put, never bytes of a later request.
+func TestPipelinedPutThenGetKeepsBytes(t *testing.T) {
+	t.Parallel()
+	s := openServer(t, lsm.Options{}, server.Config{})
+	defer func() { _ = s.Close() }()
+	c := dialClient(t, s, client.Options{Conns: 2, MaxPipeline: 16})
+	defer func() { _ = c.Close() }()
+
+	const writers, rounds, keysPerWriter = 16, 150, 8
+	models := make([]map[string][]byte, writers)
+	var wg sync.WaitGroup
+	for w := range models {
+		models[w] = make(map[string][]byte)
+		wg.Add(1)
+		go func(w int, model map[string][]byte) {
+			defer wg.Done()
+			for i := 0; i < rounds; i++ {
+				key := fmt.Sprintf("w%02d-k%d", w, i%keysPerWriter)
+				value := make([]byte, 1+(i*7919+w*104729)%3000)
+				for j := range value {
+					value[j] = byte(w*31 + i + j)
+				}
+				if err := c.Put([]byte(key), value); err != nil {
+					t.Errorf("put %s: %v", key, err)
+					return
+				}
+				model[key] = value
+				got, err := c.Get([]byte(key))
+				if err != nil || !bytes.Equal(got, value) {
+					t.Errorf("get %s after put: %d bytes, %v; want the %d bytes put", key, len(got), err, len(value))
+					return
+				}
+			}
+		}(w, models[w])
+	}
+	wg.Wait()
+	for _, model := range models {
+		for key, want := range model {
+			if got, err := s.DB().Get([]byte(key)); err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("store holds %d bytes under %s (%v), want the %d bytes last put", len(got), key, err, len(want))
+			}
+		}
 	}
 }

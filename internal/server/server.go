@@ -113,8 +113,10 @@ type Server struct {
 	active   atomic.Int64
 	draining atomic.Bool
 	// replyBufs recycles the buffers SCAN replies are built in (*[]byte),
-	// so a scan allocates nothing that grows with its reply.
+	// so a scan allocates nothing that grows with its reply; bodies
+	// recycles the ones request frames are read into.
 	replyBufs sync.Pool
+	bodies    sync.Pool
 	// connWg joins the acceptor and every connection goroutine; wg joins
 	// the admin listener.
 	connWg sync.WaitGroup
@@ -144,6 +146,7 @@ func Open(dir string, opts lsm.Options, cfg Config) (*Server, error) {
 		conns:    make(map[*conn]struct{}),
 
 		replyBufs: sync.Pool{New: func() any { return new([]byte) }},
+		bodies:    sync.Pool{New: func() any { return new([]byte) }},
 	}
 	if opts.EventListener != nil {
 		opts.EventListener = obs.MultiListener{s.stall, opts.EventListener}

@@ -347,6 +347,43 @@ func TestServePipelinedById(t *testing.T) {
 	t.Logf("%d responses in %d socket writes", responses, flushes)
 }
 
+// TestGetAllocationBudget: a request is read into a body the server keeps,
+// so a warm GET allocates only its handler goroutine and the value Get
+// copies out. Reading each frame into a fresh body (and its length word
+// into another) made it 4.
+func TestGetAllocationBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a quarter of its Puts under the race detector")
+	}
+	s := openTestServer(t, Config{})
+	key, val := []byte("key-0001"), bytes.Repeat([]byte("v"), 128)
+	if err := s.db.Put(key, val); err != nil {
+		t.Fatal(err)
+	}
+	rc := dialRaw(t, s)
+	req := AppendFrame(nil, 7, byte(OpGet), AppendGetPayload(nil, key))
+	want := AppendFrame(nil, 7, byte(StatusOK), val)
+	resp := make([]byte, len(want))
+	get := func() {
+		if _, err := rc.nc.Write(req); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(rc.br, resp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		get()
+	}
+	const budget = 2
+	if n := testing.AllocsPerRun(1000, get); n > budget {
+		t.Fatalf("a warm GET allocates %.1f times, want <= %d", n, budget)
+	}
+	if !bytes.Equal(resp, want) {
+		t.Fatalf("GET reply %q, want %q", resp, want)
+	}
+}
+
 // TestSlowReaderIsBoundedAndDropped pipelines GETs of a 64 KiB value on a
 // connection that never reads. What the server holds for that connection
 // stays bounded (handlers wait for the flusher, keep their MaxInFlight

@@ -179,28 +179,42 @@ func DecodeFrame(b []byte, maxFrame int) (id uint64, op byte, payload, rest []by
 // before allocation: nothing larger than maxFrame (DefaultMaxFrameBytes
 // when maxFrame <= 0) is ever made.
 func ReadFrame(r io.Reader, maxFrame int) (id uint64, op byte, payload []byte, err error) {
+	var body []byte
+	return readFrame(r, maxFrame, &body)
+}
+
+// readFrame is ReadFrame reading the length word and then the frame into
+// *body, which it replaces with a fresh slice when its capacity falls
+// short. The payload aliases *body.
+func readFrame(r io.Reader, maxFrame int, body *[]byte) (id uint64, op byte, payload []byte, err error) {
 	if maxFrame <= 0 {
 		maxFrame = DefaultMaxFrameBytes
 	}
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(*body) < frameHeaderSize {
+		*body = make([]byte, frameHeaderSize)
+	}
+	hdr := (*body)[:frameHeaderSize]
+	if _, err := io.ReadFull(r, hdr); err != nil {
 		return 0, 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := binary.BigEndian.Uint32(hdr)
 	if n < framePrefixSize {
 		return 0, 0, nil, fmt.Errorf("%w: declared length %d below frame prefix", ErrMalformedFrame, n)
 	}
 	if n > uint32(maxFrame) {
 		return 0, 0, nil, fmt.Errorf("%w: declared length %d", ErrFrameTooLarge, n)
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
+	if uint32(cap(*body)) < n {
+		*body = make([]byte, n)
+	}
+	b := (*body)[:n]
+	if _, err := io.ReadFull(r, b); err != nil {
 		if err == io.EOF {
 			err = io.ErrUnexpectedEOF
 		}
 		return 0, 0, nil, err
 	}
-	return binary.BigEndian.Uint64(body[0:8]), body[8], body[framePrefixSize:], nil
+	return binary.BigEndian.Uint64(b[0:8]), b[8], b[framePrefixSize:], nil
 }
 
 // appendUvarint appends v in uvarint form.
