@@ -80,6 +80,12 @@ type DB struct {
 	flushBusy   bool
 	compacting  int // compaction workers currently running a job
 	manualLevel int // -1 when no manual compaction is requested
+	// seekLevel and seekFile name the table whose seek allowance ran out
+	// and which a seek compaction is to merge; seekLevel is -1 when none
+	// is requested. The slot is the seek rule's own: CompactLevel never
+	// overwrites it.
+	seekLevel int
+	seekFile  uint64
 	// busyLevels claims level ranges for in-flight compactions: a worker
 	// marks its job's input and output levels before releasing mu, so
 	// concurrent workers never pick overlapping file sets.
@@ -110,7 +116,7 @@ type Stats struct {
 	HWCompactions   int64 // executed on the FCAE backend
 	SWFallbacks     int64 // exceeded the engine's N and ran in software
 	TrivialMoves    int64
-	SeekCompactions int64 // triggered by the seek-allowance heuristic
+	SeekCompactions int64 // started for a table whose seek allowance ran out
 	CompactionRead  int64
 	CompactionWrite int64
 	KernelTime      time.Duration // modeled engine time
@@ -176,6 +182,7 @@ func Open(dir string, opts Options) (*DB, error) {
 		seq:            vs.LastSeq(),
 		memSeed:        skiplistSeed,
 		manualLevel:    -1,
+		seekLevel:      -1,
 		pendingOutputs: make(map[uint64]bool),
 	}
 	db.registerGauges()
@@ -585,26 +592,34 @@ func (db *DB) getAt(key []byte, seq uint64, rs readState) ([]byte, error) {
 		found  bool
 		del    bool
 		ferr   error
-		// firstMiss is the first file probed without yielding the key;
-		// LevelDB charges it a seek and compacts it when its allowance
-		// runs out, so hot misses get merged away.
+		// firstMiss is the first table whose blocks were read without
+		// yielding the key. When a second table's blocks had to be read
+		// too, it is charged a seek (LevelDB's "more than one seek for
+		// this read"), and it is compacted when its allowance runs out,
+		// so hot misses get merged away. A table whose filter ruled the
+		// key out cost no seek and is not charged.
 		firstMiss *manifest.FileMetadata
 		firstLvl  int
-		probed    int
+		reads     int
+		filtered  int64
 	)
 	rs.version.ForEachOverlapping(key, func(level int, f *manifest.FileMetadata) bool {
-		probed++
 		h, err := db.tables.get(f.Num)
 		if err != nil {
 			ferr = err
 			return false
 		}
-		val, d, ok, err := h.reader.Get(key, seq)
+		val, d, ok, consulted, err := h.reader.Lookup(key, seq)
 		db.tables.release(h)
 		if err != nil {
 			ferr = err
 			return false
 		}
+		if !consulted {
+			filtered++
+			return true
+		}
+		reads++
 		if ok {
 			result, del, found = val, d, true
 			return false
@@ -617,7 +632,17 @@ func (db *DB) getAt(key []byte, seq uint64, rs readState) ([]byte, error) {
 	if ferr != nil {
 		return nil, ferr
 	}
-	if firstMiss != nil && probed > 1 {
+	if filtered > 0 {
+		db.met.filterNegatives.Add(filtered)
+	}
+	misses := reads
+	if found {
+		misses--
+	}
+	if misses > 0 {
+		db.met.blockMisses.Add(int64(misses))
+	}
+	if firstMiss != nil && reads > 1 {
 		db.chargeSeek(firstLvl, firstMiss)
 	}
 	if !found || del {

@@ -92,6 +92,11 @@ type dbMetrics struct {
 	swFallbacks     *obs.Counter
 	trivialMoves    *obs.Counter
 	seekCompactions *obs.Counter
+	// filterNegatives counts table probes a Get skipped on the filter's
+	// word; blockMisses those that read the table's blocks and did not
+	// find the key — with filters on, the filter's false positives.
+	filterNegatives *obs.Counter
+	blockMisses     *obs.Counter
 	compactionRead  *obs.Counter
 	compactionWrite *obs.Counter
 	kernelNanos     *obs.Counter
@@ -127,6 +132,8 @@ func newDBMetrics(r *obs.Registry) dbMetrics {
 		swFallbacks:     r.Counter("compaction_sw_fallback"),
 		trivialMoves:    r.Counter("compaction_trivial"),
 		seekCompactions: r.Counter("compaction_seek"),
+		filterNegatives: r.Counter("get_filter_negatives"),
+		blockMisses:     r.Counter("get_block_misses"),
 		compactionRead:  r.Counter("compaction_read_bytes"),
 		compactionWrite: r.Counter("compaction_write_bytes"),
 		kernelNanos:     r.Counter("compaction_kernel_nanos"),

@@ -100,7 +100,7 @@ func (vs *VersionSet) PickCompactionFiltered(allowed func(level, outputLevel int
 	if !ok {
 		return nil
 	}
-	return vs.buildCompactionLocked(level)
+	return vs.buildCompactionLocked(level, nil)
 }
 
 // PickCompactionAtLevel forces a compaction at the given level, used by
@@ -112,10 +112,29 @@ func (vs *VersionSet) PickCompactionAtLevel(level int) *Compaction {
 	if _, ok := vs.cfg.OutputLevel(level); !ok || len(vs.current.Levels[level]) == 0 {
 		return nil
 	}
-	return vs.buildCompactionLocked(level)
+	return vs.buildCompactionLocked(level, nil)
 }
 
-func (vs *VersionSet) buildCompactionLocked(level int) *Compaction {
+// PickCompactionForFile builds a compaction seeded from table num at level,
+// the table a seek compaction is for. Returns nil if the current version
+// no longer holds that table at that level, or the level has no output.
+func (vs *VersionSet) PickCompactionForFile(level int, num uint64) *Compaction {
+	vs.mu.Lock()
+	defer vs.mu.Unlock()
+	if _, ok := vs.cfg.OutputLevel(level); !ok {
+		return nil
+	}
+	for _, f := range vs.current.Levels[level] {
+		if f.Num == num {
+			return vs.buildCompactionLocked(level, f)
+		}
+	}
+	return nil
+}
+
+// buildCompactionLocked builds a compaction at level seeded from seed, or,
+// when seed is nil, from the table after the compact pointer.
+func (vs *VersionSet) buildCompactionLocked(level int, seed *FileMetadata) *Compaction {
 	v := vs.current
 	c := &Compaction{Level: level, Cfg: vs.cfg}
 	if vs.cfg.TieredRuns > 0 {
@@ -125,13 +144,14 @@ func (vs *VersionSet) buildCompactionLocked(level int) *Compaction {
 		return c
 	}
 
-	// Seed with the file after the compact pointer (round robin).
-	var seed *FileMetadata
-	ptr := vs.compactPointers[level]
-	for _, f := range v.Levels[level] {
-		if ptr == nil || keys.Compare(f.Largest, ptr) > 0 {
-			seed = f
-			break
+	if seed == nil {
+		// Round robin: the first table past the compact pointer.
+		ptr := vs.compactPointers[level]
+		for _, f := range v.Levels[level] {
+			if ptr == nil || keys.Compare(f.Largest, ptr) > 0 {
+				seed = f
+				break
+			}
 		}
 	}
 	if seed == nil {

@@ -152,14 +152,22 @@ var pointReads = sync.Pool{New: func() any { return new(pointRead) }}
 // Get returns the value for the newest entry of userKey visible at seq.
 // The value is a copy.
 func (r *Reader) Get(userKey []byte, seq uint64) (value []byte, deleted, found bool, err error) {
+	value, deleted, found, _, err = r.Lookup(userKey, seq)
+	return value, deleted, found, err
+}
+
+// Lookup is Get that also reports whether the table's data blocks were
+// consulted: false when the filter ruled userKey out, a probe that read
+// nothing. The store charges seeks by it.
+func (r *Reader) Lookup(userKey []byte, seq uint64) (value []byte, deleted, found, consulted bool, err error) {
 	if !r.MayContain(userKey) {
-		return nil, false, false, nil
+		return nil, false, false, false, nil
 	}
 	p := pointReads.Get().(*pointRead)
 	value, deleted, found, err = p.get(r, userKey, seq)
 	p.it.Init(nil)
 	pointReads.Put(p)
-	return value, deleted, found, err
+	return value, deleted, found, true, err
 }
 
 func (p *pointRead) get(r *Reader, userKey []byte, seq uint64) (value []byte, deleted, found bool, err error) {
