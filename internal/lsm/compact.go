@@ -103,24 +103,33 @@ func (db *DB) flushMem(mem *memtable.MemTable, jobID uint64) (err error) {
 	db.queueEventLocked(func(l obs.EventListener) {
 		l.FlushBegin(obs.FlushBeginEvent{JobID: jobID, MemTableBytes: mem.ApproximateSize()})
 	})
-	var output obs.TableInfo
+	var (
+		output obs.TableInfo
+		pairs  compaction.Stats
+	)
 	defer func() {
 		wall := time.Since(start)
 		ferr := err
 		db.queueEventLocked(func(l obs.EventListener) {
-			l.FlushEnd(obs.FlushEndEvent{JobID: jobID, Output: output, Wall: wall, Err: ferr})
+			l.FlushEnd(obs.FlushEndEvent{JobID: jobID, Output: output, Wall: wall,
+				PairsIn: pairs.PairsIn, PairsDropped: pairs.PairsDropped, Err: ferr})
 		})
 	}()
 
 	num := db.vs.AllocFileNum()
 	walNum := db.walNum
+	// A flush is a merge of one run and drops what a merge would. Taken
+	// under db.mu: a reader acquired earlier still holds mem (as db.mem or
+	// db.imm), a later one reads at db.seq or above, and a snapshot is
+	// registered — so no reader can see a version this drops.
+	smallest := db.smallestSnapshotLocked()
 	// Guard the half-built table from the obsolete-file sweep until its
 	// edit lands (a concurrent compaction's sweep must not reap it).
 	db.pendingOutputs[num] = true
 	defer delete(db.pendingOutputs, num)
 	db.mu.Unlock()
 	db.flushEvents() // let the listener see FlushBegin before the build
-	meta, err := db.buildTable(num, mem)
+	meta, pairs, err := db.buildTable(num, mem, smallest)
 	db.mu.Lock()
 	if err != nil {
 		return err
@@ -137,6 +146,7 @@ func (db *DB) flushMem(mem *memtable.MemTable, jobID uint64) (err error) {
 	if meta != nil {
 		db.met.flushes.Inc()
 		db.met.flushBytes.Add(int64(meta.Size))
+		db.met.flushDropped.Add(int64(pairs.PairsDropped))
 		db.met.tablesCreated.Inc()
 		output = obs.TableInfo{Num: meta.Num, Level: 0, Size: int64(meta.Size)}
 		db.queueEventLocked(func(l obs.EventListener) {
@@ -148,39 +158,48 @@ func (db *DB) flushMem(mem *memtable.MemTable, jobID uint64) (err error) {
 	return nil
 }
 
-// buildTable renders mem into table file num. Returns nil metadata when
-// the memtable is empty.
-func (db *DB) buildTable(num uint64, mem *memtable.MemTable) (*manifest.FileMetadata, error) {
+// buildTable renders mem into table file num, leaving out the versions
+// the Validity Check drops with smallestSnapshot as the oldest reader
+// (not bottom level: tombstones stay); the returned stats count entries
+// read and dropped. Returns nil metadata when the memtable is empty.
+func (db *DB) buildTable(num uint64, mem *memtable.MemTable, smallestSnapshot uint64) (*manifest.FileMetadata, compaction.Stats, error) {
+	var pairs compaction.Stats
+	drop := compaction.DropPolicy{SmallestSnapshot: smallestSnapshot}
 	it := mem.NewIterator()
 	it.SeekToFirst()
 	if !it.Valid() {
-		return nil, nil
+		return nil, pairs, nil
 	}
 	path := tablePath(db.dir, num)
 	f, err := os.Create(path)
 	if err != nil {
-		return nil, err
+		return nil, pairs, err
 	}
 	w := sstable.NewWriter(f, db.opts.tableOpts())
 	for ; it.Valid(); it.Next() {
+		pairs.PairsIn++
+		if drop.Drop(it.Key()) {
+			pairs.PairsDropped++
+			continue
+		}
 		if err := w.Add(it.Key(), it.Value()); err != nil {
 			_ = f.Close()
 			os.Remove(path)
-			return nil, err
+			return nil, pairs, err
 		}
 	}
 	stats, err := w.Finish()
 	if err != nil {
 		_ = f.Close()
 		os.Remove(path)
-		return nil, err
+		return nil, pairs, err
 	}
 	if err := f.Sync(); err != nil {
 		_ = f.Close()
-		return nil, err
+		return nil, pairs, err
 	}
 	if err := f.Close(); err != nil {
-		return nil, err
+		return nil, pairs, err
 	}
 	return &manifest.FileMetadata{
 		Num:      num,
@@ -188,7 +207,7 @@ func (db *DB) buildTable(num uint64, mem *memtable.MemTable) (*manifest.FileMeta
 		RunID:    num, // every flush output is its own sorted run
 		Smallest: stats.Smallest,
 		Largest:  stats.Largest,
-	}, nil
+	}, pairs, nil
 }
 
 // maxCompactingLocked bounds concurrent merge compactions. With more than

@@ -592,12 +592,14 @@ func (db *DB) getAt(key []byte, seq uint64, rs readState) ([]byte, error) {
 		found  bool
 		del    bool
 		ferr   error
-		// firstMiss is the first table whose blocks were read without
-		// yielding the key. When a second table's blocks had to be read
-		// too, it is charged a seek (LevelDB's "more than one seek for
-		// this read"), and it is compacted when its allowance runs out,
-		// so hot misses get merged away. A table whose filter ruled the
-		// key out cost no seek and is not charged.
+		// firstMiss is the first filterless table whose blocks were read
+		// without yielding the key. When a second table's blocks had to
+		// be read too, it is charged a seek (LevelDB's "more than one
+		// seek for this read"), and it is compacted when its allowance
+		// runs out, so hot misses get merged away. A table with a filter
+		// is never charged: a probe its filter rejects read nothing, and
+		// one it passes is a false positive, which a merge into a table
+		// with a filter of the same rate would not make rarer.
 		firstMiss *manifest.FileMetadata
 		firstLvl  int
 		reads     int
@@ -610,6 +612,7 @@ func (db *DB) getAt(key []byte, seq uint64, rs readState) ([]byte, error) {
 			return false
 		}
 		val, d, ok, consulted, err := h.reader.Lookup(key, seq)
+		hasFilter := h.reader.HasFilter()
 		db.tables.release(h)
 		if err != nil {
 			ferr = err
@@ -624,7 +627,7 @@ func (db *DB) getAt(key []byte, seq uint64, rs readState) ([]byte, error) {
 			result, del, found = val, d, true
 			return false
 		}
-		if firstMiss == nil {
+		if firstMiss == nil && !hasFilter {
 			firstMiss, firstLvl = f, level
 		}
 		return true

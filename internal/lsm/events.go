@@ -85,7 +85,10 @@ type dbMetrics struct {
 
 	flushes    *obs.Counter
 	flushBytes *obs.Counter
-	flushWall  *obs.Histogram
+	// flushDropped counts memtable entries a flush left out: versions
+	// shadowed by a newer write that every reader already sees.
+	flushDropped *obs.Counter
+	flushWall    *obs.Histogram
 
 	compactions     *obs.Counter
 	hwCompactions   *obs.Counter
@@ -123,9 +126,10 @@ func newDBMetrics(r *obs.Registry) dbMetrics {
 		groupCommits:  r.Counter("group_commits"),
 		groupedWrites: r.Counter("grouped_writes"),
 
-		flushes:    r.Counter("flush_count"),
-		flushBytes: r.Counter("flush_bytes"),
-		flushWall:  r.Histogram("flush_wall_nanos"),
+		flushes:      r.Counter("flush_count"),
+		flushBytes:   r.Counter("flush_bytes"),
+		flushDropped: r.Counter("flush_dropped"),
+		flushWall:    r.Histogram("flush_wall_nanos"),
 
 		compactions:     r.Counter("compaction_count"),
 		hwCompactions:   r.Counter("compaction_hw"),

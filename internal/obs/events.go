@@ -74,6 +74,10 @@ type FlushEndEvent struct {
 	Output TableInfo
 	// Wall is the flush duration (build + manifest apply).
 	Wall time.Duration
+	// PairsIn counts the memtable's entries; PairsDropped those the
+	// shadowing rules left out of the table (versions no reader can see).
+	PairsIn      int
+	PairsDropped int
 	// Err is non-nil when the flush failed; the store stops background
 	// work with this error.
 	Err error

@@ -139,6 +139,11 @@ func (r *Reader) MayContain(userKey []byte) bool {
 	return bloom.MayContain(r.filter, userKey)
 }
 
+// HasFilter reports whether the table carries a filter block. It is the
+// table's own answer: a store reopened under other options holds tables
+// of both kinds.
+func (r *Reader) HasFilter() bool { return r.filter != nil }
+
 // pointRead is what a Get needs besides the table: the two-level cursor
 // and the internal key it seeks. Both are recycled, so a Get's only
 // allocation is the value it returns.
