@@ -343,7 +343,6 @@ func (db *DB) runCompaction(c *manifest.Compaction) (err error) {
 		moved := *f
 		moved.RunID = 0
 		edit.AddFile(c.Level+1, &moved)
-		c.RecordCompactPointer(edit)
 		db.met.trivialMoves.Inc()
 		err = db.vs.LogAndApply(edit)
 		movedInfo := obs.TableInfo{Num: f.Num, Level: c.Level + 1, Size: int64(f.Size)}
@@ -468,7 +467,6 @@ func (db *DB) runCompaction(c *manifest.Compaction) (err error) {
 			Largest:  out.Largest,
 		})
 	}
-	c.RecordCompactPointer(edit)
 	applyDone := tr.StartSpan("manifest_apply")
 	if err = db.vs.LogAndApply(edit); err != nil {
 		return err
@@ -499,6 +497,9 @@ func (db *DB) runCompaction(c *manifest.Compaction) (err error) {
 	db.met.compactionWall.ObserveDuration(wall)
 	db.met.levelCompactions[c.Level].Inc()
 	db.met.levelRead[c.Level].Add(res.Stats.BytesRead)
+	for _, f := range c.Inputs[1] {
+		db.met.levelOverlap[c.Level].Add(int64(f.Size))
+	}
 	db.met.levelWrite[c.Level].Add(res.Stats.BytesWritten)
 	db.met.levelWallNanos[c.Level].Add(wall.Nanoseconds())
 	return nil

@@ -649,7 +649,7 @@ func TestFilterRejectedProbesSpendNoSeeks(t *testing.T) {
 }
 
 // TestSeekCompactionMergesTheChargedTable: the table whose allowance ran
-// out is the one merged, even when the compact pointer would pick another.
+// out is the one merged, even when the size pick would take another.
 func TestSeekCompactionMergesTheChargedTable(t *testing.T) {
 	rec := &recordingListener{}
 	db := openTest(t, Options{
@@ -668,7 +668,8 @@ func TestSeekCompactionMergesTheChargedTable(t *testing.T) {
 	}
 	// Odd keys go to the deepest level; even keys, written twice so that
 	// L0's two tables merge rather than move, then make several L1 tables
-	// over them, all behind L1's compact pointer.
+	// over them, none of which overlaps L2, so the size pick would take
+	// the first.
 	put(1)
 	if err := db.CompactRange(nil, nil); err != nil {
 		t.Fatal(err)

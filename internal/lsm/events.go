@@ -115,8 +115,11 @@ type dbMetrics struct {
 
 	levelCompactions [manifest.NumLevels]*obs.Counter
 	levelRead        [manifest.NumLevels]*obs.Counter
-	levelWrite       [manifest.NumLevels]*obs.Counter
-	levelWallNanos   [manifest.NumLevels]*obs.Counter
+	// levelOverlap counts the level+1 bytes merges out of a level read:
+	// the part of levelRead that is rewritten, not moved down.
+	levelOverlap   [manifest.NumLevels]*obs.Counter
+	levelWrite     [manifest.NumLevels]*obs.Counter
+	levelWallNanos [manifest.NumLevels]*obs.Counter
 }
 
 func newDBMetrics(r *obs.Registry) dbMetrics {
@@ -154,6 +157,7 @@ func newDBMetrics(r *obs.Registry) dbMetrics {
 	for i := 0; i < manifest.NumLevels; i++ {
 		m.levelCompactions[i] = r.Counter(fmt.Sprintf("level%d_compactions", i))
 		m.levelRead[i] = r.Counter(fmt.Sprintf("level%d_read_bytes", i))
+		m.levelOverlap[i] = r.Counter(fmt.Sprintf("level%d_overlap_bytes", i))
 		m.levelWrite[i] = r.Counter(fmt.Sprintf("level%d_write_bytes", i))
 		m.levelWallNanos[i] = r.Counter(fmt.Sprintf("level%d_wall_nanos", i))
 	}

@@ -22,18 +22,23 @@ func (db *DB) PropertyString() string {
 	v := db.vs.Current()
 
 	var b strings.Builder
-	fmt.Fprintf(&b, "Level  Files  Size(MB)  Runs  Compactions  Read(MB)  Write(MB)  Time\n")
-	fmt.Fprintf(&b, "--------------------------------------------------------------------\n")
+	fmt.Fprintf(&b, "Level  Files  Size(MB)  Runs  Compactions  Read(MB)  Write(MB)  Rewrite  Time\n")
+	fmt.Fprintf(&b, "-----------------------------------------------------------------------------\n")
 	for level := 0; level < manifest.NumLevels; level++ {
 		ls := st.Levels[level]
 		if v.NumFiles(level) == 0 && ls.Compactions == 0 {
 			continue
 		}
-		fmt.Fprintf(&b, "%5d  %5d  %8.2f  %4d  %11d  %8.2f  %9.2f  %v\n",
+		// Rewrite: next-level bytes merged per byte moved down.
+		rewrite, overlap := "-", db.met.levelOverlap[level].Value()
+		if moved := ls.BytesRead - overlap; moved > 0 {
+			rewrite = fmt.Sprintf("%.2f", float64(overlap)/float64(moved))
+		}
+		fmt.Fprintf(&b, "%5d  %5d  %8.2f  %4d  %11d  %8.2f  %9.2f  %7s  %v\n",
 			level, v.NumFiles(level), float64(v.LevelBytes(level))/(1<<20),
 			v.NumRuns(level), ls.Compactions,
 			float64(ls.BytesRead)/(1<<20), float64(ls.BytesWritten)/(1<<20),
-			ls.Wall.Round(time.Millisecond))
+			rewrite, ls.Wall.Round(time.Millisecond))
 	}
 	fmt.Fprintf(&b, "memtable: %.2f MB (immutable pending: %v)\n", float64(memBytes)/(1<<20), immPending)
 	fmt.Fprintf(&b, "writes: %d (%.2f MB), flushes: %d (%.2f MB, %d entries dropped)\n",
@@ -129,8 +134,8 @@ func (db *DB) CompactRange(start, limit []byte) error {
 			if err := db.CompactLevel(level); err != nil {
 				return err
 			}
-			// CompactLevel rotates through the level; loop until the
-			// range no longer has files here.
+			// CompactLevel moves at least one table out of the level;
+			// loop until the range no longer has files here.
 			nv := db.vs.Current()
 			if sameFiles(v.Levels[level], nv.Levels[level]) {
 				// No progress (e.g. single trivial state); avoid spinning.

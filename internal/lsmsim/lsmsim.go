@@ -231,8 +231,8 @@ const readDisturbFactor = 0.35
 const (
 	// overlapFactor scales the size-proportional next-level overlap of a
 	// compaction. The model keeps every version of a key, so its levels are
-	// fatter than the store's, and the compact pointer merges into the
-	// stretch of the next level that has gone longest without a merge.
+	// fatter than the store's, and the store's pick takes the table that
+	// overlaps the least of the next level.
 	overlapFactor = 0.3
 	// firstLap is the share of a level's first lap over the next one during
 	// which its pushes land clear of what the lap has already left there.
@@ -453,11 +453,12 @@ type compactionJob struct {
 // overlapBytes estimates how many bytes of level a job overlaps whose
 // inputs are in of the of bytes on their own level, i.e. span that share
 // of the key space — the one quantity the store reads off its file
-// boundaries and a scalar model has to guess. A lap of the compact pointer
-// pushes the inputs' level down once, of bytes; until level holds firstLap
-// of that, the pointer is still ahead of everything it has pushed and
-// there is none. After that it is overlapFactor of the proportional share
-// plus one table, half of one cut off at each end of the input range.
+// boundaries and a scalar model has to guess. A lap pushes the inputs'
+// level down once, of bytes; until level holds firstLap of that, the
+// store's least-overlap pick still finds a table clear of everything the
+// lap has pushed and there is none. After that it is overlapFactor of the
+// proportional share plus one table, half of one cut off at each end of
+// the input range.
 func (s *state) overlapBytes(level int, in, of uint64) uint64 {
 	if level >= len(s.tree) {
 		return 0
@@ -492,7 +493,7 @@ func (s *state) pick() *compactionJob {
 			s.tree[out].Runs++
 		}}
 	}
-	// Leveled: the one table after the compact pointer, or all of L0 — with
+	// Leveled: the one table the least-overlap pick takes, or all of L0 — with
 	// random keys every L0 file spans the key space, so the job takes them
 	// all and rewrites all of L1 (paper §VII-C: "eight SSTables on Level 0
 	// and Level 1 are involved ... in most cases").

@@ -55,16 +55,18 @@ type VersionEdit struct {
 	HasLastSeq     bool
 	LastSeq        uint64
 
-	CompactPointers map[int][]byte // level -> internal key
-	Deleted         []DeletedFile
-	Added           []NewFile
+	Deleted []DeletedFile
+	Added   []NewFile
 }
 
 // Edit record field tags.
 const (
-	tagLogNum         = 1
-	tagNextFileNum    = 2
-	tagLastSeq        = 3
+	tagLogNum      = 1
+	tagNextFileNum = 2
+	tagLastSeq     = 3
+	// tagCompactPointer (a level and an internal key) is read and dropped:
+	// older MANIFESTs carry LevelDB's round-robin pointer, which no pick
+	// reads any more.
 	tagCompactPointer = 4
 	tagDeletedFile    = 5
 	tagNewFile        = 6
@@ -82,14 +84,6 @@ func (e *VersionEdit) SetNextFileNum(n uint64) { e.HasNextFileNum, e.NextFileNum
 
 // SetLastSeq records the newest durable sequence number.
 func (e *VersionEdit) SetLastSeq(n uint64) { e.HasLastSeq, e.LastSeq = true, n }
-
-// SetCompactPointer records where the next compaction at level resumes.
-func (e *VersionEdit) SetCompactPointer(level int, key []byte) {
-	if e.CompactPointers == nil {
-		e.CompactPointers = make(map[int][]byte)
-	}
-	e.CompactPointers[level] = append([]byte(nil), key...)
-}
 
 // DeleteFile marks a table as removed.
 func (e *VersionEdit) DeleteFile(level int, num uint64) {
@@ -125,11 +119,6 @@ func (e *VersionEdit) Encode() []byte {
 	if e.HasLastSeq {
 		buf = putUvarint(buf, tagLastSeq)
 		buf = putUvarint(buf, e.LastSeq)
-	}
-	for level, key := range e.CompactPointers {
-		buf = putUvarint(buf, tagCompactPointer)
-		buf = putUvarint(buf, uint64(level))
-		buf = putBytes(buf, key)
 	}
 	for _, d := range e.Deleted {
 		buf = putUvarint(buf, tagDeletedFile)
@@ -218,15 +207,12 @@ func DecodeEdit(record []byte) (*VersionEdit, error) {
 			}
 			e.SetLastSeq(v)
 		case tagCompactPointer:
-			level, err := d.level()
-			if err != nil {
+			if _, err := d.level(); err != nil {
 				return nil, err
 			}
-			key, err := d.bytes()
-			if err != nil {
+			if _, err := d.bytes(); err != nil {
 				return nil, err
 			}
-			e.SetCompactPointer(level, key)
 		case tagDeletedFile:
 			level, err := d.level()
 			if err != nil {

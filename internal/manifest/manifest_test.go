@@ -2,12 +2,15 @@ package manifest
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"strings"
 	"testing"
 
+	"fcae/internal/corruption"
 	"fcae/internal/keys"
+	"fcae/internal/wal"
 )
 
 func ik(user string, seq uint64) []byte {
@@ -23,7 +26,6 @@ func TestEditRoundTrip(t *testing.T) {
 	e.SetLogNum(7)
 	e.SetNextFileNum(42)
 	e.SetLastSeq(999)
-	e.SetCompactPointer(3, ik("ptr", 5))
 	e.DeleteFile(1, 10)
 	e.AddFile(2, meta(11, 2048, "aaa", "zzz"))
 
@@ -39,9 +41,6 @@ func TestEditRoundTrip(t *testing.T) {
 	}
 	if !dec.HasLastSeq || dec.LastSeq != 999 {
 		t.Error("last seq lost")
-	}
-	if !bytes.Equal(dec.CompactPointers[3], ik("ptr", 5)) {
-		t.Error("compact pointer lost")
 	}
 	if len(dec.Deleted) != 1 || dec.Deleted[0] != (DeletedFile{1, 10}) {
 		t.Error("deleted file lost")
@@ -65,6 +64,74 @@ func TestDecodeEditRejectsGarbage(t *testing.T) {
 	enc[1] = NumLevels + 1
 	if _, err := DecodeEdit(enc); err == nil {
 		t.Fatal("out-of-range level accepted")
+	}
+}
+
+// TestDecodeDropsCompactPointer: MANIFESTs written before the least-overlap
+// pick carry LevelDB's compact pointer (tag 4: a level and an internal
+// key). They still decode and open with the same files; the pointer is
+// validated and dropped.
+func TestDecodeDropsCompactPointer(t *testing.T) {
+	head := &VersionEdit{}
+	head.SetLogNum(7)
+	head.SetNextFileNum(12)
+	head.SetLastSeq(999)
+	files := &VersionEdit{}
+	files.AddFile(2, meta(11, 2048, "aaa", "zzz"))
+	pointer := func(level uint64) []byte {
+		b := putUvarint(nil, tagCompactPointer)
+		b = putUvarint(b, level)
+		return putBytes(b, ik("ptr", 5))
+	}
+	// The older encoder wrote the pointers after the counters and before
+	// the file changes.
+	old := append(append(head.Encode(), pointer(3)...), files.Encode()...)
+	want := append(head.Encode(), files.Encode()...)
+
+	dec, err := DecodeEdit(old)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := dec.Encode(); !bytes.Equal(got, want) {
+		t.Fatalf("decoded edit re-encodes as %x, want %x (the pointer dropped, the rest kept)", got, want)
+	}
+
+	// A snapshot MANIFEST holding the pointer reopens with its files.
+	dir := t.TempDir()
+	f, err := os.Create(ManifestPath(dir, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wal.NewWriter(f, manifestCRC).Append(old); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := setCurrent(dir, 5); err != nil {
+		t.Fatal(err)
+	}
+	vs, err := Open(dir, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := vs.Current()
+	if v.TotalFiles() != 1 || v.NumFiles(2) != 1 || v.Levels[2][0].Num != 11 || vs.LogNum() != 7 || vs.LastSeq() != 999 {
+		t.Fatalf("reopened with %d files (L2 %d), log %d, seq %d; want table 11 alone at L2, log 7, seq 999",
+			v.TotalFiles(), v.NumFiles(2), vs.LogNum(), vs.LastSeq())
+	}
+	if err := vs.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// A hostile level in the pointer is still corruption.
+	hostile := append(head.Encode(), pointer(NumLevels+1)...)
+	if _, err := DecodeEdit(hostile); !errors.Is(err, corruption.Err) {
+		t.Fatalf("tag-4 level %d decoded with %v, want corruption", NumLevels+1, err)
+	}
+	short := append(head.Encode(), pointer(3)...)
+	if _, err := DecodeEdit(short[:len(short)-3]); !errors.Is(err, corruption.Err) {
+		t.Fatalf("truncated tag-4 key decoded with %v, want corruption", err)
 	}
 }
 
@@ -339,8 +406,13 @@ func TestPickCompactionSizeTrigger(t *testing.T) {
 		hi := fmt.Sprintf("k%02d", i*10+5)
 		edit.AddFile(1, meta(vs.AllocFileNum(), 1<<20, lo, hi))
 	}
-	// Level 2 file overlapping the first level-1 file.
-	edit.AddFile(2, meta(vs.AllocFileNum(), 1<<20, "k00", "k09"))
+	// One level-2 file under each level-1 file, so that no pick is a
+	// trivial move.
+	for i := 0; i < 3; i++ {
+		lo := fmt.Sprintf("k%02d", i*10)
+		hi := fmt.Sprintf("k%02d", i*10+9)
+		edit.AddFile(2, meta(vs.AllocFileNum(), 1<<20, lo, hi))
+	}
 	if err := vs.LogAndApply(edit); err != nil {
 		t.Fatal(err)
 	}
@@ -375,39 +447,6 @@ func TestTrivialMove(t *testing.T) {
 	}
 	if !c.IsTrivialMove() {
 		t.Fatal("expected a trivial move")
-	}
-}
-
-func TestCompactPointerRotation(t *testing.T) {
-	dir := t.TempDir()
-	vs, err := Open(dir, Config{BaseLevelBytes: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer vs.Close()
-	edit := &VersionEdit{}
-	edit.AddFile(1, meta(vs.AllocFileNum(), 1<<20, "a", "b"))
-	edit.AddFile(1, meta(vs.AllocFileNum(), 1<<20, "c", "d"))
-	if err := vs.LogAndApply(edit); err != nil {
-		t.Fatal(err)
-	}
-	c1 := vs.PickCompactionFiltered(nil)
-	if c1 == nil {
-		t.Fatal("no compaction")
-	}
-	first := c1.Inputs[0][0].Num
-	// Record the pointer as a compaction would.
-	e := &VersionEdit{}
-	c1.RecordCompactPointer(e)
-	if err := vs.LogAndApply(e); err != nil {
-		t.Fatal(err)
-	}
-	c2 := vs.PickCompactionFiltered(nil)
-	if c2 == nil {
-		t.Fatal("no second compaction")
-	}
-	if c2.Inputs[0][0].Num == first {
-		t.Fatal("compact pointer did not rotate to the next file")
 	}
 }
 

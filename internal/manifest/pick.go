@@ -91,8 +91,7 @@ func (c *Compaction) IsBottomLevel(v *Version) bool {
 
 // PickCompactionFiltered builds the most urgent compaction of the current
 // version on a level allowed accepts (nil accepts all; see Config.PickLevel),
-// or returns nil when no such level needs work. The compactPointers rotate
-// through each level's key space so work spreads evenly.
+// or returns nil when no such level needs work.
 func (vs *VersionSet) PickCompactionFiltered(allowed func(level, outputLevel int) bool) *Compaction {
 	vs.mu.Lock()
 	defer vs.mu.Unlock()
@@ -133,7 +132,7 @@ func (vs *VersionSet) PickCompactionForFile(level int, num uint64) *Compaction {
 }
 
 // buildCompactionLocked builds a compaction at level seeded from seed, or,
-// when seed is nil, from the table after the compact pointer.
+// when seed is nil, from leastOverlapping's table.
 func (vs *VersionSet) buildCompactionLocked(level int, seed *FileMetadata) *Compaction {
 	v := vs.current
 	c := &Compaction{Level: level, Cfg: vs.cfg}
@@ -143,19 +142,8 @@ func (vs *VersionSet) buildCompactionLocked(level int, seed *FileMetadata) *Comp
 		c.SmallestUser, c.LargestUser = inputUserRange(c.Inputs[0])
 		return c
 	}
-
 	if seed == nil {
-		// Round robin: the first table past the compact pointer.
-		ptr := vs.compactPointers[level]
-		for _, f := range v.Levels[level] {
-			if ptr == nil || keys.Compare(f.Largest, ptr) > 0 {
-				seed = f
-				break
-			}
-		}
-	}
-	if seed == nil {
-		seed = v.Levels[level][0]
+		seed = v.leastOverlapping(level)
 	}
 	c.Inputs[0] = []*FileMetadata{seed}
 
@@ -166,6 +154,38 @@ func (vs *VersionSet) buildCompactionLocked(level int, seed *FileMetadata) *Comp
 	}
 	vs.setupOtherInputs(v, c)
 	return c
+}
+
+// leastOverlapping returns the table of a non-empty level whose merge
+// rewrites the fewest level+1 bytes per byte it moves down (Sarkar et al.'s
+// least-overlap data movement), the first in level order on a tie. An L0
+// table is scored alone; the caller adds its transitive closure. Below L0
+// both levels are sorted and disjoint, so one sweep scores every table.
+func (v *Version) leastOverlapping(level int) *FileMetadata {
+	files, next := v.Levels[level], v.Levels[level+1]
+	var best *FileMetadata
+	bestRatio, j := 0.0, 0
+	for _, f := range files {
+		var overlap uint64
+		if level == 0 {
+			for _, g := range v.Overlapping(1, keys.UserKey(f.Smallest), keys.UserKey(f.Largest)) {
+				overlap += g.Size
+			}
+		} else {
+			for j < len(next) && keys.CompareUser(keys.UserKey(next[j].Largest), keys.UserKey(f.Smallest)) < 0 {
+				j++
+			}
+			// next[j] may straddle into the following table too, so the
+			// cursor stays on it.
+			for k := j; k < len(next) && keys.CompareUser(keys.UserKey(next[k].Smallest), keys.UserKey(f.Largest)) <= 0; k++ {
+				overlap += next[k].Size
+			}
+		}
+		if ratio := float64(overlap) / float64(f.Size); best == nil || ratio < bestRatio {
+			best, bestRatio = f, ratio
+		}
+	}
+	return best
 }
 
 // setupOtherInputs computes the level+1 inputs and optionally grows the
@@ -219,12 +239,4 @@ func unionRange(smallest, largest []byte, files []*FileMetadata) (s, l []byte) {
 		l = fl
 	}
 	return s, l
-}
-
-// RecordCompactPointer persists the resume point for level into edit.
-func (c *Compaction) RecordCompactPointer(edit *VersionEdit) {
-	if len(c.Inputs[0]) > 0 {
-		last := c.Inputs[0][len(c.Inputs[0])-1]
-		edit.SetCompactPointer(c.Level, last.Largest)
-	}
 }

@@ -81,8 +81,6 @@ type VersionSet struct {
 	// replayedManifest is the file recovery loaded, removed once a fresh
 	// snapshot manifest has replaced it.
 	replayedManifest string
-
-	compactPointers [NumLevels][]byte
 }
 
 func manifestCRC(t byte, payload []byte) uint32 {
@@ -161,9 +159,6 @@ func (vs *VersionSet) replayLocked(name string) error {
 		if edit.HasLogNum {
 			vs.logNum = edit.LogNum
 		}
-		for level, key := range edit.CompactPointers {
-			vs.compactPointers[level] = key
-		}
 	}
 	vs.current = v
 	return nil
@@ -184,11 +179,6 @@ func (vs *VersionSet) rollManifestLocked() error {
 	snap.SetNextFileNum(vs.nextFileNum)
 	snap.SetLastSeq(vs.lastSeq)
 	snap.SetLogNum(vs.logNum)
-	for level, key := range vs.compactPointers {
-		if key != nil {
-			snap.SetCompactPointer(level, key)
-		}
-	}
 	for level, files := range vs.current.Levels {
 		for _, meta := range files {
 			snap.AddFile(level, meta)
@@ -351,9 +341,6 @@ func (vs *VersionSet) LogAndApply(edit *VersionEdit) error {
 	}
 	if edit.HasLastSeq && edit.LastSeq > vs.lastSeq {
 		vs.lastSeq = edit.LastSeq
-	}
-	for level, key := range edit.CompactPointers {
-		vs.compactPointers[level] = key
 	}
 	return nil
 }
