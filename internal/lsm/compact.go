@@ -344,6 +344,9 @@ func (db *DB) runCompaction(c *manifest.Compaction) (err error) {
 		moved.RunID = 0
 		edit.AddFile(c.Level+1, &moved)
 		db.met.trivialMoves.Inc()
+		if c.Ahead {
+			db.met.trivialAhead.Inc()
+		}
 		err = db.vs.LogAndApply(edit)
 		movedInfo := obs.TableInfo{Num: f.Num, Level: c.Level + 1, Size: int64(f.Size)}
 		wall := time.Since(start)

@@ -94,6 +94,7 @@ type dbMetrics struct {
 	hwCompactions   *obs.Counter
 	swFallbacks     *obs.Counter
 	trivialMoves    *obs.Counter
+	trivialAhead    *obs.Counter
 	seekCompactions *obs.Counter
 	// filterNegatives counts table probes a Get skipped on the filter's
 	// word; blockMisses those that read the table's blocks and did not
@@ -138,6 +139,7 @@ func newDBMetrics(r *obs.Registry) dbMetrics {
 		hwCompactions:   r.Counter("compaction_hw"),
 		swFallbacks:     r.Counter("compaction_sw_fallback"),
 		trivialMoves:    r.Counter("compaction_trivial"),
+		trivialAhead:    r.Counter("compaction_trivial_ahead"),
 		seekCompactions: r.Counter("compaction_seek"),
 		filterNegatives: r.Counter("get_filter_negatives"),
 		blockMisses:     r.Counter("get_block_misses"),

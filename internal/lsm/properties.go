@@ -16,6 +16,7 @@ func (db *DB) PropertyString() string {
 	db.mu.Lock()
 	st := db.statsLocked()
 	flushDropped := db.met.flushDropped.Value()
+	trivialAhead := db.met.trivialAhead.Value()
 	memBytes := db.mem.ApproximateSize()
 	immPending := db.imm != nil
 	db.mu.Unlock()
@@ -43,8 +44,8 @@ func (db *DB) PropertyString() string {
 	fmt.Fprintf(&b, "memtable: %.2f MB (immutable pending: %v)\n", float64(memBytes)/(1<<20), immPending)
 	fmt.Fprintf(&b, "writes: %d (%.2f MB), flushes: %d (%.2f MB, %d entries dropped)\n",
 		st.Writes, float64(st.BytesWritten)/(1<<20), st.Flushes, float64(st.FlushBytes)/(1<<20), flushDropped)
-	fmt.Fprintf(&b, "compactions: %d (engine %d, sw fallback %d, trivial %d)\n",
-		st.Compactions, st.HWCompactions, st.SWFallbacks, st.TrivialMoves)
+	fmt.Fprintf(&b, "compactions: %d (engine %d, sw fallback %d, trivial %d, %d of them ahead of an L0 merge)\n",
+		st.Compactions, st.HWCompactions, st.SWFallbacks, st.TrivialMoves, trivialAhead)
 	fmt.Fprintf(&b, "compaction io: read %.2f MB, wrote %.2f MB\n",
 		float64(st.CompactionRead)/(1<<20), float64(st.CompactionWrite)/(1<<20))
 	if st.HWCompactions > 0 {

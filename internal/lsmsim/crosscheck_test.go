@@ -39,11 +39,12 @@ func TestSimulatorTracksStore(t *testing.T) {
 		merges, writeAmp float64
 	}{
 		// embed-store's own configuration, the default two-worker pool.
-		// Measured: store 41-44 merges (L0 9-10, L1 32-34) + 11-12 moves,
-		// write amp 4.02-4.34; simulator 47 (9, 38) + 7, 4.49: +7-15 % merges,
-		// +3-12 % write amp. The store's least-overlap pick writes less than
-		// the round-robin pointer it replaced (4.22-4.49), which the model,
-		// with no file boundaries, does not see. The hand-copied picker this
+		// Measured: store 44-46 merges (L0 9, L1 35-37) + 9 moves, write
+		// amp 4.05-4.29; simulator 47 (9, 38) + 7, 4.49: +2-7 % merges,
+		// +5-11 % write amp. The store's least-overlap pick writes less than
+		// the round-robin pointer it replaced (4.22-4.49), and it re-links an
+		// L0 merge's free L1 inputs first; the model, with no file
+		// boundaries, sees neither. The hand-copied picker this
 		// test replaced had no trivial-move rule and read 54 (9, 45) + 0,
 		// 4.90: +20-29 %, +9-16 %.
 		{"leveled", lsm.Options{}, 0.20, 0.13},

@@ -22,8 +22,12 @@ type Compaction struct {
 	SmallestUser []byte
 	LargestUser  []byte
 
-	// grandparents are level+2 files overlapping the output range, used to
-	// cut output tables before they overlap too much of level+2.
+	// Ahead marks a trivial move the size picker took ahead of the L0
+	// merge that would otherwise have rewritten the moved table.
+	Ahead bool
+
+	// grandparents are level+2 files overlapping the output range; only
+	// IsTrivialMove reads them, to refuse a re-link over too many of them.
 	grandparents []*FileMetadata
 }
 
@@ -91,7 +95,8 @@ func (c *Compaction) IsBottomLevel(v *Version) bool {
 
 // PickCompactionFiltered builds the most urgent compaction of the current
 // version on a level allowed accepts (nil accepts all; see Config.PickLevel),
-// or returns nil when no such level needs work.
+// or returns nil when no such level needs work. An L0 merge may first give
+// way to a trivial move of one of its L1 inputs (moveAheadLocked).
 func (vs *VersionSet) PickCompactionFiltered(allowed func(level, outputLevel int) bool) *Compaction {
 	vs.mu.Lock()
 	defer vs.mu.Unlock()
@@ -99,7 +104,30 @@ func (vs *VersionSet) PickCompactionFiltered(allowed func(level, outputLevel int
 	if !ok {
 		return nil
 	}
-	return vs.buildCompactionLocked(level, nil)
+	c := vs.buildCompactionLocked(level, nil)
+	if mv := vs.moveAheadLocked(c, allowed); mv != nil {
+		return mv
+	}
+	return c
+}
+
+// moveAheadLocked returns a trivial move of the first L1 input of the L0
+// merge c that overlaps nothing in L2, so the merge need not copy it; nil
+// when c is no L0 merge, L2 is empty (a first lap of re-links would only
+// come back as L1 merges), levels 1 and 2 are not allowed, or no input
+// can move (a tiered merge has no L1 inputs). The next pick rebuilds the
+// L0 merge without the moved table.
+func (vs *VersionSet) moveAheadLocked(c *Compaction, allowed func(level, outputLevel int) bool) *Compaction {
+	if c.Level != 0 || len(vs.current.Levels[2]) == 0 || allowed != nil && !allowed(1, 2) {
+		return nil
+	}
+	for _, f := range c.Inputs[1] {
+		if mv := vs.buildCompactionLocked(1, f); mv.IsTrivialMove() {
+			mv.Ahead = true
+			return mv
+		}
+	}
+	return nil
 }
 
 // PickCompactionAtLevel forces a compaction at the given level, used by

@@ -164,3 +164,126 @@ func TestLeastOverlappingMatchesBruteForce(t *testing.T) {
 		}
 	}
 }
+
+// TestL0MergeRelinksFreeL1Tables: when the size picker chooses a leveled
+// L0 merge, an L1 input with nothing under it in L2 is re-linked into L2
+// first, provided L2 already holds tables, the re-link passes the
+// grandparent bound and levels 1 and 2 are free.
+func TestL0MergeRelinksFreeL1Tables(t *testing.T) {
+	const mb = 1 << 20
+	type table struct {
+		level  int
+		size   uint64
+		lo, hi string
+	}
+	// Four L0 tables over the whole key space reach the trigger; L1 holds
+	// three tables and "d".."f" has no L2 table under it.
+	base := []table{
+		{0, mb, "a", "z"}, {0, mb, "a", "z"}, {0, mb, "a", "z"}, {0, mb, "a", "z"},
+		{1, mb, "a", "c"}, {1, mb, "d", "f"}, {1, mb, "g", "i"},
+	}
+	l2 := []table{{2, mb, "a", "c"}, {2, mb, "g", "i"}}
+	build := func(t *testing.T, cfg Config, tables ...[]table) *VersionSet {
+		t.Helper()
+		vs, err := Open(t.TempDir(), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { vs.Close() })
+		edit := &VersionEdit{}
+		for _, ts := range tables {
+			for _, tb := range ts {
+				edit.AddFile(tb.level, meta(vs.AllocFileNum(), tb.size, tb.lo, tb.hi))
+			}
+		}
+		if err := vs.LogAndApply(edit); err != nil {
+			t.Fatal(err)
+		}
+		return vs
+	}
+	starts := func(files []*FileMetadata) []string {
+		var s []string
+		for _, f := range files {
+			s = append(s, string(keys.UserKey(f.Smallest)))
+		}
+		return s
+	}
+	// wantL0Merge checks c is the plain L0 merge of every L0 table over
+	// the L1 tables starting at l1.
+	wantL0Merge := func(t *testing.T, c *Compaction, l1 ...string) {
+		t.Helper()
+		if c == nil || c.Level != 0 || c.Ahead || c.IsTrivialMove() {
+			t.Fatalf("got %+v, want an L0 merge", c)
+		}
+		if len(c.Inputs[0]) != 4 || !slices.Equal(starts(c.Inputs[1]), l1) {
+			t.Fatalf("L0 merge reads %d L0 tables and L1 tables starting at %q, want 4 and %q",
+				len(c.Inputs[0]), starts(c.Inputs[1]), l1)
+		}
+	}
+
+	t.Run("free L1 input moves first", func(t *testing.T) {
+		vs := build(t, Config{}, base, l2)
+		c := vs.PickCompactionFiltered(nil)
+		if c == nil || c.Level != 1 || !c.Ahead || !c.IsTrivialMove() ||
+			!slices.Equal(starts(c.Inputs[0]), []string{"d"}) {
+			t.Fatalf("got %+v, want the trivial move of L1's \"d\" table ahead of the L0 merge", c)
+		}
+		edit := &VersionEdit{}
+		edit.DeleteFile(1, c.Inputs[0][0].Num)
+		edit.AddFile(2, c.Inputs[0][0])
+		if err := vs.LogAndApply(edit); err != nil {
+			t.Fatal(err)
+		}
+		wantL0Merge(t, vs.PickCompactionFiltered(nil), "a", "g")
+	})
+	t.Run("first input that passes the grandparent bound", func(t *testing.T) {
+		// "d".."f" sits over more than ten output tables of L3, so the
+		// free "j".."l" behind it is the one that moves.
+		vs := build(t, Config{}, base, l2, []table{{1, mb, "j", "l"}, {3, 21 * mb, "d", "f"}})
+		c := vs.PickCompactionFiltered(nil)
+		if c == nil || !c.Ahead || !slices.Equal(starts(c.Inputs[0]), []string{"j"}) {
+			t.Fatalf("got %+v, want the trivial move of L1's \"j\" table", c)
+		}
+	})
+	t.Run("empty L2 gives the L0 merge", func(t *testing.T) {
+		wantL0Merge(t, build(t, Config{}, base).PickCompactionFiltered(nil), "a", "d", "g")
+	})
+	t.Run("grandparents over the bound give no move", func(t *testing.T) {
+		vs := build(t, Config{}, base, l2, []table{{3, 21 * mb, "d", "f"}})
+		wantL0Merge(t, vs.PickCompactionFiltered(nil), "a", "d", "g")
+	})
+	t.Run("levels 1 and 2 not allowed give the L0 merge", func(t *testing.T) {
+		vs := build(t, Config{}, base, l2)
+		var asked bool
+		c := vs.PickCompactionFiltered(func(level, out int) bool {
+			if level == 1 && out == 2 {
+				asked = true
+				return false
+			}
+			return true
+		})
+		if !asked {
+			t.Fatal("the picker never asked whether levels 1 and 2 are free")
+		}
+		wantL0Merge(t, c, "a", "d", "g")
+	})
+	t.Run("manual L0 compaction is unchanged", func(t *testing.T) {
+		wantL0Merge(t, build(t, Config{}, base, l2).PickCompactionAtLevel(0), "a", "d", "g")
+	})
+	t.Run("a deeper merge is unchanged", func(t *testing.T) {
+		// L3 is the level over budget; the L4 table under its merge has
+		// nothing over it in L2 and must stay where it is.
+		vs := build(t, Config{BaseLevelBytes: 1 << 10},
+			[]table{{2, 1, "x", "z"}, {3, mb, "a", "c"}, {4, mb, "a", "c"}})
+		c := vs.PickCompactionFiltered(nil)
+		if c == nil || c.Level != 3 || c.Ahead || len(c.Inputs[1]) != 1 {
+			t.Fatalf("got %+v, want the L3 merge over its L4 table", c)
+		}
+	})
+	t.Run("tiered mode is unchanged", func(t *testing.T) {
+		c := build(t, Config{TieredRuns: 4}, base, l2).PickCompactionFiltered(nil)
+		if c == nil || c.Level != 0 || c.Ahead || len(c.Inputs[0]) != 4 || len(c.Inputs[1]) != 0 {
+			t.Fatalf("got %+v, want the tiered merge of L0's four runs", c)
+		}
+	})
+}
