@@ -235,7 +235,7 @@ func (db *DB) pickCompactionLocked() *manifest.Compaction {
 		switch {
 		case c == nil:
 			// The requested level emptied before a worker got here; drop
-			// the request and fall through to the seek and size pickers.
+			// the request and fall through to the size picker.
 			db.manualLevel = -1
 			db.bgCond.Broadcast()
 		case db.levelRangeFreeLocked(c.Level, c.OutputLevel()):
@@ -246,22 +246,6 @@ func (db *DB) pickCompactionLocked() *manifest.Compaction {
 			// stays posted until it can be claimed.
 			return nil
 		}
-	}
-	if db.seekLevel >= 0 {
-		c := db.vs.PickCompactionForFile(db.seekLevel, db.seekFile)
-		switch {
-		case c == nil:
-			// The table left the level before a worker got here: the
-			// merge that took it has already spent its seeks.
-			db.seekLevel = -1
-			db.bgCond.Broadcast()
-		case db.levelRangeFreeLocked(c.Level, c.OutputLevel()):
-			db.seekLevel = -1
-			db.met.seekCompactions.Inc()
-			return c
-		}
-		// Otherwise the request stays posted and the size picker may
-		// still find work on free levels.
 	}
 	return db.vs.PickCompactionFiltered(db.levelRangeFreeLocked)
 }
@@ -280,23 +264,6 @@ func (db *DB) levelRangeFreeLocked(level, outputLevel int) bool {
 func (db *DB) setLevelClaimsLocked(c *manifest.Compaction, claimed bool) {
 	db.busyLevels[c.Level] = claimed
 	db.busyLevels[c.OutputLevel()] = claimed
-}
-
-// chargeSeek decrements a file's seek allowance after a read had to read
-// its blocks and then another table's (LevelDB's seek-compaction
-// heuristic: a seek costs roughly the same as compacting 16 KiB). When the
-// allowance runs out and no seek compaction is pending, one seeded from
-// this file is requested.
-func (db *DB) chargeSeek(level int, f *manifest.FileMetadata) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if f.AllowedSeeks > 0 {
-		f.AllowedSeeks--
-		if f.AllowedSeeks == 0 && db.seekLevel < 0 && level < manifest.NumLevels-1 {
-			db.seekLevel, db.seekFile = level, f.Num
-			db.bgCond.Broadcast()
-		}
-	}
 }
 
 // smallestSnapshotLocked returns the oldest sequence any reader may need.
@@ -607,7 +574,7 @@ func (db *DB) WaitIdle() error {
 		if db.closed {
 			return ErrClosed
 		}
-		if db.imm == nil && !db.flushBusy && db.compacting == 0 && db.manualLevel < 0 && db.seekLevel < 0 {
+		if db.imm == nil && !db.flushBusy && db.compacting == 0 && db.manualLevel < 0 {
 			if _, _, due := db.vs.Config().PickLevel(db.vs.Current().Shape(), nil); !due {
 				return nil
 			}

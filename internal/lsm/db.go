@@ -80,12 +80,6 @@ type DB struct {
 	flushBusy   bool
 	compacting  int // compaction workers currently running a job
 	manualLevel int // -1 when no manual compaction is requested
-	// seekLevel and seekFile name the table whose seek allowance ran out
-	// and which a seek compaction is to merge; seekLevel is -1 when none
-	// is requested. The slot is the seek rule's own: CompactLevel never
-	// overwrites it.
-	seekLevel int
-	seekFile  uint64
 	// busyLevels claims level ranges for in-flight compactions: a worker
 	// marks its job's input and output levels before releasing mu, so
 	// concurrent workers never pick overlapping file sets.
@@ -116,7 +110,6 @@ type Stats struct {
 	HWCompactions   int64 // executed on the FCAE backend
 	SWFallbacks     int64 // exceeded the engine's N and ran in software
 	TrivialMoves    int64
-	SeekCompactions int64 // started for a table whose seek allowance ran out
 	CompactionRead  int64
 	CompactionWrite int64
 	KernelTime      time.Duration // modeled engine time
@@ -182,7 +175,6 @@ func Open(dir string, opts Options) (*DB, error) {
 		seq:            vs.LastSeq(),
 		memSeed:        skiplistSeed,
 		manualLevel:    -1,
-		seekLevel:      -1,
 		pendingOutputs: make(map[uint64]bool),
 	}
 	db.registerGauges()
@@ -592,27 +584,18 @@ func (db *DB) getAt(key []byte, seq uint64, rs readState) ([]byte, error) {
 		found  bool
 		del    bool
 		ferr   error
-		// firstMiss is the first filterless table whose blocks were read
-		// without yielding the key. When a second table's blocks had to
-		// be read too, it is charged a seek (LevelDB's "more than one
-		// seek for this read"), and it is compacted when its allowance
-		// runs out, so hot misses get merged away. A table with a filter
-		// is never charged: a probe its filter rejects read nothing, and
-		// one it passes is a false positive, which a merge into a table
-		// with a filter of the same rate would not make rarer.
-		firstMiss *manifest.FileMetadata
-		firstLvl  int
-		reads     int
-		filtered  int64
+		// reads counts the tables whose blocks were read, filtered the
+		// ones whose filter rejected the key without a read.
+		reads    int
+		filtered int64
 	)
-	rs.version.ForEachOverlapping(key, func(level int, f *manifest.FileMetadata) bool {
+	rs.version.ForEachOverlapping(key, func(_ int, f *manifest.FileMetadata) bool {
 		h, err := db.tables.get(f.Num)
 		if err != nil {
 			ferr = err
 			return false
 		}
 		val, d, ok, consulted, err := h.reader.Lookup(key, seq)
-		hasFilter := h.reader.HasFilter()
 		db.tables.release(h)
 		if err != nil {
 			ferr = err
@@ -626,9 +609,6 @@ func (db *DB) getAt(key []byte, seq uint64, rs readState) ([]byte, error) {
 		if ok {
 			result, del, found = val, d, true
 			return false
-		}
-		if firstMiss == nil && !hasFilter {
-			firstMiss, firstLvl = f, level
 		}
 		return true
 	})
@@ -644,9 +624,6 @@ func (db *DB) getAt(key []byte, seq uint64, rs readState) ([]byte, error) {
 	}
 	if misses > 0 {
 		db.met.blockMisses.Add(int64(misses))
-	}
-	if firstMiss != nil && reads > 1 {
-		db.chargeSeek(firstLvl, firstMiss)
 	}
 	if !found || del {
 		return nil, ErrNotFound
@@ -685,7 +662,6 @@ func (db *DB) statsLocked() Stats {
 		HWCompactions:   m.hwCompactions.Value(),
 		SWFallbacks:     m.swFallbacks.Value(),
 		TrivialMoves:    m.trivialMoves.Value(),
-		SeekCompactions: m.seekCompactions.Value(),
 		CompactionRead:  m.compactionRead.Value(),
 		CompactionWrite: m.compactionWrite.Value(),
 		KernelTime:      time.Duration(m.kernelNanos.Value()),

@@ -6,14 +6,11 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
-	"strconv"
 	"strings"
 	"testing"
 
 	"fcae/internal/keys"
-	"fcae/internal/manifest"
 	"fcae/internal/memtable"
-	"fcae/internal/obs"
 )
 
 func openTest(t *testing.T, opts Options) *DB {
@@ -573,11 +570,12 @@ func TestCompactRangePartial(t *testing.T) {
 	}
 }
 
-// probeAcrossTwoTables builds two overlapping L0 tables — even keys, then
-// odd ones — and Gets key0002 150 times: each Get probes the newer table,
-// misses, and finds the key in the older one. The newer table is returned.
-func probeAcrossTwoTables(t *testing.T, db *DB) *manifest.FileMetadata {
-	t.Helper()
+// TestFilterRejectedProbesReadNoBlocks: two overlapping L0 tables — even
+// keys, then odd ones — and 150 Gets of key0002. The newer table's filter
+// rules the key out every time, so each Get reads one table's blocks and
+// the registry counts every probe the filter saved.
+func TestFilterRejectedProbesReadNoBlocks(t *testing.T) {
+	db := openTest(t, Options{})
 	for i := 0; i < 50; i++ {
 		db.Put([]byte(fmt.Sprintf("key%04d", i*2)), []byte("old"))
 	}
@@ -590,136 +588,19 @@ func probeAcrossTwoTables(t *testing.T, db *DB) *manifest.FileMetadata {
 	if err := db.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	l0 := db.vs.Current().Levels[0]
-	if len(l0) != 2 {
+	if l0 := db.vs.Current().Levels[0]; len(l0) != 2 {
 		t.Fatalf("L0 holds %d tables, want 2", len(l0))
 	}
-	newer := l0[0]
-	if l0[1].Num > newer.Num {
-		newer = l0[1]
-	}
-	// The minimum allowance is 100 seeks.
 	for i := 0; i < 150; i++ {
 		if _, err := db.Get([]byte("key0002")); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := db.WaitIdle(); err != nil {
-		t.Fatal(err)
-	}
-	return newer
-}
-
-// TestSeekCompactionTriggers: without filters every probe reads a block,
-// so the Gets exhaust the newer table's allowance and it is compacted.
-func TestSeekCompactionTriggers(t *testing.T) {
-	db := openTest(t, Options{FilterBitsPerKey: -1})
-	probeAcrossTwoTables(t, db)
-	if db.Stats().SeekCompactions == 0 {
-		t.Fatal("repeated cross-table probes should trigger a seek compaction")
-	}
-	// Data intact afterwards.
-	v, err := db.Get([]byte("key0003"))
-	if err != nil || string(v) != "new" {
-		t.Fatalf("Get after seek compaction = %q, %v", v, err)
-	}
-}
-
-// TestFilterRejectedProbesSpendNoSeeks: with filters the newer table's
-// filter rules key0002 out, so the same Gets read one table each, spend
-// none of its allowance and start no seek compaction; the registry counts
-// every probe the filter saved.
-func TestFilterRejectedProbesSpendNoSeeks(t *testing.T) {
-	db := openTest(t, Options{})
-	newer := probeAcrossTwoTables(t, db)
-	if n := db.Stats().SeekCompactions; n != 0 {
-		t.Fatalf("%d seek compactions, want 0", n)
-	}
-	db.mu.Lock()
-	left := newer.AllowedSeeks
-	db.mu.Unlock()
-	if left != 100 {
-		t.Fatalf("newer table has %d seeks left, want all 100", left)
 	}
 	c := db.Metrics().Counters
 	if c["get_filter_negatives"] != 150 || c["get_block_misses"] != 0 {
 		t.Fatalf("get_filter_negatives %d, get_block_misses %d; want 150, 0",
 			c["get_filter_negatives"], c["get_block_misses"])
 	}
-}
-
-// TestSeekCompactionMergesTheChargedTable: the table whose allowance ran
-// out is the one merged, even when the size pick would take another.
-func TestSeekCompactionMergesTheChargedTable(t *testing.T) {
-	rec := &recordingListener{}
-	db := openTest(t, Options{
-		FilterBitsPerKey:   -1,
-		DisableCompression: true,
-		MaxOutputFileBytes: 4 << 10,
-		EventListener:      rec,
-	})
-	value := bytes.Repeat([]byte("v"), 100)
-	put := func(first int) {
-		for i := first; i < 400; i += 2 {
-			if err := db.Put([]byte(fmt.Sprintf("key%04d", i)), value); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	// Odd keys go to the deepest level; even keys, written twice so that
-	// L0's two tables merge rather than move, then make several L1 tables
-	// over them, none of which overlaps L2, so the size pick would take
-	// the first.
-	put(1)
-	if err := db.CompactRange(nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	for round := 0; round < 2; round++ {
-		put(0)
-		if err := db.Flush(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.CompactLevel(0); err != nil {
-		t.Fatal(err)
-	}
-	l1 := db.vs.Current().Levels[1]
-	if len(l1) < 2 {
-		t.Fatalf("L1 holds %d tables, want at least 2", len(l1))
-	}
-	target := l1[len(l1)-1]
-	// An odd key inside the last L1 table: each Get reads that table's
-	// block, misses, and reads the deepest level's.
-	probe := keys.UserKey(target.Largest)
-	n, err := strconv.Atoi(string(probe[len("key"):]))
-	if err != nil {
-		t.Fatal(err)
-	}
-	probe = []byte(fmt.Sprintf("key%04d", n-1))
-	if keys.CompareUser(probe, keys.UserKey(target.Smallest)) < 0 {
-		t.Fatalf("last L1 table [%q, %q] holds no odd key", keys.UserKey(target.Smallest), keys.UserKey(target.Largest))
-	}
-	for i := 0; i < 150; i++ {
-		if _, err := db.Get(probe); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := db.WaitIdle(); err != nil {
-		t.Fatal(err)
-	}
-	if n := db.Stats().SeekCompactions; n != 1 {
-		t.Fatalf("%d seek compactions, want 1", n)
-	}
-	for _, e := range rec.snapshot() {
-		if b, ok := e.(obs.CompactionBeginEvent); ok && b.Level == 1 {
-			for _, in := range b.Inputs {
-				if in.Num == target.Num {
-					return
-				}
-			}
-		}
-	}
-	t.Fatalf("no L1 compaction took table %d, whose seek allowance ran out", target.Num)
 }
 
 func TestApproximateSize(t *testing.T) {

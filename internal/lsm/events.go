@@ -90,12 +90,11 @@ type dbMetrics struct {
 	flushDropped *obs.Counter
 	flushWall    *obs.Histogram
 
-	compactions     *obs.Counter
-	hwCompactions   *obs.Counter
-	swFallbacks     *obs.Counter
-	trivialMoves    *obs.Counter
-	trivialAhead    *obs.Counter
-	seekCompactions *obs.Counter
+	compactions   *obs.Counter
+	hwCompactions *obs.Counter
+	swFallbacks   *obs.Counter
+	trivialMoves  *obs.Counter
+	trivialAhead  *obs.Counter
 	// filterNegatives counts table probes a Get skipped on the filter's
 	// word; blockMisses those that read the table's blocks and did not
 	// find the key — with filters on, the filter's false positives.
@@ -140,7 +139,6 @@ func newDBMetrics(r *obs.Registry) dbMetrics {
 		swFallbacks:     r.Counter("compaction_sw_fallback"),
 		trivialMoves:    r.Counter("compaction_trivial"),
 		trivialAhead:    r.Counter("compaction_trivial_ahead"),
-		seekCompactions: r.Counter("compaction_seek"),
 		filterNegatives: r.Counter("get_filter_negatives"),
 		blockMisses:     r.Counter("get_block_misses"),
 		compactionRead:  r.Counter("compaction_read_bytes"),

@@ -67,10 +67,6 @@ type Options struct {
 	BlockSize int
 	// DisableCompression turns per-block snappy compression off.
 	DisableCompression bool
-	// FilterBitsPerKey sizes the bloom filter attached to every table: 0
-	// selects the default 10 bits per key, a negative value builds tables
-	// without filters.
-	FilterBitsPerKey int
 	// BlockCacheBytes bounds the shared block cache (default 8 MiB).
 	BlockCacheBytes int64
 	// LevelRatio is Size(L_{i+1})/Size(L_i) (Table IV: default 10,
@@ -154,7 +150,7 @@ func (o Options) Validate() error {
 // WithDefaults resolves unset fields to the paper's settings (Table IV).
 // Each default is written once, in the package that owns the parameter:
 // the level shape and the L0 compaction trigger in manifest.Config, the
-// block size in sstable.Options, the memtable, filter, cache, write
+// block size in sstable.Options, the memtable, cache, write
 // throttle and worker pool here. The simulator (package lsmsim) resolves
 // its modeled store through this same method.
 func (o Options) WithDefaults() Options {
@@ -162,9 +158,6 @@ func (o Options) WithDefaults() Options {
 		o.MemTableBytes = 4 << 20
 	}
 	o.BlockSize = sstable.Options{BlockSize: o.BlockSize}.WithDefaults().BlockSize
-	if o.FilterBitsPerKey == 0 {
-		o.FilterBitsPerKey = 10
-	}
 	if o.BlockCacheBytes <= 0 {
 		o.BlockCacheBytes = 8 << 20
 	}
@@ -227,7 +220,8 @@ func (o Options) NextWriteStep(l0Files int, memFull, flushPending, slowed bool) 
 }
 
 // tableOpts maps resolved options onto the table format's; the restart
-// interval is the format's own default.
+// interval is the format's own default, and every table carries a bloom
+// filter of 10 bits per key.
 func (o Options) tableOpts() sstable.Options {
 	compression := sstable.SnappyCompression
 	if o.DisableCompression {
@@ -236,7 +230,7 @@ func (o Options) tableOpts() sstable.Options {
 	return sstable.Options{
 		BlockSize:        o.BlockSize,
 		Compression:      compression,
-		FilterBitsPerKey: max(o.FilterBitsPerKey, 0),
+		FilterBitsPerKey: 10,
 	}.WithDefaults()
 }
 

@@ -1,12 +1,9 @@
 package lsm
 
 import (
-	"bytes"
-	"fmt"
 	"strings"
 	"testing"
 
-	"fcae/internal/keys"
 	"fcae/internal/manifest"
 	"fcae/internal/sstable"
 )
@@ -19,14 +16,11 @@ func TestOptionsValidate(t *testing.T) {
 	}{
 		{name: "zero value", opts: Options{}},
 		{name: "paper defaults spelled out", opts: Options{
-			MemTableBytes: 4 << 20, BlockSize: 4096,
-			FilterBitsPerKey: 10, LevelRatio: 10,
+			MemTableBytes: 4 << 20, BlockSize: 4096, LevelRatio: 10,
 			L0CompactionTrigger: 4, L0SlowdownTrigger: 8, L0StopTrigger: 12,
 		}},
 		{name: "tiered runs", opts: Options{TieredRuns: 4}},
 		{name: "compression disabled alone", opts: Options{DisableCompression: true}},
-		{name: "filter disabled alone", opts: Options{FilterBitsPerKey: -1}},
-		{name: "negative filter bits", opts: Options{FilterBitsPerKey: -10}},
 		{name: "equal triggers", opts: Options{
 			L0CompactionTrigger: 6, L0SlowdownTrigger: 6, L0StopTrigger: 6,
 		}},
@@ -106,37 +100,6 @@ func TestZeroOptionsResolve(t *testing.T) {
 	}
 	if again := o.WithDefaults(); again.tableOpts() != o.tableOpts() || again.ManifestConfig() != o.ManifestConfig() {
 		t.Errorf("WithDefaults is not idempotent: %+v then %+v", o, again)
-	}
-}
-
-// TestFilterBitsResolve covers the one filter knob: 0 is the default 10
-// bits, and a negative value reaches the table writer as 0 bits, which
-// builds a table with no filter block.
-func TestFilterBitsResolve(t *testing.T) {
-	for _, tc := range []struct{ set, want int }{{0, 10}, {6, 6}, {-1, 0}, {-10, 0}} {
-		to := Options{FilterBitsPerKey: tc.set}.WithDefaults().tableOpts()
-		if to.FilterBitsPerKey != tc.want {
-			t.Errorf("FilterBitsPerKey %d resolved to %d table bits, want %d", tc.set, to.FilterBitsPerKey, tc.want)
-		}
-		var buf bytes.Buffer
-		w := sstable.NewWriter(&buf, to)
-		for i := 0; i < 100; i++ {
-			ik := keys.MakeInternal(nil, []byte(fmt.Sprintf("key%03d", i)), 1, keys.KindSet)
-			if err := w.Add(ik, []byte("v")); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := w.Finish(); err != nil {
-			t.Fatal(err)
-		}
-		r, err := sstable.NewReader(bytes.NewReader(buf.Bytes()), int64(buf.Len()), to, nil, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// Only a table without a filter answers "maybe" for an absent key.
-		if got := r.MayContain([]byte("absent")); got != (tc.want == 0) {
-			t.Errorf("FilterBitsPerKey %d: MayContain(absent) = %v", tc.set, got)
-		}
 	}
 }
 

@@ -15,7 +15,9 @@ import (
 // NumLevels is the number of on-disk levels (L0..L6), matching LevelDB.
 const NumLevels = 7
 
-// FileMetadata describes one live SSTable.
+// FileMetadata describes one live SSTable. It is immutable once
+// installed: Version.Apply shares the pointer between versions, and readers
+// hold it without the store's lock.
 type FileMetadata struct {
 	Num      uint64
 	Size     uint64
@@ -28,10 +30,6 @@ type FileMetadata struct {
 	// use RunID 0 for the whole level; L0 files and tiered runs carry
 	// unique ids, larger = more recent.
 	RunID uint64
-
-	// AllowedSeeks drives seek-triggered compaction: when a file is
-	// consulted too many times without yielding, compacting it pays off.
-	AllowedSeeks int
 }
 
 // DeletedFile identifies a table removed from a level.

@@ -142,23 +142,6 @@ func (vs *VersionSet) PickCompactionAtLevel(level int) *Compaction {
 	return vs.buildCompactionLocked(level, nil)
 }
 
-// PickCompactionForFile builds a compaction seeded from table num at level,
-// the table a seek compaction is for. Returns nil if the current version
-// no longer holds that table at that level, or the level has no output.
-func (vs *VersionSet) PickCompactionForFile(level int, num uint64) *Compaction {
-	vs.mu.Lock()
-	defer vs.mu.Unlock()
-	if _, ok := vs.cfg.OutputLevel(level); !ok {
-		return nil
-	}
-	for _, f := range vs.current.Levels[level] {
-		if f.Num == num {
-			return vs.buildCompactionLocked(level, f)
-		}
-	}
-	return nil
-}
-
 // buildCompactionLocked builds a compaction at level seeded from seed, or,
 // when seed is nil, from leastOverlapping's table.
 func (vs *VersionSet) buildCompactionLocked(level int, seed *FileMetadata) *Compaction {

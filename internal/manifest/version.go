@@ -159,15 +159,7 @@ func (v *Version) Apply(edit *VersionEdit) (*Version, error) {
 		next.Levels[d.Level] = append(files[:idx:idx], files[idx+1:]...)
 	}
 	for _, a := range edit.Added {
-		meta := a.Meta
-		if meta.AllowedSeeks == 0 {
-			// LevelDB heuristic: one seek per 16 KiB of file is "free".
-			meta.AllowedSeeks = int(meta.Size / 16384)
-			if meta.AllowedSeeks < 100 {
-				meta.AllowedSeeks = 100
-			}
-		}
-		next.Levels[a.Level] = append(next.Levels[a.Level], meta)
+		next.Levels[a.Level] = append(next.Levels[a.Level], a.Meta)
 	}
 	for level := 1; level < NumLevels; level++ {
 		files := next.Levels[level]

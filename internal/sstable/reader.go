@@ -139,11 +139,6 @@ func (r *Reader) MayContain(userKey []byte) bool {
 	return bloom.MayContain(r.filter, userKey)
 }
 
-// HasFilter reports whether the table carries a filter block. It is the
-// table's own answer: a store reopened under other options holds tables
-// of both kinds.
-func (r *Reader) HasFilter() bool { return r.filter != nil }
-
 // pointRead is what a Get needs besides the table: the two-level cursor
 // and the internal key it seeks. Both are recycled, so a Get's only
 // allocation is the value it returns.
@@ -163,7 +158,7 @@ func (r *Reader) Get(userKey []byte, seq uint64) (value []byte, deleted, found b
 
 // Lookup is Get that also reports whether the table's data blocks were
 // consulted: false when the filter ruled userKey out, a probe that read
-// nothing. The store charges seeks by it.
+// nothing. The store counts filter negatives and block misses by it.
 func (r *Reader) Lookup(userKey []byte, seq uint64) (value []byte, deleted, found, consulted bool, err error) {
 	if !r.MayContain(userKey) {
 		return nil, false, false, false, nil
