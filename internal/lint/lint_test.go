@@ -470,6 +470,30 @@ func free(cycles uint64) uint64 { return cycles * 2 }
 	wantClean(t, diags)
 }
 
+// TestLoadFollowsBuildConstraints: two files that define one function
+// under opposite build constraints load as the host builds them, one of
+// them, instead of failing the type check as a redeclaration.
+func TestLoadFollowsBuildConstraints(t *testing.T) {
+	dir := t.TempDir()
+	for name, src := range map[string]string{
+		"go.mod":     "module fixture\n\ngo 1.22\n",
+		"a.go":       "package a\n\nfunc A() int { return b() }\n",
+		"b_unix.go":  "//go:build unix\n\npackage a\n\nfunc b() int { return 1 }\n",
+		"b_other.go": "//go:build !unix\n\npackage a\n\nfunc b() int { return 2 }\n",
+	} {
+		if err := os.WriteFile(filepath.Join(dir, name), []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	pkgs, err := lint.LoadModule(dir)
+	if err != nil {
+		t.Fatalf("LoadModule: %v", err)
+	}
+	if len(pkgs) != 1 || len(pkgs[0].Files) != 2 {
+		t.Fatalf("loaded %d packages, want one of two files", len(pkgs))
+	}
+}
+
 // TestRepoClean is the acceptance gate: the production tree must carry
 // zero findings. It runs the full suite exactly as cmd/fcaelint does.
 func TestRepoClean(t *testing.T) {

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -15,7 +16,7 @@ import (
 
 // Package is one parsed, type-checked package of the module under
 // analysis. Test files (_test.go) are excluded: the suite checks the
-// production tree.
+// production tree, as the host builds it.
 type Package struct {
 	ImportPath string
 	Dir        string
@@ -167,6 +168,13 @@ func (ld *loader) parseDir(dir string) (*parsedPkg, error) {
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		// A file the host build leaves out by its name or its build
+		// constraint is left out here too, as the compiler leaves it out.
+		if ok, err := build.Default.MatchFile(dir, name); err != nil {
+			return nil, err
+		} else if !ok {
 			continue
 		}
 		f, err := parser.ParseFile(ld.fset, filepath.Join(dir, name), nil, parser.ParseComments)

@@ -165,8 +165,9 @@ func newDBMetrics(r *obs.Registry) dbMetrics {
 }
 
 // registerGauges wires the callback gauges: writer-queue depth, level
-// shape, cache hit ratios and (when the executor publishes them) engine
-// totals. Called once from Open, before the workers start.
+// shape, mapped table bytes, cache hit ratios and (when the executor
+// publishes them) engine totals. Called once from Open, before the workers
+// start.
 func (db *DB) registerGauges() {
 	r := db.reg
 	r.GaugeFunc("write_queue_depth", func() float64 {
@@ -181,6 +182,10 @@ func (db *DB) registerGauges() {
 			return float64(db.vs.Current().LevelBytes(level))
 		})
 	}
+	// Mapped table pages count in the process's resident memory.
+	r.GaugeFunc("table_mapped_bytes", func() float64 {
+		return float64(db.tables.mappedBytes())
+	})
 	r.GaugeFunc("block_cache_bytes", func() float64 {
 		return float64(db.blockCache.Size())
 	})

@@ -60,19 +60,19 @@ func (db *DB) newIterator(rs readState, seq uint64) *Iterator {
 	// Each L0 table is its own sorted run; a leveled level is a single
 	// run and a tiered level contributes several (§VII-C).
 	v := rs.version
-	var groups [manifest.NumLevels][][]*manifest.FileMetadata
-	n := len(v.Levels[0])
-	for level := 1; level < len(v.Levels); level++ {
-		groups[level] = v.RunGroups(level)
-		n += len(groups[level])
+	n := 0
+	for level := range v.Levels {
+		n += v.NumRuns(level)
 	}
 	it.runs = make([]levelIter, 0, n)
 	for i := range v.Levels[0] {
 		it.runs = append(it.runs, levelIter{tables: db.tables, files: v.Levels[0][i : i+1]})
 	}
-	for _, runs := range groups[1:] {
-		for _, files := range runs {
-			it.runs = append(it.runs, levelIter{tables: db.tables, files: files})
+	for level := 1; level < len(v.Levels); level++ {
+		for files := v.Levels[level]; len(files) > 0; {
+			run := manifest.NewestRun(files)
+			files = files[:len(files)-len(run)]
+			it.runs = append(it.runs, levelIter{tables: db.tables, files: run})
 		}
 	}
 	children := append(make([]iter.Iterator, 0, n+2), &it.mem)

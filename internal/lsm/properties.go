@@ -42,6 +42,7 @@ func (db *DB) PropertyString() string {
 			rewrite, ls.Wall.Round(time.Millisecond))
 	}
 	fmt.Fprintf(&b, "memtable: %.2f MB (immutable pending: %v)\n", float64(memBytes)/(1<<20), immPending)
+	fmt.Fprintf(&b, "table cache: %.2f MB mapped\n", float64(db.tables.mappedBytes())/(1<<20))
 	fmt.Fprintf(&b, "writes: %d (%.2f MB), flushes: %d (%.2f MB, %d entries dropped)\n",
 		st.Writes, float64(st.BytesWritten)/(1<<20), st.Flushes, float64(st.FlushBytes)/(1<<20), flushDropped)
 	fmt.Fprintf(&b, "compactions: %d (engine %d, sw fallback %d, trivial %d, %d of them ahead of an L0 merge)\n",

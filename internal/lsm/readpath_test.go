@@ -43,6 +43,36 @@ func threeRuns(t *testing.T, db *DB, n int) {
 	}
 }
 
+// deepRuns leaves db with one table in L2 and one in L1 under threeRuns'
+// three L0 tables. The deep tables hold keys of their own over the same
+// range, key%08d.2 in L2 and key%08d.1 in L1 for every third i of 3n, so
+// every level's range covers every key and a Get for a deep key is
+// rejected by the filters above it.
+func deepRuns(t *testing.T, db *DB, n int) {
+	t.Helper()
+	for _, level := range []int{2, 1} {
+		for i := 0; i < 3*n; i += 3 {
+			k := []byte(fmt.Sprintf("key%08d.%d", i, level))
+			v := []byte(fmt.Sprintf("value-%08d-%0480d", i, level))
+			if err := db.Put(k, v); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for from := 0; from < level; from++ {
+			if err := db.CompactLevel(from); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	threeRuns(t, db, n)
+	if got := db.LevelFiles(); got[1] != 1 || got[2] != 1 {
+		t.Fatalf("level files %v, want one table in L1 and one in L2", got)
+	}
+}
+
 // outstandingRefs sums the table handles readers still hold.
 func outstandingRefs(db *DB) int {
 	tc := db.tables
@@ -58,13 +88,14 @@ func outstandingRefs(db *DB) int {
 // The allocation budgets are not parallel tests: AllocsPerRun sees the
 // whole process.
 
-// TestScanAllocationBudget: a warm 50-entry scan over three runs, each
-// crossing several 4 KiB blocks, allocates when it is built and when a
-// cursor or a scratch key is first used — not per entry and not per
-// block. 110 before the read path kept its buffers.
+// TestScanAllocationBudget: a warm 50-entry scan over five runs, three in
+// L0 and one each in L1 and L2, allocates when it is built and when a
+// cursor or a scratch key is first used — not per entry, not per block
+// and not per level. 110 over three runs before the read path kept its
+// buffers; two more here while building it split each level into runs.
 func TestScanAllocationBudget(t *testing.T) {
 	db := openTest(t, Options{})
-	threeRuns(t, db, 400)
+	deepRuns(t, db, 400)
 	start := []byte("key00000300")
 	scan := func() {
 		it, err := db.NewIterator()
@@ -87,30 +118,29 @@ func TestScanAllocationBudget(t *testing.T) {
 	}
 	scan() // blocks into the cache, tables into the table cache
 	got := testing.AllocsPerRun(100, scan)
-	t.Logf("warm 50-entry scan over three runs: %.0f allocations", got)
+	t.Logf("warm 50-entry scan over five runs: %.0f allocations", got)
 	// Per scan: the Iterator, the slab of run cursors, the child slice and
 	// the merge heap (4); the seek key (2: user key, then trailer), the
 	// skip key and the surfaced key (4). Per run, on its first block: the
 	// index cursor's key, the data cursor's key and the data block's
-	// restart array (3). A version with files below L0 adds one per
-	// populated level (Version.RunGroups).
-	const runs = 3
+	// restart array (3). The runs below L0 are walked in place.
+	const runs = 5
 	if budget := 8.0 + 3*runs; got > budget {
 		t.Fatalf("warm scan allocates %.0f times, budget %.0f", got, budget)
 	}
 }
 
 // TestTableGetAllocationBudget: a warm Get that falls through the
-// memtable and two newer tables to the third. 14 before. It counts what a
-// warm pool saves, and the race detector makes sync.Pool drop a quarter
-// of what it is given.
+// memtable, three L0 tables and L1 to the table in L2. 14 through three
+// tables before. It counts what a warm pool saves, and the race detector
+// makes sync.Pool drop a quarter of what it is given.
 func TestTableGetAllocationBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("sync.Pool drops entries under the race detector")
 	}
 	db := openTest(t, Options{})
-	threeRuns(t, db, 400)
-	key := []byte("key00000300") // 300 % 3 == 0: the oldest table's
+	deepRuns(t, db, 400)
+	key := []byte("key00000300.2") // L2's
 	get := func() {
 		v, err := db.Get(key)
 		if err != nil || len(v) == 0 {
@@ -119,11 +149,11 @@ func TestTableGetAllocationBudget(t *testing.T) {
 	}
 	get()
 	got := testing.AllocsPerRun(100, get)
-	t.Logf("warm Get answered by the third table: %.0f allocations", got)
+	t.Logf("warm Get answered by L2: %.0f allocations", got)
 	// 1: the value, which is the caller's to keep and to write. The
 	// candidate list and its sort (5), the lookup key, the table cursor,
-	// its blocks' cursors and their key scratch (8) are gone. As for a
-	// scan, each populated level below L0 adds one (Version.RunGroups).
+	// its blocks' cursors and their key scratch (8) are gone, and so is one
+	// per level below L0 that the Get walked into runs.
 	if got > 1 {
 		t.Fatalf("warm table Get allocates %.0f times, budget 1", got)
 	}

@@ -205,7 +205,7 @@ func TestWarmIteratorOpensNoTables(t *testing.T) {
 }
 
 // TestTableHandleSurvivesEviction: neither the LRU nor a delete-evict
-// closes a table under a reader; the last release does.
+// closes (unmaps) a table under a reader; the last release does.
 func TestTableHandleSurvivesEviction(t *testing.T) {
 	db := openTest(t, Options{})
 	for i := 0; i < 3; i++ {
@@ -240,9 +240,13 @@ func TestTableHandleSurvivesEviction(t *testing.T) {
 	if _, _, found, err := h.reader.Get(keys.UserKey(files[0].Smallest), 1<<40); err != nil || !found {
 		t.Fatalf("read through an evicted handle: found=%v err=%v", found, err)
 	}
+	var b [1]byte
+	if _, err := h.f.ReadAt(b[:], 0); err != nil {
+		t.Fatalf("table read through an evicted handle: %v", err)
+	}
 	tc.release(h)
-	if _, err := h.f.Stat(); !errors.Is(err, fs.ErrClosed) {
-		t.Fatalf("file after the last release: %v, want closed", err)
+	if _, err := h.f.ReadAt(b[:], 0); !errors.Is(err, fs.ErrClosed) {
+		t.Fatalf("table read after the last release: %v, want closed", err)
 	}
 }
 

@@ -2,17 +2,18 @@ package lsm
 
 import (
 	"container/list"
-	"os"
 	"sync"
 
 	"fcae/internal/cache"
 	"fcae/internal/sstable"
 )
 
-// tableCache keeps open table readers, bounded by an LRU on file handles.
-// Readers are handed out as ref-counted tableHandles: eviction only drops
-// the cache's own claim, and the file is closed by whoever lets go last,
-// so neither the LRU nor a table deletion closes an fd under a reader.
+// tableCache keeps open table readers, bounded by an LRU on open tables.
+// Each table is opened by openTable, mapped into memory where the host
+// allows it. Readers are handed out as ref-counted tableHandles: eviction
+// only drops the cache's own claim, and the table is closed (unmapped) by
+// whoever lets go last, so neither the LRU nor a table deletion takes a
+// table away from under a reader.
 type tableCache struct {
 	mu       sync.Mutex
 	dir      string
@@ -23,13 +24,15 @@ type tableCache struct {
 	lru      *list.List // front = MRU; values are *tableHandle
 	hits     int64
 	misses   int64
+	mapped   int64 // bytes mapped by the handles not yet closed
 }
 
 // tableHandle is one open table. The reader is valid between get and the
 // matching release.
 type tableHandle struct {
 	num    uint64
-	f      *os.File
+	f      tableFile
+	mapped int64 // bytes of f mapped into memory
 	reader *sstable.Reader
 	// refs counts outstanding gets and elem is nil once the cache has
 	// evicted the table; both are guarded by tableCache.mu.
@@ -63,21 +66,17 @@ func (tc *tableCache) get(num uint64) (*tableHandle, error) {
 		return h, nil
 	}
 	tc.misses++
-	f, err := os.Open(tablePath(tc.dir, num))
+	f, size, mapped, err := openTable(tablePath(tc.dir, num))
 	if err != nil {
 		return nil, err
 	}
-	st, err := f.Stat()
-	if err != nil {
-		_ = f.Close()
-		return nil, err
-	}
-	r, err := sstable.NewReader(f, st.Size(), tc.opts, tc.block, num)
+	r, err := sstable.NewReader(f, size, tc.opts, tc.block, num)
 	if err != nil {
 		_ = f.Close()
 		return nil, err
 	}
-	h := &tableHandle{num: num, f: f, reader: r, refs: 1}
+	h := &tableHandle{num: num, f: f, mapped: mapped, reader: r, refs: 1}
+	tc.mapped += mapped
 	h.elem = tc.lru.PushFront(h)
 	tc.entries[num] = h
 	for len(tc.entries) > tc.capacity {
@@ -92,8 +91,7 @@ func (tc *tableCache) release(h *tableHandle) {
 	defer tc.mu.Unlock()
 	h.refs--
 	if h.refs == 0 && h.elem == nil {
-		// Read-only handle; nothing buffered can be lost.
-		_ = h.f.Close()
+		tc.closeLocked(h)
 	}
 }
 
@@ -114,8 +112,15 @@ func (tc *tableCache) evictLocked(h *tableHandle) {
 	h.elem = nil
 	delete(tc.entries, h.num)
 	if h.refs == 0 {
-		_ = h.f.Close()
+		tc.closeLocked(h)
 	}
+}
+
+// closeLocked closes a handle nobody holds any more, unmapping its table.
+func (tc *tableCache) closeLocked(h *tableHandle) {
+	// Read-only handle; nothing buffered can be lost.
+	_ = h.f.Close()
+	tc.mapped -= h.mapped
 }
 
 // stats returns the lifetime hit and miss counts of the reader LRU.
@@ -123,6 +128,14 @@ func (tc *tableCache) stats() (hits, misses int64) {
 	tc.mu.Lock()
 	defer tc.mu.Unlock()
 	return tc.hits, tc.misses
+}
+
+// mappedBytes returns the bytes of table files the cache holds mapped,
+// evicted tables that readers still hold included.
+func (tc *tableCache) mappedBytes() int64 {
+	tc.mu.Lock()
+	defer tc.mu.Unlock()
+	return tc.mapped
 }
 
 // close evicts every table and stops caching: handles still out (an

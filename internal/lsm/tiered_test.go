@@ -168,6 +168,13 @@ func TestTieredRecovery(t *testing.T) {
 	if err := db.Close(); err != nil {
 		t.Fatal(err)
 	}
+	runIDs := make(map[uint64]uint64) // table number -> run id, below L0
+	v := db.vs.Current()
+	for level := 1; level < len(v.Levels); level++ {
+		for _, f := range v.Levels[level] {
+			runIDs[f.Num] = f.RunID
+		}
+	}
 	db2, err := Open(dir, opts)
 	if err != nil {
 		t.Fatal(err)
@@ -175,15 +182,21 @@ func TestTieredRecovery(t *testing.T) {
 	defer db2.Close()
 	verifyAll(t, db2, want)
 	// Run ids must survive the manifest round trip.
-	v := db2.vs.Current()
+	v = db2.vs.Current()
+	kept, tiered := 0, false
 	for level := 1; level < len(v.Levels); level++ {
-		for _, g := range v.RunGroups(level) {
-			for _, f := range g[1:] {
-				if f.RunID != g[0].RunID {
-					t.Fatal("run grouping broken after recovery")
+		for _, f := range v.Levels[level] {
+			if id, ok := runIDs[f.Num]; ok {
+				if f.RunID != id {
+					t.Fatalf("table %d: run id %d after recovery, %d before", f.Num, f.RunID, id)
 				}
+				kept++
+				tiered = tiered || id != 0
 			}
 		}
+	}
+	if kept == 0 || !tiered {
+		t.Fatalf("%d tables below L0 outlived the reopen, tiered=%v: nothing to compare", kept, tiered)
 	}
 }
 

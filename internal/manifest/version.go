@@ -2,7 +2,6 @@ package manifest
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 
 	"fcae/internal/keys"
@@ -127,7 +126,9 @@ func (v *Version) ForEachOverlapping(userKey []byte, visit func(level int, f *Fi
 		// Probe each sorted run, newest first: within one level, a more
 		// recent run holds strictly newer data (full-run tiering moves
 		// whole levels down together), so the first hit wins.
-		for _, run := range v.RunGroups(level) {
+		for files := v.Levels[level]; len(files) > 0; {
+			run := NewestRun(files)
+			files = files[:len(files)-len(run)]
 			i := sort.Search(len(run), func(i int) bool {
 				return keys.CompareUser(keys.UserKey(run[i].Largest), userKey) >= 0
 			})
@@ -209,19 +210,25 @@ func splitRuns(files []*FileMetadata, each bool) [][]*FileMetadata {
 	return runs
 }
 
-// RunGroups returns the level's files grouped into sorted runs, newest run
-// (largest RunID) first for probing.
-func (v *Version) RunGroups(level int) [][]*FileMetadata {
-	groups := splitRuns(v.Levels[level], false)
-	slices.Reverse(groups)
-	return groups
+// NewestRun returns the sorted run at the end of files, a level >= 1 in
+// version storage order or a prefix of one: the files of the largest
+// RunID. Cutting it off and asking again walks a level's runs newest
+// first, in place, as a Get and an iterator do.
+func NewestRun(files []*FileMetadata) []*FileMetadata {
+	id := files[len(files)-1].RunID
+	return files[sort.Search(len(files), func(i int) bool { return files[i].RunID >= id }):]
 }
 
 // NumRuns returns the number of sorted runs at level (each L0 file is its
 // own run).
 func (v *Version) NumRuns(level int) int {
+	files := v.Levels[level]
 	if level == 0 {
-		return len(v.Levels[0])
+		return len(files)
 	}
-	return len(v.RunGroups(level))
+	n := 0
+	for ; len(files) > 0; n++ {
+		files = files[:len(files)-len(NewestRun(files))]
+	}
+	return n
 }

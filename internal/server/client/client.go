@@ -11,6 +11,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"os"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -396,7 +397,11 @@ func (c *Client) do(op server.Op, payload func(dst []byte) []byte) (server.Statu
 		// The slots taken say whether other callers are about to send on
 		// this connection too. A failed write leaves the stream in an
 		// unknown state: the connection dies, and with it every op waiting
-		// on it, this one included.
+		// on it, this one included. A write that missed its deadline
+		// (OpTimeout) times out every one of them.
+		if errors.Is(err, os.ErrDeadlineExceeded) {
+			err = fmt.Errorf("%w: %w", ErrOpTimeout, err)
+		}
 		pc.fail(fmt.Errorf("client: write: %w", err))
 	}
 	r := <-s.reply

@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -439,6 +440,29 @@ func TestTimeoutsRaceReplies(t *testing.T) {
 		}
 	}
 	waitFor(t, "the goroutine count to return to its baseline", func() bool { return runtime.NumGoroutine() <= baseline+2 })
+}
+
+// missedDeadline is a connection whose every write misses its deadline.
+type missedDeadline struct{ net.Conn }
+
+func (missedDeadline) Write([]byte) (int, error) { return 0, os.ErrDeadlineExceeded }
+
+// TestWriteDeadlineIsAnOpTimeout: the write deadline is OpTimeout, so a
+// request that cannot be written in time has timed out. The connection
+// still dies (its stream is in an unknown state), but the op returns
+// ErrOpTimeout with the write's error kept as the cause. Before, it
+// returned a bare write error, which TestTimeoutsRaceReplies caught on a
+// busy host.
+func TestWriteDeadlineIsAnOpTimeout(t *testing.T) {
+	p := &pipeNet{serve: echo, wrap: func(_ int, nc net.Conn) net.Conn { return missedDeadline{nc} }}
+	c := dialPipe(t, p, Options{Conns: 1, OpTimeout: time.Second})
+	_, err := c.Get([]byte("k"))
+	if !errors.Is(err, ErrOpTimeout) || !errors.Is(err, os.ErrDeadlineExceeded) {
+		t.Fatalf("Get over a write that missed its deadline: %v, want ErrOpTimeout caused by os.ErrDeadlineExceeded", err)
+	}
+	if !c.slot(0).isDead() {
+		t.Fatal("the connection outlived a failed write")
+	}
 }
 
 // noDeadline drops write deadlines: on a net.Pipe each one allocates a
