@@ -116,10 +116,10 @@ func main() {
 		st.Flushes, st.Compactions, st.HWCompactions, st.SWFallbacks, st.TrivialMoves)
 	fmt.Printf("compaction bytes: read=%d written=%d; modeled kernel=%s pcie=%s; stalls=%s\n",
 		st.CompactionRead, st.CompactionWrite, st.KernelTime, st.TransferTime, st.StallTime)
-	fmt.Printf("dispatch: device=%d cpu=%d lanes=%v faults=%d timeouts=%d retries=%d fallbacks(fanin=%d budget=%d arena=%d saturated=%d fault=%d) promotions=%d arena-bytes=%d\n",
+	fmt.Printf("dispatch: device=%d cpu=%d lanes=%v faults=%d timeouts=%d retries=%d fallbacks(fanin=%d budget=%d arena=%d saturated=%d fault=%d) arena-bytes=%d\n",
 		ds.DeviceJobs, ds.CPUJobs, ds.LaneJobs, ds.Faults, ds.Timeouts, ds.Retries,
 		ds.FallbackFanIn, ds.FallbackBudget, ds.FallbackArena, ds.FallbackSaturated, ds.FallbackFault,
-		ds.AgingPromotions, ds.ArenaBytes)
+		ds.ArenaBytes)
 	if len(ds.ArenaHighWater) > 0 {
 		fmt.Printf("arena high-water per channel: %v bytes\n", ds.ArenaHighWater)
 	}

@@ -109,9 +109,9 @@ type (
 	// device channels, shared worker-pool size, fault injection and
 	// tuning. Set it in Options.DispatchConfig; it has its own Validate.
 	DispatchConfig = lsm.DispatchConfig
-	// DispatchTuning sets the offload scheduler's queue depth, device
-	// deadline, retry policy, image budget, and the priority lanes'
-	// starvation bound (AgingWait). The zero value picks working defaults.
+	// DispatchTuning sets the offload scheduler's device deadline, retry
+	// policy and image budget. The queue holds two jobs per device
+	// channel. The zero value picks working defaults.
 	DispatchTuning = dispatch.Tuning
 	// Lane identifies which dispatch lane completed a merge: LaneCPU,
 	// DeviceLane(i), or the zero LaneNone for undispatched work.
@@ -119,8 +119,8 @@ type (
 	// RouteReason explains why a job routed to the CPU lane; the zero
 	// RouteNone means it completed on a device.
 	RouteReason = obs.RouteReason
-	// Priority is a compaction job's dispatch priority: PriorityL0 jobs
-	// dequeue ahead of PriorityDeep ones.
+	// Priority is a compaction job's dispatch priority: a PriorityL0 job
+	// queues ahead of every PriorityDeep one.
 	Priority = obs.Priority
 	// DispatchStats is a snapshot of the scheduler's routing counters:
 	// device vs CPU jobs, per-lane totals, faults, timeouts, retries and

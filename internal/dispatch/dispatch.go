@@ -1,7 +1,7 @@
 // Package dispatch is the host-side compaction-offload scheduler (the
 // paper's Fig. 6 routing box grown into a subsystem, following LUDA's
 // observation that offload wins hinge on keeping the device busy, not on
-// the kernel alone). It owns a two-priority job queue feeding a pool of
+// the kernel alone). It owns one bounded job queue feeding a pool of
 // device channels — each wrapping one compaction executor instance, the
 // analogue of one FCAE compaction unit — plus a software (CPU) lane, and
 // routes every job through an admission policy, the first three rules of
@@ -20,12 +20,12 @@
 //     retried with backoff, then degraded to the CPU lane — a flaky card
 //     slows compaction down, it never wedges the store.
 //
-// Admitted jobs queue at one of two priorities: PriorityL0 jobs (the
-// L0→L1 compactions that gate foreground writes) dequeue ahead of
-// PriorityDeep jobs in queue order — no mid-job preemption — with
-// starvation aging: a deep job whose head-of-queue wait exceeds
-// Tuning.AgingWait is promoted past the L0 backlog so deep levels still
-// drain under sustained flush pressure.
+// Admitted jobs wait in one FIFO list, except that a PriorityL0 job (an
+// L0→L1 compaction, which gates foreground writes) is inserted after the
+// L0 jobs already waiting and ahead of every PriorityDeep job. A job on a
+// channel is never preempted. Nothing ages: the store's level claims let
+// at most one L0 merge be in flight per store, so a deep job waits behind
+// at most one L0 job.
 //
 // The scheduler is deliberately oblivious to what a job merges: it sees
 // compaction.Job/Env and returns compaction.Result, so the lsm layer's
@@ -35,6 +35,7 @@ package dispatch
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -48,14 +49,14 @@ type Lane = obs.Lane
 // RouteReason explains a CPU routing (see obs.RouteReason).
 type RouteReason = obs.RouteReason
 
-// Priority is the queue lane a job is enqueued on (see obs.Priority).
+// Priority decides where a job enters the queue (see obs.Priority).
 type Priority = obs.Priority
 
 // Priorities, low to high.
 const (
 	// PriorityDeep is the default for deep-level compactions.
 	PriorityDeep = obs.PriorityDeep
-	// PriorityL0 marks flush-driven L0 jobs; they dequeue first.
+	// PriorityL0 marks flush-driven L0 jobs; they queue ahead of deep ones.
 	PriorityL0 = obs.PriorityL0
 )
 
@@ -126,13 +127,9 @@ func Admit(p Pool, runs int, inputBytes int64) RouteReason {
 	return obs.RouteNone
 }
 
-// Tuning bounds the scheduler's queueing and retry behavior. The zero
+// Tuning bounds the scheduler's device attempts and retries. The zero
 // value selects the documented defaults.
 type Tuning struct {
-	// QueueDepth bounds the device job queue across both priorities
-	// (default 2x channels). A full queue routes new jobs to the CPU
-	// lane instead of blocking.
-	QueueDepth int
 	// DeviceDeadline caps one device attempt's stall time (default 2s).
 	// Only injected stalls are cut short — a merge that is actually
 	// executing is never abandoned, so no orphan writer survives a
@@ -148,10 +145,6 @@ type Tuning struct {
 	// DeviceImageBudget caps the input bytes of a device job; larger jobs
 	// route to the CPU lane. 0 means unlimited.
 	DeviceImageBudget int64
-	// AgingWait is the starvation bound for deep-priority jobs: a deep
-	// job that has waited this long at its queue head is dequeued ahead
-	// of pending L0 jobs (default 500ms).
-	AgingWait time.Duration
 }
 
 // Validate rejects nonsensical tuning values.
@@ -160,8 +153,6 @@ func (t Tuning) Validate() error {
 		return fmt.Errorf("dispatch: invalid Tuning: %s is negative (%d)", name, v)
 	}
 	switch {
-	case t.QueueDepth < 0:
-		return neg("QueueDepth", int64(t.QueueDepth))
 	case t.DeviceDeadline < 0:
 		return neg("DeviceDeadline", int64(t.DeviceDeadline))
 	case t.MaxDeviceRetries < -1:
@@ -170,16 +161,11 @@ func (t Tuning) Validate() error {
 		return neg("RetryBackoff", int64(t.RetryBackoff))
 	case t.DeviceImageBudget < 0:
 		return neg("DeviceImageBudget", t.DeviceImageBudget)
-	case t.AgingWait < 0:
-		return neg("AgingWait", int64(t.AgingWait))
 	}
 	return nil
 }
 
-func (t Tuning) withDefaults(channels int) Tuning {
-	if t.QueueDepth == 0 {
-		t.QueueDepth = 2 * channels
-	}
+func (t Tuning) withDefaults() Tuning {
 	if t.DeviceDeadline == 0 {
 		t.DeviceDeadline = 2 * time.Second
 	}
@@ -191,9 +177,6 @@ func (t Tuning) withDefaults(channels int) Tuning {
 	}
 	if t.RetryBackoff == 0 {
 		t.RetryBackoff = 10 * time.Millisecond
-	}
-	if t.AgingWait == 0 {
-		t.AgingWait = 500 * time.Millisecond
 	}
 	return t
 }
@@ -223,8 +206,6 @@ type Route struct {
 	// device, or when the scheduler has devices and chose one by
 	// default).
 	Reason RouteReason
-	// Priority is the queue priority the job was dispatched with.
-	Priority Priority
 	// DeviceAttempts counts device-lane attempts, including faulted ones.
 	DeviceAttempts int
 	// Faults counts injected faults and timeouts observed by this job.
@@ -259,14 +240,8 @@ type Stats struct {
 	FallbackArena     int64 `json:"fallback_arena"`
 	FallbackSaturated int64 `json:"fallback_saturated"`
 	FallbackFault     int64 `json:"fallback_fault"`
-	// QueueDepth is the instantaneous device-queue occupancy across both
-	// priorities; QueueDepthHigh/QueueDepthLow split it per lane.
-	QueueDepth     int `json:"queue_depth"`
-	QueueDepthHigh int `json:"queue_depth_high"`
-	QueueDepthLow  int `json:"queue_depth_low"`
-	// AgingPromotions counts deep jobs dequeued ahead of a pending L0
-	// backlog because they aged past Tuning.AgingWait.
-	AgingPromotions int64 `json:"aging_promotions"`
+	// QueueDepth is the instantaneous device-queue occupancy.
+	QueueDepth int `json:"queue_depth"`
 	// ArenaBytes is the summed staging-arena capacity across channels.
 	ArenaBytes int64 `json:"arena_bytes"`
 	// ArenaHighWater is each channel's peak staging-arena occupancy
@@ -281,9 +256,6 @@ type request struct {
 	job *compaction.Job
 	env compaction.Env
 	pri Priority
-	// queuedAt is when the request entered the queue; the aging rule
-	// compares against it.
-	queuedAt time.Time
 	// dequeued ends the job's dispatch_queue trace span; the channel
 	// calls it once at pickup.
 	dequeued func()
@@ -314,11 +286,9 @@ type Scheduler struct {
 	stop       chan struct{}
 	wg         sync.WaitGroup
 
-	qmu        sync.Mutex
-	high       []*request // PriorityL0 jobs, FIFO
-	low        []*request // PriorityDeep jobs, FIFO
-	qclosed    bool
-	promotions int64
+	qmu     sync.Mutex
+	queue   []*request // PriorityL0 jobs first, each priority FIFO
+	qclosed bool
 
 	mu     sync.Mutex
 	closed bool
@@ -344,7 +314,7 @@ func New(cfg Config) (*Scheduler, error) {
 		devices:  cfg.Devices,
 		cpu:      cpu,
 		injector: cfg.Injector,
-		tun:      cfg.Tuning.withDefaults(len(cfg.Devices)),
+		tun:      cfg.Tuning.withDefaults(),
 		pool:     Pool{Channels: len(cfg.Devices), ImageBudget: cfg.Tuning.DeviceImageBudget},
 		stop:     make(chan struct{}),
 	}
@@ -402,8 +372,8 @@ func (s *Scheduler) Close() error {
 	// Fail whatever was still queued. The sends happen outside qmu (done
 	// is buffered, but no channel op runs under a held mutex).
 	s.qmu.Lock()
-	stranded := append(s.high, s.low...)
-	s.high, s.low = nil, nil
+	stranded := s.queue
+	s.queue = nil
 	s.qmu.Unlock()
 	for _, req := range stranded {
 		req.done <- deviceResult{err: ErrClosed}
@@ -411,9 +381,11 @@ func (s *Scheduler) Close() error {
 	return nil
 }
 
-// enqueue queues req at its priority. ok is false when the queue is full
-// and block is unset (backpressure routing); err is ErrClosed after
-// Close. Blocking waits are woken by dequeues and by Close.
+// enqueue queues req: a PriorityL0 request after the L0 requests already
+// queued, any other at the tail. The queue holds at most two requests per
+// channel. ok is false when the queue is full and block is unset
+// (backpressure routing); err is ErrClosed after Close. Blocking waits are
+// woken by dequeues and by Close.
 func (s *Scheduler) enqueue(req *request, block bool) (ok bool, err error) {
 	s.qmu.Lock()
 	defer s.qmu.Unlock()
@@ -421,7 +393,7 @@ func (s *Scheduler) enqueue(req *request, block bool) (ok bool, err error) {
 		if s.qclosed {
 			return false, ErrClosed
 		}
-		if len(s.high)+len(s.low) < s.tun.QueueDepth {
+		if len(s.queue) < 2*len(s.devices) {
 			break
 		}
 		if !block {
@@ -429,18 +401,20 @@ func (s *Scheduler) enqueue(req *request, block bool) (ok bool, err error) {
 		}
 		s.qcond.Wait()
 	}
-	req.queuedAt = time.Now()
+	at := len(s.queue)
 	if req.pri == PriorityL0 {
-		s.high = append(s.high, req)
-	} else {
-		s.low = append(s.low, req)
+		at = 0
+		for at < len(s.queue) && s.queue[at].pri == PriorityL0 {
+			at++
+		}
 	}
+	s.queue = slices.Insert(s.queue, at, req)
 	s.qcond.Broadcast()
 	return true, nil
 }
 
-// dequeue blocks for the next request, honoring priority and the aging
-// rule; it returns nil when the scheduler closes.
+// dequeue blocks for the head request; it returns nil when the scheduler
+// closes.
 func (s *Scheduler) dequeue() *request {
 	s.qmu.Lock()
 	defer s.qmu.Unlock()
@@ -448,44 +422,26 @@ func (s *Scheduler) dequeue() *request {
 		if s.qclosed {
 			return nil
 		}
-		if len(s.high) > 0 || len(s.low) > 0 {
+		if len(s.queue) > 0 {
 			break
 		}
 		s.qcond.Wait()
 	}
-	// L0 first; but a deep job that aged past AgingWait at its queue
-	// head goes ahead of the L0 backlog (starvation bound).
-	var req *request
-	aged := len(s.low) > 0 && time.Since(s.low[0].queuedAt) >= s.tun.AgingWait
-	if len(s.high) == 0 || aged {
-		if aged && len(s.high) > 0 {
-			s.promotions++
-		}
-		req = s.low[0]
-		s.low = popFront(s.low)
-	} else {
-		req = s.high[0]
-		s.high = popFront(s.high)
-	}
+	req := s.queue[0]
+	// slices.Delete clears the vacated tail slot, so the request does not
+	// leak through the backing array.
+	s.queue = slices.Delete(s.queue, 0, 1)
 	// A slot freed: wake blocked enqueuers.
 	s.qcond.Broadcast()
 	return req
 }
 
-// popFront drops q's head in place, clearing the vacated tail slot so the
-// request doesn't leak through the backing array.
-func popFront(q []*request) []*request {
-	copy(q, q[1:])
-	q[len(q)-1] = nil
-	return q[:len(q)-1]
-}
-
 // Execute runs one compaction job through the routing policy and returns
 // the merged result plus the route taken. Blocking: the calling worker
-// owns the job until a lane resolves it. pri selects the queue priority;
-// PriorityL0 jobs dequeue ahead of PriorityDeep ones.
+// owns the job until a lane resolves it. pri selects the queue position:
+// a PriorityL0 job queues ahead of every PriorityDeep one.
 func (s *Scheduler) Execute(job *compaction.Job, env compaction.Env, pri Priority) (*compaction.Result, Route, error) {
-	route := Route{Priority: pri}
+	var route Route
 	s.mu.Lock()
 	closed := s.closed
 	s.mu.Unlock()
@@ -575,7 +531,7 @@ func (s *Scheduler) runCPU(job *compaction.Job, env compaction.Env, route *Route
 	return res, *route, err
 }
 
-// channelLoop is one device channel: it drains the priority queue and
+// channelLoop is one device channel: it drains the queue and
 // runs attempts on its own executor instance.
 func (s *Scheduler) channelLoop(lane int) {
 	defer s.wg.Done()
@@ -660,10 +616,7 @@ func (s *Scheduler) Stats() Stats {
 	out.LaneJobs = append([]int64(nil), s.st.LaneJobs...)
 	s.mu.Unlock()
 	s.qmu.Lock()
-	out.QueueDepthHigh = len(s.high)
-	out.QueueDepthLow = len(s.low)
-	out.QueueDepth = len(s.high) + len(s.low)
-	out.AgingPromotions = s.promotions
+	out.QueueDepth = len(s.queue)
 	s.qmu.Unlock()
 	out.ArenaBytes = s.arenaBytes
 	// High-water marks move while the scheduler runs; read them live,
@@ -733,8 +686,7 @@ func (s *Scheduler) noteFallback(reason RouteReason) {
 // as callback gauges (dispatch_device_jobs, dispatch_cpu_jobs,
 // dispatch_lane<i>_jobs, dispatch_faults, dispatch_timeouts,
 // dispatch_retries, dispatch_fallback_{fanin,budget,arena,saturated,fault},
-// dispatch_queue_depth, dispatch_queue_high, dispatch_queue_low,
-// dispatch_aging_promotions, dispatch_arena_bytes,
+// dispatch_queue_depth, dispatch_arena_bytes,
 // dispatch_arena_high_water_bytes — the most-pressured channel's peak
 // arena occupancy, i.e. how close the pool has come to heap spill — and,
 // per arena-sized device channel, dispatch_arena_high_water_bytes_chan<i>
@@ -754,9 +706,6 @@ func (s *Scheduler) PublishMetrics(r *obs.Registry) {
 	r.GaugeFunc("dispatch_fallback_saturated", stat(func(st Stats) float64 { return float64(st.FallbackSaturated) }))
 	r.GaugeFunc("dispatch_fallback_fault", stat(func(st Stats) float64 { return float64(st.FallbackFault) }))
 	r.GaugeFunc("dispatch_queue_depth", stat(func(st Stats) float64 { return float64(st.QueueDepth) }))
-	r.GaugeFunc("dispatch_queue_high", stat(func(st Stats) float64 { return float64(st.QueueDepthHigh) }))
-	r.GaugeFunc("dispatch_queue_low", stat(func(st Stats) float64 { return float64(st.QueueDepthLow) }))
-	r.GaugeFunc("dispatch_aging_promotions", stat(func(st Stats) float64 { return float64(st.AgingPromotions) }))
 	r.GaugeFunc("dispatch_arena_bytes", stat(func(st Stats) float64 { return float64(st.ArenaBytes) }))
 	r.GaugeFunc("dispatch_arena_high_water_bytes", stat(func(st Stats) float64 {
 		var peak int64

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -159,43 +160,27 @@ func TestRoutingTable(t *testing.T) {
 	})
 
 	t.Run("saturated", func(t *testing.T) {
-		// One slow device channel with a minimal queue: the first job
-		// occupies the channel, the second fills the queue, the third must
-		// route to CPU instead of blocking.
+		// One slow device channel, so the queue holds two jobs: the first
+		// job occupies the channel, the next two fill the queue, the
+		// fourth must route to CPU instead of blocking.
 		dev := &fakeExec{name: "fcae", delay: 200 * time.Millisecond}
 		cpu := &fakeExec{name: "cpu"}
-		s := newTestSched(t, Config{
-			Devices: []compaction.Executor{dev},
-			CPU:     cpu,
-			Tuning:  Tuning{QueueDepth: 1},
-		})
-		// Occupy the channel first, then the queue slot: launching both
-		// background jobs at once would race each other for the queue and
-		// one could itself take the saturation path.
+		s := newTestSched(t, Config{Devices: []compaction.Executor{dev}, CPU: cpu})
+		// Park the jobs one at a time: launching the background jobs at
+		// once would race them for the queue and one could itself take the
+		// saturation path.
 		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, _, _ = s.Execute(testJob(1), &nullEnv{}, PriorityDeep)
-		}()
-		deadline := time.Now().Add(5 * time.Second)
-		for dev.calls.Load() == 0 { // channel busy, queue empty
-			if time.Now().After(deadline) {
-				t.Fatal("device never picked up the first job")
-			}
-			time.Sleep(time.Millisecond)
+		park := func(what string, parked func() bool) {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				_, _, _ = s.Execute(testJob(1), &nullEnv{}, PriorityDeep)
+			}()
+			waitFor(t, what, parked)
 		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			_, _, _ = s.Execute(testJob(1), &nullEnv{}, PriorityDeep)
-		}()
-		for s.Stats().QueueDepth < 1 { // second job parked in the queue
-			if time.Now().After(deadline) {
-				t.Fatal("queue never filled")
-			}
-			time.Sleep(time.Millisecond)
-		}
+		park("the first job on the channel", func() bool { return dev.calls.Load() == 1 })
+		park("a second job in the queue", func() bool { return s.Stats().QueueDepth == 1 })
+		park("a third job in the queue", func() bool { return s.Stats().QueueDepth == 2 })
 		_, route, err := s.Execute(testJob(1), &nullEnv{}, PriorityDeep)
 		if err != nil {
 			t.Fatalf("Execute: %v", err)
@@ -466,14 +451,10 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 // TestPriorityOrdering proves a queued L0 job is dispatched before a deep
 // job that was enqueued earlier: job 1 occupies the single channel, job 2
-// (deep) parks in the low lane, job 3 (L0) arrives later but runs first.
+// (deep) parks in the queue, job 3 (L0) arrives later but runs first.
 func TestPriorityOrdering(t *testing.T) {
 	dev := &gateExec{fakeExec: fakeExec{name: "fcae", maxRuns: 4}, gate: make(chan struct{})}
-	s := newTestSched(t, Config{
-		Devices: []compaction.Executor{dev},
-		CPU:     &fakeExec{name: "cpu"},
-		Tuning:  Tuning{QueueDepth: 4, AgingWait: time.Hour},
-	})
+	s := newTestSched(t, Config{Devices: []compaction.Executor{dev}, CPU: &fakeExec{name: "cpu"}})
 	var wg sync.WaitGroup
 	run := func(num uint64, pri Priority) {
 		wg.Add(1)
@@ -487,52 +468,37 @@ func TestPriorityOrdering(t *testing.T) {
 	run(1, PriorityDeep)
 	waitFor(t, "job 1 on the channel", func() bool { return len(dev.callOrder()) == 1 })
 	run(2, PriorityDeep)
-	waitFor(t, "job 2 queued low", func() bool { return s.Stats().QueueDepthLow == 1 })
+	waitFor(t, "job 2 queued", func() bool { return s.Stats().QueueDepth == 1 })
 	run(3, PriorityL0)
-	waitFor(t, "job 3 queued high", func() bool { return s.Stats().QueueDepthHigh == 1 })
+	waitFor(t, "job 3 queued", func() bool { return s.Stats().QueueDepth == 2 })
 	close(dev.gate)
 	wg.Wait()
 	if got := dev.callOrder(); len(got) != 3 || got[0] != 1 || got[1] != 3 || got[2] != 2 {
 		t.Fatalf("device order = %v, want [1 3 2] (L0 job 3 ahead of earlier deep job 2)", got)
 	}
-	if got := s.Stats().AgingPromotions; got != 0 {
-		t.Fatalf("AgingPromotions = %d, want 0", got)
-	}
 }
 
-// TestAgingPromotion proves the starvation bound: a deep job that waited
-// past AgingWait dequeues ahead of a younger L0 backlog.
-func TestAgingPromotion(t *testing.T) {
-	dev := &gateExec{fakeExec: fakeExec{name: "fcae", maxRuns: 4}, gate: make(chan struct{})}
-	s := newTestSched(t, Config{
-		Devices: []compaction.Executor{dev},
-		CPU:     &fakeExec{name: "cpu"},
-		Tuning:  Tuning{QueueDepth: 4, AgingWait: 30 * time.Millisecond},
-	})
-	var wg sync.WaitGroup
-	run := func(num uint64, pri Priority) {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, _, err := s.Execute(testJobNum(num), &nullEnv{}, pri); err != nil {
-				t.Errorf("Execute(%d): %v", num, err)
-			}
-		}()
+// TestL0QueuesAfterL0AheadOfDeep pins enqueue's insertion rule on a
+// scheduler with no channel goroutines draining it: an L0 request goes
+// after the L0 requests already queued and ahead of every deep one, and
+// each priority stays FIFO.
+func TestL0QueuesAfterL0AheadOfDeep(t *testing.T) {
+	s := &Scheduler{devices: make([]compaction.Executor, 3)} // room for 6
+	s.qcond = sync.NewCond(&s.qmu)
+	for i, pri := range []Priority{PriorityDeep, PriorityL0, PriorityDeep, PriorityL0, PriorityDeep, PriorityL0} {
+		if ok, err := s.enqueue(&request{job: testJobNum(uint64(i + 1)), pri: pri}, false); !ok || err != nil {
+			t.Fatalf("enqueue(%d) = %v, %v", i+1, ok, err)
+		}
 	}
-	run(1, PriorityDeep)
-	waitFor(t, "job 1 on the channel", func() bool { return len(dev.callOrder()) == 1 })
-	run(2, PriorityDeep)
-	waitFor(t, "job 2 queued low", func() bool { return s.Stats().QueueDepthLow == 1 })
-	time.Sleep(60 * time.Millisecond) // job 2 ages past AgingWait
-	run(3, PriorityL0)
-	waitFor(t, "job 3 queued high", func() bool { return s.Stats().QueueDepthHigh == 1 })
-	close(dev.gate)
-	wg.Wait()
-	if got := dev.callOrder(); len(got) != 3 || got[1] != 2 {
-		t.Fatalf("device order = %v, want aged deep job 2 ahead of L0 job 3", got)
+	var got []uint64
+	for _, req := range s.queue {
+		got = append(got, req.job.Runs[0][0].Num)
 	}
-	if got := s.Stats().AgingPromotions; got != 1 {
-		t.Fatalf("AgingPromotions = %d, want 1", got)
+	if want := []uint64{2, 4, 6, 1, 3, 5}; !slices.Equal(got, want) {
+		t.Fatalf("queue order = %v, want %v", got, want)
+	}
+	if ok, _ := s.enqueue(&request{job: testJobNum(7), pri: PriorityL0}, false); ok {
+		t.Fatal("a full queue took a seventh request")
 	}
 }
 
@@ -657,12 +623,10 @@ func TestArenaExhaustedFallsBack(t *testing.T) {
 // TestTuningValidate covers the rejection paths.
 func TestTuningValidate(t *testing.T) {
 	bad := []Tuning{
-		{QueueDepth: -1},
 		{DeviceDeadline: -time.Second},
 		{MaxDeviceRetries: -2},
 		{RetryBackoff: -time.Millisecond},
 		{DeviceImageBudget: -1},
-		{AgingWait: -time.Second},
 	}
 	for i, tn := range bad {
 		if err := tn.Validate(); err == nil {

@@ -54,10 +54,9 @@ func (db *DB) Checkpoint(dest string) error {
 	edit.SetNextFileNum(maxNum + 1000) // clear of copied numbers
 	for level := range v.Levels {
 		for _, f := range v.Levels[level] {
-			edit.AddFile(level, &manifest.FileMetadata{
-				Num: f.Num, Size: f.Size,
-				Smallest: f.Smallest, Largest: f.Largest,
-			})
+			// The version's own metadata, run id included: a tiered level's
+			// overlapping runs must stay apart in the copy.
+			edit.AddFile(level, f)
 		}
 	}
 	if err := vs.LogAndApply(edit); err != nil {

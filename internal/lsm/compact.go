@@ -17,7 +17,7 @@ import (
 // poolWorker is one goroutine of the shared flush/compaction pool
 // (DispatchConfig.Workers instances). Flushes are the highest priority: a
 // worker always drains a pending memtable before picking a merge
-// compaction, mirroring the dispatch scheduler's L0-first lane so that —
+// compaction, mirroring the dispatch scheduler's L0-first queue so that —
 // as in the paper's FCAE schedule (§VI-A) — flushes proceed while merge
 // compactions execute on the engine. Merge compactions each claim their
 // input and output levels under db.mu (busyLevels), so in-flight jobs
@@ -260,7 +260,8 @@ func (db *DB) levelRangeFreeLocked(level, outputLevel int) bool {
 }
 
 // setLevelClaimsLocked claims or releases c's input and output levels.
-// Callers hold db.mu.
+// An L0 merge claims L0, so at most one is in flight: the dispatch queue
+// relies on this and has no starvation timer. Callers hold db.mu.
 func (db *DB) setLevelClaimsLocked(c *manifest.Compaction, claimed bool) {
 	db.busyLevels[c.Level] = claimed
 	db.busyLevels[c.OutputLevel()] = claimed
@@ -286,7 +287,7 @@ func (db *DB) runCompaction(c *manifest.Compaction) (err error) {
 	inputs := tableInfos(c.Inputs[0], c.Level)
 	inputs = append(inputs, tableInfos(c.Inputs[1], c.Level+1)...)
 
-	// L0 compactions ride the dispatcher's high-priority lane: they gate
+	// L0 compactions go to the front of the dispatcher's queue: they gate
 	// flushes (and therefore writes), so they must not queue behind deep
 	// merges (paper §VI-A).
 	pri := dispatch.PriorityDeep

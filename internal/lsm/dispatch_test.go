@@ -321,7 +321,7 @@ func TestDispatchConfigValidation(t *testing.T) {
 		{DispatchConfig: DispatchConfig{Workers: -1}},
 		{DispatchConfig: DispatchConfig{Devices: []compaction.Executor{nil}}},
 		{DispatchConfig: DispatchConfig{FaultInjector: inj}}, // no devices to fault
-		{DispatchConfig: DispatchConfig{Tuning: dispatch.Tuning{QueueDepth: -1}}},
+		{DispatchConfig: DispatchConfig{Tuning: dispatch.Tuning{MaxDeviceRetries: -2}}},
 	}
 	for i, o := range bad {
 		if err := o.Validate(); err == nil {
@@ -332,7 +332,7 @@ func TestDispatchConfigValidation(t *testing.T) {
 		Devices:       devs,
 		Workers:       3,
 		FaultInjector: dispatch.NewProbInjector(1, 0.1),
-		Tuning:        dispatch.Tuning{QueueDepth: 4},
+		Tuning:        dispatch.Tuning{MaxDeviceRetries: 2},
 	}}
 	if err := ok.Validate(); err != nil {
 		t.Errorf("valid DispatchConfig rejected: %v", err)
@@ -343,16 +343,19 @@ func TestDispatchConfigValidation(t *testing.T) {
 	}
 }
 
-// priorityListener records the priority tag of every non-trivial
-// compaction event.
+// priorityListener records the priority tag of every compaction event and
+// counts the non-trivial L0 merges in flight: the level claims allow one
+// at a time, which is what keeps a deep job from waiting behind more than
+// one L0 job in the dispatch queue.
 type priorityListener struct {
 	obs.NoopListener
 
-	mu     sync.Mutex
-	begins map[uint64]obs.Priority // job id -> begin priority
-	l0     int
-	deep   int
-	bad    []string
+	mu       sync.Mutex
+	begins   map[uint64]obs.Priority // job id -> begin priority
+	l0       int
+	deep     int
+	l0Merges int // non-trivial L0 merges between Begin and End
+	bad      []string
 }
 
 func (p *priorityListener) CompactionBegin(e obs.CompactionBeginEvent) {
@@ -369,6 +372,12 @@ func (p *priorityListener) CompactionBegin(e obs.CompactionBeginEvent) {
 	if e.Priority != want {
 		p.bad = append(p.bad, fmt.Sprintf("job %d: level %d tagged %q", e.JobID, e.Level, e.Priority))
 	}
+	if e.Level == 0 && !e.TrivialMove {
+		p.l0Merges++
+		if p.l0Merges > 1 {
+			p.bad = append(p.bad, fmt.Sprintf("job %d: %d L0 merges in flight", e.JobID, p.l0Merges))
+		}
+	}
 }
 
 func (p *priorityListener) CompactionEnd(e obs.CompactionEndEvent) {
@@ -377,6 +386,9 @@ func (p *priorityListener) CompactionEnd(e obs.CompactionEndEvent) {
 	if begin, ok := p.begins[e.JobID]; ok && e.Priority != begin {
 		p.bad = append(p.bad, fmt.Sprintf("job %d: begin %q != end %q", e.JobID, begin, e.Priority))
 	}
+	if e.Level == 0 && !e.TrivialMove {
+		p.l0Merges--
+	}
 	if e.Priority == obs.PriorityL0 {
 		p.l0++
 	} else {
@@ -384,9 +396,10 @@ func (p *priorityListener) CompactionEnd(e obs.CompactionEndEvent) {
 	}
 }
 
-// TestCompactionPriorityEvents drives the shared pool until both L0 and
-// deep compactions have run, then checks every event carries the lane
-// priority derived from its source level.
+// TestCompactionPriorityEvents drives a five-worker pool until both L0
+// and deep compactions have run, then checks every event carries the
+// priority derived from its source level and that no two L0 merges were
+// ever in flight together.
 func TestCompactionPriorityEvents(t *testing.T) {
 	pl := &priorityListener{}
 	opts := Options{
@@ -396,7 +409,7 @@ func TestCompactionPriorityEvents(t *testing.T) {
 		BlockCacheBytes:    1 << 20,
 		DispatchConfig: DispatchConfig{
 			Devices: newDeviceChannels(t, 1),
-			Workers: 3,
+			Workers: 5,
 		},
 		EventListener: pl,
 	}

@@ -33,8 +33,8 @@ type DispatchConfig struct {
 	// device-channel attempt (see package dispatch). Requires at least
 	// one device channel.
 	FaultInjector dispatch.FaultInjector
-	// Tuning bounds the scheduler's queueing, priority-aging, retry and
-	// budget policy; the zero value selects the dispatch defaults.
+	// Tuning bounds the scheduler's device deadline, retry and budget
+	// policy; the zero value selects the dispatch defaults.
 	Tuning dispatch.Tuning
 }
 

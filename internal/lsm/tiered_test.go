@@ -51,6 +51,48 @@ func TestTieredLevelsHoldMultipleRuns(t *testing.T) {
 	}
 }
 
+// TestCheckpointKeepsTieredRuns checkpoints a tiered store whose L1 holds
+// three overlapping runs of the same keys: the copy must keep each table's
+// run, so it opens and the newest run's values win.
+func TestCheckpointKeepsTieredRuns(t *testing.T) {
+	db := openTest(t, tieredOpts())
+	for round := 0; round < 3; round++ {
+		for i := 0; i < 400; i++ {
+			k := fmt.Sprintf("key%05d", i)
+			if err := db.Put([]byte(k), []byte(fmt.Sprintf("round%d", round))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if err := db.CompactLevel(0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := db.vs.Current().NumRuns(1); n != 3 {
+		t.Fatalf("L1 holds %d runs, want 3", n)
+	}
+	dest := t.TempDir() + "/checkpoint"
+	if err := db.Checkpoint(dest); err != nil {
+		t.Fatal(err)
+	}
+	cp, err := Open(dest, tieredOpts())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cp.Close()
+	if n := cp.vs.Current().NumRuns(1); n != 3 {
+		t.Fatalf("checkpoint L1 holds %d runs, want 3", n)
+	}
+	for i := 0; i < 400; i++ {
+		k := fmt.Sprintf("key%05d", i)
+		if v, err := cp.Get([]byte(k)); err != nil || string(v) != "round2" {
+			t.Fatalf("checkpoint Get(%s) = %q, %v; want round2", k, v, err)
+		}
+	}
+}
+
 func TestTieredMultiRunJobsReachEngine(t *testing.T) {
 	// The paper's §VII-C scenario: lazy compaction produces merges with
 	// more than two sorted runs, which only the multi-input engine can

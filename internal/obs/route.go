@@ -151,9 +151,9 @@ func (r *RouteReason) UnmarshalJSON(data []byte) error {
 	return fmt.Errorf("obs: unknown route reason %q", s)
 }
 
-// Priority is a job's dispatch lane priority. The zero value is
-// PriorityDeep (deep-level compactions); PriorityL0 marks flush-driven
-// L0 jobs, which the scheduler dequeues first.
+// Priority is a job's dispatch priority. The zero value is PriorityDeep
+// (deep-level compactions); PriorityL0 marks flush-driven L0 jobs, which
+// the scheduler queues ahead of deep ones.
 type Priority int
 
 // Priorities, low to high.
