@@ -110,8 +110,8 @@ type (
 	// tuning. Set it in Options.DispatchConfig; it has its own Validate.
 	DispatchConfig = lsm.DispatchConfig
 	// DispatchTuning sets the offload scheduler's device deadline, retry
-	// policy and image budget. The queue holds two jobs per device
-	// channel. The zero value picks working defaults.
+	// policy and image budget. At most two calls per device channel wait
+	// for one. The zero value picks working defaults.
 	DispatchTuning = dispatch.Tuning
 	// Lane identifies which dispatch lane completed a merge: LaneCPU,
 	// DeviceLane(i), or the zero LaneNone for undispatched work.
@@ -120,7 +120,7 @@ type (
 	// RouteNone means it completed on a device.
 	RouteReason = obs.RouteReason
 	// Priority is a compaction job's dispatch priority: a PriorityL0 job
-	// queues ahead of every PriorityDeep one.
+	// waits for a device channel ahead of every PriorityDeep one.
 	Priority = obs.Priority
 	// DispatchStats is a snapshot of the scheduler's routing counters:
 	// device vs CPU jobs, per-lane totals, faults, timeouts, retries and
@@ -169,14 +169,14 @@ const (
 	RouteImageBudget = obs.RouteImageBudget
 	// RouteArena: the job did not fit the per-channel staging arena.
 	RouteArena = obs.RouteArena
-	// RouteSaturated: every device queue slot was full at submission.
+	// RouteSaturated: no device channel was idle and the wait list was full.
 	RouteSaturated = obs.RouteSaturated
 	// RouteDeviceFault: device attempts exhausted the retry budget.
 	RouteDeviceFault = obs.RouteDeviceFault
 
 	// PriorityDeep is the default priority for deep-level compactions.
 	PriorityDeep = obs.PriorityDeep
-	// PriorityL0 marks flush-driven L0 jobs; they dequeue first.
+	// PriorityL0 marks flush-driven L0 jobs; they take a channel first.
 	PriorityL0 = obs.PriorityL0
 )
 

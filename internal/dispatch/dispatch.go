@@ -1,11 +1,11 @@
 // Package dispatch is the host-side compaction-offload scheduler (the
 // paper's Fig. 6 routing box grown into a subsystem, following LUDA's
 // observation that offload wins hinge on keeping the device busy, not on
-// the kernel alone). It owns one bounded job queue feeding a pool of
-// device channels — each wrapping one compaction executor instance, the
-// analogue of one FCAE compaction unit — plus a software (CPU) lane, and
-// routes every job through an admission policy, the first three rules of
-// which are the pure function Admit that the simulator calls too:
+// the kernel alone). It owns a pool of device channels — each wrapping
+// one compaction executor instance, the analogue of one FCAE compaction
+// unit — plus a software (CPU) lane, and routes every job through an
+// admission policy, the first three rules of which are the pure function
+// Admit that the simulator calls too:
 //
 //   - fan-in: jobs whose run count exceeds the device's N go to the CPU
 //     lane (the paper's "#SSTable in L0 > N-1 → SW compaction" rule);
@@ -14,15 +14,19 @@
 //   - arena: jobs whose input bytes exceed the per-channel staging arena
 //     go to the CPU lane (the images would not fit the channel's
 //     persistent device-memory allocation);
-//   - backpressure: when the device queue is full the job runs on the CPU
-//     lane immediately instead of stalling the compaction worker;
+//   - backpressure: when two calls per channel already wait for a lane
+//     the job runs on the CPU lane immediately instead of stalling the
+//     compaction worker;
 //   - fault fallback: a device attempt that faults or times out is
 //     retried with backoff, then degraded to the CPU lane — a flaky card
 //     slows compaction down, it never wedges the store.
 //
-// Admitted jobs wait in one FIFO list, except that a PriorityL0 job (an
-// L0→L1 compaction, which gates foreground writes) is inserted after the
-// L0 jobs already waiting and ahead of every PriorityDeep job. A job on a
+// The host protocol is synchronous, as in the paper (§IV): the worker
+// that calls Execute takes an idle channel, runs the attempt on its own
+// goroutine and gives the channel back. Calls that find no channel idle
+// wait in one FIFO list, except that a PriorityL0 call (an L0→L1
+// compaction, which gates foreground writes) waits after the L0 calls
+// already waiting and ahead of every PriorityDeep one. A job on a
 // channel is never preempted. Nothing ages: the store's level claims let
 // at most one L0 merge be in flight per store, so a deep job waits behind
 // at most one L0 job.
@@ -49,14 +53,14 @@ type Lane = obs.Lane
 // RouteReason explains a CPU routing (see obs.RouteReason).
 type RouteReason = obs.RouteReason
 
-// Priority decides where a job enters the queue (see obs.Priority).
+// Priority decides where a call waits for a lane (see obs.Priority).
 type Priority = obs.Priority
 
 // Priorities, low to high.
 const (
 	// PriorityDeep is the default for deep-level compactions.
 	PriorityDeep = obs.PriorityDeep
-	// PriorityL0 marks flush-driven L0 jobs; they queue ahead of deep ones.
+	// PriorityL0 marks flush-driven L0 jobs; they wait ahead of deep ones.
 	PriorityL0 = obs.PriorityL0
 )
 
@@ -69,7 +73,7 @@ const (
 	// ReasonArena: the job would not fit the per-channel staging arena,
 	// at admission (sized check) or at run time (builder exhausted it).
 	ReasonArena = obs.RouteArena
-	// ReasonSaturated: the device queue was full at admission.
+	// ReasonSaturated: the wait list was full at admission.
 	ReasonSaturated = obs.RouteSaturated
 	// ReasonFault: device attempts faulted until retries were exhausted.
 	ReasonFault = obs.RouteDeviceFault
@@ -108,11 +112,11 @@ type Pool struct {
 }
 
 // Admit decides whether a job of runs sorted inputs and inputBytes may
-// queue for a device channel: it returns obs.RouteNone when it may, else
+// take a device channel: it returns obs.RouteNone when it may, else
 // the reason it runs on the CPU lane. It is the one statement of the
 // paper's §VI-A software-fallback rule, called by Scheduler.Execute and by
 // the simulator (package lsmsim). The saturated and mid-build arena routes
-// depend on queue and runtime state, so Execute takes them itself.
+// depend on wait-list and runtime state, so Execute takes them itself.
 func Admit(p Pool, runs int, inputBytes int64) RouteReason {
 	switch {
 	case p.Channels == 0:
@@ -192,7 +196,7 @@ type Config struct {
 	CPU compaction.Executor
 	// Injector, when non-nil, is consulted once per device attempt.
 	Injector FaultInjector
-	// Tuning bounds queueing and retries; zero value = defaults.
+	// Tuning bounds device attempts and retries; zero value = defaults.
 	Tuning Tuning
 }
 
@@ -240,7 +244,7 @@ type Stats struct {
 	FallbackArena     int64 `json:"fallback_arena"`
 	FallbackSaturated int64 `json:"fallback_saturated"`
 	FallbackFault     int64 `json:"fallback_fault"`
-	// QueueDepth is the instantaneous device-queue occupancy.
+	// QueueDepth is the number of calls waiting for a device lane.
 	QueueDepth int `json:"queue_depth"`
 	// ArenaBytes is the summed staging-arena capacity across channels.
 	ArenaBytes int64 `json:"arena_bytes"`
@@ -251,29 +255,10 @@ type Stats struct {
 	ArenaHighWater []int64 `json:"arena_high_water,omitempty"`
 }
 
-// request is one job handed to a device channel.
-type request struct {
-	job *compaction.Job
-	env compaction.Env
-	pri Priority
-	// dequeued ends the job's dispatch_queue trace span; the channel
-	// calls it once at pickup.
-	dequeued func()
-	// done is send-only from the request's perspective: the channel
-	// goroutine (or Close's drain) resolves it exactly once; only the
-	// Execute call that made the channel receives.
-	done chan<- deviceResult
-}
-
-type deviceResult struct {
-	res  *compaction.Result
-	lane int
-	err  error
-}
-
 // Scheduler routes compaction jobs between the device channel pool and
-// the CPU lane. Safe for concurrent Execute calls; Close joins every
-// channel goroutine.
+// the CPU lane. Safe for concurrent Execute calls: each call takes a
+// device lane itself, runs its attempt on its own goroutine and gives the
+// lane back, so the scheduler starts no goroutine.
 type Scheduler struct {
 	// Immutable after New.
 	devices    []compaction.Executor
@@ -281,22 +266,25 @@ type Scheduler struct {
 	injector   FaultInjector
 	tun        Tuning
 	pool       Pool
-	arenaBytes int64      // summed channel arena capacity
-	qcond      *sync.Cond // signals queue state changes; locks qmu
+	arenaBytes int64 // summed channel arena capacity
 	stop       chan struct{}
-	wg         sync.WaitGroup
 
-	qmu     sync.Mutex
-	queue   []*request // PriorityL0 jobs first, each priority FIFO
-	qclosed bool
-
-	mu     sync.Mutex
-	closed bool
-	st     Stats
+	mu      sync.Mutex
+	cond    *sync.Cond // signals lane releases and Close; locks mu
+	idle    []int      // free device lanes; non-empty only while nobody waits
+	waiting []*waiter  // calls waiting for a lane: PriorityL0 first, each priority FIFO
+	closed  bool
+	st      Stats
 }
 
-// New builds a scheduler and starts one goroutine per device channel.
-// The caller must Close it to join them.
+// waiter is one Execute call waiting for a device lane.
+type waiter struct {
+	pri  Priority
+	lane int // -1 until release hands the call a lane
+}
+
+// New builds a scheduler with every device lane idle. The caller must
+// Close it.
 func New(cfg Config) (*Scheduler, error) {
 	if err := cfg.Tuning.Validate(); err != nil {
 		return nil, err
@@ -318,9 +306,10 @@ func New(cfg Config) (*Scheduler, error) {
 		pool:     Pool{Channels: len(cfg.Devices), ImageBudget: cfg.Tuning.DeviceImageBudget},
 		stop:     make(chan struct{}),
 	}
-	s.qcond = sync.NewCond(&s.qmu)
+	s.cond = sync.NewCond(&s.mu)
 	// The pool's admission limits are the weakest channel's (0 = none).
-	for _, d := range s.devices {
+	for i, d := range s.devices {
+		s.idle = append(s.idle, i)
 		s.pool.MaxRuns = minPositive(s.pool.MaxRuns, d.MaxRuns())
 		if az, ok := d.(ArenaSizer); ok {
 			s.arenaBytes += az.ArenaBytes()
@@ -329,10 +318,6 @@ func New(cfg Config) (*Scheduler, error) {
 	}
 	if len(s.devices) > 0 {
 		s.st.LaneJobs = make([]int64, len(s.devices))
-	}
-	for i := range s.devices {
-		s.wg.Add(1)
-		go s.channelLoop(i)
 	}
 	return s, nil
 }
@@ -345,8 +330,10 @@ func minPositive[T int | int64](limit, v T) T {
 	return limit
 }
 
-// Close stops the channel goroutines and fails stranded requests. Safe to
-// call twice. In-flight Execute calls return ErrClosed.
+// Close fails the calls waiting for a lane with ErrClosed, cuts injected
+// stalls and retry backoffs short, and returns once every device attempt
+// in flight has finished, so no Execute call is still writing outputs.
+// Safe to call twice.
 //
 // New makes s.stop, but shutdown is Close's one job: closing the stop
 // channel here is the designed hand-off, declared below so chanflow
@@ -360,86 +347,85 @@ func (s *Scheduler) Close() error {
 		return nil
 	}
 	s.closed = true
+	s.waiting = nil
+	s.cond.Broadcast()
 	s.mu.Unlock()
 	close(s.stop)
-	// Wake channel goroutines blocked in dequeue and enqueue waiters;
-	// both exit on qclosed.
-	s.qmu.Lock()
-	s.qclosed = true
-	s.qcond.Broadcast()
-	s.qmu.Unlock()
-	s.wg.Wait()
-	// Fail whatever was still queued. The sends happen outside qmu (done
-	// is buffered, but no channel op runs under a held mutex).
-	s.qmu.Lock()
-	stranded := s.queue
-	s.queue = nil
-	s.qmu.Unlock()
-	for _, req := range stranded {
-		req.done <- deviceResult{err: ErrClosed}
+	s.mu.Lock()
+	for len(s.idle) < len(s.devices) {
+		s.cond.Wait()
 	}
+	s.mu.Unlock()
 	return nil
 }
 
-// enqueue queues req: a PriorityL0 request after the L0 requests already
-// queued, any other at the tail. The queue holds at most two requests per
-// channel. ok is false when the queue is full and block is unset
-// (backpressure routing); err is ErrClosed after Close. Blocking waits are
-// woken by dequeues and by Close.
-func (s *Scheduler) enqueue(req *request, block bool) (ok bool, err error) {
-	s.qmu.Lock()
-	defer s.qmu.Unlock()
+// acquire takes a device lane for one attempt, waiting for one if none is
+// idle: a PriorityL0 call after the L0 calls already waiting, any other
+// at the tail. At most two calls per channel wait. ok is false when that
+// many already wait and block is unset (backpressure routing); err is
+// ErrClosed after Close.
+func (s *Scheduler) acquire(pri Priority, block bool) (lane int, ok bool, err error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	for {
-		if s.qclosed {
-			return false, ErrClosed
+		if s.closed {
+			return 0, false, ErrClosed
 		}
-		if len(s.queue) < 2*len(s.devices) {
+		if n := len(s.idle); n > 0 {
+			lane, s.idle = s.idle[n-1], s.idle[:n-1]
+			return lane, true, nil
+		}
+		if len(s.waiting) < 2*len(s.devices) {
 			break
 		}
 		if !block {
-			return false, nil
+			return 0, false, nil
 		}
-		s.qcond.Wait()
+		s.cond.Wait()
 	}
-	at := len(s.queue)
-	if req.pri == PriorityL0 {
+	w := &waiter{pri: pri, lane: -1}
+	at := len(s.waiting)
+	if pri == PriorityL0 {
 		at = 0
-		for at < len(s.queue) && s.queue[at].pri == PriorityL0 {
+		for at < len(s.waiting) && s.waiting[at].pri == PriorityL0 {
 			at++
 		}
 	}
-	s.queue = slices.Insert(s.queue, at, req)
-	s.qcond.Broadcast()
-	return true, nil
+	s.waiting = slices.Insert(s.waiting, at, w)
+	for w.lane < 0 && !s.closed {
+		s.cond.Wait()
+	}
+	if s.closed {
+		// Close emptied the list; a lane handed over before it goes back.
+		if w.lane >= 0 {
+			s.idle = append(s.idle, w.lane)
+			s.cond.Broadcast()
+		}
+		return 0, false, ErrClosed
+	}
+	return w.lane, true, nil
 }
 
-// dequeue blocks for the head request; it returns nil when the scheduler
-// closes.
-func (s *Scheduler) dequeue() *request {
-	s.qmu.Lock()
-	defer s.qmu.Unlock()
-	for {
-		if s.qclosed {
-			return nil
-		}
-		if len(s.queue) > 0 {
-			break
-		}
-		s.qcond.Wait()
+// release gives lane to the first waiting call, or back to the idle list.
+func (s *Scheduler) release(lane int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.waiting) > 0 {
+		s.waiting[0].lane = lane
+		// slices.Delete clears the vacated tail slot, so the waiter does
+		// not leak through the backing array.
+		s.waiting = slices.Delete(s.waiting, 0, 1)
+	} else {
+		s.idle = append(s.idle, lane)
 	}
-	req := s.queue[0]
-	// slices.Delete clears the vacated tail slot, so the request does not
-	// leak through the backing array.
-	s.queue = slices.Delete(s.queue, 0, 1)
-	// A slot freed: wake blocked enqueuers.
-	s.qcond.Broadcast()
-	return req
+	s.cond.Broadcast()
 }
 
 // Execute runs one compaction job through the routing policy and returns
 // the merged result plus the route taken. Blocking: the calling worker
-// owns the job until a lane resolves it. pri selects the queue position:
-// a PriorityL0 job queues ahead of every PriorityDeep one.
+// owns the job until a lane resolves it, and runs its device attempts
+// itself. pri selects the wait-list position: a PriorityL0 job waits
+// ahead of every PriorityDeep one.
 func (s *Scheduler) Execute(job *compaction.Job, env compaction.Env, pri Priority) (*compaction.Result, Route, error) {
 	var route Route
 	s.mu.Lock()
@@ -459,17 +445,10 @@ func (s *Scheduler) Execute(job *compaction.Job, env compaction.Env, pri Priorit
 				return nil, route, ErrClosed
 			}
 		}
-		done := make(chan deviceResult, 1)
-		req := &request{
-			job:      job,
-			env:      env,
-			pri:      pri,
-			dequeued: job.Trace.StartSpan("dispatch_queue"),
-			done:     done,
-		}
-		// First admission never blocks: a saturated device pool means
-		// the CPU lane is the faster path (backpressure routing).
-		ok, err := s.enqueue(req, attempt > 0)
+		queued := job.Trace.StartSpan("dispatch_queue")
+		// A first attempt never waits for room: a saturated device pool
+		// means the CPU lane is the faster path (backpressure routing).
+		lane, ok, err := s.acquire(pri, attempt > 0)
 		if err != nil {
 			return nil, route, err
 		}
@@ -478,22 +457,19 @@ func (s *Scheduler) Execute(job *compaction.Job, env compaction.Env, pri Priorit
 			s.noteFallback(ReasonSaturated)
 			return s.runCPU(job, env, &route)
 		}
+		queued()
 		route.DeviceAttempts++
-		var r deviceResult
-		select {
-		case r = <-done:
-		case <-s.stop:
-			return nil, route, ErrClosed
-		}
+		res, err := s.deviceAttempt(lane, job, env)
+		s.release(lane)
 		switch {
-		case r.err == nil:
-			route.Lane = obs.DeviceLane(r.lane)
-			route.Executor = s.devices[r.lane].Name()
-			s.noteDeviceJob(r.lane)
-			return r.res, route, nil
-		case errors.Is(r.err, ErrClosed):
-			return nil, route, r.err
-		case errors.Is(r.err, compaction.ErrArenaExhausted):
+		case err == nil:
+			route.Lane = obs.DeviceLane(lane)
+			route.Executor = s.devices[lane].Name()
+			s.noteDeviceJob(lane)
+			return res, route, nil
+		case errors.Is(err, ErrClosed):
+			return nil, route, err
+		case errors.Is(err, compaction.ErrArenaExhausted):
 			// The channel's staging arena could not hold the job — a
 			// deterministic property of the job's shape, not flakiness:
 			// rerunning on a device would fail the same way, so route to
@@ -501,16 +477,16 @@ func (s *Scheduler) Execute(job *compaction.Job, env compaction.Env, pri Priorit
 			route.Reason = ReasonArena
 			s.noteFallback(ReasonArena)
 			return s.runCPU(job, env, &route)
-		case !errors.Is(r.err, ErrDeviceFault) && !errors.Is(r.err, ErrDeviceTimeout):
+		case !errors.Is(err, ErrDeviceFault) && !errors.Is(err, ErrDeviceTimeout):
 			// A genuine merge failure (corrupt input, disk full) is not
 			// device flakiness; masking it behind a CPU retry would hide
 			// data errors, so it surfaces to the caller as-is.
-			route.Lane = obs.DeviceLane(r.lane)
-			route.Executor = s.devices[r.lane].Name()
-			return nil, route, r.err
+			route.Lane = obs.DeviceLane(lane)
+			route.Executor = s.devices[lane].Name()
+			return nil, route, err
 		}
 		route.Faults++
-		s.noteFault(errors.Is(r.err, ErrDeviceTimeout))
+		s.noteFault(errors.Is(err, ErrDeviceTimeout))
 		if attempt >= s.tun.MaxDeviceRetries {
 			route.Reason = ReasonFault
 			s.noteFallback(ReasonFault)
@@ -531,29 +507,14 @@ func (s *Scheduler) runCPU(job *compaction.Job, env compaction.Env, route *Route
 	return res, *route, err
 }
 
-// channelLoop is one device channel: it drains the queue and
-// runs attempts on its own executor instance.
-func (s *Scheduler) channelLoop(lane int) {
-	defer s.wg.Done()
-	for {
-		req := s.dequeue()
-		if req == nil {
-			return
-		}
-		req.dequeued()
-		res, err := s.deviceAttempt(lane, req)
-		req.done <- deviceResult{res: res, lane: lane, err: err}
-	}
-}
-
 // deviceAttempt runs one attempt on lane, applying any injected fault.
 // The deadline cuts short only injected stalls: a merge that actually
 // started always runs to completion, so a timed-out attempt never leaves
 // a concurrent writer behind.
-func (s *Scheduler) deviceAttempt(lane int, req *request) (*compaction.Result, error) {
+func (s *Scheduler) deviceAttempt(lane int, job *compaction.Job, env compaction.Env) (*compaction.Result, error) {
 	var fault Fault
 	if s.injector != nil {
-		fault = s.injector.NextFault(lane, req.job)
+		fault = s.injector.NextFault(lane, job)
 	}
 	switch fault.Kind {
 	case FaultStall:
@@ -574,14 +535,13 @@ func (s *Scheduler) deviceAttempt(lane int, req *request) (*compaction.Result, e
 	case FaultError:
 		return nil, fmt.Errorf("%w: %s rejected the job", ErrDeviceFault, laneName(lane))
 	}
-	env := req.env
 	var fe *faultEnv
 	if fault.Kind == FaultWrite {
-		fe = newFaultEnv(req.env, fault.FailAfterBytes)
+		fe = newFaultEnv(env, fault.FailAfterBytes)
 		env = fe
 	}
-	done := req.job.Trace.StartSpan("device_merge")
-	res, err := s.devices[lane].Compact(req.job, env)
+	done := job.Trace.StartSpan("device_merge")
+	res, err := s.devices[lane].Compact(job, env)
 	done()
 	if err != nil && fe != nil && fe.tripped() {
 		// The executor failed because of the injected output error: tag
@@ -608,19 +568,16 @@ func (s *Scheduler) sleep(d time.Duration) bool {
 
 func laneName(lane int) string { return obs.DeviceLane(lane).String() }
 
-// Stats returns a snapshot of the routing counters. The two mutexes are
-// taken in sequence, never nested.
+// Stats returns a snapshot of the routing counters.
 func (s *Scheduler) Stats() Stats {
 	s.mu.Lock()
 	out := s.st
 	out.LaneJobs = append([]int64(nil), s.st.LaneJobs...)
+	out.QueueDepth = len(s.waiting)
 	s.mu.Unlock()
-	s.qmu.Lock()
-	out.QueueDepth = len(s.queue)
-	s.qmu.Unlock()
 	out.ArenaBytes = s.arenaBytes
 	// High-water marks move while the scheduler runs; read them live,
-	// outside both mutexes (the executors do their own locking).
+	// outside the mutex (the executors do their own locking).
 	for i, d := range s.devices {
 		if az, ok := d.(ArenaSizer); ok {
 			if hw := az.ArenaHighWater(); hw > 0 {

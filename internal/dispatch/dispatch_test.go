@@ -409,7 +409,8 @@ func (e *trackingExec) Compact(job *compaction.Job, env compaction.Env) (*compac
 }
 
 // gateExec records Compact order and blocks every merge until the gate
-// closes, so tests can park jobs in the priority queue deterministically.
+// lets it through (one send per merge, or a close for all), so tests can
+// park calls in the wait list deterministically.
 type gateExec struct {
 	fakeExec
 	gate chan struct{}
@@ -478,27 +479,84 @@ func TestPriorityOrdering(t *testing.T) {
 	}
 }
 
-// TestL0QueuesAfterL0AheadOfDeep pins enqueue's insertion rule on a
-// scheduler with no channel goroutines draining it: an L0 request goes
-// after the L0 requests already queued and ahead of every deep one, and
-// each priority stays FIFO.
+// TestL0QueuesAfterL0AheadOfDeep pins the wait list's insertion rule:
+// with three channels held, an L0 call waits after the L0 calls already
+// waiting and ahead of every deep one, each priority stays FIFO, and a
+// seventh call finds the list full and takes the CPU lane.
 func TestL0QueuesAfterL0AheadOfDeep(t *testing.T) {
-	s := &Scheduler{devices: make([]compaction.Executor, 3)} // room for 6
-	s.qcond = sync.NewCond(&s.qmu)
+	// One gate steps all three channels: each send lets one merge finish.
+	dev := &gateExec{fakeExec: fakeExec{name: "fcae"}, gate: make(chan struct{})}
+	s := newTestSched(t, Config{Devices: []compaction.Executor{dev, dev, dev}, CPU: &fakeExec{name: "cpu"}})
+	var wg sync.WaitGroup
+	run := func(num uint64, pri Priority) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, _, err := s.Execute(testJobNum(num), &nullEnv{}, pri); err != nil {
+				t.Errorf("Execute(%d): %v", num, err)
+			}
+		}()
+	}
+	for num := uint64(101); num <= 103; num++ {
+		run(num, PriorityDeep)
+		waitFor(t, fmt.Sprintf("job %d on a channel", num), func() bool { return len(dev.callOrder()) == int(num-100) })
+	}
 	for i, pri := range []Priority{PriorityDeep, PriorityL0, PriorityDeep, PriorityL0, PriorityDeep, PriorityL0} {
-		if ok, err := s.enqueue(&request{job: testJobNum(uint64(i + 1)), pri: pri}, false); !ok || err != nil {
-			t.Fatalf("enqueue(%d) = %v, %v", i+1, ok, err)
-		}
+		run(uint64(i+1), pri)
+		waitFor(t, fmt.Sprintf("job %d waiting", i+1), func() bool { return s.Stats().QueueDepth == i+1 })
 	}
-	var got []uint64
-	for _, req := range s.queue {
-		got = append(got, req.job.Runs[0][0].Num)
+	_, route, err := s.Execute(testJobNum(7), &nullEnv{}, PriorityL0)
+	if err != nil || route.Reason != ReasonSaturated {
+		t.Fatalf("seventh call: route %+v, err %v; want reason %q", route, err, ReasonSaturated)
 	}
-	if want := []uint64{2, 4, 6, 1, 3, 5}; !slices.Equal(got, want) {
-		t.Fatalf("queue order = %v, want %v", got, want)
+	// Each step frees one channel, which the head of the list takes.
+	for started := 4; started <= 9; started++ {
+		dev.gate <- struct{}{}
+		waitFor(t, fmt.Sprintf("merge %d to start", started), func() bool { return len(dev.callOrder()) == started })
 	}
-	if ok, _ := s.enqueue(&request{job: testJobNum(7), pri: PriorityL0}, false); ok {
-		t.Fatal("a full queue took a seventh request")
+	close(dev.gate)
+	wg.Wait()
+	if got, want := dev.callOrder()[3:], []uint64{2, 4, 6, 1, 3, 5}; !slices.Equal(got, want) {
+		t.Fatalf("wait-list order = %v, want %v", got, want)
+	}
+}
+
+// TestCloseWaitsForTheMerge proves Execute outlives its merge: while a
+// device merge is running, neither a concurrent Close nor the Execute
+// call returns, and once the merge ends Execute reports its result.
+func TestCloseWaitsForTheMerge(t *testing.T) {
+	dev := &gateExec{fakeExec: fakeExec{name: "fcae"}, gate: make(chan struct{})}
+	s := newTestSched(t, Config{Devices: []compaction.Executor{dev}, CPU: &fakeExec{name: "cpu"}})
+	type outcome struct {
+		res *compaction.Result
+		err error
+	}
+	executed := make(chan outcome, 1)
+	go func() {
+		res, _, err := s.Execute(testJobNum(1), &nullEnv{}, PriorityDeep)
+		executed <- outcome{res, err}
+	}()
+	waitFor(t, "the merge on the channel", func() bool { return len(dev.callOrder()) == 1 })
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	waitFor(t, "Close to begin", func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.closed
+	})
+	select {
+	case out := <-executed:
+		t.Fatalf("Execute returned (%v, %v) while its merge was running", out.res, out.err)
+	case err := <-closed:
+		t.Fatalf("Close returned %v while a merge was running", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(dev.gate)
+	if out := <-executed; out.err != nil || out.res == nil {
+		t.Fatalf("Execute = (%v, %v), want the merge's result", out.res, out.err)
+	}
+	if err := <-closed; err != nil {
+		t.Fatalf("Close: %v", err)
 	}
 }
 

@@ -83,7 +83,7 @@ type Fault struct {
 }
 
 // FaultInjector decides the fate of each device attempt. Implementations
-// must be safe for concurrent use: every device channel consults the
+// must be safe for concurrent use: every Execute call consults the
 // injector from its own goroutine.
 type FaultInjector interface {
 	// NextFault is called once per device attempt, before the merge.
@@ -170,8 +170,7 @@ func (s *ScriptInjector) NextFault(lane int, job *compaction.Job) Fault {
 
 // faultEnv wraps a job's Env so that output writes start failing after a
 // byte budget, simulating a device that dies mid-compaction. It is used
-// by a single attempt goroutine at a time, so the byte counter needs no
-// lock. Outputs created before the trip point stay on disk exactly as a
+// by one attempt on one goroutine, so the byte counter needs no lock. Outputs created before the trip point stay on disk exactly as a
 // real torn device write would leave them; the store's pending-output
 // sweep reclaims them once the job resolves elsewhere.
 type faultEnv struct {

@@ -8,11 +8,11 @@ import (
 	"strings"
 )
 
-// ChanFlow enforces the channel hand-off discipline the dispatch layer's
-// job queues depend on (paper §VI: the host keeps the device busy through
-// bounded queues; a mis-owned close or a send racing a shutdown wedges or
-// panics the scheduler). Four rules, each a class the compiler cannot
-// check:
+// ChanFlow enforces the channel hand-off discipline of the module's
+// shutdown and request channels (the dispatch scheduler's stop, the
+// server's and the client's stop, in-flight and reply channels): a
+// mis-owned close or a send racing a shutdown wedges or panics its
+// owner. Four rules, each a class the compiler cannot check:
 //
 //  1. Single-owner close. The owner of a channel-typed struct field or
 //     package-level channel is the function that make()s it; only the

@@ -797,6 +797,66 @@ func TestRepairReportsFailedQuarantine(t *testing.T) {
 	}
 }
 
+// TestRepairedStoreCompacts: Repair puts recovered tables at L0, each its
+// own run, so a repaired leveled store merges them like flushed tables.
+// Placed at L1, four overlapping tables read as one sorted run and the
+// first leveled merge out of L1 failed with "keys out of order".
+func TestRepairedStoreCompacts(t *testing.T) {
+	dir := t.TempDir()
+	opts := Options{L0CompactionTrigger: 12, L0SlowdownTrigger: 20, L0StopTrigger: 24,
+		DispatchConfig: DispatchConfig{Workers: 1}}
+	db, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]string{}
+	for flush := 0; flush < 4; flush++ {
+		for i := flush * 100; i < 2000; i++ {
+			k, v := fmt.Sprintf("key%05d", i), fmt.Sprintf("value-%d-%d", flush, i)
+			if err := db.Put([]byte(k), []byte(v)); err != nil {
+				t.Fatal(err)
+			}
+			want[k] = v
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	entries, _ := os.ReadDir(dir)
+	for _, e := range entries {
+		if kind, _ := parseFileName(e.Name()); kind == kindManifest || kind == kindCurrent {
+			if err := os.Remove(filepath.Join(dir, e.Name())); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if err := Repair(dir, opts); err != nil {
+		t.Fatal(err)
+	}
+	db2, err := Open(dir, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer db2.Close()
+	verifyAll(t, db2, want)
+	if err := db2.CompactLevel(0); err != nil {
+		t.Fatalf("CompactLevel(0): %v", err)
+	}
+	verifyAll(t, db2, want)
+	for step := 1; db2.LevelFiles()[1] > 0; step++ {
+		if step > 20 {
+			t.Fatalf("L1 still holds %d tables after 20 merges", db2.LevelFiles()[1])
+		}
+		if err := db2.CompactLevel(1); err != nil {
+			t.Fatalf("CompactLevel(1) #%d: %v", step, err)
+		}
+		verifyAll(t, db2, want)
+	}
+}
+
 // TestGetReturnsACopy: what Get returns is the caller's. Writing into it
 // must not reach the stored entry, wherever the read found it.
 func TestGetReturnsACopy(t *testing.T) {

@@ -15,14 +15,13 @@ import (
 
 // Repair rebuilds a database whose MANIFEST/CURRENT metadata is lost or
 // corrupt, from the table files alone: every readable .ldb file is scanned
-// for its key range and entry sequences and re-registered as its own
-// sorted run at level 0... conceptually; since L0 is capped, files are
-// placed at level 1 as individual runs (tiered layout), which preserves
-// correctness because sequence numbers order overlapping entries and the
-// read path probes runs newest-first. Unreadable tables are renamed aside
-// with a .corrupt suffix. Logs are replayed by the next Open; a damaged one,
-// which Open might refuse, is renamed the same way and a fresh log under
-// its name keeps the records ahead of the damage.
+// for its key range and entry sequences and re-registered at level 0 as
+// its own sorted run, as LevelDB's RepairDB does. L0 is the one level
+// whose runs may overlap, so the next L0 merge combines them like flushed
+// tables, newest shadowing oldest by sequence number. Unreadable tables
+// are renamed aside with a .corrupt suffix. Logs are replayed by the next
+// Open; a damaged one, which Open might refuse, is renamed the same way
+// and a fresh log under its name keeps the records ahead of the damage.
 //
 // Limitation (shared with LevelDB's RepairDB): recency across recovered
 // tables is approximated by file number, so when multiple tables hold
@@ -108,7 +107,7 @@ func Repair(dir string, opts Options) (err error) {
 	for _, t := range tables {
 		// Each recovered table becomes its own sorted run; RunID follows
 		// recency (file number), so newer tables shadow older ones.
-		edit.AddFile(1, &manifest.FileMetadata{
+		edit.AddFile(0, &manifest.FileMetadata{
 			Num:      t.num,
 			Size:     uint64(t.size),
 			RunID:    t.num,

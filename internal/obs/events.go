@@ -91,7 +91,7 @@ type CompactionBeginEvent struct {
 	OutputLevel int
 	// TrivialMove marks a pure file move (no merge executes).
 	TrivialMove bool
-	// Priority is the dispatch priority the job was enqueued with
+	// Priority is the dispatch priority the job was dispatched with
 	// (PriorityL0 for L0-source jobs, PriorityDeep otherwise).
 	Priority Priority
 	// Inputs are the tables consumed, across both levels.
@@ -121,7 +121,7 @@ type CompactionEndEvent struct {
 	// RouteArena, RouteSaturated, RouteDeviceFault, RouteNoDevice);
 	// RouteNone when the job ran on a device.
 	RouteReason RouteReason
-	// Priority is the dispatch priority the job was enqueued with.
+	// Priority is the dispatch priority the job was dispatched with.
 	Priority Priority
 	// DeviceAttempts counts device-lane attempts, including faulted ones.
 	DeviceAttempts int

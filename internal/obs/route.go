@@ -30,15 +30,6 @@ func DeviceLane(i int) Lane { return Lane(i + 1) }
 // IsDevice reports whether the lane is a device channel.
 func (l Lane) IsDevice() bool { return l > 0 }
 
-// Device returns the 0-based device channel index, and whether the lane
-// is a device channel at all.
-func (l Lane) Device() (int, bool) {
-	if l > 0 {
-		return int(l) - 1, true
-	}
-	return 0, false
-}
-
 // String implements fmt.Stringer, producing the wire strings the events
 // and traces always used: "", "cpu", "device-<i>".
 func (l Lane) String() string {
@@ -103,7 +94,7 @@ const (
 	// device-memory arena, either at admission (sized check) or at run
 	// time (the builder exhausted the staging region).
 	RouteArena
-	// RouteSaturated: every device queue slot was full at submission.
+	// RouteSaturated: no device channel was idle and the wait list was full.
 	RouteSaturated
 	// RouteDeviceFault: device attempts exhausted the retry budget.
 	RouteDeviceFault
@@ -153,7 +144,7 @@ func (r *RouteReason) UnmarshalJSON(data []byte) error {
 
 // Priority is a job's dispatch priority. The zero value is PriorityDeep
 // (deep-level compactions); PriorityL0 marks flush-driven L0 jobs, which
-// the scheduler queues ahead of deep ones.
+// wait for a device channel ahead of deep ones.
 type Priority int
 
 // Priorities, low to high.

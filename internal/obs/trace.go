@@ -46,21 +46,6 @@ func (t *Trace) StartSpan(phase string) func() {
 	}
 }
 
-// AddSpan records an already-measured phase of duration d ending now,
-// for stages whose time is accumulated across many small waits (the
-// pipelined compactor's per-stage stall totals) rather than bracketed by
-// a single StartSpan closure. A nil *Trace is safe.
-func (t *Trace) AddSpan(phase string, d time.Duration) {
-	if t == nil {
-		return
-	}
-	end := time.Now()
-	begin := end.Add(-d)
-	t.mu.Lock()
-	t.spans = append(t.spans, Span{Phase: phase, Start: begin.Sub(t.start), Dur: d})
-	t.mu.Unlock()
-}
-
 // Spans returns a copy of the recorded spans in completion order.
 func (t *Trace) Spans() []Span {
 	if t == nil {
