@@ -270,9 +270,10 @@ type Scheduler struct {
 	stop       chan struct{}
 
 	mu      sync.Mutex
-	cond    *sync.Cond // signals lane releases and Close; locks mu
+	cond    *sync.Cond // signals lane releases, returning calls and Close; locks mu
 	idle    []int      // free device lanes; non-empty only while nobody waits
 	waiting []*waiter  // calls waiting for a lane: PriorityL0 first, each priority FIFO
+	calls   int        // Execute calls in flight; Close waits for zero
 	closed  bool
 	st      Stats
 }
@@ -331,9 +332,9 @@ func minPositive[T int | int64](limit, v T) T {
 }
 
 // Close fails the calls waiting for a lane with ErrClosed, cuts injected
-// stalls and retry backoffs short, and returns once every device attempt
-// in flight has finished, so no Execute call is still writing outputs.
-// Safe to call twice.
+// stalls and retry backoffs short, and returns once every Execute call in
+// flight has returned, so no merge on either lane is still writing
+// outputs. Safe to call twice.
 //
 // New makes s.stop, but shutdown is Close's one job: closing the stop
 // channel here is the designed hand-off, declared below so chanflow
@@ -352,7 +353,7 @@ func (s *Scheduler) Close() error {
 	s.mu.Unlock()
 	close(s.stop)
 	s.mu.Lock()
-	for len(s.idle) < len(s.devices) {
+	for s.calls > 0 {
 		s.cond.Wait()
 	}
 	s.mu.Unlock()
@@ -429,11 +430,18 @@ func (s *Scheduler) release(lane int) {
 func (s *Scheduler) Execute(job *compaction.Job, env compaction.Env, pri Priority) (*compaction.Result, Route, error) {
 	var route Route
 	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
+	if s.closed {
+		s.mu.Unlock()
 		return nil, route, ErrClosed
 	}
+	s.calls++
+	s.mu.Unlock()
+	defer func() {
+		s.mu.Lock()
+		s.calls--
+		s.cond.Broadcast()
+		s.mu.Unlock()
+	}()
 	if route.Reason = Admit(s.pool, job.NumRuns(), job.InputBytes()); route.Reason != obs.RouteNone {
 		s.noteFallback(route.Reason)
 		return s.runCPU(job, env, &route)

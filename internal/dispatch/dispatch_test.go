@@ -560,6 +560,50 @@ func TestCloseWaitsForTheMerge(t *testing.T) {
 	}
 }
 
+// TestCloseWaitsForTheCPUMerge proves Close waits for Execute calls, not
+// for device lanes: a job whose only device attempt faults has given its
+// lane back and falls back to a held CPU merge, and Close must not return
+// until that merge and its Execute call have.
+func TestCloseWaitsForTheCPUMerge(t *testing.T) {
+	cpu := &gateExec{fakeExec: fakeExec{name: "cpu"}, gate: make(chan struct{})}
+	s := newTestSched(t, Config{
+		Devices:  []compaction.Executor{&fakeExec{name: "fcae"}},
+		CPU:      cpu,
+		Injector: NewScriptInjector(Fault{Kind: FaultError}),
+		Tuning:   Tuning{MaxDeviceRetries: -1},
+	})
+	executed := make(chan error, 1)
+	go func() {
+		_, route, err := s.Execute(testJobNum(1), &nullEnv{}, PriorityDeep)
+		if err == nil && route.Reason != ReasonFault {
+			err = fmt.Errorf("route %+v, want the fault fallback", route)
+		}
+		executed <- err
+	}()
+	waitFor(t, "the fallback merge on the CPU lane", func() bool { return len(cpu.callOrder()) == 1 })
+	closed := make(chan error, 1)
+	go func() { closed <- s.Close() }()
+	waitFor(t, "Close to begin", func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.closed
+	})
+	select {
+	case err := <-executed:
+		t.Fatalf("Execute returned %v while its CPU merge was running", err)
+	case err := <-closed:
+		t.Fatalf("Close returned %v while a CPU merge was running", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	close(cpu.gate)
+	if err := <-executed; err != nil {
+		t.Fatalf("Execute: %v", err)
+	}
+	if err := <-closed; err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+}
+
 // arenaExec is a fakeExec that reports a staging arena, implementing the
 // scheduler's ArenaSizer.
 type arenaExec struct {

@@ -8,6 +8,7 @@ import (
 
 	"fcae/internal/compaction"
 	"fcae/internal/dispatch"
+	"fcae/internal/keys"
 	"fcae/internal/manifest"
 	"fcae/internal/memtable"
 	"fcae/internal/obs"
@@ -230,16 +231,16 @@ func (db *DB) pickCompactionLocked() *manifest.Compaction {
 	if db.compacting >= db.maxCompactingLocked() {
 		return nil
 	}
-	if db.manualLevel >= 0 {
-		c := db.vs.PickCompactionAtLevel(db.manualLevel)
+	if m := db.manual; m != nil {
+		c := db.vs.PickCompactionAtLevel(m.level, m.r)
 		switch {
 		case c == nil:
-			// The requested level emptied before a worker got here; drop
+			// No table at the level touches the range (any more); drop
 			// the request and fall through to the size picker.
-			db.manualLevel = -1
+			db.manual = nil
 			db.bgCond.Broadcast()
 		case db.levelRangeFreeLocked(c.Level, c.OutputLevel()):
-			db.manualLevel = -1
+			db.manual, m.picked = nil, true
 			return c
 		default:
 			// Another worker owns one of the levels; the manual request
@@ -497,28 +498,48 @@ func (e *dbEnv) NewOutput() (uint64, io.WriteCloser, error) {
 	return num, f, nil
 }
 
-// CompactLevel forces one compaction at level and waits for it.
+// manualCompaction requests one merge of level's tables touching r.
+type manualCompaction struct {
+	level  int
+	r      keys.Range
+	picked bool // a worker took a job for it; set under db.mu
+}
+
+// CompactLevel runs the merge the size picker would build at level, due
+// or not, and waits for it; it does nothing at an empty or the last level.
 func (db *DB) CompactLevel(level int) error {
+	_, err := db.compactManual(level, keys.Range{})
+	return err
+}
+
+// compactManual posts a manual compaction, once no other is posted, and
+// waits for it and every merge in flight; picked reports whether it ran.
+func (db *DB) compactManual(level int, r keys.Range) (picked bool, err error) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
-		return ErrClosed
+		return false, ErrClosed
 	}
-	db.manualLevel = level
-	db.bgCond.Broadcast()
-	for db.manualLevel >= 0 || db.compacting > 0 {
+	m := &manualCompaction{level: level, r: r}
+	posted := false
+	for !posted || db.manual == m || db.compacting > 0 {
 		if db.bgErr != nil {
-			return db.bgErr
+			return false, db.bgErr
 		}
 		if db.closed {
 			// Close raced the wait: report the typed sentinel, not the
 			// (nil) background error, so callers can tell "store closing"
 			// from "compaction succeeded".
-			return ErrClosed
+			return false, ErrClosed
+		}
+		if !posted && db.manual == nil {
+			db.manual, posted = m, true
+			db.bgCond.Broadcast()
+			continue
 		}
 		db.bgCond.Wait()
 	}
-	return db.bgErr
+	return m.picked, db.bgErr
 }
 
 // Flush forces the current memtable to disk and waits for completion.
@@ -575,7 +596,7 @@ func (db *DB) WaitIdle() error {
 		if db.closed {
 			return ErrClosed
 		}
-		if db.imm == nil && !db.flushBusy && db.compacting == 0 && db.manualLevel < 0 {
+		if db.imm == nil && !db.flushBusy && db.compacting == 0 && db.manual == nil {
 			if _, _, due := db.vs.Config().PickLevel(db.vs.Current().Shape(), nil); !due {
 				return nil
 			}

@@ -76,10 +76,10 @@ type DB struct {
 	// reads it, and wal.Append and memtable.Add both copy.
 	groupBuf []byte
 
-	committing  bool // a group leader is writing the WAL unlocked
-	flushBusy   bool
-	compacting  int // compaction workers currently running a job
-	manualLevel int // -1 when no manual compaction is requested
+	committing bool // a group leader is writing the WAL unlocked
+	flushBusy  bool
+	compacting int               // compaction workers currently running a job
+	manual     *manualCompaction // nil when no manual compaction is requested
 	// busyLevels claims level ranges for in-flight compactions: a worker
 	// marks its job's input and output levels before releasing mu, so
 	// concurrent workers never pick overlapping file sets.
@@ -174,7 +174,6 @@ func Open(dir string, opts Options) (*DB, error) {
 		snapshots:      make(map[uint64]int),
 		seq:            vs.LastSeq(),
 		memSeed:        skiplistSeed,
-		manualLevel:    -1,
 		pendingOutputs: make(map[uint64]bool),
 	}
 	db.registerGauges()

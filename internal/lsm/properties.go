@@ -86,88 +86,30 @@ func (db *DB) WriteAmplification() float64 {
 }
 
 // ApproximateSize estimates the on-disk bytes holding user keys in
-// [start, limit). Files fully inside the range count whole; files
-// straddling a boundary count half (a coarse but cheap interpolation, as
-// in LevelDB's GetApproximateSizes). Memtable contents are excluded.
+// [start, limit) from table metadata alone (nil bounds are open): a table
+// inside the range counts whole, one straddling a bound counts half.
+// Memtable contents are excluded.
 func (db *DB) ApproximateSize(start, limit []byte) uint64 {
-	v := db.vs.Current()
-	var total uint64
-	for level := range v.Levels {
-		for _, f := range v.Levels[level] {
-			lo := keys.UserKey(f.Smallest)
-			hi := keys.UserKey(f.Largest)
-			loIn := start == nil || keys.CompareUser(lo, start) >= 0
-			hiIn := limit == nil || keys.CompareUser(hi, limit) < 0
-			switch {
-			case loIn && hiIn:
-				total += f.Size
-			case !rangeTouchesFile(keys.Range{Start: start, Limit: limit}, f):
-				// disjoint: contributes nothing
-			default:
-				total += f.Size / 2
-			}
-		}
-	}
-	return total
+	return db.vs.Current().ApproximateSize(keys.Range{Start: start, Limit: limit})
 }
 
-// CompactRange compacts every level intersecting the user-key range
-// [start, limit) down the tree, flushing first, so the range ends up fully
-// merged. A nil limit means "to the end"; nil start means "from the
-// beginning".
+// CompactRange flushes the memtable, then merges the tables holding user
+// keys in [start, limit) down the tree until every level but the last is
+// free of them (nil bounds are open). Each level's jobs take only tables
+// touching the range, and the least-overlapping of them first; a level
+// is done when the picker finds none left there.
 func (db *DB) CompactRange(start, limit []byte) error {
 	if err := db.Flush(); err != nil {
 		return err
 	}
 	r := keys.Range{Start: start, Limit: limit}
 	for level := 0; level < manifest.NumLevels-1; level++ {
-		for {
-			v := db.vs.Current()
-			touched := false
-			for _, f := range v.Levels[level] {
-				if rangeTouchesFile(r, f) {
-					touched = true
-					break
-				}
-			}
-			if !touched {
-				break
-			}
-			if err := db.CompactLevel(level); err != nil {
+		for picked := true; picked; {
+			var err error
+			if picked, err = db.compactManual(level, r); err != nil {
 				return err
-			}
-			// CompactLevel moves at least one table out of the level;
-			// loop until the range no longer has files here.
-			nv := db.vs.Current()
-			if sameFiles(v.Levels[level], nv.Levels[level]) {
-				// No progress (e.g. single trivial state); avoid spinning.
-				break
 			}
 		}
 	}
 	return nil
-}
-
-func rangeTouchesFile(r keys.Range, f *manifest.FileMetadata) bool {
-	lo := keys.UserKey(f.Smallest)
-	hi := keys.UserKey(f.Largest)
-	if r.Limit != nil && keys.CompareUser(lo, r.Limit) >= 0 {
-		return false
-	}
-	if r.Start != nil && keys.CompareUser(hi, r.Start) < 0 {
-		return false
-	}
-	return true
-}
-
-func sameFiles(a, b []*manifest.FileMetadata) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Num != b[i].Num {
-			return false
-		}
-	}
-	return true
 }

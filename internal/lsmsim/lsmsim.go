@@ -129,7 +129,6 @@ func (c Config) diskEntryBytes() int64 {
 type Result struct {
 	Cfg        Config
 	Elapsed    time.Duration
-	Ops        int64
 	Throughput float64 // payload MB/s, the paper's write-throughput metric
 
 	Flushes       int64
@@ -141,13 +140,11 @@ type Result struct {
 	LevelCompactions [manifest.NumLevels]int64
 
 	BytesFlushed   int64
-	CompactionIn   int64
 	CompactionOut  int64
 	WriteAmp       float64
 	KernelTime     time.Duration
 	PCIeTime       time.Duration
 	PCIeBytes      int64
-	DiskTime       time.Duration
 	StallTime      time.Duration
 	SlowdownWrites int64
 	StopStalls     int64
@@ -252,7 +249,6 @@ func RunFill(cfg Config) Result {
 	}
 	s.remaining = s.total
 	s.res.Cfg = cfg
-	s.res.Ops = s.total
 
 	s.writerStep()
 	s.sim.Run()
@@ -366,7 +362,6 @@ func (s *state) flushDuration(memBytes int64) (cpu, disk time.Duration) {
 	entries := memBytes / s.entry
 	cpu = time.Duration(entries) * model.FlushPerEntry(s.cfg.KeyLen+8, s.cfg.ValueLen)
 	disk = model.DiskWriteTime(entries * s.diskEntry)
-	s.res.DiskTime += disk
 	return cpu, disk
 }
 
@@ -540,7 +535,6 @@ func (s *state) maybeCompact() {
 	s.compacting = true
 	s.res.Compactions++
 	s.res.LevelCompactions[job.level]++
-	s.res.CompactionIn += job.inBytes
 	s.res.CompactionOut += job.outBytes
 
 	pairs := job.inBytes / s.diskEntry
@@ -571,7 +565,6 @@ func (s *state) maybeCompact() {
 	}
 	// Software merge on the CPU.
 	disk := model.DiskReadTime(job.inBytes) + model.DiskWriteTime(job.outBytes)
-	s.res.DiskTime += disk
 	cpu := time.Duration(pairs) * model.CPULivePairTime(s.cfg.KeyLen+8, s.cfg.ValueLen, job.runs)
 	dur := cpu + disk
 	if s.cfg.Backend == BackendCPU {

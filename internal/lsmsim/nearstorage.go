@@ -68,7 +68,6 @@ func (s *state) compactionDeviceTime(inBytes, outBytes int64, kernel time.Durati
 		// Host reads tables from the device, DMAs them to card DRAM,
 		// fetches results and writes them back (paper §IV steps 3-8).
 		disk := model.DiskReadTime(inBytes) + model.DiskWriteTime(outBytes)
-		s.res.DiskTime += disk
 		pcie := model.PCIeTransferTime(inBytes) + model.PCIeTransferTime(outBytes)
 		return disk + pcie + kernel, pcie
 	}

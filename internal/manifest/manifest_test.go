@@ -463,14 +463,14 @@ func TestIsBottomLevel(t *testing.T) {
 	if err := vs.LogAndApply(edit); err != nil {
 		t.Fatal(err)
 	}
-	c := vs.PickCompactionAtLevel(1)
+	c := vs.PickCompactionAtLevel(1, keys.Range{})
 	if c == nil {
 		t.Fatal("no compaction at level 1")
 	}
 	if c.IsBottomLevel(vs.Current()) {
 		t.Fatal("level-3 data overlaps; not bottom level")
 	}
-	c3 := vs.PickCompactionAtLevel(3)
+	c3 := vs.PickCompactionAtLevel(3, keys.Range{})
 	if c3 == nil {
 		t.Fatal("no compaction at level 3")
 	}

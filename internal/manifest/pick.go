@@ -1,6 +1,8 @@
 package manifest
 
 import (
+	"slices"
+
 	"fcae/internal/keys"
 )
 
@@ -66,26 +68,14 @@ func (c *Compaction) IsTrivialMove() bool {
 // tiered merge must also treat the output level's other, unconsumed runs
 // as "deeper": a dropped tombstone would resurrect their entries.
 func (c *Compaction) IsBottomLevel(v *Version) bool {
+	deeper := c.Level + 2
 	if c.Cfg.TieredRuns > 0 {
-		inputs := make(map[uint64]bool, len(c.Inputs[0]))
-		for _, f := range c.Inputs[0] {
-			inputs[f.Num] = true
-		}
-		for level := c.OutputLevel(); level < NumLevels; level++ {
-			for _, f := range v.Levels[level] {
-				if inputs[f.Num] {
-					continue
-				}
-				if fileRangeOverlaps(f, c.SmallestUser, c.LargestUser) {
-					return false
-				}
-			}
-		}
-		return true
+		deeper = c.OutputLevel()
 	}
-	for level := c.Level + 2; level < NumLevels; level++ {
+	for level := deeper; level < NumLevels; level++ {
 		for _, f := range v.Levels[level] {
-			if fileRangeOverlaps(f, c.SmallestUser, c.LargestUser) {
+			if fileRangeOverlaps(f, c.SmallestUser, c.LargestUser) &&
+				!slices.ContainsFunc(c.Inputs[0], func(in *FileMetadata) bool { return in.Num == f.Num }) {
 				return false
 			}
 		}
@@ -104,7 +94,7 @@ func (vs *VersionSet) PickCompactionFiltered(allowed func(level, outputLevel int
 	if !ok {
 		return nil
 	}
-	c := vs.buildCompactionLocked(level, nil)
+	c := vs.buildCompactionLocked(level, nil, keys.Range{})
 	if mv := vs.moveAheadLocked(c, allowed); mv != nil {
 		return mv
 	}
@@ -122,7 +112,7 @@ func (vs *VersionSet) moveAheadLocked(c *Compaction, allowed func(level, outputL
 		return nil
 	}
 	for _, f := range c.Inputs[1] {
-		if mv := vs.buildCompactionLocked(1, f); mv.IsTrivialMove() {
+		if mv := vs.buildCompactionLocked(1, f, keys.Range{}); mv.IsTrivialMove() {
 			mv.Ahead = true
 			return mv
 		}
@@ -130,31 +120,39 @@ func (vs *VersionSet) moveAheadLocked(c *Compaction, allowed func(level, outputL
 	return nil
 }
 
-// PickCompactionAtLevel forces a compaction at the given level, used by
-// manual compaction and tests. Returns nil if the level is empty or has no
-// output level.
-func (vs *VersionSet) PickCompactionAtLevel(level int) *Compaction {
+// PickCompactionAtLevel builds a manual compaction of level's tables
+// touching r (the zero Range touches all: the size picker's job at level),
+// or returns nil when none does or the level has no output level. Below
+// L0 the job takes no other table of the level; a tiered level merges
+// whole.
+func (vs *VersionSet) PickCompactionAtLevel(level int, r keys.Range) *Compaction {
 	vs.mu.Lock()
 	defer vs.mu.Unlock()
-	if _, ok := vs.cfg.OutputLevel(level); !ok || len(vs.current.Levels[level]) == 0 {
+	if _, ok := vs.cfg.OutputLevel(level); !ok {
 		return nil
 	}
-	return vs.buildCompactionLocked(level, nil)
+	return vs.buildCompactionLocked(level, nil, r)
 }
 
-// buildCompactionLocked builds a compaction at level seeded from seed, or,
-// when seed is nil, from leastOverlapping's table.
-func (vs *VersionSet) buildCompactionLocked(level int, seed *FileMetadata) *Compaction {
+// buildCompactionLocked builds a compaction at level seeded from seed or,
+// when seed is nil, from leastOverlapping's table; nil when no table at
+// level touches r.
+func (vs *VersionSet) buildCompactionLocked(level int, seed *FileMetadata, r keys.Range) *Compaction {
 	v := vs.current
 	c := &Compaction{Level: level, Cfg: vs.cfg}
 	if vs.cfg.TieredRuns > 0 {
 		// Tiered mode always merges whole levels.
+		if !slices.ContainsFunc(v.Levels[level], func(f *FileMetadata) bool { return rangeTouchesFile(r, f) }) {
+			return nil
+		}
 		c.Inputs[0] = append([]*FileMetadata(nil), v.Levels[level]...)
 		c.SmallestUser, c.LargestUser = inputUserRange(c.Inputs[0])
 		return c
 	}
 	if seed == nil {
-		seed = v.leastOverlapping(level)
+		if seed = v.leastOverlapping(level, r); seed == nil {
+			return nil
+		}
 	}
 	c.Inputs[0] = []*FileMetadata{seed}
 
@@ -163,20 +161,24 @@ func (vs *VersionSet) buildCompactionLocked(level int, seed *FileMetadata) *Comp
 		s, l := keys.UserKey(seed.Smallest), keys.UserKey(seed.Largest)
 		c.Inputs[0] = v.Overlapping(0, s, l)
 	}
-	vs.setupOtherInputs(v, c)
+	vs.setupOtherInputs(v, c, r)
 	return c
 }
 
-// leastOverlapping returns the table of a non-empty level whose merge
+// leastOverlapping returns the table of level touching r whose merge
 // rewrites the fewest level+1 bytes per byte it moves down (Sarkar et al.'s
-// least-overlap data movement), the first in level order on a tie. An L0
-// table is scored alone; the caller adds its transitive closure. Below L0
-// both levels are sorted and disjoint, so one sweep scores every table.
-func (v *Version) leastOverlapping(level int) *FileMetadata {
+// least-overlap data movement), the first in level order on a tie, or nil
+// when no table touches r. An L0 table is scored alone; the caller adds its
+// transitive closure. Below L0 both levels are sorted and disjoint, so one
+// sweep scores every table.
+func (v *Version) leastOverlapping(level int, r keys.Range) *FileMetadata {
 	files, next := v.Levels[level], v.Levels[level+1]
 	var best *FileMetadata
 	bestRatio, j := 0.0, 0
 	for _, f := range files {
+		if !rangeTouchesFile(r, f) {
+			continue
+		}
 		var overlap uint64
 		if level == 0 {
 			for _, g := range v.Overlapping(1, keys.UserKey(f.Smallest), keys.UserKey(f.Largest)) {
@@ -200,8 +202,10 @@ func (v *Version) leastOverlapping(level int) *FileMetadata {
 }
 
 // setupOtherInputs computes the level+1 inputs and optionally grows the
-// level inputs when doing so does not pull in more level+1 data.
-func (vs *VersionSet) setupOtherInputs(v *Version, c *Compaction) {
+// level inputs by tables touching r when doing so does not pull in more
+// level+1 data. L0 grows by its whole transitive set: leaving an older
+// overlapping L0 table behind would let it shadow the merged keys.
+func (vs *VersionSet) setupOtherInputs(v *Version, c *Compaction, r keys.Range) {
 	smallest, largest := inputUserRange(c.Inputs[0])
 	c.Inputs[1] = v.Overlapping(c.Level+1, smallest, largest)
 
@@ -210,6 +214,9 @@ func (vs *VersionSet) setupOtherInputs(v *Version, c *Compaction) {
 	// Growth: see if more level files fit without expanding level+1.
 	if len(c.Inputs[1]) > 0 {
 		expanded0 := v.Overlapping(c.Level, allSmallest, allLargest)
+		if c.Level > 0 {
+			expanded0 = slices.DeleteFunc(expanded0, func(f *FileMetadata) bool { return !rangeTouchesFile(r, f) })
+		}
 		if len(expanded0) > len(c.Inputs[0]) {
 			s1, l1 := inputUserRange(expanded0)
 			expanded1 := v.Overlapping(c.Level+1, s1, l1)

@@ -90,7 +90,7 @@ func TestPickLeastOverlappingTable(t *testing.T) {
 			if err := vs.LogAndApply(edit); err != nil {
 				t.Fatal(err)
 			}
-			c := vs.PickCompactionAtLevel(tc.level)
+			c := vs.PickCompactionAtLevel(tc.level, keys.Range{})
 			if c == nil {
 				t.Fatalf("no compaction at level %d", tc.level)
 			}
@@ -152,7 +152,7 @@ func TestLeastOverlappingMatchesBruteForce(t *testing.T) {
 				want = f
 			}
 		}
-		got := v.leastOverlapping(level)
+		got := v.leastOverlapping(level, keys.Range{})
 		if got != want {
 			t.Fatalf("trial %d: sweep picked table %d, brute force %d", trial, got.Num, want.Num)
 		}
@@ -268,7 +268,7 @@ func TestL0MergeRelinksFreeL1Tables(t *testing.T) {
 		wantL0Merge(t, c, "a", "d", "g")
 	})
 	t.Run("manual L0 compaction is unchanged", func(t *testing.T) {
-		wantL0Merge(t, build(t, Config{}, base, l2).PickCompactionAtLevel(0), "a", "d", "g")
+		wantL0Merge(t, build(t, Config{}, base, l2).PickCompactionAtLevel(0, keys.Range{}), "a", "d", "g")
 	})
 	t.Run("a deeper merge is unchanged", func(t *testing.T) {
 		// L3 is the level over budget; the L4 table under its merge has
@@ -286,4 +286,75 @@ func TestL0MergeRelinksFreeL1Tables(t *testing.T) {
 			t.Fatalf("got %+v, want the tiered merge of L0's four runs", c)
 		}
 	})
+}
+
+// TestPickCompactionAtLevelRange: a manual pick seeds from the
+// least-overlapping table among those touching its range, grows only by
+// tables touching it, and finds nothing when no table does; the zero
+// range picks what the size picker would.
+func TestPickCompactionAtLevelRange(t *testing.T) {
+	const mb = 1 << 20
+	type table struct {
+		level  int
+		size   uint64
+		lo, hi string
+	}
+	// "d".."f" rewrites the least L2 data; "k".."l" and "m".."n" share one
+	// L2 table, so a merge of either grows by the other.
+	tables := []table{
+		{1, mb, "a", "c"}, {1, mb, "d", "f"}, {1, mb, "g", "i"}, {1, mb, "k", "l"}, {1, mb, "m", "n"},
+		{2, 3 * mb, "a", "c"}, {2, mb, "d", "f"}, {2, 2 * mb, "g", "i"}, {2, 4 * mb, "k", "n"},
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		r    keys.Range
+		want []string // the level's inputs, by their smallest key; nil: no job
+	}{
+		{name: "zero range is the whole-level pick", r: keys.Range{}, want: []string{"d"}},
+		{name: "seed touches the range", r: keys.Range{Start: []byte("b"), Limit: []byte("h")}, want: []string{"d"}},
+		{name: "least-overlapping of the touching tables", r: keys.Range{Start: []byte("b"), Limit: []byte("d")}, want: []string{"a"}},
+		{name: "open start", r: keys.Range{Limit: []byte("b")}, want: []string{"a"}},
+		{name: "open limit", r: keys.Range{Start: []byte("h")}, want: []string{"g"}},
+		{name: "growth stays in the range", r: keys.Range{Start: []byte("k"), Limit: []byte("l")}, want: []string{"k"}},
+		{name: "growth over the range", r: keys.Range{Start: []byte("k"), Limit: []byte("n")}, want: []string{"k", "m"}},
+		{name: "limit is exclusive", r: keys.Range{Start: []byte("ca"), Limit: []byte("d")}, want: nil},
+		{name: "nothing touches the range", r: keys.Range{Start: []byte("x")}, want: nil},
+		{name: "tiered level merges whole", cfg: Config{TieredRuns: 4}, r: keys.Range{Start: []byte("a"), Limit: []byte("b")},
+			want: []string{"a", "d", "g", "k", "m"}},
+		{name: "tiered level with nothing in range", cfg: Config{TieredRuns: 4}, r: keys.Range{Start: []byte("x")}, want: nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			vs, err := Open(t.TempDir(), tc.cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer vs.Close()
+			edit := &VersionEdit{}
+			for _, tb := range tables {
+				edit.AddFile(tb.level, meta(vs.AllocFileNum(), tb.size, tb.lo, tb.hi))
+			}
+			if err := vs.LogAndApply(edit); err != nil {
+				t.Fatal(err)
+			}
+			c := vs.PickCompactionAtLevel(1, tc.r)
+			if tc.want == nil {
+				if c != nil {
+					t.Fatalf("got a job over %d tables, want none", len(c.Inputs[0]))
+				}
+				return
+			}
+			if c == nil {
+				t.Fatalf("no job, want one over %q", tc.want)
+			}
+			var got []string
+			for _, f := range c.Inputs[0] {
+				got = append(got, string(keys.UserKey(f.Smallest)))
+			}
+			slices.Sort(got)
+			if !slices.Equal(got, tc.want) {
+				t.Fatalf("level 1 inputs start at %q, want %q", got, tc.want)
+			}
+		})
+	}
 }

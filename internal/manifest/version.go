@@ -48,11 +48,9 @@ func (v *Version) LevelBytes(level int) uint64 {
 	return n
 }
 
-// userRange converts file bounds to a user-key range (inclusive both ends,
-// so Limit is exclusive only notionally; overlap checks below compare
-// inclusively).
+// fileRangeOverlaps reports whether f holds user keys in the inclusive
+// range [smallest, largest]; a nil bound is open.
 func fileRangeOverlaps(f *FileMetadata, smallest, largest []byte) bool {
-	// smallest/largest are user keys; nil means unbounded.
 	if largest != nil && keys.CompareUser(keys.UserKey(f.Smallest), largest) > 0 {
 		return false
 	}
@@ -60,6 +58,33 @@ func fileRangeOverlaps(f *FileMetadata, smallest, largest []byte) bool {
 		return false
 	}
 	return true
+}
+
+// rangeTouchesFile reports whether f holds user keys in r. The zero Range
+// touches every table.
+func rangeTouchesFile(r keys.Range, f *FileMetadata) bool {
+	if r.Limit != nil && keys.CompareUser(keys.UserKey(f.Smallest), r.Limit) >= 0 {
+		return false
+	}
+	return r.Start == nil || keys.CompareUser(keys.UserKey(f.Largest), r.Start) >= 0
+}
+
+// ApproximateSize estimates the table bytes holding user keys in r: a
+// table inside r counts whole, one straddling a bound of r counts half (a
+// coarse but cheap interpolation, as in LevelDB's GetApproximateSizes).
+func (v *Version) ApproximateSize(r keys.Range) uint64 {
+	var total uint64
+	for _, files := range v.Levels {
+		for _, f := range files {
+			switch {
+			case r.Contains(keys.UserKey(f.Smallest)) && r.Contains(keys.UserKey(f.Largest)):
+				total += f.Size
+			case rangeTouchesFile(r, f):
+				total += f.Size / 2
+			}
+		}
+	}
+	return total
 }
 
 // Overlapping returns the files at level intersecting the inclusive user
