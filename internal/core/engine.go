@@ -30,6 +30,11 @@ type Params struct {
 	// should be considered invalid").
 	SmallestSnapshot uint64
 	BottomLevel      bool
+	// Cuts are user keys, strictly ascending, at which an output table
+	// ends whatever its size: the table open before the first key at or
+	// past a cut is closed. The host passes compaction.Cuts, the key
+	// ranges the CPU lane merges apart, so both lanes write the same files.
+	Cuts [][]byte
 	// CollectFilterKeys returns user keys in MetaOut so the host can
 	// attach bloom filters while combining the output.
 	CollectFilterKeys bool
@@ -400,12 +405,13 @@ type outputBuilder struct {
 	sealed       int64 // current table's sealed data-block bytes
 	last         []byte
 	blockEntries int
-	unindexed    bool // cur's last block awaits its index key; last is its last key
-	wantClose    bool // table is full; close at the next user-key boundary
+	unindexed    bool     // cur's last block awaits its index key; last is its last key
+	wantClose    bool     // table is full; close at the next user-key boundary
+	cuts         [][]byte // the cuts not yet reached
 }
 
 func newOutputBuilder(cfg Config, p Params) *outputBuilder {
-	o := &outputBuilder{cfg: cfg, p: p, bw: sstable.NewBlockWriter(p.RestartInterval)}
+	o := &outputBuilder{cfg: cfg, p: p, bw: sstable.NewBlockWriter(p.RestartInterval), cuts: p.Cuts}
 	if p.Compress {
 		o.compression = sstable.SnappyCompression
 	}
@@ -433,8 +439,12 @@ func (o *outputBuilder) retain(b []byte) []byte {
 func (o *outputBuilder) add(ikey, value []byte) (float64, error) {
 	var cycles float64
 	// A full table closes only at a user-key boundary, preserving the
-	// one-file-per-level lookup invariant.
-	if o.wantClose && keys.CompareUser(keys.UserKey(ikey), keys.UserKey(o.last)) != 0 {
+	// one-file-per-level lookup invariant; a cut is one.
+	cut := false
+	for len(o.cuts) > 0 && keys.CompareUser(keys.UserKey(ikey), o.cuts[0]) >= 0 {
+		o.cuts, cut = o.cuts[1:], true
+	}
+	if o.cur != nil && (cut || o.wantClose && keys.CompareUser(keys.UserKey(ikey), keys.UserKey(o.last)) != 0) {
 		cycles += o.flushBlock()
 		o.closeTable()
 		cycles += blockFlushFixed // index block write-back

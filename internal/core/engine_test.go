@@ -163,6 +163,56 @@ func requireSameFiles(t *testing.T, envA *memEnv, a *compaction.Result, envB *me
 	}
 }
 
+// TestEngineMatchesCPUBytesWhenSplit holds the engine lane to the CPU
+// lane's files on jobs the cut rule splits: at a table cap of a quarter
+// of the input both lanes cut the job into four parts, the CPU lane
+// merging them apart and the engine ending a table at each cut. The
+// straddling job's blocks end between versions of one user key, so its
+// cuts fall on keys with many versions.
+func TestEngineMatchesCPUBytesWhenSplit(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		job  *compaction.Job
+	}{{"shadowing", shadowingJob(t)}, {"straddling", straddlingJob(t)}} {
+		job := *tc.job
+		job.MaxOutputBytes = uint64(job.InputBytes() / 4)
+		cuts, err := compaction.Cuts(&job)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(cuts) != 3 {
+			t.Fatalf("%s: cut at %q, want 3 cuts", tc.name, cuts)
+		}
+		cpuEnv := newMemEnv()
+		cpuRes, err := compaction.CPU{}.Compact(&job, cpuEnv)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cfg := range []Config{DefaultConfig(), MultiInputConfig()} {
+			t.Run(fmt.Sprintf("%s/N=%d", tc.name, cfg.N), func(t *testing.T) {
+				fx, err := NewExecutor(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				env := newMemEnv()
+				res, err := fx.Compact(&job, env)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if cpuRes.Stats.Parts != 4 || res.Stats.Parts != 4 {
+					t.Fatalf("parts: cpu %d, fcae %d, want 4", cpuRes.Stats.Parts, res.Stats.Parts)
+				}
+				requireSameFiles(t, cpuEnv, cpuRes, env, res)
+				if res.Stats.PairsIn != cpuRes.Stats.PairsIn ||
+					res.Stats.PairsOut != cpuRes.Stats.PairsOut ||
+					res.Stats.PairsDropped != cpuRes.Stats.PairsDropped {
+					t.Fatalf("stats diverge: cpu=%+v fcae=%+v", cpuRes.Stats, res.Stats)
+				}
+			})
+		}
+	}
+}
+
 // straddlingJob is two runs holding 48 versions of each of 30 user keys,
 // all of them above the job's SmallestSnapshot and so all kept: a user key
 // spans more than one 4 KiB block, so blocks end between two versions of

@@ -111,7 +111,12 @@ func (x *Executor) Compact(job *compaction.Job, env compaction.Env) (*compaction
 	}
 	buildDone()
 
-	// Step 5-7: run the engine.
+	// Step 5-7: run the engine, ending a table at each of the cuts the
+	// CPU lane merges apart.
+	cuts, err := compaction.Cuts(job)
+	if err != nil {
+		return nil, err
+	}
 	er, err := x.engine.Run(images, Params{
 		BlockSize:         job.TableOpts.BlockSize,
 		TableBytes:        int64(job.MaxOutputBytes),
@@ -119,6 +124,7 @@ func (x *Executor) Compact(job *compaction.Job, env compaction.Env) (*compaction
 		Compress:          job.TableOpts.Compression == sstable.SnappyCompression,
 		SmallestSnapshot:  job.SmallestSnapshot,
 		BottomLevel:       job.BottomLevel,
+		Cuts:              cuts,
 		CollectFilterKeys: job.TableOpts.FilterBitsPerKey > 0,
 		Arena:             x.arena,
 	})
@@ -151,6 +157,7 @@ func (x *Executor) Compact(job *compaction.Job, env compaction.Env) (*compaction
 	}
 
 	res.Stats.BytesRead = job.InputBytes()
+	res.Stats.Parts = len(cuts) + 1
 	res.Stats.PairsIn = er.Stats.PairsIn
 	res.Stats.PairsOut = er.Stats.PairsOut
 	res.Stats.PairsDropped = er.Stats.PairsDropped

@@ -356,8 +356,8 @@ func (db *DB) runCompaction(c *manifest.Compaction) (err error) {
 				DeviceAttempts: route.DeviceAttempts,
 				Inputs:         inputs, Outputs: outputs,
 				PairsIn: cstats.PairsIn, PairsOut: cstats.PairsOut,
-				PairsDropped: cstats.PairsDropped,
-				BytesRead:    cstats.BytesRead, BytesWritten: cstats.BytesWritten,
+				PairsDropped: cstats.PairsDropped, Parts: cstats.Parts,
+				BytesRead: cstats.BytesRead, BytesWritten: cstats.BytesWritten,
 				KernelTime: cstats.KernelTime, TransferTime: cstats.TransferTime,
 				Wall: wall, Trace: tr, Err: endErr,
 			})
@@ -463,6 +463,7 @@ func (db *DB) runCompaction(c *manifest.Compaction) (err error) {
 	wall := time.Since(start)
 	db.met.compactionRead.Add(res.Stats.BytesRead)
 	db.met.compactionWrite.Add(res.Stats.BytesWritten)
+	db.met.compactionParts.Add(int64(res.Stats.Parts))
 	db.met.kernelNanos.Add(res.Stats.KernelTime.Nanoseconds())
 	db.met.transferNanos.Add(res.Stats.TransferTime.Nanoseconds())
 	db.met.tablesCreated.Add(int64(len(res.Outputs)))

@@ -102,6 +102,7 @@ type dbMetrics struct {
 	blockMisses     *obs.Counter
 	compactionRead  *obs.Counter
 	compactionWrite *obs.Counter
+	compactionParts *obs.Counter // key ranges merges were cut into
 	kernelNanos     *obs.Counter
 	transferNanos   *obs.Counter
 	compactionWall  *obs.Histogram
@@ -143,6 +144,7 @@ func newDBMetrics(r *obs.Registry) dbMetrics {
 		blockMisses:     r.Counter("get_block_misses"),
 		compactionRead:  r.Counter("compaction_read_bytes"),
 		compactionWrite: r.Counter("compaction_write_bytes"),
+		compactionParts: r.Counter("compaction_parts"),
 		kernelNanos:     r.Counter("compaction_kernel_nanos"),
 		transferNanos:   r.Counter("compaction_transfer_nanos"),
 		compactionWall:  r.Histogram("compaction_wall_nanos"),

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -158,6 +160,65 @@ func TestEventOrdering(t *testing.T) {
 	}
 	if len(compactBegun) == 0 {
 		t.Fatal("no compaction events recorded")
+	}
+}
+
+// TestCompactionPartsCounter pins how a merge's cut shows: every merge's
+// CompactionEnd carries its Stats.Parts (a trivial move none),
+// compaction_parts sums them and PropertyString prints the sum. Under
+// smallOpts' 32 KiB tables an L0 merge of incompressible values reads
+// several tables' worth, so it is cut.
+func TestCompactionPartsCounter(t *testing.T) {
+	rec := &recordingListener{}
+	opts := smallOpts()
+	opts.EventListener = rec
+	db := openTest(t, opts)
+	rng := rand.New(rand.NewSource(1))
+	value := make([]byte, 400)
+	for round := 0; round < 4; round++ {
+		for i := 0; i < 200; i++ {
+			rng.Read(value)
+			if err := db.Put([]byte(fmt.Sprintf("key%06d", i)), value); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := db.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.CompactLevel(0); err != nil {
+		t.Fatal(err)
+	}
+	if err := db.WaitIdle(); err != nil {
+		t.Fatal(err)
+	}
+	counted := db.Metrics().Counters["compaction_parts"]
+	props := db.PropertyString()
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var parts, split int64
+	for _, e := range rec.snapshot() {
+		e, ok := e.(obs.CompactionEndEvent)
+		if !ok {
+			continue
+		}
+		if e.TrivialMove != (e.Parts == 0) {
+			t.Errorf("job %d (trivial move %v) in %d parts", e.JobID, e.TrivialMove, e.Parts)
+		}
+		parts += int64(e.Parts)
+		if e.Parts > 1 {
+			split++
+		}
+	}
+	if split == 0 {
+		t.Fatal("no merge was cut into parts")
+	}
+	if counted != parts {
+		t.Errorf("compaction_parts %d, events sum to %d", counted, parts)
+	}
+	if want := fmt.Sprintf("merged in %d key-range parts", parts); !strings.Contains(props, want) {
+		t.Errorf("PropertyString lacks %q:\n%s", want, props)
 	}
 }
 

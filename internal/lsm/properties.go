@@ -17,6 +17,7 @@ func (db *DB) PropertyString() string {
 	st := db.statsLocked()
 	flushDropped := db.met.flushDropped.Value()
 	trivialAhead := db.met.trivialAhead.Value()
+	parts := db.met.compactionParts.Value()
 	memBytes := db.mem.ApproximateSize()
 	immPending := db.imm != nil
 	db.mu.Unlock()
@@ -47,8 +48,8 @@ func (db *DB) PropertyString() string {
 		st.Writes, float64(st.BytesWritten)/(1<<20), st.Flushes, float64(st.FlushBytes)/(1<<20), flushDropped)
 	fmt.Fprintf(&b, "compactions: %d (engine %d, sw fallback %d, trivial %d, %d of them ahead of an L0 merge)\n",
 		st.Compactions, st.HWCompactions, st.SWFallbacks, st.TrivialMoves, trivialAhead)
-	fmt.Fprintf(&b, "compaction io: read %.2f MB, wrote %.2f MB\n",
-		float64(st.CompactionRead)/(1<<20), float64(st.CompactionWrite)/(1<<20))
+	fmt.Fprintf(&b, "compaction io: read %.2f MB, wrote %.2f MB, merged in %d key-range parts\n",
+		float64(st.CompactionRead)/(1<<20), float64(st.CompactionWrite)/(1<<20), parts)
 	if st.HWCompactions > 0 {
 		fmt.Fprintf(&b, "engine: kernel %v, pcie %v\n",
 			st.KernelTime.Round(time.Microsecond), st.TransferTime.Round(time.Microsecond))

@@ -134,6 +134,10 @@ type CompactionEndEvent struct {
 	PairsDropped int
 	BytesRead    int64
 	BytesWritten int64
+	// Parts is how many key ranges the merge was cut into (1 for a merge
+	// done whole, 0 for a trivial move); the CPU lane merges them at the
+	// same time.
+	Parts int
 	// KernelTime is the modeled merge time (device cycles for the FCAE
 	// executor); TransferTime is the modeled PCIe time.
 	KernelTime   time.Duration

@@ -81,6 +81,11 @@ func (r *Reader) loadFilter(metaH Handle) error {
 	return it.Error()
 }
 
+// NumBlocks is how many data blocks the table's index lists. Every index
+// entry is a restart point (the writer indexes at interval 1), so this is
+// exact for the tables this package writes and a presizing hint otherwise.
+func (r *Reader) NumBlocks() int { return len(r.index.restarts) }
+
 // readBlockContents returns the contents of the data block at h,
 // consulting the block cache.
 func (r *Reader) readBlockContents(h Handle) ([]byte, error) {

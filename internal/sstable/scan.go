@@ -37,6 +37,10 @@ type BlockScanner struct {
 	// of the largest file scanned.
 	win    []byte
 	winOff int64
+
+	// held is set by Seek: the index iterator already stands on the
+	// block the next call returns.
+	held bool
 }
 
 // Reset points the scanner before r's first data block, reusing the
@@ -45,19 +49,46 @@ func (s *BlockScanner) Reset(r *Reader) {
 	s.r = r
 	s.it.share(r.index)
 	s.win = s.win[:0]
+	s.held = false
 }
+
+// Seek points the scanner before the first of r's data blocks that may
+// hold internal key target or a later one: the block whose index key is
+// the first at or past target. Earlier blocks are never read, so a walk
+// over part of a table costs that part and one straddling block.
+func (s *BlockScanner) Seek(r *Reader, target []byte) {
+	s.Reset(r)
+	s.it.SeekGE(target)
+	s.held = true
+}
+
+// NextHandle steps to the next data block's index entry without reading
+// the block and returns its handle; Key is its index key. ok is false at
+// the end of the table or on error.
+func (s *BlockScanner) NextHandle() (h Handle, ok bool, err error) {
+	if s.held {
+		s.held = false
+	} else {
+		s.it.Next()
+	}
+	if !s.it.Valid() {
+		return Handle{}, false, s.it.Error()
+	}
+	h, _, err = DecodeHandle(s.it.Value())
+	return h, err == nil, err
+}
+
+// Key is the index key of the block the scanner last stepped to, valid
+// until the next call.
+func (s *BlockScanner) Key() []byte { return s.it.Key() }
 
 // NextRaw returns the next data block as stored, handle bounded and
 // checksum verified exactly as readBlock does. The payload aliases the
 // scanner's window and the index key its iterator: both hold until the
 // next call. ok is false at the end of the table or on error.
 func (s *BlockScanner) NextRaw() (b RawBlock, ok bool, err error) {
-	s.it.Next()
-	if !s.it.Valid() {
-		return RawBlock{}, false, s.it.Error()
-	}
-	h, _, err := DecodeHandle(s.it.Value())
-	if err != nil {
+	h, ok, err := s.NextHandle()
+	if !ok {
 		return RawBlock{}, false, err
 	}
 	if err := s.r.checkHandle(h); err != nil {

@@ -1,6 +1,7 @@
 package sstable
 
 import (
+	"bytes"
 	"fmt"
 	"testing"
 
@@ -101,5 +102,60 @@ func TestBlockScannerWalksAllBlocks(t *testing.T) {
 				t.Fatalf("scanned %d entries, want %d", got, len(entries))
 			}
 		})
+	}
+}
+
+// TestBlockScannerSeek walks the index with NextHandle and then seeks to
+// every block's index key and to the key just after it: a seek lands on
+// the first block whose index key is at or past the target, reads nothing
+// before it, and a seek past the last index key finds no block. NumBlocks
+// counts what NextHandle walks.
+func TestBlockScannerSeek(t *testing.T) {
+	f, stats := buildTable(t, Options{BlockSize: 512}, seqEntries(500, 64))
+	r, err := NewReader(f, int64(len(f)), Options{}, nil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sc BlockScanner
+	var index [][]byte
+	var offsets []uint64
+	for sc.Reset(r); ; {
+		h, ok, err := sc.NextHandle()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !ok {
+			break
+		}
+		index = append(index, append([]byte(nil), sc.Key()...))
+		offsets = append(offsets, h.Offset)
+	}
+	if len(index) != stats.DataBlocks || r.NumBlocks() != stats.DataBlocks {
+		t.Fatalf("NextHandle walked %d blocks, NumBlocks %d, table has %d", len(index), r.NumBlocks(), stats.DataBlocks)
+	}
+	for i, k := range index {
+		past := keys.MakeInternal(nil, append(bytes.Clone(keys.UserKey(k)), 0), keys.MaxSeq, keys.KindSet)
+		for _, tc := range []struct {
+			target []byte
+			block  int
+		}{{k, i}, {past, i + 1}} {
+			sc.Seek(r, tc.target)
+			b, ok, err := sc.NextRaw()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tc.block == len(index) {
+				if ok {
+					t.Fatalf("seek past the last index key %q found block %q", k, b.IndexKey)
+				}
+				continue
+			}
+			if !ok || string(b.IndexKey) != string(index[tc.block]) {
+				t.Fatalf("seek to %q: block %q (ok %v), want %q", tc.target, b.IndexKey, ok, index[tc.block])
+			}
+			if h, _, _ := sc.NextHandle(); tc.block+1 < len(index) && h.Offset != offsets[tc.block+1] {
+				t.Fatalf("after block %d the scanner is at offset %d, want %d", tc.block, h.Offset, offsets[tc.block+1])
+			}
+		}
 	}
 }
