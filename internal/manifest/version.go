@@ -1,7 +1,9 @@
 package manifest
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 
 	"fcae/internal/keys"
@@ -15,16 +17,6 @@ type Version struct {
 	// refs counts the readers holding this version (VersionSet.Ref/Unref);
 	// guarded by the owning VersionSet's mutex.
 	refs int
-}
-
-// Clone returns a shallow copy (file metadata is shared; the per-level
-// slices are fresh).
-func (v *Version) Clone() *Version {
-	n := &Version{}
-	for i := range v.Levels {
-		n.Levels[i] = append([]*FileMetadata(nil), v.Levels[i]...)
-	}
-	return n
 }
 
 // NumFiles returns the file count at level.
@@ -166,55 +158,120 @@ func (v *Version) ForEachOverlapping(userKey []byte, visit func(level int, f *Fi
 	}
 }
 
-// Apply produces the next version from an edit. Added files are inserted
-// in sorted order (levels >= 1) or kept in insertion order for level 0.
+// Apply produces the next version from an edit. A level the edit does not
+// touch is shared with v, its capacity clipped so an append can never
+// write into v's array; a touched level is copied once, without its
+// deleted tables and with its added ones in place: in insertion order at
+// level 0, spliced into (RunID, Smallest) order by binary search deeper.
+// Only the neighbours of an added table are checked for overlap, since
+// deleting tables cannot make two others overlap. An edit costs what it
+// touches, not the size of the tree.
 func (v *Version) Apply(edit *VersionEdit) (*Version, error) {
-	next := v.Clone()
+	var touched [NumLevels]bool
 	for _, d := range edit.Deleted {
-		files := next.Levels[d.Level]
-		idx := -1
-		for i, f := range files {
-			if f.Num == d.Num {
-				idx = i
-				break
-			}
-		}
-		if idx < 0 {
-			return nil, fmt.Errorf("manifest: deleting unknown file %d at level %d", d.Num, d.Level)
-		}
-		next.Levels[d.Level] = append(files[:idx:idx], files[idx+1:]...)
+		touched[d.Level] = true
 	}
 	for _, a := range edit.Added {
-		next.Levels[a.Level] = append(next.Levels[a.Level], a.Meta)
+		touched[a.Level] = true
 	}
-	for level := 1; level < NumLevels; level++ {
-		files := next.Levels[level]
-		sort.Slice(files, func(i, j int) bool {
-			if files[i].RunID != files[j].RunID {
-				return files[i].RunID < files[j].RunID
-			}
-			return keys.Compare(files[i].Smallest, files[j].Smallest) < 0
-		})
+	next := &Version{}
+	for level, files := range v.Levels {
+		if !touched[level] {
+			next.Levels[level] = files[:len(files):len(files)]
+			continue
+		}
+		files, err := applyLevel(files, level, edit)
+		if err != nil {
+			return nil, err
+		}
+		next.Levels[level] = files
 	}
-	return next, next.checkInvariants()
+	return next, nil
 }
 
-// checkInvariants validates sortedness and non-overlap within each sorted
-// run at levels >= 1. Distinct runs may overlap freely (tiered mode);
-// leveled levels put every file in run 0, so the check degenerates to the
-// classic whole-level invariant.
-func (v *Version) checkInvariants() error {
-	for level := 1; level < NumLevels; level++ {
-		files := v.Levels[level]
-		for i := 1; i < len(files); i++ {
-			prev, cur := files[i-1], files[i]
-			if prev.RunID != cur.RunID {
-				continue
-			}
-			if keys.CompareUser(keys.UserKey(prev.Largest), keys.UserKey(cur.Smallest)) >= 0 {
-				return fmt.Errorf("manifest: level %d run %d files %d and %d overlap: %q vs %q",
-					level, cur.RunID, prev.Num, cur.Num, keys.UserKey(prev.Largest), keys.UserKey(cur.Smallest))
-			}
+// applyLevel returns a copy of level's files with edit applied to it.
+func applyLevel(files []*FileMetadata, level int, edit *VersionEdit) ([]*FileMetadata, error) {
+	var deleted map[uint64]bool
+	var added []*FileMetadata
+	for _, d := range edit.Deleted {
+		if d.Level != level {
+			continue
+		}
+		if deleted == nil {
+			deleted = make(map[uint64]bool)
+		}
+		if deleted[d.Num] {
+			return nil, fmt.Errorf("manifest: deleting unknown file %d at level %d", d.Num, d.Level)
+		}
+		deleted[d.Num] = true
+	}
+	for _, a := range edit.Added {
+		if a.Level == level {
+			added = append(added, a.Meta)
+		}
+	}
+
+	out := make([]*FileMetadata, 0, len(files)+len(added))
+	for _, f := range files {
+		if deleted[f.Num] {
+			delete(deleted, f.Num)
+			continue
+		}
+		out = append(out, f)
+	}
+	for _, d := range edit.Deleted {
+		if d.Level == level && deleted[d.Num] {
+			return nil, fmt.Errorf("manifest: deleting unknown file %d at level %d", d.Num, d.Level)
+		}
+	}
+	if level == 0 {
+		return append(out, added...), nil
+	}
+
+	// Splice from the back: each added table, largest first, goes after
+	// every kept table that sorts before it, and the kept tables above it
+	// move up by one block copy. Its place is final once it is put.
+	slices.SortFunc(added, compareFiles)
+	places := make([]int, len(added))
+	kept := len(out)
+	out = out[:kept+len(added)]
+	for a := len(added) - 1; a >= 0; a-- {
+		f := added[a]
+		at := sort.Search(kept, func(i int) bool { return compareFiles(out[i], f) > 0 })
+		copy(out[at+a+1:], out[at:kept])
+		out[at+a], places[a] = f, at+a
+		kept = at
+	}
+	for _, i := range places {
+		if err := checkNeighbours(out, i, level); err != nil {
+			return nil, err
+		}
+	}
+	return out, nil
+}
+
+// compareFiles orders a level >= 1 in version storage order: by RunID,
+// then by smallest key.
+func compareFiles(a, b *FileMetadata) int {
+	if a.RunID != b.RunID {
+		return cmp.Compare(a.RunID, b.RunID)
+	}
+	return keys.Compare(a.Smallest, b.Smallest)
+}
+
+// checkNeighbours reports an overlap between files[i] and a neighbour of
+// the same sorted run. Distinct runs may overlap freely (tiered mode);
+// leveled levels put every file in run 0, so this is the classic
+// whole-level invariant.
+func checkNeighbours(files []*FileMetadata, i, level int) error {
+	for _, j := range [2]int{i - 1, i} {
+		if j < 0 || j+1 >= len(files) {
+			continue
+		}
+		prev, cur := files[j], files[j+1]
+		if prev.RunID == cur.RunID && keys.CompareUser(keys.UserKey(prev.Largest), keys.UserKey(cur.Smallest)) >= 0 {
+			return fmt.Errorf("manifest: level %d run %d files %d and %d overlap: %q vs %q",
+				level, cur.RunID, prev.Num, cur.Num, keys.UserKey(prev.Largest), keys.UserKey(cur.Smallest))
 		}
 	}
 	return nil
