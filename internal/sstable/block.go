@@ -112,6 +112,12 @@ func (b *block) reset(contents []byte) error {
 	if n < 1 || restartOff < 0 {
 		return fmt.Errorf("%w: bad restart count %d", ErrCorrupt, n)
 	}
+	// n is held to the contents above, so the array is sized once, not
+	// doubled entry by entry: an index block has one restart per entry.
+	if cap(b.restarts) < n {
+		//fcae:alloc-ok grow-on-demand restart array: a reused block re-slices it, so steady state allocates nothing
+		b.restarts = make([]uint32, 0, max(n, 2*cap(b.restarts)))
+	}
 	b.restarts = b.restarts[:0]
 	for i := 0; i < n; i++ {
 		b.restarts = append(b.restarts, binary.LittleEndian.Uint32(contents[restartOff+4*i:]))
