@@ -433,7 +433,7 @@ func BenchmarkTieredVsLeveled(b *testing.B) {
 func BenchmarkExtensions(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		ns := bench.NearStorage(benchScale)
-		su := bench.StageUtilization(benchScale, bench.DefaultEngineConfig())
+		su := bench.StageUtilization(benchScale, core.DefaultConfig())
 		ts := bench.TieredSim(benchScale)
 		if i == 0 {
 			logReports(b, ns, su, ts)

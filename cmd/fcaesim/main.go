@@ -52,17 +52,14 @@ func main() {
 	traceLimit := flag.Int("trace-limit", 1000, "number of selections to trace")
 	flag.Parse()
 
-	cfg := core.DefaultConfig()
-	cfg.N, cfg.V, cfg.WIn = *n, *v, *win
-	cfg.KeyValueSeparation = !*noKV
-	cfg.IndexDataSeparation = !*noIdx
+	cfg := core.Config{N: *n, V: *v, WIn: *win, NoKeyValueSeparation: *noKV, NoIndexDataSeparation: *noIdx}
 	if err := cfg.Validate(); err != nil {
 		fmt.Fprintln(os.Stderr, "fcaesim:", err)
 		os.Exit(1)
 	}
 	u := cfg.Resources()
 	fmt.Printf("engine: N=%d V=%d WIn=%d WOut=%d @%.0fMHz  resources BRAM=%.1f%% FF=%.1f%% LUT=%.1f%% fits=%v\n",
-		cfg.N, cfg.V, cfg.WIn, cfg.WOut, cfg.ClockHz/1e6, u.BRAM, u.FF, u.LUT, cfg.Fits())
+		cfg.N, cfg.V, cfg.WIn, core.WOut, core.ClockHz/1e6, u.BRAM, u.FF, u.LUT, cfg.Fits())
 
 	// Build N sorted runs of incompressible data.
 	rng := rand.New(rand.NewSource(1))

@@ -12,7 +12,7 @@
 // compactors against them; -fault-rate injects device faults (errors,
 // mid-merge write failures, stalls) at the given probability, exercising
 // the CPU-fallback path; -arena-bytes sizes each channel's persistent
-// device-memory staging arena (0 = modeled default, negative disables).
+// device-memory staging arena (0 = modeled default).
 // The device flags need -backend fcae.
 package storeflags
 
@@ -49,7 +49,7 @@ func Register(fs *flag.FlagSet) *Flags {
 	f.own.IntVar(&f.Channels, "device-channels", 1, "device channels (engine instances) behind the scheduler; backend=fcae only")
 	f.own.Float64Var(&f.FaultRate, "fault-rate", 0, "device fault injection probability [0,1); backend=fcae only")
 	f.own.Int64Var(&f.FaultSeed, "fault-seed", 1, "fault injector RNG seed")
-	f.own.Int64Var(&f.ArenaBytes, "arena-bytes", 0, "per-channel device staging arena size (0 = modeled default, <0 disables); backend=fcae only")
+	f.own.Int64Var(&f.ArenaBytes, "arena-bytes", 0, "per-channel device staging arena size (0 = modeled default); backend=fcae only")
 	f.own.VisitAll(func(fl *flag.Flag) { fs.Var(fl.Value, fl.Name, fl.Usage) })
 	return f
 }
@@ -76,6 +76,9 @@ func (f *Flags) Options() (fcae.Options, error) {
 	// the default, so a negative count is refused rather than resized.
 	if f.Workers < 0 {
 		return opts, fmt.Errorf("-compaction-workers must be >= 0, got %d", f.Workers)
+	}
+	if f.ArenaBytes < 0 {
+		return opts, fmt.Errorf("-arena-bytes must be >= 0, got %d", f.ArenaBytes)
 	}
 	if !(f.FaultRate >= 0 && f.FaultRate < 1) {
 		return opts, fmt.Errorf("-fault-rate must be in [0,1), got %v", f.FaultRate)

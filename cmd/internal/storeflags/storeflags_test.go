@@ -25,12 +25,13 @@ func TestFlagsToOptions(t *testing.T) {
 		{name: "fcae", args: []string{"-backend", "fcae"}, workers: 2, devices: 1},
 		{name: "fcae channels and workers", args: []string{"-backend", "fcae", "-device-channels", "3", "-compaction-workers", "2"},
 			workers: 3, devices: 3},
-		{name: "fcae faults and arena", args: []string{"-backend", "fcae", "-fault-rate", "0.2", "-fault-seed", "5", "-arena-bytes", "-1"},
+		{name: "fcae faults and arena", args: []string{"-backend", "fcae", "-fault-rate", "0.2", "-fault-seed", "5", "-arena-bytes", "1048576"},
 			workers: 2, devices: 1, faults: true},
 
 		{name: "unknown backend", args: []string{"-backend", "fpga"}, wantErr: `unknown -backend "fpga"`},
 		{name: "fault rate without a device", args: []string{"-fault-rate", "0.1"}, wantErr: "-fault-rate requires -backend fcae"},
 		{name: "arena without a device", args: []string{"-arena-bytes", "4096"}, wantErr: "-arena-bytes requires -backend fcae"},
+		{name: "negative arena", args: []string{"-backend", "fcae", "-arena-bytes", "-1"}, wantErr: "-arena-bytes must be >= 0, got -1"},
 		{name: "no channels", args: []string{"-backend", "fcae", "-device-channels", "0"}, wantErr: "-device-channels must be >= 1"},
 		{name: "engine that cannot be built", args: []string{"-backend", "fcae", "-engine_n", "1"}, wantErr: "core:"},
 		{name: "no compactors", args: []string{"-compaction-workers", "0"}, workers: 1},

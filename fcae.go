@@ -15,7 +15,8 @@
 //     silently clamping them.
 //
 //   - Engine configuration: EngineConfig describes a synthesized engine
-//     (decoder lanes N, value lane width V, AXI widths, clock);
+//     by the triple Table VII sweeps (decoder lanes N, value lane width
+//     V, read width W_in) on the paper's fixed 200 MHz card;
 //     DefaultEngineConfig and MultiInputEngineConfig are the paper's two
 //     build points, and NewEngineExecutor turns one into a device channel
 //     for Options.DispatchConfig.Devices. No devices means the software
@@ -90,8 +91,12 @@ type (
 // Engine types for configuring the FCAE backend.
 type (
 	// EngineConfig describes one synthesized engine: decoder lanes N,
-	// value lane width V, AXI widths, clock, and the paper's pipeline
-	// optimizations (key-value separation, index/data separation).
+	// value lane width V and read width WIn, the triple Table VII sweeps;
+	// two switches that turn off a pipeline optimization for ablation
+	// (key-value separation, index/data separation), whose zero value is
+	// the paper's design; and StagingBytes, the channel's staging arena
+	// (0 = modeled default, negative is invalid). The clock, the write
+	// width and the DRAM latency are the card's and fixed.
 	EngineConfig = core.Config
 	// EngineUtilization is a chip resource estimate (paper Table VII).
 	EngineUtilization = core.Utilization

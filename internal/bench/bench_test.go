@@ -4,6 +4,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"fcae/internal/core"
 )
 
 // parse reads a numeric cell.
@@ -169,7 +171,7 @@ func TestReportCSV(t *testing.T) {
 }
 
 func TestStageUtilizationShape(t *testing.T) {
-	r := StageUtilization(Quick, DefaultEngineConfig())
+	r := StageUtilization(Quick, core.DefaultConfig())
 	if len(r.Rows) != len(ValueLengths) {
 		t.Fatalf("rows = %d", len(r.Rows))
 	}

@@ -281,7 +281,7 @@ var Experiments = []Experiment{
 	{[]string{"Ablation"}, one(Ablations)},
 	{[]string{"AblationSchedule"}, one(ScheduleAblation)},
 	{[]string{"NearStorage"}, one(NearStorage)},
-	{[]string{"StageUtil"}, one(func(s Scale) *Report { return StageUtilization(s, DefaultEngineConfig()) })},
+	{[]string{"StageUtil"}, one(func(s Scale) *Report { return StageUtilization(s, core.DefaultConfig()) })},
 	{[]string{"Tiered"}, one(TieredSim)},
 }
 

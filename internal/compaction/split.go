@@ -38,24 +38,18 @@ func partCount(job *Job) int {
 	return parts
 }
 
-// Cuts returns the user keys job's merge is cut at, strictly ascending:
-// part i holds the user keys in [cut i-1, cut i), the first and the last
-// part are open below and above. It is nil when the job is merged whole.
-// A lane that does not merge part by part must end an output table at
-// each cut to write the files the CPU lane writes.
+// Cuts is CutKeys over job's inputs, opened for the purpose.
 func Cuts(job *Job) ([][]byte, error) {
-	if partCount(job) == 1 {
-		return nil, nil
-	}
-	runs, err := openRuns(job)
+	runs, err := OpenRuns(job)
 	if err != nil {
 		return nil, err
 	}
-	return cutKeys(job, runs)
+	return CutKeys(job, runs)
 }
 
-// openRuns opens every input table once; the parts share the readers.
-func openRuns(job *Job) ([][]*sstable.Reader, error) {
+// OpenRuns opens every input table of job, run by run. A lane opens each
+// table once and gives the readers to CutKeys and to its merge.
+func OpenRuns(job *Job) ([][]*sstable.Reader, error) {
 	n := 0
 	for _, run := range job.Runs {
 		n += len(run)
@@ -84,12 +78,19 @@ type cutBlock struct {
 	size uint64 // its stored payload bytes
 }
 
-// cutKeys is the cut rule. Every input data block is listed by its index
+// CutKeys returns the user keys job's merge is cut at, strictly ascending:
+// part i holds the user keys in [cut i-1, cut i), the first and the last
+// part are open below and above. It is nil when the job is merged whole.
+// A lane that does not merge part by part must end an output table at
+// each cut to write the files the CPU lane writes. runs are job's inputs
+// as OpenRuns opened them.
+//
+// This is the cut rule. Every input data block is listed by its index
 // key with its stored size, read from the inputs' index blocks alone, and
 // the list is sorted by key. Cut i is the user key of the block at which
 // the running sum of sizes first reaches i/parts of the total; a cut not
 // above the one before it is left out.
-func cutKeys(job *Job, runs [][]*sstable.Reader) ([][]byte, error) {
+func CutKeys(job *Job, runs [][]*sstable.Reader) ([][]byte, error) {
 	parts := partCount(job)
 	if parts == 1 {
 		return nil, nil
@@ -154,7 +155,7 @@ type part struct {
 	done atomic.Bool
 }
 
-// Compact implements Executor. The job is cut into parts (cutKeys) and
+// Compact implements Executor. The job is cut into parts (CutKeys) and
 // the parts are claimed in key order by the calling goroutine and up to
 // GOMAXPROCS-1 helpers, joined before Compact returns. A part goes
 // straight to env when the caller merges it and every part before it is
@@ -162,11 +163,11 @@ type part struct {
 // through env by the caller, in key order. So env sees one goroutine and
 // tables in key order, and at GOMAXPROCS 1 nothing is buffered.
 func (CPU) Compact(job *Job, env Env) (*Result, error) {
-	runs, err := openRuns(job)
+	runs, err := OpenRuns(job)
 	if err != nil {
 		return nil, err
 	}
-	cuts, err := cutKeys(job, runs)
+	cuts, err := CutKeys(job, runs)
 	if err != nil {
 		return nil, err
 	}

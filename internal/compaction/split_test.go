@@ -90,7 +90,7 @@ func TestSplitMergeMatchesWholeMerge(t *testing.T) {
 	for seed := int64(1); seed <= 12; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		job := splitJob(t, rng)
-		runs, err := openRuns(job)
+		runs, err := OpenRuns(job)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,7 +104,7 @@ func TestSplitMergeMatchesWholeMerge(t *testing.T) {
 			t.Fatalf("seed %d: a merge that drops nothing tests nothing: %+v", seed, whole.Stats)
 		}
 
-		rule, err := cutKeys(job, runs)
+		rule, err := CutKeys(job, runs)
 		if err != nil {
 			t.Fatal(err)
 		}

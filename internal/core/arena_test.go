@@ -82,10 +82,6 @@ func TestConfigArenaBytes(t *testing.T) {
 	if got := cfg.ArenaBytes(); got != 12345 {
 		t.Fatalf("explicit StagingBytes: ArenaBytes = %d, want 12345", got)
 	}
-	cfg.StagingBytes = -1
-	if got := cfg.ArenaBytes(); got != 0 {
-		t.Fatalf("negative StagingBytes: ArenaBytes = %d, want 0 (disabled)", got)
-	}
 	cfg.StagingBytes = 0
 	want := int64(cfg.N) * DefaultArenaPerLane
 	if want > MaxArenaBytes {
@@ -96,7 +92,7 @@ func TestConfigArenaBytes(t *testing.T) {
 	}
 	// The admission budget a simulator reads off the config is the one the
 	// built arena reports.
-	for _, staging := range []int64{-1, 0, 8 << 10, 12345} {
+	for _, staging := range []int64{0, 8 << 10, 12345} {
 		cfg.StagingBytes = staging
 		if got, want := cfg.ArenaInputBudget(), NewArena(cfg.ArenaBytes()).InputBudget(); got != want {
 			t.Errorf("StagingBytes %d: Config.ArenaInputBudget = %d, Arena.InputBudget = %d", staging, got, want)
@@ -158,7 +154,11 @@ func TestArenaImageMatchesHeap(t *testing.T) {
 		t.Fatal(err)
 	}
 	a := NewArena(1 << 20)
-	staged, err := BuildInputImageArena(run, 64, opts, a)
+	runs, err := compaction.OpenRuns(&compaction.Job{Runs: [][]compaction.Table{run}, TableOpts: opts})
+	if err != nil {
+		t.Fatal(err)
+	}
+	staged, err := stageInputImage(runs[0], 64, a)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,9 +173,9 @@ func TestArenaImageMatchesHeap(t *testing.T) {
 	}
 }
 
-// TestExecutorArenaEquivalence proves an arena-backed executor produces
-// byte-identical outputs to one with the arena disabled, across repeated
-// jobs on the same channel (exercising Reset-and-reuse).
+// TestExecutorArenaEquivalence proves an executor reusing its arena
+// across repeated jobs on the same channel (exercising Reset-and-reuse)
+// writes the CPU lane's files every time.
 func TestExecutorArenaEquivalence(t *testing.T) {
 	mkJob := func(seqBase uint64) *compaction.Job {
 		opts := sstable.Options{Compression: sstable.SnappyCompression, FilterBitsPerKey: 10}
@@ -194,15 +194,6 @@ func TestExecutorArenaEquivalence(t *testing.T) {
 	if withArena.ArenaBytes() == 0 {
 		t.Fatal("default config must enable the arena")
 	}
-	noCfg := DefaultConfig()
-	noCfg.StagingBytes = -1
-	without, err := NewExecutor(noCfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if without.ArenaBytes() != 0 || without.ArenaInputBudget() != 0 {
-		t.Fatal("StagingBytes < 0 must disable the arena")
-	}
 
 	for round := 0; round < 3; round++ {
 		job := mkJob(uint64(100 * (round + 1)))
@@ -211,17 +202,14 @@ func TestExecutorArenaEquivalence(t *testing.T) {
 		if err != nil {
 			t.Fatalf("round %d arena compact: %v", round, err)
 		}
-		resB, err := without.Compact(job, envB)
+		resB, err := compaction.CPU{}.Compact(job, envB)
 		if err != nil {
-			t.Fatalf("round %d heap compact: %v", round, err)
+			t.Fatalf("round %d cpu compact: %v", round, err)
 		}
 		requireSameFiles(t, envA, resA, envB, resB)
 	}
 	if hw, cap := withArena.ArenaHighWater(), withArena.ArenaBytes(); hw <= 0 || hw > cap {
 		t.Fatalf("ArenaHighWater = %d after arena-backed jobs, want in (0, %d]", hw, cap)
-	}
-	if got := without.ArenaHighWater(); got != 0 {
-		t.Fatalf("disabled arena ArenaHighWater = %d, want 0", got)
 	}
 }
 

@@ -12,19 +12,26 @@ import (
 	"fmt"
 )
 
-// Default hardware parameters (paper §VII-A).
+// The fixed hardware of the paper's engine (§VII-A): one KCU1500 clocked
+// at 200 MHz. Table VII sweeps only N, WIn and V; everything here is the
+// same in every configuration.
 const (
-	// DefaultClockHz is the engine clock (200 MHz).
-	DefaultClockHz = 200e6
+	// ClockHz is the engine clock (200 MHz).
+	ClockHz = 200e6
 	// DefaultDRAMBytes is the card's off-chip DRAM (16 GiB).
 	DefaultDRAMBytes = 16 << 30
 	// MaxAXIBytesPerCycle is the AXI limit of 512 bits per cycle (§V-D2).
 	MaxAXIBytesPerCycle = 64
-	// DefaultDRAMLatencyCycles is the off-chip DRAM read latency (§V-B:
-	// "the read latency of DRAM is 7-8 cycles").
-	DefaultDRAMLatencyCycles = 8
-	// DefaultFIFODepth sizes each lane's decoded-stream FIFO in entries.
-	DefaultFIFODepth = 32
+	// WOut is the DRAM write width for output data blocks, the full AXI
+	// width.
+	WOut = MaxAXIBytesPerCycle
+	// DRAMLatencyCycles is the off-chip DRAM read latency (§V-B: "the
+	// read latency of DRAM is 7-8 cycles").
+	DRAMLatencyCycles = 8
+	// FIFODepth is the per-lane key/value FIFO capacity in entries (§V-C:
+	// FIFOs hold the decoded key and value streams). It bounds how far a
+	// decoder can run ahead of the Comparer.
+	FIFODepth = 32
 	// DefaultArenaPerLane is the modeled staging-arena share per decoder
 	// lane: each input run needs room for its serialized image, plus the
 	// shared output region, carved from the card's DRAM.
@@ -34,8 +41,10 @@ const (
 	MaxArenaBytes = DefaultDRAMBytes / 64
 )
 
-// Config describes one synthesized engine configuration. The triple
-// (N, WIn, V) is what Table VII sweeps.
+// Config describes one synthesized engine configuration: the triple
+// (N, WIn, V) that Table VII sweeps, the two ablation switches, and the
+// channel's staging arena. Its zero value in every other field is the
+// paper's design, so Config{N: 9, V: 8, WIn: 8} is the 9-input engine.
 type Config struct {
 	// N is the number of decoder lanes: the maximum sorted inputs merged
 	// in hardware. Jobs with more runs fall back to software (§VI-A).
@@ -44,50 +53,30 @@ type Config struct {
 	V int
 	// WIn is the DRAM read width for data blocks in bytes/cycle (§V-D2).
 	WIn int
-	// WOut is the DRAM write width for output data blocks.
-	WOut int
-	// ClockHz is the engine clock frequency.
-	ClockHz float64
 
-	// KeyValueSeparation enables the §V-C optimization (default on). With
-	// it off, values traverse the Comparer path byte-serially — the basic
-	// pipeline of Fig 2, kept for ablation.
-	KeyValueSeparation bool
-	// IndexDataSeparation enables the §V-B optimization (default on).
-	// With it off, the decoder's read pointer switches between index and
-	// data blocks (Algorithm 1), serializing index fetches with decode.
-	IndexDataSeparation bool
-	// DRAMLatencyCycles is the off-chip read latency.
-	DRAMLatencyCycles int
-	// FIFODepth is the per-lane key/value FIFO capacity in entries
-	// (§V-C: FIFOs hold the decoded key and value streams). It bounds how
-	// far a decoder can run ahead of the Comparer.
-	FIFODepth int
+	// NoKeyValueSeparation turns off the §V-C optimization: values
+	// traverse the Comparer path byte-serially — the basic pipeline of
+	// Fig 2, kept for ablation.
+	NoKeyValueSeparation bool
+	// NoIndexDataSeparation turns off the §V-B optimization: the
+	// decoder's read pointer switches between index and data blocks
+	// (Algorithm 1), serializing index fetches with decode.
+	NoIndexDataSeparation bool
 	// StagingBytes sizes the channel's persistent device-memory arena
 	// that input/output images are staged in. Zero selects the modeled
-	// default (ArenaBytes); a negative value disables the arena entirely
-	// (every job heap-allocates, the pre-arena behavior).
+	// default (ArenaBytes); a negative value is invalid.
 	StagingBytes int64
 }
 
 // DefaultConfig returns the 2-input configuration of §VII-B.
 func DefaultConfig() Config {
-	return Config{
-		N: 2, V: 16, WIn: 64, WOut: 64,
-		ClockHz:             DefaultClockHz,
-		KeyValueSeparation:  true,
-		IndexDataSeparation: true,
-		DRAMLatencyCycles:   DefaultDRAMLatencyCycles,
-		FIFODepth:           DefaultFIFODepth,
-	}
+	return Config{N: 2, V: 16, WIn: 64}
 }
 
 // MultiInputConfig returns the 9-input configuration of §VII-C (W_in and V
 // reduced to 8 so the design fits the chip; see Table VII).
 func MultiInputConfig() Config {
-	c := DefaultConfig()
-	c.N, c.V, c.WIn = 9, 8, 8
-	return c
+	return Config{N: 9, V: 8, WIn: 8}
 }
 
 // ErrConfig reports an invalid engine configuration.
@@ -105,14 +94,11 @@ func (c Config) Validate() error {
 	if c.WIn < c.V {
 		return fmt.Errorf("%w: WIn=%d must be >= V=%d (the Stream Downsizer narrows, never widens)", ErrConfig, c.WIn, c.V)
 	}
-	if c.WIn > MaxAXIBytesPerCycle || c.WOut > MaxAXIBytesPerCycle {
-		return fmt.Errorf("%w: AXI widths capped at %d bytes/cycle", ErrConfig, MaxAXIBytesPerCycle)
+	if c.WIn > MaxAXIBytesPerCycle {
+		return fmt.Errorf("%w: WIn=%d above the AXI width of %d bytes/cycle", ErrConfig, c.WIn, MaxAXIBytesPerCycle)
 	}
-	if c.WOut < 1 {
-		return fmt.Errorf("%w: WOut=%d", ErrConfig, c.WOut)
-	}
-	if c.ClockHz <= 0 {
-		return fmt.Errorf("%w: ClockHz=%v", ErrConfig, c.ClockHz)
+	if c.StagingBytes < 0 {
+		return fmt.Errorf("%w: StagingBytes=%d, want 0 (modeled default) or a size", ErrConfig, c.StagingBytes)
 	}
 	return nil
 }
@@ -125,12 +111,9 @@ func (c Config) Fits() bool {
 }
 
 // ArenaBytes resolves the channel's staging-arena size: StagingBytes when
-// set (negative disables, returning 0), otherwise N lanes' worth of
-// DefaultArenaPerLane capped at MaxArenaBytes.
+// set, otherwise N lanes' worth of DefaultArenaPerLane capped at
+// MaxArenaBytes.
 func (c Config) ArenaBytes() int64 {
-	if c.StagingBytes < 0 {
-		return 0
-	}
 	if c.StagingBytes > 0 {
 		return c.StagingBytes
 	}
@@ -146,13 +129,13 @@ func (c Config) ArenaBytes() int64 {
 }
 
 // ArenaInputBudget is the largest job input, in bytes, that a channel
-// built from c can stage (0 when the arena is disabled): the dispatcher's
-// arena admission limit, computed without building the executor.
+// built from c can stage: the dispatcher's arena admission limit,
+// computed without building the executor.
 func (c Config) ArenaInputBudget() int64 {
 	return arenaInputBudget(c.ArenaBytes())
 }
 
-// withDefaults fills zero fields.
+// withDefaults fills a zero N, V or WIn from DefaultConfig.
 func (c Config) withDefaults() Config {
 	d := DefaultConfig()
 	if c.N == 0 {
@@ -163,18 +146,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.WIn == 0 {
 		c.WIn = d.WIn
-	}
-	if c.WOut == 0 {
-		c.WOut = d.WOut
-	}
-	if c.ClockHz == 0 {
-		c.ClockHz = d.ClockHz
-	}
-	if c.DRAMLatencyCycles == 0 {
-		c.DRAMLatencyCycles = d.DRAMLatencyCycles
-	}
-	if c.FIFODepth == 0 {
-		c.FIFODepth = d.FIFODepth
 	}
 	return c
 }

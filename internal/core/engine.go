@@ -78,22 +78,22 @@ type Stats struct {
 	EncoderBusy  float64
 }
 
-// KernelTime converts cycles to wall time at the configured clock.
+// KernelTime converts cycles to wall time at the engine clock.
 //
 //fcae:cycle-accounting
-func (s Stats) KernelTime(clockHz float64) time.Duration {
-	return time.Duration(s.Cycles / clockHz * float64(time.Second))
+func (s Stats) KernelTime() time.Duration {
+	return time.Duration(s.Cycles / ClockHz * float64(time.Second))
 }
 
 // SpeedMBps is input bytes over kernel time, the paper's compaction-speed
 // metric (§VII-B1).
 //
 //fcae:cycle-accounting
-func (s Stats) SpeedMBps(clockHz float64) float64 {
+func (s Stats) SpeedMBps() float64 {
 	if s.Cycles == 0 {
 		return 0
 	}
-	return float64(s.BytesIn) / (s.Cycles / clockHz) / 1e6
+	return float64(s.BytesIn) / (s.Cycles / ClockHz) / 1e6
 }
 
 // Result is the engine's output: the produced tables plus run statistics.
@@ -166,9 +166,6 @@ func NewEngine(cfg Config) (*Engine, error) {
 	return &Engine{cfg: cfg}, nil
 }
 
-// Config returns the engine configuration.
-func (e *Engine) Config() Config { return e.cfg }
-
 // Run merges the input images into output table images, accounting device
 // cycles. Inputs must each be internally sorted; len(inputs) must not
 // exceed the configured N.
@@ -188,11 +185,11 @@ func (e *Engine) Run(inputs []*InputImage, p Params) (*Result, error) {
 	// One backing array for every lane's FIFO occupancy history: the
 	// per-lane windows are fixed-size slices of it, so lane setup does
 	// one allocation instead of one per input run.
-	histBacking := make([]float64, len(inputs)*e.cfg.FIFODepth)
+	histBacking := make([]float64, len(inputs)*FIFODepth)
 	for i, img := range inputs {
-		l := &lane{img: img, tableIdx: -1, hist: histBacking[i*e.cfg.FIFODepth : (i+1)*e.cfg.FIFODepth]}
+		l := &lane{img: img, tableIdx: -1, hist: histBacking[i*FIFODepth : (i+1)*FIFODepth]}
 		// Initial index fetch latency before the first pair can decode.
-		l.decClock = float64(e.cfg.DRAMLatencyCycles)
+		l.decClock = DRAMLatencyCycles
 		if err := e.advance(l, -1); err != nil {
 			return nil, err
 		}
@@ -203,7 +200,7 @@ func (e *Engine) Run(inputs []*InputImage, p Params) (*Result, error) {
 	var cmpClock, xferClock, encClock float64
 	// The Validity Check module of §V-A.
 	drop := compaction.DropPolicy{SmallestSnapshot: p.SmallestSnapshot, BottomLevel: p.BottomLevel}
-	out := newOutputBuilder(e.cfg, p)
+	out := newOutputBuilder(p)
 
 	traceLimit := p.TraceLimit
 	if traceLimit <= 0 {
@@ -283,7 +280,7 @@ func (e *Engine) Run(inputs []*InputImage, p Params) (*Result, error) {
 
 	res.Outputs = out.tables
 	for _, t := range res.Outputs {
-		res.Stats.BytesOut += t.DataBytes(e.cfg.WOut) + t.IndexBytes()
+		res.Stats.BytesOut += t.DataBytes(WOut) + t.IndexBytes()
 	}
 	res.Stats.Cycles = cmpClock
 	if encClock > res.Stats.Cycles {
@@ -392,7 +389,6 @@ func (l *lane) setPair(cfg Config) {
 // sstable.Writer makes: the host assembles these images into the files the
 // CPU lane would have written.
 type outputBuilder struct {
-	cfg          Config
 	p            Params
 	bw           *sstable.BlockWriter
 	compression  sstable.Compression
@@ -410,8 +406,8 @@ type outputBuilder struct {
 	cuts         [][]byte // the cuts not yet reached
 }
 
-func newOutputBuilder(cfg Config, p Params) *outputBuilder {
-	o := &outputBuilder{cfg: cfg, p: p, bw: sstable.NewBlockWriter(p.RestartInterval), cuts: p.Cuts}
+func newOutputBuilder(p Params) *outputBuilder {
+	o := &outputBuilder{p: p, bw: sstable.NewBlockWriter(p.RestartInterval), cuts: p.Cuts}
 	if p.Compress {
 		o.compression = sstable.SnappyCompression
 	}
@@ -419,8 +415,8 @@ func newOutputBuilder(cfg Config, p Params) *outputBuilder {
 }
 
 // retain copies b into the arena's retained-output region when one is
-// attached and has room; otherwise it heap-allocates the copy (the
-// pre-arena behavior, also the overflow path once the region fills).
+// attached and has room; otherwise it heap-allocates the copy (no arena,
+// or the overflow path once the region fills).
 //
 //fcae:cycle-accounting
 func (o *outputBuilder) retain(b []byte) []byte {
@@ -492,7 +488,9 @@ func (o *outputBuilder) flushBlock() float64 {
 	o.unindexed = true
 	o.sealed += sstable.SealedSize(len(payload))
 	o.blockEntries = 0
-	return o.cfg.outputFlushCycles(len(payload))
+	// The Stream Upsizer drains the block at WOut bytes/cycle while the
+	// encoder goes on; only the burst setup and index append show.
+	return blockFlushFixed
 }
 
 // indexBlock gives the block flushed last its index key, once what follows

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -303,6 +304,15 @@ func TestEngineMatchesCPUBytes(t *testing.T) {
 				cfg.StagingBytes = staging
 				t.Run(fmt.Sprintf("%s/N=%d/staging=%d", tc.name, cfg.N, staging), func(t *testing.T) {
 					fx, err := NewExecutor(cfg)
+					if staging < 0 {
+						// An executor always stages in its arena: the
+						// heap staging mode a negative size once chose
+						// is refused.
+						if !errors.Is(err, ErrConfig) {
+							t.Fatalf("NewExecutor with StagingBytes %d: err = %v, want ErrConfig", staging, err)
+						}
+						return
+					}
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -495,7 +505,7 @@ func TestKeyValueSeparationAblation(t *testing.T) {
 	for _, lv := range []int{512, 2048} {
 		on := DefaultConfig()
 		off := DefaultConfig()
-		off.KeyValueSeparation = false
+		off.NoKeyValueSeparation = true
 		if on.BottleneckPeriod(keyLen, lv) >= off.BottleneckPeriod(keyLen, lv) {
 			t.Fatalf("Lvalue=%d: separation did not reduce the bottleneck", lv)
 		}
@@ -509,7 +519,7 @@ func TestKeyValueSeparationAblation(t *testing.T) {
 func TestIndexSeparationAblation(t *testing.T) {
 	on := DefaultConfig()
 	off := DefaultConfig()
-	off.IndexDataSeparation = false
+	off.NoIndexDataSeparation = true
 	if on.blockSwitchCycles() >= off.blockSwitchCycles() {
 		t.Fatal("index/data separation must hide index fetch latency")
 	}

@@ -20,9 +20,9 @@ type Executor struct {
 
 	mu sync.Mutex
 
-	// arena is the channel's persistent device-memory staging allocation
-	// (nil when disabled via Config.StagingBytes < 0); Reset at the start
-	// of every job, so each compaction reuses the same backing slab.
+	// arena is the channel's persistent device-memory staging allocation,
+	// Reset at the start of every job, so each compaction reuses the same
+	// backing slab.
 	arena *Arena
 
 	// Totals since creation, surfaced in DB stats.
@@ -41,8 +41,8 @@ func NewExecutor(cfg Config) (*Executor, error) {
 	return &Executor{engine: eng, arena: NewArena(eng.cfg.ArenaBytes())}, nil
 }
 
-// ArenaBytes reports the channel's staging-arena capacity (0 when the
-// arena is disabled), implementing the dispatcher's ArenaSizer.
+// ArenaBytes reports the channel's staging-arena capacity, implementing
+// the dispatcher's ArenaSizer.
 func (x *Executor) ArenaBytes() int64 {
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -50,7 +50,7 @@ func (x *Executor) ArenaBytes() int64 {
 }
 
 // ArenaInputBudget reports the largest job input size the arena can
-// stage (0 when disabled), implementing the dispatcher's ArenaSizer.
+// stage, implementing the dispatcher's ArenaSizer.
 func (x *Executor) ArenaInputBudget() int64 {
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -58,9 +58,9 @@ func (x *Executor) ArenaInputBudget() int64 {
 }
 
 // ArenaHighWater reports the peak staging-arena occupancy over the
-// channel's lifetime (0 when disabled), implementing the dispatcher's
-// ArenaSizer. Near-capacity values mean jobs are about to spill to heap
-// fallback; far-below-capacity values mean the carve is oversized.
+// channel's lifetime, implementing the dispatcher's ArenaSizer.
+// Near-capacity values mean jobs are about to spill to heap fallback;
+// far-below-capacity values mean the carve is oversized.
 func (x *Executor) ArenaHighWater() int64 {
 	x.mu.Lock()
 	defer x.mu.Unlock()
@@ -89,12 +89,18 @@ func (x *Executor) Compact(job *compaction.Job, env compaction.Env) (*compaction
 	// the "device side" decodes it back before the engine starts.
 	// The previous job's staged images are dead once its result has been
 	// assembled; rewind the arena so this job reuses the backing slab.
+	// Each input table is opened once: the same readers feed the images
+	// and the cut rule below.
 	x.arena.Reset()
 
 	buildDone := job.Trace.StartSpan("build_images")
-	images := make([]*InputImage, 0, len(job.Runs))
-	for _, run := range job.Runs {
-		img, err := BuildInputImageArena(run, x.engine.cfg.WIn, job.TableOpts, x.arena)
+	runs, err := compaction.OpenRuns(job)
+	if err != nil {
+		return nil, err
+	}
+	images := make([]*InputImage, 0, len(runs))
+	for _, run := range runs {
+		img, err := stageInputImage(run, x.engine.cfg.WIn, x.arena)
 		if err != nil {
 			return nil, err
 		}
@@ -113,7 +119,7 @@ func (x *Executor) Compact(job *compaction.Job, env compaction.Env) (*compaction
 
 	// Step 5-7: run the engine, ending a table at each of the cuts the
 	// CPU lane merges apart.
-	cuts, err := compaction.Cuts(job)
+	cuts, err := compaction.CutKeys(job, runs)
 	if err != nil {
 		return nil, err
 	}
@@ -135,14 +141,14 @@ func (x *Executor) Compact(job *compaction.Job, env compaction.Env) (*compaction
 	// Step 7-8: fetch results and combine into standard table files. The
 	// MetaOut block also crosses the boundary as bytes; the host checks
 	// it against the assembled tables.
-	metaOut, err := DecodeMetaOut(EncodeMetaOut(er.Outputs, x.engine.cfg.WOut))
+	metaOut, err := DecodeMetaOut(EncodeMetaOut(er.Outputs, WOut))
 	if err != nil {
 		return nil, fmt.Errorf("core: MetaOut round trip: %w", err)
 	}
 	res := &compaction.Result{}
 	var returnBytes int64
 	for i, img := range er.Outputs {
-		returnBytes += img.DataBytes(x.engine.cfg.WOut) + img.IndexBytes() + int64(len(metaOut[i].Smallest)+len(metaOut[i].Largest)+metaOutEntryFixedLen)
+		returnBytes += img.DataBytes(WOut) + img.IndexBytes() + int64(len(metaOut[i].Smallest)+len(metaOut[i].Largest)+metaOutEntryFixedLen)
 		done := job.Trace.StartSpan("flush_table")
 		ot, err := assembleTable(img, env, job.TableOpts)
 		done()
@@ -161,7 +167,7 @@ func (x *Executor) Compact(job *compaction.Job, env compaction.Env) (*compaction
 	res.Stats.PairsIn = er.Stats.PairsIn
 	res.Stats.PairsOut = er.Stats.PairsOut
 	res.Stats.PairsDropped = er.Stats.PairsDropped
-	res.Stats.KernelTime = er.Stats.KernelTime(x.engine.cfg.ClockHz)
+	res.Stats.KernelTime = er.Stats.KernelTime()
 	res.Stats.TransferTime = model.PCIeTransferTime(shipBytes) + model.PCIeTransferTime(returnBytes)
 
 	x.addTotalsLocked(er.Stats.Cycles, shipBytes, returnBytes)
@@ -209,23 +215,25 @@ func (x *Executor) PublishMetrics(r *obs.Registry) {
 }
 
 // BuildInputImage serializes one sorted run of tables into a device image
-// (paper Fig 7: index blocks continuous, data blocks WIn-aligned).
+// (paper Fig 7: index blocks continuous, data blocks WIn-aligned) in heap
+// memory, opening the tables for the purpose.
 func BuildInputImage(run []compaction.Table, wIn int, opts sstable.Options) (*InputImage, error) {
-	return BuildInputImageArena(run, wIn, opts, nil)
+	runs, err := compaction.OpenRuns(&compaction.Job{Runs: [][]compaction.Table{run}, TableOpts: opts})
+	if err != nil {
+		return nil, err
+	}
+	return stageInputImage(runs[0], wIn, nil)
 }
 
-// BuildInputImageArena is BuildInputImage staging into a channel arena (a
-// nil arena heap-allocates). It fails with an error wrapping
-// compaction.ErrArenaExhausted when the run does not fit the arena.
-func BuildInputImageArena(run []compaction.Table, wIn int, opts sstable.Options, a *Arena) (*InputImage, error) {
+// stageInputImage serializes one sorted run of opened tables into a device
+// image staged in a channel arena (a nil arena heap-allocates). It fails
+// with an error wrapping compaction.ErrArenaExhausted when the run does
+// not fit the arena.
+func stageInputImage(run []*sstable.Reader, wIn int, a *Arena) (*InputImage, error) {
 	b := NewInputBuilderArena(wIn, a)
-	for _, t := range run {
-		r, err := sstable.NewReader(t.Data, t.Size, opts, nil, t.Num)
-		if err != nil {
-			return nil, fmt.Errorf("core: open input table %d: %w", t.Num, err)
-		}
+	for _, r := range run {
 		b.BeginTable()
-		err = r.VisitRawBlocks(func(rb sstable.RawBlock) error {
+		err := r.VisitRawBlocks(func(rb sstable.RawBlock) error {
 			return b.AddBlock(rb.IndexKey, rb.CType, rb.Payload)
 		})
 		if err != nil {

@@ -84,7 +84,8 @@ func (im *InputImage) BlockSlice(e IndexEntry) ([]byte, error) {
 //
 // An Arena is NOT safe for concurrent use; the owning Executor serializes
 // jobs per channel. A nil *Arena is valid everywhere and means "no arena"
-// (heap allocation, the pre-arena behavior).
+// (heap allocation), for callers that build images or run the engine
+// outside an executor.
 type Arena struct {
 	index []byte
 	data  []byte
@@ -102,7 +103,7 @@ type Arena struct {
 
 // NewArena carves a staging arena from total bytes: 1/8 index region,
 // 1/2 data region, the remainder for retained output. total <= 0 returns
-// nil (arena disabled).
+// nil (no arena).
 func NewArena(total int64) *Arena {
 	if total <= 0 {
 		return nil

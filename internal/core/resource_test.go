@@ -20,7 +20,7 @@ func TestResourcesMatchTableVII(t *testing.T) {
 		{9, 8, 8, 25, 14, 84},
 	}
 	for _, row := range rows {
-		cfg := Config{N: row.n, WIn: row.win, WOut: 64, V: row.v}
+		cfg := Config{N: row.n, WIn: row.win, V: row.v}
 		u := cfg.Resources()
 		check := func(name string, got, want, tol float64) {
 			if math.Abs(got-want) > tol {
@@ -37,14 +37,14 @@ func TestResourcesMatchTableVII(t *testing.T) {
 // config fit the chip.
 func TestFitsMatchesPaper(t *testing.T) {
 	fits := []Config{
-		{N: 2, WIn: 64, WOut: 64, V: 16},
-		{N: 2, WIn: 64, WOut: 64, V: 8},
-		{N: 9, WIn: 8, WOut: 64, V: 8},
+		{N: 2, WIn: 64, V: 16},
+		{N: 2, WIn: 64, V: 8},
+		{N: 9, WIn: 8, V: 8},
 	}
 	overflows := []Config{
-		{N: 9, WIn: 64, WOut: 64, V: 8},
-		{N: 9, WIn: 16, WOut: 64, V: 16},
-		{N: 9, WIn: 16, WOut: 64, V: 8},
+		{N: 9, WIn: 64, V: 8},
+		{N: 9, WIn: 16, V: 16},
+		{N: 9, WIn: 16, V: 8},
 	}
 	for _, c := range fits {
 		if !c.Fits() {
@@ -61,7 +61,7 @@ func TestFitsMatchesPaper(t *testing.T) {
 func TestResourcesMonotonicInN(t *testing.T) {
 	prev := 0.0
 	for n := 2; n <= 16; n++ {
-		u := Config{N: n, WIn: 8, WOut: 64, V: 8}.Resources()
+		u := Config{N: n, WIn: 8, V: 8}.Resources()
 		if u.LUT <= prev {
 			t.Fatalf("LUT not monotonic at N=%d", n)
 		}
@@ -72,12 +72,12 @@ func TestResourcesMonotonicInN(t *testing.T) {
 func TestMaxFittingV(t *testing.T) {
 	// The paper settles on WIn=8, V=8 for N=9; with WIn=8 the widest
 	// fitting V is 8.
-	c := Config{N: 9, WIn: 8, WOut: 64}
+	c := Config{N: 9, WIn: 8}
 	if v := c.MaxFittingV(); v != 8 {
 		t.Fatalf("MaxFittingV = %d, want 8", v)
 	}
 	// At WIn=64 no V fits for N=9.
-	c = Config{N: 9, WIn: 64, WOut: 64}
+	c = Config{N: 9, WIn: 64}
 	if v := c.MaxFittingV(); v != 0 {
 		t.Fatalf("MaxFittingV = %d, want 0 (nothing fits)", v)
 	}
@@ -89,12 +89,11 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatal(err)
 	}
 	bad := []Config{
-		{N: 1, V: 8, WIn: 8, WOut: 8, ClockHz: 1},
-		{N: 2, V: 0, WIn: 8, WOut: 8, ClockHz: 1},
-		{N: 2, V: 16, WIn: 8, WOut: 8, ClockHz: 1},  // V > WIn
-		{N: 2, V: 8, WIn: 128, WOut: 8, ClockHz: 1}, // WIn > AXI max
-		{N: 2, V: 8, WIn: 8, WOut: 0, ClockHz: 1},   // WOut < 1
-		{N: 2, V: 8, WIn: 8, WOut: 8, ClockHz: 0},   // no clock
+		{N: 1, V: 8, WIn: 8},
+		{N: 2, V: 0, WIn: 8},
+		{N: 2, V: 16, WIn: 8},                  // V > WIn
+		{N: 2, V: 8, WIn: 128},                 // WIn > AXI max
+		{N: 2, V: 8, WIn: 8, StagingBytes: -1}, // no heap staging mode
 	}
 	for i, c := range bad {
 		if err := c.Validate(); err == nil {
@@ -107,7 +106,7 @@ func TestTableVConfigurationsFit(t *testing.T) {
 	// The paper measured Table V with V up to 64 at N=2, so those
 	// configurations must fit the chip.
 	for _, v := range []int{8, 16, 32, 64} {
-		cfg := Config{N: 2, WIn: 64, WOut: 64, V: v}
+		cfg := Config{N: 2, WIn: 64, V: v}
 		if !cfg.Fits() {
 			t.Errorf("N=2 V=%d must fit (Table V measured it): %+v", v, cfg.Resources())
 		}

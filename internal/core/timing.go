@@ -24,7 +24,7 @@ const (
 	// encPerPairFixed covers the Data Block Encoder's restart bookkeeping.
 	encPerPairFixed = 4.0
 	// indexEntryCycles is the Index Block Decoder/Encoder cost per entry
-	// (low duty cycle; only visible when IndexDataSeparation is off).
+	// (low duty cycle; only visible with NoIndexDataSeparation).
 	indexEntryCycles = 24.0
 	// blockFlushFixed is charged when an output data block closes: index
 	// entry append plus AXI write burst setup.
@@ -33,19 +33,19 @@ const (
 
 // stagePeriods returns the per-pair service cycles of each pipeline stage
 // for an entry with the given key and value lengths (paper Table III; with
-// KeyValueSeparation off, Table II's basic pipeline where the value rides
+// NoKeyValueSeparation, Table II's basic pipeline where the value rides
 // through every stage byte-serially).
 func (c Config) stagePeriods(keyLen, valueLen int) (dec, cmp, xfer, enc float64) {
 	lk := float64(keyLen)
 	lv := float64(valueLen)
-	if c.KeyValueSeparation {
+	if !c.NoKeyValueSeparation {
 		dec = lk + lv*(decValueAlpha+decValueBeta/float64(c.V)) + decPerPairFixed
 		cmp = float64(2+model.CeilLog2(c.N))*lk + cmpPerSelectFixed
 		xfer = lk
 		if v := lv / float64(c.V); v > xfer {
 			xfer = v
 		}
-		enc = lk + lv/float64(c.WOut) + encPerPairFixed
+		enc = lk + lv/WOut + encPerPairFixed
 		return dec, cmp, xfer, enc
 	}
 	// Basic pipeline (Fig 2): key and value move together at one byte per
@@ -58,26 +58,17 @@ func (c Config) stagePeriods(keyLen, valueLen int) (dec, cmp, xfer, enc float64)
 }
 
 // blockSwitchCycles is charged by a Data Block Decoder when it crosses
-// into the next data block. With IndexDataSeparation the index fetch is
+// into the next data block. With index/data separation the index fetch is
 // pipelined and only the DRAM burst latency shows; without it the read
 // pointer switches to the index block and back (Algorithm 1), serializing
 // two DRAM round trips plus the index entry decode.
 //
 //fcae:cycle-accounting
 func (c Config) blockSwitchCycles() float64 {
-	if c.IndexDataSeparation {
-		return float64(c.DRAMLatencyCycles)
+	if !c.NoIndexDataSeparation {
+		return DRAMLatencyCycles
 	}
-	return 2*float64(c.DRAMLatencyCycles) + indexEntryCycles
-}
-
-// outputFlushCycles is charged when an output data block of the given
-// compressed size is flushed to DRAM through the Stream Upsizer.
-func (c Config) outputFlushCycles(blockBytes int) float64 {
-	// The upsizer drains at WOut bytes/cycle but overlaps with encoding;
-	// only the burst setup and the index entry append remain exposed.
-	_ = blockBytes
-	return blockFlushFixed
+	return 2*DRAMLatencyCycles + indexEntryCycles
 }
 
 // BottleneckPeriod returns the steady-state cycles per pair for uniform
@@ -85,7 +76,7 @@ func (c Config) outputFlushCycles(blockBytes int) float64 {
 // module with the longest cycles determines the average execution time in
 // a pipeline system"). Exposed for tests and the analytic LSM simulator.
 func (c Config) BottleneckPeriod(keyLen, valueLen int) float64 {
-	dec, cmp, xfer, enc := c.stagePeriods(keyLen, valueLen)
+	dec, cmp, xfer, enc := c.withDefaults().stagePeriods(keyLen, valueLen)
 	m := dec
 	for _, v := range []float64{cmp, xfer, enc} {
 		if v > m {
@@ -98,7 +89,7 @@ func (c Config) BottleneckPeriod(keyLen, valueLen int) float64 {
 // BottleneckStage names the limiting stage for uniform entries, matching
 // the paper's crossover analysis (L_key vs L_value/((1+ceil(log2 N))*V)).
 func (c Config) BottleneckStage(keyLen, valueLen int) string {
-	dec, cmp, xfer, enc := c.stagePeriods(keyLen, valueLen)
+	dec, cmp, xfer, enc := c.withDefaults().stagePeriods(keyLen, valueLen)
 	best, name := dec, "decoder"
 	if cmp > best {
 		best, name = cmp, "comparer"
@@ -120,5 +111,5 @@ func (c Config) BottleneckStage(keyLen, valueLen int) string {
 func (c Config) SpeedMBps(keyLen, valueLen int) float64 {
 	period := c.BottleneckPeriod(keyLen, valueLen)
 	bytesPerPair := float64(keyLen + valueLen)
-	return bytesPerPair * c.ClockHz / period / 1e6
+	return bytesPerPair * ClockHz / period / 1e6
 }

@@ -5,7 +5,9 @@ import (
 	"testing"
 	"testing/quick"
 
+	"fcae/internal/compaction"
 	"fcae/internal/model"
+	"fcae/internal/sstable"
 )
 
 // TestBottleneckCrossover verifies the paper's §V-D1 analysis: the Data
@@ -117,7 +119,7 @@ func TestBasicPipelineSlower(t *testing.T) {
 		lv := int(lvRaw%4096) + 32
 		on := DefaultConfig()
 		off := DefaultConfig()
-		off.KeyValueSeparation = false
+		off.NoKeyValueSeparation = true
 		return off.BottleneckPeriod(24, lv) > on.BottleneckPeriod(24, lv)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
@@ -127,10 +129,63 @@ func TestBasicPipelineSlower(t *testing.T) {
 
 func TestKernelTimeAndSpeedConsistent(t *testing.T) {
 	s := Stats{Cycles: 200e6, BytesIn: 100 << 20} // one second of work
-	if got := s.KernelTime(200e6).Seconds(); math.Abs(got-1) > 1e-9 {
+	if got := s.KernelTime().Seconds(); math.Abs(got-1) > 1e-9 {
 		t.Fatalf("KernelTime = %v", got)
 	}
-	if got := s.SpeedMBps(200e6); math.Abs(got-float64(100<<20)/1e6) > 1e-6 {
+	if got := s.SpeedMBps(); math.Abs(got-float64(100<<20)/1e6) > 1e-6 {
 		t.Fatalf("SpeedMBps = %v", got)
+	}
+}
+
+// TestConfigLiteralIsThePaperDesign: a literal that names only the triple
+// Table VII sweeps models what DefaultConfig and MultiInputConfig model,
+// period, speed, limiting stage and engine cycles alike: the fixed
+// hardware is constant and the zero ablation switches are the paper's
+// design.
+func TestConfigLiteralIsThePaperDesign(t *testing.T) {
+	opts := sstable.Options{Compression: sstable.SnappyCompression}
+	runs := [][]compaction.Table{
+		{buildTable(t, opts, genRun("key-a", 400, 256, 100))},
+		{buildTable(t, opts, genRun("key-b", 300, 256, 1000))},
+	}
+	for _, c := range []struct {
+		named, literal Config
+	}{
+		{DefaultConfig(), Config{N: 2, V: 16, WIn: 64}},
+		{MultiInputConfig(), Config{N: 9, V: 8, WIn: 8}},
+	} {
+		for _, lv := range []int{64, 512, 2048} {
+			if got, want := c.literal.BottleneckPeriod(24, lv), c.named.BottleneckPeriod(24, lv); got != want {
+				t.Errorf("%+v Lv=%d: BottleneckPeriod = %v, want %v", c.literal, lv, got, want)
+			}
+			if got, want := c.literal.SpeedMBps(24, lv), c.named.SpeedMBps(24, lv); got != want {
+				t.Errorf("%+v Lv=%d: SpeedMBps = %v, want %v", c.literal, lv, got, want)
+			}
+			if got, want := c.literal.BottleneckStage(24, lv), c.named.BottleneckStage(24, lv); got != want {
+				t.Errorf("%+v Lv=%d: BottleneckStage = %s, want %s", c.literal, lv, got, want)
+			}
+		}
+		cycles := func(cfg Config) float64 {
+			eng, err := NewEngine(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var images []*InputImage
+			for _, run := range runs {
+				img, err := BuildInputImage(run, cfg.WIn, opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				images = append(images, img)
+			}
+			res, err := eng.Run(images, Params{Compress: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return res.Stats.Cycles
+		}
+		if got, want := cycles(c.literal), cycles(c.named); got != want || got == 0 {
+			t.Errorf("%+v: engine cycles %v, want %v", c.literal, got, want)
+		}
 	}
 }

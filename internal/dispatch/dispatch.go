@@ -24,9 +24,9 @@
 // The host protocol is synchronous, as in the paper (§IV): the worker
 // that calls Execute takes an idle channel, runs the attempt on its own
 // goroutine and gives the channel back. Calls that find no channel idle
-// wait in one FIFO list, except that a PriorityL0 call (an L0→L1
+// wait in one FIFO list, except that an obs.PriorityL0 call (an L0→L1
 // compaction, which gates foreground writes) waits after the L0 calls
-// already waiting and ahead of every PriorityDeep one. A job on a
+// already waiting and ahead of every obs.PriorityDeep one. A job on a
 // channel is never preempted. Nothing ages: the store's level claims let
 // at most one L0 merge be in flight per store, so a deep job waits behind
 // at most one L0 job.
@@ -45,40 +45,6 @@ import (
 
 	"fcae/internal/compaction"
 	"fcae/internal/obs"
-)
-
-// Lane identifies the lane that completed a job (see obs.Lane).
-type Lane = obs.Lane
-
-// RouteReason explains a CPU routing (see obs.RouteReason).
-type RouteReason = obs.RouteReason
-
-// Priority decides where a call waits for a lane (see obs.Priority).
-type Priority = obs.Priority
-
-// Priorities, low to high.
-const (
-	// PriorityDeep is the default for deep-level compactions.
-	PriorityDeep = obs.PriorityDeep
-	// PriorityL0 marks flush-driven L0 jobs; they wait ahead of deep ones.
-	PriorityL0 = obs.PriorityL0
-)
-
-// Route reasons reported in Route.Reason and the obs trace records.
-const (
-	// ReasonFanIn: the job's run count exceeded the device's MaxRuns.
-	ReasonFanIn = obs.RouteFanIn
-	// ReasonBudget: the job's input bytes exceeded DeviceImageBudget.
-	ReasonBudget = obs.RouteImageBudget
-	// ReasonArena: the job would not fit the per-channel staging arena,
-	// at admission (sized check) or at run time (builder exhausted it).
-	ReasonArena = obs.RouteArena
-	// ReasonSaturated: the wait list was full at admission.
-	ReasonSaturated = obs.RouteSaturated
-	// ReasonFault: device attempts faulted until retries were exhausted.
-	ReasonFault = obs.RouteDeviceFault
-	// ReasonNoDevice: the scheduler has no device channels configured.
-	ReasonNoDevice = obs.RouteNoDevice
 )
 
 // ArenaSizer is implemented by device executors that stage jobs in a
@@ -117,16 +83,16 @@ type Pool struct {
 // paper's §VI-A software-fallback rule, called by Scheduler.Execute and by
 // the simulator (package lsmsim). The saturated and mid-build arena routes
 // depend on wait-list and runtime state, so Execute takes them itself.
-func Admit(p Pool, runs int, inputBytes int64) RouteReason {
+func Admit(p Pool, runs int, inputBytes int64) obs.RouteReason {
 	switch {
 	case p.Channels == 0:
-		return ReasonNoDevice
+		return obs.RouteNoDevice
 	case p.MaxRuns > 0 && runs > p.MaxRuns:
-		return ReasonFanIn
+		return obs.RouteFanIn
 	case p.ImageBudget > 0 && inputBytes > p.ImageBudget:
-		return ReasonBudget
+		return obs.RouteImageBudget
 	case p.ArenaBudget > 0 && inputBytes > p.ArenaBudget:
-		return ReasonArena
+		return obs.RouteArena
 	}
 	return obs.RouteNone
 }
@@ -203,13 +169,13 @@ type Config struct {
 // Route describes where one job ran and why.
 type Route struct {
 	// Lane is the device channel or obs.LaneCPU.
-	Lane Lane
+	Lane obs.Lane
 	// Executor is the Name() of the executor that produced the result.
 	Executor string
 	// Reason explains a CPU routing (RouteNone when the job ran on a
 	// device, or when the scheduler has devices and chose one by
 	// default).
-	Reason RouteReason
+	Reason obs.RouteReason
 	// DeviceAttempts counts device-lane attempts, including faulted ones.
 	DeviceAttempts int
 	// Faults counts injected faults and timeouts observed by this job.
@@ -223,7 +189,7 @@ func (r Route) OnDevice() bool { return r.Lane.IsDevice() }
 // channels being configured — the stat the paper's Fig. 6 "SW compaction"
 // arrow counts. A pure-CPU configuration is not a fallback.
 func (r Route) Fallback() bool {
-	return r.Lane == obs.LaneCPU && r.Reason != obs.RouteNone && r.Reason != ReasonNoDevice
+	return r.Lane == obs.LaneCPU && r.Reason != obs.RouteNone && r.Reason != obs.RouteNoDevice
 }
 
 // Stats is a snapshot of the scheduler's routing counters.
@@ -272,7 +238,7 @@ type Scheduler struct {
 	mu      sync.Mutex
 	cond    *sync.Cond // signals lane releases, returning calls and Close; locks mu
 	idle    []int      // free device lanes; non-empty only while nobody waits
-	waiting []*waiter  // calls waiting for a lane: PriorityL0 first, each priority FIFO
+	waiting []*waiter  // calls waiting for a lane: obs.PriorityL0 first, each priority FIFO
 	calls   int        // Execute calls in flight; Close waits for zero
 	closed  bool
 	st      Stats
@@ -280,7 +246,7 @@ type Scheduler struct {
 
 // waiter is one Execute call waiting for a device lane.
 type waiter struct {
-	pri  Priority
+	pri  obs.Priority
 	lane int // -1 until release hands the call a lane
 }
 
@@ -361,11 +327,11 @@ func (s *Scheduler) Close() error {
 }
 
 // acquire takes a device lane for one attempt, waiting for one if none is
-// idle: a PriorityL0 call after the L0 calls already waiting, any other
+// idle: an obs.PriorityL0 call after the L0 calls already waiting, any other
 // at the tail. At most two calls per channel wait. ok is false when that
 // many already wait and block is unset (backpressure routing); err is
 // ErrClosed after Close.
-func (s *Scheduler) acquire(pri Priority, block bool) (lane int, ok bool, err error) {
+func (s *Scheduler) acquire(pri obs.Priority, block bool) (lane int, ok bool, err error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for {
@@ -386,9 +352,9 @@ func (s *Scheduler) acquire(pri Priority, block bool) (lane int, ok bool, err er
 	}
 	w := &waiter{pri: pri, lane: -1}
 	at := len(s.waiting)
-	if pri == PriorityL0 {
+	if pri == obs.PriorityL0 {
 		at = 0
-		for at < len(s.waiting) && s.waiting[at].pri == PriorityL0 {
+		for at < len(s.waiting) && s.waiting[at].pri == obs.PriorityL0 {
 			at++
 		}
 	}
@@ -425,9 +391,9 @@ func (s *Scheduler) release(lane int) {
 // Execute runs one compaction job through the routing policy and returns
 // the merged result plus the route taken. Blocking: the calling worker
 // owns the job until a lane resolves it, and runs its device attempts
-// itself. pri selects the wait-list position: a PriorityL0 job waits
-// ahead of every PriorityDeep one.
-func (s *Scheduler) Execute(job *compaction.Job, env compaction.Env, pri Priority) (*compaction.Result, Route, error) {
+// itself. pri selects the wait-list position: an obs.PriorityL0 job waits
+// ahead of every obs.PriorityDeep one.
+func (s *Scheduler) Execute(job *compaction.Job, env compaction.Env, pri obs.Priority) (*compaction.Result, Route, error) {
 	var route Route
 	s.mu.Lock()
 	if s.closed {
@@ -461,8 +427,8 @@ func (s *Scheduler) Execute(job *compaction.Job, env compaction.Env, pri Priorit
 			return nil, route, err
 		}
 		if !ok {
-			route.Reason = ReasonSaturated
-			s.noteFallback(ReasonSaturated)
+			route.Reason = obs.RouteSaturated
+			s.noteFallback(obs.RouteSaturated)
 			return s.runCPU(job, env, &route)
 		}
 		queued()
@@ -482,8 +448,8 @@ func (s *Scheduler) Execute(job *compaction.Job, env compaction.Env, pri Priorit
 			// deterministic property of the job's shape, not flakiness:
 			// rerunning on a device would fail the same way, so route to
 			// the CPU lane without burning retries.
-			route.Reason = ReasonArena
-			s.noteFallback(ReasonArena)
+			route.Reason = obs.RouteArena
+			s.noteFallback(obs.RouteArena)
 			return s.runCPU(job, env, &route)
 		case !errors.Is(err, ErrDeviceFault) && !errors.Is(err, ErrDeviceTimeout):
 			// A genuine merge failure (corrupt input, disk full) is not
@@ -496,8 +462,8 @@ func (s *Scheduler) Execute(job *compaction.Job, env compaction.Env, pri Priorit
 		route.Faults++
 		s.noteFault(errors.Is(err, ErrDeviceTimeout))
 		if attempt >= s.tun.MaxDeviceRetries {
-			route.Reason = ReasonFault
-			s.noteFallback(ReasonFault)
+			route.Reason = obs.RouteDeviceFault
+			s.noteFallback(obs.RouteDeviceFault)
 			return s.runCPU(job, env, &route)
 		}
 		s.noteRetry()
@@ -630,19 +596,19 @@ func (s *Scheduler) noteRetry() {
 	s.st.Retries++
 }
 
-func (s *Scheduler) noteFallback(reason RouteReason) {
+func (s *Scheduler) noteFallback(reason obs.RouteReason) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	switch reason {
-	case ReasonFanIn:
+	case obs.RouteFanIn:
 		s.st.FallbackFanIn++
-	case ReasonBudget:
+	case obs.RouteImageBudget:
 		s.st.FallbackBudget++
-	case ReasonArena:
+	case obs.RouteArena:
 		s.st.FallbackArena++
-	case ReasonSaturated:
+	case obs.RouteSaturated:
 		s.st.FallbackSaturated++
-	case ReasonFault:
+	case obs.RouteDeviceFault:
 		s.st.FallbackFault++
 	}
 }

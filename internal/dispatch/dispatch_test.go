@@ -93,12 +93,12 @@ func TestRoutingTable(t *testing.T) {
 	t.Run("no-device", func(t *testing.T) {
 		cpu := &fakeExec{name: "cpu"}
 		s := newTestSched(t, Config{CPU: cpu})
-		_, route, err := s.Execute(testJob(2), &nullEnv{}, PriorityDeep)
+		_, route, err := s.Execute(testJob(2), &nullEnv{}, obs.PriorityDeep)
 		if err != nil {
 			t.Fatalf("Execute: %v", err)
 		}
-		if route.Lane != obs.LaneCPU || route.Reason != ReasonNoDevice || route.Fallback() {
-			t.Fatalf("route = %+v, want cpu lane, reason %q, not a fallback", route, ReasonNoDevice)
+		if route.Lane != obs.LaneCPU || route.Reason != obs.RouteNoDevice || route.Fallback() {
+			t.Fatalf("route = %+v, want cpu lane, reason %q, not a fallback", route, obs.RouteNoDevice)
 		}
 		if cpu.calls.Load() != 1 {
 			t.Fatalf("cpu calls = %d, want 1", cpu.calls.Load())
@@ -109,7 +109,7 @@ func TestRoutingTable(t *testing.T) {
 		dev := &fakeExec{name: "fcae", maxRuns: 4}
 		cpu := &fakeExec{name: "cpu"}
 		s := newTestSched(t, Config{Devices: []compaction.Executor{dev}, CPU: cpu})
-		_, route, err := s.Execute(testJob(2), &nullEnv{}, PriorityDeep)
+		_, route, err := s.Execute(testJob(2), &nullEnv{}, obs.PriorityDeep)
 		if err != nil {
 			t.Fatalf("Execute: %v", err)
 		}
@@ -125,12 +125,12 @@ func TestRoutingTable(t *testing.T) {
 		dev := &fakeExec{name: "fcae", maxRuns: 4}
 		cpu := &fakeExec{name: "cpu"}
 		s := newTestSched(t, Config{Devices: []compaction.Executor{dev}, CPU: cpu})
-		_, route, err := s.Execute(testJob(5), &nullEnv{}, PriorityDeep)
+		_, route, err := s.Execute(testJob(5), &nullEnv{}, obs.PriorityDeep)
 		if err != nil {
 			t.Fatalf("Execute: %v", err)
 		}
-		if !route.Fallback() || route.Reason != ReasonFanIn {
-			t.Fatalf("route = %+v, want CPU fallback with reason %q", route, ReasonFanIn)
+		if !route.Fallback() || route.Reason != obs.RouteFanIn {
+			t.Fatalf("route = %+v, want CPU fallback with reason %q", route, obs.RouteFanIn)
 		}
 		if dev.calls.Load() != 0 {
 			t.Fatalf("device ran a job it must reject (fan-in %d > %d)", 5, 4)
@@ -147,12 +147,12 @@ func TestRoutingTable(t *testing.T) {
 			CPU:     &fakeExec{name: "cpu"},
 			Tuning:  Tuning{DeviceImageBudget: 1 << 10}, // one 1KiB table already at the cap
 		})
-		_, route, err := s.Execute(testJob(2), &nullEnv{}, PriorityDeep) // 2KiB input > 1KiB budget
+		_, route, err := s.Execute(testJob(2), &nullEnv{}, obs.PriorityDeep) // 2KiB input > 1KiB budget
 		if err != nil {
 			t.Fatalf("Execute: %v", err)
 		}
-		if !route.Fallback() || route.Reason != ReasonBudget {
-			t.Fatalf("route = %+v, want CPU fallback with reason %q", route, ReasonBudget)
+		if !route.Fallback() || route.Reason != obs.RouteImageBudget {
+			t.Fatalf("route = %+v, want CPU fallback with reason %q", route, obs.RouteImageBudget)
 		}
 		if got := s.Stats().FallbackBudget; got != 1 {
 			t.Fatalf("FallbackBudget = %d, want 1", got)
@@ -174,19 +174,19 @@ func TestRoutingTable(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				_, _, _ = s.Execute(testJob(1), &nullEnv{}, PriorityDeep)
+				_, _, _ = s.Execute(testJob(1), &nullEnv{}, obs.PriorityDeep)
 			}()
 			waitFor(t, what, parked)
 		}
 		park("the first job on the channel", func() bool { return dev.calls.Load() == 1 })
 		park("a second job in the queue", func() bool { return s.Stats().QueueDepth == 1 })
 		park("a third job in the queue", func() bool { return s.Stats().QueueDepth == 2 })
-		_, route, err := s.Execute(testJob(1), &nullEnv{}, PriorityDeep)
+		_, route, err := s.Execute(testJob(1), &nullEnv{}, obs.PriorityDeep)
 		if err != nil {
 			t.Fatalf("Execute: %v", err)
 		}
-		if !route.Fallback() || route.Reason != ReasonSaturated {
-			t.Fatalf("route = %+v, want CPU fallback with reason %q", route, ReasonSaturated)
+		if !route.Fallback() || route.Reason != obs.RouteSaturated {
+			t.Fatalf("route = %+v, want CPU fallback with reason %q", route, obs.RouteSaturated)
 		}
 		wg.Wait()
 		if got := s.Stats().FallbackSaturated; got != 1 {
@@ -205,17 +205,17 @@ func TestAdmit(t *testing.T) {
 		pool  Pool
 		runs  int
 		bytes int64
-		want  RouteReason
+		want  obs.RouteReason
 	}{
 		{"admitted", full, 4, 500, obs.RouteNone},
-		{"no device", Pool{}, 1, 1, ReasonNoDevice},
-		{"no device before fan-in", Pool{MaxRuns: 2}, 9, 1 << 40, ReasonNoDevice},
-		{"fan-in", full, 5, 1, ReasonFanIn},
-		{"fan-in before budgets", full, 5, 1 << 40, ReasonFanIn},
-		{"image budget", full, 1, 1001, ReasonBudget},
-		{"image budget before arena", Pool{Channels: 1, ImageBudget: 1000, ArenaBudget: 2000}, 1, 1001, ReasonBudget},
+		{"no device", Pool{}, 1, 1, obs.RouteNoDevice},
+		{"no device before fan-in", Pool{MaxRuns: 2}, 9, 1 << 40, obs.RouteNoDevice},
+		{"fan-in", full, 5, 1, obs.RouteFanIn},
+		{"fan-in before budgets", full, 5, 1 << 40, obs.RouteFanIn},
+		{"image budget", full, 1, 1001, obs.RouteImageBudget},
+		{"image budget before arena", Pool{Channels: 1, ImageBudget: 1000, ArenaBudget: 2000}, 1, 1001, obs.RouteImageBudget},
 		{"arena at its budget", full, 1, 500, obs.RouteNone},
-		{"arena one byte over", full, 1, 501, ReasonArena},
+		{"arena one byte over", full, 1, 501, obs.RouteArena},
 		{"image at its budget", Pool{Channels: 1, ImageBudget: 1000}, 1, 1000, obs.RouteNone},
 		{"zero limits are unlimited", Pool{Channels: 2}, 1 << 20, 1 << 40, obs.RouteNone},
 	} {
@@ -236,7 +236,7 @@ func TestFaultRetryThenSuccess(t *testing.T) {
 		Injector: NewScriptInjector(Fault{Kind: FaultError}),
 		Tuning:   Tuning{RetryBackoff: time.Millisecond},
 	})
-	_, route, err := s.Execute(testJob(1), &nullEnv{}, PriorityDeep)
+	_, route, err := s.Execute(testJob(1), &nullEnv{}, obs.PriorityDeep)
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
@@ -263,12 +263,12 @@ func TestFaultExhaustionFallsBack(t *testing.T) {
 		Injector: NewScriptInjector(Fault{Kind: FaultError}, Fault{Kind: FaultError}),
 		Tuning:   Tuning{RetryBackoff: time.Millisecond},
 	})
-	_, route, err := s.Execute(testJob(1), &nullEnv{}, PriorityDeep)
+	_, route, err := s.Execute(testJob(1), &nullEnv{}, obs.PriorityDeep)
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
-	if !route.Fallback() || route.Reason != ReasonFault || route.Faults != 2 {
-		t.Fatalf("route = %+v, want CPU fallback with reason %q after 2 faults", route, ReasonFault)
+	if !route.Fallback() || route.Reason != obs.RouteDeviceFault || route.Faults != 2 {
+		t.Fatalf("route = %+v, want CPU fallback with reason %q after 2 faults", route, obs.RouteDeviceFault)
 	}
 	if cpu.calls.Load() != 1 {
 		t.Fatalf("cpu calls = %d, want 1", cpu.calls.Load())
@@ -288,7 +288,7 @@ func TestWriteFaultMidMerge(t *testing.T) {
 		Injector: NewScriptInjector(Fault{Kind: FaultWrite, FailAfterBytes: 100}),
 		Tuning:   Tuning{RetryBackoff: time.Millisecond},
 	})
-	res, route, err := s.Execute(testJob(1), &nullEnv{}, PriorityDeep)
+	res, route, err := s.Execute(testJob(1), &nullEnv{}, obs.PriorityDeep)
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
@@ -311,11 +311,11 @@ func TestStallTimesOut(t *testing.T) {
 		Tuning:   Tuning{DeviceDeadline: 20 * time.Millisecond, RetryBackoff: time.Millisecond},
 	})
 	start := time.Now()
-	_, route, err := s.Execute(testJob(1), &nullEnv{}, PriorityDeep)
+	_, route, err := s.Execute(testJob(1), &nullEnv{}, obs.PriorityDeep)
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
-	if !route.Fallback() || route.Reason != ReasonFault {
+	if !route.Fallback() || route.Reason != obs.RouteDeviceFault {
 		t.Fatalf("route = %+v, want CPU fallback after stalls", route)
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
@@ -334,7 +334,7 @@ func TestGenuineErrorNotMasked(t *testing.T) {
 	dev := &fakeExec{name: "fcae", err: realErr}
 	cpu := &fakeExec{name: "cpu"}
 	s := newTestSched(t, Config{Devices: []compaction.Executor{dev}, CPU: cpu})
-	_, _, err := s.Execute(testJob(1), &nullEnv{}, PriorityDeep)
+	_, _, err := s.Execute(testJob(1), &nullEnv{}, obs.PriorityDeep)
 	if !errors.Is(err, realErr) {
 		t.Fatalf("err = %v, want the genuine merge error", err)
 	}
@@ -355,7 +355,7 @@ func TestExecuteAfterClose(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("second Close: %v", err)
 	}
-	if _, _, err := s.Execute(testJob(1), &nullEnv{}, PriorityDeep); !errors.Is(err, ErrClosed) {
+	if _, _, err := s.Execute(testJob(1), &nullEnv{}, obs.PriorityDeep); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Execute after Close = %v, want ErrClosed", err)
 	}
 }
@@ -382,7 +382,7 @@ func TestChannelsRunConcurrently(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, _, err := s.Execute(testJob(1), &nullEnv{}, PriorityDeep); err != nil {
+			if _, _, err := s.Execute(testJob(1), &nullEnv{}, obs.PriorityDeep); err != nil {
 				t.Errorf("Execute: %v", err)
 			}
 		}()
@@ -457,7 +457,7 @@ func TestPriorityOrdering(t *testing.T) {
 	dev := &gateExec{fakeExec: fakeExec{name: "fcae", maxRuns: 4}, gate: make(chan struct{})}
 	s := newTestSched(t, Config{Devices: []compaction.Executor{dev}, CPU: &fakeExec{name: "cpu"}})
 	var wg sync.WaitGroup
-	run := func(num uint64, pri Priority) {
+	run := func(num uint64, pri obs.Priority) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -466,11 +466,11 @@ func TestPriorityOrdering(t *testing.T) {
 			}
 		}()
 	}
-	run(1, PriorityDeep)
+	run(1, obs.PriorityDeep)
 	waitFor(t, "job 1 on the channel", func() bool { return len(dev.callOrder()) == 1 })
-	run(2, PriorityDeep)
+	run(2, obs.PriorityDeep)
 	waitFor(t, "job 2 queued", func() bool { return s.Stats().QueueDepth == 1 })
-	run(3, PriorityL0)
+	run(3, obs.PriorityL0)
 	waitFor(t, "job 3 queued", func() bool { return s.Stats().QueueDepth == 2 })
 	close(dev.gate)
 	wg.Wait()
@@ -488,7 +488,7 @@ func TestL0QueuesAfterL0AheadOfDeep(t *testing.T) {
 	dev := &gateExec{fakeExec: fakeExec{name: "fcae"}, gate: make(chan struct{})}
 	s := newTestSched(t, Config{Devices: []compaction.Executor{dev, dev, dev}, CPU: &fakeExec{name: "cpu"}})
 	var wg sync.WaitGroup
-	run := func(num uint64, pri Priority) {
+	run := func(num uint64, pri obs.Priority) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -498,16 +498,16 @@ func TestL0QueuesAfterL0AheadOfDeep(t *testing.T) {
 		}()
 	}
 	for num := uint64(101); num <= 103; num++ {
-		run(num, PriorityDeep)
+		run(num, obs.PriorityDeep)
 		waitFor(t, fmt.Sprintf("job %d on a channel", num), func() bool { return len(dev.callOrder()) == int(num-100) })
 	}
-	for i, pri := range []Priority{PriorityDeep, PriorityL0, PriorityDeep, PriorityL0, PriorityDeep, PriorityL0} {
+	for i, pri := range []obs.Priority{obs.PriorityDeep, obs.PriorityL0, obs.PriorityDeep, obs.PriorityL0, obs.PriorityDeep, obs.PriorityL0} {
 		run(uint64(i+1), pri)
 		waitFor(t, fmt.Sprintf("job %d waiting", i+1), func() bool { return s.Stats().QueueDepth == i+1 })
 	}
-	_, route, err := s.Execute(testJobNum(7), &nullEnv{}, PriorityL0)
-	if err != nil || route.Reason != ReasonSaturated {
-		t.Fatalf("seventh call: route %+v, err %v; want reason %q", route, err, ReasonSaturated)
+	_, route, err := s.Execute(testJobNum(7), &nullEnv{}, obs.PriorityL0)
+	if err != nil || route.Reason != obs.RouteSaturated {
+		t.Fatalf("seventh call: route %+v, err %v; want reason %q", route, err, obs.RouteSaturated)
 	}
 	// Each step frees one channel, which the head of the list takes.
 	for started := 4; started <= 9; started++ {
@@ -533,7 +533,7 @@ func TestCloseWaitsForTheMerge(t *testing.T) {
 	}
 	executed := make(chan outcome, 1)
 	go func() {
-		res, _, err := s.Execute(testJobNum(1), &nullEnv{}, PriorityDeep)
+		res, _, err := s.Execute(testJobNum(1), &nullEnv{}, obs.PriorityDeep)
 		executed <- outcome{res, err}
 	}()
 	waitFor(t, "the merge on the channel", func() bool { return len(dev.callOrder()) == 1 })
@@ -574,8 +574,8 @@ func TestCloseWaitsForTheCPUMerge(t *testing.T) {
 	})
 	executed := make(chan error, 1)
 	go func() {
-		_, route, err := s.Execute(testJobNum(1), &nullEnv{}, PriorityDeep)
-		if err == nil && route.Reason != ReasonFault {
+		_, route, err := s.Execute(testJobNum(1), &nullEnv{}, obs.PriorityDeep)
+		if err == nil && route.Reason != obs.RouteDeviceFault {
 			err = fmt.Errorf("route %+v, want the fault fallback", route)
 		}
 		executed <- err
@@ -674,12 +674,12 @@ func TestArenaAdmission(t *testing.T) {
 	if got := s.pool.ArenaBudget; got != 512 {
 		t.Fatalf("pool.ArenaBudget = %d, want 512", got)
 	}
-	_, route, err := s.Execute(testJob(1), &nullEnv{}, PriorityDeep) // 1KiB input > 512B budget
+	_, route, err := s.Execute(testJob(1), &nullEnv{}, obs.PriorityDeep) // 1KiB input > 512B budget
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
-	if !route.Fallback() || route.Reason != ReasonArena || route.Lane != obs.LaneCPU {
-		t.Fatalf("route = %+v, want CPU fallback with reason %q", route, ReasonArena)
+	if !route.Fallback() || route.Reason != obs.RouteArena || route.Lane != obs.LaneCPU {
+		t.Fatalf("route = %+v, want CPU fallback with reason %q", route, obs.RouteArena)
 	}
 	if dev.calls.Load() != 0 || cpu.calls.Load() != 1 {
 		t.Fatalf("calls dev=%d cpu=%d, want 0/1 (admission must not touch the device)", dev.calls.Load(), cpu.calls.Load())
@@ -703,12 +703,12 @@ func TestArenaExhaustedFallsBack(t *testing.T) {
 		CPU:     cpu,
 		Tuning:  Tuning{RetryBackoff: time.Millisecond},
 	})
-	_, route, err := s.Execute(testJob(1), &nullEnv{}, PriorityDeep)
+	_, route, err := s.Execute(testJob(1), &nullEnv{}, obs.PriorityDeep)
 	if err != nil {
 		t.Fatalf("Execute: %v", err)
 	}
-	if !route.Fallback() || route.Reason != ReasonArena {
-		t.Fatalf("route = %+v, want CPU fallback with reason %q", route, ReasonArena)
+	if !route.Fallback() || route.Reason != obs.RouteArena {
+		t.Fatalf("route = %+v, want CPU fallback with reason %q", route, obs.RouteArena)
 	}
 	if route.DeviceAttempts != 1 || dev.calls.Load() != 1 {
 		t.Fatalf("attempts=%d devCalls=%d, want exactly one device attempt (no retries on a deterministic overflow)", route.DeviceAttempts, dev.calls.Load())

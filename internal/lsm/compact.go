@@ -291,9 +291,9 @@ func (db *DB) runCompaction(c *manifest.Compaction) (err error) {
 	// L0 compactions go to the front of the dispatcher's queue: they gate
 	// flushes (and therefore writes), so they must not queue behind deep
 	// merges (paper §VI-A).
-	pri := dispatch.PriorityDeep
+	pri := obs.PriorityDeep
 	if c.Level == 0 {
-		pri = dispatch.PriorityL0
+		pri = obs.PriorityL0
 	}
 
 	if c.IsTrivialMove() {

@@ -528,7 +528,7 @@ func (e *memOutputs) NewOutput() (uint64, io.WriteCloser, error) {
 
 // TestFaultFallbackWritesTheDevicesFiles runs one job through a scheduler
 // whose device succeeds and through schedulers whose device faults with
-// retries off, so the job is redone on the CPU lane (dispatch.ReasonFault):
+// retries off, so the job is redone on the CPU lane (obs.RouteDeviceFault):
 // the tables the fallback leaves are the device's, byte for byte. Which
 // lane ran is not recorded on disk, which is what lets a crash between a
 // device fault and its CPU retry be recovered without knowing either.
@@ -592,8 +592,8 @@ func TestFaultFallbackWritesTheDevicesFiles(t *testing.T) {
 		{Kind: dispatch.FaultWrite, FailAfterBytes: 40_000}, // it dies inside its second table
 	} {
 		env, res, route := run(dispatch.NewScriptInjector(fault))
-		if route.Lane != obs.LaneCPU || route.Reason != dispatch.ReasonFault || route.Faults != 1 {
-			t.Fatalf("%v fault: route = %+v, want the CPU lane for ReasonFault after one fault", fault.Kind, route)
+		if route.Lane != obs.LaneCPU || route.Reason != obs.RouteDeviceFault || route.Faults != 1 {
+			t.Fatalf("%v fault: route = %+v, want the CPU lane for obs.RouteDeviceFault after one fault", fault.Kind, route)
 		}
 		if len(res.Outputs) != len(devRes.Outputs) {
 			t.Fatalf("%v fault: fallback wrote %d tables, device %d", fault.Kind, len(res.Outputs), len(devRes.Outputs))

@@ -98,7 +98,7 @@ func TestTieredMultiRunJobsReachEngine(t *testing.T) {
 	// more than two sorted runs, which only the multi-input engine can
 	// take; the 2-input engine must fall back for them.
 	run := func(n int) (hw, fallback int64) {
-		exec, err := core.NewExecutor(core.Config{N: n, V: 8, WIn: 8, WOut: 64})
+		exec, err := core.NewExecutor(core.Config{N: n, V: 8, WIn: 8})
 		if err != nil {
 			t.Fatal(err)
 		}

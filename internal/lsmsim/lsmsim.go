@@ -554,7 +554,7 @@ func (s *state) maybeCompact() {
 	if dispatch.Admit(s.pool, job.runs, job.inBytes) == obs.RouteNone {
 		// Offloaded merge: data staging + kernel; the host core stays
 		// free for flushes (paper §VI-A).
-		kernel := time.Duration(float64(pairs) * s.cfg.Engine.BottleneckPeriod(s.cfg.KeyLen+8, s.cfg.ValueLen) / s.cfg.Engine.ClockHz * float64(time.Second))
+		kernel := time.Duration(float64(pairs) * s.cfg.Engine.BottleneckPeriod(s.cfg.KeyLen+8, s.cfg.ValueLen) / core.ClockHz * float64(time.Second))
 		total, transfer := s.compactionDeviceTime(job.inBytes, job.outBytes, kernel)
 		s.res.HWCompactions++
 		s.res.KernelTime += kernel
