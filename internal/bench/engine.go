@@ -107,12 +107,8 @@ func engineSpeed(cfg core.Config, job *compaction.Job) float64 {
 // cpuSpeed returns the modeled CPU baseline compaction speed (Table V's
 // CPU column) for the same job shape.
 func cpuSpeed(valueLen int, job *compaction.Job) float64 {
-	var pairs int64
-	for _, run := range job.Runs {
-		_ = run
-	}
 	// Pairs from payload size: keys are 16 bytes plus the 8-byte trailer.
-	pairs = job.InputBytes() / int64(valueLen+30)
+	pairs := job.InputBytes() / int64(valueLen+30)
 	t := model.CPUPairTime(24, valueLen, job.NumRuns())
 	return float64(job.InputBytes()) / (float64(pairs) * t.Seconds()) / 1e6
 }

@@ -142,26 +142,94 @@ func CutKeys(job *Job, runs [][]*sstable.Reader) ([][]byte, error) {
 	return cuts, nil
 }
 
+// RunParts runs the n key-range parts of one merge on the calling
+// goroutine and up to GOMAXPROCS-1 helpers, which claim the parts in key
+// order from one counter and are joined before RunParts returns. The
+// caller claims part 0 before any helper starts. A part the caller claims
+// when every part before it has been drained goes to direct; every other
+// part (each one a helper claims, and one the caller claims while an
+// earlier part is still running) goes to buffered, and once buffered has
+// returned the caller drains it, in key order. So direct and drain run on
+// the calling goroutine only, parts reach them in key order, part 0 always
+// goes to direct, and at GOMAXPROCS 1 every part does. The first error
+// from direct or drain stops the claiming and is returned; buffered parts
+// not yet drained then never are. Both lanes merge their parts with it.
+func RunParts(n int, direct func(k int) error, buffered func(k int), drain func(k int) error) error {
+	if n == 1 {
+		return direct(0)
+	}
+	r := &partRun{n: n, done: make([]atomic.Bool, n)}
+	k := r.claim()
+	for w := min(runtime.GOMAXPROCS(0), n) - 1; w > 0; w-- {
+		r.wg.Add(1)
+		go r.help(buffered)
+	}
+	var err error
+	drained := 0
+	for ; k < n; k = r.claim() {
+		for ; drained < k && err == nil && r.done[drained].Load(); drained++ {
+			err = drain(drained)
+		}
+		if err != nil {
+			break
+		}
+		if drained < k {
+			buffered(k)
+			r.done[k].Store(true)
+			continue
+		}
+		if err = direct(k); err != nil {
+			break
+		}
+		drained++
+	}
+	r.next.Store(int64(n)) // after a failure, helpers claim nothing more
+	r.wg.Wait()
+	for ; drained < n && err == nil; drained++ {
+		err = drain(drained)
+	}
+	return err
+}
+
+// partRun is what one RunParts call's goroutines share: the counter they
+// claim parts by, which buffered parts are done, and the helpers' join.
+type partRun struct {
+	n    int
+	next atomic.Int64
+	done []atomic.Bool
+	wg   sync.WaitGroup
+}
+
+// claim returns the next unclaimed part, n once none is left.
+func (r *partRun) claim() int { return int(r.next.Add(1) - 1) }
+
+// help runs parts through buffered until none is left to claim.
+func (r *partRun) help(buffered func(k int)) {
+	defer r.wg.Done()
+	for k := r.claim(); k < r.n; k = r.claim() {
+		buffered(k)
+		r.done[k].Store(true)
+	}
+}
+
 // part is one key range [lo, hi) of a merge; a nil bound is open.
 type part struct {
 	lo, hi []byte
 
-	// Set by whichever goroutine merges the part, final once done is. A
-	// part merged into memory keeps its tables in buf and numbers its
-	// outputs by their place there.
-	res  Result
-	buf  *tableBuf
-	err  error
-	done atomic.Bool
+	// Set by whichever goroutine merges the part, final once RunParts
+	// drains it. A part merged into memory keeps its tables in buf and
+	// numbers its outputs by their place there.
+	res Result
+	buf *tableBuf
+	err error
 }
 
 // Compact implements Executor. The job is cut into parts (CutKeys) and
-// the parts are claimed in key order by the calling goroutine and up to
-// GOMAXPROCS-1 helpers, joined before Compact returns. A part goes
-// straight to env when the caller merges it and every part before it is
-// in env already; any other part is merged into pooled memory and written
-// through env by the caller, in key order. So env sees one goroutine and
-// tables in key order, and at GOMAXPROCS 1 nothing is buffered.
+// the parts are merged by RunParts. A part goes straight to env when the
+// caller merges it and every part before it is in env already; any other
+// part is merged into pooled memory and written through env by the
+// caller, in key order. So env sees one goroutine and tables in key
+// order, and at GOMAXPROCS 1 nothing is buffered.
 func (CPU) Compact(job *Job, env Env) (*Result, error) {
 	runs, err := OpenRuns(job)
 	if err != nil {
@@ -174,75 +242,30 @@ func (CPU) Compact(job *Job, env Env) (*Result, error) {
 	return mergeParts(job, runs, cuts, env)
 }
 
-// splitMerge is what one Compact call's goroutines share: the parts, the
-// counter they claim them by, and the helpers' join.
-type splitMerge struct {
-	job    *Job
-	runs   [][]*sstable.Reader
-	parts  []part
-	want   int64 // about what a part's output takes, to size its buffer
-	tables int   // about how many tables a part writes
-	next   atomic.Int64
-	wg     sync.WaitGroup
-}
-
-// claim returns the next unclaimed part, len(parts) once none is left.
-func (s *splitMerge) claim() int { return int(s.next.Add(1) - 1) }
-
-// help merges parts into memory until none is left to claim.
-func (s *splitMerge) help() {
-	defer s.wg.Done()
-	for k := s.claim(); k < len(s.parts); k = s.claim() {
-		s.parts[k].mergeBuffered(s)
-	}
-}
-
 // mergeParts merges the parts cuts make of runs, as Compact describes.
 func mergeParts(job *Job, runs [][]*sstable.Reader, cuts [][]byte, env Env) (*Result, error) {
-	s := &splitMerge{job: job, runs: runs, parts: make([]part, len(cuts)+1)}
-	parts := s.parts
+	parts := make([]part, len(cuts)+1)
 	for i, c := range cuts {
 		parts[i].hi, parts[i+1].lo = c, c
 	}
 	in := job.InputBytes()
-	s.want = in / int64(len(parts))
-	s.tables = 1 // a part's output tables, about: one short table more than its share of full ones
+	want := in / int64(len(parts)) // about what a part's output takes, to size its buffer
+	tables := 1                    // a part's output tables, about: one short table more than its share of full ones
 	if job.MaxOutputBytes > 0 {
-		s.tables += int(s.want / int64(job.MaxOutputBytes))
+		tables += int(want / int64(job.MaxOutputBytes))
 	}
-	res := &Result{Outputs: make([]OutputTable, 0, s.tables*len(parts)), Stats: Stats{BytesRead: in, Parts: len(parts)}}
-
-	// The caller claims the first part before any helper starts, so that
-	// part always goes straight to env.
-	k := s.claim()
-	for w := min(runtime.GOMAXPROCS(0), len(parts)) - 1; w > 0; w-- {
-		s.wg.Add(1)
-		go s.help()
-	}
-	var err error
-	written := 0 // parts[:written] are in env
-	for ; k < len(parts); k = s.claim() {
-		for ; written < k && err == nil && parts[written].done.Load(); written++ {
-			err = parts[written].write(job, env, res)
-		}
-		if err != nil {
-			break
-		}
-		p := &parts[k]
-		if written < k {
-			p.mergeBuffered(s)
-			continue
-		}
-		if err = mergePart(job, runs, p.lo, p.hi, &outputs{job: job, env: env, res: res, trace: job.Trace}); err != nil {
-			break
-		}
-		written++
-	}
-	s.next.Store(int64(len(parts))) // after a failure, helpers claim nothing more
-	s.wg.Wait()
-	for ; written < len(parts) && err == nil; written++ {
-		err = parts[written].write(job, env, res)
-	}
+	res := &Result{Outputs: make([]OutputTable, 0, tables*len(parts)), Stats: Stats{BytesRead: in, Parts: len(parts)}}
+	err := RunParts(len(parts),
+		func(k int) error {
+			return mergePart(job, runs, parts[k].lo, parts[k].hi, &outputs{job: job, env: env, res: res, trace: job.Trace})
+		},
+		func(k int) {
+			p := &parts[k]
+			p.buf = getTableBuf(want)
+			p.res.Outputs = make([]OutputTable, 0, tables)
+			p.err = mergePart(job, runs, p.lo, p.hi, &outputs{job: job, env: p.buf, res: &p.res})
+		},
+		func(k int) error { return parts[k].write(job, env, res) })
 	for i := range parts {
 		parts[i].buf.release()
 	}
@@ -250,15 +273,6 @@ func mergeParts(job *Job, runs [][]*sstable.Reader, cuts [][]byte, env Env) (*Re
 		return nil, err
 	}
 	return res, nil
-}
-
-// mergeBuffered merges the part into a pooled tableBuf sized for s's
-// parts.
-func (p *part) mergeBuffered(s *splitMerge) {
-	p.buf = getTableBuf(s.want)
-	p.res.Outputs = make([]OutputTable, 0, s.tables)
-	p.err = mergePart(s.job, s.runs, p.lo, p.hi, &outputs{job: s.job, env: p.buf, res: &p.res})
-	p.done.Store(true)
 }
 
 // write moves a part merged into memory to env, table by table, and

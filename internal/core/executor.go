@@ -256,9 +256,7 @@ func assembleTable(img *OutputTableImage, env compaction.Env, opts sstable.Optio
 			return compaction.OutputTable{}, err
 		}
 	}
-	for _, k := range img.FilterKeys {
-		a.AddFilterKey(k)
-	}
+	a.AddFilterHashes(img.FilterHashes)
 	a.SetBounds(img.Smallest, img.Largest)
 	stats, err := a.Finish()
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"sync/atomic"
 
 	"fcae/internal/compaction"
 )
@@ -82,10 +83,12 @@ func (im *InputImage) BlockSlice(e IndexEntry) ([]byte, error) {
 // all three so the next compaction reuses the same backing memory — the
 // point is that steady-state offload does no per-job `make`s.
 //
-// An Arena is NOT safe for concurrent use; the owning Executor serializes
-// jobs per channel. A nil *Arena is valid everywhere and means "no arena"
-// (heap allocation), for callers that build images or run the engine
-// outside an executor.
+// An Arena serves one job at a time; the owning Executor serializes jobs
+// per channel. Within a job the images are staged one after another, and
+// only the retained-output region is taken from at once, by the run's
+// parts, so its bump pointer and the high-water mark are atomic. A nil
+// *Arena is valid everywhere and means "no arena" (heap allocation), for
+// callers that build images or run the engine outside an executor.
 type Arena struct {
 	index []byte
 	data  []byte
@@ -93,12 +96,12 @@ type Arena struct {
 
 	indexOff int
 	dataOff  int
-	outOff   int
+	outOff   atomic.Int64
 
 	// highWater is the peak InUse ever observed, surviving Reset: the
 	// figure that says how close steady-state jobs come to the carve
 	// sizes, and therefore whether the arena is over- or under-provisioned.
-	highWater int64
+	highWater atomic.Int64
 }
 
 // NewArena carves a staging arena from total bytes: 1/8 index region,
@@ -123,7 +126,8 @@ func (a *Arena) Reset() {
 	if a == nil {
 		return
 	}
-	a.indexOff, a.dataOff, a.outOff = 0, 0, 0
+	a.indexOff, a.dataOff = 0, 0
+	a.outOff.Store(0)
 }
 
 // Cap returns the arena's total backing size in bytes; 0 for nil.
@@ -139,7 +143,7 @@ func (a *Arena) InUse() int64 {
 	if a == nil {
 		return 0
 	}
-	return int64(a.indexOff + a.dataOff + a.outOff)
+	return int64(a.indexOff+a.dataOff) + a.outOff.Load()
 }
 
 // HighWater returns the peak InUse the arena has ever reached. Unlike
@@ -150,13 +154,17 @@ func (a *Arena) HighWater() int64 {
 	if a == nil {
 		return 0
 	}
-	return a.highWater
+	return a.highWater.Load()
 }
 
 // noteHighWater records the current InUse if it is a new peak.
 func (a *Arena) noteHighWater() {
-	if u := a.InUse(); u > a.highWater {
-		a.highWater = u
+	u := a.InUse()
+	for {
+		h := a.highWater.Load()
+		if u <= h || a.highWater.CompareAndSwap(h, u) {
+			return
+		}
 	}
 }
 
@@ -206,14 +214,21 @@ func (a *Arena) commitStaging(indexLen, dataLen int) {
 // takeOut reserves n bytes of the retained-output region, returning an
 // empty slice with capacity exactly n for the caller to append into.
 // ok is false when the region is exhausted (the caller heap-allocates).
+// A run's parts call it at once.
 func (a *Arena) takeOut(n int) (dst []byte, ok bool) {
-	if a == nil || n > len(a.out)-a.outOff {
+	if a == nil {
 		return nil, false
 	}
-	dst = a.out[a.outOff : a.outOff : a.outOff+n]
-	a.outOff += n
-	a.noteHighWater()
-	return dst, true
+	for {
+		off := a.outOff.Load()
+		if int64(n) > int64(len(a.out))-off {
+			return nil, false
+		}
+		if a.outOff.CompareAndSwap(off, off+int64(n)) {
+			a.noteHighWater()
+			return a.out[off : off : off+int64(n)], true
+		}
+	}
 }
 
 // InputBuilder assembles an InputImage table by table. With an arena
@@ -389,9 +404,10 @@ type OutputTableImage struct {
 	Smallest []byte
 	Largest  []byte
 	Entries  int
-	// FilterKeys are the user keys routed to the host so it can attach a
-	// bloom filter while combining blocks into the final file.
-	FilterKeys [][]byte
+	// FilterHashes are the bloom.Hash of the table's user keys, routed to
+	// the host so it can attach a bloom filter while combining blocks
+	// into the final file.
+	FilterHashes []uint32
 }
 
 // DataBytes returns the table's data-block bytes padded to wOut alignment,

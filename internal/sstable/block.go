@@ -267,14 +267,17 @@ func (it *BlockIter) SeekGE(target []byte) {
 	if it.err != nil {
 		return
 	}
-	// Find the last restart whose key < target.
-	i := sort.Search(len(it.b.restarts), func(i int) bool {
-		k, ok := it.b.keyAtRestart(i)
-		if !ok {
-			return true
+	// Find the last restart whose key < target: binary-search the first
+	// whose key is >= target (or unreadable), then step back one.
+	i, j := 0, len(it.b.restarts)
+	for i < j {
+		m := int(uint(i+j) >> 1)
+		if k, ok := it.b.keyAtRestart(m); !ok || it.b.cmp(k, target) >= 0 {
+			j = m
+		} else {
+			i = m + 1
 		}
-		return it.b.cmp(k, target) >= 0
-	})
+	}
 	if i > 0 {
 		i--
 	}

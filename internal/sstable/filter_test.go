@@ -43,7 +43,7 @@ func TestFilterBlockMatchesBloomAppend(t *testing.T) {
 			for i, u := range users {
 				last = keys.MakeInternal(last[:0], u, uint64(i+1), keys.KindSet)
 				bw.Add(last, []byte("v"))
-				a.AddFilterKey(u)
+				a.AddFilterHashes([]uint32{bloom.Hash(u)})
 			}
 			if err := a.AddRawBlock(last, byte(NoCompression), bw.Finish(), n); err != nil {
 				t.Fatal(err)

@@ -2,8 +2,6 @@ package sstable
 
 import (
 	"io"
-
-	"fcae/internal/bloom"
 )
 
 // Raw block access for the FCAE engine: the host splits input tables into
@@ -85,7 +83,7 @@ func (w *BlockWriter) FinishInto(dst []byte) []byte {
 // the host-side combiner for engine output. Each block arrives with the
 // key it is indexed under — the engine's output builder has already
 // decided it, with IndexKey — and the assembler decides nothing: given
-// the blocks, keys, bounds and filter keys a Writer would have produced,
+// the blocks, keys, bounds and filter hashes a Writer would have produced,
 // it produces that Writer's file.
 type Assembler struct {
 	w *Writer
@@ -93,7 +91,7 @@ type Assembler struct {
 
 // NewAssembler returns an assembler writing to w. opts.Compression is
 // ignored (blocks arrive already encoded); FilterBitsPerKey attaches a
-// bloom filter when filter keys are supplied.
+// bloom filter when filter hashes are supplied.
 func NewAssembler(w io.Writer, opts Options) *Assembler {
 	return &Assembler{w: NewWriter(w, opts)}
 }
@@ -123,10 +121,15 @@ func (a *Assembler) SetBounds(smallest, largest []byte) {
 	a.w.stats.Largest = append([]byte(nil), largest...)
 }
 
-// AddFilterKey registers a user key for the bloom filter.
-func (a *Assembler) AddFilterKey(userKey []byte) {
+// AddFilterHashes registers the bloom.Hash of user keys for the bloom
+// filter. The assembler keeps hashes until Finish, without copying them.
+func (a *Assembler) AddFilterHashes(hashes []uint32) {
 	if a.w.opts.FilterBitsPerKey > 0 {
-		a.w.filterHashes = append(a.w.filterHashes, bloom.Hash(userKey))
+		if a.w.filterHashes == nil {
+			a.w.filterHashes = hashes[:len(hashes):len(hashes)]
+			return
+		}
+		a.w.filterHashes = append(a.w.filterHashes, hashes...)
 	}
 }
 
