@@ -1,6 +1,9 @@
 package core
 
 import (
+	"fmt"
+	"io"
+
 	"fcae/internal/model"
 )
 
@@ -112,4 +115,171 @@ func (c Config) SpeedMBps(keyLen, valueLen int) float64 {
 	period := c.BottleneckPeriod(keyLen, valueLen)
 	bytesPerPair := float64(keyLen + valueLen)
 	return bytesPerPair * ClockHz / period / 1e6
+}
+
+// timing is the timing pass: the Fig 5 pipeline's clocks, advanced pair
+// by pair over the records of the whole stream in key order.
+type timing struct {
+	cfg   Config
+	stats *Stats
+	lanes []laneClock
+	chunk []pairRecord // the records of the part merged on the caller
+
+	cmpClock, xferClock, encClock float64
+	// pending is the closing cycles of parts replayed since the last
+	// kept pair: the whole stream's encoder spends them on the next kept
+	// pair, which closes the table open before the cut, or at the end.
+	pending float64
+
+	trace      io.Writer
+	traceLimit int
+}
+
+// laneClock is one decoder lane as the timing pass sees it.
+type laneClock struct {
+	decClock  float64 // decoder's own timeline (runs ahead through FIFOs)
+	headReady float64 // when the current head pair became available
+	busy      float64 // accumulated decode service cycles
+	live      bool
+
+	// hist is a ring of the last FIFODepth consumption times: the decoder
+	// can only decode pair k once pair k-FIFODepth has left the FIFO.
+	hist     []float64
+	histPos  int
+	consumed int
+}
+
+// start sets the lanes' clocks from their first heads, after the initial
+// index fetch, and writes the trace header.
+//
+//fcae:cycle-accounting
+func (t *timing) start(lanes []lane) {
+	t.lanes = make([]laneClock, len(lanes))
+	// One backing array for every lane's FIFO occupancy history.
+	hist := make([]float64, len(lanes)*FIFODepth)
+	for i := range lanes {
+		c := &t.lanes[i]
+		c.hist = hist[i*FIFODepth : (i+1)*FIFODepth]
+		// Initial index fetch latency before the first pair can decode.
+		c.decClock = DRAMLatencyCycles
+		if l := &lanes[i]; l.live {
+			c.decode(t.cfg, len(l.key), len(l.value), l.first)
+		}
+	}
+	if t.trace != nil {
+		fmt.Fprintln(t.trace, "pair,lane,keyLen,valueLen,ready,cmpStart,cmpEnd,xferEnd,encEnd,dropped")
+	}
+}
+
+// replay advances the pipeline over recs.
+//
+//fcae:cycle-accounting
+func (t *timing) replay(recs []pairRecord) {
+	st := t.stats
+	for i := range recs {
+		r := &recs[i]
+		// The Key Compare module waits for every live FIFO head (§V-A).
+		ready := 0.0
+		for j := range t.lanes {
+			if l := &t.lanes[j]; l.live && l.headReady > ready {
+				ready = l.headReady
+			}
+		}
+		st.PairsIn++
+
+		_, cmpP, xferP, encP := t.cfg.stagePeriods(int(r.keyLen), int(r.valueLen))
+		start := t.cmpClock
+		if ready > start {
+			start = ready
+		}
+		t.cmpClock = start + cmpP
+		st.ComparerBusy += cmpP
+
+		if r.dropped {
+			st.PairsDropped++
+		} else {
+			// Key-Value Transfer then Encoder (§V-C: the Drop flag selects
+			// the key stream and value stream at the same time).
+			if c := t.cmpClock; c > t.xferClock {
+				t.xferClock = c
+			}
+			t.xferClock += xferP
+			st.TransferBusy += xferP
+			if c := t.xferClock; c > t.encClock {
+				t.encClock = c
+			}
+			t.encClock += encP
+			st.EncoderBusy += encP
+			t.encClock += t.pending + r.flush
+			t.pending = 0
+			st.PairsOut++
+		}
+		if t.trace != nil && st.PairsIn <= t.traceLimit {
+			//fcae:alloc-ok trace is off in production (TraceWriter nil) and bounded by traceLimit rows when on
+			fmt.Fprintf(t.trace, "%d,%d,%d,%d,%.0f,%.0f,%.0f,%.0f,%.0f,%v\n",
+				st.PairsIn, r.lane, r.keyLen, r.valueLen,
+				ready, start, t.cmpClock, t.xferClock, t.encClock, r.dropped)
+		}
+		w := &t.lanes[r.lane]
+		w.pushConsume(start)
+		if r.nextOK {
+			w.decode(t.cfg, int(r.nextKeyLen), int(r.nextValueLen), r.nextFirst)
+		} else {
+			w.live = false
+		}
+	}
+}
+
+// finish charges the last table's closing cycles and sets the run's
+// cycle count and busiest decoder.
+//
+//fcae:cycle-accounting
+func (t *timing) finish() {
+	t.encClock += t.pending
+	t.stats.Cycles = t.cmpClock
+	if t.encClock > t.stats.Cycles {
+		t.stats.Cycles = t.encClock
+	}
+	for i := range t.lanes {
+		if b := t.lanes[i].busy; b > t.stats.DecoderBusy {
+			t.stats.DecoderBusy = b
+		}
+	}
+}
+
+// decode charges the decoding of the lane's next head: a block switch
+// when it opens a data block, then its decode service once the FIFO has
+// room.
+//
+//fcae:cycle-accounting
+func (l *laneClock) decode(cfg Config, keyLen, valueLen int, first bool) {
+	if first {
+		// Block switch: index fetch (hidden or serialized per §V-B) plus
+		// the DRAM burst for the block itself.
+		l.decClock += cfg.blockSwitchCycles()
+	}
+	dec, _, _, _ := cfg.stagePeriods(keyLen, valueLen)
+	if c := l.fifoConstraint(); c > l.decClock {
+		l.decClock = c
+	}
+	l.decClock += dec
+	l.busy += dec
+	l.headReady = l.decClock
+	l.live = true
+}
+
+// pushConsume records the time the current head left the FIFO.
+func (l *laneClock) pushConsume(t float64) {
+	l.hist[l.histPos] = t
+	l.histPos = (l.histPos + 1) % len(l.hist)
+	l.consumed++
+}
+
+// fifoConstraint returns the time the FIFO slot for the next decode frees.
+func (l *laneClock) fifoConstraint() float64 {
+	if l.consumed < len(l.hist) {
+		return 0
+	}
+	// The oldest entry in the ring is the consume time of pair k-Depth.
+	return l.hist[l.histPos]
 }
