@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"sync"
 	"testing"
 
 	"fcae/internal/compaction"
@@ -129,6 +130,50 @@ func TestArenaTakeOutAndReset(t *testing.T) {
 	}
 	if _, ok := a.takeOut(outRegion); !ok {
 		t.Fatal("full output region unavailable after Reset")
+	}
+}
+
+// TestArenaTakeOutConcurrent: a run's parts retain output from one arena
+// at once. Reservations taken from several goroutines never overlap,
+// the region is never handed out past its end, and InUse and HighWater
+// count every byte handed out.
+func TestArenaTakeOutConcurrent(t *testing.T) {
+	a := NewArena(1 << 21)
+	outRegion := int(a.Cap()) - len(a.index) - len(a.data)
+	const workers, size = 4, 24
+	var wg sync.WaitGroup
+	taken := make([][][]byte, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for {
+				dst, ok := a.takeOut(size)
+				if !ok {
+					return
+				}
+				taken[w] = append(taken[w], append(dst, bytes.Repeat([]byte{byte(w + 1)}, size)...))
+			}
+		}(w)
+	}
+	wg.Wait()
+	n := 0
+	for w, ts := range taken {
+		for _, b := range ts {
+			if !bytes.Equal(b, bytes.Repeat([]byte{byte(w + 1)}, size)) {
+				t.Fatalf("worker %d's reservation was overwritten: %v", w, b)
+			}
+		}
+		n += len(ts)
+	}
+	if want := outRegion / size; n != want {
+		t.Fatalf("%d reservations of %d bytes from a %d-byte region, want %d", n, size, outRegion, want)
+	}
+	if got := a.InUse(); got != int64(n*size) {
+		t.Fatalf("InUse = %d, want %d", got, n*size)
+	}
+	if got := a.HighWater(); got != a.InUse() {
+		t.Fatalf("HighWater = %d, want InUse %d", got, a.InUse())
 	}
 }
 
