@@ -71,20 +71,11 @@ func main() {
 		MaxOutputBytes:   2 << 20,
 	}
 	for r := 0; r < *n; r++ {
-		var buf bytes.Buffer
-		w := sstable.NewWriter(&buf, job.TableOpts)
-		val := make([]byte, *valueSize)
-		for i := 0; i < perRun; i++ {
-			user := fmt.Sprintf("k%015d", i*(3+2*r))
-			rng.Read(val)
-			if err := w.Add(keys.MakeInternal(nil, []byte(user), uint64(1+r*10_000_000+i), keys.KindSet), val); err != nil {
-				fatal(err)
-			}
-		}
-		if _, err := w.Finish(); err != nil {
-			fatal(err)
-		}
-		job.Runs = append(job.Runs, []compaction.Table{{Num: uint64(r + 1), Size: int64(buf.Len()), Data: bytes.NewReader(buf.Bytes())}})
+		t := core.BuildRun(perRun, *valueSize, uint64(1+r*10_000_000), func(i int) []byte {
+			return fmt.Appendf(nil, "k%015d", i*(3+2*r))
+		}, rng)
+		t.Num = uint64(r + 1)
+		job.Runs = append(job.Runs, []compaction.Table{t})
 	}
 	fmt.Printf("job: %d runs, %.1f MiB input, value=%dB\n", job.NumRuns(), float64(job.InputBytes())/(1<<20), *valueSize)
 
@@ -127,15 +118,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	var images []*core.InputImage
-	for _, run := range job.Runs {
-		img, err := core.BuildInputImage(run, cfg.WIn, job.TableOpts)
-		if err != nil {
-			fatal(err)
-		}
-		images = append(images, img)
-	}
-	params := core.Params{Compress: true, SmallestSnapshot: keys.MaxSeq, BottomLevel: true}
+	params := core.Params{Compress: true}
 	if *tracePath != "" {
 		tf, err := os.Create(*tracePath)
 		if err != nil {
@@ -145,7 +128,7 @@ func main() {
 		params.TraceWriter = tf
 		params.TraceLimit = *traceLimit
 	}
-	er, err := eng.Run(images, params)
+	er, err := eng.RunJob(job, params)
 	if err != nil {
 		fatal(err)
 	}
@@ -153,7 +136,7 @@ func main() {
 	pct := func(busy float64) float64 { return busy / st.Cycles * 100 }
 	fmt.Printf("stages: decoder %.1f%%  comparer %.1f%%  transfer %.1f%%  encoder %.1f%%  (bottleneck: %s)\n",
 		pct(st.DecoderBusy), pct(st.ComparerBusy), pct(st.TransferBusy), pct(st.EncoderBusy),
-		cfg.BottleneckStage(16+8, *valueSize))
+		st.Bottleneck())
 	if *tracePath != "" {
 		fmt.Printf("trace: wrote up to %d selections to %s\n", *traceLimit, *tracePath)
 	}

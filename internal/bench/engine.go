@@ -1,7 +1,6 @@
 package bench
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 
@@ -12,25 +11,10 @@ import (
 	"fcae/internal/sstable"
 )
 
-// buildRun renders n sorted entries with incompressible values into one
-// SSTable held in memory: the input shape of the paper's compaction-speed
-// experiments (16-byte keys, Table IV).
-func buildRun(prefix byte, n, valueLen int, seqBase uint64, stride int, rng *rand.Rand) compaction.Table {
-	var buf bytes.Buffer
-	w := sstable.NewWriter(&buf, sstable.Options{Compression: sstable.SnappyCompression})
-	val := make([]byte, valueLen)
-	for i := 0; i < n; i++ {
-		user := fmt.Sprintf("%c%015d", prefix, i*stride) // 16-byte user key
-		ik := keys.MakeInternal(nil, []byte(user), seqBase+uint64(i), keys.KindSet)
-		rng.Read(val)
-		if err := w.Add(ik, val); err != nil {
-			panic(err)
-		}
-	}
-	if _, err := w.Finish(); err != nil {
-		panic(err)
-	}
-	return compaction.Table{Num: 1, Size: int64(buf.Len()), Data: bytes.NewReader(buf.Bytes())}
+// runKeys is the key of entry i of a run in the paper's input shape
+// (16-byte keys, Table IV): prefix, then i*stride in 15 digits.
+func runKeys(prefix byte, stride int) func(i int) []byte {
+	return func(i int) []byte { return fmt.Appendf(nil, "%c%015d", prefix, i*stride) }
 }
 
 // speedJob builds a 2-run compaction job shaped like an L_i -> L_{i+1}
@@ -55,8 +39,8 @@ func speedJob(valueLen int, totalBytes int64, runs int, rng *rand.Rand) *compact
 		}
 		nLow := perRun*runs - nUp
 		job.Runs = append(job.Runs,
-			[]compaction.Table{buildRun('a', nUp, valueLen, 1, 16, rng)},
-			[]compaction.Table{buildRun('a', nLow, valueLen, 1_000_000, 2, rng)})
+			[]compaction.Table{core.BuildRun(nUp, valueLen, 1, runKeys('a', 16), rng)},
+			[]compaction.Table{core.BuildRun(nLow, valueLen, 1_000_000, runKeys('a', 2), rng)})
 		return job
 	}
 	// Multi-input jobs: runs cover successive key ranges with a small
@@ -68,40 +52,28 @@ func speedJob(valueLen int, totalBytes int64, runs int, rng *rand.Rand) *compact
 	// parallel and the Comparer would bound throughput.
 	for r := 0; r < runs; r++ {
 		job.Runs = append(job.Runs,
-			[]compaction.Table{buildRunRange(byte('a'+r), perRun, valueLen, uint64(1+r*10_000_000), rng)})
+			[]compaction.Table{core.BuildRun(perRun, valueLen, uint64(1+r*10_000_000), runKeys(byte('a'+r), 3), rng)})
 	}
 	return job
 }
 
-// buildRunRange renders one run whose keys live in their own range.
-func buildRunRange(prefix byte, n, valueLen int, seqBase uint64, rng *rand.Rand) compaction.Table {
-	return buildRun(prefix, n, valueLen, seqBase, 3, rng)
+// engineStats runs the engine on job and returns the run's Stats.
+func engineStats(cfg core.Config, job *compaction.Job) core.Stats {
+	eng, err := core.NewEngine(cfg)
+	if err != nil {
+		panic(err)
+	}
+	res, err := eng.RunJob(job, core.Params{Compress: true})
+	if err != nil {
+		panic(err)
+	}
+	return res.Stats
 }
 
 // engineSpeed runs the engine on job and returns the paper's
 // compaction-speed metric: input SSTable bytes / kernel time, in MB/s.
 func engineSpeed(cfg core.Config, job *compaction.Job) float64 {
-	eng, err := core.NewEngine(cfg)
-	if err != nil {
-		panic(err)
-	}
-	var images []*core.InputImage
-	for _, run := range job.Runs {
-		img, err := core.BuildInputImage(run, cfg.WIn, job.TableOpts)
-		if err != nil {
-			panic(err)
-		}
-		images = append(images, img)
-	}
-	res, err := eng.Run(images, core.Params{
-		Compress:         true,
-		SmallestSnapshot: job.SmallestSnapshot,
-		BottomLevel:      job.BottomLevel,
-	})
-	if err != nil {
-		panic(err)
-	}
-	return float64(job.InputBytes()) / res.Stats.KernelTime().Seconds() / 1e6
+	return float64(job.InputBytes()) / engineStats(cfg, job).KernelTime().Seconds() / 1e6
 }
 
 // cpuSpeed returns the modeled CPU baseline compaction speed (Table V's
@@ -234,31 +206,15 @@ func StageUtilization(scale Scale, cfg core.Config) *Report {
 	rng := rand.New(rand.NewSource(4))
 	jobBytes := scale.bytes(8 << 20)
 	for _, lv := range ValueLengths {
-		job := speedJob(lv, jobBytes, 2, rng)
-		eng, err := core.NewEngine(cfg)
-		if err != nil {
-			panic(err)
-		}
-		var images []*core.InputImage
-		for _, run := range job.Runs {
-			img, err := core.BuildInputImage(run, cfg.WIn, job.TableOpts)
-			if err != nil {
-				panic(err)
-			}
-			images = append(images, img)
-		}
-		res, err := eng.Run(images, core.Params{Compress: true, SmallestSnapshot: job.SmallestSnapshot, BottomLevel: true})
-		if err != nil {
-			panic(err)
-		}
+		st := engineStats(cfg, speedJob(lv, jobBytes, 2, rng))
 		pct := func(busy float64) string {
-			return f1(busy / res.Stats.Cycles * 100)
+			return f1(busy / st.Cycles * 100)
 		}
 		r.Rows = append(r.Rows, []string{
 			fmt.Sprint(lv),
-			pct(res.Stats.DecoderBusy), pct(res.Stats.ComparerBusy),
-			pct(res.Stats.TransferBusy), pct(res.Stats.EncoderBusy),
-			cfg.BottleneckStage(24, lv),
+			pct(st.DecoderBusy), pct(st.ComparerBusy),
+			pct(st.TransferBusy), pct(st.EncoderBusy),
+			st.Bottleneck(),
 		})
 	}
 	r.Notes = append(r.Notes,

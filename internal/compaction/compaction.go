@@ -84,7 +84,7 @@ type Stats struct {
 	KernelTime time.Duration
 	// TransferTime is the modeled PCIe transfer time (FCAE only).
 	TransferTime time.Duration
-	// Parts is how many key ranges the merge was cut into (Cuts): 1 for
+	// Parts is how many key ranges the merge was cut into (CutKeys): 1 for
 	// a merge done whole.
 	Parts int
 	// Pipeline is always zero: the lane it counted is deleted. Removed by

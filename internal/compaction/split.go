@@ -38,15 +38,6 @@ func partCount(job *Job) int {
 	return parts
 }
 
-// Cuts is CutKeys over job's inputs, opened for the purpose.
-func Cuts(job *Job) ([][]byte, error) {
-	runs, err := OpenRuns(job)
-	if err != nil {
-		return nil, err
-	}
-	return CutKeys(job, runs)
-}
-
 // OpenRuns opens every input table of job, run by run. A lane opens each
 // table once and gives the readers to CutKeys and to its merge.
 func OpenRuns(job *Job) ([][]*sstable.Reader, error) {

@@ -174,10 +174,7 @@ func TestCutRule(t *testing.T) {
 		if got := partCount(job); got != tc.parts {
 			t.Errorf("MaxOutputBytes %d of %d input bytes: %d parts, want %d", tc.maxOut, in, got, tc.parts)
 		}
-		cuts, err := Cuts(job)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cuts := cutsOf(t, job)
 		if len(cuts) > tc.parts-1 {
 			t.Errorf("%d parts, %d cuts", tc.parts, len(cuts))
 		}
@@ -186,9 +183,23 @@ func TestCutRule(t *testing.T) {
 				t.Errorf("cuts %q are not strictly ascending", cuts)
 			}
 		}
-		again, _ := Cuts(job)
+		again := cutsOf(t, job)
 		if !slices.EqualFunc(cuts, again, bytes.Equal) {
 			t.Errorf("cuts %q, then %q", cuts, again)
 		}
 	}
+}
+
+// cutsOf is CutKeys over job's inputs, opened for the purpose.
+func cutsOf(t *testing.T, job *Job) [][]byte {
+	t.Helper()
+	runs, err := OpenRuns(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cuts, err := CutKeys(job, runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cuts
 }

@@ -82,8 +82,8 @@ func MultiInputConfig() Config {
 // ErrConfig reports an invalid engine configuration.
 var ErrConfig = errors.New("core: invalid engine configuration")
 
-// Validate checks structural constraints and, via the resource model,
-// whether the configuration fits the chip.
+// Validate checks structural constraints only; whether the configuration
+// fits the chip is Fits's question, so an oversized one still simulates.
 func (c Config) Validate() error {
 	if c.N < 2 {
 		return fmt.Errorf("%w: N=%d, need at least 2 inputs", ErrConfig, c.N)

@@ -76,10 +76,14 @@ func TestDamagedBlockEveryConsumer(t *testing.T) {
 		}},
 		{"BlockScanner", func(r *sstable.Reader, _ []byte) error {
 			var sc sstable.BlockScanner
-			var buf sstable.BlockBuf
+			var scratch []byte
 			sc.Reset(r)
 			for {
-				if _, ok, err := sc.Next(&buf); !ok {
+				b, ok, err := sc.NextRaw()
+				if !ok {
+					return err
+				}
+				if _, err := sstable.DecodeBlock(&scratch, b.CType, b.Payload); err != nil {
 					return err
 				}
 			}

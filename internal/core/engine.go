@@ -36,7 +36,7 @@ type Params struct {
 	// Cuts are user keys, strictly ascending, that cut the merge into key
 	// ranges, merged apart and at once: part i holds the user keys in
 	// [cut i-1, cut i), so an output table ends at each cut whatever its
-	// size. The host passes compaction.Cuts, the key ranges the CPU lane
+	// size. The host passes compaction.CutKeys, the key ranges the CPU lane
 	// merges apart, so both lanes write the same files. The cycle count
 	// does not depend on them beyond those table ends.
 	Cuts [][]byte
@@ -91,15 +91,32 @@ func (s Stats) KernelTime() time.Duration {
 	return time.Duration(s.Cycles / ClockHz * float64(time.Second))
 }
 
-// SpeedMBps is input bytes over kernel time, the paper's compaction-speed
-// metric (§VII-B1).
+// PairsTime is the kernel time of pairs pairs at the run's cycles per
+// pair: what a merge of the run's shape and pairs pairs takes.
 //
 //fcae:cycle-accounting
-func (s Stats) SpeedMBps() float64 {
-	if s.Cycles == 0 {
+func (s Stats) PairsTime(pairs int64) time.Duration {
+	if s.PairsIn == 0 {
 		return 0
 	}
-	return float64(s.BytesIn) / (s.Cycles / ClockHz) / 1e6
+	return time.Duration(float64(pairs) * s.Cycles / float64(s.PairsIn) / ClockHz * float64(time.Second))
+}
+
+// Bottleneck names the run's busiest stage, the one that bounds the
+// pipeline (§V-D1: "the module with the longest cycles determines the
+// average execution time").
+func (s Stats) Bottleneck() string {
+	name, busy := "decoder", s.DecoderBusy
+	if s.ComparerBusy > busy {
+		name, busy = "comparer", s.ComparerBusy
+	}
+	if s.TransferBusy > busy {
+		name, busy = "transfer", s.TransferBusy
+	}
+	if s.EncoderBusy > busy {
+		name = "encoder"
+	}
+	return name
 }
 
 // Result is the engine's output: the produced tables plus run statistics.

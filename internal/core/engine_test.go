@@ -177,10 +177,7 @@ func TestEngineMatchesCPUBytesWhenSplit(t *testing.T) {
 	}{{"shadowing", shadowingJob(t)}, {"straddling", straddlingJob(t)}} {
 		job := *tc.job
 		job.MaxOutputBytes = uint64(job.InputBytes() / 4)
-		cuts, err := compaction.Cuts(&job)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cuts := jobCuts(t, &job)
 		if len(cuts) != 3 {
 			t.Fatalf("%s: cut at %q, want 3 cuts", tc.name, cuts)
 		}
@@ -464,53 +461,14 @@ func TestEngineSplitsOutputTables(t *testing.T) {
 	}
 }
 
-func TestEngineCyclesMatchBottleneckModel(t *testing.T) {
-	// For uniform entries the measured cycles/pair must stay within ~35%
-	// of the analytic bottleneck period (pipeline fill, block switches and
-	// flush overheads account for the slack).
-	opts := sstable.Options{Compression: sstable.SnappyCompression}
-	const n, valueLen = 4000, 128
-	run := genRun("k", n, valueLen, 1)
-	job := defaultJob([]compaction.Table{buildTable(t, opts, run)}, []compaction.Table{buildTable(t, opts, genRun("q", n, valueLen, 50000))})
-
-	cfg := DefaultConfig()
-	eng, _ := NewEngine(cfg)
-	var images []*InputImage
-	for _, r := range job.Runs {
-		img, err := BuildInputImage(r, cfg.WIn, job.TableOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		images = append(images, img)
-	}
-	res, err := eng.Run(images, Params{Compress: true, SmallestSnapshot: keys.MaxSeq, BottomLevel: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	keyLen := len("k00000000") + keys.TrailerSize
-	perPair := res.Stats.Cycles / float64(res.Stats.PairsIn)
-	bottleneck := cfg.BottleneckPeriod(keyLen, valueLen)
-	if perPair < bottleneck*0.95 {
-		t.Fatalf("cycles/pair %.1f below analytic bound %.1f", perPair, bottleneck)
-	}
-	if perPair > bottleneck*1.35 {
-		t.Fatalf("cycles/pair %.1f too far above analytic bound %.1f", perPair, bottleneck)
-	}
-}
-
 func TestKeyValueSeparationAblation(t *testing.T) {
 	// With long values, disabling key-value separation (§V-C) must slow
 	// the engine substantially: values then ride through the Comparer.
-	keyLen := 24
+	off := DefaultConfig()
+	off.NoKeyValueSeparation = true
 	for _, lv := range []int{512, 2048} {
-		on := DefaultConfig()
-		off := DefaultConfig()
-		off.NoKeyValueSeparation = true
-		if on.BottleneckPeriod(keyLen, lv) >= off.BottleneckPeriod(keyLen, lv) {
-			t.Fatalf("Lvalue=%d: separation did not reduce the bottleneck", lv)
-		}
-		ratio := off.BottleneckPeriod(keyLen, lv) / on.BottleneckPeriod(keyLen, lv)
-		if ratio < 2 {
+		on, off := perPair(t, DefaultConfig(), 2, 16, lv), perPair(t, off, 2, 16, lv)
+		if ratio := off / on; ratio < 2 {
 			t.Fatalf("Lvalue=%d: expected >2x benefit from key-value separation, got %.2fx", lv, ratio)
 		}
 	}

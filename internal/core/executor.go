@@ -225,6 +225,22 @@ func BuildInputImage(run []compaction.Table, wIn int, opts sstable.Options) (*In
 	return stageInputImage(runs[0], wIn, nil)
 }
 
+// RunJob runs the engine on job's inputs, serialized by BuildInputImage,
+// under job's drop rule (SmallestSnapshot, BottomLevel) and p's other
+// settings.
+func (e *Engine) RunJob(job *compaction.Job, p Params) (*Result, error) {
+	images := make([]*InputImage, len(job.Runs))
+	for i, run := range job.Runs {
+		img, err := BuildInputImage(run, e.cfg.WIn, job.TableOpts)
+		if err != nil {
+			return nil, err
+		}
+		images[i] = img
+	}
+	p.SmallestSnapshot, p.BottomLevel = job.SmallestSnapshot, job.BottomLevel
+	return e.Run(images, p)
+}
+
 // stageInputImage serializes one sorted run of opened tables into a device
 // image staged in a channel arena (a nil arena heap-allocates). It fails
 // with an error wrapping compaction.ErrArenaExhausted when the run does

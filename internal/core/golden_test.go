@@ -211,10 +211,7 @@ var goldenConfigs = []struct {
 func runGolden(t *testing.T, tc goldenCase, cfg Config) goldenRun {
 	t.Helper()
 	job := tc.shape.job(t)
-	cuts, err := compaction.Cuts(job)
-	if err != nil {
-		t.Fatal(err)
-	}
+	cuts := jobCuts(t, job)
 	if len(cuts) != 3 {
 		t.Fatalf("the rule cuts at %q, want 3 cuts", cuts)
 	}
@@ -333,10 +330,7 @@ func TestEngineGoldenInParts(t *testing.T) {
 func TestGoldenCasesCoverTheirCases(t *testing.T) {
 	for _, tc := range goldenCases {
 		job := tc.shape.job(t)
-		cuts, err := compaction.Cuts(job)
-		if err != nil {
-			t.Fatal(err)
-		}
+		cuts := jobCuts(t, job)
 		if tc.cuts != nil {
 			cuts = tc.cuts(cuts)
 		}
@@ -413,4 +407,18 @@ func sum(xs []int) int {
 		n += x
 	}
 	return n
+}
+
+// jobCuts is the cut rule over job's inputs, opened for the purpose.
+func jobCuts(t *testing.T, job *compaction.Job) [][]byte {
+	t.Helper()
+	runs, err := compaction.OpenRuns(job)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cuts, err := compaction.CutKeys(job, runs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cuts
 }

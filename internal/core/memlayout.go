@@ -242,11 +242,6 @@ type InputBuilder struct {
 	arena *Arena
 }
 
-// NewInputBuilder returns a builder aligning data blocks to wIn bytes.
-func NewInputBuilder(wIn int) *InputBuilder {
-	return NewInputBuilderArena(wIn, nil)
-}
-
 // NewInputBuilderArena returns a builder staging the image inside a (nil
 // means heap allocation). Builders on the same arena must be finished in
 // sequence; Finish commits the staged bytes.
@@ -358,33 +353,6 @@ func (s *indexStream) next() (IndexEntry, error) {
 }
 
 func (s *indexStream) empty() bool { return len(s.buf) == 0 }
-
-// DecodeIndex parses a table's full index stream, for tests and the host
-// combiner.
-func (im *InputImage) DecodeIndex(table int) ([]IndexEntry, error) {
-	if table < 0 || table >= len(im.Tables) {
-		return nil, fmt.Errorf("%w: table %d out of range", ErrLayout, table)
-	}
-	t := im.Tables[table]
-	idx, err := im.IndexSlice(t)
-	if err != nil {
-		return nil, err
-	}
-	s := indexStream{buf: idx}
-	var out []IndexEntry
-	for !s.empty() {
-		e, err := s.next()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, e)
-	}
-	if len(out) != t.NumBlocks {
-		return nil, fmt.Errorf("%w: table %d has %d index entries, descriptor says %d",
-			ErrLayout, table, len(out), t.NumBlocks)
-	}
-	return out, nil
-}
 
 // OutputBlock is one encoded output data block: contents are in the
 // sstable block format, compressed per CType. IndexKey is the key the

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"fmt"
 	"testing"
 )
 
@@ -163,4 +164,36 @@ func TestMetaOutRoundTrip(t *testing.T) {
 	if _, err := DecodeMetaOut([]byte{1, 0, 0, 0}); err == nil {
 		t.Fatal("truncated MetaOut accepted")
 	}
+}
+
+// NewInputBuilder returns a builder aligning data blocks to wIn bytes, in
+// heap memory.
+func NewInputBuilder(wIn int) *InputBuilder {
+	return NewInputBuilderArena(wIn, nil)
+}
+
+// DecodeIndex parses a table's full index stream.
+func (im *InputImage) DecodeIndex(table int) ([]IndexEntry, error) {
+	if table < 0 || table >= len(im.Tables) {
+		return nil, fmt.Errorf("%w: table %d out of range", ErrLayout, table)
+	}
+	t := im.Tables[table]
+	idx, err := im.IndexSlice(t)
+	if err != nil {
+		return nil, err
+	}
+	s := indexStream{buf: idx}
+	var out []IndexEntry
+	for !s.empty() {
+		e, err := s.next()
+		if err != nil {
+			return nil, err
+		}
+		out = append(out, e)
+	}
+	if len(out) != t.NumBlocks {
+		return nil, fmt.Errorf("%w: table %d has %d index entries, descriptor says %d",
+			ErrLayout, table, len(out), t.NumBlocks)
+	}
+	return out, nil
 }

@@ -74,49 +74,6 @@ func (c Config) blockSwitchCycles() float64 {
 	return 2*DRAMLatencyCycles + indexEntryCycles
 }
 
-// BottleneckPeriod returns the steady-state cycles per pair for uniform
-// entries of the given sizes: the max stage period (paper §V-D1, "the
-// module with the longest cycles determines the average execution time in
-// a pipeline system"). Exposed for tests and the analytic LSM simulator.
-func (c Config) BottleneckPeriod(keyLen, valueLen int) float64 {
-	dec, cmp, xfer, enc := c.withDefaults().stagePeriods(keyLen, valueLen)
-	m := dec
-	for _, v := range []float64{cmp, xfer, enc} {
-		if v > m {
-			m = v
-		}
-	}
-	return m
-}
-
-// BottleneckStage names the limiting stage for uniform entries, matching
-// the paper's crossover analysis (L_key vs L_value/((1+ceil(log2 N))*V)).
-func (c Config) BottleneckStage(keyLen, valueLen int) string {
-	dec, cmp, xfer, enc := c.withDefaults().stagePeriods(keyLen, valueLen)
-	best, name := dec, "decoder"
-	if cmp > best {
-		best, name = cmp, "comparer"
-	}
-	if xfer > best {
-		best, name = xfer, "transfer"
-	}
-	if enc > best {
-		name = "encoder"
-	}
-	return name
-}
-
-// SpeedMBps returns the modeled steady-state compaction speed in MB/s for
-// uniform entries, counting keyLen+valueLen input bytes per pair. Used by
-// the analytic simulator; the engine itself reports measured cycles.
-//
-//fcae:cycle-accounting
-func (c Config) SpeedMBps(keyLen, valueLen int) float64 {
-	period := c.BottleneckPeriod(keyLen, valueLen)
-	bytesPerPair := float64(keyLen + valueLen)
-	return bytesPerPair * ClockHz / period / 1e6
-}
-
 // timing is the timing pass: the Fig 5 pipeline's clocks, advanced pair
 // by pair over the records of the whole stream in key order.
 type timing struct {

@@ -1,6 +1,8 @@
 package lsmsim
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 
 	"fcae/internal/core"
@@ -280,6 +282,19 @@ func TestTieredSimNineInputCoversMoreJobs(t *testing.T) {
 	if nine.HWCompactions == 0 {
 		t.Fatal("9-input engine took no tiered merges")
 	}
+}
+
+// TestInvalidEngineFailsLoudly: an engine core.NewEngine refuses is not
+// simulated; RunFill panics with the reason.
+func TestInvalidEngineFailsLoudly(t *testing.T) {
+	eng := core.MultiInputConfig()
+	eng.V = 16 // above WIn=8
+	defer func() {
+		if r := recover(); !strings.Contains(fmt.Sprint(r), "WIn=8 must be >= V=16") {
+			t.Fatalf("RunFill on %+v: recovered %v", eng, r)
+		}
+	}()
+	RunFill(Config{ValueLen: 512, DataBytes: 1 << 20, Backend: BackendFCAE, Engine: eng})
 }
 
 // BenchmarkSimFill measures how fast the virtual-clock simulation itself

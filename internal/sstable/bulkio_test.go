@@ -219,17 +219,21 @@ func TestScannerReadsByWindow(t *testing.T) {
 	data := dataEnd(t, r)
 	f.reads = 0
 	var sc BlockScanner
-	var bb BlockBuf
+	var scratch []byte
 	var it BlockIter
 	sc.Reset(r)
 	blocks, entries := 0, 0
 	for {
-		contents, ok, err := sc.Next(&bb)
+		b, ok, err := sc.NextRaw()
 		if err != nil {
 			t.Fatal(err)
 		}
 		if !ok {
 			break
+		}
+		contents, err := DecodeBlock(&scratch, b.CType, b.Payload)
+		if err != nil {
+			t.Fatal(err)
 		}
 		blocks++
 		if err := it.Reset(contents); err != nil {

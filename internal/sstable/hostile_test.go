@@ -89,9 +89,8 @@ func TestHostileHandleIsBounded(t *testing.T) {
 			}
 			isCorruption(t, "index entry handle, iterator", it.Error())
 			var sc BlockScanner
-			var buf BlockBuf
 			sc.Reset(r)
-			_, ok, err := sc.Next(&buf)
+			_, ok, err := sc.NextRaw()
 			if ok {
 				t.Error("index entry handle: BlockScanner returned a block")
 			}

@@ -21,12 +21,6 @@ package sstable
 // 2 MiB table in eight reads instead of five hundred.
 const scanWindow = 256 << 10
 
-// BlockBuf is the decode target of one block. The contents Next returns
-// may alias it, so it must not be reused until they have been consumed.
-type BlockBuf struct {
-	scratch []byte
-}
-
 // BlockScanner walks one table's data blocks in index order.
 type BlockScanner struct {
 	r  *Reader
@@ -125,16 +119,4 @@ func (s *BlockScanner) fetch(off int64, n int) ([]byte, error) {
 		}
 	}
 	return s.win[off-s.winOff:][:n], nil
-}
-
-// Next returns the next data block's decoded contents, which alias buf's
-// storage or the scanner's window. ok is false at the end of the table
-// or on error.
-func (s *BlockScanner) Next(buf *BlockBuf) (contents []byte, ok bool, err error) {
-	b, ok, err := s.NextRaw()
-	if !ok {
-		return nil, false, err
-	}
-	contents, err = DecodeBlock(&buf.scratch, b.CType, b.Payload)
-	return contents, err == nil, err
 }

@@ -58,19 +58,23 @@ func TestBlockScannerWalksAllBlocks(t *testing.T) {
 				t.Fatalf("want a multi-block table, got %d blocks", stats.DataBlocks)
 			}
 			var sc BlockScanner
-			var bufs [2]BlockBuf // alternate to prove reuse is safe per-block
+			var bufs [2][]byte // alternate to prove reuse is safe per-block
 			sc.Reset(r)
 			var it BlockIter
 			first := true
 			var got int
 			blocks := 0
 			for {
-				contents, ok, err := sc.Next(&bufs[blocks%2])
+				b, ok, err := sc.NextRaw()
 				if err != nil {
 					t.Fatal(err)
 				}
 				if !ok {
 					break
+				}
+				contents, err := DecodeBlock(&bufs[blocks%2], b.CType, b.Payload)
+				if err != nil {
+					t.Fatal(err)
 				}
 				blocks++
 				if first {
