@@ -3,6 +3,8 @@
 // can skip data blocks that cannot contain a key.
 package bloom
 
+import "slices"
+
 // Filter builds and queries bloom filters with a fixed bits-per-key budget.
 type Filter struct {
 	bitsPerKey int
@@ -89,7 +91,8 @@ func (f Filter) grow(dst []byte, n int) (out, array []byte) {
 	}
 	nBytes := (bits + 7) / 8
 	start := len(dst)
-	dst = append(dst, make([]byte, nBytes+1)...)
+	dst = slices.Grow(dst, nBytes+1)[:start+nBytes+1]
+	clear(dst[start:])
 	dst[start+nBytes] = byte(f.k)
 	return dst, dst[start : start+nBytes]
 }

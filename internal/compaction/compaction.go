@@ -184,42 +184,36 @@ func (CPU) Name() string { return "cpu" }
 func (CPU) MaxRuns() int { return 0 }
 
 // mergePart is the one CPU merge loop, over the entries of the runs in
-// [lo, hi): drop what the Validity Check rejects, rotate the output table
-// only at a user-key boundary, count pairs into out's result.
-func mergePart(job *Job, runs [][]*sstable.Reader, lo, hi []byte, out *outputs) error {
+// [lo, hi): drop what the Validity Check rejects, encode the rest into
+// blocks and hand each one sealed to out, counting pairs into st.
+func mergePart(job *Job, runs [][]*sstable.Reader, lo, hi []byte, out BlockSink, st *Stats) error {
 	m := getPartMerge(runs, lo, hi, job.TableOpts.WithDefaults().BlockSize)
 	defer m.release()
-	defer out.close()
-	stats := &out.res.Stats
+	enc := GetBlockEncoder(job.TableOpts, job.TableOpts.FilterBitsPerKey > 0)
+	defer enc.Release()
 	m.drop = DropPolicy{SmallestSnapshot: job.SmallestSnapshot, BottomLevel: job.BottomLevel, curUser: m.drop.curUser[:0]}
-	m.lastUser = m.lastUser[:0]
 	merged := &m.merged
 	for merged.SeekToFirst(); merged.Valid(); merged.Next() {
-		stats.PairsIn++
+		st.PairsIn++
 		ikey := merged.Key()
 		if m.drop.Drop(ikey) {
-			stats.PairsDropped++
+			st.PairsDropped++
 			continue
 		}
-		// Close a full output only at a user-key boundary so that no user
-		// key ever spans two tables in one level (that would break the
-		// one-file-per-level lookup invariant). The size test is the cheap
-		// one and goes first.
-		if out.full() && keys.CompareUser(keys.UserKey(ikey), m.lastUser) != 0 {
-			if err := out.finish(); err != nil {
+		st.PairsOut++
+		if b := enc.Add(ikey, merged.Value()); b != nil {
+			if err := out.Add(b); err != nil {
 				return err
 			}
 		}
-		if err := out.add(ikey, merged.Value()); err != nil {
-			return err
-		}
-		m.lastUser = append(m.lastUser[:0], keys.UserKey(ikey)...)
-		stats.PairsOut++
 	}
 	if err := merged.Error(); err != nil {
 		return err
 	}
-	return out.finish()
+	if b := enc.Flush(); b != nil {
+		return out.Add(b)
+	}
+	return nil
 }
 
 // NewOutputTable describes a finished table from its writer's stats.
@@ -230,70 +224,5 @@ func NewOutputTable(num uint64, s sstable.WriterStats) OutputTable {
 		Entries:  s.Entries,
 		Smallest: s.Smallest,
 		Largest:  s.Largest,
-	}
-}
-
-// outputs is where the merge loop's entries go: one output table at a
-// time, opened on the first entry it receives.
-type outputs struct {
-	job *Job
-	env Env
-	res *Result
-	// trace takes a flush_table span per table: the job's when env is
-	// the job's own, nil for a part merged into memory.
-	trace *obs.Trace
-
-	// The open table; w is nil between tables.
-	num uint64
-	f   io.WriteCloser
-	w   *sstable.Writer
-}
-
-// full reports whether the open table has reached the job's size cap
-// (sstable.TableFull: sealed data blocks only, as the engine counts).
-func (o *outputs) full() bool {
-	return o.w != nil && o.w.Full(int64(o.job.MaxOutputBytes))
-}
-
-// add appends an entry to the open table, opening one first if needed.
-func (o *outputs) add(ikey, value []byte) error {
-	if o.w == nil {
-		num, f, err := o.env.NewOutput()
-		if err != nil {
-			return err
-		}
-		o.num, o.f = num, f
-		o.w = sstable.NewWriter(f, o.job.TableOpts)
-	}
-	return o.w.Add(ikey, value)
-}
-
-// finish completes the open table, if there is one.
-func (o *outputs) finish() error {
-	if o.w == nil {
-		return nil
-	}
-	w, f := o.w, o.f
-	o.w, o.f = nil, nil
-	done := o.trace.StartSpan("flush_table")
-	stats, err := w.Finish()
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	done()
-	if err != nil {
-		return err
-	}
-	o.res.Outputs = append(o.res.Outputs, NewOutputTable(o.num, stats))
-	o.res.Stats.BytesWritten += stats.FileSize
-	return nil
-}
-
-// close releases the table an abandoned merge leaves open. A half-written
-// output is deleted by the obsolete-file sweep, so its close error is
-// irrelevant.
-func (o *outputs) close() {
-	if o.f != nil {
-		_ = o.f.Close()
 	}
 }

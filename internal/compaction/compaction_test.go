@@ -168,12 +168,16 @@ func TestSnapshotPinsOlderVersions(t *testing.T) {
 
 func TestUserKeyNeverSplitsAcrossOutputs(t *testing.T) {
 	// Many versions of one key under a tiny output threshold must still
-	// end up in a single table.
+	// end up in a single table. A table ends only after a block, so the
+	// tail is long enough that a block begins with one of its keys.
 	var versions []kv
 	for i := 100; i > 0; i-- {
 		versions = append(versions, kv{"hot", uint64(i), keys.KindSet, fmt.Sprintf("%0100d", i)})
 	}
-	tail := []kv{{"z1", 1, keys.KindSet, "a"}, {"z2", 1, keys.KindSet, "b"}}
+	var tail []kv
+	for i := 0; i < 60; i++ {
+		tail = append(tail, kv{fmt.Sprintf("z%02d", i), 1, keys.KindSet, fmt.Sprintf("%0100d", i)})
+	}
 	job := &Job{
 		Runs:             [][]Table{{table(t, append(versions, tail...))}},
 		SmallestSnapshot: 0, // every version pinned

@@ -172,15 +172,15 @@ func (p *runIter) SeekToLast() { p.err = errRunForwardOnly }
 func (p *runIter) Prev() { p.err = errRunForwardOnly }
 
 // partMerge is one part's merge machinery: a cursor per run, the heap
-// over them and the merge loop's key scratch. It is pooled, so the runs'
-// read windows (256 KiB each) and decode buffers serve part after part.
+// over them and the Validity Check's key scratch. It is pooled, so the
+// runs' read windows (256 KiB each) and decode buffers serve part after
+// part.
 type partMerge struct {
-	runs     []runIter
-	its      []iter.Iterator
-	merged   iter.Merging
-	seek     []byte // the runs' shared seek key
-	drop     DropPolicy
-	lastUser []byte
+	runs   []runIter
+	its    []iter.Iterator
+	merged iter.Merging
+	seek   []byte // the runs' shared seek key
+	drop   DropPolicy
 }
 
 var partMerges = sync.Pool{New: func() any { return new(partMerge) }}

@@ -6,7 +6,10 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"fcae/internal/keys"
 	"fcae/internal/sstable"
@@ -161,17 +164,21 @@ func TestSplitMergeMatchesWholeMerge(t *testing.T) {
 }
 
 // TestCutRule pins what the cut rule reads: the part count from the job's
-// size alone (1, 2 or 4), and cuts strictly ascending and the same on
-// every call.
+// size alone (a power of two up to 16, a part per table of input or per
+// 512 KiB, whichever is smaller), and cuts strictly ascending and the
+// same on every call.
 func TestCutRule(t *testing.T) {
 	job := splitJob(t, rand.New(rand.NewSource(1)))
 	in := uint64(job.InputBytes())
+	if in >= 512<<10 {
+		t.Fatalf("a %d-byte job is cut per 512 KiB, not per table", in)
+	}
 	for _, tc := range []struct {
 		maxOut uint64
 		parts  int
-	}{{0, 1}, {in + 1, 1}, {in, 1}, {in / 2, 2}, {in / 3, 2}, {in / 4, 4}, {in / 100, 4}} {
+	}{{0, 1}, {in + 1, 1}, {in, 1}, {in / 2, 2}, {in / 3, 2}, {in / 4, 4}, {in / 8, 8}, {in / 15, 8}, {in / 16, 16}, {in / 100, 16}} {
 		job.MaxOutputBytes = tc.maxOut
-		if got := partCount(job); got != tc.parts {
+		if got := PartCount(job); got != tc.parts {
 			t.Errorf("MaxOutputBytes %d of %d input bytes: %d parts, want %d", tc.maxOut, in, got, tc.parts)
 		}
 		cuts := cutsOf(t, job)
@@ -188,6 +195,16 @@ func TestCutRule(t *testing.T) {
 			t.Errorf("cuts %q, then %q", cuts, again)
 		}
 	}
+	// At the store's 2 MiB tables a part takes 512 KiB.
+	for _, tc := range []struct {
+		in    int64
+		parts int
+	}{{512<<10 - 1, 1}, {1 << 20, 2}, {7 << 20, 8}, {64 << 20, 16}} {
+		store := &Job{Runs: [][]Table{{{Size: tc.in}}}, MaxOutputBytes: 2 << 20}
+		if got := PartCount(store); got != tc.parts {
+			t.Errorf("%d input bytes at 2 MiB tables: %d parts, want %d", tc.in, got, tc.parts)
+		}
+	}
 }
 
 // cutsOf is CutKeys over job's inputs, opened for the purpose.
@@ -202,4 +219,65 @@ func cutsOf(t *testing.T, job *Job) [][]byte {
 		t.Fatal(err)
 	}
 	return cuts
+}
+
+// goid is the calling goroutine's id, read off its stack header.
+func goid() string {
+	var buf [64]byte
+	f := strings.Fields(string(buf[:runtime.Stack(buf[:], false)]))
+	return f[1] // "goroutine N [running]:"
+}
+
+// TestRunPartsBalancesUnequalWorkers runs 16 parts on two goroutines, one
+// of them four times slower at every part: the faster must claim more of
+// them, and direct and drain must still see every part once, in key
+// order, on the calling goroutine. Either goroutine is the slow one in
+// turn. A merge's bytes do not depend on who merged which part
+// (TestCutListDecidesBytes); this is how the parts are shared.
+func TestRunPartsBalancesUnequalWorkers(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	const parts = 16
+	for _, slowCaller := range []bool{true, false} {
+		caller := goid()
+		var mu sync.Mutex
+		claimed := map[bool]int{} // by the caller or not
+		var order []int           // parts as direct or drain saw them
+		work := func() {
+			onCaller := goid() == caller
+			d := time.Millisecond
+			if onCaller == slowCaller {
+				d *= 4
+			}
+			time.Sleep(d)
+			mu.Lock()
+			claimed[onCaller]++
+			mu.Unlock()
+		}
+		see := func(k int) error {
+			if goid() != caller {
+				t.Errorf("part %d reached direct or drain off the calling goroutine", k)
+			}
+			order = append(order, k)
+			return nil
+		}
+		err := RunParts(parts,
+			func(k int) error { work(); return see(k) },
+			func(k int) { work() },
+			see)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := make([]int, parts)
+		for k := range want {
+			want[k] = k
+		}
+		if !slices.Equal(order, want) {
+			t.Errorf("slow caller %v: parts reached direct and drain as %v", slowCaller, order)
+		}
+		fast, slow := claimed[!slowCaller], claimed[slowCaller]
+		if fast <= slow {
+			t.Errorf("slow caller %v: the faster goroutine merged %d parts, the slower %d", slowCaller, fast, slow)
+		}
+		t.Logf("slow caller %v: the faster goroutine merged %d of %d parts", slowCaller, fast, parts)
+	}
 }

@@ -21,7 +21,7 @@ func (discardFile) Close() error                { return nil }
 
 // BenchmarkEngineLaneStoreJob is the 9-input engine's executor on the job
 // a default store issues (compaction's storeJob: four runs of 10k entries,
-// 256-byte values, snappy, 10-bit filters, 2 MiB tables, cut into two
+// 256-byte values, snappy, 10-bit filters, 2 MiB tables, cut into eight
 // parts): the `go test -bench` twin of the repo benchmark's compact-merge
 // op2_p50_us, host time with nothing else in the way.
 func BenchmarkEngineLaneStoreJob(b *testing.B) {

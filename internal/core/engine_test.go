@@ -486,8 +486,8 @@ func TestIndexSeparationAblation(t *testing.T) {
 func TestEngineEmptyInput(t *testing.T) {
 	eng, _ := NewEngine(DefaultConfig())
 	res, err := eng.Run(nil, Params{})
-	if err != nil || len(res.Outputs) != 0 {
-		t.Fatalf("empty run: %v, %d outputs", err, len(res.Outputs))
+	if err != nil || res.Stats != (Stats{}) {
+		t.Fatalf("empty run: %v, %+v", err, res.Stats)
 	}
 }
 

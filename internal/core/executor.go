@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 
@@ -85,12 +86,10 @@ func (x *Executor) Compact(job *compaction.Job, env compaction.Env) (*compaction
 	}
 
 	// Step 3-4 (paper §IV): serialize each input into its device image.
-	// The MetaIn block crosses the DMA boundary as real bytes (Fig 8);
-	// the "device side" decodes it back before the engine starts.
-	// The previous job's staged images are dead once its result has been
-	// assembled; rewind the arena so this job reuses the backing slab.
-	// Each input table is opened once: the same readers feed the images
-	// and the cut rule below.
+	// The previous job's staged images are dead once its tables have been
+	// written; rewind the arena so this job reuses the backing slab. Each
+	// input table is opened once: the same readers feed the images and
+	// the cut rule.
 	x.arena.Reset()
 
 	buildDone := job.Trace.StartSpan("build_images")
@@ -98,18 +97,9 @@ func (x *Executor) Compact(job *compaction.Job, env compaction.Env) (*compaction
 	if err != nil {
 		return nil, err
 	}
-	images := make([]*InputImage, 0, len(runs))
-	for _, run := range runs {
-		img, err := stageInputImage(run, x.engine.cfg.WIn, x.arena)
-		if err != nil {
-			return nil, err
-		}
-		descs, err := DecodeMetaIn(EncodeMetaIn(img))
-		if err != nil {
-			return nil, fmt.Errorf("core: MetaIn round trip: %w", err)
-		}
-		img.Tables = descs
-		images = append(images, img)
+	images, cuts, err := x.stageLocked(job, runs)
+	if err != nil {
+		return nil, err
 	}
 	var shipBytes int64
 	for _, img := range images {
@@ -117,12 +107,11 @@ func (x *Executor) Compact(job *compaction.Job, env compaction.Env) (*compaction
 	}
 	buildDone()
 
-	// Step 5-7: run the engine, ending a table at each of the cuts the
-	// CPU lane merges apart.
-	cuts, err := compaction.CutKeys(job, runs)
-	if err != nil {
-		return nil, err
-	}
+	// Step 5-8: run the engine, ending a block at each of the cuts the CPU
+	// lane merges apart, and combine its blocks into standard table files
+	// as its parts drain.
+	res := &compaction.Result{Stats: compaction.Stats{BytesRead: job.InputBytes(), Parts: len(cuts) + 1}}
+	tables := compaction.NewTables(job, env, res)
 	er, err := x.engine.Run(images, Params{
 		BlockSize:         job.TableOpts.BlockSize,
 		TableBytes:        int64(job.MaxOutputBytes),
@@ -132,38 +121,20 @@ func (x *Executor) Compact(job *compaction.Job, env compaction.Env) (*compaction
 		BottomLevel:       job.BottomLevel,
 		Cuts:              cuts,
 		CollectFilterKeys: job.TableOpts.FilterBitsPerKey > 0,
+		Tables:            tables,
 		Arena:             x.arena,
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	// Step 7-8: fetch results and combine into standard table files. The
-	// MetaOut block also crosses the boundary as bytes; the host checks
-	// it against the assembled tables.
-	metaOut, err := DecodeMetaOut(EncodeMetaOut(er.Outputs, WOut))
-	if err != nil {
-		return nil, fmt.Errorf("core: MetaOut round trip: %w", err)
+	// What crosses PCIe back: the data blocks and their index entries
+	// (Stats.BytesOut, with the keys the host chose) and a MetaOut entry
+	// per table, its bounds and counts (Fig 8).
+	returnBytes := er.Stats.BytesOut + tables.IndexKeyBytes()
+	for _, ot := range res.Outputs {
+		returnBytes += int64(len(ot.Smallest) + len(ot.Largest) + metaOutEntryFixedLen)
 	}
-	res := &compaction.Result{}
-	var returnBytes int64
-	for i, img := range er.Outputs {
-		returnBytes += img.DataBytes(WOut) + img.IndexBytes() + int64(len(metaOut[i].Smallest)+len(metaOut[i].Largest)+metaOutEntryFixedLen)
-		done := job.Trace.StartSpan("flush_table")
-		ot, err := assembleTable(img, env, job.TableOpts)
-		done()
-		if err != nil {
-			return nil, err
-		}
-		if ot.Entries != metaOut[i].Entries {
-			return nil, fmt.Errorf("core: MetaOut entry count %d != assembled %d", metaOut[i].Entries, ot.Entries)
-		}
-		res.Outputs = append(res.Outputs, ot)
-		res.Stats.BytesWritten += ot.Size
-	}
-
-	res.Stats.BytesRead = job.InputBytes()
-	res.Stats.Parts = len(cuts) + 1
 	res.Stats.PairsIn = er.Stats.PairsIn
 	res.Stats.PairsOut = er.Stats.PairsOut
 	res.Stats.PairsDropped = er.Stats.PairsDropped
@@ -172,6 +143,65 @@ func (x *Executor) Compact(job *compaction.Job, env compaction.Env) (*compaction
 
 	x.addTotalsLocked(er.Stats.Cycles, shipBytes, returnBytes)
 	return res, nil
+}
+
+// stageLocked serializes each of job's runs into its device image, one
+// compaction.RunParts claim per run, each into an arena region of its
+// own sized from the run's index blocks. The MetaIn block crosses the DMA
+// boundary as real bytes (Fig 8); the "device side" decodes it back. When
+// the job is cut, each claim also lists its run's blocks for the cut
+// rule, which is how the cuts come from one walk of the index blocks.
+func (x *Executor) stageLocked(job *compaction.Job, runs [][]*sstable.Reader) ([]*InputImage, [][]byte, error) {
+	wIn := x.engine.cfg.WIn
+	regions := make([]*Arena, len(runs))
+	for i, run := range runs {
+		// An image holds a block's payload and type byte padded to wIn
+		// (no more than the table stores plus wIn), and an index entry of
+		// its index key and three varints.
+		var idx, data int
+		for j, r := range run {
+			idx += r.IndexSize() + r.NumBlocks()*3*binary.MaxVarintLen64
+			data += int(job.Runs[i][j].Size) + r.NumBlocks()*wIn
+		}
+		var err error
+		if regions[i], err = x.arena.carve(idx, data); err != nil {
+			return nil, nil, err
+		}
+	}
+	var lists []compaction.CutBlocks
+	if compaction.PartCount(job) > 1 {
+		lists = make([]compaction.CutBlocks, len(runs))
+	}
+	images := make([]*InputImage, len(runs))
+	errs := make([]error, len(runs))
+	stage := func(k int) error {
+		var cuts *compaction.CutBlocks
+		if lists != nil {
+			cuts = &lists[k]
+		}
+		img, err := stageRun(runs[k], wIn, regions[k], cuts)
+		if err != nil {
+			return err
+		}
+		descs, err := DecodeMetaIn(EncodeMetaIn(img))
+		if err != nil {
+			return fmt.Errorf("core: MetaIn round trip: %w", err)
+		}
+		img.Tables = descs
+		images[k] = img
+		return nil
+	}
+	err := compaction.RunParts(len(runs), stage,
+		func(k int) { errs[k] = stage(k) },
+		func(k int) error { return errs[k] })
+	if err != nil {
+		return nil, nil, err
+	}
+	var cuts [][]byte
+	if lists != nil {
+		cuts = compaction.Cuts(job, lists)
+	}
+	return images, cuts, nil
 }
 
 // addTotalsLocked folds one job's outcome into the lifetime counters.
@@ -246,10 +276,22 @@ func (e *Engine) RunJob(job *compaction.Job, p Params) (*Result, error) {
 // with an error wrapping compaction.ErrArenaExhausted when the run does
 // not fit the arena.
 func stageInputImage(run []*sstable.Reader, wIn int, a *Arena) (*InputImage, error) {
+	return stageRun(run, wIn, a, nil)
+}
+
+// stageRun is stageInputImage, listing each block in cuts too when it is
+// not nil.
+func stageRun(run []*sstable.Reader, wIn int, a *Arena, cuts *compaction.CutBlocks) (*InputImage, error) {
 	b := NewInputBuilderArena(wIn, a)
 	for _, r := range run {
+		if cuts != nil {
+			cuts.Grow(r.NumBlocks())
+		}
 		b.BeginTable()
 		err := r.VisitRawBlocks(func(rb sstable.RawBlock) error {
+			if cuts != nil {
+				cuts.Add(rb.IndexKey, uint64(len(rb.Payload)))
+			}
 			return b.AddBlock(rb.IndexKey, rb.CType, rb.Payload)
 		})
 		if err != nil {
@@ -257,30 +299,4 @@ func stageInputImage(run []*sstable.Reader, wIn int, a *Arena) (*InputImage, err
 		}
 	}
 	return b.Finish(), nil
-}
-
-// assembleTable writes one output image as a standard table file.
-func assembleTable(img *OutputTableImage, env compaction.Env, opts sstable.Options) (compaction.OutputTable, error) {
-	num, f, err := env.NewOutput()
-	if err != nil {
-		return compaction.OutputTable{}, err
-	}
-	a := sstable.NewAssembler(f, opts)
-	for _, blk := range img.Blocks {
-		if err := a.AddRawBlock(blk.IndexKey, blk.CType, blk.Payload, blk.Entries); err != nil {
-			_ = f.Close()
-			return compaction.OutputTable{}, err
-		}
-	}
-	a.AddFilterHashes(img.FilterHashes)
-	a.SetBounds(img.Smallest, img.Largest)
-	stats, err := a.Finish()
-	if err != nil {
-		_ = f.Close()
-		return compaction.OutputTable{}, err
-	}
-	if err := f.Close(); err != nil {
-		return compaction.OutputTable{}, err
-	}
-	return compaction.NewOutputTable(num, stats), nil
 }

@@ -84,11 +84,12 @@ func (im *InputImage) BlockSlice(e IndexEntry) ([]byte, error) {
 // point is that steady-state offload does no per-job `make`s.
 //
 // An Arena serves one job at a time; the owning Executor serializes jobs
-// per channel. Within a job the images are staged one after another, and
-// only the retained-output region is taken from at once, by the run's
-// parts, so its bump pointer and the high-water mark are atomic. A nil
-// *Arena is valid everywhere and means "no arena" (heap allocation), for
-// callers that build images or run the engine outside an executor.
+// per channel. Within a job the runs' images are staged at once, each
+// into a region carved for it beforehand, and the retained-output region
+// is taken from at once by the run's parts, so its bump pointer and the
+// high-water mark are atomic. A nil *Arena is valid everywhere and means
+// "no arena" (heap allocation), for callers that build images or run the
+// engine outside an executor.
 type Arena struct {
 	index []byte
 	data  []byte
@@ -231,6 +232,42 @@ func (a *Arena) takeOut(n int) (dst []byte, ok bool) {
 	}
 }
 
+// Retain implements compaction.Retainer: it copies b into the
+// retained-output region, or onto the heap once the region is full.
+func (a *Arena) Retain(b []byte) []byte {
+	if dst, ok := a.takeOut(len(b)); ok {
+		// takeOut pre-carved exactly len(b) capacity, so this append cannot grow.
+		return append(dst, b...)
+	}
+	//fcae:alloc-ok a kept block outlives the merge loop; the output region is full
+	return append([]byte(nil), b...)
+}
+
+// carve reserves idx bytes of the index region and data bytes of the
+// data region past what the job has staged, as an arena of their own: a
+// run stages its image into it while the job's other runs stage into
+// theirs. The reservation counts as occupied. A nil arena carves nil, and
+// the run stages on the heap.
+func (a *Arena) carve(idx, data int) (*Arena, error) {
+	if a == nil {
+		return nil, nil
+	}
+	if a.indexOff+idx > len(a.index) {
+		return nil, fmt.Errorf("%w: index region (%d staged, run needs %d, cap %d)",
+			compaction.ErrArenaExhausted, a.indexOff, idx, len(a.index))
+	}
+	if a.dataOff+data > len(a.data) {
+		return nil, fmt.Errorf("%w: data region (%d staged, run needs %d, cap %d)",
+			compaction.ErrArenaExhausted, a.dataOff, data, len(a.data))
+	}
+	sub := &Arena{
+		index: a.index[a.indexOff : a.indexOff+idx : a.indexOff+idx],
+		data:  a.data[a.dataOff : a.dataOff+data : a.dataOff+data],
+	}
+	a.commitStaging(idx, data)
+	return sub, nil
+}
+
 // InputBuilder assembles an InputImage table by table. With an arena
 // attached (NewInputBuilderArena) the image's index and data memory are
 // staged inside the arena's regions and AddBlock reports
@@ -353,53 +390,3 @@ func (s *indexStream) next() (IndexEntry, error) {
 }
 
 func (s *indexStream) empty() bool { return len(s.buf) == 0 }
-
-// OutputBlock is one encoded output data block: contents are in the
-// sstable block format, compressed per CType. IndexKey is the key the
-// block is indexed under (sstable.IndexKey), as on the input side.
-type OutputBlock struct {
-	CType    byte
-	Payload  []byte
-	IndexKey []byte
-	Entries  int
-}
-
-// OutputTableImage is one produced SSTable in device memory form plus the
-// MetaOut fields returned to the host (paper Fig 8: smallest and largest
-// key and the size of each output SSTable).
-type OutputTableImage struct {
-	Blocks   []OutputBlock
-	Smallest []byte
-	Largest  []byte
-	Entries  int
-	// FilterHashes are the bloom.Hash of the table's user keys, routed to
-	// the host so it can attach a bloom filter while combining blocks
-	// into the final file.
-	FilterHashes []uint32
-}
-
-// DataBytes returns the table's data-block bytes padded to wOut alignment,
-// for PCIe and DRAM accounting.
-func (o *OutputTableImage) DataBytes(wOut int) int64 {
-	if wOut < 1 {
-		wOut = 1
-	}
-	var n int64
-	for _, b := range o.Blocks {
-		sz := int64(len(b.Payload)) + 1
-		if rem := sz % int64(wOut); rem != 0 {
-			sz += int64(wOut) - rem
-		}
-		n += sz
-	}
-	return n
-}
-
-// IndexBytes returns the table's index stream size.
-func (o *OutputTableImage) IndexBytes() int64 {
-	var n int64
-	for _, b := range o.Blocks {
-		n += int64(len(b.IndexKey)) + 2*binary.MaxVarintLen64
-	}
-	return n
-}

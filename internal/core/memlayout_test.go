@@ -88,22 +88,6 @@ func TestImageBytesAccounting(t *testing.T) {
 	}
 }
 
-func TestOutputTableImageAccounting(t *testing.T) {
-	o := &OutputTableImage{
-		Blocks: []OutputBlock{
-			{CType: 1, Payload: make([]byte, 100), IndexKey: []byte("k1")},
-			{CType: 0, Payload: make([]byte, 63), IndexKey: []byte("k2")},
-		},
-	}
-	// 101 -> 128 aligned, 64 -> 64 aligned at WOut=64.
-	if got := o.DataBytes(64); got != 128+64 {
-		t.Fatalf("DataBytes = %d", got)
-	}
-	if o.IndexBytes() <= 0 {
-		t.Fatal("IndexBytes must be positive")
-	}
-}
-
 func TestMetaInRoundTrip(t *testing.T) {
 	b := NewInputBuilder(16)
 	b.BeginTable()
@@ -130,39 +114,6 @@ func TestMetaInRoundTrip(t *testing.T) {
 	}
 	if _, err := DecodeMetaIn([]byte{9, 0, 0, 0, 1}); err == nil {
 		t.Fatal("inconsistent MetaIn accepted")
-	}
-}
-
-func TestMetaOutRoundTrip(t *testing.T) {
-	outputs := []*OutputTableImage{
-		{
-			Blocks:   []OutputBlock{{CType: 0, Payload: make([]byte, 100), IndexKey: []byte("k1")}},
-			Smallest: []byte("aaa"),
-			Largest:  []byte("mmm"),
-			Entries:  42,
-		},
-		{
-			Blocks:   []OutputBlock{{CType: 1, Payload: make([]byte, 63), IndexKey: []byte("k2")}},
-			Smallest: []byte("nnn"),
-			Largest:  []byte("zzz"),
-			Entries:  7,
-		},
-	}
-	got, err := DecodeMetaOut(EncodeMetaOut(outputs, 64))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("decoded %d entries", len(got))
-	}
-	if got[0].Entries != 42 || string(got[0].Smallest) != "aaa" || string(got[0].Largest) != "mmm" {
-		t.Fatalf("entry 0 = %+v", got[0])
-	}
-	if got[1].DataBytes != outputs[1].DataBytes(64) {
-		t.Fatalf("entry 1 data bytes %d", got[1].DataBytes)
-	}
-	if _, err := DecodeMetaOut([]byte{1, 0, 0, 0}); err == nil {
-		t.Fatal("truncated MetaOut accepted")
 	}
 }
 

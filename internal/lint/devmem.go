@@ -21,9 +21,10 @@ import (
 //  2. The Meta encode/decode functions spell the MetaIn/MetaOut entry
 //     widths (20 and 12 bytes) with the named constants of meta.go, never
 //     as bare literals, so a layout change is made in one place. (What
-//     the constants must equal is pinned where a wrong value fails: the
-//     codecs write field by field, so TestMetaInRoundTrip and
-//     TestMetaOutRoundTrip break on any other width.)
+//     the MetaIn constants must equal is pinned where a wrong value
+//     fails: the codec writes field by field, so TestMetaInRoundTrip
+//     breaks on any other width. The MetaOut width is only charged, per
+//     table, by the engine lane's transfer model.)
 //  3. Every timing-relevant loop — one whose header or body touches
 //     cycle/clock/busy quantities — must live in a function carrying the
 //     //fcae:cycle-accounting directive, extending cycleflow (which only

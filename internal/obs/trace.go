@@ -35,9 +35,11 @@ func NewTrace() *Trace { return &Trace{start: time.Now()} }
 // the span. Dropping the closure (e.g. on an error path) records nothing.
 func (t *Trace) StartSpan(phase string) func() {
 	if t == nil {
+		//fcae:alloc-ok a closure capturing nothing is static: it allocates nothing
 		return func() {}
 	}
 	begin := time.Now()
+	//fcae:alloc-ok one span per phase of a traced job, a table's flush the finest
 	return func() {
 		end := time.Now()
 		t.mu.Lock()

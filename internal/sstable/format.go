@@ -86,16 +86,17 @@ type Footer struct {
 }
 
 // Encode renders the footer into exactly FooterSize bytes.
-func (f Footer) Encode() []byte {
-	buf := make([]byte, 0, FooterSize)
-	buf = f.MetaIndex.EncodeTo(buf)
-	buf = f.Index.EncodeTo(buf)
-	for len(buf) < FooterSize-8 {
-		buf = append(buf, 0)
+func (f Footer) Encode() []byte { return f.AppendTo(make([]byte, 0, FooterSize)) }
+
+// AppendTo appends the footer's FooterSize bytes to dst.
+func (f Footer) AppendTo(dst []byte) []byte {
+	start := len(dst)
+	dst = f.MetaIndex.EncodeTo(dst)
+	dst = f.Index.EncodeTo(dst)
+	for len(dst)-start < FooterSize-8 {
+		dst = append(dst, 0)
 	}
-	var magic [8]byte
-	binary.LittleEndian.PutUint64(magic[:], Magic)
-	return append(buf, magic[:]...)
+	return binary.LittleEndian.AppendUint64(dst, Magic)
 }
 
 // DecodeFooter parses the footer from the final FooterSize bytes of a file.

@@ -110,6 +110,16 @@ func EncodeBlock(enc *snappy.Encoder, scratch *[]byte, contents []byte, c Compre
 // trailer is the caller's (a local would escape into the checksum call,
 // once per block).
 func sealBlock(t *[BlockTrailerSize]byte, ctype byte, payload []byte) {
+	sealSum(t, ctype, PayloadSum(payload))
+}
+
+// PayloadSum is the checksum of a block's payload alone, which its
+// trailer extends over the type byte: a block's author may take it where
+// it encodes the block and hand it to Assembler.AddBlock.
+func PayloadSum(payload []byte) uint32 { return crc.Value(payload) }
+
+// sealSum is sealBlock for a payload whose PayloadSum is sum.
+func sealSum(t *[BlockTrailerSize]byte, ctype byte, sum uint32) {
 	t[0] = ctype
-	binary.LittleEndian.PutUint32(t[1:], crc.Extend(crc.Value(payload), t[:1]))
+	binary.LittleEndian.PutUint32(t[1:], crc.Extend(sum, t[:1]))
 }

@@ -86,6 +86,10 @@ func (r *Reader) loadFilter(metaH Handle) error {
 // exact for the tables this package writes and a presizing hint otherwise.
 func (r *Reader) NumBlocks() int { return len(r.index.restarts) }
 
+// IndexSize is the size of the table's index block: no less than the
+// bytes of the index keys it holds.
+func (r *Reader) IndexSize() int { return len(r.index.data) }
+
 // readBlockContents returns the contents of the data block at h,
 // consulting the block cache.
 func (r *Reader) readBlockContents(h Handle) ([]byte, error) {
