@@ -40,14 +40,17 @@ func TestFilterBlockMatchesBloomAppend(t *testing.T) {
 			a := NewAssembler(&abuf, opts)
 			bw := NewBlockWriter(0)
 			var last []byte
+			var hashes []uint32
 			for i, u := range users {
 				last = keys.MakeInternal(last[:0], u, uint64(i+1), keys.KindSet)
 				bw.Add(last, []byte("v"))
-				a.AddFilterHashes([]uint32{bloom.Hash(u)})
+				hashes = append(hashes, bloom.Hash(u))
 			}
-			if err := a.AddRawBlock(last, byte(NoCompression), bw.Finish(), n); err != nil {
+			block := bw.Finish()
+			if err := a.AddBlock(byte(NoCompression), block, PayloadSum(block), n, hashes); err != nil {
 				t.Fatal(err)
 			}
+			a.Index(last)
 			if _, err := a.Finish(); err != nil {
 				t.Fatal(err)
 			}
