@@ -3,9 +3,9 @@ package lsm
 import (
 	"fmt"
 	"io"
-	"os"
 
 	"fcae/internal/manifest"
+	"fcae/internal/vfs"
 )
 
 // Checkpoint writes a consistent, self-contained copy of the store into
@@ -13,7 +13,7 @@ import (
 // file is copied, and a fresh MANIFEST/CURRENT pair referencing them is
 // written. The checkpoint can be opened as a normal database.
 func (db *DB) Checkpoint(dest string) error {
-	if _, err := os.Stat(dest); err == nil {
+	if _, err := db.fs.Stat(dest); err == nil {
 		return fmt.Errorf("lsm: checkpoint destination %s already exists", dest)
 	}
 	if err := db.Flush(); err != nil {
@@ -29,13 +29,13 @@ func (db *DB) Checkpoint(dest string) error {
 	defer db.release(rs)
 	v, seq := rs.version, rs.seq
 
-	if err := os.MkdirAll(dest, 0o755); err != nil {
+	if err := db.fs.MkdirAll(dest, 0o755); err != nil {
 		return err
 	}
 	var maxNum uint64
 	for level := range v.Levels {
 		for _, f := range v.Levels[level] {
-			if err := copyFile(tablePath(db.dir, f.Num), tablePath(dest, f.Num)); err != nil {
+			if err := db.copyFile(tablePath(db.dir, f.Num), tablePath(dest, f.Num)); err != nil {
 				return fmt.Errorf("lsm: checkpoint copy table %d: %w", f.Num, err)
 			}
 			if f.Num > maxNum {
@@ -45,7 +45,7 @@ func (db *DB) Checkpoint(dest string) error {
 	}
 
 	// Fresh manifest referencing the copied tables.
-	vs, err := manifest.Open(dest, db.opts.ManifestConfig())
+	vs, err := manifest.Open(db.fs, dest, db.opts.ManifestConfig())
 	if err != nil {
 		return err
 	}
@@ -91,23 +91,14 @@ func (db *DB) EnableFileDeletions() {
 	db.flushEvents()
 }
 
-func copyFile(src, dst string) error {
-	in, err := os.Open(src)
+func (db *DB) copyFile(src, dst string) error {
+	in, err := db.fs.Open(src)
 	if err != nil {
 		return err
 	}
 	defer func() { _ = in.Close() }()
-	out, err := os.Create(dst)
-	if err != nil {
+	return vfs.WriteDurable(db.fs, dst, func(out io.Writer) error {
+		_, err := io.Copy(out, in)
 		return err
-	}
-	if _, err := io.Copy(out, in); err != nil {
-		_ = out.Close()
-		return err
-	}
-	if err := out.Sync(); err != nil {
-		_ = out.Close()
-		return err
-	}
-	return out.Close()
+	})
 }

@@ -2,7 +2,6 @@ package lsm
 
 import (
 	"io"
-	"os"
 	"path/filepath"
 	"time"
 
@@ -13,6 +12,7 @@ import (
 	"fcae/internal/memtable"
 	"fcae/internal/obs"
 	"fcae/internal/sstable"
+	"fcae/internal/vfs"
 )
 
 // poolWorker is one goroutine of the shared flush/compaction pool
@@ -171,35 +171,23 @@ func (db *DB) buildTable(num uint64, mem *memtable.MemTable, smallestSnapshot ui
 	if !it.Valid() {
 		return nil, pairs, nil
 	}
-	path := tablePath(db.dir, num)
-	f, err := os.Create(path)
-	if err != nil {
-		return nil, pairs, err
-	}
-	w := sstable.NewWriter(f, db.opts.tableOpts())
-	for ; it.Valid(); it.Next() {
-		pairs.PairsIn++
-		if drop.Drop(it.Key()) {
-			pairs.PairsDropped++
-			continue
+	var stats sstable.WriterStats
+	err := vfs.WriteDurable(db.fs, tablePath(db.dir, num), func(f io.Writer) (err error) {
+		w := sstable.NewWriter(f, db.opts.tableOpts())
+		for ; it.Valid(); it.Next() {
+			pairs.PairsIn++
+			if drop.Drop(it.Key()) {
+				pairs.PairsDropped++
+				continue
+			}
+			if err := w.Add(it.Key(), it.Value()); err != nil {
+				return err
+			}
 		}
-		if err := w.Add(it.Key(), it.Value()); err != nil {
-			_ = f.Close()
-			os.Remove(path)
-			return nil, pairs, err
-		}
-	}
-	stats, err := w.Finish()
+		stats, err = w.Finish()
+		return err
+	})
 	if err != nil {
-		_ = f.Close()
-		os.Remove(path)
-		return nil, pairs, err
-	}
-	if err := f.Sync(); err != nil {
-		_ = f.Close()
-		return nil, pairs, err
-	}
-	if err := f.Close(); err != nil {
 		return nil, pairs, err
 	}
 	return &manifest.FileMetadata{
@@ -374,7 +362,7 @@ func (db *DB) runCompaction(c *manifest.Compaction) (err error) {
 
 	// One merge input per sorted run (paper §IV step 2).
 	openDone := tr.StartSpan("open_runs")
-	var opened []*os.File
+	var opened []vfs.File
 	defer func() {
 		for _, f := range opened {
 			// Read-only inputs; close errors cannot lose data.
@@ -384,7 +372,7 @@ func (db *DB) runCompaction(c *manifest.Compaction) (err error) {
 	for _, files := range c.InputRuns() {
 		var run []compaction.Table
 		for _, fm := range files {
-			f, err := os.Open(tablePath(db.dir, fm.Num))
+			f, err := db.fs.Open(tablePath(db.dir, fm.Num))
 			if err != nil {
 				return err
 			}
@@ -492,7 +480,7 @@ func (e *dbEnv) NewOutput() (uint64, io.WriteCloser, error) {
 	e.db.pendingOutputs[num] = true
 	e.nums = append(e.nums, num)
 	e.db.mu.Unlock()
-	f, err := os.Create(tablePath(e.db.dir, num))
+	f, err := e.db.fs.Create(tablePath(e.db.dir, num))
 	if err != nil {
 		return 0, nil, err
 	}
@@ -612,7 +600,7 @@ func (db *DB) deleteObsoleteFilesLocked() {
 	if db.holdDeletions > 0 {
 		return // an external backup is copying the directory
 	}
-	entries, err := os.ReadDir(db.dir)
+	entries, err := db.fs.ReadDir(db.dir)
 	if err != nil {
 		return
 	}
@@ -633,7 +621,7 @@ func (db *DB) deleteObsoleteFilesLocked() {
 			if kind == kindTable {
 				db.tables.evict(num)
 			}
-			if os.Remove(filepath.Join(db.dir, e.Name())) == nil && kind == kindTable {
+			if db.fs.Remove(filepath.Join(db.dir, e.Name())) == nil && kind == kindTable {
 				db.met.tablesDeleted.Inc()
 				tableNum := num
 				db.queueEventLocked(func(l obs.EventListener) {

@@ -5,7 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -17,6 +17,7 @@ import (
 	"fcae/internal/manifest"
 	"fcae/internal/memtable"
 	"fcae/internal/obs"
+	"fcae/internal/vfs"
 	"fcae/internal/wal"
 )
 
@@ -29,6 +30,7 @@ var ErrClosed = errors.New("lsm: database closed")
 // DB is an LSM-tree key-value store. All methods are safe for concurrent
 // use.
 type DB struct {
+	fs         vfs.FS
 	dir        string
 	opts       Options
 	vs         *manifest.VersionSet
@@ -59,7 +61,7 @@ type DB struct {
 	mem       *memtable.MemTable
 	imm       *memtable.MemTable
 	wal       *wal.Writer
-	walFile   *os.File
+	walFile   vfs.File
 	walNum    uint64
 	seq       uint64
 	snapshots map[uint64]int
@@ -136,15 +138,17 @@ func walCRC(t byte, payload []byte) uint32 {
 
 // Open opens (creating if necessary) the database in dir. Contradictory
 // options are rejected with a descriptive error (see Options.Validate).
-func Open(dir string, opts Options) (*DB, error) {
+func Open(dir string, opts Options) (*DB, error) { return open(vfs.Default, dir, opts) }
+
+func open(fsys vfs.FS, dir string, opts Options) (*DB, error) {
 	if err := opts.Validate(); err != nil {
 		return nil, err
 	}
 	opts = opts.WithDefaults()
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	if err := fsys.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
-	vs, err := manifest.Open(dir, opts.ManifestConfig())
+	vs, err := manifest.Open(fsys, dir, opts.ManifestConfig())
 	if err != nil {
 		return nil, err
 	}
@@ -161,11 +165,12 @@ func Open(dir string, opts Options) (*DB, error) {
 		return nil, err
 	}
 	db := &DB{
+		fs:             fsys,
 		dir:            dir,
 		opts:           opts,
 		vs:             vs,
 		blockCache:     bc,
-		tables:         newTableCache(dir, opts.tableOpts(), bc, 500),
+		tables:         newTableCache(fsys, dir, opts.tableOpts(), bc, 500),
 		listener:       opts.EventListener,
 		reg:            reg,
 		met:            newDBMetrics(reg),
@@ -226,7 +231,7 @@ func (db *DB) nextMemSeedLocked() int64 {
 
 // recoverWALs replays logs newer than the manifest's durable point.
 func (db *DB) recoverWALs() error {
-	entries, err := os.ReadDir(db.dir)
+	entries, err := db.fs.ReadDir(db.dir)
 	if err != nil {
 		return err
 	}
@@ -237,7 +242,7 @@ func (db *DB) recoverWALs() error {
 			nums = append(nums, num)
 		}
 	}
-	sortUint64(nums)
+	slices.Sort(nums)
 	for _, num := range nums {
 		if err := db.replayWALLocked(num); err != nil {
 			return fmt.Errorf("lsm: recover %06d.log: %w", num, err)
@@ -251,7 +256,7 @@ func (db *DB) recoverWALs() error {
 // not synced), so recovery stops there; any other damage fails recovery
 // rather than drop the whole records behind it.
 func (db *DB) replayWALLocked(num uint64) error {
-	f, err := os.Open(walPath(db.dir, num))
+	f, err := db.fs.Open(walPath(db.dir, num))
 	if err != nil {
 		return err
 	}
@@ -287,7 +292,7 @@ func (db *DB) replayWALLocked(num uint64) error {
 // newWALLocked rotates to a fresh log file.
 func (db *DB) newWALLocked() error {
 	num := db.vs.AllocFileNum()
-	f, err := os.Create(walPath(db.dir, num))
+	f, err := db.fs.Create(walPath(db.dir, num))
 	if err != nil {
 		return err
 	}
@@ -748,12 +753,4 @@ func (db *DB) Close() error {
 		err = e
 	}
 	return err
-}
-
-func sortUint64(s []uint64) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }

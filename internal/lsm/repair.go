@@ -4,12 +4,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 
 	"fcae/internal/keys"
 	"fcae/internal/manifest"
 	"fcae/internal/sstable"
+	"fcae/internal/vfs"
 	"fcae/internal/wal"
 )
 
@@ -28,9 +28,11 @@ import (
 // versions of the same user key, an overwrite performed shortly before a
 // compaction of much older data can surface the older version. Sequence
 // numbers inside each table are preserved exactly.
-func Repair(dir string, opts Options) (err error) {
+func Repair(dir string, opts Options) error { return repair(vfs.Default, dir, opts) }
+
+func repair(fsys vfs.FS, dir string, opts Options) (err error) {
 	opts = opts.WithDefaults()
-	entries, err := os.ReadDir(dir)
+	entries, err := fsys.ReadDir(dir)
 	if err != nil {
 		return err
 	}
@@ -56,7 +58,7 @@ func Repair(dir string, opts Options) (err error) {
 			if num > maxNum {
 				maxNum = num
 			}
-			if err := salvageWAL(dir, num); err != nil {
+			if err := salvageWAL(fsys, dir, num); err != nil {
 				return fmt.Errorf("lsm: repair: salvage %06d.log: %w", num, err)
 			}
 			continue
@@ -67,13 +69,13 @@ func Repair(dir string, opts Options) (err error) {
 		if num > maxNum {
 			maxNum = num
 		}
-		t, err := scanTable(dir, num, opts)
+		t, err := scanTable(fsys, dir, num, opts)
 		if err != nil {
 			// Quarantine the unreadable table rather than losing data
 			// silently or blocking recovery. A table that could not be
 			// moved aside stops the repair: left under its own name and
 			// in no version, the next Open would delete it as obsolete.
-			if rerr := os.Rename(tablePath(dir, num), tablePath(dir, num)+".corrupt"); rerr != nil {
+			if rerr := fsys.Rename(tablePath(dir, num), tablePath(dir, num)+".corrupt"); rerr != nil {
 				return fmt.Errorf("lsm: repair: quarantine unreadable table (%v): %w", err, rerr)
 			}
 			continue
@@ -85,12 +87,12 @@ func Repair(dir string, opts Options) (err error) {
 	// a repair stopped by a table it could not quarantine has not yet cost
 	// the directory the manifest that names the others.
 	for _, name := range oldMeta {
-		if err := os.Remove(filepath.Join(dir, name)); err != nil {
+		if err := fsys.Remove(filepath.Join(dir, name)); err != nil {
 			return fmt.Errorf("lsm: repair: %w", err)
 		}
 	}
 
-	vs, err := manifest.Open(dir, opts.ManifestConfig())
+	vs, err := manifest.Open(fsys, dir, opts.ManifestConfig())
 	if err != nil {
 		return err
 	}
@@ -134,8 +136,8 @@ type scannedTable struct {
 }
 
 // scanTable validates a table file end to end and extracts its bounds.
-func scanTable(dir string, num uint64, opts Options) (*scannedTable, error) {
-	f, err := os.Open(tablePath(dir, num))
+func scanTable(fsys vfs.FS, dir string, num uint64, opts Options) (*scannedTable, error) {
+	f, err := fsys.Open(tablePath(dir, num))
 	if err != nil {
 		return nil, err
 	}
@@ -172,9 +174,9 @@ func scanTable(dir string, num uint64, opts Options) (*scannedTable, error) {
 // salvageWAL reads log num end to end. A damaged log is renamed with a
 // .corrupt suffix, and a fresh log under its name takes the records ahead
 // of the damage.
-func salvageWAL(dir string, num uint64) error {
+func salvageWAL(fsys vfs.FS, dir string, num uint64) error {
 	path := walPath(dir, num)
-	f, err := os.Open(path)
+	f, err := fsys.Open(path)
 	if err != nil {
 		return err
 	}
@@ -189,13 +191,11 @@ func salvageWAL(dir string, num uint64) error {
 	if !errors.Is(err, wal.ErrCorrupt) {
 		return err
 	}
-	if err := os.Rename(path, path+".corrupt"); err != nil {
+	if err := fsys.Rename(path, path+".corrupt"); err != nil {
 		return err
 	}
-	out, err := os.Create(path)
-	if err != nil {
+	return vfs.WriteDurable(fsys, path, func(out io.Writer) error {
+		_, err := io.Copy(out, io.NewSectionReader(f, 0, r.Offset()))
 		return err
-	}
-	_, err = io.Copy(out, io.NewSectionReader(f, 0, r.Offset()))
-	return errors.Join(err, out.Sync(), out.Close())
+	})
 }

@@ -6,6 +6,7 @@ import (
 
 	"fcae/internal/cache"
 	"fcae/internal/sstable"
+	"fcae/internal/vfs"
 )
 
 // tableCache keeps open table readers, bounded by an LRU on open tables.
@@ -16,6 +17,7 @@ import (
 // table away from under a reader.
 type tableCache struct {
 	mu       sync.Mutex
+	fs       vfs.FS
 	dir      string
 	opts     sstable.Options
 	block    *cache.Cache
@@ -40,11 +42,12 @@ type tableHandle struct {
 	elem *list.Element
 }
 
-func newTableCache(dir string, opts sstable.Options, block *cache.Cache, capacity int) *tableCache {
+func newTableCache(fsys vfs.FS, dir string, opts sstable.Options, block *cache.Cache, capacity int) *tableCache {
 	if capacity < 16 {
 		capacity = 16
 	}
 	return &tableCache{
+		fs:       fsys,
 		dir:      dir,
 		opts:     opts,
 		block:    block,
@@ -66,7 +69,7 @@ func (tc *tableCache) get(num uint64) (*tableHandle, error) {
 		return h, nil
 	}
 	tc.misses++
-	f, size, mapped, err := openTable(tablePath(tc.dir, num))
+	f, size, mapped, err := openTable(tc.fs, tablePath(tc.dir, num))
 	if err != nil {
 		return nil, err
 	}

@@ -13,6 +13,7 @@ import (
 	"testing"
 
 	"fcae/internal/corruption"
+	"fcae/internal/vfs"
 )
 
 // TestOpenTableReadsLikeAFile: whatever openTable returns reads as
@@ -28,7 +29,7 @@ func TestOpenTableReadsLikeAFile(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	f, size, mapped, err := openTable(path)
+	f, size, mapped, err := openTable(vfs.Default, path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +138,7 @@ func TestTableMappedBytesGauge(t *testing.T) {
 	if got := gauge(); got != 0 {
 		t.Fatalf("table_mapped_bytes %d before any read, want 0", got)
 	}
-	f, _, want, err := openTable(path) // what the cache will map of it
+	f, _, want, err := openTable(vfs.Default, path) // what the cache will map of it
 	if err != nil {
 		t.Fatal(err)
 	}

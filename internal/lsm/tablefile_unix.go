@@ -6,10 +6,11 @@ import (
 	"fmt"
 	"io"
 	"io/fs"
-	"os"
 	"runtime/debug"
 	"strconv"
 	"syscall"
+
+	"fcae/internal/vfs"
 )
 
 // mappedFile is a table mapped read-only into memory. ReadAt copies out of
@@ -21,21 +22,23 @@ type mappedFile struct {
 	closed bool
 }
 
-// mapTable maps f and closes the descriptor, which the mapping does not
-// need. Only 64-bit hosts map: a 32-bit address space is too small to
-// map every table the cache holds, so there f stays the table's file.
-func mapTable(f *os.File, size int64) (tableFile, int64, error) {
-	if strconv.IntSize != 64 {
+// mapTable maps f, a file with a descriptor, and closes it: the mapping
+// does not need it. Only 64-bit hosts map: a 32-bit address space is too
+// small to map every table the cache holds, so there f stays the table's
+// file, as does a file with no descriptor.
+func mapTable(f vfs.File, size int64) (tableFile, int64, error) {
+	fd, ok := f.(interface{ Fd() uintptr })
+	if !ok || strconv.IntSize != 64 {
 		return f, 0, nil
 	}
 	m := &mappedFile{}
 	var err error
 	if size > 0 { // mmap refuses a length of zero; an empty table reads as EOF
-		m.data, err = syscall.Mmap(int(f.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
+		m.data, err = syscall.Mmap(int(fd.Fd()), 0, int(size), syscall.PROT_READ, syscall.MAP_SHARED)
 	}
 	_ = f.Close() // read-only, and the mapping outlives it
 	if err != nil {
-		return nil, 0, fmt.Errorf("lsm: map %s: %w", f.Name(), err)
+		return nil, 0, err
 	}
 	return m, size, nil
 }

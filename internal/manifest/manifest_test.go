@@ -10,6 +10,7 @@ import (
 
 	"fcae/internal/corruption"
 	"fcae/internal/keys"
+	"fcae/internal/vfs"
 	"fcae/internal/wal"
 )
 
@@ -108,10 +109,10 @@ func TestDecodeDropsCompactPointer(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if err := setCurrent(dir, 5); err != nil {
+	if err := setCurrent(vfs.Default, dir, 5); err != nil {
 		t.Fatal(err)
 	}
-	vs, err := Open(dir, Config{})
+	vs, err := Open(vfs.Default, dir, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +271,7 @@ func TestConfigMaxBytes(t *testing.T) {
 
 func TestVersionSetPersistence(t *testing.T) {
 	dir := t.TempDir()
-	vs, err := Open(dir, Config{})
+	vs, err := Open(vfs.Default, dir, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +286,7 @@ func TestVersionSetPersistence(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	vs2, err := Open(dir, Config{})
+	vs2, err := Open(vfs.Default, dir, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -305,7 +306,7 @@ func TestVersionSetPersistence(t *testing.T) {
 // in LiveFileNums while any reference to it is out, and the Unref that
 // drops the last one says so.
 func TestReferencedVersionKeepsTablesLive(t *testing.T) {
-	vs, err := Open(t.TempDir(), Config{})
+	vs, err := Open(vfs.Default, t.TempDir(), Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -360,7 +361,7 @@ func TestReferencedVersionKeepsTablesLive(t *testing.T) {
 
 func TestPickCompactionL0Trigger(t *testing.T) {
 	dir := t.TempDir()
-	vs, err := Open(dir, Config{L0CompactionTrigger: 4})
+	vs, err := Open(vfs.Default, dir, Config{L0CompactionTrigger: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -394,7 +395,7 @@ func TestPickCompactionL0Trigger(t *testing.T) {
 
 func TestPickCompactionSizeTrigger(t *testing.T) {
 	dir := t.TempDir()
-	vs, err := Open(dir, Config{BaseLevelBytes: 1 << 20})
+	vs, err := Open(vfs.Default, dir, Config{BaseLevelBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,7 +431,7 @@ func TestPickCompactionSizeTrigger(t *testing.T) {
 
 func TestTrivialMove(t *testing.T) {
 	dir := t.TempDir()
-	vs, err := Open(dir, Config{BaseLevelBytes: 1 << 20})
+	vs, err := Open(vfs.Default, dir, Config{BaseLevelBytes: 1 << 20})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -452,7 +453,7 @@ func TestTrivialMove(t *testing.T) {
 
 func TestIsBottomLevel(t *testing.T) {
 	dir := t.TempDir()
-	vs, err := Open(dir, Config{BaseLevelBytes: 1})
+	vs, err := Open(vfs.Default, dir, Config{BaseLevelBytes: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -481,7 +482,7 @@ func TestIsBottomLevel(t *testing.T) {
 
 func TestRecoveryAcrossManyEdits(t *testing.T) {
 	dir := t.TempDir()
-	vs, err := Open(dir, Config{})
+	vs, err := Open(vfs.Default, dir, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -507,7 +508,7 @@ func TestRecoveryAcrossManyEdits(t *testing.T) {
 	wantSeq := vs.LastSeq()
 	vs.Close()
 
-	vs2, err := Open(dir, Config{})
+	vs2, err := Open(vfs.Default, dir, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -531,7 +532,7 @@ func TestRecoveryCompactsManifest(t *testing.T) {
 	// Reopening rolls a fresh MANIFEST (a snapshot), replacing the long
 	// edit history; the old manifest is removed.
 	dir := t.TempDir()
-	vs, _ := Open(dir, Config{})
+	vs, _ := Open(vfs.Default, dir, Config{})
 	for i := 0; i < 50; i++ {
 		edit := &VersionEdit{}
 		edit.AddFile(1, meta(vs.AllocFileNum(), 100, fmt.Sprintf("a%03d", i), fmt.Sprintf("a%03dz", i)))
@@ -540,7 +541,7 @@ func TestRecoveryCompactsManifest(t *testing.T) {
 		}
 	}
 	vs.Close()
-	vs2, err := Open(dir, Config{})
+	vs2, err := Open(vfs.Default, dir, Config{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -560,12 +561,12 @@ func TestRecoveryCompactsManifest(t *testing.T) {
 
 func TestCorruptCurrentRejected(t *testing.T) {
 	dir := t.TempDir()
-	vs, _ := Open(dir, Config{})
+	vs, _ := Open(vfs.Default, dir, Config{})
 	vs.Close()
 	if err := os.WriteFile(CurrentPath(dir), []byte("MANIFEST-999999\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, Config{}); err == nil {
+	if _, err := Open(vfs.Default, dir, Config{}); err == nil {
 		t.Fatal("CURRENT pointing at a missing manifest accepted")
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"fcae/internal/keys"
+	"fcae/internal/vfs"
 )
 
 // TestPickLeastOverlappingTable: with no seed, a merge starts from the
@@ -78,7 +79,7 @@ func TestPickLeastOverlappingTable(t *testing.T) {
 		},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			vs, err := Open(t.TempDir(), Config{BaseLevelBytes: 1})
+			vs, err := Open(vfs.Default, t.TempDir(), Config{BaseLevelBytes: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -185,7 +186,7 @@ func TestL0MergeRelinksFreeL1Tables(t *testing.T) {
 	l2 := []table{{2, mb, "a", "c"}, {2, mb, "g", "i"}}
 	build := func(t *testing.T, cfg Config, tables ...[]table) *VersionSet {
 		t.Helper()
-		vs, err := Open(t.TempDir(), cfg)
+		vs, err := Open(vfs.Default, t.TempDir(), cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -325,7 +326,7 @@ func TestPickCompactionAtLevelRange(t *testing.T) {
 		{name: "tiered level with nothing in range", cfg: Config{TieredRuns: 4}, r: keys.Range{Start: []byte("x")}, want: nil},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			vs, err := Open(t.TempDir(), tc.cfg)
+			vs, err := Open(vfs.Default, t.TempDir(), tc.cfg)
 			if err != nil {
 				t.Fatal(err)
 			}

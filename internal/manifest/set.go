@@ -1,13 +1,15 @@
 package manifest
 
 import (
+	"errors"
 	"fmt"
 	"io"
-	"os"
+	"io/fs"
 	"path/filepath"
 	"sync"
 
 	"fcae/internal/crc"
+	"fcae/internal/vfs"
 	"fcae/internal/wal"
 )
 
@@ -61,7 +63,8 @@ func (c Config) MaxBytes(level int) uint64 {
 // VersionSet owns the current version, the MANIFEST log and the file
 // number / sequence counters.
 type VersionSet struct {
-	// dir and cfg are set once in Open and immutable afterwards.
+	// fs, dir and cfg are set once in Open and immutable afterwards.
+	fs  vfs.FS
 	dir string
 	cfg Config
 
@@ -72,7 +75,7 @@ type VersionSet struct {
 	// still reference; their tables stay live until the last Unref.
 	superseded  []*Version
 	manifest    *wal.Writer
-	manifestF   *os.File
+	manifestF   vfs.File
 	manifestNum uint64
 
 	nextFileNum uint64
@@ -95,19 +98,20 @@ func ManifestPath(dir string, num uint64) string {
 	return filepath.Join(dir, fmt.Sprintf("MANIFEST-%06d", num))
 }
 
-// Open recovers (or creates) the version state in dir.
-func Open(dir string, cfg Config) (*VersionSet, error) {
+// Open recovers (or creates) the version state in dir on fsys.
+func Open(fsys vfs.FS, dir string, cfg Config) (*VersionSet, error) {
 	vs := &VersionSet{
+		fs:          fsys,
 		dir:         dir,
 		cfg:         cfg.WithDefaults(),
 		current:     &Version{},
 		nextFileNum: 2,
 	}
-	currentData, err := os.ReadFile(CurrentPath(dir))
+	currentData, err := readFile(fsys, CurrentPath(dir))
 	vs.mu.Lock()
 	defer vs.mu.Unlock()
 	switch {
-	case os.IsNotExist(err):
+	case errors.Is(err, fs.ErrNotExist):
 		// Fresh database.
 	case err != nil:
 		return nil, err
@@ -122,12 +126,21 @@ func Open(dir string, cfg Config) (*VersionSet, error) {
 	return vs, nil
 }
 
+func readFile(fsys vfs.FS, name string) ([]byte, error) {
+	f, err := fsys.Open(name)
+	if err != nil {
+		return nil, err
+	}
+	defer func() { _ = f.Close() }() // read-only
+	return io.ReadAll(f)
+}
+
 // replayLocked loads the manifest named by the CURRENT file contents.
 func (vs *VersionSet) replayLocked(name string) error {
 	for len(name) > 0 && (name[len(name)-1] == '\n' || name[len(name)-1] == '\r') {
 		name = name[:len(name)-1]
 	}
-	f, err := os.Open(filepath.Join(vs.dir, name))
+	f, err := vs.fs.Open(filepath.Join(vs.dir, name))
 	if err != nil {
 		return err
 	}
@@ -169,7 +182,7 @@ func (vs *VersionSet) replayLocked(name string) error {
 func (vs *VersionSet) rollManifestLocked() error {
 	num := vs.allocFileNumLocked()
 	path := ManifestPath(vs.dir, num)
-	f, err := os.Create(path)
+	f, err := vs.fs.Create(path)
 	if err != nil {
 		return err
 	}
@@ -192,32 +205,37 @@ func (vs *VersionSet) rollManifestLocked() error {
 		_ = f.Close()
 		return err
 	}
-	if err := setCurrent(vs.dir, num); err != nil {
+	if err := setCurrent(vs.fs, vs.dir, num); err != nil {
 		_ = f.Close()
 		return err
 	}
 	if vs.manifestF != nil {
 		// The superseded manifest is deleted next; its close error is moot.
 		_ = vs.manifestF.Close()
-		os.Remove(ManifestPath(vs.dir, vs.manifestNum))
+		_ = vs.fs.Remove(ManifestPath(vs.dir, vs.manifestNum))
 	}
 	if vs.replayedManifest != "" {
 		// The recovery source is superseded by the fresh snapshot.
-		os.Remove(filepath.Join(vs.dir, vs.replayedManifest))
+		_ = vs.fs.Remove(filepath.Join(vs.dir, vs.replayedManifest))
 		vs.replayedManifest = ""
 	}
 	vs.manifest, vs.manifestF, vs.manifestNum = w, f, num
 	return nil
 }
 
-// setCurrent atomically points CURRENT at manifest num.
-func setCurrent(dir string, num uint64) error {
+// setCurrent atomically points CURRENT at manifest num. The pointer is
+// made durable before the rename: the caller deletes the manifest it
+// replaces next, so a CURRENT lost to a power cut would leave none.
+func setCurrent(fsys vfs.FS, dir string, num uint64) error {
 	tmp := filepath.Join(dir, fmt.Sprintf("CURRENT.%06d.tmp", num))
-	content := fmt.Sprintf("MANIFEST-%06d\n", num)
-	if err := os.WriteFile(tmp, []byte(content), 0o644); err != nil {
+	err := vfs.WriteDurable(fsys, tmp, func(w io.Writer) error {
+		_, err := fmt.Fprintf(w, "MANIFEST-%06d\n", num)
+		return err
+	})
+	if err != nil {
 		return err
 	}
-	return os.Rename(tmp, CurrentPath(dir))
+	return fsys.Rename(tmp, CurrentPath(dir))
 }
 
 // Close releases the manifest file handle.
@@ -329,7 +347,7 @@ func (vs *VersionSet) LogAndApply(edit *VersionEdit) error {
 	if err := vs.manifest.Append(edit.Encode()); err != nil {
 		return err
 	}
-	if err := vs.manifest.Sync(); err != nil {
+	if err := vs.manifestF.Sync(); err != nil {
 		return err
 	}
 	if vs.current.refs > 0 {

@@ -55,18 +55,14 @@ type Writer struct {
 	// gather is where Append lays a record out as it will lie in the
 	// file — fragment headers, payloads, block padding — so that the
 	// file gets it in one Write.
-	gather  []byte
-	flusher interface{ Flush() error }
-	syncer  interface{ Sync() error }
+	gather []byte
+	syncer interface{ Sync() error }
 }
 
-// NewWriter returns a Writer emitting records to w. If w implements
-// Flush/Sync those are used by the corresponding methods.
+// NewWriter returns a Writer emitting records to w. If w implements Sync,
+// Writer.Sync calls it.
 func NewWriter(w io.Writer, crc crcFunc) *Writer {
 	nw := &Writer{w: w, crc: crc}
-	if f, ok := w.(interface{ Flush() error }); ok {
-		nw.flusher = f
-	}
 	if s, ok := w.(interface{ Sync() error }); ok {
 		nw.syncer = s
 	}
@@ -130,19 +126,8 @@ func (w *Writer) Append(record []byte) error {
 // Size returns the bytes written so far.
 func (w *Writer) Size() int64 { return w.written }
 
-// Flush flushes any buffering writer beneath the log.
-func (w *Writer) Flush() error {
-	if w.flusher != nil {
-		return w.flusher.Flush()
-	}
-	return nil
-}
-
-// Sync flushes and then syncs the underlying file if it supports it.
+// Sync syncs the underlying file if it supports it.
 func (w *Writer) Sync() error {
-	if err := w.Flush(); err != nil {
-		return err
-	}
 	if w.syncer != nil {
 		return w.syncer.Sync()
 	}
