@@ -26,6 +26,10 @@ type Executor struct {
 	// backing slab.
 	arena *Arena
 
+	// scanners[k] walks run k's tables while the job stages it; its
+	// window buffer outlives the job, so staging allocates none.
+	scanners []sstable.BlockScanner
+
 	// Totals since creation, surfaced in DB stats.
 	jobs          int
 	kernelCycles  float64
@@ -39,7 +43,11 @@ func NewExecutor(cfg Config) (*Executor, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Executor{engine: eng, arena: NewArena(eng.cfg.ArenaBytes())}, nil
+	return &Executor{
+		engine:   eng,
+		arena:    NewArena(eng.cfg.ArenaBytes()),
+		scanners: make([]sstable.BlockScanner, eng.cfg.N),
+	}, nil
 }
 
 // ArenaBytes reports the channel's staging-arena capacity, implementing
@@ -179,7 +187,7 @@ func (x *Executor) stageLocked(job *compaction.Job, runs [][]*sstable.Reader) ([
 		if lists != nil {
 			cuts = &lists[k]
 		}
-		img, err := stageRun(runs[k], wIn, regions[k], cuts)
+		img, err := stageRun(runs[k], wIn, regions[k], cuts, &x.scanners[k])
 		if err != nil {
 			return err
 		}
@@ -276,26 +284,32 @@ func (e *Engine) RunJob(job *compaction.Job, p Params) (*Result, error) {
 // with an error wrapping compaction.ErrArenaExhausted when the run does
 // not fit the arena.
 func stageInputImage(run []*sstable.Reader, wIn int, a *Arena) (*InputImage, error) {
-	return stageRun(run, wIn, a, nil)
+	return stageRun(run, wIn, a, nil, new(sstable.BlockScanner))
 }
 
 // stageRun is stageInputImage, listing each block in cuts too when it is
-// not nil.
-func stageRun(run []*sstable.Reader, wIn int, a *Arena, cuts *compaction.CutBlocks) (*InputImage, error) {
+// not nil, and reading the tables through sc.
+func stageRun(run []*sstable.Reader, wIn int, a *Arena, cuts *compaction.CutBlocks, sc *sstable.BlockScanner) (*InputImage, error) {
 	b := NewInputBuilderArena(wIn, a)
 	for _, r := range run {
 		if cuts != nil {
 			cuts.Grow(r.NumBlocks())
 		}
 		b.BeginTable()
-		err := r.VisitRawBlocks(func(rb sstable.RawBlock) error {
+		for sc.Reset(r); ; {
+			rb, ok, err := sc.NextRaw()
+			if err != nil {
+				return nil, err
+			}
+			if !ok {
+				break
+			}
 			if cuts != nil {
 				cuts.Add(rb.IndexKey, uint64(len(rb.Payload)))
 			}
-			return b.AddBlock(rb.IndexKey, rb.CType, rb.Payload)
-		})
-		if err != nil {
-			return nil, err
+			if err := b.AddBlock(rb.IndexKey, rb.CType, rb.Payload); err != nil {
+				return nil, err
+			}
 		}
 	}
 	return b.Finish(), nil

@@ -20,10 +20,16 @@ const batchHeaderSize = 12
 // ErrBatchCorrupt reports a malformed batch replayed from the WAL.
 var ErrBatchCorrupt = corruption.New("lsm: corrupt write batch")
 
+// init gives an empty batch its header, in the buffer a Reset kept when
+// there is one: a reused batch does not regrow from nothing.
 func (b *Batch) init() {
-	if len(b.rep) == 0 {
-		b.rep = make([]byte, batchHeaderSize, 256)
+	if len(b.rep) > 0 {
+		return
 	}
+	if cap(b.rep) < batchHeaderSize {
+		b.rep = make([]byte, 0, 256)
+	}
+	b.rep = b.rep[:batchHeaderSize]
 }
 
 // Put queues a key/value set.
@@ -52,7 +58,8 @@ func (b *Batch) Size() int {
 	return len(b.rep)
 }
 
-// Reset clears the batch for reuse.
+// Reset clears the batch for reuse, keeping its buffer. Write copies
+// what it needs, so the buffer is the caller's again once Write returns.
 func (b *Batch) Reset() {
 	b.rep = b.rep[:0]
 	b.count = 0

@@ -78,6 +78,24 @@ func TestBatchReset(t *testing.T) {
 	}
 }
 
+// TestBatchReuseAllocatesNothing: a batch refilled after Reset writes
+// into the buffer it already grew.
+func TestBatchReuseAllocatesNothing(t *testing.T) {
+	var b Batch
+	key, value := make([]byte, 16), make([]byte, 256)
+	fill := func() {
+		b.Reset()
+		for i := 0; i < 256; i++ {
+			b.Put(key, value)
+		}
+		b.seal(1)
+	}
+	fill()
+	if n := testing.AllocsPerRun(20, fill); n != 0 {
+		t.Fatalf("a warm batch refilled after Reset allocates %v times, want 0", n)
+	}
+}
+
 func TestBatchCorruptRejected(t *testing.T) {
 	cases := [][]byte{
 		nil,

@@ -2,8 +2,10 @@ package skiplist
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"fcae/internal/keys"
@@ -56,13 +58,58 @@ func (p *pair) same(what string, it *Iterator, rit *refIterator) bool {
 	return true
 }
 
-// check compares the two lists entry by entry in both directions and at
-// every seek target given.
+// levels requires every level's links, in both lists, to visit exactly
+// the nodes at least that tall, in key order, with the same heights in
+// both lists, and the slab list's tail to name each level's last node.
+func (p *pair) levels() {
+	p.t.Helper()
+	var tall [maxHeight][][]byte // tall[i]: keys of the nodes of height > i, in order
+	for n := p.ref.head.next[0].Load(); n != nil; n = n.next[0].Load() {
+		for i := range n.next {
+			tall[i] = append(tall[i], n.key)
+		}
+	}
+	r := reader{list: p.list}
+	for i := range maxHeight {
+		var got [][]byte
+		for n := p.ref.head.next[i].Load(); n != nil; n = n.next[i].Load() {
+			got = append(got, n.key)
+		}
+		if j := firstDiff(got, tall[i]); j >= 0 {
+			p.t.Fatalf("reference level %d leaves its tall nodes at position %d: it visits %d, %d are that tall", i, j, len(got), len(tall[i]))
+		}
+		got = got[:0]
+		var last uint32
+		for ref := atomic.LoadUint32(&p.list.head[nTower+i]); ref != 0; ref = atomic.LoadUint32(&r.node(ref)[nTower+i]) {
+			got, last = append(got, r.key(r.node(ref))), ref
+		}
+		if j := firstDiff(got, tall[i]); j >= 0 {
+			p.t.Fatalf("level %d leaves the reference's tall nodes at position %d: it visits %d, %d are that tall", i, j, len(got), len(tall[i]))
+		}
+		if p.list.tail[i] != last {
+			p.t.Fatalf("tail[%d] = %d, the level's last node is %d", i, p.list.tail[i], last)
+		}
+	}
+}
+
+// firstDiff returns the first position at which a and b differ, or -1.
+func firstDiff(a, b [][]byte) int {
+	for i := range max(len(a), len(b)) {
+		if i >= len(a) || i >= len(b) || !bytes.Equal(a[i], b[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
+// check compares the two lists entry by entry in both directions, link by
+// link at every level, and at every seek target given.
 func (p *pair) check(targets [][]byte) {
 	p.t.Helper()
 	if p.list.Len() != p.ref.Len() {
 		p.t.Fatalf("Len = %d, reference %d", p.list.Len(), p.ref.Len())
 	}
+	p.levels()
 	it, rit := p.list.NewIterator(), p.ref.NewIterator()
 	n := 0
 	it.SeekToFirst()
@@ -221,6 +268,46 @@ func TestDifferentialInternalKeys(t *testing.T) {
 			}
 		}
 		crossedChunks(t, p.list)
+	}
+}
+
+// TestDifferentialOrderedStreams: streams that do and do not take the
+// append path. Ascending keys all go behind the last node; descending ones
+// never do; after a random fill, ascending keys interleaved with keys that
+// land inside the list switch between the two paths.
+func TestDifferentialOrderedStreams(t *testing.T) {
+	t.Parallel()
+	key := func(n uint64) []byte { return binary.BigEndian.AppendUint64([]byte("k"), n) }
+	streams := map[string]func(rng *rand.Rand, i int, p *pair) []byte{
+		"ascending":  func(_ *rand.Rand, i int, _ *pair) []byte { return key(uint64(i) * 3) },
+		"descending": func(_ *rand.Rand, i int, _ *pair) []byte { return key(uint64(differentialEntries-i) * 3) },
+		"ascending_after_random": func(rng *rand.Rand, i int, p *pair) []byte {
+			if i <= differentialEntries/3 || i%10 == 0 {
+				for {
+					// Below every ascending key: from the second phase on,
+					// these land inside the list.
+					if k := key(rng.Uint64() >> 24); !p.ref.Contains(k) {
+						return k
+					}
+				}
+			}
+			return key(1<<40 + uint64(i))
+		},
+	}
+	for name, next := range streams {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			rng := rand.New(rand.NewSource(5))
+			p := newPair(t, bytes.Compare, 5)
+			p.check(nil)
+			for i := 1; i <= differentialEntries; i++ {
+				p.insert(next(rng, i, p), randomValue(rng))
+				if checkpoint(i) || i == differentialEntries/3+1 {
+					p.check(append(p.sample(rng, 40), key(0), key(1<<41)))
+				}
+			}
+			crossedChunks(t, p.list)
+		})
 	}
 }
 

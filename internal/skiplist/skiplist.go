@@ -70,6 +70,10 @@ type List struct {
 	wordDir atomic.Pointer[[][]uint32]
 	byteDir atomic.Pointer[[][]byte]
 
+	// Writer only: the last node at each level (0 where the level holds
+	// none), so a key past the last one is linked without a search.
+	tail [maxHeight]uint32
+
 	// Writer only: the unused tails of the newest chunks.
 	wordFree []uint32
 	wordRef  uint32 // reference of wordFree[0]
@@ -219,6 +223,14 @@ func (r *reader) seek(k []byte, prev *[maxHeight][]uint32) (lt, ge []uint32) {
 	}
 }
 
+// tower returns the words of the node at ref, or the head when ref is 0.
+func (r *reader) tower(ref uint32) []uint32 {
+	if ref == 0 {
+		return r.list.head[:]
+	}
+	return r.node(ref)
+}
+
 // orNil is x, or nil when x is the head.
 func (r *reader) orNil(x []uint32) []uint32 {
 	if &x[0] == &r.list.head[0] {
@@ -247,11 +259,19 @@ func (r *reader) findLast() []uint32 {
 // Insert adds key with its value to the list, copying both. The caller
 // must not insert a key equal to one already present (the MemTable
 // guarantees this by suffixing unique sequence numbers) and must serialize
-// Insert calls.
+// Insert calls. A key that sorts after every key present is linked
+// behind the last node at each level without a search; the list it builds
+// is link for link the one the search would have built.
 func (l *List) Insert(key, value []byte) {
 	var prev [maxHeight][]uint32
 	r := reader{list: l}
-	r.seek(key, &prev)
+	if last := r.node(l.tail[0]); last != nil && l.cmp(r.key(last), key) < 0 {
+		for i := range int(l.height.Load()) {
+			prev[i] = r.tower(l.tail[i])
+		}
+	} else {
+		r.seek(key, &prev)
+	}
 
 	h := l.randomHeight()
 	if cur := int(l.height.Load()); h > cur {
@@ -266,8 +286,12 @@ func (l *List) Insert(key, value []byte) {
 	ref, n := l.newNode(key, value, h)
 	for i := 0; i < h; i++ {
 		link := &prev[i][nTower+i]
-		atomic.StoreUint32(&n[nTower+i], atomic.LoadUint32(link))
+		next := atomic.LoadUint32(link)
+		atomic.StoreUint32(&n[nTower+i], next)
 		atomic.StoreUint32(link, ref)
+		if next == 0 {
+			l.tail[i] = ref
+		}
 	}
 	l.count.Add(1)
 	l.bytes.Add(int64(len(key) + len(value)))

@@ -164,53 +164,63 @@ func concurrentValue(i int) []byte {
 // that the writer opens new chunks of both slabs under the readers: a link
 // into a chunk a reader's directory lacks panics, and an entry read before
 // its bytes or lengths were written fails the length and content checks.
+// The fill runs in scattered order, where every insert searches, and in
+// ascending order, where every insert after the first appends.
 func TestConcurrentReadersWithWriter(t *testing.T) {
 	t.Parallel()
-	l := newList()
 	const total = 8000
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for r := 0; r < 4; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				it := l.NewIterator()
-				prev := []byte(nil)
-				for it.SeekToFirst(); it.Valid(); it.Next() {
-					if prev != nil && bytes.Compare(prev, it.Key()) >= 0 {
-						t.Error("keys out of order during concurrent read")
-						return
+	for name, order := range map[string]func(i int) int{
+		"scattered": func(i int) int { return i * 2654435761 % total },
+		"ascending": func(i int) int { return i },
+	} {
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			l := newList()
+			var wg sync.WaitGroup
+			stop := make(chan struct{})
+			for r := 0; r < 4; r++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						it := l.NewIterator()
+						prev := []byte(nil)
+						for it.SeekToFirst(); it.Valid(); it.Next() {
+							if prev != nil && bytes.Compare(prev, it.Key()) >= 0 {
+								t.Error("keys out of order during concurrent read")
+								return
+							}
+							prev = append(prev[:0], it.Key()...)
+							i, err := strconv.Atoi(string(prev[1:]))
+							if len(prev) != 9 || err != nil {
+								t.Errorf("read key %q, which was never inserted", prev)
+								return
+							}
+							if !bytes.Equal(it.Value(), concurrentValue(i)) {
+								t.Errorf("key %q: value of %d bytes is not the one inserted", prev, len(it.Value()))
+								return
+							}
+						}
 					}
-					prev = append(prev[:0], it.Key()...)
-					i, err := strconv.Atoi(string(prev[1:]))
-					if len(prev) != 9 || err != nil {
-						t.Errorf("read key %q, which was never inserted", prev)
-						return
-					}
-					if !bytes.Equal(it.Value(), concurrentValue(i)) {
-						t.Errorf("key %q: value of %d bytes is not the one inserted", prev, len(it.Value()))
-						return
-					}
-				}
+				}()
 			}
-		}()
+			for i := 0; i < total; i++ {
+				n := order(i)
+				l.Insert([]byte(fmt.Sprintf("k%08d", n)), concurrentValue(n))
+			}
+			close(stop)
+			wg.Wait()
+			if l.Len() != total {
+				t.Fatalf("Len = %d, want %d", l.Len(), total)
+			}
+			crossedChunks(t, l)
+		})
 	}
-	for i := 0; i < total; i++ {
-		n := i * 2654435761 % total
-		l.Insert([]byte(fmt.Sprintf("k%08d", n)), concurrentValue(n))
-	}
-	close(stop)
-	wg.Wait()
-	if l.Len() != total {
-		t.Fatalf("Len = %d, want %d", l.Len(), total)
-	}
-	crossedChunks(t, l)
 }
 
 func BenchmarkInsert(b *testing.B) {
@@ -266,6 +276,28 @@ func BenchmarkInsert4MiB(b *testing.B) {
 	b.SetBytes(fillEntries * (fillKeyLen + fillValueLen))
 	for i := 0; i < b.N; i++ {
 		fill4MiB()
+	}
+}
+
+// BenchmarkInsert4MiBAscending has the shape of the repo benchmark's
+// preload: 16-byte keys with 256-byte values, as many as fill 4 MiB, in
+// ascending order, so every insert after the first appends.
+func BenchmarkInsert4MiBAscending(b *testing.B) {
+	const (
+		valueLen = 256
+		entries  = (4 << 20) / (fillKeyLen + valueLen)
+	)
+	value := make([]byte, valueLen)
+	var key []byte
+	b.ReportAllocs()
+	b.SetBytes(entries * (fillKeyLen + valueLen))
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		l := newList()
+		for j := 0; j < entries; j++ {
+			key = binary.BigEndian.AppendUint64(append(key[:0], "fill-key"...), uint64(j))
+			l.Insert(key, value)
+		}
 	}
 }
 
